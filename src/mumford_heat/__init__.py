@@ -14,10 +14,9 @@ from .padic import (Disc, PoleHit, abs_p, ball_character_moment_integral,
 from .exactnum import ExactComplex, PhaseSum, PowerSum
 from .schottky import (DiscsIntersect, DomainInvalid, FundamentalDomain,
                        GroupWord, MoebiusMap, PoleInsideDisc, ReductionDiverged,
-                       SchottkyGroup, delta, derivative_abs, disc_distance,
-                       disc_image, enumerate_words, moebius_apply,
-                       moebius_distance_identity_check, reduce_to_domain,
-                       region_image, verify_fundamental_domain)
+                       SchottkyGroup, delta, disc_distance, disc_image,
+                       enumerate_words, moebius_distance_identity_check,
+                       reduce_to_domain, region_image, verify_fundamental_domain)
 from .measure import (AssumptionViolated, MeasureProfile,
                       RationalFunctionDatum, RootInsideDisc, UnalignedDisc,
                       build_profile, invariance_audit, local_abs, mass)

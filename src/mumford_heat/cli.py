@@ -37,18 +37,8 @@ def _scalar_str(value) -> str:
     return repr(value)
 
 
-def _header_lines(run: RunConfig, op: OperatorConfig) -> list[str]:
-    cut = op.cutoff()
-    tb = tail_bound(op, cut) if op.group.genus else Fraction(0)
-    return [
-        f"# config_hash={run.config_hash}",
-        f"# mode={op.mode}",
-        f"# cutoff_len={cut}",
-        f"# tail_bound={format_rational(tb)}",
-    ]
-
-
 def _meta(run: RunConfig, op: OperatorConfig) -> dict:
+    """The facts every artifact embeds; computed once per command."""
     cut = op.cutoff()
     tb = tail_bound(op, cut) if op.group.genus else Fraction(0)
     return {
@@ -57,6 +47,11 @@ def _meta(run: RunConfig, op: OperatorConfig) -> dict:
         "cutoff_len": cut,
         "tail_bound": format_rational(tb),
     }
+
+
+def _header_lines(meta: dict) -> list[str]:
+    return [f"# {key}={meta[key]}"
+            for key in ("config_hash", "mode", "cutoff_len", "tail_bound")]
 
 
 def _write(path: Path, text: str) -> None:
@@ -91,7 +86,7 @@ def cmd_validate(run: RunConfig, op: OperatorConfig, out: Path, args) -> int:
 def cmd_spectrum(run: RunConfig, op: OperatorConfig, out: Path, args) -> int:
     level = args.level if args.level is not None else run.run.level
     result = spectrum(op, level, datum=run.datum)
-    lines = _header_lines(run, op)
+    lines = _header_lines(_meta(run, op))
     lines.append("radius_exp,density,lambda_formula,lambda_exact_lo,"
                  "lambda_exact_hi,multiplicity,n_witness_discs")
     for e in result.entries:
@@ -135,7 +130,7 @@ def cmd_evolve(run: RunConfig, op: OperatorConfig, out: Path, args) -> int:
     h0 = _default_initial(run, op, gen, args.initial)
     times = args.times if args.times else list(run.run.times)
     sol = solve_cauchy(op, gen, h0, times, data)
-    lines = _header_lines(run, op)
+    lines = _header_lines(_meta(run, op))
     lines.append("t,state_index,value")
     for ti, t in enumerate(sol.times):
         for si in range(len(sol.states)):
@@ -155,7 +150,8 @@ def cmd_sample(run: RunConfig, op: OperatorConfig, out: Path, args) -> int:
     workers = int(os.environ.get("MUMFORD_HEAT_THREADS", "1"))
     paths = sample_paths(gen, n_paths, t_max, seed,
                          start_index=run.run.start_state, workers=workers)
-    lines = _header_lines(run, op)
+    meta = _meta(run, op)
+    lines = _header_lines(meta)
     lines.append(f"# seed={seed} t_max={t_max!r} start_state={run.run.start_state}")
     lines.append("path_id,jump_time,state_index,state_center,state_radius_exp")
     for path in paths:
@@ -172,7 +168,7 @@ def cmd_sample(run: RunConfig, op: OperatorConfig, out: Path, args) -> int:
         report = empirical_validation(op, gen, paths, checkpoints,
                                       start_index=run.run.start_state)
         payload = {
-            "meta": _meta(run, op),
+            "meta": meta,
             "n_paths": report.n_paths,
             "threshold_sigmas": report.threshold,
             "passed": report.passed,
@@ -209,7 +205,7 @@ def cmd_resolvent(run: RunConfig, op: OperatorConfig, out: Path, args) -> int:
     u = resolvent_solve(gen, eta, h)
     ud = u.as_dict()
     hd = h.as_dict()
-    lines = _header_lines(run, op)
+    lines = _header_lines(_meta(run, op))
     lines.append(f"# eta={format_rational(eta)}")
     lines.append("state_index,state_center,state_radius_exp,h,u")
     for i, d in enumerate(gen.states):

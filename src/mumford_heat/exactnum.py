@@ -34,12 +34,13 @@ def _integer_nth_root(n: int, k: int) -> int:
         raise ValueError("negative radicand")
     if n == 0:
         return 0
-    x = int(round(n ** (1.0 / k))) + 2
-    while x ** k > n:
-        x -= 1
-    while (x + 1) ** k <= n:
-        x += 1
-    return x
+    # Newton's iteration from 2^ceil(bits/k) >= n^(1/k) decreases to the floor
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
 
 
 def p_power_bounds(p: int, exponent: Fraction, digits: int = 12) -> tuple[Fraction, Fraction]:
@@ -275,13 +276,6 @@ class PowerSum:
 
     def __repr__(self):
         return f"PowerSum(p={self.p}, {dict(self._terms)!r})"
-
-
-def exact_scalar(p: int, value) -> "PowerSum":
-    """Coerce a Fraction/int/PowerSum into a PowerSum over p."""
-    if isinstance(value, PowerSum):
-        return value
-    return PowerSum.from_rational(p, value)
 
 
 @dataclass(frozen=True)

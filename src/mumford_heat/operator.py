@@ -15,17 +15,26 @@ quantities are supported: ``ambient`` recomputes distances and densities in
 the field, ``transport`` defines gamma-translated data to equal its
 representative on F; the beta = 1 spectral computation is the same in both
 modes.
+
+Every truncated group sum (generator matrix, wavelet multipliers and their
+eigenvalue oracle, eigenvalue series, level-function quadrature) runs through
+one engine: a single walk over the reduced words moves cell centres by the
+words' integer matrices and counts, per (base point, cell) pair, the words by
+(length l, valuation v of the distance).  Each such histogram is folded once
+into the exact sum of count * p^(alpha*v - alpha_g*l), for rational exponents
+as for integral ones.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
 from .exactnum import ExactComplex, PowerSum, p_power_bounds
-from .padic import Disc, Rational, abs_p, haar_measure, valuation
+from .padic import Disc, PoleHit, Rational, abs_p, haar_measure, valuation
 from .measure import MeasureProfile, RationalFunctionDatum, local_abs
 from .schottky import (DomainInvalid, FundamentalDomain, GroupWord, MoebiusMap,
                        SchottkyGroup, region_image, words_with_maps)
@@ -45,6 +54,10 @@ class RatioNotConstant(ArithmeticError):
 
 class NotLocallyConstant(ValueError):
     """apply_operator needs a locally constant input at a declared level."""
+
+
+class ChartNotSupported(ValueError):
+    """The requested chart transform leaves the exact toolkit's reach."""
 
 
 @dataclass(frozen=True)
@@ -107,10 +120,6 @@ class OperatorConfig:
                 raise RuntimeError("cutoff search did not converge")
         return length
 
-    def word_weight(self, length: int) -> PowerSum:
-        """p^(-alpha_g * length) as an exact scalar."""
-        return PowerSum(self.p).add_term(Fraction(1), -self.alpha_g * length)
-
     def distance_power_exp(self, dist: Fraction) -> Fraction:
         """Exponent e with dist^(-alpha) = p^e, for dist an exact power of p."""
         return -Fraction(valuation(dist, self.p)) * self.alpha
@@ -146,12 +155,11 @@ def kernel(cfg: OperatorConfig, beta_spec: tuple[GroupWord, Rational],
         beta, gamma = GroupWord.identity(), beta.inverse().compose(gamma)
     bx = cfg.group.word_map(beta).apply(x)
     gy = cfg.group.word_map(gamma).apply(y)
-    if bx == gy:
-        raise CoincidentPoints(f"kernel singular at {bx}")
+    v = (_cross_valuation(bx.numerator, bx.denominator, gy.numerator, gy.denominator,
+                          cfg.p) - valuation(bx.denominator * gy.denominator, cfg.p))
     length = len(beta.inverse().compose(gamma))
-    value = cfg.word_weight(length).mul_power(cfg.mu_inverse(), 0)
-    dist = abs_p(bx - gy, cfg.p)
-    return simplify(value.mul_power(Fraction(1), cfg.distance_power_exp(dist)))
+    return simplify(PowerSum(cfg.p).add_term(
+        cfg.mu_inverse(), cfg.alpha * v - cfg.alpha_g * length))
 
 
 def minimal_escape_distance(cfg: OperatorConfig) -> Fraction:
@@ -169,8 +177,10 @@ def minimal_escape_distance(cfg: OperatorConfig) -> Fraction:
     return cfg.p * min(radii)
 
 
-def _geometric_word_tail(cfg: OperatorConfig, length: int) -> Fraction:
-    """Certified upper bound for sum_{l > length} 2g(2g-1)^(l-1) p^(-alpha_g l)."""
+def _group_tail(cfg: OperatorConfig, length: int) -> Fraction:
+    """Certified upper bound for the l > length part of the group sum
+    sum_gamma p^(-alpha_g l(gamma)) |x - gamma y|^(-alpha) over x, y in F:
+    d_min^(-alpha) * sum_{l > length} 2g(2g-1)^(l-1) p^(-alpha_g l)."""
     g = cfg.group.genus
     if g == 0:
         return Fraction(0)
@@ -179,28 +189,19 @@ def _geometric_word_tail(cfg: OperatorConfig, length: int) -> Fraction:
     if ratio >= 1:
         raise ArithmeticError("tail ratio not contractive at this precision")
     first = 2 * g * (2 * g - 1) ** length * q_hi ** (length + 1)
-    return first / (1 - ratio)
-
-
-def _power_upper(cfg: OperatorConfig, base: Fraction, exponent: Fraction) -> Fraction:
-    """Certified upper bound for base**exponent, base an exact power of p."""
-    k = valuation(base, cfg.p)  # base = p^k exactly
-    _, hi = p_power_bounds(cfg.p, Fraction(k) * exponent, digits=30)
-    return hi
+    k = valuation(minimal_escape_distance(cfg), cfg.p)  # d_min = p^k exactly
+    _, dist_hi = p_power_bounds(cfg.p, -k * cfg.alpha, digits=30)
+    return dist_hi * first / (1 - ratio)
 
 
 def tail_bound(cfg: OperatorConfig, length: int, sup_norm: Rational = 1) -> Fraction:
     """Certified bound for the discarded l > length part of an operator sum.
 
-    2 ||u||_inf * mu(F)^-1 * total_mass * d_min^(-alpha) * (geometric word tail);
-    exact rational, monotone decreasing in the cutoff length.
+    2 ||u||_inf * mu(F)^-1 * total_mass * (group-sum tail); exact rational,
+    monotone decreasing in the cutoff length.
     """
-    if cfg.group.genus == 0:
-        return Fraction(0)
-    d_min = minimal_escape_distance(cfg)
-    dist_factor = _power_upper(cfg, d_min, -cfg.alpha)
     return (2 * Fraction(sup_norm) * cfg.mu_inverse() * cfg.profile.total_mass
-            * dist_factor * _geometric_word_tail(cfg, length))
+            * _group_tail(cfg, length))
 
 
 # ---------------------------------------------------------------------------
@@ -245,8 +246,108 @@ def _wavelet_cells(cfg: OperatorConfig, support: Disc) -> list[tuple[Disc, Fract
 
 
 # ---------------------------------------------------------------------------
+# The group-sum engine
+# ---------------------------------------------------------------------------
+
+def _cross_valuation(xn: int, xd: int, tn: int, td: int, p: int) -> int:
+    """v_p(xn*td - tn*xd), which is v_p(xn/xd - tn/td) + v_p(xd) + v_p(td)."""
+    num = xn * td - tn * xd
+    if num == 0:
+        raise CoincidentPoints(f"distance zero at {Fraction(xn, xd)}")
+    return valuation(num, p)
+
+
+def _group_histograms(cfg: OperatorConfig, length: int, points: Sequence[Fraction],
+                      cells: Sequence[Disc], chart: MoebiusMap | None = None,
+                      whole_cells: bool = False) -> list[list[dict]]:
+    """{(l(w), v): count} for each (point x, cell) pair, where v is the
+    valuation of chart(x) - chart(w(c)), c the cell's centre, over the reduced
+    words w with l(w) <= length.
+
+    Centres move as integer pairs, n/d -> (a*n + b*d, c*n + d*d) under the
+    matrix of chart o w.  The identity word is left out of every pair whose
+    point lies in the cell: that part of the integral is the caller's.  A
+    word whose pole is a cell centre raises PoleHit; with ``whole_cells``,
+    one whose pole lies anywhere in a cell raises ChartNotSupported.
+    """
+    p = cfg.p
+    chart = chart or MoebiusMap.identity()
+    xs = [(y.numerator, y.denominator, valuation(y.denominator, p))
+          for y in map(chart.apply, points)]
+    centres = [(cell.center.numerator, cell.center.denominator) for cell in cells]
+    inside = [[cell.contains_point(x, p) for cell in cells] for x in points]
+    hists = [[{} for _ in cells] for _ in points]
+    for word, mat in words_with_maps(cfg.group, length):
+        ell = len(word)
+        a = chart.a * mat.a + chart.b * mat.c
+        b = chart.a * mat.b + chart.b * mat.d
+        c = chart.c * mat.a + chart.d * mat.c
+        d = chart.c * mat.b + chart.d * mat.d
+        targets = []
+        for cell, (n, m) in zip(cells, centres):
+            den = c * n + d * m
+            # the pole -d/c is in the cell iff |c*centre + d| / |c| <= radius
+            if whole_cells and c and (den == 0 or valuation(den, p) - valuation(m, p)
+                                      - valuation(c, p) >= -cell.radius_exp):
+                raise ChartNotSupported(f"image of {cell} under {word} wraps infinity")
+            if den == 0:
+                raise PoleHit(f"{word} evaluated at its pole {cell.center}")
+            targets.append((a * n + b * m, den, valuation(den, p)))
+        for (xn, xd, vx), x_inside, row in zip(xs, inside, hists):
+            for (tn, td, vt), skip, hist in zip(targets, x_inside, row):
+                if ell or not skip:
+                    key = (ell, _cross_valuation(xn, xd, tn, td, p) - vx - vt)
+                    hist[key] = hist.get(key, 0) + 1
+    return hists
+
+
+def _fold(cfg: OperatorConfig, total: PowerSum, coeff: Fraction, hist: dict) -> PowerSum:
+    """Add coeff * sum of count * p^(alpha*v - alpha_g*l) over hist to total,
+    a distance p^-v giving (p^-v)^(-alpha).  With alpha = a/q, alpha_g = g/q
+    the exponent is k + r/q, 0 <= r < q: counts are summed in integers per r."""
+    q = math.lcm(cfg.alpha.denominator, cfg.alpha_g.denominator)
+    a, g = int(cfg.alpha * q), int(cfg.alpha_g * q)
+    by_residue: dict[int, dict[int, int]] = {}
+    for (ell, v), count in hist.items():
+        k, r = divmod(a * v - g * ell, q)
+        counts = by_residue.setdefault(r, {})
+        counts[k] = counts.get(k, 0) + count
+    p = cfg.p
+    for r, counts in by_residue.items():
+        k_min = min(counts)
+        num = sum(count * p ** (k - k_min) for k, count in counts.items())
+        total.add_term(coeff * num * Fraction(p) ** k_min, Fraction(r, q))
+    return total
+
+
+# ---------------------------------------------------------------------------
 # Operator application
 # ---------------------------------------------------------------------------
+
+def _multipliers(cfg: OperatorConfig, support: Disc, points: Sequence[Fraction],
+                 length: int, chart: GroupWord | None) -> list[Scalar]:
+    """:func:`wavelet_multiplier` at each of the points, from one walk."""
+    p = cfg.p
+    beta = GroupWord.identity() if (chart is None or cfg.mode == "transport") else chart
+    beta_map = cfg.group.word_map(beta)
+    cells = _wavelet_cells(cfg, support)
+    local_exp = Fraction(support.radius_exp) * (1 - cfg.alpha)
+    if not beta.is_identity():
+        # |beta x - beta y| = |beta'|_B * |x - y| on the support, so the
+        # local integral picks up the factor |beta'|_B^(-alpha)
+        deriv = beta_map.derivative_abs(support.center, p)
+        local_exp += cfg.distance_power_exp(deriv)
+    hists = _group_histograms(cfg, length, points, [cell for cell, _ in cells],
+                              beta_map)
+    dens_b = cfg.profile.density_on(support)
+    out = []
+    for row in hists:
+        total = PowerSum(p).add_term(-dens_b, local_exp)
+        for (cell, dens), hist in zip(cells, row):
+            _fold(cfg, total, -dens * haar_measure(cell, p), hist)
+        out.append(simplify(total.mul_power(cfg.mu_inverse(), 0)))
+    return out
+
 
 def wavelet_multiplier(cfg: OperatorConfig, support: Disc, x: Rational,
                        length: int | None = None,
@@ -259,40 +360,12 @@ def wavelet_multiplier(cfg: OperatorConfig, support: Disc, x: Rational,
     pair sees a constant distance, so its wavelet part cancels exactly and
     only the -psi(x) part survives.  Returns (M, certified tail bound).
     """
-    p = cfg.p
     x = Fraction(x)
-    if not support.contains_point(x, p):
+    if not support.contains_point(x, cfg.p):
         raise ValueError(f"{x} is not in the support {support}")
     length = cfg.cutoff() if length is None else length
-    beta = GroupWord.identity() if (chart is None or cfg.mode == "transport") else chart
-    beta_map = cfg.group.word_map(beta)
-    bx = beta_map.apply(x)
-    cells = _wavelet_cells(cfg, support)
-    dens_b = cfg.profile.density_on(support)
-    d = support.radius_exp
-
-    total = PowerSum(p)
-    local_exp = Fraction(d) * (1 - cfg.alpha)
-    if not beta.is_identity():
-        # |beta x - beta y| = |beta'|_B * |x - y| on the support, so the
-        # local integral picks up the factor |beta'|_B^(-alpha)
-        deriv = beta_map.derivative_abs(support.center, p)
-        local_exp += cfg.distance_power_exp(deriv)
-    total.add_term(-dens_b, local_exp)
-    for word, mat in words_with_maps(cfg.group, length):
-        composed = beta_map.compose(mat)
-        weight_exp = -cfg.alpha_g * len(word)
-        for cell, dens in cells:
-            if word.is_identity() and cell == support:
-                continue  # replaced by the exact local term
-            target = composed.apply(cell.center)
-            dist = abs_p(bx - target, p)
-            if dist == 0:
-                raise CoincidentPoints(f"cell {cell} hit the base point")
-            total.add_term(-dens * haar_measure(cell, p),
-                           weight_exp + cfg.distance_power_exp(dist))
-    total = total.mul_power(cfg.mu_inverse(), 0)
-    return simplify(total), tail_bound(cfg, length)
+    mult, = _multipliers(cfg, support, [x], length, chart)
+    return mult, tail_bound(cfg, length)
 
 
 def scalar_times_value(p: int, scalar: Scalar, base: ExactComplex) -> ExactComplex:
@@ -337,26 +410,15 @@ def _apply_to_level_function(cfg: OperatorConfig, u: LevelFunction, x: Fraction,
     p = cfg.p
     length = cfg.cutoff() if length is None else length
     beta = GroupWord.identity() if (beta is None or cfg.mode == "transport") else beta
-    beta_map = cfg.group.word_map(beta)
-    bx = beta_map.apply(x)
     ux = u.value_at(x, p)
-    cells = [(d, cfg.profile.density_at(d.center), v) for d, v in u.values]
-    total = 0j
-    sup = u.sup_norm()
-    for word, mat in words_with_maps(cfg.group, length):
-        composed = beta_map.compose(mat)
-        weight = float(p) ** -float(cfg.alpha_g * len(word))
-        for cell, dens, val in cells:
-            if word.is_identity() and cell.contains_point(x, p):
-                continue  # the integrand vanishes on the cell of x
-            target = composed.apply(cell.center)
-            dist = abs_p(bx - target, p)
-            if dist == 0:
-                raise CoincidentPoints(f"cell {cell} hit the base point")
-            total += (weight * float(dens * haar_measure(cell, p))
-                      * float(dist) ** -float(cfg.alpha) * (val - ux))
-    total *= float(cfg.mu_inverse())
-    return total, float(tail_bound(cfg, length, Fraction(1))) * sup
+    masses = [cfg.profile.density_at(d.center) * haar_measure(d, p) for d, _ in u.values]
+    # the identity term vanishes on the cell of x, which the engine skips
+    row, = _group_histograms(cfg, length, [x], [d for d, _ in u.values],
+                             cfg.group.word_map(beta))
+    total = sum((float(_fold(cfg, PowerSum(p), mass, hist)) * (val - ux)
+                 for mass, (_, val), hist in zip(masses, u.values, row)), 0j)
+    return (total * float(cfg.mu_inverse()),
+            float(tail_bound(cfg, length, Fraction(1))) * u.sup_norm())
 
 
 # ---------------------------------------------------------------------------
@@ -377,18 +439,11 @@ class SeriesValue:
     is_exact: bool
     cutoff: int | None = None
 
-    def midpoint(self) -> float:
-        return (float(self.lo) + float(self.hi)) / 2
 
-
-def _scalar_bounds(p: int, value: Scalar) -> tuple[Fraction, Fraction]:
+def _scalar_bounds(value: Scalar) -> tuple[Fraction, Fraction]:
     if isinstance(value, Fraction):
         return value, value
     return value.bounds()
-
-
-class ChartNotSupported(ValueError):
-    """The requested chart transform leaves the exact toolkit's reach."""
 
 
 def _branch_closed_form(cfg: OperatorConfig, support: Disc,
@@ -501,23 +556,17 @@ def delta_series(cfg: OperatorConfig, support: Disc) -> SeriesValue:
         closed = [_branch_closed_form(cfg, support, s) for s in (1, -1)]
         if all(c is not None for c in closed):
             total = closed[0] + closed[1] + Fraction(1)
-            lo, hi = _scalar_bounds(p, total)
+            lo, hi = _scalar_bounds(total)
             return SeriesValue(simplify(total), lo, hi, True, None)
     length = cfg.cutoff()
-    total = PowerSum(p).add_term(Fraction(1), Fraction(0))  # identity term
-    for word, mat in words_with_maps(cfg.group, length):
-        if word.is_identity():
-            continue
-        image = region_image(mat, support, p)
-        if image.complement:
-            raise ChartNotSupported(f"image of {support} under {word} wraps infinity")
-        dist = abs_p(support.center - image.center, p)
-        total.add_term(Fraction(1),
-                       -cfg.alpha_g * len(word) + cfg.distance_power_exp(dist))
-    d_min = minimal_escape_distance(cfg)
-    tail = _power_upper(cfg, d_min, -cfg.alpha) * _geometric_word_tail(cfg, length)
-    lo, hi = _scalar_bounds(p, total)
-    return SeriesValue(simplify(total), lo, hi + tail, False, length)
+    # gamma B has centre gamma(c_B); the engine leaves out the identity word,
+    # whose term is 1
+    (hist,), = _group_histograms(cfg, length, [support.center], [support],
+                                 whole_cells=True)
+    total = _fold(cfg, PowerSum(p).add_term(Fraction(1), Fraction(0)),
+                  Fraction(1), hist)
+    lo, hi = _scalar_bounds(total)
+    return SeriesValue(simplify(total), lo, hi + _group_tail(cfg, length), False, length)
 
 
 def lambda_formula(cfg: OperatorConfig, support: Disc) -> SeriesValue:
@@ -558,15 +607,11 @@ class LambdaExact:
 
     @property
     def lo(self) -> Fraction:
-        lo, _ = (self.value, self.value) if isinstance(self.value, Fraction) \
-            else self.value.bounds()
-        return lo - self.tail
+        return _scalar_bounds(self.value)[0] - self.tail
 
     @property
     def hi(self) -> Fraction:
-        _, hi = (self.value, self.value) if isinstance(self.value, Fraction) \
-            else self.value.bounds()
-        return hi + self.tail
+        return _scalar_bounds(self.value)[1] + self.tail
 
 
 def lambda_exact(cfg: OperatorConfig, support: Disc,
@@ -575,22 +620,18 @@ def lambda_exact(cfg: OperatorConfig, support: Disc,
 
     The truncated multiplier must be exactly identical across the child
     sample points (RatioNotConstant otherwise, which would falsify the
-    eigen-relation), and the eigenvalue is its negative.
+    eigen-relation), and the eigenvalue is its negative.  One walk serves
+    all the children.
     """
     if not cfg.profile.admissible(support):
         raise NotAdmissible(f"{support} is not admissible")
     length = cfg.cutoff() if length is None else length
     samples = tuple(child.center for child in support.children(cfg.p))
-    values = []
-    for x in samples:
-        mult, tail = wavelet_multiplier(cfg, support, x, length)
-        values.append((simplify(as_power_sum(cfg.p, mult).scaled(-1)), tail))
-    first = values[0][0]
-    for val, _ in values[1:]:
-        if val != first:
-            raise RatioNotConstant(
-                f"operator ratio varies over {support}: {values}")
-    return LambdaExact(first, values[0][1], samples, length)
+    values = [simplify(-mult)
+              for mult in _multipliers(cfg, support, samples, length, None)]
+    if any(val != values[0] for val in values[1:]):
+        raise RatioNotConstant(f"operator ratio varies over {support}: {values}")
+    return LambdaExact(values[0], tail_bound(cfg, length), samples, length)
 
 
 # ---------------------------------------------------------------------------
@@ -801,9 +842,6 @@ class GeneratorMatrix:
     def as_floats(self) -> list[list[float]]:
         return [[float(v) for v in row] for row in self.rows]
 
-    def state_index(self, disc: Disc) -> int:
-        return self.states.index(disc)
-
 
 def generator_matrix(cfg: OperatorConfig, level: int,
                      length: int | None = None) -> GeneratorMatrix:
@@ -819,42 +857,15 @@ def generator_matrix(cfg: OperatorConfig, level: int,
     if not states:
         raise ValueError(f"no states at level {level}")
     masses = [cfg.profile.density_at(d.center) * haar_measure(d, p) for d in states]
-    n = len(states)
-    sums = [[PowerSum(p) for _ in range(n)] for _ in range(n)]
-    for word, mat in words_with_maps(cfg.group, length):
-        identity = word.is_identity()
-        weight_exp = -cfg.alpha_g * len(word)
-        targets = [mat.apply(d.center) for d in states]
-        for i, di in enumerate(states):
-            ci = di.center
-            for k in range(n):
-                if identity and k == i:
-                    continue
-                dist = abs_p(ci - targets[k], p)
-                if dist == 0:
-                    raise CoincidentPoints(f"states {i} and {k} collide")
-                sums[i][k].add_term(Fraction(1),
-                                    weight_exp + cfg.distance_power_exp(dist))
+    hists = _group_histograms(cfg, length, [d.center for d in states], states)
     mu_inv = cfg.mu_inverse()
     rows = []
-    for i in range(n):
-        row = []
-        diag = PowerSum(p)
-        for k in range(n):
-            if k == i:
-                row.append(None)
-                continue
-            entry = sums[i][k].mul_power(mu_inv * masses[k], 0)
-            row.append(simplify(entry))
-            diag = diag + entry
-        row[i] = simplify(diag.scaled(-1))
+    for i, row_hists in enumerate(hists):
+        row = [simplify(_fold(cfg, PowerSum(p), mu_inv * mass, hist))
+               for mass, hist in zip(masses, row_hists)]
+        row[i] = simplify(-sum(row[:i] + row[i + 1:], PowerSum(p)))
         rows.append(tuple(row))
-    d_min = minimal_escape_distance(cfg) if cfg.group.genus else None
-    if cfg.group.genus:
-        tail = (mu_inv * max(masses) * _power_upper(cfg, d_min, -cfg.alpha)
-                * _geometric_word_tail(cfg, length))
-    else:
-        tail = Fraction(0)
+    tail = mu_inv * max(masses) * _group_tail(cfg, length)
     return GeneratorMatrix(level, tuple(states), tuple(rows), tail, length)
 
 

@@ -32,7 +32,8 @@ class PoleHit(ZeroDivisionError):
 
 def valuation(x: Rational, p: int) -> Union[int, float]:
     """Exact p-adic valuation v_p(x); ``INFINITE_VALUATION`` for x = 0."""
-    x = Fraction(x)
+    if not isinstance(x, int):
+        x = Fraction(x)
     if x == 0:
         return INFINITE_VALUATION
     num, den = x.numerator, x.denominator

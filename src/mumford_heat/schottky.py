@@ -121,14 +121,6 @@ class MoebiusMap:
         return f"MoebiusMap([[{self.a}, {self.b}], [{self.c}, {self.d}]])"
 
 
-def moebius_apply(gamma: MoebiusMap, x: Rational) -> Fraction:
-    return gamma.apply(x)
-
-
-def derivative_abs(gamma: MoebiusMap, x: Rational, p: int) -> Fraction:
-    return gamma.derivative_abs(x, p)
-
-
 def moebius_distance_identity_check(gamma: MoebiusMap, x: Rational, y: Rational,
                                     p: int) -> tuple[Fraction, Fraction]:
     """Both sides of |gx - gy| = |g'(x)|^(1/2) |g'(y)|^(1/2) |x - y|.

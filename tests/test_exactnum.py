@@ -82,6 +82,10 @@ def test_p_power_bounds_certified():
     assert lo == hi == F(1, 9)
     lo, hi = p_power_bounds(2, F(-5, 3))
     assert float(lo) <= 2 ** (-5 / 3) <= float(hi)
+    # 30 digits take an integer square root of a 62-digit radicand, beyond
+    # what a float estimate of the root can seed
+    lo, hi = p_power_bounds(3, F(-3, 2), digits=30)
+    assert lo ** 2 <= F(1, 27) <= hi ** 2 and hi - lo < F(1, 10 ** 29)
 
 
 def test_exact_complex_equality_across_forms():

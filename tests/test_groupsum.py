@@ -1,0 +1,201 @@
+"""The group-sum engine against a plain Fraction/abs_p reference of the same sums.
+
+The reference walks the reduced words and evaluates every distance as a
+rational with ``abs_p``, one ``PowerSum`` term per (word, cell) pair; the
+engine's integer histograms must give values that are ``==`` to it.
+"""
+
+import dataclasses
+from fractions import Fraction as F
+
+import pytest
+
+from mumford_heat.exactnum import PowerSum
+from mumford_heat.measure import MeasureProfile
+from mumford_heat.operator import (ChartNotSupported, CoincidentPoints,
+                                   OperatorConfig,
+                                   _wavelet_cells, apply_operator, delta_series,
+                                   generator_matrix, lambda_exact, simplify,
+                                   wavelet_multiplier)
+from mumford_heat.padic import Disc, PoleHit, abs_p, haar_measure, valuation
+from mumford_heat.schottky import GroupWord, MoebiusMap, region_image, words_with_maps
+from mumford_heat.wavelets import LevelFunction, admissible_supports, state_discs
+
+ID = GroupWord.identity()
+
+
+def ref_sum(cfg, length, x, centre, beta_map, skip_identity):
+    """sum over l(w) <= length of p^(-alpha_g l(w)) |beta x - beta w c|^(-alpha)."""
+    p, bx, total = cfg.p, beta_map.apply(x), PowerSum(cfg.p)
+    for word, mat in words_with_maps(cfg.group, length):
+        if skip_identity and word.is_identity():
+            continue
+        dist = abs_p(bx - beta_map.compose(mat).apply(centre), p)
+        assert dist != 0
+        total.add_term(1, -cfg.alpha_g * len(word) - cfg.alpha * valuation(dist, p))
+    return total
+
+
+def ref_generator_rows(cfg, level, length):
+    p, states = cfg.p, state_discs(cfg.domain, cfg.profile, level)
+    rows = []
+    for i, di in enumerate(states):
+        row, diag = [], PowerSum(p)
+        for k, dk in enumerate(states):
+            if k == i:
+                row.append(None)
+                continue
+            mass = cfg.profile.density_at(dk.center) * haar_measure(dk, p)
+            entry = ref_sum(cfg, length, di.center, dk.center, MoebiusMap.identity(),
+                            False).mul_power(cfg.mu_inverse() * mass, 0)
+            row.append(simplify(entry))
+            diag = diag + entry
+        row[i] = simplify(-diag)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def ref_multiplier(cfg, support, x, length, chart=None):
+    p = cfg.p
+    beta = chart if chart is not None and cfg.mode == "ambient" else ID
+    beta_map = cfg.group.word_map(beta)
+    local_exp = support.radius_exp * (1 - cfg.alpha)
+    if not beta.is_identity():
+        local_exp -= cfg.alpha * valuation(beta_map.derivative_abs(support.center, p), p)
+    total = PowerSum(p).add_term(-cfg.profile.density_on(support), local_exp)
+    for cell, dens in _wavelet_cells(cfg, support):
+        part = ref_sum(cfg, length, x, cell.center, beta_map, cell == support)
+        total = total + part.scaled(-dens * haar_measure(cell, p))
+    return simplify(total.mul_power(cfg.mu_inverse(), 0))
+
+
+def ref_level_apply(cfg, u, x, length, chart):
+    """The level-function quadrature, term by term in complex floats."""
+    p = cfg.p
+    beta_map = cfg.group.word_map(chart if cfg.mode == "ambient" else ID)
+    bx, ux, total = beta_map.apply(x), u.value_at(x, p), 0j
+    for word, mat in words_with_maps(cfg.group, length):
+        for cell, val in u.values:
+            if word.is_identity() and cell.contains_point(x, p):
+                continue
+            dist = abs_p(bx - beta_map.compose(mat).apply(cell.center), p)
+            mass = cfg.profile.density_at(cell.center) * haar_measure(cell, p)
+            total += (float(p) ** -float(cfg.alpha_g * len(word)) * float(mass)
+                      * float(dist) ** -float(cfg.alpha) * (val - ux))
+    return total * float(cfg.mu_inverse())
+
+
+def ref_delta_value(cfg, support):
+    p, total = cfg.p, PowerSum(cfg.p).add_term(1, 0)
+    for word, mat in words_with_maps(cfg.group, cfg.cutoff()):
+        if not word.is_identity():
+            image = region_image(mat, support, p)
+            assert not image.complement
+            dist = abs_p(support.center - image.center, p)
+            total.add_term(1, -cfg.alpha_g * len(word) - cfg.alpha * valuation(dist, p))
+    return simplify(total)
+
+
+# (fixture, alpha, alpha_g, cutoff length, chart word for the ambient multiplier;
+# its inverse letter puts p in the denominator of the moved base point);
+# 3^(3/2) > 4 keeps the genus-2 growth condition at alpha_g = 3/2
+CASES = [
+    ("tate_cfg", F(1), F(1), 6, GroupWord((-1,))),
+    ("tate_cfg", F(1, 2), F(1), 6, GroupWord((-1,))),
+    ("genus2_cfg", F(1), F(2), 3, GroupWord((-1, 2))),
+    ("genus2_cfg", F(1), F(3, 2), 3, GroupWord((-1, 2))),
+]
+
+
+@pytest.fixture(params=[(c, mode) for c in CASES for mode in ("ambient", "transport")],
+                ids=lambda cm: f"{cm[0][0]}-a{cm[0][1]}-ag{cm[0][2]}-{cm[1]}")
+def case(request):
+    (name, alpha, alpha_g, length, chart), mode = request.param
+    cfg = dataclasses.replace(request.getfixturevalue(name), alpha=alpha,
+                              alpha_g=alpha_g, mode=mode, cutoff_len=length)
+    return cfg, length, chart
+
+
+def test_generator_matrix_matches_reference(case):
+    cfg, length, _ = case
+    gen = generator_matrix(cfg, 2)
+    assert gen.rows == ref_generator_rows(cfg, 2, length)
+    if cfg.alpha.denominator > 1 or cfg.alpha_g.denominator > 1:
+        # the fold keeps the fractional powers of p
+        assert any(isinstance(v, PowerSum) for row in gen.rows for v in row)
+
+
+def test_lambda_exact_and_multipliers_match_reference(case):
+    cfg, length, chart = case
+    for support in admissible_supports(cfg.profile, 3):
+        children = [child.center for child in support.children(cfg.p)]
+        assert lambda_exact(cfg, support).value == simplify(
+            -ref_multiplier(cfg, support, children[0], length))
+        for x in children:
+            for word in (None, chart):
+                mult, _ = wavelet_multiplier(cfg, support, x, chart=word)
+                assert mult == ref_multiplier(cfg, support, x, length, word)
+
+
+def test_level_function_quadrature_matches_reference(case):
+    # the engine sums each cell exactly before the one conversion to float,
+    # so it agrees with the term-by-term float sum to rounding only
+    cfg, length, chart = case
+    states = state_discs(cfg.domain, cfg.profile, 2)
+    u = LevelFunction.from_mapping(2, {d: complex(i % 3, i % 2 - 1)
+                                       for i, d in enumerate(states)})
+    for d in states:
+        for word in (ID, chart):
+            value, _ = apply_operator(cfg, u, d.center, beta=word)
+            assert value == pytest.approx(ref_level_apply(cfg, u, d.center, length, word),
+                                          rel=1e-12, abs=1e-12)
+
+
+def test_delta_series_matches_reference(case):
+    cfg, _, _ = case
+    for support in admissible_supports(cfg.profile, 3):
+        series = delta_series(cfg, support)
+        if series.is_exact:
+            continue  # a genus-one closed form, not a truncated group sum
+        ref = ref_delta_value(cfg, support)
+        assert series.value == ref
+        lo = ref if isinstance(ref, F) else ref.bounds()[0]
+        assert series.lo == lo
+
+
+# ---------------------------------------------------------------------------
+# Guards on crafted inputs
+# ---------------------------------------------------------------------------
+
+def test_pole_of_a_word_at_a_cell_centre(genus2_group):
+    # g2 = (17x - 16)/(8x - 7) has its pole at 7/8; a cell centred there
+    pole_cell = Disc(F(7, 8), -2)
+    profile = MeasureProfile(((pole_cell, F(1)),), (), 3)
+    cfg = OperatorConfig(group=genus2_group, profile=profile, alpha_g=F(2),
+                         cutoff_len=2)
+    u = LevelFunction.from_mapping(2, {pole_cell: 1.0})
+    with pytest.raises(PoleHit):
+        apply_operator(cfg, u, F(7, 8) + 9)
+
+
+def test_distance_zero_between_point_and_word_image(tate_group):
+    # g1 = 9x maps the centre 1 of the second cell onto the base point 9
+    cells = (Disc(F(0), -2), Disc(F(1), -2))
+    profile = MeasureProfile(((Disc(F(0), 0), F(1)),), (), 3)
+    cfg = OperatorConfig(group=tate_group, profile=profile, cutoff_len=2)
+    u = LevelFunction.from_mapping(2, {cells[0]: 1.0, cells[1]: 0.0})
+    with pytest.raises(CoincidentPoints):
+        apply_operator(cfg, u, F(9))
+
+
+def test_distance_zero_in_the_series(genus2_cfg):
+    # 0 is the fixed point of g1, so g1 moves the centre of D(0, 3^-3) nowhere
+    with pytest.raises(CoincidentPoints):
+        delta_series(genus2_cfg, Disc(F(0), -3))
+
+
+@pytest.mark.parametrize("centre", [F(7, 8), F(7, 8) + 9])
+def test_image_wrapping_infinity(genus2_cfg, centre):
+    # the pole 7/8 of g2 lies in the disc, at its centre or off it
+    with pytest.raises(ChartNotSupported):
+        delta_series(genus2_cfg, Disc(centre, -2))

@@ -9,8 +9,7 @@ from mumford_heat.padic import Disc, PoleHit
 from mumford_heat.schottky import (DiscsIntersect, DomainInvalid, GroupWord,
                                    MoebiusMap, PoleInsideDisc,
                                    ReductionDiverged, SchottkyGroup, delta,
-                                   derivative_abs, disc_distance, disc_image,
-                                   enumerate_words, moebius_apply,
+                                   disc_distance, disc_image, enumerate_words,
                                    moebius_distance_identity_check,
                                    reduce_to_domain, region_image,
                                    regions_equal, verify_fundamental_domain,
@@ -22,13 +21,13 @@ SWAP = MoebiusMap(0, 1, 1, 0)
 
 class TestMoebius:
     def test_apply(self):
-        assert moebius_apply(SCALE, 3) == 27
-        assert moebius_apply(SWAP, 2) == F(1, 2)
-        assert moebius_apply(SCALE.inverse(), 27) == 3
+        assert SCALE.apply(3) == 27
+        assert SWAP.apply(2) == F(1, 2)
+        assert SCALE.inverse().apply(27) == 3
 
     def test_pole(self):
         with pytest.raises(PoleHit):
-            moebius_apply(SWAP, 0)
+            SWAP.apply(0)
         assert SCALE.pole() is None
         assert MoebiusMap(1, 0, 2, -4).pole() == 2
 
@@ -41,9 +40,9 @@ class TestMoebius:
         assert MoebiusMap(6, 0, 0, 3) == MoebiusMap(2, 0, 0, 1)
 
     def test_derivative(self):
-        assert derivative_abs(SCALE, F(5), 3) == F(1, 9)
-        assert derivative_abs(SWAP, 2, 2) == 4
-        assert derivative_abs(MoebiusMap.identity(), F(7), 5) == 1
+        assert SCALE.derivative_abs(F(5), 3) == F(1, 9)
+        assert SWAP.derivative_abs(2, 2) == 4
+        assert MoebiusMap.identity().derivative_abs(F(7), 5) == 1
 
     def test_distance_identity_examples(self):
         assert moebius_distance_identity_check(SWAP, 2, 3, 2) == (2, 2)
