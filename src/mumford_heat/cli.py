@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 from .audit import audit_lemmas
 from .config import (ParseError, RunConfig, ValidationError, emit_config,
-                     format_rational, parse_config)
+                     format_rational, parse_config, parse_rational)
 from .exactnum import PowerSum
 from .heat import (NumericalBreakdown, SingularSystem, empirical_validation,
                    resolvent_solve, sample_paths, solve_cauchy,
@@ -124,6 +123,8 @@ def _default_initial(run: RunConfig, op: OperatorConfig, gen, kind: str) -> Leve
 
 
 def cmd_evolve(run: RunConfig, op: OperatorConfig, out: Path, args) -> int:
+    if args.times and min(args.times) < 0:
+        raise ValidationError("--t", "times must be nonnegative")
     level = args.level if args.level is not None else run.run.level
     gen = generator_matrix(op, level)
     data = spectral_data(op, gen)
@@ -142,26 +143,26 @@ def cmd_evolve(run: RunConfig, op: OperatorConfig, out: Path, args) -> int:
 
 
 def cmd_sample(run: RunConfig, op: OperatorConfig, out: Path, args) -> int:
+    n_paths = args.paths if args.paths is not None else run.run.paths
+    if n_paths < 1:
+        raise ValidationError("--paths", "at least one path is needed")
+    seed = args.seed if args.seed is not None else run.run.seed
+    if seed < 0:
+        raise ValidationError("--seed", "the seed must be nonnegative")
     level = args.level if args.level is not None else run.run.level
     gen = generator_matrix(op, level)
-    n_paths = args.paths if args.paths is not None else run.run.paths
-    seed = args.seed if args.seed is not None else run.run.seed
     t_max = max(run.run.times) if run.run.times else 1.0
-    workers = int(os.environ.get("MUMFORD_HEAT_THREADS", "1"))
     paths = sample_paths(gen, n_paths, t_max, seed,
-                         start_index=run.run.start_state, workers=workers)
+                         start_index=run.run.start_state)
     meta = _meta(run, op)
     lines = _header_lines(meta)
     lines.append(f"# seed={seed} t_max={t_max!r} start_state={run.run.start_state}")
     lines.append("path_id,jump_time,state_index,state_center,state_radius_exp")
+    labels = [f"{i},{format_rational(d.center)},{d.radius_exp}"
+              for i, d in enumerate(gen.states)]
     for path in paths:
-        disc0 = gen.states[path.states[0]]
-        lines.append(f"{path.path_index},0.0,{path.states[0]},"
-                     f"{format_rational(disc0.center)},{disc0.radius_exp}")
-        for t, s in zip(path.jump_times, path.states[1:]):
-            disc = gen.states[s]
-            lines.append(f"{path.path_index},{t!r},{s},"
-                         f"{format_rational(disc.center)},{disc.radius_exp}")
+        for t, s in zip((0.0, *path.jump_times), path.states):
+            lines.append(f"{path.path_index},{t!r},{labels[s]}")
     _write(out / "paths.csv", "\n".join(lines) + "\n")
     checkpoints = [t for t in run.run.times if 0 < t <= t_max]
     if checkpoints:
@@ -193,11 +194,11 @@ def cmd_audit(run: RunConfig, op: OperatorConfig, out: Path, args) -> int:
 
 
 def cmd_resolvent(run: RunConfig, op: OperatorConfig, out: Path, args) -> int:
-    level = args.level if args.level is not None else run.run.level
-    gen = generator_matrix(op, level)
-    eta = Fraction(args.eta) if args.eta else run.run.eta
+    eta = parse_rational(args.eta, "--eta") if args.eta else run.run.eta
     if eta <= 0:
         raise ValidationError("--eta", "eta must be positive")
+    level = args.level if args.level is not None else run.run.level
+    gen = generator_matrix(op, level)
     idx = run.run.start_state
     h = LevelFunction.from_mapping(
         gen.level, {d: (Fraction(1) if i == idx else Fraction(0))
@@ -260,7 +261,8 @@ def main(argv=None) -> int:
         op = run.operator_config(
             mode=args.mode,
             cutoff_len=args.cutoff_len,
-            cutoff_tol=Fraction(args.cutoff_tol) if args.cutoff_tol else None)
+            cutoff_tol=(parse_rational(args.cutoff_tol, "--cutoff-tol")
+                        if args.cutoff_tol else None))
         code = COMMANDS[args.command](run, op, args.out, args)
     except (ParseError, ValidationError, DomainInvalid) as exc:
         print(f"validation error: {exc}", file=sys.stderr)

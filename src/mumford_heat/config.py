@@ -197,6 +197,12 @@ def config_from_dict(raw: dict) -> RunConfig:
         start_state=int(rsec.get("start_state", 0)),
         eta=parse_rational(rsec.get("eta", "1"), "run.eta"),
     )
+    if run.paths < 1:
+        raise ValidationError("run.paths", "at least one path is needed")
+    if run.seed < 0:
+        raise ValidationError("run.seed", "the seed must be nonnegative")
+    if any(t < 0 for t in run.times):
+        raise ValidationError("run.times", "times must be nonnegative")
     if run.level < resolution:
         raise ValidationError("run.level",
                               f"level {run.level} is coarser than the measure "
@@ -325,17 +331,19 @@ def exact_complex_dict(value) -> dict:
 
 def level_function_dict(u, exact_values: dict | None = None) -> dict:
     """Level function as JSON: decimal floats by default, magnitude/phase
-    rational pairs for any states listed in ``exact_values``."""
+    rational pairs (and their prime ``p``) for states in ``exact_values``."""
     rows = []
+    out = {"level": u.level, "values": rows}
     for disc, val in u.values:
         row = _disc_dict(disc)
         if exact_values is not None and disc in exact_values:
             row["value"] = exact_complex_dict(exact_values[disc])
+            out["p"] = exact_values[disc].p
         else:
             val = complex(val)
             row["value"] = {"re": val.real, "im": val.imag}
         rows.append(row)
-    return {"level": u.level, "values": rows}
+    return out
 
 
 def level_function_from_dict(obj) -> "LevelFunction":
@@ -347,11 +355,13 @@ def level_function_from_dict(obj) -> "LevelFunction":
         val = row["value"]
         if "re" in val:
             values[disc] = complex(val["re"], val.get("im", 0.0))
+        elif "p" not in obj:
+            raise ValidationError("level_function.p", "needed by exact values")
         else:
             values[disc] = complex(ExactComplex(
                 Fraction(val["magnitude_coeff"]),
                 Fraction(val["magnitude_radicand"]),
-                obj.get("p", 3),
+                obj["p"],
                 Fraction(val["phase"]),
                 Fraction(val["p_exp"])))
     return LevelFunction.from_mapping(int(obj["level"]), values)

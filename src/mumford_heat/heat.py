@@ -6,13 +6,15 @@ diagonalised on the analytically known eigenvectors (constants plus
 wavelets) first; only the small completeness-gap block goes through a dense
 solver.  Paths are simulated by the exact jump-chain construction
 (exponential holding times, jump probabilities proportional to the rates),
-with one deterministic child stream per path index.
+drawn path after path from one seeded stream.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -157,6 +159,8 @@ def solve_cauchy(cfg: OperatorConfig, gen: GeneratorMatrix,
                  h0: LevelFunction, times: Sequence[float],
                  data: SpectralData | None = None) -> HeatSolution:
     """h(t) = P_t h0 on the time grid; t = 0 reproduces h0 exactly."""
+    if any(t < 0 for t in times):
+        raise ValueError("t must be nonnegative")
     if data is None:
         data = spectral_data(cfg, gen)
     hd = h0.as_dict()
@@ -286,54 +290,38 @@ class PathSample:
     states: tuple[int, ...]  # visited states; states[0] at time 0
 
     def state_at(self, t: float) -> int:
-        idx = 0
-        for k, jt in enumerate(self.jump_times):
-            if jt <= t:
-                idx = k + 1
-            else:
-                break
-        return self.states[idx]
+        return self.states[bisect_right(self.jump_times, t)]
 
 
 def sample_paths(gen: GeneratorMatrix, n_paths: int, t_max: float, seed: int,
-                 start_index: int = 0, workers: int = 1) -> list[PathSample]:
+                 start_index: int = 0) -> list[PathSample]:
     """Exact-jump-chain sampling: exponential holds at rate -Q[s,s], jumps
     with probability proportional to the off-diagonal rates.
 
-    Each path uses the child stream (seed, path_index), so results are
-    bit-identical independently of scheduling and of the worker count.
-    """
-    q = np.array(gen.as_floats())
-    n = gen.size
-    hold_rates = -np.diag(q)
-    if np.any(hold_rates <= 0):
-        raise ValueError("absorbing state: zero hold rate")
-    jump_probs = []
-    for i in range(n):
-        row = np.where(np.arange(n) == i, 0.0, q[i])
-        jump_probs.append(row / hold_rates[i])
-
-    def one_path(k: int) -> PathSample:
-        rng = np.random.Generator(np.random.PCG64(
-            np.random.SeedSequence(entropy=seed, spawn_key=(k,))))
-        t = 0.0
-        state = start_index
-        times: list[float] = []
-        states = [state]
-        while True:
-            t += rng.exponential(1.0 / hold_rates[state])
-            if t >= t_max:
-                break
-            state = int(rng.choice(n, p=jump_probs[state]))
+    The paths come one after another from the one stream default_rng(seed),
+    so the first k paths of a sample with seed s are the sample of k paths."""
+    if n_paths < 1:
+        raise ValueError("n_paths must be at least 1")
+    mean_hold, cum = [], []
+    for i, row in enumerate(gen.as_floats()):
+        rate = -row[i]
+        if rate <= 0:
+            raise ValueError("absorbing state: zero hold rate")
+        mean_hold.append(1.0 / rate)
+        row[i] = 0.0
+        cum.append(list(accumulate(v / rate for v in row)))
+    rng = np.random.default_rng(seed)
+    paths = []
+    for k in range(n_paths):
+        t, state = 0.0, start_index
+        times, states = [], [state]
+        while (t := t + rng.standard_exponential() * mean_hold[state]) < t_max:
+            # bisect_right skips every zero-probability entry, the diagonal too
+            state = bisect_right(cum[state], rng.random() * cum[state][-1])
             times.append(t)
             states.append(state)
-        return PathSample(k, seed, tuple(times), tuple(states))
-
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(one_path, range(n_paths)))
-    return [one_path(k) for k in range(n_paths)]
+        paths.append(PathSample(k, seed, tuple(times), tuple(states)))
+    return paths
 
 
 @dataclass(frozen=True)
@@ -363,14 +351,12 @@ def empirical_validation(cfg: OperatorConfig, gen: GeneratorMatrix,
     transition row, at a binomial-sigma threshold per state."""
     if data is None:
         data = spectral_data(cfg, gen)
-    n = gen.size
     n_paths = len(paths)
     rows = []
     for t in checkpoints:
         analytic = transition_matrix(cfg, gen, float(t), data).clamped()[start_index]
-        counts = np.zeros(n)
-        for path in paths:
-            counts[path.state_at(float(t))] += 1
+        counts = np.bincount([path.state_at(float(t)) for path in paths],
+                             minlength=gen.size)
         emp = counts / n_paths
         sigma = np.sqrt(np.maximum(analytic * (1 - analytic), 1e-300) / n_paths)
         dev = np.abs(emp - analytic) / sigma

@@ -24,7 +24,7 @@ class DomainInvalid(ValueError):
 
 
 class ReductionDiverged(RuntimeError):
-    """Point reduction exceeded its iteration cap (point presumed near the limit set)."""
+    """Point reduction hit its iteration cap or its witness failed to check."""
 
 
 class DiscsIntersect(ValueError):
@@ -581,7 +581,7 @@ def reduce_to_domain(group: SchottkyGroup, z: Rational,
     Returns (x, w) with w(x) = z exactly.  Each step applies the letter whose
     source hole contains the point, which strictly shortens the word of the
     tile containing it; points on or near the limit set exhaust the cap and
-    raise ReductionDiverged.
+    raise ReductionDiverged, as does a witness that fails its exact check.
     """
     z = Fraction(z)
     domain = group.fundamental_domain()
@@ -592,7 +592,8 @@ def reduce_to_domain(group: SchottkyGroup, z: Rational,
             # x = t_n(...t_1(z)) for the applied letters t_i, so
             # z = (t_1^-1 o ... o t_n^-1)(x).
             word = GroupWord.from_letters([-t for t in witness])
-            assert group.word_map(word).apply(x) == z
+            if group.word_map(word).apply(x) != z:
+                raise ReductionDiverged(f"witness {word} does not map {x} to {z}")
             return x, word
         for k in range(1, group.genus + 1):
             for letter in (k, -k):

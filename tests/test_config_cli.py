@@ -145,6 +145,34 @@ class TestCli:
         assert "# mode=transport" in (tmp_path / "spectrum.csv").read_text()
 
 
+BAD_INPUTS = [
+    # (command, extra flags, run-section override, name in the message)
+    ("sample", ["--paths", "0"], {}, "--paths"),
+    ("sample", ["--paths", "-5"], {}, "--paths"),
+    ("sample", [], {"paths": 0}, "run.paths"),
+    ("sample", ["--seed", "-1"], {}, "--seed"),
+    ("sample", [], {"seed": -3}, "run.seed"),
+    ("resolvent", ["--eta", "abc"], {}, "--eta"),
+    ("spectrum", ["--cutoff-tol", "xyz"], {}, "--cutoff-tol"),
+    ("evolve", ["--t", "-1"], {}, "--t"),
+    ("evolve", [], {"times": [0.0, -0.5]}, "run.times"),
+]
+
+
+@pytest.mark.parametrize("command,flags,run_section,name", BAD_INPUTS)
+def test_bad_inputs_exit_2(tate_path, tmp_path, capsys, command, flags,
+                           run_section, name):
+    raw = json.loads(tate_path.read_text())
+    raw["run"].update(run_section)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert main([command, "-c", str(config), *flags, "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert name in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_profile_based_config_round_trip(tate_run):
     raw = emit_config(tate_run)
     del raw["measure"]["datum"]
@@ -182,3 +210,23 @@ def test_wavelet_and_level_function_interchange(tate_run):
     back = level_function_from_dict(payload)
     for (d, a), (_, b) in zip(back.values, u.values):
         assert abs(a - b) < 1e-15
+
+
+def test_exact_level_function_round_trip_p5():
+    from mumford_heat.config import level_function_dict, level_function_from_dict
+    from mumford_heat.exactnum import ExactComplex
+    from mumford_heat.padic import Disc
+    from mumford_heat.wavelets import LevelFunction
+
+    exact = {Disc(F(c), -1): ExactComplex(F(2, 3), F(5), 5, F(c, 5), F(-1, 2))
+             for c in range(1, 5)}
+    u = LevelFunction.from_mapping(1, {d: complex(v) for d, v in exact.items()})
+    payload = json.loads(json.dumps(level_function_dict(u, exact_values=exact)))
+    assert payload["p"] == 5
+    back = level_function_from_dict(payload)
+    for (_, a), (_, b) in zip(back.values, u.values):
+        assert abs(a - b) < 1e-15
+    del payload["p"]
+    with pytest.raises(ValidationError) as err:
+        level_function_from_dict(payload)
+    assert err.value.path == "level_function.p"

@@ -113,6 +113,11 @@ class TestCauchy:
         rate = -np.polyfit(sol.times, np.log(norms), 1)[0]
         assert abs(rate - tate_lambda) / tate_lambda < 1e-6
 
+    def test_negative_time_rejected(self, tate_cfg, gen, data):
+        h0 = LevelFunction.constant(2, gen.states, 1.0)
+        with pytest.raises(ValueError):
+            solve_cauchy(tate_cfg, gen, h0, [0.0, -1.0], data)
+
     def test_constant_is_preserved(self, tate_cfg, gen, data):
         h0 = LevelFunction.constant(2, gen.states, 4.0)
         sol = solve_cauchy(tate_cfg, gen, h0, [0.0, 1.0, 10.0], data)
@@ -216,10 +221,36 @@ class TestSampling:
         c = sample_paths(gen, 200, 1.0, seed=43)
         assert a != c
 
-    def test_workers_do_not_change_results(self, gen):
-        a = sample_paths(gen, 100, 1.0, seed=7)
-        b = sample_paths(gen, 100, 1.0, seed=7, workers=4)
-        assert a == b
+    def test_prefix_of_a_sample_is_the_smaller_sample(self, gen):
+        full = sample_paths(gen, 300, 1.0, seed=7)
+        assert full[:40] == sample_paths(gen, 40, 1.0, seed=7)
+        assert full[:1] == sample_paths(gen, 1, 1.0, seed=7)
+
+    def test_no_jump_to_self_or_to_zero_rate_state(self):
+        # state 1 is reachable from 2 only, and 0 never jumps to 1
+        states = tuple(Disc(F(c), -1) for c in range(3))
+        rows = ((F(-2), F(0), F(2)),
+                (F(1), F(-3), F(2)),
+                (F(1), F(1), F(-2)))
+        toy = GeneratorMatrix(1, states, rows, F(0), 1)
+        paths = sample_paths(toy, 500, 5.0, seed=3, start_index=0)
+        zero_rate = {(i, k) for i, row in enumerate(rows)
+                     for k, v in enumerate(row) if i != k and v == 0}
+        jumps = [(a, b) for path in paths
+                 for a, b in zip(path.states, path.states[1:])]
+        assert len(jumps) > 1000
+        assert all(a != b for a, b in jumps)
+        assert not zero_rate & set(jumps)
+        assert {(1, 0), (1, 2), (2, 0), (2, 1), (0, 2)} <= set(jumps)
+
+    def test_bad_inputs_rejected(self, gen):
+        with pytest.raises(ValueError):
+            sample_paths(gen, 0, 1.0, seed=1)
+        absorbing = GeneratorMatrix(
+            gen.level, gen.states[:2], ((F(0), F(0)), (F(1), F(-1))),
+            F(0), gen.cutoff)
+        with pytest.raises(ValueError):
+            sample_paths(absorbing, 5, 1.0, seed=1)
 
     def test_paths_are_cadlag_steps(self, gen):
         for path in sample_paths(gen, 50, 2.0, seed=1):

@@ -194,6 +194,13 @@ class TestReduction:
             assert genus2_group.word_map(witness).apply(x) == z
             assert dom.contains_point(x)
 
+    def test_witness_is_checked(self, tate_group, monkeypatch):
+        # a wrong word map must be caught by a check that survives python -O
+        monkeypatch.setattr(SchottkyGroup, "word_map",
+                            lambda self, word: MoebiusMap(1, 1, 0, 1))
+        with pytest.raises(ReductionDiverged):
+            reduce_to_domain(tate_group, 27)
+
     def test_limit_points_diverge(self, genus2_group):
         for z in (F(81), F(1, 9), F(1), F(2)):
             with pytest.raises(ReductionDiverged):
