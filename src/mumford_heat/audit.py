@@ -1,13 +1,19 @@
 """Independent exact verification of the transport identities behind the spectrum.
 
-Every check recomputes both sides of a claimed identity in exact rational
-arithmetic on systematic and randomized instances.  Two of the identities
-(the Moebius distance product and the escape-distance bound) hold
-unconditionally and must pass; the others are contested by exact
-computation, and the audit records counterexample instances with their
-exact values rather than failing: which reading of the translated
-quantities makes them true is reported through the transport/ambient
-comparison.
+Every check recomputes both sides of a claimed identity exactly on
+systematic and randomized instances.  Two of the identities (the Moebius
+distance product and the escape-distance bound) hold unconditionally and
+must pass; the others are contested by exact computation, and the audit
+records counterexample instances with their exact values rather than
+failing: which reading of the translated quantities makes them true is
+reported through the transport/ambient comparison.
+
+The two randomized checks run on integer valuations.  A random point is an
+integer pair n/d, a Moebius image is the pair (a*n + b*d, c*n + d*d), and a
+distance |x - y| = p^(-v) is compared through its exact valuation
+v = v_p(xn*yd - yn*xd) - v_p(xd) - v_p(yd), which needs no pair reduced
+(``padic.pair_difference_valuation``).
+Rationals are formed only for the instances the report prints.
 """
 
 from __future__ import annotations
@@ -19,9 +25,10 @@ from .measure import RationalFunctionDatum, invariance_audit
 from .operator import (OperatorConfig, lambda_exact, lambda_transform,
                        transformed_config, vladimirov_local_integral,
                        vladimirov_alpha_free_value)
-from .padic import Disc, abs_p
-from .schottky import (MoebiusMap, SchottkyGroup,
-                       moebius_distance_identity_check, region_image,
+from .padic import (Disc, PoleHit, abs_from_valuation, abs_p,
+                    pair_difference_valuation)
+from .schottky import (GroupWord, MoebiusMap, SchottkyGroup,
+                       moebius_distance_valuations, region_image,
                        words_with_maps)
 from .wavelets import admissible_supports, completeness_census
 
@@ -72,29 +79,39 @@ class AuditReport:
         return {"checks": [c.to_dict() for c in self.checks]}
 
 
-def _random_rational(rng: random.Random, p: int) -> Fraction:
+def _random_rational(rng: random.Random, p: int) -> tuple[int, int]:
+    """A random rational as an integer pair (numerator, positive denominator)."""
     num = rng.randint(-p ** 4, p ** 4)
     den = rng.randint(1, p ** 3)
-    return Fraction(num, den)
+    return num, den
 
 
-def _random_point_in(disc: Disc, rng: random.Random, p: int) -> Fraction:
-    # center + p^(-t) * (p-adic integer), |p^(-t)| = p^t = radius
+def _random_point_in(disc: Disc, rng: random.Random, p: int) -> tuple[int, int]:
+    """center + p^(-t) * (p-adic integer), |p^(-t)| = p^t = radius, as an
+    integer pair."""
     den = rng.randint(1, 50)
     while den % p == 0:
         den = rng.randint(1, 50)
-    num = rng.randint(-50 * den, 50 * den)
-    offset = Fraction(num, den)  # integral: v_p(num) >= 0, den coprime to p
-    return disc.center + Fraction(p) ** (-disc.radius_exp) * offset
+    num = rng.randint(-50 * den, 50 * den)  # num/den integral: den coprime to p
+    cn, cd = disc.center.numerator, disc.center.denominator
+    t = disc.radius_exp
+    if t <= 0:
+        return cn * den + cd * num * p ** -t, cd * den
+    return cn * den * p ** t + cd * num, cd * den * p ** t
 
 
 def check_distance_product_identity(group: SchottkyGroup, n: int,
                                     seed: int = 0) -> CheckResult:
     """|gx - gy| = |g'(x)|^(1/2) |g'(y)|^(1/2) |x - y| on random exact instances.
 
-    This is an algebraic identity and must hold without exception.
+    This is an algebraic identity and must hold without exception.  Points
+    and their images stay integer pairs, and both sides are compared as
+    exact p-adic valuations (:func:`moebius_distance_valuations`); an
+    instance is skipped when x = y, when either point is the pole, or when
+    the images coincide.
     """
     rng = random.Random(seed)
+    p = group.p
     mats = [m for w, m in words_with_maps(group, 3) if not w.is_identity()]
     if not mats:
         mats = [MoebiusMap.identity()]
@@ -102,16 +119,18 @@ def check_distance_product_identity(group: SchottkyGroup, n: int,
     shown = []
     for k in range(n):
         mat = rng.choice(mats)
-        x, y = _random_rational(rng, group.p), _random_rational(rng, group.p)
-        pole = mat.pole()
-        if x == y or pole in (x, y) or mat.apply(x) == mat.apply(y):
+        x, y = _random_rational(rng, p), _random_rational(rng, p)
+        gx, gy = mat.apply_pair(*x), mat.apply_pair(*y)
+        if (x[0] * y[1] == y[0] * x[1] or gx[1] == 0 or gy[1] == 0
+                or gx[0] * gy[1] == gy[0] * gx[1]):
             continue
-        lhs, rhs = moebius_distance_identity_check(mat, x, y, group.p)
+        lhs, rhs = moebius_distance_valuations(mat, x, y, gx, gy, p)
         ok = lhs == rhs
         failures += not ok
         if not ok or len(shown) < 3:
-            shown.append(Instance(f"gamma={mat}, x={x}, y={y}",
-                                  str(lhs), str(rhs), ok))
+            shown.append(Instance(f"gamma={mat}, x={Fraction(*x)}, y={Fraction(*y)}",
+                                  str(abs_from_valuation(lhs, p)),
+                                  str(abs_from_valuation(rhs, p)), ok))
     return CheckResult("moebius_distance_product_identity", failures == 0, n,
                        failures, tuple(shown))
 
@@ -119,18 +138,25 @@ def check_distance_product_identity(group: SchottkyGroup, n: int,
 def check_escape_distance_bound(cfg: OperatorConfig, n: int,
                                 seed: int = 1) -> CheckResult:
     """|beta x - gamma y| = |beta x - gamma c_B| >= radius(gamma B) for
-    x in F off the support and y in it; unconditional, must pass."""
+    x in F off the support and y in it; unconditional, must pass.
+
+    Both distances are exact valuations of integer pairs: the instance holds
+    iff they are equal, finite, and -v >= the radius exponent of
+    ``region_image(gamma, B)``.  That image and gamma(c_B) are computed once
+    per (word, support), the host pieces once per support.
+    """
     rng = random.Random(seed)
     group = cfg.group
     p = cfg.p
-    supports = [s for s in admissible_supports(cfg.profile, 3)]
-    words = [(w, m) for w, m in words_with_maps(group, 4)]
     outside = [piece for piece, _ in cfg.profile.pieces]
+    supports = [(s, [d for d in outside if not d.contains(s, p)])
+                for s in admissible_supports(cfg.profile, 3)]
+    words = list(words_with_maps(group, 4))
+    images: dict[tuple[GroupWord, Disc], tuple[Disc, tuple[int, int]]] = {}
     failures = 0
     shown = []
     for k in range(n):
-        support = rng.choice(supports)
-        host = [d for d in outside if not d.contains(support, p)]
+        support, host = rng.choice(supports)
         beta_w, beta = rng.choice(words)
         gamma_w, gamma = rng.choice(words)
         y = _random_point_in(support, rng, p)
@@ -141,16 +167,25 @@ def check_escape_distance_bound(cfg: OperatorConfig, n: int,
                            if not ch.contains(support, p)
                            and not support.contains(ch, p))
             x = _random_point_in(sibling, rng, p)
-        bximg = beta.apply(x)
-        lhs = abs_p(bximg - gamma.apply(y), p)
-        ctr = abs_p(bximg - gamma.apply(support.center), p)
-        image = region_image(gamma, support, p)
-        ok = lhs == ctr and lhs >= image.radius(p)
+        key = (gamma_w, support)
+        if key not in images:
+            centre = gamma.apply_pair(support.center.numerator,
+                                      support.center.denominator)
+            images[key] = region_image(gamma, support, p), centre
+        image, gamma_centre = images[key]
+        bx, gy = beta.apply_pair(*x), gamma.apply_pair(*y)
+        if 0 in (bx[1], gy[1], gamma_centre[1]):
+            raise PoleHit(f"pole hit at beta={beta_w}, gamma={gamma_w}")
+        lhs = pair_difference_valuation(bx, gy, p)
+        ctr = pair_difference_valuation(bx, gamma_centre, p)
+        ok = lhs == ctr and -lhs >= image.radius_exp
         failures += not ok
         if not ok or len(shown) < 3:
             shown.append(Instance(
-                f"beta={beta_w}, gamma={gamma_w}, B={support}, x={x}, y={y}",
-                str(lhs), f"{ctr} (radius {image.radius(p)})", ok))
+                f"beta={beta_w}, gamma={gamma_w}, B={support}, "
+                f"x={Fraction(*x)}, y={Fraction(*y)}",
+                str(abs_from_valuation(lhs, p)),
+                f"{abs_from_valuation(ctr, p)} (radius {image.radius(p)})", ok))
     return CheckResult("escape_distance_bound", failures == 0, n, failures,
                        tuple(shown))
 
@@ -159,7 +194,9 @@ def check_distance_word_shift(cfg: OperatorConfig, depth: int = 2) -> CheckResul
     """dist(beta B, gamma B) vs dist(B, beta^-1 gamma B) over short words.
 
     Exact ambient computation refutes this on expanding directions; the
-    counterexample instances carry the exact distances.
+    counterexample instances carry the exact distances.  Each word's image
+    of a support is computed once, and so is the image under each shifted
+    word beta^-1 gamma.
     """
     group = cfg.group
     p = cfg.p
@@ -169,17 +206,19 @@ def check_distance_word_shift(cfg: OperatorConfig, depth: int = 2) -> CheckResul
     shown: list[Instance] = []
     counterexamples: list[Instance] = []
     for support in supports:
-        for bw, bm in words:
-            for gw, gm in words:
+        centres = [(w, region_image(m, support, p).center) for w, m in words]
+        shift_centres: dict[GroupWord, Fraction] = {}
+        for bw, left in centres:
+            for gw, right in centres:
                 shifted = bw.inverse().compose(gw)
                 if shifted.is_identity() or bw.letters == gw.letters:
                     continue
                 n += 1
-                left_img = region_image(bm, support, p)
-                right_img = region_image(gm, support, p)
-                lhs = abs_p(left_img.center - right_img.center, p)
-                shift_img = region_image(group.word_map(shifted), support, p)
-                rhs = abs_p(support.center - shift_img.center, p)
+                lhs = abs_p(left - right, p)
+                if shifted not in shift_centres:
+                    shift_centres[shifted] = region_image(
+                        group.word_map(shifted), support, p).center
+                rhs = abs_p(support.center - shift_centres[shifted], p)
                 ok = lhs == rhs
                 failures += not ok
                 bucket = shown if ok else counterexamples
@@ -306,8 +345,11 @@ def audit_lemmas(cfg: OperatorConfig, datum: RationalFunctionDatum,
 
     The distance-product identity and the escape bound must pass; the rest
     are reported findings whose exact counterexamples document which
-    convention each statement needs.
+    convention each statement needs.  ``n_random`` (at least 1) is the
+    number of random instances of each of the first two.
     """
+    if n_random < 1:
+        raise ValueError(f"n_random must be at least 1, got {n_random}")
     checks = (
         check_distance_product_identity(cfg.group, n_random, seed),
         check_escape_distance_bound(cfg, n_random, seed + 1),

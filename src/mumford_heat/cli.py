@@ -16,7 +16,8 @@ from pathlib import Path
 
 from .audit import audit_lemmas
 from .config import (ParseError, RunConfig, ValidationError, emit_config,
-                     format_rational, parse_config, parse_rational)
+                     format_rational, parse_config, parse_cutoff, parse_int,
+                     parse_rational)
 from .exactnum import PowerSum
 from .heat import (NumericalBreakdown, SingularSystem, empirical_validation,
                    resolvent_solve, sample_paths, solve_cauchy,
@@ -24,7 +25,7 @@ from .heat import (NumericalBreakdown, SingularSystem, empirical_validation,
 from .measure import RationalFunctionDatum
 from .operator import (OperatorConfig, RatioNotConstant, generator_matrix,
                        spectrum, tail_bound)
-from .schottky import DomainInvalid, verify_fundamental_domain
+from .schottky import DomainInvalid
 from .wavelets import LevelFunction, admissible_wavelets, wavelet_eval
 
 
@@ -60,7 +61,7 @@ def _write(path: Path, text: str) -> None:
 
 
 def cmd_validate(run: RunConfig, op: OperatorConfig, out: Path, args) -> int:
-    report = verify_fundamental_domain(run.group, depth=4, raise_on_failure=False)
+    report = run.domain_report
     payload = {
         "meta": _meta(run, op),
         "domain": {
@@ -79,7 +80,7 @@ def cmd_validate(run: RunConfig, op: OperatorConfig, out: Path, args) -> int:
         "config": emit_config(run),
     }
     _write(out / "validation.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return 0 if report.ok else 2
+    return 0
 
 
 def cmd_spectrum(run: RunConfig, op: OperatorConfig, out: Path, args) -> int:
@@ -103,6 +104,17 @@ def cmd_spectrum(run: RunConfig, op: OperatorConfig, out: Path, args) -> int:
     return 0
 
 
+def _start_state(run: RunConfig, gen) -> int:
+    """``run.start_state``, checked against the states at the generator's level."""
+    idx = run.run.start_state
+    if idx >= len(gen.states):
+        raise ValidationError(
+            "run.start_state",
+            f"state {idx} does not exist: level {gen.level} has "
+            f"{len(gen.states)} states")
+    return idx
+
+
 def _default_initial(run: RunConfig, op: OperatorConfig, gen, kind: str) -> LevelFunction:
     states = gen.states
     if kind == "wavelet":
@@ -115,7 +127,7 @@ def _default_initial(run: RunConfig, op: OperatorConfig, gen, kind: str) -> Leve
             {d: complex(wavelet_eval(w, d.center, op.profile, "omega")).real
              for d in states})
     if kind == "indicator":
-        idx = run.run.start_state
+        idx = _start_state(run, gen)
         return LevelFunction.from_mapping(
             gen.level, {d: (1.0 if i == idx else 0.0)
                         for i, d in enumerate(states)})
@@ -143,20 +155,18 @@ def cmd_evolve(run: RunConfig, op: OperatorConfig, out: Path, args) -> int:
 
 
 def cmd_sample(run: RunConfig, op: OperatorConfig, out: Path, args) -> int:
-    n_paths = args.paths if args.paths is not None else run.run.paths
-    if n_paths < 1:
-        raise ValidationError("--paths", "at least one path is needed")
-    seed = args.seed if args.seed is not None else run.run.seed
-    if seed < 0:
-        raise ValidationError("--seed", "the seed must be nonnegative")
+    n_paths = (parse_int(args.paths, "--paths", minimum=1)
+               if args.paths is not None else run.run.paths)
+    seed = (parse_int(args.seed, "--seed", minimum=0)
+            if args.seed is not None else run.run.seed)
     level = args.level if args.level is not None else run.run.level
     gen = generator_matrix(op, level)
+    start = _start_state(run, gen)
     t_max = max(run.run.times) if run.run.times else 1.0
-    paths = sample_paths(gen, n_paths, t_max, seed,
-                         start_index=run.run.start_state)
+    paths = sample_paths(gen, n_paths, t_max, seed, start_index=start)
     meta = _meta(run, op)
     lines = _header_lines(meta)
-    lines.append(f"# seed={seed} t_max={t_max!r} start_state={run.run.start_state}")
+    lines.append(f"# seed={seed} t_max={t_max!r} start_state={start}")
     lines.append("path_id,jump_time,state_index,state_center,state_radius_exp")
     labels = [f"{i},{format_rational(d.center)},{d.radius_exp}"
               for i, d in enumerate(gen.states)]
@@ -167,7 +177,7 @@ def cmd_sample(run: RunConfig, op: OperatorConfig, out: Path, args) -> int:
     checkpoints = [t for t in run.run.times if 0 < t <= t_max]
     if checkpoints:
         report = empirical_validation(op, gen, paths, checkpoints,
-                                      start_index=run.run.start_state)
+                                      start_index=start)
         payload = {
             "meta": meta,
             "n_paths": report.n_paths,
@@ -184,9 +194,9 @@ def cmd_sample(run: RunConfig, op: OperatorConfig, out: Path, args) -> int:
 
 
 def cmd_audit(run: RunConfig, op: OperatorConfig, out: Path, args) -> int:
+    n_random = parse_int(args.audit_samples, "--audit-samples", minimum=1)
     datum = run.datum if run.datum is not None else RationalFunctionDatum.constant()
-    report = audit_lemmas(op, datum, n_random=args.audit_samples,
-                          level=run.run.level)
+    report = audit_lemmas(op, datum, n_random=n_random, level=run.run.level)
     payload = {"meta": _meta(run, op)}
     payload.update(report.to_dict())
     _write(out / "audit.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -199,7 +209,7 @@ def cmd_resolvent(run: RunConfig, op: OperatorConfig, out: Path, args) -> int:
         raise ValidationError("--eta", "eta must be positive")
     level = args.level if args.level is not None else run.run.level
     gen = generator_matrix(op, level)
-    idx = run.run.start_state
+    idx = _start_state(run, gen)
     h = LevelFunction.from_mapping(
         gen.level, {d: (Fraction(1) if i == idx else Fraction(0))
                     for i, d in enumerate(gen.states)})
@@ -257,12 +267,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        cutoff_len, cutoff_tol = parse_cutoff(args.cutoff_len, args.cutoff_tol,
+                                              "--cutoff-len", "--cutoff-tol")
         run = parse_config(args.config)
-        op = run.operator_config(
-            mode=args.mode,
-            cutoff_len=args.cutoff_len,
-            cutoff_tol=(parse_rational(args.cutoff_tol, "--cutoff-tol")
-                        if args.cutoff_tol else None))
+        op = run.operator_config(mode=args.mode, cutoff_len=cutoff_len,
+                                 cutoff_tol=cutoff_tol)
         code = COMMANDS[args.command](run, op, args.out, args)
     except (ParseError, ValidationError, DomainInvalid) as exc:
         print(f"validation error: {exc}", file=sys.stderr)

@@ -18,7 +18,7 @@ from pathlib import Path
 from .measure import (MeasureProfile, RationalFunctionDatum, build_profile)
 from .operator import OperatorConfig
 from .padic import Disc
-from .schottky import (DomainInvalid, MoebiusMap, SchottkyGroup,
+from .schottky import (DomainInvalid, DomainReport, MoebiusMap, SchottkyGroup,
                        verify_fundamental_domain)
 
 
@@ -46,6 +46,28 @@ def parse_rational(value, path: str = "") -> Fraction:
         raise ValidationError(path, f"not an exact rational: {value!r}") from exc
     raise ValidationError(path, f"expected an exact rational string, got {value!r} "
                                 "(floats are rejected to keep the arithmetic exact)")
+
+
+def parse_int(value, path: str, minimum: int | None = None) -> int:
+    """An integer field; booleans, floats and strings are rejected."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(path, f"expected an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValidationError(path, f"must be at least {minimum}, got {value}")
+    return value
+
+
+def parse_cutoff(cutoff_len, cutoff_tol, len_path: str, tol_path: str
+                 ) -> tuple[int | None, Fraction | None]:
+    """The truncation length (an integer >= 1) and tolerance (a rational > 0);
+    either may be None."""
+    if cutoff_len is not None:
+        cutoff_len = parse_int(cutoff_len, len_path, minimum=1)
+    if cutoff_tol is not None:
+        cutoff_tol = parse_rational(cutoff_tol, tol_path)
+        if cutoff_tol <= 0:
+            raise ValidationError(tol_path, "the tolerance must be positive")
+    return cutoff_len, cutoff_tol
 
 
 def format_rational(value: Fraction) -> str:
@@ -85,9 +107,14 @@ class RunSettings:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated run configuration plus its canonical hash."""
+    """Validated run configuration plus its canonical hash.
+
+    ``domain_report`` is the depth-4 domain verification that parsing ran;
+    parsing raises unless it passed.
+    """
 
     group: SchottkyGroup
+    domain_report: DomainReport
     datum: RationalFunctionDatum | None
     profile: MeasureProfile
     resolution: int
@@ -156,12 +183,12 @@ def config_from_dict(raw: dict) -> RunConfig:
                   for i, h in enumerate(gsec.get("holes", [])))
     try:
         group = SchottkyGroup(p=p, generators=tuple(gens), holes=holes, outer=outer)
-        verify_fundamental_domain(group, depth=4)
+        domain_report = verify_fundamental_domain(group, depth=4)
     except DomainInvalid as exc:
         raise ValidationError("group", str(exc)) from exc
 
     msec = raw.get("measure", {})
-    resolution = int(msec.get("resolution", 2))
+    resolution = parse_int(msec.get("resolution", 2), "measure.resolution")
     datum = None
     if "datum" in msec:
         datum = _parse_datum(msec["datum"])
@@ -178,9 +205,9 @@ def config_from_dict(raw: dict) -> RunConfig:
     if mode not in ("ambient", "transport"):
         raise ValidationError("operator.mode", f"unknown mode {mode!r}")
     cutoff = osec.get("cutoff", {})
-    cutoff_len = cutoff.get("len")
-    cutoff_tol = (parse_rational(cutoff["tol"], "operator.cutoff.tol")
-                  if "tol" in cutoff else None)
+    cutoff_len, cutoff_tol = parse_cutoff(
+        cutoff.get("len"), cutoff.get("tol"),
+        "operator.cutoff.len", "operator.cutoff.tol")
     g = group.genus
     a, b = alpha_g.numerator, alpha_g.denominator
     if not p ** a > (2 * g) ** b:
@@ -190,25 +217,23 @@ def config_from_dict(raw: dict) -> RunConfig:
 
     rsec = raw.get("run", {})
     run = RunSettings(
-        level=int(rsec.get("level", resolution)),
+        level=parse_int(rsec.get("level", resolution), "run.level"),
         times=tuple(float(t) for t in rsec.get("times", (0.0, 0.5, 1.0))),
-        paths=int(rsec.get("paths", 1000)),
-        seed=int(rsec.get("seed", 0)),
-        start_state=int(rsec.get("start_state", 0)),
+        paths=parse_int(rsec.get("paths", 1000), "run.paths", minimum=1),
+        seed=parse_int(rsec.get("seed", 0), "run.seed", minimum=0),
+        start_state=parse_int(rsec.get("start_state", 0), "run.start_state",
+                              minimum=0),
         eta=parse_rational(rsec.get("eta", "1"), "run.eta"),
     )
-    if run.paths < 1:
-        raise ValidationError("run.paths", "at least one path is needed")
-    if run.seed < 0:
-        raise ValidationError("run.seed", "the seed must be nonnegative")
     if any(t < 0 for t in run.times):
         raise ValidationError("run.times", "times must be nonnegative")
     if run.level < resolution:
         raise ValidationError("run.level",
                               f"level {run.level} is coarser than the measure "
                               f"resolution {resolution}")
-    return RunConfig(group, datum, profile, resolution, alpha, alpha_g, mode,
-                     cutoff_len, cutoff_tol, run, config_hash(raw), raw)
+    return RunConfig(group, domain_report, datum, profile, resolution, alpha,
+                     alpha_g, mode, cutoff_len, cutoff_tol, run, config_hash(raw),
+                     raw)
 
 
 def _parse_datum(obj) -> RationalFunctionDatum:

@@ -47,10 +47,25 @@ def valuation(x: Rational, p: int) -> Union[int, float]:
     return v
 
 
+def pair_difference_valuation(x: tuple[int, int], y: tuple[int, int],
+                              p: int) -> Union[int, float]:
+    """v_p(xn/xd - yn/yd) for integer pairs (numerator, nonzero denominator).
+
+    v_p(xn*yd - yn*xd) - v_p(xd) - v_p(yd): no pair needs reducing, since a
+    common factor adds the same valuation to a numerator and its denominator.
+    """
+    (xn, xd), (yn, yd) = x, y
+    return valuation(xn * yd - yn * xd, p) - valuation(xd, p) - valuation(yd, p)
+
+
 def abs_p(x: Rational, p: int) -> Fraction:
     """p-adic absolute value |x| = p^(-f*v_p(x)), an exact rational (0 for x=0)."""
-    v = valuation(x, p)
-    if v is INFINITE_VALUATION:
+    return abs_from_valuation(valuation(x, p), p)
+
+
+def abs_from_valuation(v: Union[int, float], p: int) -> Fraction:
+    """The absolute value p^(-f*v) of an element of valuation v (0 for v = inf)."""
+    if v == INFINITE_VALUATION:
         return Fraction(0)
     return Fraction(p) ** (-RESIDUE_DEGREE * v)
 

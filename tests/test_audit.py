@@ -1,11 +1,130 @@
+import dataclasses
 import json
+import math
+import random
+from fractions import Fraction as F
+
 import pytest
 
-from mumford_heat.audit import (audit_lemmas, check_chart_shift,
+from mumford_heat import audit
+from mumford_heat.audit import (CheckResult, Instance, audit_lemmas,
+                                check_chart_shift,
                                 check_distance_product_identity,
                                 check_distance_word_shift,
                                 check_escape_distance_bound)
 from mumford_heat.operator import OperatorConfig
+from mumford_heat.padic import abs_p
+from mumford_heat.schottky import (MoebiusMap, moebius_distance_identity_check,
+                                   moebius_distance_valuations, region_image,
+                                   words_with_maps)
+from mumford_heat.wavelets import admissible_supports
+
+
+# --- Fraction reference: the checks as they were before the integer-valuation
+# rewrite.  Every distance is a rational evaluated with abs_p, every random
+# point a reduced Fraction; the draws from random.Random are the same.
+
+def ref_exact_sqrt(q):
+    num, den = math.isqrt(q.numerator), math.isqrt(q.denominator)
+    if num * num != q.numerator or den * den != q.denominator:
+        raise ArithmeticError(f"{q} is not a rational square")
+    return F(num, den)
+
+
+def ref_distance_identity(gamma, x, y, p):
+    x, y = F(x), F(y)
+    lhs = abs_p(gamma.apply(x) - gamma.apply(y), p)
+    root = ref_exact_sqrt(gamma.derivative_abs(x, p) * gamma.derivative_abs(y, p))
+    return lhs, root * abs_p(x - y, p)
+
+
+def ref_random_rational(rng, p):
+    num = rng.randint(-p ** 4, p ** 4)
+    den = rng.randint(1, p ** 3)
+    return F(num, den)
+
+
+def ref_random_point_in(disc, rng, p):
+    den = rng.randint(1, 50)
+    while den % p == 0:
+        den = rng.randint(1, 50)
+    num = rng.randint(-50 * den, 50 * den)
+    return disc.center + F(p) ** (-disc.radius_exp) * F(num, den)
+
+
+def ref_distance_product(group, n, seed):
+    rng = random.Random(seed)
+    mats = [m for w, m in words_with_maps(group, 3) if not w.is_identity()]
+    mats = mats or [MoebiusMap.identity()]
+    failures, shown = 0, []
+    for _ in range(n):
+        mat = rng.choice(mats)
+        x, y = ref_random_rational(rng, group.p), ref_random_rational(rng, group.p)
+        if x == y or mat.pole() in (x, y) or mat.apply(x) == mat.apply(y):
+            continue
+        lhs, rhs = ref_distance_identity(mat, x, y, group.p)
+        ok = lhs == rhs
+        failures += not ok
+        if not ok or len(shown) < 3:
+            shown.append(Instance(f"gamma={mat}, x={x}, y={y}", str(lhs), str(rhs), ok))
+    return CheckResult("moebius_distance_product_identity", failures == 0, n,
+                       failures, tuple(shown))
+
+
+def ref_escape_bound(cfg, n, seed, image_of=region_image):
+    rng = random.Random(seed)
+    p = cfg.p
+    supports = admissible_supports(cfg.profile, 3)
+    words = list(words_with_maps(cfg.group, 4))
+    outside = [piece for piece, _ in cfg.profile.pieces]
+    failures, shown = 0, []
+    for _ in range(n):
+        support = rng.choice(supports)
+        host = [d for d in outside if not d.contains(support, p)]
+        beta_w, beta = rng.choice(words)
+        gamma_w, gamma = rng.choice(words)
+        y = ref_random_point_in(support, rng, p)
+        assert host  # both fixtures always have a host piece
+        x = ref_random_point_in(rng.choice(host), rng, p)
+        bximg = beta.apply(x)
+        lhs = abs_p(bximg - gamma.apply(y), p)
+        ctr = abs_p(bximg - gamma.apply(support.center), p)
+        image = image_of(gamma, support, p)
+        ok = lhs == ctr and lhs >= image.radius(p)
+        failures += not ok
+        if not ok or len(shown) < 3:
+            shown.append(Instance(
+                f"beta={beta_w}, gamma={gamma_w}, B={support}, x={x}, y={y}",
+                str(lhs), f"{ctr} (radius {image.radius(p)})", ok))
+    return CheckResult("escape_distance_bound", failures == 0, n, failures,
+                       tuple(shown))
+
+
+def ref_word_shift(cfg, depth=2):
+    group, p = cfg.group, cfg.p
+    words = list(words_with_maps(group, depth))
+    n = failures = 0
+    shown, counterexamples = [], []
+    for support in [piece for piece, _ in cfg.profile.pieces][:2]:
+        for bw, bm in words:
+            for gw, gm in words:
+                shifted = bw.inverse().compose(gw)
+                if shifted.is_identity() or bw.letters == gw.letters:
+                    continue
+                n += 1
+                lhs = abs_p(region_image(bm, support, p).center
+                            - region_image(gm, support, p).center, p)
+                shift_img = region_image(group.word_map(shifted), support, p)
+                rhs = abs_p(support.center - shift_img.center, p)
+                ok = lhs == rhs
+                failures += not ok
+                bucket = shown if ok else counterexamples
+                if len(bucket) < 4:
+                    bucket.append(Instance(f"beta={bw}, gamma={gw}, B={support}",
+                                           str(lhs), str(rhs), ok))
+    return CheckResult("disc_distance_word_shift", failures == 0, n, failures,
+                       tuple(counterexamples + shown),
+                       note="ambient distances; holds by definition in transport mode")
 
 
 @pytest.fixture(scope="module")
@@ -75,3 +194,84 @@ def test_genus2_unconditional_checks(genus2_cfg):
     assert check_escape_distance_bound(genus2_cfg, 400).holds
     shift = check_distance_word_shift(genus2_cfg)
     assert shift.n_failures > 0  # ambient refutation is generic
+
+
+FIXTURES = ("tate_cfg", "genus2_cfg")
+
+
+@pytest.mark.parametrize("n", [1, 50, 2000])
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("fixture", FIXTURES)
+def test_random_checks_match_fraction_reference(request, fixture, seed, n):
+    cfg = request.getfixturevalue(fixture)
+    assert (check_distance_product_identity(cfg.group, n, seed)
+            == ref_distance_product(cfg.group, n, seed))
+    assert check_escape_distance_bound(cfg, n, seed) == ref_escape_bound(cfg, n, seed)
+
+
+@pytest.mark.parametrize("fixture", FIXTURES)
+def test_word_shift_matches_fraction_reference(request, fixture):
+    cfg = request.getfixturevalue(fixture)
+    assert check_distance_word_shift(cfg) == ref_word_shift(cfg)
+
+
+def test_escape_bound_catches_a_broken_radius(tate_cfg, monkeypatch):
+    def too_large(gamma, region, p):
+        image = region_image(gamma, region, p)
+        return dataclasses.replace(image, radius_exp=image.radius_exp + 50)
+
+    monkeypatch.setattr(audit, "region_image", too_large)
+    check = check_escape_distance_bound(tate_cfg, 200)
+    assert not check.holds
+    assert check.n_failures == 200
+    assert not any(i.equal for i in check.instances)
+
+
+@pytest.mark.parametrize("shift", [1, 2])
+@pytest.mark.parametrize("fixture", FIXTURES)
+def test_escape_bound_at_the_radius(request, monkeypatch, fixture, shift):
+    """Radii raised until some distances equal them (shift 1 on both
+    fixtures) or fall below them (shift 2): the bound is >=, not >."""
+    cfg = request.getfixturevalue(fixture)
+
+    def raised(gamma, region, p):
+        image = region_image(gamma, region, p)
+        return dataclasses.replace(image, radius_exp=image.radius_exp + shift)
+
+    monkeypatch.setattr(audit, "region_image", raised)
+    assert (check_escape_distance_bound(cfg, 300)
+            == ref_escape_bound(cfg, 300, 1, image_of=raised))
+
+
+def test_distance_identity_on_unreduced_pairs():
+    gamma = MoebiusMap(3, 0, 0, 1)
+    assert gamma.apply_pair(1, 3) == (3, 3)  # gamma(1/3) = 1, not reduced
+    for x, y in [(F(1, 3), F(2, 3)), (F(1, 3), F(5)), (F(1, 3), F(-7, 9))]:
+        assert (moebius_distance_identity_check(gamma, x, y, 3)
+                == ref_distance_identity(gamma, x, y, 3))
+    # the same points as pairs with common factors give the same valuations
+    reduced = moebius_distance_valuations(gamma, (1, 3), (2, 3), (3, 3), (6, 3), 3)
+    scaled = moebius_distance_valuations(gamma, (9, 27), (4, 6),
+                                         gamma.apply_pair(9, 27),
+                                         gamma.apply_pair(4, 6), 3)
+    assert reduced == scaled == (0, 0)
+
+
+def test_distance_identity_matches_reference_on_a_grid():
+    mats = [MoebiusMap(9, 0, 0, 1), MoebiusMap(17, -16, 8, -7),
+            MoebiusMap(9, 1, 3, 28), MoebiusMap(2, 1, 1, 1), MoebiusMap(3, 0, 0, 1)]
+    points = [F(n, d) for n in range(-4, 5) for d in (1, 2, 9)]
+    for p in (2, 3, 5):
+        for m in mats:
+            for x in points:
+                for y in points:
+                    if m.pole() in (x, y):
+                        continue
+                    assert (moebius_distance_identity_check(m, x, y, p)
+                            == ref_distance_identity(m, x, y, p))
+
+
+@pytest.mark.parametrize("n_random", [0, -5])
+def test_audit_rejects_too_few_samples(tate_cfg, tate_datum, n_random):
+    with pytest.raises(ValueError, match="n_random"):
+        audit_lemmas(tate_cfg, tate_datum, n_random=n_random)

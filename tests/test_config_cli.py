@@ -156,6 +156,21 @@ BAD_INPUTS = [
     ("spectrum", ["--cutoff-tol", "xyz"], {}, "--cutoff-tol"),
     ("evolve", ["--t", "-1"], {}, "--t"),
     ("evolve", [], {"times": [0.0, -0.5]}, "run.times"),
+    ("sample", [], {"paths": "abc"}, "run.paths"),
+    ("sample", [], {"paths": 2.7}, "run.paths"),
+    ("sample", [], {"seed": 1.5}, "run.seed"),
+    ("spectrum", [], {"level": True}, "run.level"),
+    ("sample", [], {"start_state": 99}, "run.start_state"),
+    ("sample", [], {"start_state": -1}, "run.start_state"),
+    ("sample", [], {"start_state": "0"}, "run.start_state"),
+    ("resolvent", [], {"start_state": 99}, "run.start_state"),
+    ("evolve", ["--initial", "indicator"], {"start_state": 99}, "run.start_state"),
+    ("audit", ["--audit-samples", "0"], {}, "--audit-samples"),
+    ("audit", ["--audit-samples", "-5"], {}, "--audit-samples"),
+    ("spectrum", ["--cutoff-len", "-3"], {}, "--cutoff-len"),
+    ("spectrum", ["--cutoff-len", "0"], {}, "--cutoff-len"),
+    ("spectrum", ["--cutoff-tol", "0"], {}, "--cutoff-tol"),
+    ("spectrum", ["--cutoff-tol=-1/2"], {}, "--cutoff-tol"),
 ]
 
 
@@ -171,6 +186,40 @@ def test_bad_inputs_exit_2(tate_path, tmp_path, capsys, command, flags,
     err = capsys.readouterr().err
     assert name in err and "Traceback" not in err
     assert not out.exists()
+
+
+BAD_FIELDS = [
+    ("operator", {"cutoff": {"len": -3}}, "operator.cutoff.len"),
+    ("operator", {"cutoff": {"len": 0}}, "operator.cutoff.len"),
+    ("operator", {"cutoff": {"len": "8"}}, "operator.cutoff.len"),
+    ("operator", {"cutoff": {"tol": "0"}}, "operator.cutoff.tol"),
+    ("operator", {"cutoff": {"tol": "-1e-3"}}, "operator.cutoff.tol"),
+    ("measure", {"resolution": "2"}, "measure.resolution"),
+    ("measure", {"resolution": 2.0}, "measure.resolution"),
+]
+
+
+@pytest.mark.parametrize("section,update,name", BAD_FIELDS)
+def test_bad_config_fields_exit_2(tate_path, tmp_path, capsys, section, update,
+                                  name):
+    raw = json.loads(tate_path.read_text())
+    raw[section].update(update)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert main(["spectrum", "-c", str(config), "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert name in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_validate_writes_the_parse_time_domain_report(tate_path, tmp_path):
+    run = parse_config(tate_path)
+    assert run.domain_report.ok and run.domain_report.tiles_checked > 0
+    assert main(["validate", "-c", str(tate_path), "-o", str(tmp_path)]) == 0
+    domain = json.loads((tmp_path / "validation.json").read_text())["domain"]
+    assert domain["tiles_checked"] == run.domain_report.tiles_checked
+    assert domain["details"] == list(run.domain_report.details)
 
 
 def test_profile_based_config_round_trip(tate_run):
