@@ -15,9 +15,9 @@ from fractions import Fraction
 from pathlib import Path
 
 from .audit import audit_lemmas
-from .config import (ParseError, RunConfig, ValidationError, emit_config,
-                     format_rational, parse_config, parse_cutoff, parse_int,
-                     parse_rational)
+from .config import (ParseError, RunConfig, ValidationError, check_level,
+                     emit_config, format_rational, parse_config, parse_cutoff,
+                     parse_int, parse_rational)
 from .exactnum import PowerSum
 from .heat import (NumericalBreakdown, SingularSystem, empirical_validation,
                    resolvent_solve, sample_paths, solve_cauchy,
@@ -83,8 +83,13 @@ def cmd_validate(run: RunConfig, op: OperatorConfig, out: Path, args) -> int:
     return 0
 
 
+def _level(run: RunConfig, args) -> int:
+    """``--level`` if given, else ``run.level``; ``main`` has checked the flag."""
+    return args.level if args.level is not None else run.run.level
+
+
 def cmd_spectrum(run: RunConfig, op: OperatorConfig, out: Path, args) -> int:
-    level = args.level if args.level is not None else run.run.level
+    level = _level(run, args)
     result = spectrum(op, level, datum=run.datum)
     lines = _header_lines(_meta(run, op))
     lines.append("radius_exp,density,lambda_formula,lambda_exact_lo,"
@@ -137,7 +142,7 @@ def _default_initial(run: RunConfig, op: OperatorConfig, gen, kind: str) -> Leve
 def cmd_evolve(run: RunConfig, op: OperatorConfig, out: Path, args) -> int:
     if args.times and min(args.times) < 0:
         raise ValidationError("--t", "times must be nonnegative")
-    level = args.level if args.level is not None else run.run.level
+    level = _level(run, args)
     gen = generator_matrix(op, level)
     data = spectral_data(op, gen)
     h0 = _default_initial(run, op, gen, args.initial)
@@ -159,7 +164,7 @@ def cmd_sample(run: RunConfig, op: OperatorConfig, out: Path, args) -> int:
                if args.paths is not None else run.run.paths)
     seed = (parse_int(args.seed, "--seed", minimum=0)
             if args.seed is not None else run.run.seed)
-    level = args.level if args.level is not None else run.run.level
+    level = _level(run, args)
     gen = generator_matrix(op, level)
     start = _start_state(run, gen)
     t_max = max(run.run.times) if run.run.times else 1.0
@@ -207,7 +212,7 @@ def cmd_resolvent(run: RunConfig, op: OperatorConfig, out: Path, args) -> int:
     eta = parse_rational(args.eta, "--eta") if args.eta else run.run.eta
     if eta <= 0:
         raise ValidationError("--eta", "eta must be positive")
-    level = args.level if args.level is not None else run.run.level
+    level = _level(run, args)
     gen = generator_matrix(op, level)
     idx = _start_state(run, gen)
     h = LevelFunction.from_mapping(
@@ -270,6 +275,8 @@ def main(argv=None) -> int:
         cutoff_len, cutoff_tol = parse_cutoff(args.cutoff_len, args.cutoff_tol,
                                               "--cutoff-len", "--cutoff-tol")
         run = parse_config(args.config)
+        if args.level is not None:
+            check_level(args.level, run.resolution, "--level")
         op = run.operator_config(mode=args.mode, cutoff_len=cutoff_len,
                                  cutoff_tol=cutoff_tol)
         code = COMMANDS[args.command](run, op, args.out, args)

@@ -16,7 +16,7 @@ from importlib import resources
 from pathlib import Path
 
 from .measure import (MeasureProfile, RationalFunctionDatum, build_profile)
-from .operator import OperatorConfig
+from .operator import OperatorConfig, growth_condition_holds
 from .padic import Disc
 from .schottky import (DomainInvalid, DomainReport, MoebiusMap, SchottkyGroup,
                        verify_fundamental_domain)
@@ -77,15 +77,26 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def check_level(level: int, resolution: int, path: str) -> None:
+    """A state-space level must not be coarser than the measure resolution."""
+    if level < resolution:
+        raise ValidationError(path, f"level {level} is coarser than the measure "
+                                    f"resolution {resolution}")
+
+
 def _parse_disc(obj, path: str) -> Disc:
     if not isinstance(obj, dict):
         raise ValidationError(path, "disc must be an object")
     try:
         center = parse_rational(obj["center"], f"{path}.center")
-        rexp = int(obj["radius_exp"])
+        rexp = parse_int(obj["radius_exp"], f"{path}.radius_exp")
     except KeyError as exc:
         raise ValidationError(path, f"missing field {exc}") from exc
-    return Disc(center, rexp, bool(obj.get("complement", False)))
+    complement = obj.get("complement", False)
+    if not isinstance(complement, bool):
+        raise ValidationError(f"{path}.complement",
+                              f"expected true or false, got {complement!r}")
+    return Disc(center, rexp, complement)
 
 
 def _disc_dict(d: Disc) -> dict:
@@ -201,6 +212,9 @@ def config_from_dict(raw: dict) -> RunConfig:
     osec = raw.get("operator", {})
     alpha = parse_rational(osec.get("alpha", "1"), "operator.alpha")
     alpha_g = parse_rational(osec.get("alpha_g", "1"), "operator.alpha_g")
+    for name, value in (("alpha", alpha), ("alpha_g", alpha_g)):
+        if value <= 0:
+            raise ValidationError(f"operator.{name}", f"must be positive, got {value}")
     mode = osec.get("mode", "ambient")
     if mode not in ("ambient", "transport"):
         raise ValidationError("operator.mode", f"unknown mode {mode!r}")
@@ -208,12 +222,10 @@ def config_from_dict(raw: dict) -> RunConfig:
     cutoff_len, cutoff_tol = parse_cutoff(
         cutoff.get("len"), cutoff.get("tol"),
         "operator.cutoff.len", "operator.cutoff.tol")
-    g = group.genus
-    a, b = alpha_g.numerator, alpha_g.denominator
-    if not p ** a > (2 * g) ** b:
+    if not growth_condition_holds(p, group.genus, alpha_g):
         raise ValidationError(
-            "operator.alpha_g",
-            f"growth condition p^alpha_g > 2g fails: {p}^{alpha_g} <= {2 * g}")
+            "operator.alpha_g", f"growth condition p^alpha_g > 2g fails: "
+                                f"{p}^{alpha_g} <= {2 * group.genus}")
 
     rsec = raw.get("run", {})
     run = RunSettings(
@@ -227,10 +239,7 @@ def config_from_dict(raw: dict) -> RunConfig:
     )
     if any(t < 0 for t in run.times):
         raise ValidationError("run.times", "times must be nonnegative")
-    if run.level < resolution:
-        raise ValidationError("run.level",
-                              f"level {run.level} is coarser than the measure "
-                              f"resolution {resolution}")
+    check_level(run.level, resolution, "run.level")
     return RunConfig(group, domain_report, datum, profile, resolution, alpha,
                      alpha_g, mode, cutoff_len, cutoff_tol, run, config_hash(raw),
                      raw)
@@ -241,7 +250,7 @@ def _parse_datum(obj) -> RationalFunctionDatum:
     factors = []
     for i, fac in enumerate(obj.get("factors", [])):
         fpath = f"measure.datum.factors[{i}]"
-        mult = int(fac.get("multiplicity", 1))
+        mult = parse_int(fac.get("multiplicity", 1), f"{fpath}.multiplicity")
         if "root" in fac:
             factors.append((parse_rational(fac["root"], f"{fpath}.root"), mult))
         elif "coeffs" in fac:

@@ -60,6 +60,11 @@ class ChartNotSupported(ValueError):
     """The requested chart transform leaves the exact toolkit's reach."""
 
 
+def growth_condition_holds(p: int, genus: int, alpha_g: Fraction) -> bool:
+    """p^alpha_g > 2g, decided exactly as p^a > (2g)^b for alpha_g = a/b > 0."""
+    return p ** alpha_g.numerator > (2 * genus) ** alpha_g.denominator
+
+
 @dataclass(frozen=True)
 class OperatorConfig:
     """Everything the operator needs: group, domain, measure and exponents.
@@ -88,11 +93,9 @@ class OperatorConfig:
             raise ValueError("alpha and alpha_g must be positive")
         if self.mode not in ("ambient", "transport"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        g = self.group.genus
-        a, b = self.alpha_g.numerator, self.alpha_g.denominator
-        if not self.group.p ** a > (2 * g) ** b:
-            raise DomainInvalid(
-                f"growth condition fails: {self.group.p}^{self.alpha_g} <= {2 * g}")
+        if not growth_condition_holds(self.group.p, self.group.genus, self.alpha_g):
+            raise DomainInvalid(f"growth condition fails: {self.group.p}^"
+                                f"{self.alpha_g} <= {2 * self.group.genus}")
 
     @property
     def p(self) -> int:

@@ -6,6 +6,11 @@ are ``fractions.Fraction`` values interpreted inside Q_p, discs are pairs
 integrals come out as exact rationals.  There is no precision model; the
 residue degree ``RESIDUE_DEGREE`` is carried as a named constant (fixed to 1,
 so the uniformiser is p itself and |p| = 1/p).
+
+The disc predicates (membership, containment, disjointness) compare
+valuations, not absolute values: |x - c| <= p^t is v_p(x - c) >= -t, with
+v_p(x - c) read off the integer numerators and denominators by
+:func:`difference_valuation`, so no ``Fraction`` is built to answer them.
 """
 
 from __future__ import annotations
@@ -32,19 +37,19 @@ class PoleHit(ZeroDivisionError):
 
 def valuation(x: Rational, p: int) -> Union[int, float]:
     """Exact p-adic valuation v_p(x); ``INFINITE_VALUATION`` for x = 0."""
-    if not isinstance(x, int):
+    if isinstance(x, int):
+        if x == 0:
+            return INFINITE_VALUATION
+        v = 0
+        while not x % p:
+            x //= p
+            v += 1
+        return v
+    if not isinstance(x, Fraction):
         x = Fraction(x)
     if x == 0:
         return INFINITE_VALUATION
-    num, den = x.numerator, x.denominator
-    v = 0
-    while num % p == 0:
-        num //= p
-        v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v
+    return valuation(x.numerator, p) - valuation(x.denominator, p)
 
 
 def pair_difference_valuation(x: tuple[int, int], y: tuple[int, int],
@@ -58,6 +63,17 @@ def pair_difference_valuation(x: tuple[int, int], y: tuple[int, int],
     return valuation(xn * yd - yn * xd, p) - valuation(xd, p) - valuation(yd, p)
 
 
+def difference_valuation(x: Fraction, y: Fraction, p: int) -> Union[int, float]:
+    """v_p(x - y) of two rationals, from their numerators and denominators."""
+    return pair_difference_valuation((x.numerator, x.denominator),
+                                     (y.numerator, y.denominator), p)
+
+
+def p_power(p: int, e: int) -> Fraction:
+    """The exact rational p^e for an integer exponent e."""
+    return Fraction(p ** e) if e >= 0 else Fraction(1, p ** -e)
+
+
 def abs_p(x: Rational, p: int) -> Fraction:
     """p-adic absolute value |x| = p^(-f*v_p(x)), an exact rational (0 for x=0)."""
     return abs_from_valuation(valuation(x, p), p)
@@ -67,7 +83,7 @@ def abs_from_valuation(v: Union[int, float], p: int) -> Fraction:
     """The absolute value p^(-f*v) of an element of valuation v (0 for v = inf)."""
     if v == INFINITE_VALUATION:
         return Fraction(0)
-    return Fraction(p) ** (-RESIDUE_DEGREE * v)
+    return p_power(p, -RESIDUE_DEGREE * v)
 
 
 def character_phase(x: Rational, p: int) -> Fraction:
@@ -104,13 +120,16 @@ class Disc:
     complement: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "center", Fraction(self.center))
+        if not isinstance(self.center, Fraction):
+            object.__setattr__(self, "center", Fraction(self.center))
 
     def radius(self, p: int) -> Fraction:
-        return Fraction(p) ** self.radius_exp
+        return p_power(p, self.radius_exp)
 
     def contains_point(self, x: Rational, p: int) -> bool:
-        inside = abs_p(Fraction(x) - self.center, p) <= self.radius(p)
+        if not isinstance(x, Fraction):
+            x = Fraction(x)
+        inside = difference_valuation(x, self.center, p) >= -self.radius_exp
         return inside != self.complement
 
     def complement_region(self) -> "Disc":
@@ -120,7 +139,8 @@ class Disc:
         """Exact containment ``other`` subset of ``self`` (affine parts)."""
         if not self.complement and not other.complement:
             return (other.radius_exp <= self.radius_exp
-                    and abs_p(self.center - other.center, p) <= self.radius(p))
+                    and difference_valuation(self.center, other.center, p)
+                    >= -self.radius_exp)
         if self.complement and other.complement:
             # K\E1 >= K\E2  <=>  E2 >= E1
             return Disc(other.center, other.radius_exp).contains(
@@ -135,7 +155,7 @@ class Disc:
         """The p sub-discs one radius level down (plain discs only)."""
         if self.complement:
             raise ValueError("co-disc has no canonical children")
-        step = Fraction(p) ** (-self.radius_exp)
+        step = p_power(p, -self.radius_exp)
         for i in range(p):
             yield Disc(self.center + i * step, self.radius_exp - 1)
 
@@ -143,8 +163,8 @@ class Disc:
 def discs_disjoint(d1: Disc, d2: Disc, p: int) -> bool:
     """Exact disjointness test; handles the co-disc flag on either side."""
     if not d1.complement and not d2.complement:
-        gap = abs_p(d1.center - d2.center, p)
-        return gap > max(d1.radius(p), d2.radius(p))
+        return (difference_valuation(d1.center, d2.center, p)
+                < -max(d1.radius_exp, d2.radius_exp))
     if d1.complement and not d2.complement:
         return Disc(d1.center, d1.radius_exp).contains(d2, p)
     if d2.complement and not d1.complement:
@@ -157,7 +177,7 @@ def haar_measure(disc: Disc, p: int) -> Fraction:
     """Haar measure normalised so the unit ball has mass 1: mu(D) = p^radius_exp."""
     if disc.complement:
         raise ValueError("co-disc has infinite Haar measure")
-    return Fraction(p) ** disc.radius_exp
+    return p_power(p, disc.radius_exp)
 
 
 def disc_intersection(d1: Disc, d2: Disc, p: int) -> Disc | None:

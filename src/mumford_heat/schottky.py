@@ -16,8 +16,8 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .padic import (Disc, PoleHit, Rational, abs_from_valuation, abs_p,
-                    covered_measure, discs_disjoint, haar_measure,
-                    pair_difference_valuation, valuation)
+                    covered_measure, difference_valuation, discs_disjoint,
+                    haar_measure, pair_difference_valuation, valuation)
 
 
 class DomainInvalid(ValueError):
@@ -178,34 +178,30 @@ def region_image(gamma: MoebiusMap, region: Disc, p: int) -> Disc:
 
     Moebius maps are bijections of the projective line, so the image of the
     complement is the complement of the image; a disc maps to a co-disc
-    exactly when it contains the pole.
+    exactly when it contains the pole.  The centre c0 = n/m moves as the
+    integer pair ``gamma.apply_pair(n, m)`` = (num, den), and the radius
+    exponent comes from valuations alone, with v(c*c0 + d) = v(den) - v(m):
+
+    * affine maps (c = 0): D(gamma(c0), t - v(det) + 2*v(d));
+    * pole outside D(c0, t), i.e. v(c*c0 + d) < v(c) - t:
+      D(gamma(c0), t + 2*v(c*c0 + d) - v(det));
+    * pole inside: the co-disc about a/c with exponent 2*v(c) - t - 1 - v(det).
     """
     if region.complement:
         inner = region_image(gamma, region.complement_region(), p)
         return inner.complement_region()
     c0, t = region.center, region.radius_exp
+    num, den = gamma.apply_pair(c0.numerator, c0.denominator)
+    vdet = valuation(gamma.det, p)
     if gamma.c == 0:
-        scale = Fraction(gamma.a, gamma.d)
-        new_center = gamma.apply(c0)
-        new_exp = t - valuation(scale, p)
-        return Disc(new_center, int(new_exp))
-    # gamma(x) = a/c - det/(c*(c*x+d)); push the disc through w = c*x+d,
-    # invert, then the outer affine map z -> a/c + (-det/c)*z.
-    w_center = gamma.c * c0 + gamma.d
-    w_exp = t - valuation(gamma.c, p)
-    scale = Fraction(-gamma.det, gamma.c)
-    vw = valuation(w_center, p)
-    if w_center != 0 and -vw > w_exp:
-        # pole outside: 1/D = D(1/w_center, w_exp + 2*v(w_center))
-        inv_center = 1 / Fraction(w_center)
-        inv_exp = w_exp + 2 * vw
-        new_center = Fraction(gamma.a, gamma.c) + scale * inv_center
-        new_exp = inv_exp - valuation(scale, p)
-        return Disc(new_center, int(new_exp))
-    # pole inside: 1/D = {|z| >= p^-w_exp} = co-disc of D(0, -w_exp - 1)
-    inv_exp = -w_exp - 1
-    new_exp = inv_exp - valuation(scale, p)
-    return Disc(Fraction(gamma.a, gamma.c), int(new_exp), complement=True)
+        return Disc(Fraction(num, den), t - vdet + 2 * valuation(gamma.d, p))
+    vc = valuation(gamma.c, p)
+    if den != 0:
+        vw = valuation(den, p) - valuation(c0.denominator, p)
+        if vw < vc - t:
+            return Disc(Fraction(num, den), t + 2 * vw - vdet)
+    return Disc(Fraction(gamma.a, gamma.c), 2 * vc - t - 1 - vdet,
+                complement=True)
 
 
 class PoleInsideDisc(ValueError):
@@ -233,7 +229,7 @@ def disc_distance(d1: Disc, d2: Disc, p: int) -> Fraction:
         raise DiscsIntersect("distance only defined for plain discs")
     if not discs_disjoint(d1, d2, p):
         raise DiscsIntersect(f"{d1} and {d2} intersect")
-    return abs_p(d1.center - d2.center, p)
+    return abs_from_valuation(difference_valuation(d1.center, d2.center, p), p)
 
 
 # ---------------------------------------------------------------------------
@@ -531,11 +527,10 @@ def verify_fundamental_domain(group: SchottkyGroup, depth: int = 6,
     if holes_ok and pairing_ok:
         domain = group.fundamental_domain()
         f_pieces = domain.maximal_discs()
-        for word in enumerate_words(group.genus, depth):
+        for word, mat in words_with_maps(group, depth):
             if word.is_identity():
                 continue
             checked += 1
-            mat = group.word_map(word)
             tile_outer = region_image(mat, group.outer, p)
             tile_holes = [region_image(mat, h, p) for h in group.holes]
             if not _tile_disjoint_from(f_pieces, tile_outer, tile_holes, p):

@@ -171,6 +171,11 @@ BAD_INPUTS = [
     ("spectrum", ["--cutoff-len", "0"], {}, "--cutoff-len"),
     ("spectrum", ["--cutoff-tol", "0"], {}, "--cutoff-tol"),
     ("spectrum", ["--cutoff-tol=-1/2"], {}, "--cutoff-tol"),
+    ("spectrum", ["--level", "0"], {}, "--level"),
+    ("evolve", ["--level", "0"], {}, "--level"),
+    ("sample", ["--level", "1"], {}, "--level"),
+    ("resolvent", ["--level", "0"], {}, "--level"),
+    ("validate", ["--level", "-2"], {}, "--level"),
 ]
 
 
@@ -196,6 +201,27 @@ BAD_FIELDS = [
     ("operator", {"cutoff": {"tol": "-1e-3"}}, "operator.cutoff.tol"),
     ("measure", {"resolution": "2"}, "measure.resolution"),
     ("measure", {"resolution": 2.0}, "measure.resolution"),
+    ("group", {"holes": [{"center": "0", "radius_exp": 0, "complement": True},
+                         {"center": "0", "radius_exp": "abc"}]},
+     "group.holes[1].radius_exp"),
+    ("group", {"outer": {"center": "0", "radius_exp": -0.5}},
+     "group.outer.radius_exp"),
+    ("group", {"outer": {"center": "0", "radius_exp": False}},
+     "group.outer.radius_exp"),
+    ("group", {"holes": [{"center": "0", "radius_exp": 0, "complement": "no"},
+                         {"center": "0", "radius_exp": -2}]},
+     "group.holes[0].complement"),
+    ("group", {"holes": [{"center": "0", "radius_exp": 0, "complement": 1},
+                         {"center": "0", "radius_exp": -2}]},
+     "group.holes[0].complement"),
+    ("measure", {"datum": {"factors": [{"root": "0", "multiplicity": "x"}]}},
+     "measure.datum.factors[0].multiplicity"),
+    ("measure", {"datum": {"factors": [{"root": "0", "multiplicity": -1.0}]}},
+     "measure.datum.factors[0].multiplicity"),
+    ("operator", {"alpha": "0"}, "operator.alpha"),
+    ("operator", {"alpha": "-1"}, "operator.alpha"),
+    ("operator", {"alpha_g": "0"}, "operator.alpha_g"),
+    ("operator", {"alpha_g": "-3/2"}, "operator.alpha_g"),
 ]
 
 
@@ -211,6 +237,42 @@ def test_bad_config_fields_exit_2(tate_path, tmp_path, capsys, section, update,
     err = capsys.readouterr().err
     assert name in err and "Traceback" not in err
     assert not out.exists()
+
+
+PROFILE_DISC_FIELDS = [
+    # (list, disc, name in the message): the disc replaces the list's first entry
+    ("pieces", {"center": "1", "radius_exp": "-1", "density": "1"},
+     "measure.profile.pieces[0].radius_exp"),
+    ("pieces", {"center": "1", "radius_exp": -1, "density": "1",
+                "complement": "false"}, "measure.profile.pieces[0].complement"),
+    ("zero_cores", {"center": "0", "radius_exp": 1.5},
+     "measure.profile.zero_cores[0].radius_exp"),
+]
+
+
+@pytest.mark.parametrize("key,disc,name", PROFILE_DISC_FIELDS)
+def test_bad_profile_disc_fields_exit_2(tate_run, tmp_path, capsys, key, disc,
+                                        name):
+    from mumford_heat.config import profile_dict
+    raw = emit_config(tate_run)
+    del raw["measure"]["datum"]
+    raw["measure"]["profile"] = profile = profile_dict(tate_run.profile)
+    profile[key][:1] = [disc]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert main(["spectrum", "-c", str(config), "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert name in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_level_function_rows_are_strict():
+    from mumford_heat.config import level_function_from_dict
+    row = {"center": "1", "radius_exp": "-2", "value": {"re": 1.0}}
+    with pytest.raises(ValidationError) as err:
+        level_function_from_dict({"level": 2, "values": [row]})
+    assert err.value.path == "level_function.values.radius_exp"
 
 
 def test_validate_writes_the_parse_time_domain_report(tate_path, tmp_path):

@@ -1,12 +1,15 @@
+import random
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mumford_heat.padic import (Disc, INFINITE_VALUATION, abs_p,
                                 ball_character_moment_integral,
                                 brute_sphere_decomposition, character_phase,
-                                covered_measure, discs_disjoint, haar_measure,
+                                covered_measure, difference_valuation,
+                                discs_disjoint, haar_measure, p_power,
                                 sphere_character_integral, valuation)
 
 rationals = st.fractions(min_value=-10 ** 6, max_value=10 ** 6, max_denominator=10 ** 4)
@@ -137,3 +140,95 @@ def test_ball_integral_telescopes(a, ell, m, p):
     head = sum((brute_sphere_decomposition(a, k, k, m, p)
                 for k in range(ell, cut)), F(0))
     assert ball_character_moment_integral(a, ell, m, p) == head + geometric_tail
+
+
+# ---------------------------------------------------------------------------
+# The disc predicates against their former Fraction versions
+# ---------------------------------------------------------------------------
+
+def _fraction_abs(x, p):
+    """|x|_p by dividing a Fraction down, independent of ``valuation``."""
+    x, size = F(x), F(1)
+    if x == 0:
+        return F(0)
+    while x.numerator % p == 0:
+        x, size = x / p, size / p
+    while x.denominator % p == 0:
+        x, size = x * p, size * p
+    return size
+
+
+def ref_contains_point(disc, x, p):
+    inside = _fraction_abs(F(x) - disc.center, p) <= F(p) ** disc.radius_exp
+    return inside != disc.complement
+
+
+def ref_contains(outer, other, p):
+    if not outer.complement and not other.complement:
+        return (other.radius_exp <= outer.radius_exp
+                and _fraction_abs(outer.center - other.center, p)
+                <= F(p) ** outer.radius_exp)
+    if outer.complement and other.complement:
+        return ref_contains(Disc(other.center, other.radius_exp),
+                            Disc(outer.center, outer.radius_exp), p)
+    if outer.complement and not other.complement:
+        return ref_discs_disjoint(other, Disc(outer.center, outer.radius_exp), p)
+    return False
+
+
+def ref_discs_disjoint(d1, d2, p):
+    if not d1.complement and not d2.complement:
+        gap = _fraction_abs(d1.center - d2.center, p)
+        return gap > max(F(p) ** d1.radius_exp, F(p) ** d2.radius_exp)
+    if d1.complement and not d2.complement:
+        return ref_contains(Disc(d1.center, d1.radius_exp), d2, p)
+    if d2.complement and not d1.complement:
+        return ref_contains(Disc(d2.center, d2.radius_exp), d1, p)
+    return False
+
+
+def _disc_grid(p, rng):
+    """Discs and co-discs about a few centres, with partners at distance
+    exactly p^t (on the radius), just inside and just outside it, and at
+    distance zero."""
+    discs = []
+    for _ in range(12):
+        centre = F(rng.randint(-40, 40) * p ** rng.randint(0, 3),
+                   rng.choice([1, 7, 11]) * p ** rng.randint(0, 3))
+        t = rng.randint(-4, 3)
+        unit = rng.choice([1, -1, 2, p + 1, F(1, p + 1)])
+        for shift in (0, unit * F(p) ** -t, unit * F(p) ** (1 - t),
+                      unit * F(p) ** (-1 - t)):
+            for dt in (-1, 0, 1):
+                for complement in (False, True):
+                    discs.append(Disc(centre + shift, t + dt, complement))
+    return discs
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_disc_predicates_match_fraction_reference(p):
+    rng = random.Random(p)
+    discs = _disc_grid(p, rng)
+    seen = set()
+    for d1 in discs:
+        points = [d1.center, d1.center + F(p) ** -d1.radius_exp,
+                  d1.center + F(p) ** (1 - d1.radius_exp), int(d1.center)]
+        for x in points:
+            assert d1.contains_point(x, p) == ref_contains_point(d1, x, p)
+        for d2 in rng.sample(discs, 40):
+            assert d1.contains(d2, p) == ref_contains(d1, d2, p)
+            disjoint = discs_disjoint(d1, d2, p)
+            assert disjoint == ref_discs_disjoint(d1, d2, p)
+            seen.add((d1.contains(d2, p), disjoint))
+    # the grid exercises containment, disjointness and partial overlap
+    assert {(True, False), (False, True), (False, False)} <= seen
+
+
+def test_valuation_helpers():
+    assert difference_valuation(F(1, 3), F(1, 3), 3) == INFINITE_VALUATION
+    assert difference_valuation(F(1, 3), F(4, 3), 3) == 0
+    assert difference_valuation(F(1, 3), F(10, 3), 3) == 1
+    assert difference_valuation(F(2, 9), F(1, 9), 3) == -2
+    assert valuation(-54, 3) == 3 and valuation(F(-54), 3) == 3
+    assert p_power(3, 2) == 9 and p_power(3, -2) == F(1, 9)
+    assert Disc(2, -1).center == F(2) and isinstance(Disc(2, -1).center, F)

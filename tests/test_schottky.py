@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 from itertools import groupby
 
@@ -220,3 +221,109 @@ class TestDistances:
         assert delta(b, GroupWord.identity(), tate_group) == 1
         assert delta(b, GroupWord((1,)), tate_group) == 1
         assert delta(b, GroupWord((-1,)), tate_group) == 9
+
+
+# ---------------------------------------------------------------------------
+# region_image against its former Fraction version
+# ---------------------------------------------------------------------------
+
+def _fraction_valuation(x, p):
+    x, v = F(x), 0
+    while x.numerator % p == 0:
+        x, v = x / p, v + 1
+    while x.denominator % p == 0:
+        x, v = x * p, v - 1
+    return v
+
+
+def _fraction_abs(x, p):
+    return F(0) if F(x) == 0 else F(p) ** -_fraction_valuation(x, p)
+
+
+def ref_region_image(gamma, region, p):
+    """The Fraction version: push the disc through w = c*x + d, invert, then
+    apply z -> a/c + (-det/c)*z."""
+    if region.complement:
+        inner = ref_region_image(gamma, region.complement_region(), p)
+        return inner.complement_region()
+    c0, t = region.center, region.radius_exp
+    if gamma.c == 0:
+        scale = F(gamma.a, gamma.d)
+        return Disc(gamma.apply(c0), t - _fraction_valuation(scale, p))
+    w_center = gamma.c * c0 + gamma.d
+    w_exp = t - _fraction_valuation(gamma.c, p)
+    scale = F(-gamma.det, gamma.c)
+    if w_center != 0 and _fraction_abs(w_center, p) > F(p) ** w_exp:
+        inv_center = 1 / F(w_center)
+        inv_exp = w_exp + 2 * _fraction_valuation(w_center, p)
+        return Disc(F(gamma.a, gamma.c) + scale * inv_center,
+                    inv_exp - _fraction_valuation(scale, p))
+    return Disc(F(gamma.a, gamma.c), -w_exp - 1 - _fraction_valuation(scale, p),
+                complement=True)
+
+
+def _random_map(rng, p, affine):
+    while True:
+        a, b, c, d = (rng.choice([1, -1]) * rng.randint(0, 12)
+                      * p ** rng.randint(0, 2) for _ in range(4))
+        if affine:
+            c = 0
+        if a * d - b * c != 0:
+            return MoebiusMap(a, b, c, d)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_region_image_matches_fraction_reference(p):
+    rng = random.Random(100 + p)
+    kinds = {"affine": 0, "pole outside": 0, "pole inside": 0}
+    for i in range(600):
+        gamma = _random_map(rng, p, affine=i % 4 == 0)
+        t = rng.randint(-4, 3)
+        if gamma.c != 0 and i % 3 == 0:
+            # a disc about the pole, holding it, or just missing it
+            centre = gamma.pole() + rng.choice(
+                [0, F(p) ** -t, F(p) ** (1 - t), F(p) ** (-1 - t)])
+        else:
+            centre = F(rng.randint(-60, 60) * p ** rng.randint(0, 2),
+                       rng.choice([1, 7]) * p ** rng.randint(0, 2))
+        for complement in (False, True):
+            region = Disc(centre, t, complement)
+            assert region_image(gamma, region, p) == ref_region_image(gamma, region, p)
+        if gamma.c == 0:
+            kinds["affine"] += 1
+        elif Disc(centre, t).contains_point(gamma.pole(), p):
+            kinds["pole inside"] += 1
+        else:
+            kinds["pole outside"] += 1
+    assert min(kinds.values()) >= 50, kinds
+
+
+def test_certificate_catches_a_tile_covering_f(genus2_group, monkeypatch, tmp_path,
+                                               capsys):
+    import mumford_heat.schottky as schottky
+    from mumford_heat.cli import main
+    from mumford_heat.config import bundled_fixture
+
+    word = GroupWord((1, 2))
+    target = genus2_group.word_map(word)
+    honest = schottky.region_image
+
+    def overlapping(gamma, region, p):
+        # the tile of ``word`` becomes F itself: outer disc minus the holes
+        if gamma == target:
+            return region
+        return honest(gamma, region, p)
+
+    monkeypatch.setattr(schottky, "region_image", overlapping)
+    report = verify_fundamental_domain(genus2_group, depth=4,
+                                       raise_on_failure=False)
+    assert report.holes_disjoint and report.pairing_ok
+    assert not report.tiles_disjoint and report.tiles_checked == 160
+    assert report.details == (f"clause (iii): tile of {word} meets F",)
+
+    out = tmp_path / "out"
+    assert main(["validate", "-c", str(bundled_fixture("genus2-p3")),
+                 "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"clause (iii): tile of {word} meets F" in err
+    assert "Traceback" not in err and not out.exists()
