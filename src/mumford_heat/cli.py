@@ -17,11 +17,10 @@ from pathlib import Path
 from .audit import audit_lemmas
 from .config import (ParseError, RunConfig, ValidationError, check_level,
                      emit_config, format_rational, parse_config, parse_cutoff,
-                     parse_int, parse_rational)
+                     parse_int, parse_positive_rational, parse_times)
 from .exactnum import PowerSum
 from .heat import (NumericalBreakdown, SingularSystem, empirical_validation,
-                   resolvent_solve, sample_paths, solve_cauchy,
-                   spectral_data)
+                   resolvent_solve, sample_paths, solve_cauchy)
 from .measure import RationalFunctionDatum
 from .operator import (OperatorConfig, RatioNotConstant, generator_matrix,
                        spectrum, tail_bound)
@@ -140,21 +139,16 @@ def _default_initial(run: RunConfig, op: OperatorConfig, gen, kind: str) -> Leve
 
 
 def cmd_evolve(run: RunConfig, op: OperatorConfig, out: Path, args) -> int:
-    if args.times and min(args.times) < 0:
-        raise ValidationError("--t", "times must be nonnegative")
+    times = parse_times(args.times, "--t") if args.times else run.run.times
     level = _level(run, args)
     gen = generator_matrix(op, level)
-    data = spectral_data(op, gen)
     h0 = _default_initial(run, op, gen, args.initial)
-    times = args.times if args.times else list(run.run.times)
-    sol = solve_cauchy(op, gen, h0, times, data)
+    sol = solve_cauchy(op, gen, h0, times)
     lines = _header_lines(_meta(run, op))
     lines.append("t,state_index,value")
-    for ti, t in enumerate(sol.times):
-        for si in range(len(sol.states)):
-            value = complex(sol.values[ti, si])
-            out_value = value.real if abs(value.imag) < 1e-12 else value
-            lines.append(f"{t!r},{si},{out_value!r}")
+    for t, row in zip(sol.times, sol.values):
+        for si, value in enumerate(row):
+            lines.append(f"{t!r},{si},{float(value)!r}")
     _write(out / "evolution.csv", "\n".join(lines) + "\n")
     return 0
 
@@ -209,9 +203,8 @@ def cmd_audit(run: RunConfig, op: OperatorConfig, out: Path, args) -> int:
 
 
 def cmd_resolvent(run: RunConfig, op: OperatorConfig, out: Path, args) -> int:
-    eta = parse_rational(args.eta, "--eta") if args.eta else run.run.eta
-    if eta <= 0:
-        raise ValidationError("--eta", "eta must be positive")
+    eta = (parse_positive_rational(args.eta, "--eta") if args.eta is not None
+           else run.run.eta)
     level = _level(run, args)
     gen = generator_matrix(op, level)
     idx = _start_state(run, gen)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
@@ -48,6 +49,25 @@ def parse_rational(value, path: str = "") -> Fraction:
                                 "(floats are rejected to keep the arithmetic exact)")
 
 
+def parse_positive_rational(value, path: str) -> Fraction:
+    """An exact rational field that must be > 0."""
+    value = parse_rational(value, path)
+    if value <= 0:
+        raise ValidationError(path, f"must be positive, got {format_rational(value)}")
+    return value
+
+
+def parse_times(values, path: str) -> tuple[float, ...]:
+    """A time grid: a list of finite numbers >= 0 (no booleans or strings)."""
+    if not isinstance(values, (list, tuple)):
+        raise ValidationError(path, f"expected a list of times, got {values!r}")
+    for t in values:
+        if (isinstance(t, bool) or not isinstance(t, (int, float))
+                or not 0 <= t <= sys.float_info.max):
+            raise ValidationError(path, f"expected a finite time >= 0, got {t!r}")
+    return tuple(float(t) for t in values)
+
+
 def parse_int(value, path: str, minimum: int | None = None) -> int:
     """An integer field; booleans, floats and strings are rejected."""
     if isinstance(value, bool) or not isinstance(value, int):
@@ -64,9 +84,7 @@ def parse_cutoff(cutoff_len, cutoff_tol, len_path: str, tol_path: str
     if cutoff_len is not None:
         cutoff_len = parse_int(cutoff_len, len_path, minimum=1)
     if cutoff_tol is not None:
-        cutoff_tol = parse_rational(cutoff_tol, tol_path)
-        if cutoff_tol <= 0:
-            raise ValidationError(tol_path, "the tolerance must be positive")
+        cutoff_tol = parse_positive_rational(cutoff_tol, tol_path)
     return cutoff_len, cutoff_tol
 
 
@@ -210,11 +228,8 @@ def config_from_dict(raw: dict) -> RunConfig:
         raise ValidationError("measure", "needs either a datum or a profile")
 
     osec = raw.get("operator", {})
-    alpha = parse_rational(osec.get("alpha", "1"), "operator.alpha")
-    alpha_g = parse_rational(osec.get("alpha_g", "1"), "operator.alpha_g")
-    for name, value in (("alpha", alpha), ("alpha_g", alpha_g)):
-        if value <= 0:
-            raise ValidationError(f"operator.{name}", f"must be positive, got {value}")
+    alpha = parse_positive_rational(osec.get("alpha", "1"), "operator.alpha")
+    alpha_g = parse_positive_rational(osec.get("alpha_g", "1"), "operator.alpha_g")
     mode = osec.get("mode", "ambient")
     if mode not in ("ambient", "transport"):
         raise ValidationError("operator.mode", f"unknown mode {mode!r}")
@@ -230,15 +245,13 @@ def config_from_dict(raw: dict) -> RunConfig:
     rsec = raw.get("run", {})
     run = RunSettings(
         level=parse_int(rsec.get("level", resolution), "run.level"),
-        times=tuple(float(t) for t in rsec.get("times", (0.0, 0.5, 1.0))),
+        times=parse_times(rsec.get("times", [0.0, 0.5, 1.0]), "run.times"),
         paths=parse_int(rsec.get("paths", 1000), "run.paths", minimum=1),
         seed=parse_int(rsec.get("seed", 0), "run.seed", minimum=0),
         start_state=parse_int(rsec.get("start_state", 0), "run.start_state",
                               minimum=0),
-        eta=parse_rational(rsec.get("eta", "1"), "run.eta"),
+        eta=parse_positive_rational(rsec.get("eta", "1"), "run.eta"),
     )
-    if any(t < 0 for t in run.times):
-        raise ValidationError("run.times", "times must be nonnegative")
     check_level(run.level, resolution, "run.level")
     return RunConfig(group, domain_report, datum, profile, resolution, alpha,
                      alpha_g, mode, cutoff_len, cutoff_tol, run, config_hash(raw),

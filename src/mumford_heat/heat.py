@@ -1,16 +1,17 @@
 """Heat semigroup, resolvent, stationary analysis and path sampling.
 
-The finite level-m generator is exact; floating point enters only through
-matrix exponentials, eigen-solves and random sampling.  The semigroup is
-diagonalised on the analytically known eigenvectors (constants plus
-wavelets) first; only the small completeness-gap block goes through a dense
-solver.  Paths are simulated by the exact jump-chain construction
-(exponential holding times, jump probabilities proportional to the rates),
-drawn path after path from one seeded stream.
+The finite level-m generator Q is exact; floating point enters only through
+the semigroup, eigen-solves and random sampling.  P_t = exp(tQ) is a sum of
+nonnegative terms (uniformization with squaring); ``spectral_data`` shows the
+known eigenvectors, constants plus wavelets, as a diagnostic only.  Paths
+follow the exact jump-chain construction (exponential holding times, jump
+probabilities proportional to the rates), drawn path after path from one
+seeded stream.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,7 +19,6 @@ from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
 from .operator import GeneratorMatrix, OperatorConfig
 from .padic import Disc, haar_measure
@@ -38,7 +38,6 @@ class Reducible(ValueError):
 
 
 ROW_SUM_TOL = 1e-9
-CLAMP_TOL = 1e-12
 
 
 def omega_masses(cfg: OperatorConfig, states: Sequence[Disc]) -> np.ndarray:
@@ -98,6 +97,36 @@ def spectral_data(cfg: OperatorConfig, gen: GeneratorMatrix) -> SpectralData:
                         gap_eigs, defect)
 
 
+POISSON_TERMS = 18  # per uniformization step; see _semigroup
+
+
+def _semigroup(q: np.ndarray, t: float) -> np.ndarray:
+    """exp(tQ) for a Markov generator Q (rates >= 0, rows summing to 0).
+
+    With r = max_i(-Q_ii) and B = I + Q/r >= 0, exp(tQ) is
+    (sum_k e^-theta theta^k/k! B^k)^(2^s) with theta = rt/2^s <= 1.  The sum
+    stops at k = POISSON_TERMS = 18, so each step drops a Poisson tail of at
+    most theta^19/19! <= 1/19! < 1e-17.  No term, so no entry, is negative."""
+    if not 0 <= t < math.inf:
+        raise ValueError(f"t must be finite and nonnegative, got {t!r}")
+    eye = np.eye(len(q))
+    rate = float(-q.diagonal().min())
+    if rate == 0 or t == 0:
+        return eye
+    s = max(math.frexp(rate * t)[1], 0)
+    theta = rate * t / 2 ** s
+    step = eye + q / rate
+    weight = math.exp(-theta)
+    term, p = eye, weight * eye
+    for k in range(1, POISSON_TERMS + 1):
+        weight *= theta / k
+        term = term @ step
+        p += weight * term
+    for _ in range(s):
+        p = p @ p
+    return p
+
+
 @dataclass(frozen=True)
 class TransitionMatrix:
     """Row-stochastic P_t with provenance and the observed row-sum drift."""
@@ -113,35 +142,15 @@ class TransitionMatrix:
         return out / out.sum(axis=1, keepdims=True)
 
 
-def transition_matrix(cfg: OperatorConfig, gen: GeneratorMatrix, t: float,
-                      data: SpectralData | None = None,
-                      method: str = "spectral") -> TransitionMatrix:
-    """P_t = exp(tQ), via the known eigenbasis or dense scaling-and-squaring.
-
-    Stochasticity is asserted: rows must sum to 1 within ROW_SUM_TOL and
-    entries must not dip below -CLAMP_TOL beyond reporting.
-    """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    if method == "spectral":
-        if data is None:
-            data = spectral_data(cfg, gen)
-        core = expm(t * data.triangular)
-        p = data.basis @ core @ np.linalg.inv(data.basis)
-        imag = float(np.max(np.abs(p.imag)))
-        if imag > 1e-9:
-            raise NumericalBreakdown(f"imaginary leakage {imag}")
-        p = p.real
-        provenance = "eigendecomposition"
-    elif method == "dense":
-        p = expm(t * np.array(gen.as_floats()))
-        provenance = "scaling-and-squaring"
-    else:
-        raise ValueError(f"unknown method {method!r}")
+def transition_matrix(cfg: OperatorConfig, gen: GeneratorMatrix,
+                      t: float) -> TransitionMatrix:
+    """P_t = exp(tQ) by uniformization (``_semigroup``); NumericalBreakdown
+    unless every row sums to 1 within ROW_SUM_TOL."""
+    p = _semigroup(np.array(gen.as_floats()), float(t))
     drift = float(np.max(np.abs(p.sum(axis=1) - 1)))
-    if drift > ROW_SUM_TOL:
+    if not drift <= ROW_SUM_TOL:
         raise NumericalBreakdown(f"row-sum drift {drift}")
-    return TransitionMatrix(float(t), p, provenance, drift,
+    return TransitionMatrix(float(t), p, "uniformization", drift,
                             float(p.min()))
 
 
@@ -156,31 +165,19 @@ class HeatSolution:
 
 
 def solve_cauchy(cfg: OperatorConfig, gen: GeneratorMatrix,
-                 h0: LevelFunction, times: Sequence[float],
-                 data: SpectralData | None = None) -> HeatSolution:
-    """h(t) = P_t h0 on the time grid; t = 0 reproduces h0 exactly."""
-    if any(t < 0 for t in times):
-        raise ValueError("t must be nonnegative")
-    if data is None:
-        data = spectral_data(cfg, gen)
+                 h0: LevelFunction, times: Sequence[float]) -> HeatSolution:
+    """h(t) = P_t h0 on the time grid; t = 0 reproduces h0 exactly.  The
+    values are real unless h0 has a nonzero imaginary part."""
     hd = h0.as_dict()
     try:
         vec = np.array([complex(hd[d]) for d in gen.states])
     except KeyError as exc:
         raise ValueError(f"initial condition misses state {exc}") from exc
-    inv = np.linalg.inv(data.basis)
-    coeffs = inv @ vec
-    rows = []
-    for t in times:
-        if t == 0:
-            rows.append(vec.copy())
-            continue
-        core = expm(float(t) * data.triangular)
-        rows.append(data.basis @ (core @ coeffs))
-    values = np.array(rows)
-    if np.max(np.abs(values.imag)) < 1e-9:
-        values = values.real
-    return HeatSolution(tuple(float(t) for t in times), gen.states, values)
+    if not vec.imag.any():
+        vec = vec.real
+    rows = [vec if t == 0 else transition_matrix(cfg, gen, t).matrix @ vec
+            for t in times]
+    return HeatSolution(tuple(float(t) for t in times), gen.states, np.array(rows))
 
 
 def resolvent_solve(gen: GeneratorMatrix, eta, h: LevelFunction) -> LevelFunction:
@@ -345,16 +342,13 @@ class ValidationReport:
 
 def empirical_validation(cfg: OperatorConfig, gen: GeneratorMatrix,
                          paths: Sequence[PathSample], checkpoints: Sequence[float],
-                         start_index: int = 0, sigmas: float = 4.0,
-                         data: SpectralData | None = None) -> ValidationReport:
+                         start_index: int = 0, sigmas: float = 4.0) -> ValidationReport:
     """Per-checkpoint comparison of the empirical state distribution with the
     transition row, at a binomial-sigma threshold per state."""
-    if data is None:
-        data = spectral_data(cfg, gen)
     n_paths = len(paths)
     rows = []
     for t in checkpoints:
-        analytic = transition_matrix(cfg, gen, float(t), data).clamped()[start_index]
+        analytic = transition_matrix(cfg, gen, float(t)).clamped()[start_index]
         counts = np.bincount([path.state_at(float(t)) for path in paths],
                              minlength=gen.size)
         emp = counts / n_paths

@@ -1,8 +1,18 @@
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
+import tempfile
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import mumford_heat
 from mumford_heat.cli import main
 from mumford_heat.config import (ParseError, ValidationError, bundled_fixture,
                                  config_from_dict, emit_config, parse_config)
@@ -176,6 +186,17 @@ BAD_INPUTS = [
     ("sample", ["--level", "1"], {}, "--level"),
     ("resolvent", ["--level", "0"], {}, "--level"),
     ("validate", ["--level", "-2"], {}, "--level"),
+    ("evolve", [], {"times": ["abc"]}, "run.times"),
+    ("evolve", [], {"times": "2"}, "run.times"),
+    ("evolve", [], {"times": [0.5, True]}, "run.times"),
+    ("resolvent", [], {"times": 2}, "run.times"),
+    ("evolve", ["--t", "nan"], {}, "--t"),
+    ("evolve", ["--t", "0", "inf"], {}, "--t"),
+    ("evolve", ["--t=-inf"], {}, "--t"),
+    ("resolvent", [], {"eta": "0"}, "run.eta"),
+    ("validate", [], {"eta": "-1/2"}, "run.eta"),
+    ("resolvent", ["--eta", "-1"], {}, "--eta"),
+    ("resolvent", ["--eta", ""], {}, "--eta"),
 ]
 
 
@@ -191,6 +212,52 @@ def test_bad_inputs_exit_2(tate_path, tmp_path, capsys, command, flags,
     err = capsys.readouterr().err
     assert name in err and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("times", [[0.5, float("inf")], [float("nan")],
+                                   [float("-inf"), 1.0], [10 ** 400]])
+def test_run_times_must_be_finite(tate_path, times):
+    # parsing only: an infinite t_max would never end the sample loop
+    raw = json.loads(tate_path.read_text())
+    raw["run"]["times"] = times
+    with pytest.raises(ValidationError) as err:
+        config_from_dict(json.loads(json.dumps(raw)))
+    assert err.value.path == "run.times"
+
+
+def test_integer_times_are_read_as_floats(tate_path):
+    raw = json.loads(tate_path.read_text())
+    raw["run"]["times"] = [0, 2, 0.5]
+    assert config_from_dict(raw).run.times == (0.0, 2.0, 0.5)
+
+
+def test_bad_run_eta_is_not_blamed_on_the_flag(tate_path, tmp_path, capsys):
+    raw = json.loads(tate_path.read_text())
+    raw["run"]["eta"] = "-1"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    assert main(["resolvent", "-c", str(config), "-o", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "run.eta" in err and "--eta" not in err
+
+
+def test_commands_do_not_import_scipy(tate_path, tmp_path):
+    code = "\n".join([
+        "import sys",
+        "from mumford_heat.cli import main",
+        "for command in ('validate', 'evolve', 'sample', 'resolvent'):",
+        f"    argv = [command, '-c', {str(tate_path)!r}, '--level', '2',",
+        f"            '-o', {str(tmp_path)!r}]",
+        "    assert main(argv) == 0, command",
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+    ])
+    src = str(Path(mumford_heat.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    result = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "sample-validation.json").exists()
 
 
 BAD_FIELDS = [
@@ -341,3 +408,35 @@ def test_exact_level_function_round_trip_p5():
     with pytest.raises(ValidationError) as err:
         level_function_from_dict(payload)
     assert err.value.path == "level_function.p"
+
+
+RUN_FIELDS = ("times", "eta", "paths", "seed", "level", "start_state")
+SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3),
+    st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=6),
+    st.sampled_from(["1/3", "-1", "0", "2e-3", "1e400", "Infinity", "NaN"]))
+TIMES = st.lists(st.one_of(st.floats(0, 1e12), st.integers(0, 10 ** 9)),
+                 min_size=1, max_size=3)
+RUN_VALUES = st.one_of(SCALARS, st.integers(0, 3), TIMES,
+                       st.lists(SCALARS, max_size=3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(field=st.sampled_from(RUN_FIELDS), value=RUN_VALUES)
+def test_run_section_fuzz(tate_path, field, value):
+    """One mutated run field: exit 0, 2 naming the field, or 3; never a
+    traceback.  Levels stay at most 3 and no command samples, so every
+    example is quick."""
+    raw = json.loads(tate_path.read_text())
+    raw["run"][field] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "config.json"
+        config.write_text(json.dumps(raw))
+        for command in ("validate", "evolve", "resolvent"):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                code = main([command, "-c", str(config), "-o", str(Path(tmp) / "out")])
+            assert code in (0, 2, 3), (command, code)
+            if code == 2:
+                assert f"run.{field}" in err.getvalue(), err.getvalue()

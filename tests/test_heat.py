@@ -1,13 +1,15 @@
+import math
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
-from mumford_heat.heat import (Reducible, empirical_validation,
-                               resolvent_solve, sample_paths, solve_cauchy,
-                               spectral_data, stationary_distribution,
-                               transition_matrix)
+from mumford_heat.heat import (ROW_SUM_TOL, NumericalBreakdown, Reducible,
+                               empirical_validation, resolvent_solve,
+                               sample_paths, solve_cauchy, spectral_data,
+                               stationary_distribution, transition_matrix)
 from mumford_heat.measure import MeasureProfile
 from mumford_heat.operator import (GeneratorMatrix, OperatorConfig,
                                    generator_matrix, lambda_exact)
@@ -59,81 +61,122 @@ class TestSpectralStructure:
         assert len(data.gap_eigenvalues) == 3  # 8 - 1 - 4
 
 
+@pytest.fixture(scope="module")
+def genus2_level3(genus2_cfg):
+    cfg = replace(genus2_cfg, cutoff_len=4)
+    return cfg, generator_matrix(cfg, 3)
+
+
 class TestTransitionMatrix:
-    def test_identity_at_zero(self, tate_cfg, gen, data):
-        p0 = transition_matrix(tate_cfg, gen, 0.0, data)
+    @pytest.mark.parametrize("fixture", ["tate-p3 level 2", "genus2-p3 level 3"])
+    @pytest.mark.parametrize("t", [1e-6, 0.3, 1.0, "50/gap", 1e4])
+    def test_uniformization_matches_expm(self, request, tate_cfg, gen, fixture, t):
+        from scipy.linalg import expm
+        cfg, g = ((tate_cfg, gen) if fixture.startswith("tate")
+                  else request.getfixturevalue("genus2_level3"))
+        q = np.array(g.as_floats())
+        if t == "50/gap":
+            t = 50.0 / np.sort(np.abs(np.linalg.eigvals(q).real))[1]
+        p = transition_matrix(cfg, g, t)
+        assert np.max(np.abs(p.matrix - expm(t * q))) < 1e-10
+        assert p.matrix.min() >= 0 and p.min_entry >= 0
+        assert p.row_sum_error < ROW_SUM_TOL
+        assert p.provenance == "uniformization"
+
+    def test_zero_rates_give_identity(self):
+        cfg, toy = two_state_toy()
+        frozen = GeneratorMatrix(1, toy.states, ((F(0), F(0)), (F(0), F(0))),
+                                 F(0), 1)
+        assert (transition_matrix(cfg, frozen, 5.0).matrix == np.eye(2)).all()
+
+    @pytest.mark.parametrize("t", [1e12, 1e308])
+    def test_drift_at_huge_times_is_a_breakdown(self, tate_cfg, gen, t):
+        # at 1e308 the rate times t overflows and the matrix is NaN
+        with pytest.raises(NumericalBreakdown):
+            transition_matrix(tate_cfg, gen, t)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, -1.0])
+    def test_non_finite_or_negative_time_rejected(self, tate_cfg, gen, t):
+        with pytest.raises(ValueError):
+            transition_matrix(tate_cfg, gen, t)
+        h0 = LevelFunction.constant(2, gen.states, 1.0)
+        with pytest.raises(ValueError):
+            solve_cauchy(tate_cfg, gen, h0, [0.0, t])
+
+    def test_identity_at_zero(self, tate_cfg, gen):
+        p0 = transition_matrix(tate_cfg, gen, 0.0)
         assert np.allclose(p0.matrix, np.eye(gen.size), atol=1e-12)
 
-    def test_chapman_kolmogorov(self, tate_cfg, gen, data):
-        p3 = transition_matrix(tate_cfg, gen, 0.3, data).matrix
-        p7 = transition_matrix(tate_cfg, gen, 0.7, data).matrix
-        p10 = transition_matrix(tate_cfg, gen, 1.0, data).matrix
+    def test_chapman_kolmogorov(self, tate_cfg, gen):
+        p3 = transition_matrix(tate_cfg, gen, 0.3).matrix
+        p7 = transition_matrix(tate_cfg, gen, 0.7).matrix
+        p10 = transition_matrix(tate_cfg, gen, 1.0).matrix
         assert np.max(np.abs(p3 @ p7 - p10)) < 1e-9
 
-    def test_stochasticity(self, tate_cfg, gen, data):
-        p = transition_matrix(tate_cfg, gen, 1.0, data)
+    def test_stochasticity(self, tate_cfg, gen):
+        p = transition_matrix(tate_cfg, gen, 1.0)
         assert np.max(np.abs(p.matrix.sum(axis=1) - 1)) < 1e-12
         assert p.min_entry > -1e-12
 
-    def test_spectral_vs_dense(self, tate_cfg, gen, data):
-        ps = transition_matrix(tate_cfg, gen, 1.0, data).matrix
-        pd = transition_matrix(tate_cfg, gen, 1.0, method="dense").matrix
+    def test_spectral_vs_dense(self, tate_cfg, gen):
+        ps = transition_matrix(tate_cfg, gen, 1.0).matrix
+        from scipy.linalg import expm
+        pd = expm(np.array(gen.as_floats()))
         assert np.max(np.abs(ps - pd)) < 1e-10
 
     def test_long_time_limit_is_stationary(self, tate_cfg, gen, data, tate_lambda):
         report = stationary_distribution(tate_cfg, gen)
         gap = min(abs(r) for r in data.wavelet_rates + tuple(
             abs(e.real) for e in data.gap_eigenvalues))
-        p = transition_matrix(tate_cfg, gen, 50.0 / gap, data).matrix
+        p = transition_matrix(tate_cfg, gen, 50.0 / gap).matrix
         tv = 0.5 * np.abs(p - report.distribution[None, :]).sum(axis=1).max()
         assert tv < 1e-8
 
 
 class TestCauchy:
-    def test_wavelet_initial_condition_decays_exactly(self, tate_cfg, gen, data,
-                                                      tate_lambda):
+    def test_wavelet_initial_condition_decays_exactly(self, tate_cfg, gen, tate_lambda):
         w = Wavelet(Disc(F(1), -1), 1, 3)
         h0 = LevelFunction.from_mapping(
             2, {d: complex(wavelet_eval(w, d.center, tate_cfg.profile, "haar"))
                 for d in gen.states})
         times = [0.0, 0.3, 0.9, 1.7]
-        sol = solve_cauchy(tate_cfg, gen, h0, times, data)
+        sol = solve_cauchy(tate_cfg, gen, h0, times)
         base = np.array([v for _, v in h0.values])
         for row, t in zip(sol.values, times):
             assert np.max(np.abs(row - np.exp(-tate_lambda * t) * base)) < 1e-10
 
-    def test_fitted_decay_rate(self, tate_cfg, gen, data, tate_lambda):
+    def test_fitted_decay_rate(self, tate_cfg, gen, tate_lambda):
         w = Wavelet(Disc(F(1), -1), 1, 3)
         h0 = LevelFunction.from_mapping(
             2, {d: complex(wavelet_eval(w, d.center, tate_cfg.profile,
                                         "haar")).real for d in gen.states})
         times = np.linspace(0, 5 / tate_lambda, 12)
-        sol = solve_cauchy(tate_cfg, gen, h0, times, data)
+        sol = solve_cauchy(tate_cfg, gen, h0, times)
         norms = sol.sup_norms()
         rate = -np.polyfit(sol.times, np.log(norms), 1)[0]
         assert abs(rate - tate_lambda) / tate_lambda < 1e-6
 
-    def test_negative_time_rejected(self, tate_cfg, gen, data):
+    def test_negative_time_rejected(self, tate_cfg, gen):
         h0 = LevelFunction.constant(2, gen.states, 1.0)
         with pytest.raises(ValueError):
-            solve_cauchy(tate_cfg, gen, h0, [0.0, -1.0], data)
+            solve_cauchy(tate_cfg, gen, h0, [0.0, -1.0])
 
-    def test_constant_is_preserved(self, tate_cfg, gen, data):
+    def test_constant_is_preserved(self, tate_cfg, gen):
         h0 = LevelFunction.constant(2, gen.states, 4.0)
-        sol = solve_cauchy(tate_cfg, gen, h0, [0.0, 1.0, 10.0], data)
+        sol = solve_cauchy(tate_cfg, gen, h0, [0.0, 1.0, 10.0])
         assert np.max(np.abs(sol.values - 4.0)) < 1e-10
 
-    def test_maximum_principle(self, tate_cfg, gen, data):
+    def test_maximum_principle(self, tate_cfg, gen):
         rng = np.random.default_rng(5)
         for _ in range(100):
             vals = rng.uniform(-1, 2, gen.size)
             h0 = LevelFunction.from_mapping(
                 2, {d: float(v) for d, v in zip(gen.states, vals)})
-            sol = solve_cauchy(tate_cfg, gen, h0, [0.2, 1.0, 4.0], data)
+            sol = solve_cauchy(tate_cfg, gen, h0, [0.2, 1.0, 4.0])
             assert sol.values.real.min() >= vals.min() - 1e-9
             assert sol.values.real.max() <= vals.max() + 1e-9
 
-    def test_indicator_decays_monotonically(self, tate_cfg, gen, data):
+    def test_indicator_decays_monotonically(self, tate_cfg, gen):
         # center by the stationary mean: the invariant law is not the
         # mass-normalised measure here, and only the invariant mean decays
         pi = stationary_distribution(tate_cfg, gen).distribution
@@ -143,7 +186,7 @@ class TestCauchy:
         h0 = LevelFunction.from_mapping(
             2, {d: float(v) for d, v in zip(gen.states, centered)})
         times = [0.0, 0.2, 0.5, 1.0, 2.0, 4.0]
-        sol = solve_cauchy(tate_cfg, gen, h0, times, data)
+        sol = solve_cauchy(tate_cfg, gen, h0, times)
         norms = sol.sup_norms()
         assert all(b <= a + 1e-12 for a, b in zip(norms, norms[1:]))
         assert norms[-1] < 1e-3
@@ -265,15 +308,14 @@ class TestSampling:
     def test_hold_rates_positive(self, gen):
         assert all(-row[i] > 0 for i, row in enumerate(gen.rows))
 
-    def test_empirical_matches_transition_row(self, tate_cfg, gen, data):
+    def test_empirical_matches_transition_row(self, tate_cfg, gen):
         paths = sample_paths(gen, 4000, 1.0, seed=11)
-        report = empirical_validation(tate_cfg, gen, paths, [0.5, 1.0],
-                                      data=data)
+        report = empirical_validation(tate_cfg, gen, paths, [0.5, 1.0])
         assert report.passed
 
-    def test_perturbed_row_fails(self, tate_cfg, gen, data):
+    def test_perturbed_row_fails(self, tate_cfg, gen):
         paths = sample_paths(gen, 20000, 1.0, seed=13)
-        report = empirical_validation(tate_cfg, gen, paths, [1.0], data=data)
+        report = empirical_validation(tate_cfg, gen, paths, [1.0])
         assert report.passed
         # reweight one transition row by 10 percent: the test must have power
         skewed = np.array(gen.as_floats())
