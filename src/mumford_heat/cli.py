@@ -18,7 +18,6 @@ from .audit import audit_lemmas
 from .config import (ParseError, RunConfig, ValidationError, check_level,
                      emit_config, format_rational, parse_config, parse_cutoff,
                      parse_int, parse_positive_rational, parse_times)
-from .exactnum import PowerSum
 from .heat import (NumericalBreakdown, SingularSystem, empirical_validation,
                    resolvent_solve, sample_paths, solve_cauchy)
 from .measure import RationalFunctionDatum
@@ -29,11 +28,10 @@ from .wavelets import LevelFunction, admissible_wavelets, wavelet_eval
 
 
 def _scalar_str(value) -> str:
+    """An exact rational as such; a PowerSum or a float as the float's repr."""
     if isinstance(value, Fraction):
         return format_rational(value)
-    if isinstance(value, PowerSum):
-        return repr(float(value))
-    return repr(value)
+    return repr(float(value))
 
 
 def _meta(run: RunConfig, op: OperatorConfig) -> dict:
@@ -218,10 +216,8 @@ def cmd_resolvent(run: RunConfig, op: OperatorConfig, out: Path, args) -> int:
     lines.append(f"# eta={format_rational(eta)}")
     lines.append("state_index,state_center,state_radius_exp,h,u")
     for i, d in enumerate(gen.states):
-        uval = ud[d]
-        ustr = format_rational(uval) if isinstance(uval, Fraction) else repr(uval)
         lines.append(f"{i},{format_rational(d.center)},{d.radius_exp},"
-                     f"{format_rational(hd[d])},{ustr}")
+                     f"{format_rational(hd[d])},{_scalar_str(ud[d])}")
     _write(out / "resolvent.csv", "\n".join(lines) + "\n")
     return 0
 

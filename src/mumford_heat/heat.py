@@ -1,12 +1,12 @@
 """Heat semigroup, resolvent, stationary analysis and path sampling.
 
 The finite level-m generator Q is exact; floating point enters only through
-the semigroup, eigen-solves and random sampling.  P_t = exp(tQ) is a sum of
-nonnegative terms (uniformization with squaring); ``spectral_data`` shows the
-known eigenvectors, constants plus wavelets, as a diagnostic only.  Paths
-follow the exact jump-chain construction (exponential holding times, jump
-probabilities proportional to the rates), drawn path after path from one
-seeded stream.
+the semigroup, eigen-solves, resolvents of Q with irrational rates and random
+sampling.  P_t = exp(tQ) is a sum of nonnegative terms (uniformization with
+squaring); ``spectral_data`` shows the known eigenvectors, constants plus
+wavelets, as a diagnostic only.  Paths follow the exact jump-chain
+construction (exponential holding times, jump probabilities proportional to
+the rates), drawn path after path from one seeded stream.
 """
 
 from __future__ import annotations
@@ -181,12 +181,16 @@ def solve_cauchy(cfg: OperatorConfig, gen: GeneratorMatrix,
 
 
 def resolvent_solve(gen: GeneratorMatrix, eta, h: LevelFunction) -> LevelFunction:
-    """Solve (eta*I - Q) u = h; exact over the rationals whenever h is.
+    """Solve (eta*I - Q) u = h for eta > 0 (ValueError otherwise).
 
-    For eta > 0 the system matrix is strictly diagonally dominant (the
-    diagonal is eta plus the total jump rate, off-diagonals are the negated
-    nonnegative rates), so it is never singular.
+    u is exact, one Fraction per state, when eta, h and every rate of Q are
+    rational; otherwise it is a float solve, in real arithmetic unless h has
+    a nonzero imaginary part.  For eta > 0 the system matrix is strictly
+    diagonally dominant (the diagonal is eta plus the total jump rate,
+    off-diagonals are the negated nonnegative rates), so it is never singular.
     """
+    if not eta > 0:
+        raise ValueError(f"eta must be positive, got {eta!r}")
     hd = h.as_dict()
     vals = [hd[d] for d in gen.states]
     exact_q = all(isinstance(v, Fraction) for row in gen.rows for v in row)
@@ -196,13 +200,15 @@ def resolvent_solve(gen: GeneratorMatrix, eta, h: LevelFunction) -> LevelFunctio
         n = gen.size
         a = [[(eta if i == k else Fraction(0)) - gen.rows[i][k]
               for k in range(n)] for i in range(n)]
-        b = [Fraction(v) for v in vals]
-        u = _solve_exact(a, b)
+        u = _solve_exact(a, [Fraction(v) for v in vals])
         return LevelFunction.from_mapping(
             h.level, {d: u[i] for i, d in enumerate(gen.states)})
     a = float(eta) * np.eye(gen.size) - np.array(gen.as_floats())
+    vec = np.array([complex(v) for v in vals])
+    if not vec.imag.any():
+        vec = vec.real
     try:
-        u = np.linalg.solve(a, np.array([complex(v) for v in vals]))
+        u = np.linalg.solve(a, vec)
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(str(exc)) from exc
     return LevelFunction.from_mapping(
@@ -210,21 +216,35 @@ def resolvent_solve(gen: GeneratorMatrix, eta, h: LevelFunction) -> LevelFunctio
 
 
 def _solve_exact(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction]:
-    """Gaussian elimination with exact rational pivoting."""
+    """The unique rational solution of a u = b, by fraction-free elimination.
+
+    Rows of [a | b] are scaled to integers by the lcm of their denominators;
+    Bareiss's update (m_kk*m_ij - m_ik*m_kj) // prev divides exactly.  A zero
+    pivot swaps in a lower row (SingularSystem if none).  The last pivot d is
+    the determinant up to sign, so back-substitution finds the integers d*u_i
+    and each u_i becomes a Fraction only at the end."""
     n = len(b)
-    m = [row[:] + [rhs] for row, rhs in zip(a, b)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
+    m = []
+    for row, rhs in zip(a, b):
+        scale = math.lcm(rhs.denominator, *(v.denominator for v in row))
+        m.append([v.numerator * (scale // v.denominator) for v in (*row, rhs)])
+    prev = 1
+    for k in range(n):
+        pivot = next((r for r in range(k, n) if m[r][k]), None)
         if pivot is None:
-            raise SingularSystem(f"zero pivot column {col}")
-        m[col], m[pivot] = m[pivot], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [v * inv for v in m[col]]
-        for r in range(n):
-            if r != col and m[r][col]:
-                factor = m[r][col]
-                m[r] = [v - factor * w for v, w in zip(m[r], m[col])]
-    return [m[r][n] for r in range(n)]
+            raise SingularSystem(f"zero pivot column {k}")
+        m[k], m[pivot] = m[pivot], m[k]
+        top, pk = m[k], m[k][k]
+        for row in m[k + 1:]:
+            f = row[k]
+            row[k + 1:] = [(pk * v - f * w) // prev
+                           for v, w in zip(row[k + 1:], top[k + 1:])]
+        prev = pk
+    y = [0] * n
+    for i in reversed(range(n)):
+        row = m[i]
+        y[i] = (prev * row[n] - sum(row[j] * y[j] for j in range(i + 1, n))) // row[i]
+    return [Fraction(v, prev) for v in y]
 
 
 @dataclass(frozen=True)
@@ -299,6 +319,8 @@ def sample_paths(gen: GeneratorMatrix, n_paths: int, t_max: float, seed: int,
     so the first k paths of a sample with seed s are the sample of k paths."""
     if n_paths < 1:
         raise ValueError("n_paths must be at least 1")
+    if not 0 <= t_max < math.inf:
+        raise ValueError(f"t_max must be finite and nonnegative, got {t_max!r}")
     mean_hold, cum = [], []
     for i, row in enumerate(gen.as_floats()):
         rate = -row[i]

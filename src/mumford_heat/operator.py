@@ -304,10 +304,11 @@ def _group_histograms(cfg: OperatorConfig, length: int, points: Sequence[Fractio
     return hists
 
 
-def _fold(cfg: OperatorConfig, total: PowerSum, coeff: Fraction, hist: dict) -> PowerSum:
-    """Add coeff * sum of count * p^(alpha*v - alpha_g*l) over hist to total,
-    a distance p^-v giving (p^-v)^(-alpha).  With alpha = a/q, alpha_g = g/q
-    the exponent is k + r/q, 0 <= r < q: counts are summed in integers per r."""
+def _fold(cfg: OperatorConfig, coeff: Fraction, hist: dict) -> Scalar:
+    """coeff * sum of count * p^(alpha*v - alpha_g*l) over hist, a distance
+    p^-v giving (p^-v)^(-alpha).  With alpha = a/q, alpha_g = g/q the exponent
+    is k + r/q, 0 <= r < q: counts are summed in integers per r, one Fraction
+    per r; a Fraction comes back unless some r > 0 survives (a PowerSum)."""
     q = math.lcm(cfg.alpha.denominator, cfg.alpha_g.denominator)
     a, g = int(cfg.alpha * q), int(cfg.alpha_g * q)
     by_residue: dict[int, dict[int, int]] = {}
@@ -316,11 +317,14 @@ def _fold(cfg: OperatorConfig, total: PowerSum, coeff: Fraction, hist: dict) -> 
         counts = by_residue.setdefault(r, {})
         counts[k] = counts.get(k, 0) + count
     p = cfg.p
+    terms = {}
     for r, counts in by_residue.items():
         k_min = min(counts)
         num = sum(count * p ** (k - k_min) for k, count in counts.items())
-        total.add_term(coeff * num * Fraction(p) ** k_min, Fraction(r, q))
-    return total
+        terms[Fraction(r, q)] = coeff * num * Fraction(p) ** k_min
+    if any(terms):
+        return simplify(PowerSum(p, terms))
+    return terms.get(0, Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -342,14 +346,11 @@ def _multipliers(cfg: OperatorConfig, support: Disc, points: Sequence[Fraction],
         local_exp += cfg.distance_power_exp(deriv)
     hists = _group_histograms(cfg, length, points, [cell for cell, _ in cells],
                               beta_map)
-    dens_b = cfg.profile.density_on(support)
-    out = []
-    for row in hists:
-        total = PowerSum(p).add_term(-dens_b, local_exp)
-        for (cell, dens), hist in zip(cells, row):
-            _fold(cfg, total, -dens * haar_measure(cell, p), hist)
-        out.append(simplify(total.mul_power(cfg.mu_inverse(), 0)))
-    return out
+    local = PowerSum(p).add_term(-cfg.profile.density_on(support), local_exp)
+    return [simplify((local + sum((_fold(cfg, -dens * haar_measure(cell, p), hist)
+                                   for (cell, dens), hist in zip(cells, row)),
+                                  Fraction(0))).mul_power(cfg.mu_inverse(), 0))
+            for row in hists]
 
 
 def wavelet_multiplier(cfg: OperatorConfig, support: Disc, x: Rational,
@@ -418,7 +419,7 @@ def _apply_to_level_function(cfg: OperatorConfig, u: LevelFunction, x: Fraction,
     # the identity term vanishes on the cell of x, which the engine skips
     row, = _group_histograms(cfg, length, [x], [d for d, _ in u.values],
                              cfg.group.word_map(beta))
-    total = sum((float(_fold(cfg, PowerSum(p), mass, hist)) * (val - ux)
+    total = sum((float(_fold(cfg, mass, hist)) * (val - ux)
                  for mass, (_, val), hist in zip(masses, u.values, row)), 0j)
     return (total * float(cfg.mu_inverse()),
             float(tail_bound(cfg, length, Fraction(1))) * u.sup_norm())
@@ -550,7 +551,6 @@ def delta_series(cfg: OperatorConfig, support: Disc) -> SeriesValue:
     Genus one evaluates in exact closed form branch by branch; otherwise the
     sum is truncated at the cutoff with a certified geometric tail.
     """
-    p = cfg.p
     g = cfg.group.genus
     if g == 0:
         one = Fraction(1)
@@ -566,8 +566,7 @@ def delta_series(cfg: OperatorConfig, support: Disc) -> SeriesValue:
     # whose term is 1
     (hist,), = _group_histograms(cfg, length, [support.center], [support],
                                  whole_cells=True)
-    total = _fold(cfg, PowerSum(p).add_term(Fraction(1), Fraction(0)),
-                  Fraction(1), hist)
+    total = _fold(cfg, Fraction(1), hist) + 1
     lo, hi = _scalar_bounds(total)
     return SeriesValue(simplify(total), lo, hi + _group_tail(cfg, length), False, length)
 
@@ -864,9 +863,9 @@ def generator_matrix(cfg: OperatorConfig, level: int,
     mu_inv = cfg.mu_inverse()
     rows = []
     for i, row_hists in enumerate(hists):
-        row = [simplify(_fold(cfg, PowerSum(p), mu_inv * mass, hist))
-               for mass, hist in zip(masses, row_hists)]
-        row[i] = simplify(-sum(row[:i] + row[i + 1:], PowerSum(p)))
+        row = [_fold(cfg, mu_inv * mass, hist) for mass, hist in zip(masses, row_hists)]
+        # an exact Fraction sum unless some rate keeps a fractional power of p
+        row[i] = simplify(-sum(row[:i] + row[i + 1:], Fraction(0)))
         rows.append(tuple(row))
     tail = mu_inv * max(masses) * _group_tail(cfg, length)
     return GeneratorMatrix(level, tuple(states), tuple(rows), tail, length)

@@ -241,6 +241,18 @@ def test_bad_run_eta_is_not_blamed_on_the_flag(tate_path, tmp_path, capsys):
     assert "run.eta" in err and "--eta" not in err
 
 
+def test_resolvent_writes_plain_floats_for_irrational_rates(tate_path, tmp_path):
+    raw = json.loads(tate_path.read_text())
+    raw["operator"]["alpha"] = "1/2"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    assert main(["resolvent", "-c", str(config), "-o", str(tmp_path)]) == 0
+    lines = (tmp_path / "resolvent.csv").read_text().splitlines()
+    rows = [line.split(",") for line in lines if not line.startswith("#")]
+    assert rows[0][-1] == "u" and len(rows) == 9
+    assert all(float(row[-1]) > 0 for row in rows[1:])
+
+
 def test_commands_do_not_import_scipy(tate_path, tmp_path):
     code = "\n".join([
         "import sys",

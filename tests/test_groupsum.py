@@ -125,6 +125,28 @@ def test_generator_matrix_matches_reference(case):
         assert any(isinstance(v, PowerSum) for row in gen.rows for v in row)
 
 
+@pytest.mark.parametrize("name,alpha,alpha_g", [("tate_cfg", 1, 1), ("tate_cfg", 2, 1),
+                                                ("genus2_cfg", 1, 2)])
+def test_integral_exponents_give_fraction_rates(request, name, alpha, alpha_g):
+    cfg = dataclasses.replace(request.getfixturevalue(name), alpha=F(alpha),
+                              alpha_g=F(alpha_g), cutoff_len=3)
+    gen = generator_matrix(cfg, 2)
+    assert all(type(v) is F for row in gen.rows for v in row)
+    assert all(sum(row) == 0 for row in gen.rows)
+
+
+@pytest.mark.parametrize("name,length", [("tate_cfg", 6), ("genus2_cfg", 3)])
+def test_half_alpha_gives_power_sum_rates(request, name, length):
+    cfg = dataclasses.replace(request.getfixturevalue(name), alpha=F(1, 2),
+                              cutoff_len=length)
+    gen, ref = generator_matrix(cfg, 2), ref_generator_rows(cfg, 2, length)
+    assert gen.rows == ref
+    # a rate is a PowerSum exactly when a fractional power of p survives
+    assert [[type(v) for v in row] for row in gen.rows] == [
+        [type(v) for v in row] for row in ref]
+    assert sum(isinstance(v, PowerSum) for row in gen.rows for v in row) > gen.size
+
+
 def test_lambda_exact_and_multipliers_match_reference(case):
     cfg, length, chart = case
     for support in admissible_supports(cfg.profile, 3):

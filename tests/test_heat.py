@@ -6,7 +6,9 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from mumford_heat.exactnum import PowerSum
 from mumford_heat.heat import (ROW_SUM_TOL, NumericalBreakdown, Reducible,
+                               SingularSystem, _solve_exact,
                                empirical_validation, resolvent_solve,
                                sample_paths, solve_cauchy, spectral_data,
                                stationary_distribution, transition_matrix)
@@ -192,6 +194,83 @@ class TestCauchy:
         assert norms[-1] < 1e-3
 
 
+def gauss_jordan(a, b):
+    """Gauss-Jordan elimination on Fractions, pivoting on the first nonzero
+    entry: the reference for the fraction-free ``_solve_exact``."""
+    n = len(b)
+    m = [row[:] + [rhs] for row, rhs in zip(a, b)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if pivot is None:
+            raise SingularSystem(f"zero pivot column {col}")
+        m[col], m[pivot] = m[pivot], m[col]
+        inv = 1 / m[col][col]
+        m[col] = [v * inv for v in m[col]]
+        for r in range(n):
+            if r != col and m[r][col]:
+                factor = m[r][col]
+                m[r] = [v - factor * w for v, w in zip(m[r], m[col])]
+    return [m[r][n] for r in range(n)]
+
+
+# powers of p = 3 and large primes, multiplied in pairs
+DENOMINATORS = [1, 2, 7, 3, 9, 3 ** 5, 3 ** 11, 1_000_000_007, 2 ** 61 - 1]
+
+
+def random_rational(rng):
+    if rng.random() < 0.2:
+        return F(0)
+    return F(rng.randint(-10 ** 6, 10 ** 6),
+             rng.choice(DENOMINATORS) * rng.choice(DENOMINATORS))
+
+
+def resolvent_system(gen, eta, h):
+    hd = h.as_dict()
+    a = [[(eta if i == k else 0) - gen.rows[i][k] for k in range(gen.size)]
+         for i in range(gen.size)]
+    return a, [F(hd[d]) for d in gen.states]
+
+
+class TestExactSolve:
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_matches_gauss_jordan(self, n):
+        rng = random.Random(500 + n)
+        solved = 0
+        for _ in range(20):
+            a = [[random_rational(rng) for _ in range(n)] for _ in range(n)]
+            b = [random_rational(rng) for _ in range(n)]
+            if n > 1:
+                a[0][0] = F(0)  # the first pivot needs a row swap
+            try:
+                want = gauss_jordan(a, b)
+            except SingularSystem:
+                with pytest.raises(SingularSystem):
+                    _solve_exact(a, b)
+                continue
+            got = _solve_exact(a, b)
+            assert got == want and all(type(v) is F for v in got)
+            solved += 1
+        assert solved >= 10
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_repeated_row_is_singular(self, n):
+        rng = random.Random(600 + n)
+        a = [[random_rational(rng) for _ in range(n)] for _ in range(n)]
+        a[-1] = list(a[rng.randrange(n - 1)]) if n > 1 else [F(0)]
+        with pytest.raises(SingularSystem):
+            _solve_exact(a, [random_rational(rng) for _ in range(n)])
+
+    def test_resolvent_on_24_states(self, tate_cfg):
+        gen3 = generator_matrix(replace(tate_cfg, cutoff_len=6), 3)
+        h = LevelFunction.from_mapping(
+            3, {d: F(int(i == 0)) for i, d in enumerate(gen3.states)})
+        u = resolvent_solve(gen3, F(1), h).as_dict()
+        got = [u[d] for d in gen3.states]
+        assert got == gauss_jordan(*resolvent_system(gen3, F(1), h))
+        assert gen3.size == 24
+        assert max(v.denominator.bit_length() for v in got) == 125
+
+
 class TestResolvent:
     def test_zero_maps_to_zero(self, gen):
         h = LevelFunction.from_mapping(2, {d: F(0) for d in gen.states})
@@ -224,6 +303,23 @@ class TestResolvent:
             u = resolvent_solve(gen, F(1), h)
             assert all(v >= 0 for _, v in u.values)
             assert max(v for _, v in u.values) <= max(h_vals.values())
+
+    @pytest.mark.parametrize("eta", [F(-1), -1, 0, 0.0, -1.0, math.nan])
+    def test_non_positive_eta_rejected(self, gen, eta):
+        h = LevelFunction.constant(2, gen.states, F(1))
+        with pytest.raises(ValueError):
+            resolvent_solve(gen, eta, h)
+
+    def test_rational_exponent_gives_a_real_float_solve(self, tate_cfg):
+        half = generator_matrix(replace(tate_cfg, alpha=F(1, 2), cutoff_len=6), 2)
+        assert any(isinstance(v, PowerSum) for row in half.rows for v in row)
+        h = LevelFunction.from_mapping(
+            2, {d: F(int(i == 0)) for i, d in enumerate(half.states)})
+        u = resolvent_solve(half, F(1), h).as_dict()
+        vec = np.array([u[d] for d in half.states])
+        assert vec.dtype == np.float64
+        residual = (np.eye(half.size) - np.array(half.as_floats())) @ vec
+        assert np.max(np.abs(residual - np.eye(half.size)[0])) < 1e-12
 
 
 class TestStationary:
@@ -294,6 +390,11 @@ class TestSampling:
             F(0), gen.cutoff)
         with pytest.raises(ValueError):
             sample_paths(absorbing, 5, 1.0, seed=1)
+
+    @pytest.mark.parametrize("t_max", [math.inf, math.nan, -1.0])
+    def test_non_finite_or_negative_horizon_rejected(self, gen, t_max):
+        with pytest.raises(ValueError):
+            sample_paths(gen, 1, t_max, seed=1)
 
     def test_paths_are_cadlag_steps(self, gen):
         for path in sample_paths(gen, 50, 2.0, seed=1):
