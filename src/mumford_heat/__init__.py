@@ -17,9 +17,9 @@ from .schottky import (DiscsIntersect, DomainInvalid, FundamentalDomain,
                        SchottkyGroup, delta, disc_distance, disc_image,
                        enumerate_words, moebius_distance_identity_check,
                        reduce_to_domain, region_image, verify_fundamental_domain)
-from .measure import (AssumptionViolated, MeasureProfile,
-                      RationalFunctionDatum, RootInsideDisc, UnalignedDisc,
-                      build_profile, invariance_audit, local_abs, mass)
+from .measure import (MeasureProfile, RationalFunctionDatum, RootInsideDisc,
+                      UnalignedDisc, build_profile, invariance_audit, local_abs,
+                      mass)
 from .wavelets import (Analysis, Census, InvariantWavelet, LevelFunction,
                        NotAdmissible, Wavelet, admissible_supports,
                        admissible_wavelets, analyze, completeness_census,

@@ -11,17 +11,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from .padic import (Disc, Rational, abs_p, discs_disjoint, haar_measure)
+from .padic import (Disc, Rational, abs_p, character_phase, discs_disjoint,
+                    haar_measure, p_power)
 from .schottky import (FundamentalDomain, MoebiusMap, SchottkyGroup,
                        region_image)
 
 
 class RootInsideDisc(ValueError):
     """local_abs needs the disc to avoid every root and pole of the datum."""
-
-
-class AssumptionViolated(ValueError):
-    """The datum declares a zero outside the rational points."""
 
 
 class UnalignedDisc(ValueError):
@@ -163,41 +160,34 @@ def _coalesce(pieces: dict[Disc, Fraction], domain: FundamentalDomain,
               cores: list[Disc], p: int) -> dict[Disc, Fraction]:
     """Merge complete sibling families of equal density into their parent.
 
-    Siblings are detected set-wise (any disc within the parent ball), so no
-    canonical center arithmetic is needed.
+    Levels are taken finest first, and each is read once: discs of radius
+    exponent t are siblings when their centres c agree in the p-adic
+    fractional part of c * p^(t + 1), so grouping by that key is linear.  A
+    merged parent, centred at its least sibling centre, joins level t + 1.
+    The result is the set of maximal constant-density discs in F that avoid
+    the cores.
     """
-    current = dict(pieces)
-    changed = True
-    while changed:
-        changed = False
-        by_exp: dict[int, list[Disc]] = {}
-        for d in sorted(current, key=lambda d: (d.radius_exp, d.center)):
-            by_exp.setdefault(d.radius_exp, []).append(d)
-        for t in sorted(by_exp):
-            used: set[Disc] = set()
-            for d in by_exp[t]:
-                if d in used:
-                    continue
-                parent = Disc(d.center, t + 1)
-                sibs = [e for e in by_exp[t]
-                        if e not in used and parent.contains(e, p)]
-                if len(sibs) != p:
-                    continue
-                dens = current[sibs[0]]
-                if any(current[e] != dens for e in sibs):
-                    continue
-                if not domain.contains_disc(parent):
-                    continue
-                if any(not discs_disjoint(parent, core, p) for core in cores):
-                    continue
-                for e in sibs:
-                    used.add(e)
-                    del current[e]
-                current[parent] = dens
-                changed = True
-            if changed:
-                break
-    return current
+    levels: dict[int, dict[Disc, Fraction]] = {}
+    for d, dens in pieces.items():
+        levels.setdefault(d.radius_exp, {})[d] = dens
+    merged: dict[Disc, Fraction] = {}
+    while levels:
+        t = min(levels)
+        level = levels.pop(t)
+        families: dict[Fraction, list[Disc]] = {}
+        for d in level:
+            key = character_phase(d.center * p_power(p, t + 1), p)
+            families.setdefault(key, []).append(d)
+        for sibs in families.values():
+            dens = level[sibs[0]]
+            parent = Disc(min(e.center for e in sibs), t + 1)
+            if (len(sibs) == p and all(level[e] == dens for e in sibs)
+                    and domain.contains_disc(parent)
+                    and all(discs_disjoint(parent, core, p) for core in cores)):
+                levels.setdefault(t + 1, {})[parent] = dens
+            else:
+                merged.update((e, level[e]) for e in sibs)
+    return merged
 
 
 def mass(profile: MeasureProfile, disc: Disc) -> Fraction:

@@ -28,6 +28,7 @@ as for integral ones.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -111,6 +112,11 @@ class OperatorConfig:
         return 1 / self.domain.measure()
 
     def cutoff(self) -> int:
+        """The truncation length, searched for once per instance."""
+        return self._cutoff
+
+    @functools.cached_property
+    def _cutoff(self) -> int:
         if self.cutoff_len is not None:
             return self.cutoff_len
         tol = self.cutoff_tol if self.cutoff_tol is not None else Fraction(1, 10 ** 12)
@@ -852,6 +858,9 @@ def generator_matrix(cfg: OperatorConfig, level: int,
     Q[D, D'] = mu(F)^-1 * mass(D') * sum_gamma p^(-alpha_g l) |c_D - gamma c_D'|^(-alpha)
     for D != D'; the diagonal is defined as the negative row sum (jumps
     within a state cancel in the operator and carry no rate).
+
+    Ultrametric constancy leaves few distinct (mass(D'), histogram) pairs
+    among the states; each is folded once per call and its entry shared.
     """
     p = cfg.p
     length = cfg.cutoff() if length is None else length
@@ -861,9 +870,22 @@ def generator_matrix(cfg: OperatorConfig, level: int,
     masses = [cfg.profile.density_at(d.center) * haar_measure(d, p) for d in states]
     hists = _group_histograms(cfg, length, [d.center for d in states], states)
     mu_inv = cfg.mu_inverse()
+    # a mass enters the key as its first index: an int hashes faster than a Fraction
+    first: dict[Fraction, int] = {}
+    mass_keys = [first.setdefault(mass, k) for k, mass in enumerate(masses)]
+    folded: dict[tuple, Scalar] = {}
     rows = []
     for i, row_hists in enumerate(hists):
-        row = [_fold(cfg, mu_inv * mass, hist) for mass, hist in zip(masses, row_hists)]
+        row = []
+        for k, hist in enumerate(row_hists):
+            if k == i:
+                row.append(Fraction(0))
+                continue
+            key = (mass_keys[k], frozenset(hist.items()))
+            entry = folded.get(key)
+            if entry is None:
+                entry = folded[key] = _fold(cfg, mu_inv * masses[k], hist)
+            row.append(entry)
         # an exact Fraction sum unless some rate keeps a fractional power of p
         row[i] = simplify(-sum(row[:i] + row[i + 1:], Fraction(0)))
         rows.append(tuple(row))

@@ -452,3 +452,69 @@ def test_run_section_fuzz(tate_path, field, value):
             assert code in (0, 2, 3), (command, code)
             if code == 2:
                 assert f"run.{field}" in err.getvalue(), err.getvalue()
+
+
+MATRICES = st.sampled_from([
+    [["1", "2"], ["2", "4"]],            # singular
+    [["1", "0"], ["0", "1"]],            # the identity
+    [["3", "0"], ["0", "3"]],            # the identity after content reduction
+    [["9", "0", "0"], ["0", "1", "0"]],  # wrong shapes
+    [["9"], ["1"]], ["9", "0", "0", "1"], [], "9", None, 9])
+GROUP_VALUES = st.one_of(SCALARS, st.integers(-6, 6),
+                         st.sampled_from(["2", "1/9", "7/8", "-16", "10"]))
+DISC_KEYS = st.sampled_from(["center", "radius_exp", "complement"])
+
+
+@st.composite
+def group_mutations(draw, group):
+    """One change to the group section: a generator entry or matrix, a hole
+    dropped, added or edited, or the outer disc edited or replaced."""
+    kind = draw(st.sampled_from(["entry", "matrix", "drop", "extra", "hole",
+                                 "outer", "outer_whole"]))
+    holes = group["holes"]
+    if kind == "entry":
+        mat = group["generators"][draw(st.integers(0, len(group["generators"]) - 1))]
+        mat[draw(st.integers(0, 1))][draw(st.integers(0, 1))] = draw(GROUP_VALUES)
+    elif kind == "matrix":
+        index = draw(st.integers(0, len(group["generators"]) - 1))
+        group["generators"][index] = draw(MATRICES)
+    elif kind == "drop":
+        del holes[draw(st.integers(0, len(holes) - 1))]
+    elif kind == "extra":
+        holes.append({"center": draw(GROUP_VALUES), "radius_exp": draw(st.integers(-4, 1)),
+                      "complement": draw(st.booleans())})
+    elif kind == "hole":
+        hole = holes[draw(st.integers(0, len(holes) - 1))]
+        key = draw(DISC_KEYS)
+        if draw(st.booleans()):
+            hole[key] = draw(GROUP_VALUES)
+        else:
+            hole.pop(key, None)
+    elif kind == "outer":
+        group["outer"][draw(DISC_KEYS)] = draw(GROUP_VALUES)
+    else:
+        group["outer"] = draw(st.one_of(SCALARS, st.lists(SCALARS, max_size=2)))
+    return kind
+
+
+@settings(max_examples=80, deadline=None)
+@given(fixture=st.sampled_from(["tate-p3", "genus2-p3"]), data=st.data())
+def test_group_section_fuzz(fixture, data):
+    """One mutated group field: ``validate`` exits 0, or 2 naming the group
+    section and writing nothing; never a traceback."""
+    raw = json.loads(bundled_fixture(fixture).read_text())
+    data.draw(group_mutations(raw["group"]))
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "config.json"
+        config.write_text(json.dumps(raw))
+        out = Path(tmp) / "out"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            code = main(["validate", "-c", str(config), "-o", str(out)])
+        assert code in (0, 2), code
+        if code == 2:
+            assert "group" in err.getvalue(), err.getvalue()
+            assert not out.exists()
+        else:
+            assert (out / "validation.json").exists()

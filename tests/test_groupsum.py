@@ -13,7 +13,7 @@ import pytest
 from mumford_heat.exactnum import PowerSum
 from mumford_heat.measure import MeasureProfile
 from mumford_heat.operator import (ChartNotSupported, CoincidentPoints,
-                                   OperatorConfig,
+                                   OperatorConfig, _fold, _group_histograms,
                                    _wavelet_cells, apply_operator, delta_series,
                                    generator_matrix, lambda_exact, simplify,
                                    wavelet_multiplier)
@@ -221,3 +221,56 @@ def test_image_wrapping_infinity(genus2_cfg, centre):
     # the pole 7/8 of g2 lies in the disc, at its centre or off it
     with pytest.raises(ChartNotSupported):
         delta_series(genus2_cfg, Disc(centre, -2))
+
+
+# ---------------------------------------------------------------------------
+# One fold per distinct (mass, histogram) entry
+# ---------------------------------------------------------------------------
+
+def ref_generator_per_pair(cfg, level, length):
+    """The generator with one ``_fold`` per (state, state) pair."""
+    p, states = cfg.p, state_discs(cfg.domain, cfg.profile, level)
+    masses = [cfg.profile.density_at(d.center) * haar_measure(d, p) for d in states]
+    hists = _group_histograms(cfg, length, [d.center for d in states], states)
+    rows = []
+    for i, row_hists in enumerate(hists):
+        row = [_fold(cfg, cfg.mu_inverse() * mass, hist)
+               for mass, hist in zip(masses, row_hists)]
+        row[i] = simplify(-sum(row[:i] + row[i + 1:], F(0)))
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def test_generator_matrix_matches_per_pair_folds(case):
+    cfg, length, _ = case
+    gen = generator_matrix(cfg, 3)
+    ref = ref_generator_per_pair(cfg, 3, length)
+    assert gen.rows == ref
+    assert [[type(v) for v in row] for row in gen.rows] == [
+        [type(v) for v in row] for row in ref]
+    if cfg.alpha.denominator > 1:
+        assert any(isinstance(v, PowerSum) for row in gen.rows for v in row)
+
+
+def test_generator_folds_each_distinct_entry_once(tate_cfg, monkeypatch):
+    import mumford_heat.operator as operator
+    calls = []
+    honest = operator._fold
+
+    def counting(cfg, coeff, hist):
+        calls.append(coeff)
+        return honest(cfg, coeff, hist)
+
+    monkeypatch.setattr(operator, "_fold", counting)
+    gen = generator_matrix(dataclasses.replace(tate_cfg, cutoff_len=6), 3)
+    assert gen.size == 24 and 1 <= len(calls) <= 9
+
+
+def test_generator_entries_keep_their_masses(tate_group):
+    # x -> -x commutes with z -> 9z and swaps the pieces about 1 and 2, so
+    # pairs with equal histograms meet different masses here
+    profile = MeasureProfile(((Disc(F(1), -1), F(1)), (Disc(F(2), -1), F(2)),
+                              (Disc(F(3), -2), F(3)), (Disc(F(6), -2), F(5))), (), 3)
+    cfg = OperatorConfig(group=tate_group, profile=profile, cutoff_len=4)
+    gen = generator_matrix(cfg, 2)
+    assert gen.rows == ref_generator_per_pair(cfg, 2, 4)

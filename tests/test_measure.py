@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from mumford_heat.padic import Disc, haar_measure
+from mumford_heat.padic import Disc, discs_disjoint, haar_measure
 from mumford_heat.measure import (RationalFunctionDatum,
                                   ResolutionTooCoarse, RootInsideDisc,
                                   UnalignedDisc, build_profile,
@@ -120,3 +120,78 @@ def test_invariance_audit_identity_group(ball_domain):
     assert report.form_invariance_holds
     assert report.density_transport_holds
     assert report.derivative_unimodular_holds
+
+
+# ---------------------------------------------------------------------------
+# Coalescing against the former rescanning merge
+# ---------------------------------------------------------------------------
+
+def ref_coalesce(pieces, domain, cores, p):
+    """Merge complete sibling families of equal density, rescanning a level
+    for each disc's siblings and restarting after every merging level."""
+    current = dict(pieces)
+    changed = True
+    while changed:
+        changed = False
+        by_exp = {}
+        for d in sorted(current, key=lambda d: (d.radius_exp, d.center)):
+            by_exp.setdefault(d.radius_exp, []).append(d)
+        for t in sorted(by_exp):
+            used = set()
+            for d in by_exp[t]:
+                if d in used:
+                    continue
+                parent = Disc(d.center, t + 1)
+                sibs = [e for e in by_exp[t]
+                        if e not in used and parent.contains(e, p)]
+                if len(sibs) != p:
+                    continue
+                dens = current[sibs[0]]
+                if any(current[e] != dens for e in sibs):
+                    continue
+                if not domain.contains_disc(parent):
+                    continue
+                if any(not discs_disjoint(parent, core, p) for core in cores):
+                    continue
+                for e in sibs:
+                    used.add(e)
+                    del current[e]
+                current[parent] = dens
+                changed = True
+            if changed:
+                break
+    return current
+
+
+# zeros at 3 and 4 lie in F for both fixtures; the pole 0 lies in a hole
+COALESCE_DATA = [RationalFunctionDatum.tate(), RationalFunctionDatum.constant(),
+                 RationalFunctionDatum(F(2), ((F(3), 1), (F(4), 2), (F(0), -1)))]
+
+
+@pytest.mark.parametrize("name", ["tate_group", "genus2_group"])
+@pytest.mark.parametrize("datum", COALESCE_DATA, ids=["tate", "constant", "zeros"])
+def test_coalesce_matches_rescanning_merge(name, datum, request, monkeypatch):
+    import mumford_heat.measure as measure
+    domain = request.getfixturevalue(name).fundamental_domain()
+    for resolution in range(2, 7):
+        profile = build_profile(datum, domain, resolution)
+        with monkeypatch.context() as patch:
+            patch.setattr(measure, "_coalesce", ref_coalesce)
+            assert profile == build_profile(datum, domain, resolution)
+        if datum.zeros():
+            assert len(profile.zero_cores) == 2
+        if resolution > 2:  # some family merged
+            assert len(profile.pieces) < len(domain.level_discs(resolution))
+
+
+def test_fine_resolution_parses_quickly():
+    import json
+    import time
+
+    from mumford_heat.config import bundled_fixture, config_from_dict
+    raw = json.loads(bundled_fixture("tate-p3").read_text())
+    raw["measure"]["resolution"] = raw["run"]["level"] = 8
+    start = time.perf_counter()
+    run = config_from_dict(raw)
+    assert time.perf_counter() - start < 2
+    assert len(run.profile.pieces) == 4

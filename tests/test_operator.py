@@ -345,3 +345,43 @@ class TestDirichletForm:
             2, {d: F(i % 3, 2) for i, d in enumerate(gen.states)})
         value, _ = dirichlet_form(tate_cfg, u, u, gen)
         assert isinstance(value, F) and value > 0
+
+
+# ---------------------------------------------------------------------------
+# The cutoff search runs once per configuration
+# ---------------------------------------------------------------------------
+
+def ref_cutoff(cfg):
+    """The smallest length whose tail bound is at most the tolerance."""
+    tol = cfg.cutoff_tol if cfg.cutoff_tol is not None else F(1, 10 ** 12)
+    length = 1
+    while tail_bound(cfg, length) > tol:
+        length += 1
+    return length
+
+
+@pytest.mark.parametrize("name", ["tate_cfg", "genus2_cfg"])
+@pytest.mark.parametrize("tol", [None, F(1, 10), F(1, 10 ** 6), F(1, 10 ** 12),
+                                 F(1, 10 ** 30)])
+def test_cutoff_searched_once_per_instance(name, tol, request, monkeypatch):
+    import dataclasses
+
+    import mumford_heat.operator as operator
+    cfg = dataclasses.replace(request.getfixturevalue(name), cutoff_len=None,
+                              cutoff_tol=tol)
+    expected = ref_cutoff(cfg)
+    searches = []
+    honest = operator.tail_bound
+
+    def counting(cfg, length, sup_norm=1):
+        if length == 1:
+            searches.append(cfg)
+        return honest(cfg, length, sup_norm)
+
+    monkeypatch.setattr(operator, "tail_bound", counting)
+    assert [cfg.cutoff() for _ in range(3)] == [expected] * 3
+    assert len(searches) == 1
+    copy = dataclasses.replace(cfg, mode="transport")
+    assert copy.cutoff() == expected and len(searches) == 2
+    assert dataclasses.replace(cfg, cutoff_len=5).cutoff() == 5
+    assert len(searches) == 2

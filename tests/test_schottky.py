@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mumford_heat.padic import Disc, PoleHit
+from mumford_heat.padic import (Disc, PoleHit, covered_measure, discs_disjoint,
+                                haar_measure)
 from mumford_heat.schottky import (DiscsIntersect, DomainInvalid, GroupWord,
                                    MoebiusMap, PoleInsideDisc,
-                                   ReductionDiverged, SchottkyGroup, delta,
+                                   ReductionDiverged, SchottkyGroup,
+                                   _tile_in_first_target, delta,
                                    disc_distance, disc_image, enumerate_words,
                                    moebius_distance_identity_check,
                                    reduce_to_domain, region_image,
@@ -327,3 +329,144 @@ def test_certificate_catches_a_tile_covering_f(genus2_group, monkeypatch, tmp_pa
     err = capsys.readouterr().err
     assert f"clause (iii): tile of {word} meets F" in err
     assert "Traceback" not in err and not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# Clause (iii) against the former measure-based tile check
+# ---------------------------------------------------------------------------
+
+def _codisc_cover_mass(target, holes, p):
+    """Mass of ``target`` covered by co-disc holes (disjoint from their cores)."""
+    mass = F(0)
+    for h in holes:
+        if not h.complement:
+            continue
+        core = Disc(h.center, h.radius_exp)
+        if discs_disjoint(target, core, p):
+            mass = haar_measure(target, p)  # co-disc covers all of target
+            break
+        if core.contains(target, p):
+            continue
+        # target strictly contains the core: co-disc covers target minus core
+        mass = max(mass, haar_measure(target, p) - haar_measure(core, p))
+    return mass
+
+
+def _tile_disjoint_from(f_pieces, tile_outer, tile_holes, p):
+    """Is (tile_outer minus tile_holes) disjoint from the union of f_pieces?
+
+    For each piece D of F, clip against the tile's bounding region, then
+    check the clipped mass is entirely covered by the tile's holes.
+    """
+    for piece in f_pieces:
+        if tile_outer.complement:
+            core = Disc(tile_outer.center, tile_outer.radius_exp)
+            if core.contains(piece, p):
+                continue  # piece inside the removed core: empty intersection
+            if not discs_disjoint(piece, core, p):
+                # piece strictly contains the core: intersection is piece-minus-core
+                inter_mass = haar_measure(piece, p) - haar_measure(core, p)
+                covered = covered_measure(
+                    piece, [h for h in tile_holes if not h.complement], p)
+                extra = _codisc_cover_mass(piece, tile_holes, p)
+                if covered + extra < inter_mass:
+                    return False
+                continue
+            clipped = piece
+        else:
+            clipped = None
+            if not discs_disjoint(piece, tile_outer, p):
+                clipped = piece if tile_outer.contains(piece, p) else tile_outer
+            if clipped is None:
+                continue
+        inter_mass = haar_measure(clipped, p)
+        covered = covered_measure(
+            clipped, [h for h in tile_holes if not h.complement], p)
+        extra = _codisc_cover_mass(clipped, tile_holes, p)
+        if covered + extra < inter_mass:
+            return False
+    return True
+
+
+def ref_tile_disjoint(group, mat):
+    """The former clause (iii) for one tile: w(outer) minus w(holes), by mass."""
+    import mumford_heat.schottky as schottky
+    p = group.p
+    tile_outer = schottky.region_image(mat, group.outer, p)
+    tile_holes = [schottky.region_image(mat, h, p) for h in group.holes]
+    return _tile_disjoint_from(group.fundamental_domain().maximal_discs(),
+                               tile_outer, tile_holes, p)
+
+
+@pytest.mark.parametrize("name", ["tate_group", "genus2_group"])
+def test_tile_certificate_matches_mass_oracle(name, request):
+    group = request.getfixturevalue(name)
+    tiles = 0
+    for word, mat in words_with_maps(group, 6):
+        if word.is_identity():
+            continue
+        tiles += 1
+        assert _tile_in_first_target(group, word, mat) is True
+        assert ref_tile_disjoint(group, mat) is True, word
+    assert tiles == (12 if group.genus == 1 else 4 * (3 ** 6 - 1) // 2)
+    for depth in range(1, 7):
+        report = verify_fundamental_domain(group, depth=depth)
+        assert report.tiles_checked == sum(
+            1 for w in enumerate_words(group.genus, depth) if len(w))
+
+
+def test_tile_certificate_is_sound_on_a_broken_pairing(genus2_group):
+    """With (ii) failing the one-containment check may refuse a good tile,
+    but every tile it passes is disjoint from F by the mass oracle."""
+    h = genus2_group.holes
+    bad = SchottkyGroup(p=3, generators=genus2_group.generators,
+                        holes=(h[0], h[3], h[2], h[1]), outer=genus2_group.outer)
+    assert not verify_fundamental_domain(bad, 1, raise_on_failure=False).pairing_ok
+    verdicts = [(_tile_in_first_target(bad, word, mat), ref_tile_disjoint(bad, mat))
+                for word, mat in words_with_maps(bad, 3) if len(word)]
+    assert (True, False) not in verdicts
+    assert verdicts.count((True, True)) == 14 and verdicts.count((False, True)) == 38
+
+
+def test_both_tile_checks_flag_a_tile_covering_f(genus2_group, monkeypatch):
+    import mumford_heat.schottky as schottky
+
+    word = GroupWord((1, 2))
+    target = genus2_group.word_map(word)
+    honest = schottky.region_image
+
+    def overlapping(gamma, region, p):
+        if gamma == target:
+            return region
+        return honest(gamma, region, p)
+
+    monkeypatch.setattr(schottky, "region_image", overlapping)
+    flagged = [w for w, mat in words_with_maps(genus2_group, 4) if len(w)
+               and not _tile_in_first_target(genus2_group, w, mat)]
+    oracle = [w for w, mat in words_with_maps(genus2_group, 4) if len(w)
+              and not ref_tile_disjoint(genus2_group, mat)]
+    assert flagged == oracle == [word]
+
+
+@pytest.mark.parametrize("radius_exp", [-1, -2])
+def test_outer_disc_inside_the_co_hole_core_fails(tate_group, radius_exp):
+    # points between the outer disc and the co-hole lie in no tile
+    bad = SchottkyGroup(p=3, generators=tate_group.generators,
+                        holes=tate_group.holes, outer=Disc(F(0), radius_exp))
+    report = verify_fundamental_domain(bad, depth=2, raise_on_failure=False)
+    assert not report.holes_disjoint and report.tiles_checked == 0
+    assert report.details == (
+        "clause (i): co-hole 0 is not the complement of the outer disc",)
+
+
+def test_holes_covering_the_outer_disc_fail():
+    # the pairings hold, but the three plain holes tile Z_3, so F is empty
+    group = SchottkyGroup(
+        p=3, generators=(MoebiusMap(3, 0, 0, 1), MoebiusMap(2, 1, 1, -1)),
+        holes=(Disc(F(0), 0, complement=True), Disc(F(1), -1), Disc(F(0), -1),
+               Disc(F(2), -1)),
+        outer=Disc(F(0), 0))
+    report = verify_fundamental_domain(group, depth=2, raise_on_failure=False)
+    assert report.pairing_ok and not report.holes_disjoint
+    assert report.details == (
+        "clause (i): the holes cover the outer disc, so F is empty",)
