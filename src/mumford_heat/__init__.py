@@ -34,7 +34,8 @@ from .operator import (ChartNotSupported, CoincidentPoints, GeneratorMatrix,
                        transformed_config, vladimirov_local_integral,
                        vladimirov_alpha_free_value, wavelet_multiplier, word_census)
 from .audit import AuditReport, audit_lemmas
-from .heat import (HeatSolution, NumericalBreakdown, PathSample, Reducible,
+from .heat import (HeatSolution, NumericalBreakdown, PathColumns, PathSample,
+                   Reducible,
                    SingularSystem, StationaryReport, TransitionMatrix,
                    ValidationReport, empirical_validation, resolvent_solve,
                    sample_paths, solve_cauchy, spectral_data,

@@ -12,6 +12,8 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from itertools import chain, repeat
+from operator import sub
 from pathlib import Path
 
 from .audit import audit_lemmas
@@ -167,9 +169,11 @@ def cmd_sample(run: RunConfig, op: OperatorConfig, out: Path, args) -> int:
     lines.append("path_id,jump_time,state_index,state_center,state_radius_exp")
     labels = [f"{i},{format_rational(d.center)},{d.radius_exp}"
               for i, d in enumerate(gen.states)]
-    for path in paths:
-        for t, s in zip((0.0, *path.jump_times), path.states):
-            lines.append(f"{path.path_index},{t!r},{labels[s]}")
+    bounds = paths.offsets.tolist()  # one id string per path, repeated per row
+    ids = chain.from_iterable(map(repeat, map(str, range(len(paths))),
+                                  map(sub, bounds[1:], bounds)))
+    lines.extend(map(",".join, zip(ids, map(repr, paths.times.tolist()),
+                                   map(labels.__getitem__, paths.states.tolist()))))
     _write(out / "paths.csv", "\n".join(lines) + "\n")
     checkpoints = [t for t in run.run.times if 0 < t <= t_max]
     if checkpoints:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -102,6 +103,14 @@ def check_level(level: int, resolution: int, path: str) -> None:
                                     f"resolution {resolution}")
 
 
+def _typed(value, kind: type, path: str):
+    """``value`` if it is a JSON object (kind dict) or array (kind list)."""
+    if not isinstance(value, kind):
+        noun = "an object" if kind is dict else "a list"
+        raise ValidationError(path, f"expected {noun}, got {value!r}")
+    return value
+
+
 def _parse_disc(obj, path: str) -> Disc:
     if not isinstance(obj, dict):
         raise ValidationError(path, "disc must be an object")
@@ -190,17 +199,18 @@ def parse_config(path) -> RunConfig:
 def config_from_dict(raw: dict) -> RunConfig:
     if not isinstance(raw, dict):
         raise ParseError("config root must be an object")
-    field = raw.get("field", {})
+    field = _typed(raw.get("field", {}), dict, "field")
     p = field.get("p")
     if not isinstance(p, int) or p < 2:
         raise ValidationError("field.p", f"prime expected, got {p!r}")
-    for q in range(2, int(p ** 0.5) + 1):
+    for q in range(2, math.isqrt(p) + 1):
         if p % q == 0:
             raise ValidationError("field.p", f"{p} is not prime")
 
-    gsec = raw.get("group", {})
+    gsec = _typed(raw.get("group", {}), dict, "group")
     gens = []
-    for i, mat in enumerate(gsec.get("generators", [])):
+    for i, mat in enumerate(_typed(gsec.get("generators", []), list,
+                                   "group.generators")):
         gpath = f"group.generators[{i}]"
         try:
             (a, b), (c, d) = mat
@@ -209,14 +219,15 @@ def config_from_dict(raw: dict) -> RunConfig:
             raise ValidationError(gpath, f"bad matrix: {exc}") from exc
     outer = _parse_disc(gsec.get("outer"), "group.outer")
     holes = tuple(_parse_disc(h, f"group.holes[{i}]")
-                  for i, h in enumerate(gsec.get("holes", [])))
+                  for i, h in enumerate(_typed(gsec.get("holes", []), list,
+                                               "group.holes")))
     try:
         group = SchottkyGroup(p=p, generators=tuple(gens), holes=holes, outer=outer)
         domain_report = verify_fundamental_domain(group, depth=4)
     except DomainInvalid as exc:
         raise ValidationError("group", str(exc)) from exc
 
-    msec = raw.get("measure", {})
+    msec = _typed(raw.get("measure", {}), dict, "measure")
     resolution = parse_int(msec.get("resolution", 2), "measure.resolution")
     datum = None
     if "datum" in msec:
@@ -227,13 +238,13 @@ def config_from_dict(raw: dict) -> RunConfig:
     else:
         raise ValidationError("measure", "needs either a datum or a profile")
 
-    osec = raw.get("operator", {})
+    osec = _typed(raw.get("operator", {}), dict, "operator")
     alpha = parse_positive_rational(osec.get("alpha", "1"), "operator.alpha")
     alpha_g = parse_positive_rational(osec.get("alpha_g", "1"), "operator.alpha_g")
     mode = osec.get("mode", "ambient")
     if mode not in ("ambient", "transport"):
         raise ValidationError("operator.mode", f"unknown mode {mode!r}")
-    cutoff = osec.get("cutoff", {})
+    cutoff = _typed(osec.get("cutoff", {}), dict, "operator.cutoff")
     cutoff_len, cutoff_tol = parse_cutoff(
         cutoff.get("len"), cutoff.get("tol"),
         "operator.cutoff.len", "operator.cutoff.tol")
@@ -242,7 +253,7 @@ def config_from_dict(raw: dict) -> RunConfig:
             "operator.alpha_g", f"growth condition p^alpha_g > 2g fails: "
                                 f"{p}^{alpha_g} <= {2 * group.genus}")
 
-    rsec = raw.get("run", {})
+    rsec = _typed(raw.get("run", {}), dict, "run")
     run = RunSettings(
         level=parse_int(rsec.get("level", resolution), "run.level"),
         times=parse_times(rsec.get("times", [0.0, 0.5, 1.0]), "run.times"),
@@ -259,15 +270,19 @@ def config_from_dict(raw: dict) -> RunConfig:
 
 
 def _parse_datum(obj) -> RationalFunctionDatum:
+    _typed(obj, dict, "measure.datum")
     scale = parse_rational(obj.get("scale", "1"), "measure.datum.scale")
     factors = []
-    for i, fac in enumerate(obj.get("factors", [])):
+    for i, fac in enumerate(_typed(obj.get("factors", []), list,
+                                   "measure.datum.factors")):
         fpath = f"measure.datum.factors[{i}]"
+        _typed(fac, dict, fpath)
         mult = parse_int(fac.get("multiplicity", 1), f"{fpath}.multiplicity")
         if "root" in fac:
             factors.append((parse_rational(fac["root"], f"{fpath}.root"), mult))
         elif "coeffs" in fac:
-            coeffs = [parse_rational(c, f"{fpath}.coeffs") for c in fac["coeffs"]]
+            coeffs = [parse_rational(c, f"{fpath}.coeffs")
+                      for c in _typed(fac["coeffs"], list, f"{fpath}.coeffs")]
             if len(coeffs) > 2:
                 raise ValidationError(
                     fpath, "irreducible factor of degree >= 2: the zero set "
@@ -284,8 +299,10 @@ def _parse_datum(obj) -> RationalFunctionDatum:
 
 
 def _parse_profile(obj, p: int) -> MeasureProfile:
+    _typed(obj, dict, "measure.profile")
     pieces = []
-    for i, piece in enumerate(obj.get("pieces", [])):
+    for i, piece in enumerate(_typed(obj.get("pieces", []), list,
+                                     "measure.profile.pieces")):
         ppath = f"measure.profile.pieces[{i}]"
         disc = _parse_disc(piece, ppath)
         dens = parse_rational(piece.get("density"), f"{ppath}.density")
@@ -293,7 +310,8 @@ def _parse_profile(obj, p: int) -> MeasureProfile:
             raise ValidationError(f"{ppath}.density", "density must be positive")
         pieces.append((disc, dens))
     cores = tuple(_parse_disc(c, f"measure.profile.zero_cores[{i}]")
-                  for i, c in enumerate(obj.get("zero_cores", [])))
+                  for i, c in enumerate(_typed(obj.get("zero_cores", []), list,
+                                               "measure.profile.zero_cores")))
     pieces.sort(key=lambda it: (it[0].center, it[0].radius_exp))
     return MeasureProfile(tuple(pieces), cores, p)
 

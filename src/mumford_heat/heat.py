@@ -6,13 +6,14 @@ sampling.  P_t = exp(tQ) is a sum of nonnegative terms (uniformization with
 squaring); ``spectral_data`` shows the known eigenvectors, constants plus
 wavelets, as a diagnostic only.  Paths follow the exact jump-chain
 construction (exponential holding times, jump probabilities proportional to
-the rates), drawn path after path from one seeded stream.
+the rates), drawn from one seeded stream in lockstep chunks of PATH_CHUNK
+paths, and come back as columns (``PathColumns``: row offsets per path, flat
+times and states) with ``PathSample`` as a per-path view.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -297,26 +298,84 @@ def _check_irreducible(gen: GeneratorMatrix) -> None:
             raise Reducible(f"state {start} does not reach every state")
 
 
-@dataclass(frozen=True)
+PATH_CHUNK = 1024  # paths drawn in lockstep; another width is another stream
+
+
+@dataclass(eq=False, slots=True)
 class PathSample:
-    """One cadlag trajectory: right-continuous step function of state indices."""
+    """One cadlag trajectory, a view into the columns of a ``PathColumns``:
+    a right-continuous step function of state indices."""
 
     path_index: int
-    seed: int
-    jump_times: tuple[float, ...]
-    states: tuple[int, ...]  # visited states; states[0] at time 0
+    jump_times: np.ndarray  # increasing
+    states: np.ndarray      # visited states; states[0] at time 0
 
     def state_at(self, t: float) -> int:
-        return self.states[bisect_right(self.jump_times, t)]
+        return int(self.states[np.searchsorted(self.jump_times, t, side="right")])
+
+
+@dataclass(frozen=True, eq=False)
+class PathColumns:
+    """A sample of paths held as columns, like a CSR matrix.
+
+    Path k owns rows ``offsets[k]:offsets[k + 1]`` of ``times`` and
+    ``states``: first (0.0, start state), then one row per jump, the jump
+    time and the state entered.  Indexing by an integer gives a
+    ``PathSample`` view, by a contiguous slice a smaller ``PathColumns``."""
+
+    offsets: np.ndarray  # len(self) + 1 row offsets, offsets[0] == 0
+    times: np.ndarray    # float64
+    states: np.ndarray   # state indices
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            start, stop, step = key.indices(len(self))
+            if step != 1:
+                raise ValueError("only contiguous slices of a sample")
+            stop = max(start, stop)
+            lo, hi = self.offsets[start], self.offsets[stop]
+            return PathColumns(self.offsets[start:stop + 1] - lo,
+                               self.times[lo:hi], self.states[lo:hi])
+        k = range(len(self))[key]
+        return self._path(k, self.offsets[k], self.offsets[k + 1])
+
+    def __iter__(self):
+        bounds = self.offsets.tolist()
+        return map(self._path, range(len(self)), bounds, bounds[1:])
+
+    def _path(self, k: int, lo: int, hi: int) -> PathSample:
+        return PathSample(k, self.times[lo + 1:hi], self.states[lo:hi])
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PathColumns):
+            return NotImplemented
+        return all(np.array_equal(a, b) for a, b in
+                   zip((self.offsets, self.times, self.states),
+                       (other.offsets, other.times, other.states)))
+
+    __hash__ = None
+
+    def states_at(self, t: float) -> np.ndarray:
+        """Every path's state at time t >= 0, right-continuous: each path's
+        times increase from 0.0, so its rows at or before t are a prefix."""
+        starts = self.offsets[:-1]
+        upto = np.add.reduceat(self.times <= t, starts, dtype=np.intp)
+        return self.states[starts + upto - 1]
 
 
 def sample_paths(gen: GeneratorMatrix, n_paths: int, t_max: float, seed: int,
-                 start_index: int = 0) -> list[PathSample]:
+                 start_index: int = 0) -> PathColumns:
     """Exact-jump-chain sampling: exponential holds at rate -Q[s,s], jumps
     with probability proportional to the off-diagonal rates.
 
-    The paths come one after another from the one stream default_rng(seed),
-    so the first k paths of a sample with seed s are the sample of k paths."""
+    Paths advance in lockstep chunks of PATH_CHUNK from the one stream
+    default_rng(seed).  Each step of a chunk draws PATH_CHUNK exponentials,
+    then PATH_CHUNK uniforms, and path j of the chunk always uses element j,
+    even after it stopped; so the first k paths of a sample with seed s are
+    the sample of k paths."""
     if n_paths < 1:
         raise ValueError("n_paths must be at least 1")
     if not 0 <= t_max < math.inf:
@@ -329,18 +388,44 @@ def sample_paths(gen: GeneratorMatrix, n_paths: int, t_max: float, seed: int,
         mean_hold.append(1.0 / rate)
         row[i] = 0.0
         cum.append(list(accumulate(v / rate for v in row)))
+    mean_hold, cum = np.array(mean_hold), np.array(cum)
     rng = np.random.default_rng(seed)
-    paths = []
-    for k in range(n_paths):
-        t, state = 0.0, start_index
-        times, states = [], [state]
-        while (t := t + rng.standard_exponential() * mean_hold[state]) < t_max:
-            # bisect_right skips every zero-probability entry, the diagonal too
-            state = bisect_right(cum[state], rng.random() * cum[state][-1])
-            times.append(t)
-            states.append(state)
-        paths.append(PathSample(k, seed, tuple(times), tuple(states)))
-    return paths
+    chunks = [_lockstep_chunk(rng, mean_hold, cum, min(PATH_CHUNK, n_paths - first),
+                              t_max, start_index)
+              for first in range(0, n_paths, PATH_CHUNK)]
+    counts = np.concatenate([c for c, _, _ in chunks])
+    return PathColumns(np.concatenate(([0], np.cumsum(counts))),
+                       np.concatenate([t for _, t, _ in chunks]),
+                       np.concatenate([s for _, _, s in chunks]))
+
+
+def _lockstep_chunk(rng, mean_hold: np.ndarray, cum: np.ndarray, k: int,
+                    t_max: float, start: int):
+    """The first k paths of one lockstep chunk: rows per path, then the time
+    and state columns in path-major order."""
+    t = np.zeros(k)
+    s = np.full(k, start)
+    live = np.arange(k)
+    ids, times, states = [live], [t.copy()], [s.copy()]
+    while live.size:
+        hold = rng.standard_exponential(PATH_CHUNK)[live]
+        u = rng.random(PATH_CHUNK)[live]
+        t_next = t[live] + hold * mean_hold[s[live]]
+        going = t_next < t_max
+        live = live[going]
+        # entries <= u*total counted: bisect_right, so neither the zeroed
+        # diagonal nor any other zero-probability entry is ever chosen
+        cum_rows = cum[s[live]]
+        s[live] = (cum_rows <= (u[going] * cum_rows[:, -1])[:, None]).sum(axis=1)
+        t[live] = t_next[going]
+        ids.append(live)
+        times.append(t[live])
+        states.append(s[live])
+    # rows were appended step by step, so a stable sort by path keeps time order
+    ids = np.concatenate(ids)
+    order = np.argsort(ids, kind="stable")
+    return (np.bincount(ids, minlength=k), np.concatenate(times)[order],
+            np.concatenate(states)[order])
 
 
 @dataclass(frozen=True)
@@ -363,7 +448,7 @@ class ValidationReport:
 
 
 def empirical_validation(cfg: OperatorConfig, gen: GeneratorMatrix,
-                         paths: Sequence[PathSample], checkpoints: Sequence[float],
+                         paths: PathColumns, checkpoints: Sequence[float],
                          start_index: int = 0, sigmas: float = 4.0) -> ValidationReport:
     """Per-checkpoint comparison of the empirical state distribution with the
     transition row, at a binomial-sigma threshold per state."""
@@ -371,8 +456,7 @@ def empirical_validation(cfg: OperatorConfig, gen: GeneratorMatrix,
     rows = []
     for t in checkpoints:
         analytic = transition_matrix(cfg, gen, float(t)).clamped()[start_index]
-        counts = np.bincount([path.state_at(float(t)) for path in paths],
-                             minlength=gen.size)
+        counts = np.bincount(paths.states_at(float(t)), minlength=gen.size)
         emp = counts / n_paths
         sigma = np.sqrt(np.maximum(analytic * (1 - analytic), 1e-300) / n_paths)
         dev = np.abs(emp - analytic) / sigma

@@ -15,7 +15,10 @@ from hypothesis import strategies as st
 import mumford_heat
 from mumford_heat.cli import main
 from mumford_heat.config import (ParseError, ValidationError, bundled_fixture,
-                                 config_from_dict, emit_config, parse_config)
+                                 config_from_dict, emit_config, format_rational,
+                                 parse_config)
+from mumford_heat.heat import sample_paths
+from mumford_heat.operator import generator_matrix
 
 
 @pytest.fixture(scope="module")
@@ -128,6 +131,25 @@ class TestCli:
                           "--seed", "43", "-o", str(out2)])
         assert different == 0
         assert (out1 / "paths.csv").read_bytes() != (out2 / "paths.csv").read_bytes()
+
+    def test_paths_csv_matches_per_row_formatting(self, tate_path, tmp_path):
+        # the per-row f-string writer that the columnar writer replaced
+        n_paths, seed = 1500, 5  # more than one lockstep chunk
+        assert main(["sample", "-c", str(tate_path), "--paths", str(n_paths),
+                     "--seed", str(seed), "-o", str(tmp_path)]) == 0
+        run = parse_config(tate_path)
+        gen = generator_matrix(run.operator_config(), run.run.level)
+        labels = [f"{i},{format_rational(d.center)},{d.radius_exp}"
+                  for i, d in enumerate(gen.states)]
+        oracle = []
+        for path in sample_paths(gen, n_paths, max(run.run.times), seed,
+                                 start_index=run.run.start_state):
+            for t, s in zip((0.0, *path.jump_times.tolist()), path.states.tolist()):
+                oracle.append(f"{path.path_index},{t!r},{labels[s]}")
+        text = (tmp_path / "paths.csv").read_text()
+        header, body = text.split("state_radius_exp\n")
+        assert body == "\n".join(oracle) + "\n"
+        assert header.count("\n") == 5
 
     def test_audit_artifacts(self, tate_path, tmp_path):
         assert main(["audit", "-c", str(tate_path), "--audit-samples", "300",
@@ -316,6 +338,55 @@ def test_bad_config_fields_exit_2(tate_path, tmp_path, capsys, section, update,
     err = capsys.readouterr().err
     assert name in err and "Traceback" not in err
     assert not out.exists()
+
+
+BAD_SHAPES = [
+    # (dotted path, value put there, name in the message): a section or a
+    # list of the wrong JSON type
+    ("field", 5, "field"),
+    ("group", 5, "group"),
+    ("measure", 5, "measure"),
+    ("operator", 5, "operator"),
+    ("run", 5, "run"),
+    ("operator.cutoff", 5, "operator.cutoff"),
+    ("group.generators", 5, "group.generators"),
+    ("group.holes", 5, "group.holes"),
+    ("measure.datum", 5, "measure.datum"),
+    ("measure.datum.factors", 5, "measure.datum.factors"),
+    ("measure.datum.factors", [5], "measure.datum.factors[0]"),
+    ("measure.datum.factors", [{"coeffs": 5}], "measure.datum.factors[0].coeffs"),
+    ("measure", {"resolution": 2, "profile": 5}, "measure.profile"),
+    ("measure", {"resolution": 2, "profile": {"pieces": 5}},
+     "measure.profile.pieces"),
+    ("measure", {"resolution": 2, "profile": {"zero_cores": 5}},
+     "measure.profile.zero_cores"),
+]
+
+
+@pytest.mark.parametrize("path,value,name", BAD_SHAPES)
+def test_bad_config_shapes_exit_2(tate_path, tmp_path, capsys, path, value,
+                                  name):
+    raw = json.loads(tate_path.read_text())
+    *parents, key = path.split(".")
+    target = raw
+    for part in parents:
+        target = target[part]
+    target[key] = value
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert main(["validate", "-c", str(config), "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert name in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_huge_field_p_is_not_prime(tate_path):
+    raw = json.loads(tate_path.read_text())
+    raw["field"]["p"] = 10 ** 400  # too large for a float square root
+    with pytest.raises(ValidationError, match="not prime") as err:
+        config_from_dict(raw)
+    assert err.value.path == "field.p"
 
 
 PROFILE_DISC_FIELDS = [

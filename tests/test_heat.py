@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from mumford_heat.config import bundled_fixture, parse_config
 from mumford_heat.exactnum import PowerSum
 from mumford_heat.heat import (ROW_SUM_TOL, NumericalBreakdown, Reducible,
                                SingularSystem, _solve_exact,
@@ -401,7 +402,7 @@ class TestSampling:
             assert len(path.states) == len(path.jump_times) + 1
             assert all(a < b for a, b in zip(path.jump_times, path.jump_times[1:]))
             assert path.state_at(0.0) == path.states[0]
-            if path.jump_times:
+            if len(path.jump_times):
                 t0 = path.jump_times[0]
                 assert path.state_at(t0) == path.states[1]  # right continuous
                 assert path.state_at(t0 - 1e-12) == path.states[0]
@@ -427,6 +428,57 @@ class TestSampling:
                                  gen.entry_tail, gen.cutoff)
         report2 = empirical_validation(tate_cfg, broken, paths, [1.0])
         assert not report2.passed
+
+    def test_tracer_contract(self, gen):
+        # a tracer counts paths with len() and jumps through the path views
+        sample = sample_paths(gen, 1100, 1.0, seed=5)
+        assert len(sample) == 1100
+        assert sum(len(p.jump_times) for p in sample) == len(sample.times) - 1100
+        assert [p.path_index for p in sample[:3]] == [0, 1, 2]
+
+    def test_columns_agree_with_path_views(self, gen):
+        sample = sample_paths(gen, 300, 2.0, seed=2)
+        probes = [0.0, 0.3, 1.999, *sample[7].jump_times[:2]]  # jump instants too
+        for t in probes:
+            assert sample.states_at(t).tolist() == [p.state_at(t) for p in sample]
+
+
+def _false_alarm_rate(analytic: np.ndarray, n: int, sigmas: float = 4.0) -> float:
+    """P(some state's count leaves the sigma band) for a multinomial sample
+    of n under ``analytic``, bounded by the sum of exact binomial tails."""
+    k = np.arange(n + 1)
+    total = 0.0
+    for p in analytic:
+        if not 0 < p < 1:
+            continue
+        sigma = np.sqrt(p * (1 - p) / n)
+        # log pmf by the ratio pmf(k+1)/pmf(k) = (n-k)/(k+1) * p/(1-p)
+        steps = np.log((n - k[:-1]) / (k[:-1] + 1)) + math.log(p / (1 - p))
+        log_pmf = n * math.log1p(-p) + np.concatenate(([0.0], np.cumsum(steps)))
+        total += np.exp(log_pmf[np.abs(k / n - p) / sigma > sigmas]).sum()
+    return total
+
+
+def test_law_over_many_seeds(tate_cfg, gen):
+    """Over 200 seeds, the 4-sigma validation fails no more often than the
+    exact binomial tails of the true transition rows allow."""
+    checkpoints = [t for t in parse_config(bundled_fixture("tate-p3")).run.times
+                   if t > 0]
+    n_paths, seeds = 4000, range(200)
+    per_seed = sum(_false_alarm_rate(
+        transition_matrix(tate_cfg, gen, t).clamped()[0], n_paths)
+        for t in checkpoints)
+    assert 0 < per_seed < 0.01
+    failed = sum(not empirical_validation(
+        tate_cfg, gen, sample_paths(gen, n_paths, max(checkpoints), seed=s),
+        checkpoints).passed for s in seeds)
+    # the smallest count that Binomial(200, per_seed) reaches with p < 1e-6
+    allowed, tail = 0, 1.0
+    while tail >= 1e-6:
+        tail -= math.comb(len(seeds), allowed) * per_seed ** allowed \
+            * (1 - per_seed) ** (len(seeds) - allowed)
+        allowed += 1
+    assert failed < allowed
 
 
 def test_single_path_occupation_matches_stationary(tate_cfg, gen):
