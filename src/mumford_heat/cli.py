@@ -69,12 +69,12 @@ def cmd_validate(run: RunConfig, op: OperatorConfig, out: Path, args) -> int:
             "tiles_checked": report.tiles_checked,
             "tiles_disjoint": report.tiles_disjoint,
             "details": list(report.details),
-            "measure": format_rational(run.group.fundamental_domain().measure()),
+            "measure": format_rational(op.domain.measure()),
         },
         "measure": {
-            "total_mass": format_rational(run.profile.total_mass),
-            "pieces": len(run.profile.pieces),
-            "zero_cores": len(run.profile.zero_cores),
+            "total_mass": format_rational(op.profile.total_mass),
+            "pieces": len(op.profile.pieces),
+            "zero_cores": len(op.profile.zero_cores),
         },
         "config": emit_config(run),
     }
@@ -120,21 +120,17 @@ def _start_state(run: RunConfig, gen) -> int:
 
 
 def _default_initial(run: RunConfig, op: OperatorConfig, gen, kind: str) -> LevelFunction:
-    states = gen.states
     if kind == "wavelet":
         wavelets = admissible_wavelets(op.profile, gen.level)
         if not wavelets:
             raise ValidationError("run.level", "no admissible wavelet at this level")
         w = wavelets[0]
-        return LevelFunction.from_mapping(
-            gen.level,
-            {d: complex(wavelet_eval(w, d.center, op.profile, "omega")).real
-             for d in states})
+        return gen.level_function(
+            [complex(wavelet_eval(w, d.center, op.profile, "omega")).real
+             for d in gen.states])
     if kind == "indicator":
         idx = _start_state(run, gen)
-        return LevelFunction.from_mapping(
-            gen.level, {d: (1.0 if i == idx else 0.0)
-                        for i, d in enumerate(states)})
+        return gen.level_function([float(i == idx) for i in range(gen.size)])
     raise ValidationError("--initial", f"unknown initial condition {kind!r}")
 
 
@@ -143,7 +139,7 @@ def cmd_evolve(run: RunConfig, op: OperatorConfig, out: Path, args) -> int:
     level = _level(run, args)
     gen = generator_matrix(op, level)
     h0 = _default_initial(run, op, gen, args.initial)
-    sol = solve_cauchy(op, gen, h0, times)
+    sol = solve_cauchy(gen, h0, times)
     lines = _header_lines(_meta(run, op))
     lines.append("t,state_index,value")
     for t, row in zip(sol.times, sol.values):
@@ -177,8 +173,7 @@ def cmd_sample(run: RunConfig, op: OperatorConfig, out: Path, args) -> int:
     _write(out / "paths.csv", "\n".join(lines) + "\n")
     checkpoints = [t for t in run.run.times if 0 < t <= t_max]
     if checkpoints:
-        report = empirical_validation(op, gen, paths, checkpoints,
-                                      start_index=start)
+        report = empirical_validation(gen, paths, checkpoints, start_index=start)
         payload = {
             "meta": meta,
             "n_paths": report.n_paths,
@@ -210,18 +205,14 @@ def cmd_resolvent(run: RunConfig, op: OperatorConfig, out: Path, args) -> int:
     level = _level(run, args)
     gen = generator_matrix(op, level)
     idx = _start_state(run, gen)
-    h = LevelFunction.from_mapping(
-        gen.level, {d: (Fraction(1) if i == idx else Fraction(0))
-                    for i, d in enumerate(gen.states)})
-    u = resolvent_solve(gen, eta, h)
-    ud = u.as_dict()
-    hd = h.as_dict()
+    h = [Fraction(int(i == idx)) for i in range(gen.size)]
+    u = gen.vector(resolvent_solve(gen, eta, gen.level_function(h)))
     lines = _header_lines(_meta(run, op))
     lines.append(f"# eta={format_rational(eta)}")
     lines.append("state_index,state_center,state_radius_exp,h,u")
-    for i, d in enumerate(gen.states):
+    for i, (d, hi, ui) in enumerate(zip(gen.states, h, u)):
         lines.append(f"{i},{format_rational(d.center)},{d.radius_exp},"
-                     f"{format_rational(hd[d])},{_scalar_str(ud[d])}")
+                     f"{format_rational(hi)},{_scalar_str(ui)}")
     _write(out / "resolvent.csv", "\n".join(lines) + "\n")
     return 0
 

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -147,36 +146,56 @@ class RunSettings:
 class RunConfig:
     """Validated run configuration plus its canonical hash.
 
+    ``operator`` holds the operator section as the file gives it.
     ``domain_report`` is the depth-4 domain verification that parsing ran;
     parsing raises unless it passed.
     """
 
-    group: SchottkyGroup
+    operator: OperatorConfig
     domain_report: DomainReport
     datum: RationalFunctionDatum | None
-    profile: MeasureProfile
     resolution: int
-    alpha: Fraction
-    alpha_g: Fraction
-    mode: str
-    cutoff_len: int | None
-    cutoff_tol: Fraction | None
     run: RunSettings
     config_hash: str
-    raw: dict
 
     def operator_config(self, mode: str | None = None,
                         cutoff_len: int | None = None,
                         cutoff_tol: Fraction | None = None) -> OperatorConfig:
-        return OperatorConfig(
-            group=self.group,
-            profile=self.profile,
-            alpha=self.alpha,
-            alpha_g=self.alpha_g,
-            mode=mode or self.mode,
-            cutoff_len=cutoff_len if cutoff_len is not None else self.cutoff_len,
-            cutoff_tol=cutoff_tol if cutoff_tol is not None else self.cutoff_tol,
-        )
+        """The file's operator with the given overrides.  A cutoff override
+        replaces the file's cutoff as a whole, so a tolerance alone is not
+        shadowed by the file's length."""
+        changes = {"mode": mode} if mode else {}
+        if cutoff_len is not None or cutoff_tol is not None:
+            changes.update(cutoff_len=cutoff_len, cutoff_tol=cutoff_tol)
+        return replace(self.operator, **changes)
+
+
+# Miller-Rabin with the 13 prime bases <= 41 is exact below this bound, the
+# least strong pseudoprime to all of them (Sorenson and Webster, 2015); the 12
+# bases <= 37 alone are fooled by 318665857834031151167461.
+MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MILLER_RABIN_LIMIT = 3317044064679887385961981
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin over MILLER_RABIN_BASES for n >= 2.  False proves n
+    composite; True proves n prime when n < MILLER_RABIN_LIMIT."""
+    if n in MILLER_RABIN_BASES:
+        return True
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def config_hash(raw: dict) -> str:
@@ -203,9 +222,11 @@ def config_from_dict(raw: dict) -> RunConfig:
     p = field.get("p")
     if not isinstance(p, int) or p < 2:
         raise ValidationError("field.p", f"prime expected, got {p!r}")
-    for q in range(2, math.isqrt(p) + 1):
-        if p % q == 0:
-            raise ValidationError("field.p", f"{p} is not prime")
+    if not _is_prime(p):
+        raise ValidationError("field.p", f"{p} is not prime")
+    if p >= MILLER_RABIN_LIMIT:
+        raise ValidationError("field.p", f"{p} is a probable prime, but primality "
+                                         f"is decided only below {MILLER_RABIN_LIMIT}")
 
     gsec = _typed(raw.get("group", {}), dict, "group")
     gens = []
@@ -264,9 +285,11 @@ def config_from_dict(raw: dict) -> RunConfig:
         eta=parse_positive_rational(rsec.get("eta", "1"), "run.eta"),
     )
     check_level(run.level, resolution, "run.level")
-    return RunConfig(group, domain_report, datum, profile, resolution, alpha,
-                     alpha_g, mode, cutoff_len, cutoff_tol, run, config_hash(raw),
-                     raw)
+    operator = OperatorConfig(group=group, profile=profile, alpha=alpha,
+                              alpha_g=alpha_g, mode=mode, cutoff_len=cutoff_len,
+                              cutoff_tol=cutoff_tol)
+    return RunConfig(operator, domain_report, datum, resolution, run,
+                     config_hash(raw))
 
 
 def _parse_datum(obj) -> RationalFunctionDatum:
@@ -326,21 +349,22 @@ def profile_dict(profile: MeasureProfile) -> dict:
 
 def emit_config(cfg: RunConfig) -> dict:
     """Canonical dict form; parses back to an equal structure."""
+    op = cfg.operator
     out = {
-        "field": {"p": cfg.group.p},
+        "field": {"p": op.p},
         "group": {
             "generators": [[[str(m.a), str(m.b)], [str(m.c), str(m.d)]]
-                           for m in cfg.group.generators],
-            "outer": _disc_dict(cfg.group.outer),
-            "holes": [_disc_dict(h) for h in cfg.group.holes],
+                           for m in op.group.generators],
+            "outer": _disc_dict(op.group.outer),
+            "holes": [_disc_dict(h) for h in op.group.holes],
         },
         "measure": {"resolution": cfg.resolution},
         "operator": {
-            "alpha": format_rational(cfg.alpha),
-            "alpha_g": format_rational(cfg.alpha_g),
-            "mode": cfg.mode,
-            "cutoff": ({"len": cfg.cutoff_len} if cfg.cutoff_len is not None
-                       else {"tol": format_rational(cfg.cutoff_tol
+            "alpha": format_rational(op.alpha),
+            "alpha_g": format_rational(op.alpha_g),
+            "mode": op.mode,
+            "cutoff": ({"len": op.cutoff_len} if op.cutoff_len is not None
+                       else {"tol": format_rational(op.cutoff_tol
                                                     or Fraction(1, 10 ** 12))}),
         },
         "run": {
@@ -359,7 +383,7 @@ def emit_config(cfg: RunConfig) -> dict:
                         for r, n in cfg.datum.factors],
         }
     else:
-        out["measure"]["profile"] = profile_dict(cfg.profile)
+        out["measure"]["profile"] = profile_dict(op.profile)
     return out
 
 

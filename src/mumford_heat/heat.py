@@ -2,13 +2,16 @@
 
 The finite level-m generator Q is exact; floating point enters only through
 the semigroup, eigen-solves, resolvents of Q with irrational rates and random
-sampling.  P_t = exp(tQ) is a sum of nonnegative terms (uniformization with
-squaring); ``spectral_data`` shows the known eigenvectors, constants plus
-wavelets, as a diagnostic only.  Paths follow the exact jump-chain
-construction (exponential holding times, jump probabilities proportional to
-the rates), drawn from one seeded stream in lockstep chunks of PATH_CHUNK
-paths, and come back as columns (``PathColumns``: row offsets per path, flat
-times and states) with ``PathSample`` as a per-path view.
+sampling.  Everything here reads Q through its ``GeneratorMatrix``: the
+cached float ``matrix``, the exact state ``masses``, and ``vector`` and
+``level_function`` to move a level function into and out of state order.
+P_t = exp(tQ) is a sum of nonnegative terms (uniformization with squaring);
+``spectral_data`` shows the known eigenvectors, constants plus wavelets, as
+a diagnostic only.  Paths follow the exact jump-chain construction
+(exponential holding times, jump probabilities proportional to the rates),
+drawn from one seeded stream in lockstep chunks of PATH_CHUNK paths, and
+come back as columns (``PathColumns``: row offsets per path, flat times and
+states) with ``PathSample`` as a per-path view.
 """
 
 from __future__ import annotations
@@ -16,13 +19,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
 
 from .operator import GeneratorMatrix, OperatorConfig
-from .padic import Disc, haar_measure
+from .padic import Disc
 from .wavelets import LevelFunction, Wavelet, admissible_wavelets, wavelet_eval
 
 
@@ -41,11 +43,6 @@ class Reducible(ValueError):
 ROW_SUM_TOL = 1e-9
 
 
-def omega_masses(cfg: OperatorConfig, states: Sequence[Disc]) -> np.ndarray:
-    return np.array([float(cfg.profile.density_at(d.center)
-                           * haar_measure(d, cfg.p)) for d in states])
-
-
 @dataclass(frozen=True)
 class SpectralData:
     """Block triangularisation of Q over [constants | wavelets | gap].
@@ -54,7 +51,6 @@ class SpectralData:
     rate; the gap block is handled densely and its eigenvalues reported.
     """
 
-    states: tuple[Disc, ...]
     basis: np.ndarray          # columns: 1, wavelet vectors, gap vectors
     triangular: np.ndarray     # basis^-1 Q basis (block upper triangular)
     wavelets: tuple[Wavelet, ...]
@@ -66,16 +62,14 @@ class SpectralData:
 def spectral_data(cfg: OperatorConfig, gen: GeneratorMatrix) -> SpectralData:
     from .operator import lambda_exact
 
-    q = np.array(gen.as_floats())
     n = gen.size
-    states = gen.states
     wavelets = tuple(w for w in admissible_wavelets(cfg.profile, gen.level))
     cols = [np.ones(n, dtype=complex)]
     rates = []
     by_support: dict[Disc, Fraction] = {}
     for w in wavelets:
         vec = np.array([complex(wavelet_eval(w, d.center, cfg.profile, "omega"))
-                        for d in states])
+                        for d in gen.states])
         cols.append(vec)
         if w.support not in by_support:
             by_support[w.support] = Fraction(lambda_exact(cfg, w.support,
@@ -83,19 +77,18 @@ def spectral_data(cfg: OperatorConfig, gen: GeneratorMatrix) -> SpectralData:
         rates.append(float(by_support[w.support]))
     known = np.column_stack(cols)
     # complete with the omega-orthogonal complement of the known columns
-    weights = omega_masses(cfg, states)
+    weights = np.array([float(m) for m in gen.masses])
     scaled = known * np.sqrt(weights)[:, None]
     u2, s2, _ = np.linalg.svd(scaled, full_matrices=True)
     rank = int(np.sum(s2 > 1e-10))
     complement = u2[:, rank:]
     gap_cols = complement / np.sqrt(weights)[:, None]
     basis = np.column_stack([known, gap_cols])
-    tri = np.linalg.solve(basis, q @ basis)
+    tri = np.linalg.solve(basis, gen.matrix @ basis)
     k = known.shape[1]
     defect = float(np.max(np.abs(tri[k:, :k]))) if k < n else 0.0
     gap_eigs = tuple(np.linalg.eigvals(tri[k:, k:])) if k < n else ()
-    return SpectralData(states, basis, tri, wavelets, tuple(rates),
-                        gap_eigs, defect)
+    return SpectralData(basis, tri, wavelets, tuple(rates), gap_eigs, defect)
 
 
 POISSON_TERMS = 18  # per uniformization step; see _semigroup
@@ -143,11 +136,10 @@ class TransitionMatrix:
         return out / out.sum(axis=1, keepdims=True)
 
 
-def transition_matrix(cfg: OperatorConfig, gen: GeneratorMatrix,
-                      t: float) -> TransitionMatrix:
+def transition_matrix(gen: GeneratorMatrix, t: float) -> TransitionMatrix:
     """P_t = exp(tQ) by uniformization (``_semigroup``); NumericalBreakdown
     unless every row sums to 1 within ROW_SUM_TOL."""
-    p = _semigroup(np.array(gen.as_floats()), float(t))
+    p = _semigroup(gen.matrix, float(t))
     drift = float(np.max(np.abs(p.sum(axis=1) - 1)))
     if not drift <= ROW_SUM_TOL:
         raise NumericalBreakdown(f"row-sum drift {drift}")
@@ -158,27 +150,26 @@ def transition_matrix(cfg: OperatorConfig, gen: GeneratorMatrix,
 @dataclass(frozen=True)
 class HeatSolution:
     times: tuple[float, ...]
-    states: tuple[Disc, ...]
     values: np.ndarray  # shape (len(times), n)
 
     def sup_norms(self) -> list[float]:
         return [float(np.max(np.abs(row))) for row in self.values]
 
 
-def solve_cauchy(cfg: OperatorConfig, gen: GeneratorMatrix,
-                 h0: LevelFunction, times: Sequence[float]) -> HeatSolution:
+def _float_vector(values: Sequence) -> np.ndarray:
+    """complex128, or its real part when no imaginary part is nonzero."""
+    vec = np.array([complex(v) for v in values])
+    return vec if vec.imag.any() else vec.real
+
+
+def solve_cauchy(gen: GeneratorMatrix, h0: LevelFunction,
+                 times: Sequence[float]) -> HeatSolution:
     """h(t) = P_t h0 on the time grid; t = 0 reproduces h0 exactly.  The
     values are real unless h0 has a nonzero imaginary part."""
-    hd = h0.as_dict()
-    try:
-        vec = np.array([complex(hd[d]) for d in gen.states])
-    except KeyError as exc:
-        raise ValueError(f"initial condition misses state {exc}") from exc
-    if not vec.imag.any():
-        vec = vec.real
-    rows = [vec if t == 0 else transition_matrix(cfg, gen, t).matrix @ vec
+    vec = _float_vector(gen.vector(h0))
+    rows = [vec if t == 0 else transition_matrix(gen, t).matrix @ vec
             for t in times]
-    return HeatSolution(tuple(float(t) for t in times), gen.states, np.array(rows))
+    return HeatSolution(tuple(float(t) for t in times), np.array(rows))
 
 
 def resolvent_solve(gen: GeneratorMatrix, eta, h: LevelFunction) -> LevelFunction:
@@ -192,28 +183,19 @@ def resolvent_solve(gen: GeneratorMatrix, eta, h: LevelFunction) -> LevelFunctio
     """
     if not eta > 0:
         raise ValueError(f"eta must be positive, got {eta!r}")
-    hd = h.as_dict()
-    vals = [hd[d] for d in gen.states]
+    vals = gen.vector(h)
     exact_q = all(isinstance(v, Fraction) for row in gen.rows for v in row)
     exact_h = all(isinstance(v, (int, Fraction)) for v in vals)
     if exact_q and exact_h and isinstance(eta, (int, Fraction)):
-        eta = Fraction(eta)
-        n = gen.size
-        a = [[(eta if i == k else Fraction(0)) - gen.rows[i][k]
-              for k in range(n)] for i in range(n)]
-        u = _solve_exact(a, [Fraction(v) for v in vals])
-        return LevelFunction.from_mapping(
-            h.level, {d: u[i] for i, d in enumerate(gen.states)})
-    a = float(eta) * np.eye(gen.size) - np.array(gen.as_floats())
-    vec = np.array([complex(v) for v in vals])
-    if not vec.imag.any():
-        vec = vec.real
+        a = [[(eta if i == k else 0) - v for k, v in enumerate(row)]
+             for i, row in enumerate(gen.rows)]
+        return gen.level_function(_solve_exact(a, [Fraction(v) for v in vals]))
+    a = float(eta) * np.eye(gen.size) - gen.matrix
     try:
-        u = np.linalg.solve(a, vec)
+        u = np.linalg.solve(a, _float_vector(vals))
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(str(exc)) from exc
-    return LevelFunction.from_mapping(
-        h.level, {d: u[i] for i, d in enumerate(gen.states)})
+    return gen.level_function(u)
 
 
 def _solve_exact(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction]:
@@ -255,8 +237,7 @@ class StationaryReport:
     tv_distance_to_mass: float
 
 
-def stationary_distribution(cfg: OperatorConfig,
-                            gen: GeneratorMatrix) -> StationaryReport:
+def stationary_distribution(gen: GeneratorMatrix) -> StationaryReport:
     """The unique probability vector with pi Q = 0.
 
     Irreducibility is checked on the positive-rate graph.  The report also
@@ -264,7 +245,7 @@ def stationary_distribution(cfg: OperatorConfig,
     mass-normalised measure.
     """
     n = gen.size
-    q = np.array(gen.as_floats())
+    q = gen.matrix
     _check_irreducible(gen)
     # pi Q = 0, sum pi = 1: least squares on the stacked system
     a = np.vstack([q.T, np.ones(n)])
@@ -274,28 +255,22 @@ def stationary_distribution(cfg: OperatorConfig,
     residual = float(np.max(np.abs(pi @ q)))
     if residual > 1e-9 or pi.min() <= 0:
         raise Reducible(f"no positive stationary solution (residual {residual})")
-    masses = omega_masses(cfg, gen.states)
+    masses = np.array([float(m) for m in gen.masses])
     masses = masses / masses.sum()
     tv = 0.5 * float(np.abs(pi - masses).sum())
     return StationaryReport(pi, residual, tv)
 
 
 def _check_irreducible(gen: GeneratorMatrix) -> None:
-    n = gen.size
-    rates = np.array(gen.as_floats())
-    adj = rates > 0
-    np.fill_diagonal(adj, False)
-    for start in range(n):
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            cur = frontier.pop()
-            for nxt in np.nonzero(adj[cur])[0]:
-                if nxt not in seen:
-                    seen.add(int(nxt))
-                    frontier.append(int(nxt))
-        if len(seen) != n:
-            raise Reducible(f"state {start} does not reach every state")
+    """Reducible unless every state reaches every state along positive rates;
+    each squaring of the reachability matrix doubles the path length covered."""
+    reach = gen.matrix > 0
+    np.fill_diagonal(reach, True)
+    for _ in range(gen.size.bit_length()):
+        reach = (reach.astype(int) @ reach) > 0
+    stuck = np.flatnonzero(~reach.all(axis=1))
+    if stuck.size:
+        raise Reducible(f"state {stuck[0]} does not reach every state")
 
 
 PATH_CHUNK = 1024  # paths drawn in lockstep; another width is another stream
@@ -380,15 +355,11 @@ def sample_paths(gen: GeneratorMatrix, n_paths: int, t_max: float, seed: int,
         raise ValueError("n_paths must be at least 1")
     if not 0 <= t_max < math.inf:
         raise ValueError(f"t_max must be finite and nonnegative, got {t_max!r}")
-    mean_hold, cum = [], []
-    for i, row in enumerate(gen.as_floats()):
-        rate = -row[i]
-        if rate <= 0:
-            raise ValueError("absorbing state: zero hold rate")
-        mean_hold.append(1.0 / rate)
-        row[i] = 0.0
-        cum.append(list(accumulate(v / rate for v in row)))
-    mean_hold, cum = np.array(mean_hold), np.array(cum)
+    rate = -gen.matrix.diagonal()
+    if (rate <= 0).any():
+        raise ValueError("absorbing state: zero hold rate")
+    jumps = gen.matrix + np.diag(rate)  # the diagonal cancels to 0.0 exactly
+    mean_hold, cum = 1.0 / rate, np.cumsum(jumps / rate[:, None], axis=1)
     rng = np.random.default_rng(seed)
     chunks = [_lockstep_chunk(rng, mean_hold, cum, min(PATH_CHUNK, n_paths - first),
                               t_max, start_index)
@@ -447,15 +418,15 @@ class ValidationReport:
         return all(r.passed for r in self.rows)
 
 
-def empirical_validation(cfg: OperatorConfig, gen: GeneratorMatrix,
-                         paths: PathColumns, checkpoints: Sequence[float],
+def empirical_validation(gen: GeneratorMatrix, paths: PathColumns,
+                         checkpoints: Sequence[float],
                          start_index: int = 0, sigmas: float = 4.0) -> ValidationReport:
     """Per-checkpoint comparison of the empirical state distribution with the
     transition row, at a binomial-sigma threshold per state."""
     n_paths = len(paths)
     rows = []
     for t in checkpoints:
-        analytic = transition_matrix(cfg, gen, float(t)).clamped()[start_index]
+        analytic = transition_matrix(gen, float(t)).clamped()[start_index]
         counts = np.bincount(paths.states_at(float(t)), minlength=gen.size)
         emp = counts / n_paths
         sigma = np.sqrt(np.maximum(analytic * (1 - analytic), 1e-300) / n_paths)

@@ -34,6 +34,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
+import numpy as np
+
 from .exactnum import ExactComplex, PowerSum, p_power_bounds
 from .padic import Disc, PoleHit, Rational, abs_p, haar_measure, valuation
 from .measure import MeasureProfile, RationalFunctionDatum, local_abs
@@ -587,12 +589,17 @@ def lambda_formula(cfg: OperatorConfig, support: Disc) -> SeriesValue:
     """
     if not cfg.profile.admissible(support):
         raise NotAdmissible(f"{support} is not admissible")
-    dens = cfg.profile.density_on(support)
-    series = delta_series(cfg, support)
-    pref_exp = Fraction(support.radius_exp)  # |pi|^(-d) = p^(f d), f = 1
-    pref = dens * cfg.mu_inverse()
-    value = as_power_sum(cfg.p, series.value).mul_power(pref, pref_exp)
-    scale_lo, scale_hi = p_power_bounds(cfg.p, pref_exp, digits=30)
+    pref = cfg.profile.density_on(support) * cfg.mu_inverse()
+    # |pi|^(-d) = p^(f d), f = 1
+    return _scaled(cfg.p, delta_series(cfg, support), pref,
+                   Fraction(support.radius_exp))
+
+
+def _scaled(p: int, series: SeriesValue, pref: Fraction,
+            pref_exp: Fraction) -> SeriesValue:
+    """pref * p^pref_exp * series, with the enclosure scaled alike."""
+    value = as_power_sum(p, series.value).mul_power(pref, pref_exp)
+    scale_lo, scale_hi = p_power_bounds(p, pref_exp, digits=30)
     return SeriesValue(simplify(value),
                        pref * scale_lo * series.lo,
                        pref * scale_hi * series.hi,
@@ -772,15 +779,8 @@ def lambda_transform(cfg: OperatorConfig, phi: MoebiusMap, support: Disc,
     if image.complement:
         raise ChartNotSupported("support image wraps infinity")
     work = transformed_config(cfg, datum, phi)
-    series = delta_series(work, image)
     pref = dens * c_phi * c_phi_prime / work.domain.measure()
-    pref_exp = Fraction(image.radius_exp)
-    value = as_power_sum(p, series.value).mul_power(pref, pref_exp)
-    scale_lo, scale_hi = p_power_bounds(p, pref_exp, digits=30)
-    return SeriesValue(simplify(value),
-                       pref * scale_lo * series.lo,
-                       pref * scale_hi * series.hi,
-                       series.is_exact, series.cutoff)
+    return _scaled(p, delta_series(work, image), pref, Fraction(image.radius_exp))
 
 
 # ---------------------------------------------------------------------------
@@ -833,13 +833,17 @@ class GeneratorMatrix:
     """Exact level-m restriction of the operator: the Markov jump generator.
 
     Off-diagonal entries are nonnegative jump rates; the diagonal is the
-    negative row sum, so rows sum to zero exactly.  ``entry_tail`` bounds the
-    truncation error of any single off-diagonal entry.
+    negative row sum, so rows sum to zero exactly.  ``masses`` are the exact
+    |omega|-masses of the states.  ``entry_tail`` bounds the truncation error
+    of any single off-diagonal entry.  Numeric code reads the rates as
+    ``matrix`` and moves level functions into and out of state order with
+    ``vector`` and ``level_function``.
     """
 
     level: int
     states: tuple[Disc, ...]
     rows: tuple[tuple[Scalar, ...], ...]
+    masses: tuple[Fraction, ...]
     entry_tail: Fraction
     cutoff: int
 
@@ -847,8 +851,24 @@ class GeneratorMatrix:
     def size(self) -> int:
         return len(self.states)
 
-    def as_floats(self) -> list[list[float]]:
-        return [[float(v) for v in row] for row in self.rows]
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        """The rates as float64, converted once and read-only."""
+        q = np.array([[float(v) for v in row] for row in self.rows])
+        q.flags.writeable = False
+        return q
+
+    def vector(self, u: LevelFunction) -> list:
+        """u's values in state order; NotLocallyConstant names a missing state."""
+        values = u.as_dict()
+        try:
+            return [values[d] for d in self.states]
+        except KeyError as exc:
+            raise NotLocallyConstant(f"missing state {exc}") from exc
+
+    def level_function(self, values: Sequence) -> LevelFunction:
+        """The level function with values[i] on states[i]."""
+        return LevelFunction.from_mapping(self.level, dict(zip(self.states, values)))
 
 
 def generator_matrix(cfg: OperatorConfig, level: int,
@@ -890,7 +910,8 @@ def generator_matrix(cfg: OperatorConfig, level: int,
         row[i] = simplify(-sum(row[:i] + row[i + 1:], Fraction(0)))
         rows.append(tuple(row))
     tail = mu_inv * max(masses) * _group_tail(cfg, length)
-    return GeneratorMatrix(level, tuple(states), tuple(rows), tail, length)
+    return GeneratorMatrix(level, tuple(states), tuple(rows), tuple(masses), tail,
+                           length)
 
 
 def apply_generator(gen: GeneratorMatrix, values: Sequence) -> list:
@@ -917,28 +938,18 @@ def dirichlet_form(cfg: OperatorConfig, u: LevelFunction, v: LevelFunction,
         raise NotLocallyConstant("level mismatch")
     if gen is None:
         gen = generator_matrix(cfg, u.level)
-    p = cfg.p
-    udict, vdict = u.as_dict(), v.as_dict()
-    try:
-        uvec = [udict[d] for d in gen.states]
-        vvec = [vdict[d] for d in gen.states]
-    except KeyError as exc:
-        raise NotLocallyConstant(f"missing state {exc}") from exc
-    masses = [cfg.profile.density_at(d.center) * haar_measure(d, p)
-              for d in gen.states]
-    qu = apply_generator(gen, uvec)
-    qv = apply_generator(gen, vvec)
+    qu = apply_generator(gen, gen.vector(u))
+    qv = apply_generator(gen, gen.vector(v))
     total = 0
-    for m, a, b in zip(masses, qu, qv):
+    for m, a, b in zip(gen.masses, qu, qv):
         conj_b = b.conjugate() if isinstance(b, complex) else b
         total = total + m * a * conj_b
     # coarse certified bound: first-order in the per-entry tail
-    n = gen.size
-    err = float(gen.entry_tail) * n
+    err = float(gen.entry_tail) * gen.size
     sup_u, sup_v = u.sup_norm(), v.sup_norm()
     sup_qu = max(abs(complex(q)) for q in qu)
     sup_qv = max(abs(complex(q)) for q in qv)
-    mass_total = float(sum(masses))
+    mass_total = float(sum(gen.masses))
     bound = mass_total * (err * 2 * sup_u * sup_qv + err * 2 * sup_v * sup_qu
                           + (err * 2) ** 2 * sup_u * sup_v)
     return total, bound

@@ -140,9 +140,9 @@ def test_criterion_05_generator_semigroup(tate_cfg):
         assert sum(row, F(0)) == 0
         assert all(v >= 0 for k, v in enumerate(row) if k != i)
     data = spectral_data(tate_cfg, gen)
-    p3 = transition_matrix(tate_cfg, gen, 0.3).matrix
-    p7 = transition_matrix(tate_cfg, gen, 0.7).matrix
-    p10 = transition_matrix(tate_cfg, gen, 1.0).matrix
+    p3 = transition_matrix(gen, 0.3).matrix
+    p7 = transition_matrix(gen, 0.7).matrix
+    p10 = transition_matrix(gen, 1.0).matrix
     assert np.max(np.abs(p3 @ p7 - p10)) < 1e-9
     assert np.max(np.abs(p10.sum(axis=1) - 1)) < 1e-12
     lam = float(F(lambda_exact(tate_cfg, Disc(F(1), -1), length=gen.cutoff).value))
@@ -165,7 +165,7 @@ def test_criterion_06_heat_decay(tate_cfg):
         2, {d: complex(wavelet_eval(w, d.center, tate_cfg.profile, "haar")).real
             for d in gen.states})
     times = np.linspace(0.0, 5.0 / lam, 15)
-    sol = solve_cauchy(tate_cfg, gen, h0, times)
+    sol = solve_cauchy(gen, h0, times)
     fitted = -np.polyfit(sol.times, np.log(sol.sup_norms()), 1)[0]
     rel = abs(fitted - lam) / lam
     assert rel < 1e-6
@@ -196,7 +196,7 @@ def test_criterion_08_monte_carlo(tate_cfg):
     paths = sample_paths(gen, n_paths, 1.0, seed=42)
     again = sample_paths(gen, n_paths // 10, 1.0, seed=42)
     assert paths[:n_paths // 10] == again  # bit-for-bit determinism
-    report = empirical_validation(tate_cfg, gen, paths, [1.0])
+    report = empirical_validation(gen, paths, [1.0])
     assert report.passed and report.threshold == 4.0
     elapsed = time.time() - start
     assert elapsed < 60

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -18,7 +19,7 @@ from mumford_heat.config import (ParseError, ValidationError, bundled_fixture,
                                  config_from_dict, emit_config, format_rational,
                                  parse_config)
 from mumford_heat.heat import sample_paths
-from mumford_heat.operator import generator_matrix
+from mumford_heat.operator import generator_matrix, tail_bound
 
 
 @pytest.fixture(scope="module")
@@ -32,25 +33,23 @@ def tate_run(tate_path):
 
 
 def test_bundled_fixture_parses(tate_run):
-    assert tate_run.group.genus == 1
-    assert tate_run.group.p == 3
-    assert tate_run.profile.total_mass == F(4, 3)
-    assert tate_run.mode == "ambient"
+    assert tate_run.operator.group.genus == 1
+    assert tate_run.operator.p == 3
+    assert tate_run.operator.profile.total_mass == F(4, 3)
+    assert tate_run.operator.mode == "ambient"
 
 
 def test_genus2_fixture_parses():
     run = parse_config(bundled_fixture("genus2-p3"))
-    assert run.group.genus == 2
-    assert run.profile.total_mass == F(4, 9)
-    assert run.cutoff_len == 8
+    assert run.operator.group.genus == 2
+    assert run.operator.profile.total_mass == F(4, 9)
+    assert run.operator.cutoff_len == 8
 
 
 def test_round_trip(tate_run):
     again = config_from_dict(emit_config(tate_run))
-    assert again.group == tate_run.group
-    assert again.profile == tate_run.profile
+    assert again.operator == tate_run.operator
     assert again.run == tate_run.run
-    assert again.alpha == tate_run.alpha and again.alpha_g == tate_run.alpha_g
 
 
 def test_missing_file():
@@ -120,6 +119,35 @@ class TestCli:
         header = [l for l in text.splitlines() if l.startswith("radius_exp")]
         assert header == ["radius_exp,density,lambda_formula,lambda_exact_lo,"
                           "lambda_exact_hi,multiplicity,n_witness_discs"]
+
+    def test_cutoff_flag_replaces_the_config_cutoff(self, tmp_path):
+        g2 = bundled_fixture("genus2-p3")  # its config pins "len": 8
+
+        def validate(name, *flags):
+            out = tmp_path / name
+            assert main(["validate", "-c", str(g2), *flags, "-o", str(out)]) == 0
+            return json.loads((out / "validation.json").read_text())
+
+        tol = validate("tol", "--cutoff-tol", "1/100")
+        assert tol["meta"]["cutoff_len"] == 6
+        op = parse_config(g2).operator_config(cutoff_tol=F(1, 100))
+        assert tail_bound(op, 6) <= F(1, 100) < tail_bound(op, 5)
+        assert tol["config"]["operator"]["cutoff"] == {"len": 8}  # the file's
+        both = validate("both", "--cutoff-len", "5", "--cutoff-tol", "1/100")
+        assert both["meta"]["cutoff_len"] == 5
+
+    def test_evolve_indicator(self, tate_path, tmp_path):
+        assert main(["evolve", "-c", str(tate_path), "--initial", "indicator",
+                     "-o", str(tmp_path)]) == 0
+        lines = (tmp_path / "evolution.csv").read_text().splitlines()
+        rows: dict[float, list[float]] = {}
+        for line in lines[lines.index("t,state_index,value") + 1:]:
+            t, _, value = line.split(",")
+            rows.setdefault(float(t), []).append(float(value))
+        start = parse_config(tate_path).run.start_state
+        initial = rows.pop(0.0)
+        assert initial == [float(i == start) for i in range(len(initial))]
+        assert rows and all(0 <= v <= 1 for row in rows.values() for v in row)
 
     def test_sample_determinism(self, tate_path, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -389,6 +417,35 @@ def test_huge_field_p_is_not_prime(tate_path):
     assert err.value.path == "field.p"
 
 
+def _validate_with_p(tate_path, tmp_path, capsys, p):
+    raw = json.loads(tate_path.read_text())
+    raw["field"]["p"] = p
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    code = main(["validate", "-c", str(config), "-o", str(tmp_path / "out")])
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("p,message", [
+    (561, "not prime"),                          # a Carmichael number
+    (2 ** 61 + 1, "not prime"),
+    (318665857834031151167461, "not prime"),     # fools the 12 bases <= 37
+    (2 ** 89 - 1, "decided only below"),         # a prime above the limit
+])
+def test_field_p_rejected(tate_path, tmp_path, capsys, p, message):
+    code, err = _validate_with_p(tate_path, tmp_path, capsys, p)
+    assert code == 2 and "validation error: field.p:" in err and message in err
+
+
+def test_large_prime_field_p_is_decided_quickly(tate_path, tmp_path, capsys):
+    start = time.perf_counter()
+    code, err = _validate_with_p(tate_path, tmp_path, capsys, 2 ** 61 - 1)
+    assert time.perf_counter() - start < 1
+    # a prime, so parsing reaches the group: 9 is a unit there, and z -> 9z
+    # is not hyperbolic
+    assert code == 2 and err.startswith("validation error: group:")
+
+
 PROFILE_DISC_FIELDS = [
     # (list, disc, name in the message): the disc replaces the list's first entry
     ("pieces", {"center": "1", "radius_exp": "-1", "density": "1"},
@@ -406,7 +463,7 @@ def test_bad_profile_disc_fields_exit_2(tate_run, tmp_path, capsys, key, disc,
     from mumford_heat.config import profile_dict
     raw = emit_config(tate_run)
     del raw["measure"]["datum"]
-    raw["measure"]["profile"] = profile = profile_dict(tate_run.profile)
+    raw["measure"]["profile"] = profile = profile_dict(tate_run.operator.profile)
     profile[key][:1] = [disc]
     config = tmp_path / "config.json"
     config.write_text(json.dumps(raw))
@@ -438,10 +495,13 @@ def test_profile_based_config_round_trip(tate_run):
     raw = emit_config(tate_run)
     del raw["measure"]["datum"]
     from mumford_heat.config import profile_dict
-    raw["measure"]["profile"] = profile_dict(tate_run.profile)
+    raw["measure"]["profile"] = profile_dict(tate_run.operator.profile)
     again = config_from_dict(raw)
-    assert again.profile == tate_run.profile
+    assert again.operator.profile == tate_run.operator.profile
     assert again.datum is None
+    emitted = emit_config(again)
+    assert emitted["measure"]["profile"] == raw["measure"]["profile"]
+    assert config_from_dict(emitted).operator == again.operator
 
 
 def test_wavelet_and_level_function_interchange(tate_run):
@@ -455,15 +515,15 @@ def test_wavelet_and_level_function_interchange(tate_run):
     w = Wavelet(Disc(F(1), -1), 2, 3)
     assert wavelet_from_dict(wavelet_dict(w)) == w
 
-    states = state_discs(tate_run.group.fundamental_domain(),
-                         tate_run.profile, 2)
-    u = LevelFunction.from_wavelet(w, 2, states, tate_run.profile, "haar")
+    states = state_discs(tate_run.operator.domain,
+                         tate_run.operator.profile, 2)
+    u = LevelFunction.from_wavelet(w, 2, states, tate_run.operator.profile, "haar")
     round_tripped = level_function_from_dict(json.loads(
         json.dumps(level_function_dict(u))))
     for (d, a), (_, b) in zip(round_tripped.values, u.values):
         assert abs(a - b) < 1e-15
 
-    exact = {d: wavelet_eval(w, d.center, tate_run.profile, "haar")
+    exact = {d: wavelet_eval(w, d.center, tate_run.operator.profile, "haar")
              for d in states}
     payload = level_function_dict(u, exact_values=exact)
     assert exact_complex_dict(exact[states[0]])["magnitude_coeff"] == "1"

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -13,11 +14,9 @@ from mumford_heat.heat import (ROW_SUM_TOL, NumericalBreakdown, Reducible,
                                empirical_validation, resolvent_solve,
                                sample_paths, solve_cauchy, spectral_data,
                                stationary_distribution, transition_matrix)
-from mumford_heat.measure import MeasureProfile
-from mumford_heat.operator import (GeneratorMatrix, OperatorConfig,
-                                   generator_matrix, lambda_exact)
+from mumford_heat.operator import (GeneratorMatrix, NotLocallyConstant,
+                                   dirichlet_form, generator_matrix, lambda_exact)
 from mumford_heat.padic import Disc
-from mumford_heat.schottky import SchottkyGroup
 from mumford_heat.wavelets import LevelFunction, Wavelet, wavelet_eval
 
 
@@ -37,14 +36,11 @@ def tate_lambda(tate_cfg):
 
 
 def two_state_toy():
-    """Hand-built symmetric 2-state chain over Q_2 for stationary checks."""
-    group = SchottkyGroup(p=2, generators=(), holes=(), outer=Disc(F(0), 0))
+    """Hand-built symmetric 2-state chain over Q_2 for stationary checks:
+    the two halves of Z_2, each of Haar mass 1/2 under density 1."""
     states = (Disc(F(0), -1), Disc(F(1), -1))
-    profile = MeasureProfile(((states[0], F(1)), (states[1], F(1))), (), 2)
-    cfg = OperatorConfig(group=group, profile=profile, cutoff_len=1)
     rows = ((F(-1), F(1)), (F(1), F(-1)))
-    gen = GeneratorMatrix(1, states, rows, F(0), 1)
-    return cfg, gen
+    return GeneratorMatrix(1, states, rows, (F(1, 2), F(1, 2)), F(0), 1)
 
 
 class TestSpectralStructure:
@@ -73,65 +69,63 @@ def genus2_level3(genus2_cfg):
 class TestTransitionMatrix:
     @pytest.mark.parametrize("fixture", ["tate-p3 level 2", "genus2-p3 level 3"])
     @pytest.mark.parametrize("t", [1e-6, 0.3, 1.0, "50/gap", 1e4])
-    def test_uniformization_matches_expm(self, request, tate_cfg, gen, fixture, t):
+    def test_uniformization_matches_expm(self, request, gen, fixture, t):
         from scipy.linalg import expm
-        cfg, g = ((tate_cfg, gen) if fixture.startswith("tate")
-                  else request.getfixturevalue("genus2_level3"))
-        q = np.array(g.as_floats())
+        g = (gen if fixture.startswith("tate")
+             else request.getfixturevalue("genus2_level3")[1])
+        q = g.matrix
         if t == "50/gap":
             t = 50.0 / np.sort(np.abs(np.linalg.eigvals(q).real))[1]
-        p = transition_matrix(cfg, g, t)
+        p = transition_matrix(g, t)
         assert np.max(np.abs(p.matrix - expm(t * q))) < 1e-10
         assert p.matrix.min() >= 0 and p.min_entry >= 0
         assert p.row_sum_error < ROW_SUM_TOL
         assert p.provenance == "uniformization"
 
     def test_zero_rates_give_identity(self):
-        cfg, toy = two_state_toy()
-        frozen = GeneratorMatrix(1, toy.states, ((F(0), F(0)), (F(0), F(0))),
-                                 F(0), 1)
-        assert (transition_matrix(cfg, frozen, 5.0).matrix == np.eye(2)).all()
+        frozen = replace(two_state_toy(), rows=((F(0), F(0)), (F(0), F(0))))
+        assert (transition_matrix(frozen, 5.0).matrix == np.eye(2)).all()
 
     @pytest.mark.parametrize("t", [1e12, 1e308])
-    def test_drift_at_huge_times_is_a_breakdown(self, tate_cfg, gen, t):
+    def test_drift_at_huge_times_is_a_breakdown(self, gen, t):
         # at 1e308 the rate times t overflows and the matrix is NaN
         with pytest.raises(NumericalBreakdown):
-            transition_matrix(tate_cfg, gen, t)
+            transition_matrix(gen, t)
 
     @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, -1.0])
-    def test_non_finite_or_negative_time_rejected(self, tate_cfg, gen, t):
+    def test_non_finite_or_negative_time_rejected(self, gen, t):
         with pytest.raises(ValueError):
-            transition_matrix(tate_cfg, gen, t)
+            transition_matrix(gen, t)
         h0 = LevelFunction.constant(2, gen.states, 1.0)
         with pytest.raises(ValueError):
-            solve_cauchy(tate_cfg, gen, h0, [0.0, t])
+            solve_cauchy(gen, h0, [0.0, t])
 
-    def test_identity_at_zero(self, tate_cfg, gen):
-        p0 = transition_matrix(tate_cfg, gen, 0.0)
+    def test_identity_at_zero(self, gen):
+        p0 = transition_matrix(gen, 0.0)
         assert np.allclose(p0.matrix, np.eye(gen.size), atol=1e-12)
 
-    def test_chapman_kolmogorov(self, tate_cfg, gen):
-        p3 = transition_matrix(tate_cfg, gen, 0.3).matrix
-        p7 = transition_matrix(tate_cfg, gen, 0.7).matrix
-        p10 = transition_matrix(tate_cfg, gen, 1.0).matrix
+    def test_chapman_kolmogorov(self, gen):
+        p3 = transition_matrix(gen, 0.3).matrix
+        p7 = transition_matrix(gen, 0.7).matrix
+        p10 = transition_matrix(gen, 1.0).matrix
         assert np.max(np.abs(p3 @ p7 - p10)) < 1e-9
 
-    def test_stochasticity(self, tate_cfg, gen):
-        p = transition_matrix(tate_cfg, gen, 1.0)
+    def test_stochasticity(self, gen):
+        p = transition_matrix(gen, 1.0)
         assert np.max(np.abs(p.matrix.sum(axis=1) - 1)) < 1e-12
         assert p.min_entry > -1e-12
 
-    def test_spectral_vs_dense(self, tate_cfg, gen):
-        ps = transition_matrix(tate_cfg, gen, 1.0).matrix
+    def test_spectral_vs_dense(self, gen):
+        ps = transition_matrix(gen, 1.0).matrix
         from scipy.linalg import expm
-        pd = expm(np.array(gen.as_floats()))
+        pd = expm(gen.matrix)
         assert np.max(np.abs(ps - pd)) < 1e-10
 
-    def test_long_time_limit_is_stationary(self, tate_cfg, gen, data, tate_lambda):
-        report = stationary_distribution(tate_cfg, gen)
+    def test_long_time_limit_is_stationary(self, gen, data, tate_lambda):
+        report = stationary_distribution(gen)
         gap = min(abs(r) for r in data.wavelet_rates + tuple(
             abs(e.real) for e in data.gap_eigenvalues))
-        p = transition_matrix(tate_cfg, gen, 50.0 / gap).matrix
+        p = transition_matrix(gen, 50.0 / gap).matrix
         tv = 0.5 * np.abs(p - report.distribution[None, :]).sum(axis=1).max()
         assert tv < 1e-8
 
@@ -143,7 +137,7 @@ class TestCauchy:
             2, {d: complex(wavelet_eval(w, d.center, tate_cfg.profile, "haar"))
                 for d in gen.states})
         times = [0.0, 0.3, 0.9, 1.7]
-        sol = solve_cauchy(tate_cfg, gen, h0, times)
+        sol = solve_cauchy(gen, h0, times)
         base = np.array([v for _, v in h0.values])
         for row, t in zip(sol.values, times):
             assert np.max(np.abs(row - np.exp(-tate_lambda * t) * base)) < 1e-10
@@ -154,42 +148,42 @@ class TestCauchy:
             2, {d: complex(wavelet_eval(w, d.center, tate_cfg.profile,
                                         "haar")).real for d in gen.states})
         times = np.linspace(0, 5 / tate_lambda, 12)
-        sol = solve_cauchy(tate_cfg, gen, h0, times)
+        sol = solve_cauchy(gen, h0, times)
         norms = sol.sup_norms()
         rate = -np.polyfit(sol.times, np.log(norms), 1)[0]
         assert abs(rate - tate_lambda) / tate_lambda < 1e-6
 
-    def test_negative_time_rejected(self, tate_cfg, gen):
+    def test_negative_time_rejected(self, gen):
         h0 = LevelFunction.constant(2, gen.states, 1.0)
         with pytest.raises(ValueError):
-            solve_cauchy(tate_cfg, gen, h0, [0.0, -1.0])
+            solve_cauchy(gen, h0, [0.0, -1.0])
 
-    def test_constant_is_preserved(self, tate_cfg, gen):
+    def test_constant_is_preserved(self, gen):
         h0 = LevelFunction.constant(2, gen.states, 4.0)
-        sol = solve_cauchy(tate_cfg, gen, h0, [0.0, 1.0, 10.0])
+        sol = solve_cauchy(gen, h0, [0.0, 1.0, 10.0])
         assert np.max(np.abs(sol.values - 4.0)) < 1e-10
 
-    def test_maximum_principle(self, tate_cfg, gen):
+    def test_maximum_principle(self, gen):
         rng = np.random.default_rng(5)
         for _ in range(100):
             vals = rng.uniform(-1, 2, gen.size)
             h0 = LevelFunction.from_mapping(
                 2, {d: float(v) for d, v in zip(gen.states, vals)})
-            sol = solve_cauchy(tate_cfg, gen, h0, [0.2, 1.0, 4.0])
+            sol = solve_cauchy(gen, h0, [0.2, 1.0, 4.0])
             assert sol.values.real.min() >= vals.min() - 1e-9
             assert sol.values.real.max() <= vals.max() + 1e-9
 
-    def test_indicator_decays_monotonically(self, tate_cfg, gen):
+    def test_indicator_decays_monotonically(self, gen):
         # center by the stationary mean: the invariant law is not the
         # mass-normalised measure here, and only the invariant mean decays
-        pi = stationary_distribution(tate_cfg, gen).distribution
+        pi = stationary_distribution(gen).distribution
         ind = np.zeros(gen.size)
         ind[0] = 1.0
         centered = ind - pi @ ind
         h0 = LevelFunction.from_mapping(
             2, {d: float(v) for d, v in zip(gen.states, centered)})
         times = [0.0, 0.2, 0.5, 1.0, 2.0, 4.0]
-        sol = solve_cauchy(tate_cfg, gen, h0, times)
+        sol = solve_cauchy(gen, h0, times)
         norms = sol.sup_norms()
         assert all(b <= a + 1e-12 for a, b in zip(norms, norms[1:]))
         assert norms[-1] < 1e-3
@@ -319,38 +313,46 @@ class TestResolvent:
         u = resolvent_solve(half, F(1), h).as_dict()
         vec = np.array([u[d] for d in half.states])
         assert vec.dtype == np.float64
-        residual = (np.eye(half.size) - np.array(half.as_floats())) @ vec
+        residual = (np.eye(half.size) - half.matrix) @ vec
         assert np.max(np.abs(residual - np.eye(half.size)[0])) < 1e-12
 
 
+@pytest.mark.parametrize("consumer", [
+    lambda cfg, gen, h: solve_cauchy(gen, h, [0.0, 1.0]),
+    lambda cfg, gen, h: resolvent_solve(gen, F(1), h),
+    lambda cfg, gen, h: dirichlet_form(cfg, h, h, gen),
+], ids=["solve_cauchy", "resolvent_solve", "dirichlet_form"])
+def test_missing_state_is_named(tate_cfg, gen, consumer):
+    missing = gen.states[3]
+    h = LevelFunction.from_mapping(
+        gen.level, {d: F(1) for d in gen.states if d != missing})
+    with pytest.raises(NotLocallyConstant, match=re.escape(repr(missing))):
+        consumer(tate_cfg, gen, h)
+
+
 class TestStationary:
-    def test_unique_positive(self, tate_cfg, gen):
-        report = stationary_distribution(tate_cfg, gen)
+    def test_unique_positive(self, gen):
+        report = stationary_distribution(gen)
         assert report.distribution.min() > 0
         assert report.residual < 1e-10
         assert report.distribution.sum() == pytest.approx(1.0)
         assert report.tv_distance_to_mass > 0  # a finding, not an identity
 
     def test_toy_symmetric_chain(self):
-        cfg, gen = two_state_toy()
-        report = stationary_distribution(cfg, gen)
+        report = stationary_distribution(two_state_toy())
         assert np.allclose(report.distribution, [0.5, 0.5], atol=1e-12)
 
-    def test_rate_scaling_invariance(self, tate_cfg, gen):
-        doubled = GeneratorMatrix(
-            gen.level, gen.states,
-            tuple(tuple(2 * v for v in row) for row in gen.rows),
-            gen.entry_tail * 2, gen.cutoff)
-        a = stationary_distribution(tate_cfg, gen).distribution
-        b = stationary_distribution(tate_cfg, doubled).distribution
+    def test_rate_scaling_invariance(self, gen):
+        doubled = replace(gen, rows=tuple(tuple(2 * v for v in row) for row in gen.rows),
+                          entry_tail=gen.entry_tail * 2)
+        a = stationary_distribution(gen).distribution
+        b = stationary_distribution(doubled).distribution
         assert np.allclose(a, b, atol=1e-12)
 
     def test_reducible_rejected(self):
-        cfg, gen = two_state_toy()
-        rows = ((F(-1), F(1)), (F(0), F(0)))
-        broken = GeneratorMatrix(1, gen.states, rows, F(0), 1)
+        broken = replace(two_state_toy(), rows=((F(-1), F(1)), (F(0), F(0))))
         with pytest.raises(Reducible):
-            stationary_distribution(cfg, broken)
+            stationary_distribution(broken)
 
 
 class TestSampling:
@@ -372,7 +374,7 @@ class TestSampling:
         rows = ((F(-2), F(0), F(2)),
                 (F(1), F(-3), F(2)),
                 (F(1), F(1), F(-2)))
-        toy = GeneratorMatrix(1, states, rows, F(0), 1)
+        toy = GeneratorMatrix(1, states, rows, (F(1, 3),) * 3, F(0), 1)
         paths = sample_paths(toy, 500, 5.0, seed=3, start_index=0)
         zero_rate = {(i, k) for i, row in enumerate(rows)
                      for k, v in enumerate(row) if i != k and v == 0}
@@ -386,9 +388,8 @@ class TestSampling:
     def test_bad_inputs_rejected(self, gen):
         with pytest.raises(ValueError):
             sample_paths(gen, 0, 1.0, seed=1)
-        absorbing = GeneratorMatrix(
-            gen.level, gen.states[:2], ((F(0), F(0)), (F(1), F(-1))),
-            F(0), gen.cutoff)
+        absorbing = replace(gen, states=gen.states[:2], masses=gen.masses[:2],
+                            rows=((F(0), F(0)), (F(1), F(-1))), entry_tail=F(0))
         with pytest.raises(ValueError):
             sample_paths(absorbing, 5, 1.0, seed=1)
 
@@ -410,23 +411,22 @@ class TestSampling:
     def test_hold_rates_positive(self, gen):
         assert all(-row[i] > 0 for i, row in enumerate(gen.rows))
 
-    def test_empirical_matches_transition_row(self, tate_cfg, gen):
+    def test_empirical_matches_transition_row(self, gen):
         paths = sample_paths(gen, 4000, 1.0, seed=11)
-        report = empirical_validation(tate_cfg, gen, paths, [0.5, 1.0])
+        report = empirical_validation(gen, paths, [0.5, 1.0])
         assert report.passed
 
-    def test_perturbed_row_fails(self, tate_cfg, gen):
+    def test_perturbed_row_fails(self, gen):
         paths = sample_paths(gen, 20000, 1.0, seed=13)
-        report = empirical_validation(tate_cfg, gen, paths, [1.0])
+        report = empirical_validation(gen, paths, [1.0])
         assert report.passed
         # reweight one transition row by 10 percent: the test must have power
-        skewed = np.array(gen.as_floats())
+        skewed = gen.matrix.copy()
         skewed[0] *= 1.1
         rows = tuple(tuple(F(x).limit_denominator(10 ** 9) for x in row)
                      for row in skewed)
-        broken = GeneratorMatrix(gen.level, gen.states, rows,
-                                 gen.entry_tail, gen.cutoff)
-        report2 = empirical_validation(tate_cfg, broken, paths, [1.0])
+        broken = replace(gen, rows=rows)
+        report2 = empirical_validation(broken, paths, [1.0])
         assert not report2.passed
 
     def test_tracer_contract(self, gen):
@@ -459,18 +459,18 @@ def _false_alarm_rate(analytic: np.ndarray, n: int, sigmas: float = 4.0) -> floa
     return total
 
 
-def test_law_over_many_seeds(tate_cfg, gen):
+def test_law_over_many_seeds(gen):
     """Over 200 seeds, the 4-sigma validation fails no more often than the
     exact binomial tails of the true transition rows allow."""
     checkpoints = [t for t in parse_config(bundled_fixture("tate-p3")).run.times
                    if t > 0]
     n_paths, seeds = 4000, range(200)
     per_seed = sum(_false_alarm_rate(
-        transition_matrix(tate_cfg, gen, t).clamped()[0], n_paths)
+        transition_matrix(gen, t).clamped()[0], n_paths)
         for t in checkpoints)
     assert 0 < per_seed < 0.01
     failed = sum(not empirical_validation(
-        tate_cfg, gen, sample_paths(gen, n_paths, max(checkpoints), seed=s),
+        gen, sample_paths(gen, n_paths, max(checkpoints), seed=s),
         checkpoints).passed for s in seeds)
     # the smallest count that Binomial(200, per_seed) reaches with p < 1e-6
     allowed, tail = 0, 1.0
@@ -481,9 +481,9 @@ def test_law_over_many_seeds(tate_cfg, gen):
     assert failed < allowed
 
 
-def test_single_path_occupation_matches_stationary(tate_cfg, gen):
+def test_single_path_occupation_matches_stationary(gen):
     # ergodic average of one long trajectory against the invariant law
-    pi = stationary_distribution(tate_cfg, gen).distribution
+    pi = stationary_distribution(gen).distribution
     t_max = 4000.0
     path = sample_paths(gen, 1, t_max, seed=99)[0]
     occupation = np.zeros(gen.size)

@@ -194,4 +194,4 @@ def test_fine_resolution_parses_quickly():
     start = time.perf_counter()
     run = config_from_dict(raw)
     assert time.perf_counter() - start < 2
-    assert len(run.profile.pieces) == 4
+    assert len(run.operator.profile.pieces) == 4

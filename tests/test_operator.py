@@ -1,9 +1,11 @@
+import random
 from fractions import Fraction as F
 
 import pytest
 
 from mumford_heat.exactnum import PowerSum
 from mumford_heat.operator import (ChartNotSupported, CoincidentPoints,
+                                   _chart_escape_distance,
                                    NotAdmissible, OperatorConfig,
                                    apply_generator, apply_operator,
                                    dirichlet_form, generator_matrix, kernel,
@@ -14,7 +16,7 @@ from mumford_heat.operator import (ChartNotSupported, CoincidentPoints,
                                    vladimirov_local_integral,
                                    vladimirov_alpha_free_value, wavelet_multiplier,
                                    word_census)
-from mumford_heat.padic import Disc
+from mumford_heat.padic import Disc, abs_p, haar_measure
 from mumford_heat.schottky import DomainInvalid, GroupWord, MoebiusMap
 from mumford_heat.wavelets import (LevelFunction, Wavelet, state_discs,
                                    wavelet_eval)
@@ -243,6 +245,32 @@ class TestLambdaTransform:
             lambda_transform(tate_cfg, MoebiusMap(0, 1, 1, 0),
                              Disc(F(1), -1), tate_datum)
 
+    @pytest.mark.parametrize("letters,bound", [((2, 1), F(1, 243)),
+                                               ((-1, 2, 1), F(1, 27))])
+    def test_chart_escape_bound_on_a_chart_with_a_pole(self, genus2_cfg, letters,
+                                                       bound):
+        # |phi x - gamma phi y| over x, y in F and l(gamma) >= 1, sampled
+        group, domain = genus2_cfg.group, genus2_cfg.domain
+        phi = group.word_map(GroupWord(letters))
+        assert phi.c != 0  # not affine: the bound goes through min |phi'|
+        assert _chart_escape_distance(genus2_cfg, phi) == bound
+        rng = random.Random(11)
+
+        def point():
+            while True:
+                x = F(rng.randrange(3 ** 5), rng.choice([1, 2, 4, 5, 7]))
+                if domain.contains_point(x):
+                    return phi.apply(x)
+
+        for _ in range(1000):
+            word, length = [], rng.randint(1, 3)
+            while len(word) < length:
+                s = rng.choice([1, -1, 2, -2])
+                if not word or word[-1] != -s:
+                    word.append(s)
+            gamma = group.word_map(GroupWord(tuple(word)))
+            assert abs_p(point() - gamma.apply(point()), 3) >= bound
+
 
 class TestVladimirov:
     def test_alpha_one_example(self):
@@ -283,6 +311,17 @@ class TestGeneratorMatrix:
             for k, value in enumerate(row):
                 if i != k:
                     assert value >= 0
+
+    def test_float_matrix_and_masses(self, tate_cfg):
+        gen = generator_matrix(tate_cfg, 2)
+        assert gen.matrix is gen.matrix  # converted once
+        assert gen.matrix.tolist() == [[float(v) for v in row] for row in gen.rows]
+        with pytest.raises(ValueError):
+            gen.matrix[0, 0] = 0.0  # shared by every consumer, so read-only
+        assert gen.masses == tuple(tate_cfg.profile.density_at(d.center)
+                                   * haar_measure(d, 3) for d in gen.states)
+        values = [F(i) for i in range(gen.size)]
+        assert gen.vector(gen.level_function(values)) == values
 
     def test_rates_against_kernel(self, tate_cfg):
         # independent recomputation of one entry from kernel values
