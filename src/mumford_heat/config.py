@@ -347,6 +347,14 @@ def profile_dict(profile: MeasureProfile) -> dict:
     }
 
 
+def _cutoff_dict(cutoff_len: int | None, cutoff_tol: Fraction | None) -> dict:
+    """Both fields when both are set; the default tolerance when neither is."""
+    out = {} if cutoff_len is None else {"len": cutoff_len}
+    if cutoff_tol is not None or cutoff_len is None:
+        out["tol"] = format_rational(cutoff_tol or Fraction(1, 10 ** 12))
+    return out
+
+
 def emit_config(cfg: RunConfig) -> dict:
     """Canonical dict form; parses back to an equal structure."""
     op = cfg.operator
@@ -363,9 +371,7 @@ def emit_config(cfg: RunConfig) -> dict:
             "alpha": format_rational(op.alpha),
             "alpha_g": format_rational(op.alpha_g),
             "mode": op.mode,
-            "cutoff": ({"len": op.cutoff_len} if op.cutoff_len is not None
-                       else {"tol": format_rational(op.cutoff_tol
-                                                    or Fraction(1, 10 ** 12))}),
+            "cutoff": _cutoff_dict(op.cutoff_len, op.cutoff_tol),
         },
         "run": {
             "level": cfg.run.level,

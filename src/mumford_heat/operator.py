@@ -23,6 +23,18 @@ words' integer matrices and counts, per (base point, cell) pair, the words by
 (length l, valuation v of the distance).  Each such histogram is folded once
 into the exact sum of count * p^(alpha*v - alpha_g*l), for rational exponents
 as for integral ones.
+
+The walk skips every subtree whose distances are certified constant and
+counts it instead (ping-pong, as in Gerritzen-van der Put).  The certificate
+is checked on every engine call: the holes are pairwise disjoint, each
+letter s maps the complement of its source hole into its target hole, and
+every cell is a plain disc off all holes.  Then every word P.s.r maps the
+cells into R = chart(P(target(s))).  When R is a plain disc that holds no
+moved point chart(x), the subtree of P.s adds (2g-1)^(l-j) words to the key
+(l, v_p(chart(x) - centre(R))) for each l = j..L, j = l(P.s), and for every
+cell.  On the bundled fixtures only the chain of words into the co-hole is
+walked, 1 + L words instead of about (2g-1)^L; on a transformed chart the
+cells meet the holes, nothing is pruned and every word is walked.
 """
 
 from __future__ import annotations
@@ -37,7 +49,8 @@ from typing import Sequence, Union
 import numpy as np
 
 from .exactnum import ExactComplex, PowerSum, p_power_bounds
-from .padic import Disc, PoleHit, Rational, abs_p, haar_measure, valuation
+from .padic import (Disc, PoleHit, Rational, abs_p, difference_valuation,
+                    discs_disjoint, haar_measure, valuation)
 from .measure import MeasureProfile, RationalFunctionDatum, local_abs
 from .schottky import (DomainInvalid, FundamentalDomain, GroupWord, MoebiusMap,
                        SchottkyGroup, region_image, words_with_maps)
@@ -124,9 +137,14 @@ class OperatorConfig:
         tol = self.cutoff_tol if self.cutoff_tol is not None else Fraction(1, 10 ** 12)
         if self.group.genus == 0:
             return 1
-        length = 1
-        while tail_bound(self, length) > tol:
+        # the bound at length + 1 is the bound at length times the exact
+        # ratio (2g-1) * q_hi of _group_tail's geometric series
+        _, q_hi = p_power_bounds(self.p, -self.alpha_g, digits=30)
+        ratio = (2 * self.group.genus - 1) * q_hi
+        length, bound = 1, tail_bound(self, 1)
+        while bound > tol:
             length += 1
+            bound *= ratio
             if length > 10_000:
                 raise RuntimeError("cutoff search did not converge")
         return length
@@ -279,16 +297,19 @@ def _group_histograms(cfg: OperatorConfig, length: int, points: Sequence[Fractio
     matrix of chart o w.  The identity word is left out of every pair whose
     point lies in the cell: that part of the integral is the caller's.  A
     word whose pole is a cell centre raises PoleHit; with ``whole_cells``,
-    one whose pole lies anywhere in a cell raises ChartNotSupported.
+    one whose pole lies anywhere in a cell raises ChartNotSupported.  The
+    subtrees that :func:`_subtree_pruner` certifies are counted, not walked.
     """
     p = cfg.p
     chart = chart or MoebiusMap.identity()
-    xs = [(y.numerator, y.denominator, valuation(y.denominator, p))
-          for y in map(chart.apply, points)]
+    moved = [chart.apply(x) for x in points]
+    xs = [(y.numerator, y.denominator, valuation(y.denominator, p)) for y in moved]
     centres = [(cell.center.numerator, cell.center.denominator) for cell in cells]
     inside = [[cell.contains_point(x, p) for cell in cells] for x in points]
     hists = [[{} for _ in cells] for _ in points]
-    for word, mat in words_with_maps(cfg.group, length):
+    runs: list[tuple[int, list[int]]] = []
+    for word, mat in words_with_maps(cfg.group, length,
+                                     _subtree_pruner(cfg, cells, chart, moved, runs)):
         ell = len(word)
         a = chart.a * mat.a + chart.b * mat.c
         b = chart.a * mat.b + chart.b * mat.d
@@ -309,7 +330,59 @@ def _group_histograms(cfg: OperatorConfig, length: int, points: Sequence[Fractio
                 if ell or not skip:
                     key = (ell, _cross_valuation(xn, xd, tn, td, p) - vx - vt)
                     hist[key] = hist.get(key, 0) + 1
+    # a subtree rooted at a word of length j holds (2g-1)^(l-j) words of
+    # each length l = j..length, all at the run's distance from the point
+    branch = 2 * cfg.group.genus - 1
+    for i, row in enumerate(hists):
+        counted: dict[tuple[int, int], int] = {}
+        for j, vs in runs:
+            for ell in range(j, length + 1):
+                key = (ell, vs[i])
+                counted[key] = counted.get(key, 0) + branch ** (ell - j)
+        for hist in row:
+            for key, count in counted.items():
+                hist[key] = hist.get(key, 0) + count
     return hists
+
+
+def _subtree_pruner(cfg: OperatorConfig, cells: Sequence[Disc], chart: MoebiusMap,
+                    moved: Sequence[Fraction], runs: list):
+    """The walk's pruning predicate, or None when the certificate of the
+    module docstring fails for these cells.
+
+    For each subtree P.s it prunes, the predicate appends (l(P.s), the
+    valuation of chart(x) - centre(R) per moved point) to ``runs``.  The
+    pruned images lie in the plain disc R, which holds no moved point, so
+    no pruned word could have hit a pole, wrapped infinity or met a point.
+    R is a co-disc exactly when the pole of chart o P lies in target(s);
+    that is tested first, as it is cheaper than the image.
+    """
+    group, p = cfg.group, cfg.p
+    holes = group.holes
+    if not all(not cell.complement and all(discs_disjoint(cell, h, p) for h in holes)
+               for cell in cells):
+        return None
+    if not all(discs_disjoint(h, k, p) for i, h in enumerate(holes) for k in holes[i + 1:]):
+        return None
+    letters = [s for k in range(1, group.genus + 1) for s in (k, -k)]
+    if not all(group.target_hole(s).contains(region_image(
+            group.letter_map(s), group.source_hole(s).complement_region(), p), p)
+               for s in letters):
+        return None
+
+    def prune(prefix: tuple[int, ...], mat: MoebiusMap, s: int) -> bool:
+        m = chart.compose(mat)
+        target = group.target_hole(s)
+        pole = m.pole()
+        if target.complement if pole is None else target.contains_point(pole, p):
+            return False
+        region = region_image(m, target, p)
+        vs = [difference_valuation(y, region.center, p) for y in moved]
+        if region.complement or any(v >= -region.radius_exp for v in vs):
+            return False
+        runs.append((len(prefix) + 1, vs))
+        return True
+    return prune
 
 
 def _fold(cfg: OperatorConfig, coeff: Fraction, hist: dict) -> Scalar:

@@ -4,8 +4,9 @@ Generators are integer Moebius matrices (content-reduced, nonzero
 determinant); group elements are reduced words over the generators and their
 inverses.  The module provides exact disc images under Moebius maps (with
 co-disc handling for regions containing infinity), breadth-first word
-enumeration with the standard 2g(2g-1)^(l-1) counts, fundamental-domain
-verification, and reduction of points to the fundamental domain.
+enumeration with the standard 2g(2g-1)^(l-1) counts (optionally pruned),
+fundamental-domain verification, and reduction of points to the fundamental
+domain.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .padic import (Disc, PoleHit, Rational, abs_from_valuation, abs_p,
                     covered_measure, difference_valuation, discs_disjoint,
@@ -310,12 +311,16 @@ def enumerate_words(g: int, max_len: int) -> Iterator[GroupWord]:
         frontier = nxt
 
 
-def words_with_maps(group: "SchottkyGroup",
-                    max_len: int) -> Iterator[tuple["GroupWord", "MoebiusMap"]]:
+def words_with_maps(group: "SchottkyGroup", max_len: int,
+                    prune: Callable[[tuple[Letter, ...], "MoebiusMap", Letter], bool]
+                    | None = None) -> Iterator[tuple["GroupWord", "MoebiusMap"]]:
     """Breadth-first reduced words with their matrices, built incrementally.
 
     Streaming form of :func:`enumerate_words` used by truncated group sums;
     matrices are extended by one letter per step, so no word is recomputed.
+    ``prune(prefix, prefix_map, letter)``, when given, is asked before each
+    word prefix + (letter,) is built; when it returns True, that word and
+    every reduced word extending it are skipped.
     """
     identity = MoebiusMap.identity()
     yield GroupWord.identity(), identity
@@ -329,6 +334,8 @@ def words_with_maps(group: "SchottkyGroup",
         for word, mat in frontier:
             for s, smat in alphabet:
                 if word and word[-1] == -s:
+                    continue
+                if prune is not None and prune(word, mat, s):
                     continue
                 grown = (word + (s,), mat.compose(smat))
                 yield GroupWord(grown[0]), grown[1]

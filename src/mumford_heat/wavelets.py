@@ -231,9 +231,6 @@ class Analysis:
     coefficients: tuple[tuple[Wavelet, complex], ...]
     residual: LevelFunction
 
-    def coefficient_map(self) -> dict[Wavelet, complex]:
-        return dict(self.coefficients)
-
 
 def analyze(u: LevelFunction, profile: MeasureProfile,
             wavelets: list[Wavelet] | None = None) -> Analysis:

@@ -52,6 +52,17 @@ def test_round_trip(tate_run):
     assert again.run == tate_run.run
 
 
+def test_round_trip_keeps_both_cutoff_fields():
+    raw = json.loads(bundled_fixture("genus2-p3").read_text())
+    raw["operator"]["cutoff"] = {"len": 4, "tol": "1/100"}
+    run = config_from_dict(raw)
+    assert (run.operator.cutoff_len, run.operator.cutoff_tol) == (4, F(1, 100))
+    assert emit_config(run)["operator"]["cutoff"] == {"len": 4, "tol": "1/100"}
+    again = config_from_dict(emit_config(run))
+    assert again.operator == run.operator
+    assert again.run == run.run
+
+
 def test_missing_file():
     with pytest.raises(ParseError):
         parse_config("/nonexistent/config.json")

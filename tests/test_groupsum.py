@@ -10,15 +10,18 @@ from fractions import Fraction as F
 
 import pytest
 
+import mumford_heat.operator as operator
 from mumford_heat.exactnum import PowerSum
-from mumford_heat.measure import MeasureProfile
+from mumford_heat.measure import MeasureProfile, RationalFunctionDatum
 from mumford_heat.operator import (ChartNotSupported, CoincidentPoints,
                                    OperatorConfig, _fold, _group_histograms,
-                                   _wavelet_cells, apply_operator, delta_series,
-                                   generator_matrix, lambda_exact, simplify,
-                                   wavelet_multiplier)
+                                   _multipliers, _wavelet_cells, apply_operator,
+                                   delta_series, generator_matrix, lambda_exact,
+                                   simplify, transformed_config, wavelet_multiplier,
+                                   word_census)
 from mumford_heat.padic import Disc, PoleHit, abs_p, haar_measure, valuation
-from mumford_heat.schottky import GroupWord, MoebiusMap, region_image, words_with_maps
+from mumford_heat.schottky import (GroupWord, MoebiusMap, SchottkyGroup, region_image,
+                                   words_with_maps)
 from mumford_heat.wavelets import LevelFunction, admissible_supports, state_discs
 
 ID = GroupWord.identity()
@@ -274,3 +277,133 @@ def test_generator_entries_keep_their_masses(tate_group):
     cfg = OperatorConfig(group=tate_group, profile=profile, cutoff_len=4)
     gen = generator_matrix(cfg, 2)
     assert gen.rows == ref_generator_per_pair(cfg, 2, 4)
+
+
+# ---------------------------------------------------------------------------
+# Counted subtrees: the pruned engine against the exhaustive walk
+# ---------------------------------------------------------------------------
+
+def walk_everything(monkeypatch):
+    """Make the engine walk every reduced word, as it did before pruning."""
+    monkeypatch.setattr(operator, "words_with_maps",
+                        lambda group, length, prune=None: words_with_maps(group, length))
+
+
+def walked_words(monkeypatch):
+    """A list that the engine's walk appends each word it yields to."""
+    walked = []
+
+    def counting(group, length, prune=None):
+        for item in words_with_maps(group, length, prune):
+            walked.append(item[0])
+            yield item
+
+    monkeypatch.setattr(operator, "words_with_maps", counting)
+    return walked
+
+
+def every_caller(cfg, level, chart):
+    """What the four engine callers give at this level: the generator, and
+    at a spread of supports and states the eigenvalue oracle, the
+    (chart-shifted) multipliers, the series and the level-function
+    quadrature."""
+    states = state_discs(cfg.domain, cfg.profile, level)
+    supports = admissible_supports(cfg.profile, level)
+    u = LevelFunction.from_mapping(level, {d: complex(i % 3, i % 2 - 1)
+                                           for i, d in enumerate(states)})
+    out = {"generator": generator_matrix(cfg, level).rows,
+           "level": [apply_operator(cfg, u, d.center, beta=chart)[0]
+                     for d in states[::max(1, len(states) // 2)]]}
+    for support in supports[::max(1, len(supports) // 3)]:
+        children = [child.center for child in support.children(cfg.p)]
+        out[support] = (lambda_exact(cfg, support).value,
+                        _multipliers(cfg, support, children, cfg.cutoff(), chart),
+                        dataclasses.astuple(delta_series(cfg, support)))
+    return out
+
+
+CHARTS = {"tate_cfg": GroupWord((-1,)), "genus2_cfg": GroupWord((-1, 2))}
+VARIANTS = {"ambient": {}, "transport": {"mode": "transport"},
+            "alpha1/2": {"alpha": F(1, 2)}, "alpha_g3/2": {"alpha_g": F(3, 2)}}
+# every cutoff at level 2; the exhaustive walk grows as (2g-1)^L and the
+# callers' work with the states, so levels 3 and 4 get fewer cutoffs.  The
+# exponents do not enter the histograms, only their folds, so the
+# fractional ones run at one level and cutoff per fixture.
+PRUNE_GRID = [(name, level, length, variant)
+              for name, by_level in (("tate_cfg", {2: range(1, 9), 3: (1, 4, 8), 4: (8,)}),
+                                     ("genus2_cfg", {2: range(1, 9), 3: (1, 3, 5), 4: (4,)}))
+              for level, lengths in by_level.items() for length in lengths
+              for variant in ("ambient", "transport")]
+PRUNE_GRID += [(name, 3, 4, variant) for name in ("tate_cfg", "genus2_cfg")
+               for variant in ("alpha1/2", "alpha_g3/2")]
+
+
+@pytest.mark.parametrize("name,level,length,variant", PRUNE_GRID,
+                         ids=[f"{n}-m{lv}-L{ln}-{v}" for n, lv, ln, v in PRUNE_GRID])
+def test_counted_subtrees_match_the_full_walk(request, monkeypatch, name, level, length,
+                                              variant):
+    cfg = dataclasses.replace(request.getfixturevalue(name), cutoff_len=length,
+                              **VARIANTS[variant])
+    pruned = every_caller(cfg, level, CHARTS[name])
+    walk_everything(monkeypatch)
+    assert pruned == every_caller(cfg, level, CHARTS[name])
+
+
+def full_walk_size(cfg, length):
+    return sum(n for _, n in word_census(cfg.group.genus, length))
+
+
+def test_genus2_walks_only_the_co_hole_chain(genus2_cfg, monkeypatch):
+    # 13 121 reduced words of length <= 8 without pruning
+    walked = walked_words(monkeypatch)
+    generator_matrix(genus2_cfg, 3)
+    g, length = genus2_cfg.group.genus, genus2_cfg.cutoff()
+    assert length == 8 and len(walked) <= 1 + 2 * g * length
+
+
+@pytest.mark.parametrize("name", ["tate_cfg", "genus2_cfg"])
+def test_transformed_charts_prune_nothing(request, monkeypatch, name):
+    # g1 = 9z moves F into its own target hole, so the chart's cells meet it
+    base = dataclasses.replace(request.getfixturevalue(name), cutoff_len=4)
+    datum = (RationalFunctionDatum.tate() if name == "tate_cfg"
+             else RationalFunctionDatum.constant())
+    phi = base.group.word_map(GroupWord((1,)))
+    work = transformed_config(base, datum, phi)
+    supports = [region_image(phi, s, base.p) for s in admissible_supports(base.profile, 3)]
+    walked = walked_words(monkeypatch)
+    pruned = [lambda_exact(work, s).value for s in supports]
+    assert len(walked) == len(supports) * full_walk_size(work, 4)
+    walk_everything(monkeypatch)
+    assert pruned == [lambda_exact(work, s).value for s in supports]
+
+
+def test_a_letter_missing_its_target_prunes_nothing(monkeypatch):
+    # z -> 9z maps the complement of the co-hole onto D(0, 3^-2), which is
+    # not inside the target hole D(0, 3^-3): counting g1's subtree at the
+    # distance to 0 would be wrong for the point 36, 3^-3 from g1(1) = 9
+    group = SchottkyGroup(p=3, generators=(MoebiusMap(9, 0, 0, 1),),
+                          holes=(Disc(F(0), 0, complement=True), Disc(F(0), -3)),
+                          outer=Disc(F(0), 0))
+    cells = (Disc(F(1), -3), Disc(F(36), -3))
+    profile = MeasureProfile(((Disc(F(1), -1), F(1)), (Disc(F(36), -3), F(1))), (), 3)
+    cfg = OperatorConfig(group=group, profile=profile, cutoff_len=5)
+    u = LevelFunction.from_mapping(3, {cells[0]: 1.0, cells[1]: 0.0})
+    walked = walked_words(monkeypatch)
+    pruned = apply_operator(cfg, u, F(36))
+    assert len(walked) == full_walk_size(cfg, 5)
+    walk_everything(monkeypatch)
+    assert pruned == apply_operator(cfg, u, F(36))
+
+
+def test_a_point_in_a_hole_keeps_the_subtrees_around_it(tate_cfg, monkeypatch):
+    # the callers' points lie in their cells, off the holes; the engine
+    # itself takes any point.  90 lies in g1's target D(0, 3^-2), so g1's
+    # subtree is walked: its distances |90 - 9c| = |10 - c| / 9 vary with
+    # the cell centre c.  90 lies outside g1(D(0, 3^-2)) = D(0, 3^-4),
+    # which is counted.
+    states = state_discs(tate_cfg.domain, tate_cfg.profile, 2)
+    walked = walked_words(monkeypatch)
+    pruned = _group_histograms(tate_cfg, 6, [F(90)], states)
+    assert GroupWord((1,)) in walked and GroupWord((1, 1)) not in walked
+    walk_everything(monkeypatch)
+    assert pruned == _group_histograms(tate_cfg, 6, [F(90)], states)

@@ -424,3 +424,30 @@ def test_cutoff_searched_once_per_instance(name, tol, request, monkeypatch):
     assert copy.cutoff() == expected and len(searches) == 2
     assert dataclasses.replace(cfg, cutoff_len=5).cutoff() == 5
     assert len(searches) == 2
+
+
+@pytest.mark.parametrize("name", ["tate_cfg", "genus2_cfg"])
+def test_cutoff_search_evaluates_one_tail_bound(name, request, monkeypatch):
+    # the bound shrinks by the exact ratio (2g-1) * q_hi per length, so one
+    # tail_bound call serves the whole search, with the old loop's answer
+    import dataclasses
+
+    import mumford_heat.operator as operator
+    base = request.getfixturevalue(name)
+    tols = [F(1, 10 ** k) for k in range(3, 31)]
+    expected = [ref_cutoff(dataclasses.replace(base, cutoff_len=None, cutoff_tol=tol))
+                for tol in tols]
+    calls = []
+    honest = operator.tail_bound
+
+    def counting(cfg, length, sup_norm=1):
+        calls.append(length)
+        return honest(cfg, length, sup_norm)
+
+    monkeypatch.setattr(operator, "tail_bound", counting)
+    found = [dataclasses.replace(base, cutoff_len=None, cutoff_tol=tol).cutoff()
+             for tol in tols]
+    assert found == expected and calls == [1] * len(tols)
+    for tol, length in zip(tols, found):
+        assert honest(base, length) <= tol
+        assert length == 1 or honest(base, length - 1) > tol

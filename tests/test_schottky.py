@@ -136,6 +136,21 @@ class TestWords:
         for word, mat in words_with_maps(tate_group, 4):
             assert tate_group.word_map(word) == mat
 
+    def test_words_with_maps_prunes_whole_subtrees(self, genus2_group):
+        asked = []
+
+        def prune(prefix, mat, letter):
+            asked.append(prefix + (letter,))
+            assert genus2_group.word_map(GroupWord(prefix)) == mat
+            return letter == 2
+
+        walked = [word.letters for word, _ in words_with_maps(genus2_group, 3, prune)]
+        everything = [word.letters for word in enumerate_words(2, 3)]
+        assert walked == [w for w in everything if 2 not in w]
+        # asked once per word whose proper prefixes all survived
+        assert sorted(asked) == sorted(w for w in everything
+                                       if w and 2 not in w[:-1])
+
 
 class TestDomain:
     def test_tate_passes(self, tate_group):
