@@ -119,11 +119,13 @@ def _start_state(run: RunConfig, gen) -> int:
     return idx
 
 
-def _default_initial(run: RunConfig, op: OperatorConfig, gen, kind: str) -> LevelFunction:
+def _default_initial(run: RunConfig, op: OperatorConfig, gen, args) -> LevelFunction:
+    kind = args.initial
     if kind == "wavelet":
         wavelets = admissible_wavelets(op.profile, gen.level)
         if not wavelets:
-            raise ValidationError("run.level", "no admissible wavelet at this level")
+            raise ValidationError("--level" if args.level is not None else "run.level",
+                                  "no admissible wavelet at this level")
         w = wavelets[0]
         return gen.level_function(
             [complex(wavelet_eval(w, d.center, op.profile, "omega")).real
@@ -138,7 +140,7 @@ def cmd_evolve(run: RunConfig, op: OperatorConfig, out: Path, args) -> int:
     times = parse_times(args.times, "--t") if args.times else run.run.times
     level = _level(run, args)
     gen = generator_matrix(op, level)
-    h0 = _default_initial(run, op, gen, args.initial)
+    h0 = _default_initial(run, op, gen, args)
     sol = solve_cauchy(gen, h0, times)
     lines = _header_lines(_meta(run, op))
     lines.append("t,state_index,value")

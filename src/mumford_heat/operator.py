@@ -35,6 +35,14 @@ moved point chart(x), the subtree of P.s adds (2g-1)^(l-j) words to the key
 cell.  On the bundled fixtures only the chain of words into the co-hole is
 walked, 1 + L words instead of about (2g-1)^L; on a transformed chart the
 cells meet the holes, nothing is pruned and every word is walked.
+
+The generator counts one group sum per (state D, split ball B), where B is
+the largest disc that holds the state D' but not D, split into its children
+while it meets a hole or holds the pole of a walked word.  With the states
+off the holes too, such a B is a cell of the certificate without a pole:
+the identity and every walked word map it onto a plain disc without c_D (a
+hole, for a word), and counted subtrees are per point, so every D' in B has
+the histogram of c_B.  That is O(n * depth) sums for n states, not n^2.
 """
 
 from __future__ import annotations
@@ -50,7 +58,7 @@ import numpy as np
 
 from .exactnum import ExactComplex, PowerSum, p_power_bounds
 from .padic import (Disc, PoleHit, Rational, abs_p, difference_valuation,
-                    discs_disjoint, haar_measure, valuation)
+                    discs_disjoint, haar_measure, pair_difference_valuation, valuation)
 from .measure import MeasureProfile, RationalFunctionDatum, local_abs
 from .schottky import (DomainInvalid, FundamentalDomain, GroupWord, MoebiusMap,
                        SchottkyGroup, region_image, words_with_maps)
@@ -74,6 +82,9 @@ class NotLocallyConstant(ValueError):
 
 class ChartNotSupported(ValueError):
     """The requested chart transform leaves the exact toolkit's reach."""
+
+    #: the pole of the word whose image of a cell wraps infinity, if that is the cause
+    pole: Fraction | None = None
 
 
 def growth_condition_holds(p: int, genus: int, alpha_g: Fraction) -> bool:
@@ -288,25 +299,31 @@ def _cross_valuation(xn: int, xd: int, tn: int, td: int, p: int) -> int:
 
 def _group_histograms(cfg: OperatorConfig, length: int, points: Sequence[Fraction],
                       cells: Sequence[Disc], chart: MoebiusMap | None = None,
-                      whole_cells: bool = False) -> list[list[dict]]:
+                      whole_cells: Sequence[bool] = (),
+                      pairs: Sequence[Sequence[int]] | None = None) -> list[list[dict]]:
     """{(l(w), v): count} for each (point x, cell) pair, where v is the
     valuation of chart(x) - chart(w(c)), c the cell's centre, over the reduced
-    words w with l(w) <= length.
+    words w with l(w) <= length.  With ``pairs``, row i holds only the cells
+    pairs[i] (indices into ``cells``), in that order; without, every cell.
 
     Centres move as integer pairs, n/d -> (a*n + b*d, c*n + d*d) under the
     matrix of chart o w.  The identity word is left out of every pair whose
     point lies in the cell: that part of the integral is the caller's.  A
-    word whose pole is a cell centre raises PoleHit; with ``whole_cells``,
-    one whose pole lies anywhere in a cell raises ChartNotSupported.  The
-    subtrees that :func:`_subtree_pruner` certifies are counted, not walked.
+    word whose pole is a cell centre raises PoleHit; one whose pole lies
+    anywhere in a cell flagged in ``whole_cells`` raises ChartNotSupported,
+    with the pole as its ``pole``.  The subtrees that
+    :func:`_subtree_pruner` certifies are counted, not walked.
     """
     p = cfg.p
+    moved = list(points) if chart is None else [chart.apply(x) for x in points]
     chart = chart or MoebiusMap.identity()
-    moved = [chart.apply(x) for x in points]
     xs = [(y.numerator, y.denominator, valuation(y.denominator, p)) for y in moved]
     centres = [(cell.center.numerator, cell.center.denominator) for cell in cells]
-    inside = [[cell.contains_point(x, p) for cell in cells] for x in points]
-    hists = [[{} for _ in cells] for _ in points]
+    wholes = whole_cells or [False] * len(cells)
+    pairs = [range(len(cells))] * len(points) if pairs is None else pairs
+    inside = [[pair_difference_valuation((x.numerator, x.denominator), centres[k], p)
+               >= -cells[k].radius_exp for k in ks] for x, ks in zip(points, pairs)]
+    hists = [[{} for _ in ks] for ks in pairs]
     runs: list[tuple[int, list[int]]] = []
     for word, mat in words_with_maps(cfg.group, length,
                                      _subtree_pruner(cfg, cells, chart, moved, runs)):
@@ -316,18 +333,21 @@ def _group_histograms(cfg: OperatorConfig, length: int, points: Sequence[Fractio
         c = chart.c * mat.a + chart.d * mat.c
         d = chart.c * mat.b + chart.d * mat.d
         targets = []
-        for cell, (n, m) in zip(cells, centres):
+        for cell, (n, m), whole in zip(cells, centres, wholes):
             den = c * n + d * m
             # the pole -d/c is in the cell iff |c*centre + d| / |c| <= radius
-            if whole_cells and c and (den == 0 or valuation(den, p) - valuation(m, p)
-                                      - valuation(c, p) >= -cell.radius_exp):
-                raise ChartNotSupported(f"image of {cell} under {word} wraps infinity")
+            if whole and c and (den == 0 or valuation(den, p) - valuation(m, p)
+                                - valuation(c, p) >= -cell.radius_exp):
+                err = ChartNotSupported(f"image of {cell} under {word} wraps infinity")
+                err.pole = Fraction(-d, c)
+                raise err
             if den == 0:
                 raise PoleHit(f"{word} evaluated at its pole {cell.center}")
             targets.append((a * n + b * m, den, valuation(den, p)))
-        for (xn, xd, vx), x_inside, row in zip(xs, inside, hists):
-            for (tn, td, vt), skip, hist in zip(targets, x_inside, row):
+        for (xn, xd, vx), ks, x_inside, row in zip(xs, pairs, inside, hists):
+            for k, skip, hist in zip(ks, x_inside, row):
                 if ell or not skip:
+                    tn, td, vt = targets[k]
                     key = (ell, _cross_valuation(xn, xd, tn, td, p) - vx - vt)
                     hist[key] = hist.get(key, 0) + 1
     # a subtree rooted at a word of length j holds (2g-1)^(l-j) words of
@@ -358,16 +378,7 @@ def _subtree_pruner(cfg: OperatorConfig, cells: Sequence[Disc], chart: MoebiusMa
     that is tested first, as it is cheaper than the image.
     """
     group, p = cfg.group, cfg.p
-    holes = group.holes
-    if not all(not cell.complement and all(discs_disjoint(cell, h, p) for h in holes)
-               for cell in cells):
-        return None
-    if not all(discs_disjoint(h, k, p) for i, h in enumerate(holes) for k in holes[i + 1:]):
-        return None
-    letters = [s for k in range(1, group.genus + 1) for s in (k, -k)]
-    if not all(group.target_hole(s).contains(region_image(
-            group.letter_map(s), group.source_hole(s).complement_region(), p), p)
-               for s in letters):
+    if not _certified(group, cells):
         return None
 
     def prune(prefix: tuple[int, ...], mat: MoebiusMap, s: int) -> bool:
@@ -383,6 +394,19 @@ def _subtree_pruner(cfg: OperatorConfig, cells: Sequence[Disc], chart: MoebiusMa
         runs.append((len(prefix) + 1, vs))
         return True
     return prune
+
+
+def _certified(group: SchottkyGroup, cells: Sequence[Disc]) -> bool:
+    """The certificate of the module docstring: every cell is a plain disc
+    off all holes, the holes are pairwise disjoint, and each letter s maps
+    the complement of its source hole into its target hole."""
+    p, holes = group.p, group.holes
+    letters = [s for k in range(1, group.genus + 1) for s in (k, -k)]
+    return (all(not c.complement and all(discs_disjoint(c, h, p) for h in holes) for c in cells)
+            and all(discs_disjoint(h, k, p) for i, h in enumerate(holes) for k in holes[i + 1:])
+            and all(group.target_hole(s).contains(region_image(
+                group.letter_map(s), group.source_hole(s).complement_region(), p), p)
+                    for s in letters))
 
 
 def _fold(cfg: OperatorConfig, coeff: Fraction, hist: dict) -> Scalar:
@@ -646,7 +670,7 @@ def delta_series(cfg: OperatorConfig, support: Disc) -> SeriesValue:
     # gamma B has centre gamma(c_B); the engine leaves out the identity word,
     # whose term is 1
     (hist,), = _group_histograms(cfg, length, [support.center], [support],
-                                 whole_cells=True)
+                                 whole_cells=[True])
     total = _fold(cfg, Fraction(1), hist) + 1
     lo, hi = _scalar_bounds(total)
     return SeriesValue(simplify(total), lo, hi + _group_tail(cfg, length), False, length)
@@ -944,6 +968,42 @@ class GeneratorMatrix:
         return LevelFunction.from_mapping(self.level, dict(zip(self.states, values)))
 
 
+def _split_balls(cfg: OperatorConfig, states: Sequence[Disc], level: int,
+                 poles: Sequence[Fraction]) -> tuple[list[Disc], list[list[int]],
+                                                     list[list[int]]]:
+    """(balls, the states in each, per state the indices of its balls), from
+    one walk of the disc tree: the states in one child of a node get the
+    balls that tile the node's other children.  A disc off every hole that
+    holds states and none of ``poles`` is one ball; any other is tiled by
+    its children's, down to the states, and so is every disc without the
+    certificate."""
+    p, certified = cfg.p, _certified(cfg.group, states)
+    index = {d: i for i, d in enumerate(states)}
+    balls, members, pairs = [], [], [[] for _ in states]
+
+    def walk(disc):  # -> (states in disc, indices of the balls tiling them)
+        if disc.radius_exp == -level:
+            inside, tiles, whole = [index[disc]] if disc in index else [], [], True
+        else:
+            kids = [walk(child) for child in disc.children(p)]
+            for a, (inside, _) in enumerate(kids):
+                others = [k for b, (_, tiles) in enumerate(kids) if b != a for k in tiles]
+                for i in inside:
+                    pairs[i].extend(others)
+            inside = [i for kid, _ in kids for i in kid]
+            tiles = [k for _, kid in kids for k in kid]
+            whole = (certified and all(discs_disjoint(disc, h, p) for h in cfg.group.holes)
+                     and not any(disc.contains_point(z, p) for z in poles))
+        if inside and whole:
+            balls.append(disc)
+            members.append(inside)
+            tiles = [len(balls) - 1]
+        return inside, tiles
+
+    walk(cfg.domain.outer)
+    return balls, members, pairs
+
+
 def generator_matrix(cfg: OperatorConfig, level: int,
                      length: int | None = None) -> GeneratorMatrix:
     """Assemble the exact jump-rate matrix on the level-m discs of F.
@@ -952,8 +1012,12 @@ def generator_matrix(cfg: OperatorConfig, level: int,
     for D != D'; the diagonal is defined as the negative row sum (jumps
     within a state cancel in the operator and carry no rate).
 
-    Ultrametric constancy leaves few distinct (mass(D'), histogram) pairs
-    among the states; each is folded once per call and its entry shared.
+    The sum is counted once per split ball B of row D, not per state: by
+    the certificate of the module docstring it is the same at every D' in B.
+    A ball that holds a walked word's pole (ChartNotSupported from the
+    engine) is split and the sums are counted again.  Each distinct
+    (mass(D'), histogram) pair is folded once per call; the diagonal is
+    -sum count * entry over the row's tally of those pairs.
     """
     p = cfg.p
     length = cfg.cutoff() if length is None else length
@@ -961,26 +1025,41 @@ def generator_matrix(cfg: OperatorConfig, level: int,
     if not states:
         raise ValueError(f"no states at level {level}")
     masses = [cfg.profile.density_at(d.center) * haar_measure(d, p) for d in states]
-    hists = _group_histograms(cfg, length, [d.center for d in states], states)
+    poles: list[Fraction] = []
+    while True:
+        balls, members, pairs = _split_balls(cfg, states, level, poles)
+        try:
+            hists = _group_histograms(cfg, length, [d.center for d in states], balls,
+                                      whole_cells=[b.radius_exp > -level for b in balls],
+                                      pairs=pairs)
+            break
+        except ChartNotSupported as err:
+            poles.append(err.pole)
     mu_inv = cfg.mu_inverse()
-    # a mass enters the key as its first index: an int hashes faster than a Fraction
+    # masses and histograms enter the keys as ints, which hash and compare
+    # fast: a mass as its first index, a histogram as its order of appearance
     first: dict[Fraction, int] = {}
     mass_keys = [first.setdefault(mass, k) for k, mass in enumerate(masses)]
-    folded: dict[tuple, Scalar] = {}
+    hist_ids: dict[frozenset, int] = {}
+    folded: dict[tuple[int, int], Scalar] = {}
     rows = []
-    for i, row_hists in enumerate(hists):
-        row = []
-        for k, hist in enumerate(row_hists):
-            if k == i:
-                row.append(Fraction(0))
-                continue
-            key = (mass_keys[k], frozenset(hist.items()))
-            entry = folded.get(key)
-            if entry is None:
-                entry = folded[key] = _fold(cfg, mu_inv * masses[k], hist)
-            row.append(entry)
+    for i, (ks, row_hists) in enumerate(zip(pairs, hists)):
+        row = [Fraction(0)] * len(states)
+        tally: dict[tuple[int, int], int] = {}
+        for k, hist in zip(ks, row_hists):
+            h = hist_ids.setdefault(frozenset(hist.items()), len(hist_ids))
+            for j in members[k]:
+                key = (mass_keys[j], h)
+                if key not in folded:
+                    folded[key] = _fold(cfg, mu_inv * masses[j], hist)
+                tally[key] = tally.get(key, 0) + 1
+                row[j] = folded[key]
         # an exact Fraction sum unless some rate keeps a fractional power of p
-        row[i] = simplify(-sum(row[:i] + row[i + 1:], Fraction(0)))
+        diag = Fraction(0)
+        for key, count in tally.items():
+            entry = folded[key]
+            diag += entry.mul_power(count, 0) if isinstance(entry, PowerSum) else count * entry
+        row[i] = simplify(-diag)
         rows.append(tuple(row))
     tail = mu_inv * max(masses) * _group_tail(cfg, length)
     return GeneratorMatrix(level, tuple(states), tuple(rows), tuple(masses), tail,

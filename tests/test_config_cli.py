@@ -258,13 +258,17 @@ BAD_INPUTS = [
     ("validate", [], {"eta": "-1/2"}, "run.eta"),
     ("resolvent", ["--eta", "-1"], {}, "--eta"),
     ("resolvent", ["--eta", ""], {}, "--eta"),
+    # an override may name the bundled fixture it applies to (tate-p3 if
+    # not): genus2-p3 has no admissible wavelet at level 2
+    ("evolve", ["--level", "2"], {"fixture": "genus2-p3"}, "--level"),
+    ("evolve", [], {"fixture": "genus2-p3", "level": 2}, "run.level"),
 ]
 
 
 @pytest.mark.parametrize("command,flags,run_section,name", BAD_INPUTS)
-def test_bad_inputs_exit_2(tate_path, tmp_path, capsys, command, flags,
-                           run_section, name):
-    raw = json.loads(tate_path.read_text())
+def test_bad_inputs_exit_2(tmp_path, capsys, command, flags, run_section, name):
+    run_section = dict(run_section)
+    raw = json.loads(bundled_fixture(run_section.pop("fixture", "tate-p3")).read_text())
     raw["run"].update(run_section)
     config = tmp_path / "config.json"
     config.write_text(json.dumps(raw))

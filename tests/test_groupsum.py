@@ -8,11 +8,12 @@ engine's integer histograms must give values that are ``==`` to it.
 import dataclasses
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 import mumford_heat.operator as operator
 from mumford_heat.exactnum import PowerSum
-from mumford_heat.measure import MeasureProfile, RationalFunctionDatum
+from mumford_heat.measure import MeasureProfile, RationalFunctionDatum, build_profile
 from mumford_heat.operator import (ChartNotSupported, CoincidentPoints,
                                    OperatorConfig, _fold, _group_histograms,
                                    _multipliers, _wavelet_cells, apply_operator,
@@ -407,3 +408,99 @@ def test_a_point_in_a_hole_keeps_the_subtrees_around_it(tate_cfg, monkeypatch):
     assert GroupWord((1,)) in walked and GroupWord((1, 1)) not in walked
     walk_everything(monkeypatch)
     assert pruned == _group_histograms(tate_cfg, 6, [F(90)], states)
+
+
+# ---------------------------------------------------------------------------
+# One group sum per (state, split ball)
+# ---------------------------------------------------------------------------
+
+def engine_pairs(monkeypatch):
+    """A list that gets the number of (point, cell) pairs of each engine call."""
+    handed = []
+    honest = operator._group_histograms
+
+    def counting(cfg, length, points, cells, *args, pairs=None, **kwargs):
+        handed.append(len(points) * len(cells) if pairs is None else sum(map(len, pairs)))
+        return honest(cfg, length, points, cells, *args, pairs=pairs, **kwargs)
+
+    monkeypatch.setattr(operator, "_group_histograms", counting)
+    return handed
+
+
+def one_generator_group(generator, hole_exp):
+    """Genus one with the co-hole |z| > 1 and the hole D(0, 3^hole_exp), and
+    the constant density on F at resolution 3."""
+    group = SchottkyGroup(p=3, generators=(generator,),
+                          holes=(Disc(F(0), 0, complement=True), Disc(F(0), hole_exp)),
+                          outer=Disc(F(0), 0))
+    profile = build_profile(RationalFunctionDatum.constant(), group.fundamental_domain(), 3)
+    return OperatorConfig(group=group, profile=profile, cutoff_len=5)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("name,length", [("tate_cfg", 6), ("genus2_cfg", 3)])
+def test_split_balls_match_per_pair_folds_at_level_4(request, name, length, variant):
+    cfg = dataclasses.replace(request.getfixturevalue(name), cutoff_len=length,
+                              **VARIANTS[variant])
+    gen = generator_matrix(cfg, 4)
+    ref = ref_generator_per_pair(cfg, 4, length)
+    assert gen.rows == ref
+    assert np.array_equal(gen.matrix, np.array([[float(v) for v in row] for row in ref]))
+
+
+@pytest.mark.parametrize("level,most", [(3, 156), (4, 612)])
+def test_generator_counts_one_sum_per_split_ball(tate_cfg, monkeypatch, level, most):
+    # one sum per state pair would be 24 * 23 = 552 and 72 * 71 = 5 112
+    handed = engine_pairs(monkeypatch)
+    generator_matrix(dataclasses.replace(tate_cfg, cutoff_len=6), level)
+    assert len(handed) == 1 and handed[0] <= most
+
+
+def test_a_pole_in_a_split_ball_splits_it(monkeypatch):
+    # g = 9z/(18z + 1) maps D(0, 1) onto the hole D(0, 3^-2) and infinity to
+    # 1/2, which lies in F: 1/2 is the pole of g^-1.  It lies in the balls
+    # D(2, 3^-1) and D(5, 3^-2) and, off its centre 14, in the state
+    # D(14, 3^-3).  The engine reports the pole, those balls are split down
+    # to that state, and the rows stay the dense sums.
+    cfg = one_generator_group(MoebiusMap(9, 0, 18, 1), -2)
+    with pytest.raises(ChartNotSupported) as err:
+        _group_histograms(cfg, 5, [F(1)], [Disc(F(2), -1)], whole_cells=[True])
+    assert err.value.pole == F(1, 2)
+    holding = []
+    honest = operator._group_histograms
+
+    def recording(cfg, length, points, cells, *args, **kwargs):
+        holding.append([cell for cell in cells
+                        if cell.radius_exp > -3 and cell.contains_point(F(1, 2), 3)])
+        return honest(cfg, length, points, cells, *args, **kwargs)
+
+    monkeypatch.setattr(operator, "_group_histograms", recording)
+    gen = generator_matrix(cfg, 3)
+    assert holding[0] and holding[-1] == [] and len(holding) == 2
+    monkeypatch.undo()
+    assert gen.rows == ref_generator_per_pair(cfg, 3, 5) == ref_generator_rows(cfg, 3, 5)
+
+
+def test_a_group_off_the_certificate_sums_every_state_pair(monkeypatch):
+    # z -> 9z + 9/2 maps D(0, 1) onto D(0, 3^-2), which is not inside the
+    # hole D(0, 3^-3): without ping-pong no ball but a state is certified
+    cfg = one_generator_group(MoebiusMap(18, 9, 0, 2), -3)
+    handed = engine_pairs(monkeypatch)
+    gen = generator_matrix(cfg, 3)
+    assert handed == [gen.size * (gen.size - 1)]
+    monkeypatch.undo()
+    assert gen.rows == ref_generator_rows(cfg, 3, 5)
+
+
+def test_a_chart_whose_states_meet_the_holes_sums_every_state_pair(tate_cfg, monkeypatch):
+    # z -> z/9 maps F onto D(0, 9) minus D(0, 1), inside the co-hole: a
+    # word may map a ball onto a disc around such a state, so the split
+    # balls need the states off the holes, and every ball is a state
+    base = dataclasses.replace(tate_cfg, cutoff_len=4)
+    work = transformed_config(base, RationalFunctionDatum.tate(),
+                              base.group.word_map(GroupWord((-1,))))
+    handed = engine_pairs(monkeypatch)
+    gen = generator_matrix(work, 2)
+    assert handed == [gen.size * (gen.size - 1)]
+    monkeypatch.undo()
+    assert gen.rows == ref_generator_rows(work, 2, 4)
