@@ -26,9 +26,10 @@ as for integral ones.
 
 The walk skips every subtree whose distances are certified constant and
 counts it instead (ping-pong, as in Gerritzen-van der Put).  The certificate
-is checked on every engine call: the holes are pairwise disjoint, each
-letter s maps the complement of its source hole into its target hole, and
-every cell is a plain disc off all holes.  Then every word P.s.r maps the
+is that the holes are pairwise disjoint, each letter s maps the complement
+of its source hole into its target hole (``OperatorConfig.ping_pong``, once
+per configuration), and every cell is a plain disc off all holes (on every
+engine call).  Then every word P.s.r maps the
 cells into R = chart(P(target(s))).  When R is a plain disc that holds no
 moved point chart(x), the subtree of P.s adds (2g-1)^(l-j) words to the key
 (l, v_p(chart(x) - centre(R))) for each l = j..L, j = l(P.s), and for every
@@ -42,7 +43,8 @@ while it meets a hole or holds the pole of a walked word.  With the states
 off the holes too, such a B is a cell of the certificate without a pole:
 the identity and every walked word map it onto a plain disc without c_D (a
 hole, for a word), and counted subtrees are per point, so every D' in B has
-the histogram of c_B.  That is O(n * depth) sums for n states, not n^2.
+the histogram of c_B.  That is O(n * depth) sums for n states, not n^2.  The
+generator keeps these balls (``SplitTree``) for the exact resolvent.
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ from .measure import MeasureProfile, RationalFunctionDatum, local_abs
 from .schottky import (DomainInvalid, FundamentalDomain, GroupWord, MoebiusMap,
                        SchottkyGroup, region_image, words_with_maps)
 from .wavelets import (LevelFunction, NotAdmissible, Wavelet,
-                       admissible_supports, state_discs, wavelet_eval)
+                       admissible_supports, wavelet_eval)
 
 Scalar = Union[Fraction, PowerSum]
 
@@ -159,6 +161,16 @@ class OperatorConfig:
             if length > 10_000:
                 raise RuntimeError("cutoff search did not converge")
         return length
+
+    @functools.cached_property
+    def ping_pong(self) -> bool:
+        """The group half of the certificate of the module docstring."""
+        group, p, holes = self.group, self.p, self.group.holes
+        letters = [s for k in range(1, group.genus + 1) for s in (k, -k)]
+        return (all(discs_disjoint(h, k, p) for i, h in enumerate(holes) for k in holes[i + 1:])
+                and all(group.target_hole(s).contains(region_image(
+                    group.letter_map(s), group.source_hole(s).complement_region(), p), p)
+                        for s in letters))
 
     def distance_power_exp(self, dist: Fraction) -> Fraction:
         """Exponent e with dist^(-alpha) = p^e, for dist an exact power of p."""
@@ -378,7 +390,8 @@ def _subtree_pruner(cfg: OperatorConfig, cells: Sequence[Disc], chart: MoebiusMa
     that is tested first, as it is cheaper than the image.
     """
     group, p = cfg.group, cfg.p
-    if not _certified(group, cells):
+    if not (cfg.ping_pong and all(not c.complement and all(
+            discs_disjoint(c, h, p) for h in group.holes) for c in cells)):
         return None
 
     def prune(prefix: tuple[int, ...], mat: MoebiusMap, s: int) -> bool:
@@ -394,19 +407,6 @@ def _subtree_pruner(cfg: OperatorConfig, cells: Sequence[Disc], chart: MoebiusMa
         runs.append((len(prefix) + 1, vs))
         return True
     return prune
-
-
-def _certified(group: SchottkyGroup, cells: Sequence[Disc]) -> bool:
-    """The certificate of the module docstring: every cell is a plain disc
-    off all holes, the holes are pairwise disjoint, and each letter s maps
-    the complement of its source hole into its target hole."""
-    p, holes = group.p, group.holes
-    letters = [s for k in range(1, group.genus + 1) for s in (k, -k)]
-    return (all(not c.complement and all(discs_disjoint(c, h, p) for h in holes) for c in cells)
-            and all(discs_disjoint(h, k, p) for i, h in enumerate(holes) for k in holes[i + 1:])
-            and all(group.target_hole(s).contains(region_image(
-                group.letter_map(s), group.source_hole(s).complement_region(), p), p)
-                    for s in letters))
 
 
 def _fold(cfg: OperatorConfig, coeff: Fraction, hist: dict) -> Scalar:
@@ -926,6 +926,18 @@ def vladimirov_alpha_free_value(support: Disc, j: int, x: Rational, p: int) -> E
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
+class SplitTree:
+    """The discs the generator counted whole, the states included, each after
+    its descendants: ``members[k]`` indexes the states in ``balls[k]`` and
+    ``children[k]`` its children's balls.  The rates from a state outside a
+    ball into its states are proportional to their masses."""
+
+    balls: tuple[Disc, ...]
+    members: tuple[tuple[int, ...], ...]
+    children: tuple[tuple[int, ...], ...]
+
+
+@dataclass(frozen=True)
 class GeneratorMatrix:
     """Exact level-m restriction of the operator: the Markov jump generator.
 
@@ -943,6 +955,9 @@ class GeneratorMatrix:
     masses: tuple[Fraction, ...]
     entry_tail: Fraction
     cutoff: int
+    #: the split balls the rows were counted on, attached by generator_matrix
+    #: only: a matrix built by hand or by dataclasses.replace has none
+    tree: SplitTree | None = dataclasses.field(default=None, init=False, compare=False)
 
     @property
     def size(self) -> int:
@@ -968,22 +983,30 @@ class GeneratorMatrix:
         return LevelFunction.from_mapping(self.level, dict(zip(self.states, values)))
 
 
-def _split_balls(cfg: OperatorConfig, states: Sequence[Disc], level: int,
-                 poles: Sequence[Fraction]) -> tuple[list[Disc], list[list[int]],
-                                                     list[list[int]]]:
-    """(balls, the states in each, per state the indices of its balls), from
-    one walk of the disc tree: the states in one child of a node get the
-    balls that tile the node's other children.  A disc off every hole that
+def _split_balls(cfg: OperatorConfig, level: int, poles: Sequence[Fraction],
+                 certified: bool) -> tuple[list, list, list, list, list]:
+    """(states, balls, the states in each ball, per state the indices of its
+    balls, per ball the indices of its children), from one walk of the disc
+    tree.  The states are ``wavelets.state_discs``, in centre order.  The
+    states in one child of a node get the balls that tile the node's other
+    children.  With ``certified`` (``ping_pong``), a disc off every hole that
     holds states and none of ``poles`` is one ball; any other is tiled by
-    its children's, down to the states, and so is every disc without the
-    certificate."""
-    p, certified = cfg.p, _certified(cfg.group, states)
-    index = {d: i for i, d in enumerate(states)}
-    balls, members, pairs = [], [], [[] for _ in states]
+    its children's, down to the states.  A state that meets a hole voids
+    the certificate: the walk runs again without it.  Balls come after their
+    descendants."""
+    p, domain, holes = cfg.p, cfg.domain, cfg.group.holes
+    states, balls, members, pairs, children = [], [], [], [], []
 
     def walk(disc):  # -> (states in disc, indices of the balls tiling them)
-        if disc.radius_exp == -level:
-            inside, tiles, whole = [index[disc]] if disc in index else [], [], True
+        if any(h.contains(disc, p) for h in domain.holes):
+            return [], []
+        if disc.radius_exp <= -level:
+            if not (disc.radius_exp == -level and domain.contains_disc(disc) and all(
+                    discs_disjoint(disc, core, p) for core in cfg.profile.zero_cores)):
+                return [], []
+            inside, tiles, whole = [len(states)], [], True
+            states.append(disc)
+            pairs.append([])
         else:
             kids = [walk(child) for child in disc.children(p)]
             for a, (inside, _) in enumerate(kids):
@@ -992,16 +1015,22 @@ def _split_balls(cfg: OperatorConfig, states: Sequence[Disc], level: int,
                     pairs[i].extend(others)
             inside = [i for kid, _ in kids for i in kid]
             tiles = [k for _, kid in kids for k in kid]
-            whole = (certified and all(discs_disjoint(disc, h, p) for h in cfg.group.holes)
+            whole = (certified and all(discs_disjoint(disc, h, p) for h in holes)
                      and not any(disc.contains_point(z, p) for z in poles))
         if inside and whole:
             balls.append(disc)
             members.append(inside)
+            children.append(tiles)
             tiles = [len(balls) - 1]
         return inside, tiles
 
-    walk(cfg.domain.outer)
-    return balls, members, pairs
+    walk(domain.outer)
+    if certified and not all(discs_disjoint(d, h, p) for d in states for h in holes):
+        return _split_balls(cfg, level, poles, False)
+    order = sorted(range(len(states)), key=lambda i: states[i].center)
+    rank = {old: new for new, old in enumerate(order)}
+    return ([states[i] for i in order], balls, [[rank[i] for i in ins] for ins in members],
+            [pairs[i] for i in order], children)
 
 
 def generator_matrix(cfg: OperatorConfig, level: int,
@@ -1021,13 +1050,12 @@ def generator_matrix(cfg: OperatorConfig, level: int,
     """
     p = cfg.p
     length = cfg.cutoff() if length is None else length
-    states = state_discs(cfg.domain, cfg.profile, level)
-    if not states:
-        raise ValueError(f"no states at level {level}")
-    masses = [cfg.profile.density_at(d.center) * haar_measure(d, p) for d in states]
     poles: list[Fraction] = []
     while True:
-        balls, members, pairs = _split_balls(cfg, states, level, poles)
+        states, balls, members, pairs, children = _split_balls(cfg, level, poles,
+                                                               cfg.ping_pong)
+        if not states:
+            raise ValueError(f"no states at level {level}")
         try:
             hists = _group_histograms(cfg, length, [d.center for d in states], balls,
                                       whole_cells=[b.radius_exp > -level for b in balls],
@@ -1035,6 +1063,7 @@ def generator_matrix(cfg: OperatorConfig, level: int,
             break
         except ChartNotSupported as err:
             poles.append(err.pole)
+    masses = [cfg.profile.density_at(d.center) * haar_measure(d, p) for d in states]
     mu_inv = cfg.mu_inverse()
     # masses and histograms enter the keys as ints, which hash and compare
     # fast: a mass as its first index, a histogram as its order of appearance
@@ -1062,8 +1091,10 @@ def generator_matrix(cfg: OperatorConfig, level: int,
         row[i] = simplify(-diag)
         rows.append(tuple(row))
     tail = mu_inv * max(masses) * _group_tail(cfg, length)
-    return GeneratorMatrix(level, tuple(states), tuple(rows), tuple(masses), tail,
-                           length)
+    gen = GeneratorMatrix(level, tuple(states), tuple(rows), tuple(masses), tail, length)
+    object.__setattr__(gen, "tree", SplitTree(tuple(balls), tuple(map(tuple, members)),
+                                              tuple(map(tuple, children))))
+    return gen
 
 
 def apply_generator(gen: GeneratorMatrix, values: Sequence) -> list:

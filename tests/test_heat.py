@@ -14,10 +14,14 @@ from mumford_heat.heat import (ROW_SUM_TOL, NumericalBreakdown, Reducible,
                                empirical_validation, resolvent_solve,
                                sample_paths, solve_cauchy, spectral_data,
                                stationary_distribution, transition_matrix)
-from mumford_heat.operator import (GeneratorMatrix, NotLocallyConstant,
-                                   dirichlet_form, generator_matrix, lambda_exact)
+from mumford_heat import heat
+from mumford_heat.measure import RationalFunctionDatum
+from mumford_heat.operator import (GeneratorMatrix, NotLocallyConstant, SplitTree,
+                                   dirichlet_form, generator_matrix, lambda_exact,
+                                   transformed_config)
 from mumford_heat.padic import Disc
-from mumford_heat.wavelets import LevelFunction, Wavelet, wavelet_eval
+from mumford_heat.schottky import GroupWord
+from mumford_heat.wavelets import LevelFunction, Wavelet, admissible_supports, wavelet_eval
 
 
 @pytest.fixture(scope="module")
@@ -41,6 +45,16 @@ def two_state_toy():
     states = (Disc(F(0), -1), Disc(F(1), -1))
     rows = ((F(-1), F(1)), (F(1), F(-1)))
     return GeneratorMatrix(1, states, rows, (F(1, 2), F(1, 2)), F(0), 1)
+
+
+def three_state_toy():
+    """Hand-built chain on the thirds of Z_3: state 1 is reachable from 2
+    only, and 0 never jumps to 1."""
+    states = tuple(Disc(F(c), -1) for c in range(3))
+    rows = ((F(-2), F(0), F(2)),
+            (F(1), F(-3), F(2)),
+            (F(1), F(1), F(-2)))
+    return GeneratorMatrix(1, states, rows, (F(1, 3),) * 3, F(0), 1)
 
 
 class TestSpectralStructure:
@@ -315,6 +329,130 @@ class TestResolvent:
         assert vec.dtype == np.float64
         residual = (np.eye(half.size) - half.matrix) @ vec
         assert np.max(np.abs(residual - np.eye(half.size)[0])) < 1e-12
+        dense = np.linalg.solve(np.eye(half.size) - half.matrix, np.eye(half.size)[0])
+        assert np.allclose(vec, dense, rtol=1e-12, atol=0)
+
+
+@pytest.fixture(scope="module")
+def certified(tate_cfg, genus2_cfg):
+    """(cfg, generator) of a fixture at a level and mode, built once; the
+    cutoffs keep the dense oracle at level 4 under a second."""
+    base = {"tate-p3": replace(tate_cfg, cutoff_len=6),
+            "genus2-p3": replace(genus2_cfg, cutoff_len=4)}
+    built = {}
+
+    def get(name, level, mode="ambient"):
+        if (name, level, mode) not in built:
+            cfg = replace(base[name], mode=mode)
+            built[name, level, mode] = cfg, generator_matrix(cfg, level)
+        return built[name, level, mode]
+    return get
+
+
+@pytest.fixture(scope="module")
+def dense_solve():
+    """The dense fraction-free solve of (eta*I - Q) u = h, once per system:
+    ambient and transport mode give the same rows."""
+    solved = {}
+
+    def get(gen, eta, vals):
+        key = (gen.rows, eta, tuple(vals))
+        if key not in solved:
+            solved[key] = _solve_exact(*resolvent_system(gen, eta, gen.level_function(vals)))
+        return solved[key]
+    return get
+
+
+def cell_solve_sizes(monkeypatch):
+    """A list that gets the number of unknowns of each ``_solve_exact`` call."""
+    sizes = []
+    honest = heat._solve_exact
+
+    def counting(a, b):
+        sizes.append(len(b))
+        return honest(a, b)
+
+    monkeypatch.setattr(heat, "_solve_exact", counting)
+    return sizes
+
+
+def indicator(gen):
+    return [F(int(i == 0)) for i in range(gen.size)]
+
+
+FIXTURE_LEVELS = [(name, level) for name in ("tate-p3", "genus2-p3") for level in (2, 3, 4)]
+
+
+class TestMultiresolution:
+    @pytest.mark.parametrize("mode", ["ambient", "transport"])
+    @pytest.mark.parametrize("name,level", FIXTURE_LEVELS)
+    def test_matches_the_dense_solve(self, certified, dense_solve, name, level, mode):
+        _, gen = certified(name, level, mode)
+        rng = random.Random(700 + level)
+        small = [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in gen.states]
+        for vals in (indicator(gen), small):
+            for eta in (F(1), F(2), F(1, 3)):
+                u = gen.vector(resolvent_solve(gen, eta, gen.level_function(vals)))
+                assert u == dense_solve(gen, eta, vals)
+
+    @pytest.mark.parametrize("name,level", FIXTURE_LEVELS)
+    def test_decay_rates_are_the_oracle_eigenvalues(self, certified, name, level):
+        # the paper's theorem: each admissible support is certified, and its
+        # rate read off the split balls is lambda_exact at the same cutoff
+        cfg, gen = certified(name, level)
+        lam, _, _ = heat._decay_rates(gen.rows, gen.masses, gen.tree)
+        rates = {gen.tree.balls[b]: v for b, v in lam.items()}
+        assert all(rates[b] == lambda_exact(cfg, b, gen.cutoff).value
+                   for b in admissible_supports(cfg.profile, level))
+
+    @pytest.mark.parametrize("level", [2, 3, 4, 5])
+    @pytest.mark.parametrize("name", ["tate-p3", "genus2-p3"])
+    def test_certified_fixtures_make_one_small_cell_solve(self, certified, monkeypatch,
+                                                          name, level):
+        _, gen = certified(name, level)
+        sizes = cell_solve_sizes(monkeypatch)
+        resolvent_solve(gen, F(1), gen.level_function(indicator(gen)))
+        assert len(sizes) == 1 and sizes[0] <= 4
+
+    @pytest.mark.parametrize("build", [
+        lambda cfg: generator_matrix(transformed_config(
+            cfg, RationalFunctionDatum.tate(), cfg.group.word_map(GroupWord((-1,)))), 1),
+        lambda cfg: replace(generator_matrix(cfg, 2), rows=tuple(
+            tuple(2 * v for v in row) for row in generator_matrix(cfg, 2).rows)),
+        lambda cfg: two_state_toy(),
+        lambda cfg: three_state_toy(),
+    ], ids=["z/9 chart", "replaced rows", "two-state toy", "three-state toy"])
+    def test_without_certified_supports_the_cells_are_the_states(
+            self, tate_cfg, dense_solve, monkeypatch, build):
+        gen = build(replace(tate_cfg, cutoff_len=4))
+        rng = random.Random(800)
+        vals = [random_rational(rng) for _ in gen.states]
+        sizes = cell_solve_sizes(monkeypatch)
+        for eta in (F(1), F(1, 3)):
+            u = gen.vector(resolvent_solve(gen, eta, gen.level_function(vals)))
+            assert u == dense_solve(gen, eta, vals)
+        assert sizes == [gen.size] * 2
+
+    @pytest.mark.parametrize("rate_out,cells", [(F(1), 2), (F(2), 3)])
+    def test_a_cell_left_at_unequal_rates_is_split(self, dense_solve, monkeypatch,
+                                                   rate_out, cells):
+        # states 0 and 1 form one support, a wavelet eigenspace with
+        # lambda = 3 either way; with unequal rates into state 2 its
+        # indicator is not mapped to a cell function, so the support is
+        # split back into its states
+        states = (Disc(F(0), -2), Disc(F(3), -2), Disc(F(1), -1))
+        s = (3 - rate_out) / 2  # lambda = rate out of the support + s * its mass
+        rows = ((F(-2), F(1), F(1)),
+                (s, -s - rate_out, rate_out),
+                (F(1), F(1), F(-2)))
+        tree = SplitTree((*states[:2], Disc(F(0), -1), states[2]),
+                         ((0,), (1,), (0, 1), (2,)), ((), (), (0, 1), ()))
+        gen = GeneratorMatrix(2, states, rows, (F(1),) * 3, F(0), 1)
+        object.__setattr__(gen, "tree", tree)  # as generator_matrix attaches it
+        vals = [F(1), F(-2), F(5)]
+        sizes = cell_solve_sizes(monkeypatch)
+        u = gen.vector(resolvent_solve(gen, F(1, 2), gen.level_function(vals)))
+        assert sizes == [cells] and u == dense_solve(gen, F(1, 2), vals)
 
 
 @pytest.mark.parametrize("consumer", [
@@ -369,12 +507,8 @@ class TestSampling:
         assert full[:1] == sample_paths(gen, 1, 1.0, seed=7)
 
     def test_no_jump_to_self_or_to_zero_rate_state(self):
-        # state 1 is reachable from 2 only, and 0 never jumps to 1
-        states = tuple(Disc(F(c), -1) for c in range(3))
-        rows = ((F(-2), F(0), F(2)),
-                (F(1), F(-3), F(2)),
-                (F(1), F(1), F(-2)))
-        toy = GeneratorMatrix(1, states, rows, (F(1, 3),) * 3, F(0), 1)
+        toy = three_state_toy()
+        rows = toy.rows
         paths = sample_paths(toy, 500, 5.0, seed=3, start_index=0)
         zero_rate = {(i, k) for i, row in enumerate(rows)
                      for k, v in enumerate(row) if i != k and v == 0}
