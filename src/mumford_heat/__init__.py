@@ -13,8 +13,8 @@ from .padic import (Disc, PoleHit, abs_p, ball_character_moment_integral,
                     sphere_character_integral, valuation)
 from .exactnum import ExactComplex, PhaseSum, PowerSum
 from .schottky import (DiscsIntersect, DomainInvalid, FundamentalDomain,
-                       GroupWord, MoebiusMap, PoleInsideDisc, ReductionDiverged,
-                       SchottkyGroup, delta, disc_distance, disc_image,
+                       GroupWord, MoebiusMap, ReductionDiverged,
+                       SchottkyGroup, delta, disc_distance,
                        enumerate_words, moebius_distance_identity_check,
                        reduce_to_domain, region_image, verify_fundamental_domain)
 from .measure import (MeasureProfile, RationalFunctionDatum, RootInsideDisc,
@@ -28,8 +28,8 @@ from .wavelets import (Analysis, Census, InvariantWavelet, LevelFunction,
 from .operator import (ChartNotSupported, CoincidentPoints, GeneratorMatrix,
                        LambdaExact, NotLocallyConstant, OperatorConfig,
                        RatioNotConstant, SeriesValue, SpectrumEntry,
-                       SpectrumResult, apply_generator, apply_operator,
-                       dirichlet_form, generator_matrix, kernel, lambda_exact,
+                       SpectrumResult, apply_operator,
+                       generator_matrix, kernel, lambda_exact,
                        lambda_formula, lambda_transform, spectrum, tail_bound,
                        transformed_config, vladimirov_local_integral,
                        vladimirov_alpha_free_value, wavelet_multiplier, word_census)

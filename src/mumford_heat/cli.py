@@ -39,12 +39,11 @@ def _scalar_str(value) -> str:
 def _meta(run: RunConfig, op: OperatorConfig) -> dict:
     """The facts every artifact embeds; computed once per command."""
     cut = op.cutoff()
-    tb = tail_bound(op, cut) if op.group.genus else Fraction(0)
     return {
         "config_hash": run.config_hash,
         "mode": op.mode,
         "cutoff_len": cut,
-        "tail_bound": format_rational(tb),
+        "tail_bound": format_rational(tail_bound(op, cut)),
     }
 
 

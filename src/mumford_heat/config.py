@@ -398,65 +398,3 @@ def bundled_fixture(name: str) -> Path:
     ref = resources.files("mumford_heat") / "fixtures" / f"{name}.json"
     with resources.as_file(ref) as concrete:
         return Path(concrete)
-
-
-# ---------------------------------------------------------------------------
-# Wavelet and level-function interchange (same schema family as profiles)
-# ---------------------------------------------------------------------------
-
-def wavelet_dict(w) -> dict:
-    return {"support": _disc_dict(w.support), "j": w.j, "p": w.p}
-
-
-def wavelet_from_dict(obj) -> "Wavelet":
-    from .wavelets import Wavelet
-    return Wavelet(_parse_disc(obj["support"], "wavelet.support"),
-                   int(obj["j"]), int(obj["p"]))
-
-
-def exact_complex_dict(value) -> dict:
-    """Magnitude/phase form with every component an exact rational string."""
-    return {
-        "magnitude_coeff": format_rational(value.coeff),
-        "magnitude_radicand": format_rational(value.radicand),
-        "p_exp": format_rational(value.p_exp),
-        "phase": format_rational(value.phase),
-    }
-
-
-def level_function_dict(u, exact_values: dict | None = None) -> dict:
-    """Level function as JSON: decimal floats by default, magnitude/phase
-    rational pairs (and their prime ``p``) for states in ``exact_values``."""
-    rows = []
-    out = {"level": u.level, "values": rows}
-    for disc, val in u.values:
-        row = _disc_dict(disc)
-        if exact_values is not None and disc in exact_values:
-            row["value"] = exact_complex_dict(exact_values[disc])
-            out["p"] = exact_values[disc].p
-        else:
-            val = complex(val)
-            row["value"] = {"re": val.real, "im": val.imag}
-        rows.append(row)
-    return out
-
-
-def level_function_from_dict(obj) -> "LevelFunction":
-    from .exactnum import ExactComplex
-    from .wavelets import LevelFunction
-    values = {}
-    for row in obj["values"]:
-        disc = _parse_disc(row, "level_function.values")
-        val = row["value"]
-        if "re" in val:
-            values[disc] = complex(val["re"], val.get("im", 0.0))
-        elif "p" not in obj:
-            raise ValidationError("level_function.p", "needed by exact values")
-        else:
-            values[disc] = complex(ExactComplex(
-                Fraction(val["magnitude_coeff"]),
-                Fraction(val["magnitude_radicand"]),
-                obj["p"],
-                Fraction(val["phase"]),
-                Fraction(val["p_exp"])))
-    return LevelFunction.from_mapping(int(obj["level"]), values)

@@ -212,7 +212,10 @@ def resolvent_solve(gen: GeneratorMatrix, eta, h: LevelFunction) -> LevelFunctio
     if not eta > 0:
         raise ValueError(f"eta must be positive, got {eta!r}")
     vals = gen.vector(h)
-    exact_q = all(isinstance(v, Fraction) for row in gen.rows for v in row)
+    # Q[i][i] is minus the sum of row i's nonnegative rates, and the terms
+    # of a rate at a fractional power of p have positive coefficients, so
+    # they cannot cancel: the diagonal is a Fraction exactly when its row is.
+    exact_q = all(isinstance(gen.rows[i][i], Fraction) for i in range(gen.size))
     exact_h = all(isinstance(v, (int, Fraction)) for v in vals)
     if exact_q and exact_h and isinstance(eta, (int, Fraction)):
         return gen.level_function(_multiresolution(gen, Fraction(eta),
@@ -512,9 +515,12 @@ class ValidationReport:
         return all(r.passed for r in self.rows)
 
 
+VALIDATION_SIGMAS = 4.0  # binomial sigmas a state's empirical frequency may deviate
+
+
 def empirical_validation(gen: GeneratorMatrix, paths: PathColumns,
                          checkpoints: Sequence[float],
-                         start_index: int = 0, sigmas: float = 4.0) -> ValidationReport:
+                         start_index: int = 0) -> ValidationReport:
     """Per-checkpoint comparison of the empirical state distribution with the
     transition row, at a binomial-sigma threshold per state."""
     n_paths = len(paths)
@@ -527,5 +533,5 @@ def empirical_validation(gen: GeneratorMatrix, paths: PathColumns,
         dev = np.abs(emp - analytic) / sigma
         worst = int(np.argmax(dev))
         rows.append(CheckpointRow(float(t), float(dev[worst]), worst,
-                                  bool(dev[worst] <= sigmas)))
-    return ValidationReport(tuple(rows), n_paths, sigmas)
+                                  bool(dev[worst] <= VALIDATION_SIGMAS)))
+    return ValidationReport(tuple(rows), n_paths, VALIDATION_SIGMAS)

@@ -555,8 +555,11 @@ def _scalar_bounds(value: Scalar) -> tuple[Fraction, Fraction]:
     return value.bounds()
 
 
+BRANCH_PROBE = 12  # steps of exact distances a branch certificate may look at
+
+
 def _branch_closed_form(cfg: OperatorConfig, support: Disc,
-                        letter: int, probe: int = 12) -> PowerSum | None:
+                        letter: int) -> PowerSum | None:
     """Exact sum over n >= 1 of p^(-alpha_g n) * dist(support, s^n support)^(-alpha)
     for the single-letter branch s, when a certificate applies; None otherwise.
 
@@ -579,11 +582,11 @@ def _branch_closed_form(cfg: OperatorConfig, support: Disc,
     target = cfg.group.target_hole(letter)
     c0 = support.center
 
-    # exact distances for the first `probe` steps
+    # exact distances for the first BRANCH_PROBE steps
     dists: list[Fraction] = []
     image = support
     images = []
-    for _ in range(probe):
+    for _ in range(BRANCH_PROBE):
         image = region_image(smat, image, p)
         images.append(image)
         if image.complement:
@@ -635,7 +638,7 @@ def _branch_closed_form(cfg: OperatorConfig, support: Disc,
             t = Fraction(smat.b, smat.d - smat.a)
             base_gap = abs_p(c0 - t, p)
             z = c0
-            for n0 in range(1, probe):
+            for n0 in range(1, BRANCH_PROBE):
                 z = smat.apply(z)
                 if abs_p(z - t, p) > base_gap:
                     rho_exp = Fraction(-valuation(q, p))  # |q| = p^rho_exp
@@ -922,7 +925,7 @@ def vladimirov_alpha_free_value(support: Disc, j: int, x: Rational, p: int) -> E
 
 
 # ---------------------------------------------------------------------------
-# Finite generator matrix and Dirichlet form
+# Finite generator matrix
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -1095,44 +1098,3 @@ def generator_matrix(cfg: OperatorConfig, level: int,
     object.__setattr__(gen, "tree", SplitTree(tuple(balls), tuple(map(tuple, members)),
                                               tuple(map(tuple, children))))
     return gen
-
-
-def apply_generator(gen: GeneratorMatrix, values: Sequence) -> list:
-    """Q @ v with exact entries (works for Fractions and complexes alike)."""
-    out = []
-    for row in gen.rows:
-        acc = None
-        for entry, v in zip(row, values):
-            term = entry * v if isinstance(entry, Fraction) else float(entry) * v
-            acc = term if acc is None else acc + term
-        out.append(acc)
-    return out
-
-
-def dirichlet_form(cfg: OperatorConfig, u: LevelFunction, v: LevelFunction,
-                   gen: GeneratorMatrix | None = None):
-    """The quadratic form <H u, H v> against |omega| on F.
-
-    Exact (rational or complex-rational) when the inputs are; conjugate
-    symmetric; zero on constants; nonnegative on the diagonal.  Returns
-    (value, certified truncation bound).
-    """
-    if u.level != v.level:
-        raise NotLocallyConstant("level mismatch")
-    if gen is None:
-        gen = generator_matrix(cfg, u.level)
-    qu = apply_generator(gen, gen.vector(u))
-    qv = apply_generator(gen, gen.vector(v))
-    total = 0
-    for m, a, b in zip(gen.masses, qu, qv):
-        conj_b = b.conjugate() if isinstance(b, complex) else b
-        total = total + m * a * conj_b
-    # coarse certified bound: first-order in the per-entry tail
-    err = float(gen.entry_tail) * gen.size
-    sup_u, sup_v = u.sup_norm(), v.sup_norm()
-    sup_qu = max(abs(complex(q)) for q in qu)
-    sup_qv = max(abs(complex(q)) for q in qv)
-    mass_total = float(sum(gen.masses))
-    bound = mass_total * (err * 2 * sup_u * sup_qv + err * 2 * sup_v * sup_qu
-                          + (err * 2) ** 2 * sup_u * sup_v)
-    return total, bound

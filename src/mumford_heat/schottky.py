@@ -205,20 +205,6 @@ def region_image(gamma: MoebiusMap, region: Disc, p: int) -> Disc:
                 complement=True)
 
 
-class PoleInsideDisc(ValueError):
-    """disc_image requires the pole outside the disc."""
-
-
-def disc_image(gamma: MoebiusMap, disc: Disc, p: int) -> Disc:
-    """Image of a plain disc whose interior avoids the pole; always a plain disc."""
-    if disc.complement:
-        raise ValueError("disc_image expects a plain disc")
-    pole = gamma.pole()
-    if pole is not None and disc.contains_point(pole, p):
-        raise PoleInsideDisc(f"pole {pole} lies in {disc}")
-    return region_image(gamma, disc, p)
-
-
 def regions_equal(r1: Disc, r2: Disc, p: int) -> bool:
     """Set equality of discs/co-discs (centers need not match literally)."""
     return r1.contains(r2, p) and r2.contains(r1, p)

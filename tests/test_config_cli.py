@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -318,6 +319,34 @@ def test_resolvent_writes_plain_floats_for_irrational_rates(tate_path, tmp_path)
     assert all(float(row[-1]) > 0 for row in rows[1:])
 
 
+GENUS0_SHA256 = {
+    "validation.json": "1ee8d37c8bafa0380b02fbd44d0360c271832495f4bbd913bcf140c3076ca8ef",
+    "spectrum.csv": "9eaa0f6ae83c43f485e1f42542457d5943a47c75a8dd558c665ca4c418574c29",
+    "resolvent.csv": "62e270259ddd0adca8f1d41a226d2328201f673fb20a9ad53ce454686ce5790f",
+}
+
+
+def test_a_genus0_group_writes_a_zero_tail_bound(tate_path, tmp_path):
+    # no words but the identity: every artifact says tail_bound=0, and the
+    # exact ones keep their bytes
+    raw = json.loads(tate_path.read_text())
+    raw["group"] = {"generators": [], "outer": {"center": "0", "radius_exp": 0},
+                    "holes": []}
+    raw["measure"] = {"datum": {"scale": "1", "factors": []}, "resolution": 2}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    with contextlib.redirect_stdout(io.StringIO()):
+        for command in ("validate", "spectrum", "evolve", "resolvent"):
+            assert main([command, "-c", str(config), "-o", str(out)]) == 0
+    meta = json.loads((out / "validation.json").read_text())["meta"]
+    assert meta["tail_bound"] == "0"
+    for name in ("spectrum.csv", "evolution.csv", "resolvent.csv"):
+        assert "# tail_bound=0" in (out / name).read_text().splitlines()
+    for name, digest in GENUS0_SHA256.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+
+
 def test_commands_do_not_import_scipy(tate_path, tmp_path):
     code = "\n".join([
         "import sys",
@@ -489,14 +518,6 @@ def test_bad_profile_disc_fields_exit_2(tate_run, tmp_path, capsys, key, disc,
     assert not out.exists()
 
 
-def test_level_function_rows_are_strict():
-    from mumford_heat.config import level_function_from_dict
-    row = {"center": "1", "radius_exp": "-2", "value": {"re": 1.0}}
-    with pytest.raises(ValidationError) as err:
-        level_function_from_dict({"level": 2, "values": [row]})
-    assert err.value.path == "level_function.values.radius_exp"
-
-
 def test_validate_writes_the_parse_time_domain_report(tate_path, tmp_path):
     run = parse_config(tate_path)
     assert run.domain_report.ok and run.domain_report.tiles_checked > 0
@@ -517,55 +538,6 @@ def test_profile_based_config_round_trip(tate_run):
     emitted = emit_config(again)
     assert emitted["measure"]["profile"] == raw["measure"]["profile"]
     assert config_from_dict(emitted).operator == again.operator
-
-
-def test_wavelet_and_level_function_interchange(tate_run):
-    from mumford_heat.config import (level_function_dict,
-                                     level_function_from_dict, wavelet_dict,
-                                     wavelet_from_dict, exact_complex_dict)
-    from mumford_heat.wavelets import (LevelFunction, Wavelet, state_discs,
-                                       wavelet_eval)
-    from mumford_heat.padic import Disc
-
-    w = Wavelet(Disc(F(1), -1), 2, 3)
-    assert wavelet_from_dict(wavelet_dict(w)) == w
-
-    states = state_discs(tate_run.operator.domain,
-                         tate_run.operator.profile, 2)
-    u = LevelFunction.from_wavelet(w, 2, states, tate_run.operator.profile, "haar")
-    round_tripped = level_function_from_dict(json.loads(
-        json.dumps(level_function_dict(u))))
-    for (d, a), (_, b) in zip(round_tripped.values, u.values):
-        assert abs(a - b) < 1e-15
-
-    exact = {d: wavelet_eval(w, d.center, tate_run.operator.profile, "haar")
-             for d in states}
-    payload = level_function_dict(u, exact_values=exact)
-    assert exact_complex_dict(exact[states[0]])["magnitude_coeff"] == "1"
-    assert payload["values"][0]["value"]["phase"].count("/") <= 1
-    back = level_function_from_dict(payload)
-    for (d, a), (_, b) in zip(back.values, u.values):
-        assert abs(a - b) < 1e-15
-
-
-def test_exact_level_function_round_trip_p5():
-    from mumford_heat.config import level_function_dict, level_function_from_dict
-    from mumford_heat.exactnum import ExactComplex
-    from mumford_heat.padic import Disc
-    from mumford_heat.wavelets import LevelFunction
-
-    exact = {Disc(F(c), -1): ExactComplex(F(2, 3), F(5), 5, F(c, 5), F(-1, 2))
-             for c in range(1, 5)}
-    u = LevelFunction.from_mapping(1, {d: complex(v) for d, v in exact.items()})
-    payload = json.loads(json.dumps(level_function_dict(u, exact_values=exact)))
-    assert payload["p"] == 5
-    back = level_function_from_dict(payload)
-    for (_, a), (_, b) in zip(back.values, u.values):
-        assert abs(a - b) < 1e-15
-    del payload["p"]
-    with pytest.raises(ValidationError) as err:
-        level_function_from_dict(payload)
-    assert err.value.path == "level_function.p"
 
 
 RUN_FIELDS = ("times", "eta", "paths", "seed", "level", "start_state")

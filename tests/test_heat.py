@@ -17,7 +17,7 @@ from mumford_heat.heat import (ROW_SUM_TOL, NumericalBreakdown, Reducible,
 from mumford_heat import heat
 from mumford_heat.measure import RationalFunctionDatum
 from mumford_heat.operator import (GeneratorMatrix, NotLocallyConstant, SplitTree,
-                                   dirichlet_form, generator_matrix, lambda_exact,
+                                   generator_matrix, lambda_exact,
                                    transformed_config)
 from mumford_heat.padic import Disc
 from mumford_heat.schottky import GroupWord
@@ -332,6 +332,23 @@ class TestResolvent:
         dense = np.linalg.solve(np.eye(half.size) - half.matrix, np.eye(half.size)[0])
         assert np.allclose(vec, dense, rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("level", [2, 3])
+    @pytest.mark.parametrize("name,alpha,alpha_g", [
+        ("tate_cfg", F(1), F(1)), ("tate_cfg", F(1, 2), F(1)), ("tate_cfg", F(1, 3), F(1)),
+        ("genus2_cfg", F(1), F(2)), ("genus2_cfg", F(1), F(3, 2)),
+    ], ids=["tate", "tate-a1/2", "tate-a1/3", "genus2", "genus2-ag3/2"])
+    def test_the_diagonal_decides_exactness_as_the_full_scan_does(
+            self, request, monkeypatch, name, alpha, alpha_g, level):
+        cfg = replace(request.getfixturevalue(name), alpha=alpha, alpha_g=alpha_g,
+                      cutoff_len=4)
+        gen = generator_matrix(cfg, level)
+        scan = [all(isinstance(v, F) for v in row) for row in gen.rows]
+        assert scan == [isinstance(row[i], F) for i, row in enumerate(gen.rows)]
+        sizes = cell_solve_sizes(monkeypatch)
+        u = gen.vector(resolvent_solve(gen, F(1), gen.level_function(indicator(gen))))
+        assert bool(sizes) == all(scan) == all(isinstance(v, F) for v in u)
+        assert all(scan) == (alpha.denominator == alpha_g.denominator == 1)
+
 
 @pytest.fixture(scope="module")
 def certified(tate_cfg, genus2_cfg):
@@ -456,16 +473,15 @@ class TestMultiresolution:
 
 
 @pytest.mark.parametrize("consumer", [
-    lambda cfg, gen, h: solve_cauchy(gen, h, [0.0, 1.0]),
-    lambda cfg, gen, h: resolvent_solve(gen, F(1), h),
-    lambda cfg, gen, h: dirichlet_form(cfg, h, h, gen),
-], ids=["solve_cauchy", "resolvent_solve", "dirichlet_form"])
-def test_missing_state_is_named(tate_cfg, gen, consumer):
+    lambda gen, h: solve_cauchy(gen, h, [0.0, 1.0]),
+    lambda gen, h: resolvent_solve(gen, F(1), h),
+], ids=["solve_cauchy", "resolvent_solve"])
+def test_missing_state_is_named(gen, consumer):
     missing = gen.states[3]
     h = LevelFunction.from_mapping(
         gen.level, {d: F(1) for d in gen.states if d != missing})
     with pytest.raises(NotLocallyConstant, match=re.escape(repr(missing))):
-        consumer(tate_cfg, gen, h)
+        consumer(gen, h)
 
 
 class TestStationary:

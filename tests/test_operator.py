@@ -7,8 +7,7 @@ from mumford_heat.exactnum import PowerSum
 from mumford_heat.operator import (ChartNotSupported, CoincidentPoints,
                                    _chart_escape_distance,
                                    NotAdmissible, OperatorConfig,
-                                   apply_generator, apply_operator,
-                                   dirichlet_form, generator_matrix, kernel,
+                                   apply_operator, generator_matrix, kernel,
                                    lambda_exact, lambda_formula,
                                    lambda_transform, minimal_escape_distance,
                                    scalar_times_value, spectrum, tail_bound,
@@ -343,7 +342,7 @@ class TestGeneratorMatrix:
         w = Wavelet(Disc(F(1), -1), 1, 3)
         vec = [complex(wavelet_eval(w, d.center, tate_cfg.profile, "haar"))
                for d in gen.states]
-        image = apply_generator(gen, vec)
+        image = gen.matrix @ vec
         lam = float(F(lambda_exact(tate_cfg, Disc(F(1), -1),
                                    length=gen.cutoff).value))
         for a, b in zip(image, vec):
@@ -351,39 +350,8 @@ class TestGeneratorMatrix:
 
     def test_constants_in_kernel(self, tate_cfg):
         gen = generator_matrix(tate_cfg, 2)
-        assert all(v == 0 for v in apply_generator(gen, [F(1)] * gen.size))
-
-
-class TestDirichletForm:
-    def test_constants_give_zero(self, tate_cfg):
-        gen = generator_matrix(tate_cfg, 2)
-        u = LevelFunction.constant(2, gen.states, F(1))
-        value, _ = dirichlet_form(tate_cfg, u, u, gen)
-        assert value == 0
-
-    def test_nonnegative_and_symmetric(self, tate_cfg):
-        import random
-        gen = generator_matrix(tate_cfg, 2)
-        rng = random.Random(9)
-        for _ in range(40):
-            u = LevelFunction.from_mapping(
-                2, {d: complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-                    for d in gen.states})
-            v = LevelFunction.from_mapping(
-                2, {d: complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-                    for d in gen.states})
-            quad, _ = dirichlet_form(tate_cfg, u, u, gen)
-            assert quad.real >= 0 and abs(quad.imag) < 1e-12
-            uv, _ = dirichlet_form(tate_cfg, u, v, gen)
-            vu, _ = dirichlet_form(tate_cfg, v, u, gen)
-            assert abs(uv - vu.conjugate()) < 1e-9
-
-    def test_exact_on_rational_input(self, tate_cfg):
-        gen = generator_matrix(tate_cfg, 2)
-        u = LevelFunction.from_mapping(
-            2, {d: F(i % 3, 2) for i, d in enumerate(gen.states)})
-        value, _ = dirichlet_form(tate_cfg, u, u, gen)
-        assert isinstance(value, F) and value > 0
+        assert all(isinstance(v, F) for row in gen.rows for v in row)
+        assert all(sum(row) == 0 for row in gen.rows)
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,9 @@ from hypothesis import strategies as st
 from mumford_heat.padic import (Disc, PoleHit, covered_measure, discs_disjoint,
                                 haar_measure)
 from mumford_heat.schottky import (DiscsIntersect, DomainInvalid, GroupWord,
-                                   MoebiusMap, PoleInsideDisc,
-                                   ReductionDiverged, SchottkyGroup,
+                                   MoebiusMap, ReductionDiverged, SchottkyGroup,
                                    _tile_in_first_target, delta,
-                                   disc_distance, disc_image, enumerate_words,
+                                   disc_distance, enumerate_words,
                                    moebius_distance_identity_check,
                                    reduce_to_domain, region_image,
                                    regions_equal, verify_fundamental_domain,
@@ -81,25 +80,26 @@ def test_distance_identity_universal(m, x, y, p):
 
 @given(matrices, points, st.integers(-3, 2))
 @settings(max_examples=200)
-def test_disc_image_membership_and_haar(m, c, t):
+def test_region_image_membership_and_haar(m, c, t):
     p = 3
     disc = Disc(c, t)
     pole = m.pole()
+    image = region_image(m, disc, p)
     if pole is not None and disc.contains_point(pole, p):
-        with pytest.raises(PoleInsideDisc):
-            disc_image(m, disc, p)
+        assert image.complement
         return
-    image = disc_image(m, disc, p)
+    assert not image.complement
     for child in disc.children(p):
         assert image.contains_point(m.apply(child.center), p)
-    from mumford_heat.padic import haar_measure
     assert haar_measure(image, p) == m.derivative_abs(c, p) * haar_measure(disc, p)
 
 
-def test_disc_image_examples():
-    assert disc_image(SCALE, Disc(F(1), -1), 3) == Disc(F(9), -3)
-    assert disc_image(MoebiusMap.identity(), Disc(F(1), -1), 3) == Disc(F(1), -1)
-    assert disc_image(SCALE.inverse(), Disc(F(9), -3), 3) == Disc(F(1), -1)
+def test_region_image_examples():
+    assert region_image(SCALE, Disc(F(1), -1), 3) == Disc(F(9), -3)
+    assert region_image(MoebiusMap.identity(), Disc(F(1), -1), 3) == Disc(F(1), -1)
+    assert region_image(SCALE.inverse(), Disc(F(9), -3), 3) == Disc(F(1), -1)
+    # SWAP's pole 0 lies in D(0, 1/3), whose image is |z| >= 3, the co-disc of D(0, 1)
+    assert region_image(SWAP, Disc(F(0), -1), 3) == Disc(F(0), 0, complement=True)
 
 
 def test_region_image_roundtrip_codisc():
