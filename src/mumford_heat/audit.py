@@ -151,6 +151,9 @@ def check_escape_distance_bound(cfg: OperatorConfig, n: int,
     outside = [piece for piece, _ in cfg.profile.pieces]
     supports = [(s, [d for d in outside if not d.contains(s, p)])
                 for s in admissible_supports(cfg.profile, 3)]
+    # x needs a point of F off the support: none if the support is all of F
+    supports = [(s, host) for s, host in supports
+                if host or all(s.radius_exp < d.radius_exp for d in outside)]
     words = list(words_with_maps(group, 4))
     images: dict[tuple[GroupWord, Disc], tuple[Disc, tuple[int, int]]] = {}
     failures = 0
@@ -305,6 +308,9 @@ def check_chart_shift(cfg: OperatorConfig, datum: RationalFunctionDatum,
     the transformation-formula value.
     """
     p = cfg.p
+    if abs(chart_letter) > cfg.group.genus:
+        return CheckResult("chart_shift_invariance", True, 0, 0, (),
+                           note=f"no generator {abs(chart_letter)} to shift the chart by")
     phi = cfg.group.letter_map(chart_letter)
     supports = admissible_supports(cfg.profile, 2)
     instances = []

@@ -8,13 +8,10 @@ integrated over the fundamental domain against the density profile.  For a
 wavelet the whole truncated sum collapses, by ultrametric constancy and
 exact character cancellation, to a rational (or exact p-power) multiple of
 the wavelet value; that multiple is the first-principles eigenvalue oracle.
-The closed-form eigenvalue series attached to a wavelet's support disc is
-computed separately, with an exact geometric closed form in genus one and a
-certified truncation interval otherwise.  Both readings of translated
-quantities are supported: ``ambient`` recomputes distances and densities in
-the field, ``transport`` defines gamma-translated data to equal its
-representative on F; the beta = 1 spectral computation is the same in both
-modes.
+Both readings of translated quantities are supported: ``ambient`` recomputes
+distances and densities in the field, ``transport`` defines gamma-translated
+data to equal its representative on F; the beta = 1 spectral computation is
+the same in both modes.
 
 Every truncated group sum (generator matrix, wavelet multipliers and their
 eigenvalue oracle, eigenvalue series, level-function quadrature) runs through
@@ -22,7 +19,9 @@ one engine: a single walk over the reduced words moves cell centres by the
 words' integer matrices and counts, per (base point, cell) pair, the words by
 (length l, valuation v of the distance).  Each such histogram is folded once
 into the exact sum of count * p^(alpha*v - alpha_g*l), for rational exponents
-as for integral ones.
+as for integral ones.  The eigenvalue series attached to a support disc, in
+any genus, adds to its walk the exact rest of the series wherever the chain
+certificate of ``_closed_tail`` holds, and a certified tail bound otherwise.
 
 The walk skips every subtree whose distances are certified constant and
 counts it instead (ping-pong, as in Gerritzen-van der Put).  The certificate
@@ -52,6 +51,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
@@ -148,8 +148,6 @@ class OperatorConfig:
         if self.cutoff_len is not None:
             return self.cutoff_len
         tol = self.cutoff_tol if self.cutoff_tol is not None else Fraction(1, 10 ** 12)
-        if self.group.genus == 0:
-            return 1
         # the bound at length + 1 is the bound at length times the exact
         # ratio (2g-1) * q_hi of _group_tail's geometric series
         _, q_hi = p_power_bounds(self.p, -self.alpha_g, digits=30)
@@ -312,7 +310,9 @@ def _cross_valuation(xn: int, xd: int, tn: int, td: int, p: int) -> int:
 def _group_histograms(cfg: OperatorConfig, length: int, points: Sequence[Fraction],
                       cells: Sequence[Disc], chart: MoebiusMap | None = None,
                       whole_cells: Sequence[bool] = (),
-                      pairs: Sequence[Sequence[int]] | None = None) -> list[list[dict]]:
+                      pairs: Sequence[Sequence[int]] | None = None,
+                      runs: list | None = None,
+                      frontier: list | None = None) -> list[list[dict]]:
     """{(l(w), v): count} for each (point x, cell) pair, where v is the
     valuation of chart(x) - chart(w(c)), c the cell's centre, over the reduced
     words w with l(w) <= length.  With ``pairs``, row i holds only the cells
@@ -324,7 +324,9 @@ def _group_histograms(cfg: OperatorConfig, length: int, points: Sequence[Fractio
     word whose pole is a cell centre raises PoleHit; one whose pole lies
     anywhere in a cell flagged in ``whole_cells`` raises ChartNotSupported,
     with the pole as its ``pole``.  The subtrees that
-    :func:`_subtree_pruner` certifies are counted, not walked.
+    :func:`_subtree_pruner` certifies are counted, not walked; ``runs`` and
+    ``frontier``, when given, get them (as (l(P.s), valuation per point))
+    and the walked words of full length (as (letters, word map)).
     """
     p = cfg.p
     moved = list(points) if chart is None else [chart.apply(x) for x in points]
@@ -336,10 +338,12 @@ def _group_histograms(cfg: OperatorConfig, length: int, points: Sequence[Fractio
     inside = [[pair_difference_valuation((x.numerator, x.denominator), centres[k], p)
                >= -cells[k].radius_exp for k in ks] for x, ks in zip(points, pairs)]
     hists = [[{} for _ in ks] for ks in pairs]
-    runs: list[tuple[int, list[int]]] = []
+    runs = [] if runs is None else runs
     for word, mat in words_with_maps(cfg.group, length,
                                      _subtree_pruner(cfg, cells, chart, moved, runs)):
         ell = len(word)
+        if frontier is not None and ell == length:
+            frontier.append((word.letters, mat))
         a = chart.a * mat.a + chart.b * mat.c
         b = chart.a * mat.b + chart.b * mat.d
         c = chart.c * mat.a + chart.d * mat.c
@@ -555,126 +559,89 @@ def _scalar_bounds(value: Scalar) -> tuple[Fraction, Fraction]:
     return value.bounds()
 
 
-BRANCH_PROBE = 12  # steps of exact distances a branch certificate may look at
+def _closed_tail(cfg: OperatorConfig, length: int, support: Disc, runs: list,
+                 frontier: list) -> Fraction | None:
+    """The exact l > length part of :func:`delta_series` at x = c_B, from the
+    walk's runs and frontier, or None where no certificate covers it (the
+    sums below are rational for integral exponents only).
 
-
-def _branch_closed_form(cfg: OperatorConfig, support: Disc,
-                        letter: int) -> PowerSum | None:
-    """Exact sum over n >= 1 of p^(-alpha_g n) * dist(support, s^n support)^(-alpha)
-    for the single-letter branch s, when a certificate applies; None otherwise.
-
-    Two certificates cover the hyperbolic one-generator branches:
-
-    * constant distance: a disc W with s(W) inside W, s^n0(support) inside W
-      and the base center outside W makes every later distance equal
-      |center - c_W|;
-    * exact geometric growth: an affine letter with expanding rational fixed
-      point t makes |s^n(center) - t| grow by the exact factor |s'|^-1 once
-      it exceeds |center - t|.
-
-    Closed forms require integral exponents (the geometric ratio is otherwise
-    not a finite p-power expression).
+    * A counted subtree (j, v) adds sum_{l > length} (2g-1)^(l-j)
+      p^(alpha*v - alpha_g*l); so does each child of a frontier word w (a
+      walked word of full length) that the pruner counts.
+    * Any other child must be w.c, c the last letter of w: the chain w.c^k,
+      k >= 1.  For affine c(z) = a*z + b and w, w.c^k maps z to
+      t + A*a^k*(z - f), f the fixed point of c and t = w(f).  If
+      |A*a*(z - f)| exceeds |x - t| for |a| > 1 (falls below it for
+      |a| < 1) at every z of the chain point and of each other child's
+      target disc, so it does at every k >= 1: every distance from x
+      scales by |a| per step (stays |x - t|), each other child of w.c^k is
+      a counted subtree, and the chain is one geometric series.
     """
-    p = cfg.p
+    if not (runs or frontier):
+        return Fraction(0)
     if cfg.alpha.denominator != 1 or cfg.alpha_g.denominator != 1:
         return None
-    smat = cfg.group.letter_map(letter)
-    target = cfg.group.target_hole(letter)
-    c0 = support.center
-
-    # exact distances for the first BRANCH_PROBE steps
-    dists: list[Fraction] = []
-    image = support
-    images = []
-    for _ in range(BRANCH_PROBE):
-        image = region_image(smat, image, p)
-        images.append(image)
-        if image.complement:
-            return None
-        dists.append(abs_p(c0 - image.center, p))
-
-    def tail_from(n0: int, ratio_exp: Fraction, first_exp: Fraction) -> PowerSum:
-        # sum_{n > n0} coeff * p^(first_exp + (n - n0 - 1) * ratio_exp)
-        # with ratio p^(ratio_exp) < 1 and integral exponents: exact rational.
-        r = Fraction(p) ** ratio_exp
-        first = Fraction(p) ** first_exp
-        return PowerSum.from_rational(p, first / (1 - r))
-
-    head = PowerSum(p)
-
-    # certificate 1: constant distance beyond some n0, via a trapping disc
-    trap = target
-    for _ in range(64):
-        if trap.complement or trap.contains_point(c0, p):
-            nxt = region_image(smat, trap, p)
-            if nxt.complement or nxt == trap:
-                trap = None
-                break
-            trap = nxt
+    group, p, x = cfg.group, cfg.p, support.center
+    branch = 2 * group.genus - 1
+    letters = [s for k in range(1, group.genus + 1) for s in (k, -k)]
+    prune = _subtree_pruner(cfg, [support], MoebiusMap.identity(), [x], runs)
+    rate = p ** int(cfg.alpha_g)
+    whole = Fraction(rate, rate - branch)  # 1/(1 - r): a subtree's every length
+    total = Fraction(0)
+    for word, w in frontier:
+        c = word[-1]
+        left = [s for s in letters if s != -c and not (prune and prune(word, w, s))]
+        if not left:
             continue
-        break
-    if trap is not None and not trap.complement:
-        shrunk = region_image(smat, trap, p)
-        trapped_at = None
-        for n, image_n in enumerate(images, start=1):
-            if trap.contains(image_n, p):
-                trapped_at = n
-                break
-        if (trapped_at is not None and trap.contains(shrunk, p)
-                and not trap.contains_point(c0, p)):
-            dist_const = abs_p(c0 - trap.center, p)
-            for n in range(1, trapped_at):
-                head.add_term(Fraction(1),
-                              -cfg.alpha_g * n + cfg.distance_power_exp(dists[n - 1]))
-            ratio_exp = -cfg.alpha_g
-            first_exp = (-cfg.alpha_g * trapped_at
-                         + cfg.distance_power_exp(dist_const))
-            return head + tail_from(trapped_at, ratio_exp, first_exp)
-
-    # certificate 2: exact geometric growth for an expanding affine letter
-    if smat.c == 0 and smat.a != smat.d:
-        q = Fraction(smat.a, smat.d)
-        if abs_p(q, p) > 1:
-            t = Fraction(smat.b, smat.d - smat.a)
-            base_gap = abs_p(c0 - t, p)
-            z = c0
-            for n0 in range(1, BRANCH_PROBE):
-                z = smat.apply(z)
-                if abs_p(z - t, p) > base_gap:
-                    rho_exp = Fraction(-valuation(q, p))  # |q| = p^rho_exp
-                    for n in range(1, n0):
-                        head.add_term(Fraction(1),
-                                      -cfg.alpha_g * n + cfg.distance_power_exp(dists[n - 1]))
-                    gap0 = abs_p(z - t, p)
-                    # dist_n = gap0 * |q|^(n - n0) for n >= n0
-                    ratio_exp = -cfg.alpha_g - rho_exp * cfg.alpha
-                    first_exp = (-cfg.alpha_g * n0 + cfg.distance_power_exp(gap0))
-                    return head + tail_from(n0, ratio_exp, first_exp)
-    return None
+        step = group.letter_map(c)
+        if left != [c] or step.c or w.c:
+            return None
+        # plain discs: under an affine w the pruner counts no co-disc target
+        others = [group.target_hole(s) for s in letters if s not in (c, -c)]
+        f = Fraction(step.b, step.d - step.a)
+        va = valuation(Fraction(step.a, step.d), p)
+        shift = valuation(Fraction(w.a, w.d), p) + va  # v(A*a)
+        v_xt = valuation(x - w.apply(f), p)
+        # v(z - f) is one value on each target disc: f, fixed by c, lies in
+        # a hole of c and so off the other targets
+        v_zf = [valuation(z - f, p) for z in [x] + [disc.center for disc in others]]
+        if not all(shift + v < v_xt if va < 0 else shift + v > v_xt for v in v_zf):
+            return None
+        step = w.compose(step)  # the terms at k = 1: the word, the other children
+        head = (Fraction(p) ** int(cfg.alpha * valuation(x - step.apply(x), p)
+                                   - cfg.alpha_g * (length + 1))
+                + _fold(cfg, whole, Counter((length + 2, valuation(x - step.apply(d.center), p))
+                                            for d in others)))
+        ratio = p ** int(cfg.alpha_g - cfg.alpha * min(va, 0))  # 1 / the chain's ratio
+        total += head * Fraction(ratio, ratio - 1)
+    # every counted subtree past the walk, rooted at length + 1
+    counted: Counter = Counter()
+    for j, vs in runs:
+        counted[length + 1, vs[0]] += branch ** (length + 1 - j)
+    return total + _fold(cfg, whole, counted)
 
 
 def delta_series(cfg: OperatorConfig, support: Disc) -> SeriesValue:
     """sum over the group of p^(-alpha_g l(gamma)) * delta(support, gamma support)^(-alpha).
 
-    Genus one evaluates in exact closed form branch by branch; otherwise the
-    sum is truncated at the cutoff with a certified geometric tail.
+    The engine walks the words and :func:`_closed_tail` adds the exact rest,
+    the same after a walk of any length: one word long first.  Where no
+    certificate covers the rest, the value is the sum truncated at the
+    cutoff with a certified geometric tail.
     """
-    g = cfg.group.genus
-    if g == 0:
-        one = Fraction(1)
-        return SeriesValue(one, one, one, True, None)
-    if g == 1:
-        closed = [_branch_closed_form(cfg, support, s) for s in (1, -1)]
-        if all(c is not None for c in closed):
-            total = closed[0] + closed[1] + Fraction(1)
-            lo, hi = _scalar_bounds(total)
-            return SeriesValue(simplify(total), lo, hi, True, None)
-    length = cfg.cutoff()
-    # gamma B has centre gamma(c_B); the engine leaves out the identity word,
-    # whose term is 1
-    (hist,), = _group_histograms(cfg, length, [support.center], [support],
-                                 whole_cells=[True])
-    total = _fold(cfg, Fraction(1), hist) + 1
+    for length in sorted({1, cfg.cutoff()}):
+        runs: list = []
+        frontier: list = []
+        # gamma B has centre gamma(c_B); the engine leaves out the identity
+        # word, whose term is 1
+        (hist,), = _group_histograms(cfg, length, [support.center], [support],
+                                     whole_cells=[True], runs=runs, frontier=frontier)
+        total = _fold(cfg, Fraction(1), hist) + 1
+        tail = _closed_tail(cfg, length, support, runs, frontier)
+        if tail is not None:
+            # a Fraction: the exponents are integral, or no word but the identity is
+            total += tail
+            return SeriesValue(total, total, total, True, None)
     lo, hi = _scalar_bounds(total)
     return SeriesValue(simplify(total), lo, hi + _group_tail(cfg, length), False, length)
 
@@ -684,8 +651,9 @@ def lambda_formula(cfg: OperatorConfig, support: Disc) -> SeriesValue:
 
         C_B * mu(F)^-1 * p^(f*d) * sum_gamma p^(-alpha_g l) * delta(B, gamma B)^(-alpha)
 
-    Exact in genus <= 1 (and whenever every branch certificate applies);
-    otherwise a certified enclosure around the truncated sum.
+    Exact in any genus wherever the chain certificate of :func:`delta_series`
+    holds (both bundled fixtures, integral exponents); otherwise a certified
+    enclosure around the truncated sum.
     """
     if not cfg.profile.admissible(support):
         raise NotAdmissible(f"{support} is not admissible")

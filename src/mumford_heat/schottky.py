@@ -281,8 +281,6 @@ def enumerate_words(g: int, max_len: int) -> Iterator[GroupWord]:
     the last one.
     """
     yield GroupWord.identity()
-    if g == 0:
-        return
     alphabet = [i for k in range(1, g + 1) for i in (k, -k)]
     frontier: list[tuple[Letter, ...]] = [()]
     for _ in range(max_len):
@@ -310,8 +308,6 @@ def words_with_maps(group: "SchottkyGroup", max_len: int,
     """
     identity = MoebiusMap.identity()
     yield GroupWord.identity(), identity
-    if group.genus == 0:
-        return
     alphabet = [(s, group.letter_map(s))
                 for k in range(1, group.genus + 1) for s in (k, -k)]
     frontier: list[tuple[tuple[Letter, ...], MoebiusMap]] = [((), identity)]

@@ -1,9 +1,11 @@
+import json
 from fractions import Fraction as F
 
 import pytest
 
 from mumford_heat import (Disc, FundamentalDomain, MoebiusMap, OperatorConfig,
                           RationalFunctionDatum, SchottkyGroup, build_profile)
+from mumford_heat.config import bundled_fixture
 
 
 @pytest.fixture(scope="session")
@@ -61,3 +63,44 @@ def genus2_cfg(genus2_group, genus2_profile):
 @pytest.fixture(scope="session")
 def ball_domain():
     return FundamentalDomain(Disc(F(0), 0), (), 3)
+
+
+# A genus-two group over p = 5, built like genus2-p3 with 9 -> 25 and 3 -> 5:
+# z -> 25z and its conjugate with fixed points 2 and 1.  Test-only: it is not
+# a bundled fixture and not a benchmark workload.
+P5_GENERATORS = ((25, 0, 0, 1), (49, -48, 24, -23))
+P5_HOLES = ((0, 0, True), (2, -1, False), (0, -2, False), (1, -2, False))
+
+
+@pytest.fixture(scope="session")
+def p5_group():
+    return SchottkyGroup(
+        p=5,
+        generators=tuple(MoebiusMap(*m) for m in P5_GENERATORS),
+        holes=tuple(Disc(F(c), r, complement=co) for c, r, co in P5_HOLES),
+        outer=Disc(F(0), 0),
+    )
+
+
+@pytest.fixture(scope="session")
+def p5_cfg(p5_group):
+    profile = build_profile(RationalFunctionDatum.constant(),
+                            p5_group.fundamental_domain(), 2)
+    return OperatorConfig(group=p5_group, profile=profile,
+                          alpha=F(1), alpha_g=F(1), cutoff_len=8)
+
+
+@pytest.fixture
+def p5_config_path(tmp_path):
+    """The p = 5 group as a config file, on the genus2-p3 run settings."""
+    raw = json.loads(bundled_fixture("genus2-p3").read_text())
+    raw["field"]["p"] = 5
+    raw["group"]["generators"] = [[[str(a), str(b)], [str(c), str(d)]]
+                                  for a, b, c, d in P5_GENERATORS]
+    raw["group"]["holes"] = [{"center": str(c), "radius_exp": r, "complement": True}
+                             if co else {"center": str(c), "radius_exp": r}
+                             for c, r, co in P5_HOLES]
+    raw["operator"]["alpha_g"] = "1"
+    path = tmp_path / "p5-genus2.json"
+    path.write_text(json.dumps(raw))
+    return path

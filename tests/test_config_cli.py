@@ -337,8 +337,8 @@ def test_a_genus0_group_writes_a_zero_tail_bound(tate_path, tmp_path):
     config.write_text(json.dumps(raw))
     out = tmp_path / "out"
     with contextlib.redirect_stdout(io.StringIO()):
-        for command in ("validate", "spectrum", "evolve", "resolvent"):
-            assert main([command, "-c", str(config), "-o", str(out)]) == 0
+        for command in ("validate", "spectrum", "evolve", "resolvent", "sample", "audit"):
+            assert main([command, "-c", str(config), "-o", str(out)]) == 0, command
     meta = json.loads((out / "validation.json").read_text())["meta"]
     assert meta["tail_bound"] == "0"
     for name in ("spectrum.csv", "evolution.csv", "resolvent.csv"):

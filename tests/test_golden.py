@@ -24,7 +24,7 @@ GOLDEN = {
     ("g2-groupsum", "validate", "validation.json"):
         "3f9c65c40e1c11933efb5ae03535d473a35c13c12bec7036e0f3e82154e6e592",
     ("g2-groupsum", "spectrum", "spectrum.csv"):
-        "67d5de399a409024ec196a7435fd1dd790ddb191cc5012566a276ba4b72cc21c",
+        "f59b55c246f093476d5c930321774a896d26d76c5a27ef8e4ffa0c3c4a81d2a5",
     ("g2-groupsum", "resolvent", "resolvent.csv"):
         "8a1906a94017b7befd9fbea85012088053b2335b019febf3bbc09737966096e8",
     ("g2-groupsum", "audit", "audit.json"):

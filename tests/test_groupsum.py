@@ -182,7 +182,7 @@ def test_delta_series_matches_reference(case):
     for support in admissible_supports(cfg.profile, 3):
         series = delta_series(cfg, support)
         if series.is_exact:
-            continue  # a genus-one closed form, not a truncated group sum
+            continue  # closed by the exact tail, not a truncated group sum
         ref = ref_delta_value(cfg, support)
         assert series.value == ref
         lo = ref if isinstance(ref, F) else ref.bounds()[0]

@@ -172,7 +172,7 @@ class TestLambdaPaper:
     def test_positive(self, tate_cfg, genus2_cfg):
         assert lambda_formula(tate_cfg, Disc(F(1), -1)).value > 0
         g2 = lambda_formula(genus2_cfg, Disc(F(3), -2))
-        assert g2.lo > 0 and not g2.is_exact
+        assert g2.lo > 0 and g2.is_exact and g2.value == F(15, 32)
 
     def test_inadmissible_rejected(self, tate_cfg):
         with pytest.raises(NotAdmissible):
