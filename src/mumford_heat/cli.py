@@ -23,9 +23,10 @@ from .config import (ParseError, RunConfig, ValidationError, check_level,
 from .heat import (NumericalBreakdown, SingularSystem, empirical_validation,
                    resolvent_solve, sample_paths, solve_cauchy)
 from .measure import RationalFunctionDatum
-from .operator import (OperatorConfig, RatioNotConstant, generator_matrix,
-                       spectrum, tail_bound)
-from .schottky import DomainInvalid
+from .operator import (ChartNotSupported, CoincidentPoints, OperatorConfig,
+                       RatioNotConstant, generator_matrix, spectrum, tail_bound)
+from .padic import PoleHit
+from .schottky import DomainInvalid, verify_fundamental_domain
 from .wavelets import LevelFunction, admissible_wavelets, wavelet_eval
 
 
@@ -59,7 +60,7 @@ def _write(path: Path, text: str) -> None:
 
 
 def cmd_validate(run: RunConfig, op: OperatorConfig, out: Path, args) -> int:
-    report = run.domain_report
+    report = verify_fundamental_domain(op.group, depth=4)
     payload = {
         "meta": _meta(run, op),
         "domain": {
@@ -255,6 +256,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):
+        # exact values may run past the default limit of 4300 digits: under
+        # a density of 10^400, tate-p3's resolvent values have 4916
+        sys.set_int_max_str_digits(0)
     args = build_parser().parse_args(argv)
     try:
         cutoff_len, cutoff_tol = parse_cutoff(args.cutoff_len, args.cutoff_tol,
@@ -265,10 +270,15 @@ def main(argv=None) -> int:
         op = run.operator_config(mode=args.mode, cutoff_len=cutoff_len,
                                  cutoff_tol=cutoff_tol)
         code = COMMANDS[args.command](run, op, args.out, args)
-    except (ParseError, ValidationError, DomainInvalid) as exc:
+    except (ParseError, ValidationError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
-    except (NumericalBreakdown, SingularSystem, RatioNotConstant) as exc:
+    except (DomainInvalid, ChartNotSupported, PoleHit, CoincidentPoints) as exc:
+        # the group fails a domain clause, or a walked word's pole or image
+        # meets a cell the exact sums need
+        print(f"validation error: group: {exc}", file=sys.stderr)
+        return 2
+    except (NumericalBreakdown, SingularSystem, RatioNotConstant, OverflowError) as exc:
         print(f"numerical breakdown: {exc}", file=sys.stderr)
         return 3
     return code

@@ -16,10 +16,11 @@ from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
-from .measure import (MeasureProfile, RationalFunctionDatum, build_profile)
+from .measure import (MeasureProfile, RationalFunctionDatum, ResolutionTooCoarse,
+                      RootInsideDisc, build_profile)
 from .operator import OperatorConfig, growth_condition_holds
 from .padic import Disc
-from .schottky import (DomainInvalid, DomainReport, MoebiusMap, SchottkyGroup,
+from .schottky import (DomainInvalid, MoebiusMap, SchottkyGroup,
                        verify_fundamental_domain)
 
 
@@ -146,13 +147,12 @@ class RunSettings:
 class RunConfig:
     """Validated run configuration plus its canonical hash.
 
-    ``operator`` holds the operator section as the file gives it.
-    ``domain_report`` is the depth-4 domain verification that parsing ran;
-    parsing raises unless it passed.
+    ``operator`` holds the operator section as the file gives it.  Parsing
+    checks clauses (i) and (ii) of ``verify_fundamental_domain``, which imply
+    its tile clause; only ``validate`` runs that clause, for its report.
     """
 
     operator: OperatorConfig
-    domain_report: DomainReport
     datum: RationalFunctionDatum | None
     resolution: int
     run: RunSettings
@@ -244,7 +244,7 @@ def config_from_dict(raw: dict) -> RunConfig:
                                                "group.holes")))
     try:
         group = SchottkyGroup(p=p, generators=tuple(gens), holes=holes, outer=outer)
-        domain_report = verify_fundamental_domain(group, depth=4)
+        verify_fundamental_domain(group, depth=0)
     except DomainInvalid as exc:
         raise ValidationError("group", str(exc)) from exc
 
@@ -253,9 +253,13 @@ def config_from_dict(raw: dict) -> RunConfig:
     datum = None
     if "datum" in msec:
         datum = _parse_datum(msec["datum"])
-        profile = build_profile(datum, group.fundamental_domain(), resolution)
+        profile = _datum_profile(datum, group, resolution)
     elif "profile" in msec:
         profile = _parse_profile(msec["profile"], p)
+        fault = profile.tiling_fault(group.fundamental_domain())
+        if fault:
+            raise ValidationError("measure.profile.pieces",
+                                  f"the pieces and zero cores do not tile F: {fault}")
     else:
         raise ValidationError("measure", "needs either a datum or a profile")
 
@@ -288,8 +292,7 @@ def config_from_dict(raw: dict) -> RunConfig:
     operator = OperatorConfig(group=group, profile=profile, alpha=alpha,
                               alpha_g=alpha_g, mode=mode, cutoff_len=cutoff_len,
                               cutoff_tol=cutoff_tol)
-    return RunConfig(operator, domain_report, datum, resolution, run,
-                     config_hash(raw))
+    return RunConfig(operator, datum, resolution, run, config_hash(raw))
 
 
 def _parse_datum(obj) -> RationalFunctionDatum:
@@ -319,6 +322,28 @@ def _parse_datum(obj) -> RationalFunctionDatum:
         return RationalFunctionDatum(scale, tuple(factors))
     except ValueError as exc:
         raise ValidationError("measure.datum", str(exc)) from exc
+
+
+def _datum_profile(datum: RationalFunctionDatum, group: SchottkyGroup,
+                   resolution: int) -> MeasureProfile:
+    """The datum's profile on F, which must tile F at this resolution."""
+    domain = group.fundamental_domain()
+    try:
+        profile = build_profile(datum, domain, resolution)
+    except ResolutionTooCoarse as exc:
+        raise ValidationError("measure.resolution", str(exc)) from exc
+    except RootInsideDisc as exc:  # a pole, or a root of multiplicity 0, in F
+        i = next(i for i, (root, mult) in enumerate(datum.factors)
+                 if mult <= 0 and domain.contains_point(root))
+        raise ValidationError(f"measure.datum.factors[{i}]", str(exc)) from exc
+    fault = profile.tiling_fault(domain)
+    if fault:
+        finer = next((f"group.holes[{i}]" for i, h in enumerate(group.holes)
+                      if h.radius_exp < -resolution), "group.outer")
+        raise ValidationError("measure.resolution",
+                              f"level-{resolution} discs do not tile F, as "
+                              f"{finer} is finer: {fault}")
+    return profile
 
 
 def _parse_profile(obj, p: int) -> MeasureProfile:

@@ -125,6 +125,25 @@ class MeasureProfile:
                 return dens
         raise UnalignedDisc(f"{x} is not in any piece")
 
+    def tiling_fault(self, domain: FundamentalDomain) -> str | None:
+        """Why the pieces and zero cores do not tile F, or None when they do.
+
+        They tile F when each lies in F, no two meet and their Haar masses
+        add up to mu(F): what they leave of F is open and has no mass, so it
+        is empty.
+        """
+        discs = [d for d, _ in self.pieces] + list(self.zero_cores)
+        for i, d in enumerate(discs):
+            if not domain.contains_disc(d):
+                return f"{d} is not inside F"
+            for e in discs[i + 1:]:
+                if not discs_disjoint(d, e, self.p):
+                    return f"{d} meets {e}"
+        covered = sum((haar_measure(d, self.p) for d in discs), Fraction(0))
+        if covered != domain.measure():
+            return f"they cover mass {covered} of mu(F) = {domain.measure()}"
+        return None
+
 
 def build_profile(datum: RationalFunctionDatum, domain: FundamentalDomain,
                   resolution: int) -> MeasureProfile:
@@ -247,7 +266,8 @@ def invariance_audit(profile: MeasureProfile, datum: RationalFunctionDatum,
     (A) honest form-invariance |f(gamma y)| * |gamma'(y)| = |f(y)| sampled on
     the piece; (B) equality of the density constant with the ambient density
     of the image disc; (C) |gamma'| = 1 on the piece.  Disagreement is a
-    reported finding, never an error.
+    reported finding, never an error, and so is a root of f at an image
+    sample (the value is None) or in the image disc.
     """
     p = group.p
     rows = []
@@ -258,13 +278,19 @@ def invariance_audit(profile: MeasureProfile, datum: RationalFunctionDatum,
             form_ok = True
             vals = None
             for y in samples:
-                lhs = datum.abs_at(gen.apply(y), p) * gen.derivative_abs(y, p)
+                try:
+                    lhs = datum.abs_at(gen.apply(y), p) * gen.derivative_abs(y, p)
+                except ZeroDivisionError:  # gamma(y) is a root of f: |f| is 0 or infinite
+                    lhs = None
                 rhs = datum.abs_at(y, p)
                 if vals is None:
                     vals = (lhs, rhs, gen.derivative_abs(y, p))
                 if lhs != rhs:
                     form_ok = False
-            image = region_image_density(datum, gen, piece, p)
+            try:
+                image = region_image_density(datum, gen, piece, p)
+            except RootInsideDisc:  # |f| is not constant on gamma(piece)
+                image = None
             rows.append(InvarianceRow(
                 piece, gi, form_ok,
                 image == dens,

@@ -59,9 +59,10 @@ from typing import Sequence, Union
 import numpy as np
 
 from .exactnum import ExactComplex, PowerSum, p_power_bounds
-from .padic import (Disc, PoleHit, Rational, abs_p, difference_valuation,
-                    discs_disjoint, haar_measure, pair_difference_valuation, valuation)
-from .measure import MeasureProfile, RationalFunctionDatum, local_abs
+from .padic import (INFINITE_VALUATION, Disc, PoleHit, Rational, abs_p,
+                    difference_valuation, discs_disjoint, haar_measure,
+                    pair_difference_valuation, valuation)
+from .measure import MeasureProfile, RationalFunctionDatum, RootInsideDisc, local_abs
 from .schottky import (DomainInvalid, FundamentalDomain, GroupWord, MoebiusMap,
                        SchottkyGroup, region_image, words_with_maps)
 from .wavelets import (LevelFunction, NotAdmissible, Wavelet,
@@ -322,8 +323,9 @@ def _group_histograms(cfg: OperatorConfig, length: int, points: Sequence[Fractio
     matrix of chart o w.  The identity word is left out of every pair whose
     point lies in the cell: that part of the integral is the caller's.  A
     word whose pole is a cell centre raises PoleHit; one whose pole lies
-    anywhere in a cell flagged in ``whole_cells`` raises ChartNotSupported,
-    with the pole as its ``pole``.  The subtrees that
+    elsewhere in a cell flagged in ``whole_cells`` raises ChartNotSupported;
+    either has the pole as its ``pole``.  A word that maps a centre onto a
+    point raises CoincidentPoints.  The subtrees that
     :func:`_subtree_pruner` certifies are counted, not walked; ``runs`` and
     ``frontier``, when given, get them (as (l(P.s), valuation per point))
     and the walked words of full length (as (letters, word map)).
@@ -333,7 +335,11 @@ def _group_histograms(cfg: OperatorConfig, length: int, points: Sequence[Fractio
     chart = chart or MoebiusMap.identity()
     xs = [(y.numerator, y.denominator, valuation(y.denominator, p)) for y in moved]
     centres = [(cell.center.numerator, cell.center.denominator) for cell in cells]
-    wholes = whole_cells or [False] * len(cells)
+    # a word's pole -d/c lies in a flagged cell iff |c*centre + d| / |c| <= its
+    # radius, that is v(den) >= v(c) + reach for den the centre's image pair
+    reach = [valuation(m, p) - cell.radius_exp if whole else INFINITE_VALUATION
+             for cell, (_, m), whole in zip(cells, centres,
+                                             whole_cells or [False] * len(cells))]
     pairs = [range(len(cells))] * len(points) if pairs is None else pairs
     inside = [[pair_difference_valuation((x.numerator, x.denominator), centres[k], p)
                >= -cells[k].radius_exp for k in ks] for x, ks in zip(points, pairs)]
@@ -348,24 +354,29 @@ def _group_histograms(cfg: OperatorConfig, length: int, points: Sequence[Fractio
         b = chart.a * mat.b + chart.b * mat.d
         c = chart.c * mat.a + chart.d * mat.c
         d = chart.c * mat.b + chart.d * mat.d
+        vc = valuation(c, p)
         targets = []
-        for cell, (n, m), whole in zip(cells, centres, wholes):
+        for cell, (n, m), r in zip(cells, centres, reach):
             den = c * n + d * m
-            # the pole -d/c is in the cell iff |c*centre + d| / |c| <= radius
-            if whole and c and (den == 0 or valuation(den, p) - valuation(m, p)
-                                - valuation(c, p) >= -cell.radius_exp):
+            if den == 0:
+                err = PoleHit(f"{word} evaluated at its pole {cell.center}")
+                err.pole = cell.center
+                raise err
+            vden = valuation(den, p)
+            if vden >= vc + r:
                 err = ChartNotSupported(f"image of {cell} under {word} wraps infinity")
                 err.pole = Fraction(-d, c)
                 raise err
-            if den == 0:
-                raise PoleHit(f"{word} evaluated at its pole {cell.center}")
-            targets.append((a * n + b * m, den, valuation(den, p)))
-        for (xn, xd, vx), ks, x_inside, row in zip(xs, pairs, inside, hists):
-            for k, skip, hist in zip(ks, x_inside, row):
-                if ell or not skip:
-                    tn, td, vt = targets[k]
-                    key = (ell, _cross_valuation(xn, xd, tn, td, p) - vx - vt)
-                    hist[key] = hist.get(key, 0) + 1
+            targets.append((a * n + b * m, den, vden))
+        try:
+            for (xn, xd, vx), ks, x_inside, row in zip(xs, pairs, inside, hists):
+                for k, skip, hist in zip(ks, x_inside, row):
+                    if ell or not skip:
+                        tn, td, vt = targets[k]
+                        key = (ell, _cross_valuation(xn, xd, tn, td, p) - vx - vt)
+                        hist[key] = hist.get(key, 0) + 1
+        except CoincidentPoints as exc:
+            raise CoincidentPoints(f"{exc} under {word}") from None
     # a subtree rooted at a word of length j holds (2g-1)^(l-j) words of
     # each length l = j..length, all at the run's distance from the point
     branch = 2 * cfg.group.genus - 1
@@ -454,7 +465,7 @@ def _multipliers(cfg: OperatorConfig, support: Disc, points: Sequence[Fraction],
         deriv = beta_map.derivative_abs(support.center, p)
         local_exp += cfg.distance_power_exp(deriv)
     hists = _group_histograms(cfg, length, points, [cell for cell, _ in cells],
-                              beta_map)
+                              beta_map, whole_cells=[True] * len(cells))
     local = PowerSum(p).add_term(-cfg.profile.density_on(support), local_exp)
     return [simplify((local + sum((_fold(cfg, -dens * haar_measure(cell, p), hist)
                                    for (cell, dens), hist in zip(cells, row)),
@@ -527,7 +538,7 @@ def _apply_to_level_function(cfg: OperatorConfig, u: LevelFunction, x: Fraction,
     masses = [cfg.profile.density_at(d.center) * haar_measure(d, p) for d, _ in u.values]
     # the identity term vanishes on the cell of x, which the engine skips
     row, = _group_histograms(cfg, length, [x], [d for d, _ in u.values],
-                             cfg.group.word_map(beta))
+                             cfg.group.word_map(beta), whole_cells=[True] * len(masses))
     total = sum((float(_fold(cfg, mass, hist)) * (val - ux)
                  for mass, (_, val), hist in zip(masses, u.values, row)), 0j)
     return (total * float(cfg.mu_inverse()),
@@ -634,8 +645,11 @@ def delta_series(cfg: OperatorConfig, support: Disc) -> SeriesValue:
         frontier: list = []
         # gamma B has centre gamma(c_B); the engine leaves out the identity
         # word, whose term is 1
-        (hist,), = _group_histograms(cfg, length, [support.center], [support],
-                                     whole_cells=[True], runs=runs, frontier=frontier)
+        try:
+            (hist,), = _group_histograms(cfg, length, [support.center], [support],
+                                         whole_cells=[True], runs=runs, frontier=frontier)
+        except PoleHit as exc:  # the pole is c_B, so gamma B wraps infinity
+            raise ChartNotSupported(str(exc)) from exc
         total = _fold(cfg, Fraction(1), hist) + 1
         tail = _closed_tail(cfg, length, support, runs, frontier)
         if tail is not None:
@@ -798,9 +812,10 @@ def transformed_config(cfg: OperatorConfig, datum: RationalFunctionDatum,
     pieces = []
     for piece, _ in cfg.profile.pieces:
         image = region_image(phi, piece, p)
-        if image.complement:
-            raise ChartNotSupported("chart piece wraps infinity")
-        pieces.append((image, local_abs(datum, image, p)))
+        try:
+            pieces.append((image, local_abs(datum, image, p)))
+        except RootInsideDisc as exc:  # the image wraps infinity or holds a root of f
+            raise ChartNotSupported(f"chart piece {image}: {exc}") from exc
     pieces.sort(key=lambda it: (it[0].center, it[0].radius_exp))
     cores = tuple(region_image(phi, core, p) for core in cfg.profile.zero_cores)
     profile = MeasureProfile(tuple(pieces), cores, p)
@@ -1014,10 +1029,11 @@ def generator_matrix(cfg: OperatorConfig, level: int,
 
     The sum is counted once per split ball B of row D, not per state: by
     the certificate of the module docstring it is the same at every D' in B.
-    A ball that holds a walked word's pole (ChartNotSupported from the
-    engine) is split and the sums are counted again.  Each distinct
-    (mass(D'), histogram) pair is folded once per call; the diagonal is
-    -sum count * entry over the row's tally of those pairs.
+    A ball that holds a walked word's pole (ChartNotSupported, or PoleHit
+    at its centre, from the engine) is split and the sums are counted
+    again; a pole still hit after that is a state's centre, and raises.
+    Each distinct (mass(D'), histogram) pair is folded once per call; the
+    diagonal is -sum count * entry over the row's tally of those pairs.
     """
     p = cfg.p
     length = cfg.cutoff() if length is None else length
@@ -1032,7 +1048,9 @@ def generator_matrix(cfg: OperatorConfig, level: int,
                                       whole_cells=[b.radius_exp > -level for b in balls],
                                       pairs=pairs)
             break
-        except ChartNotSupported as err:
+        except (ChartNotSupported, PoleHit) as err:
+            if err.pole in poles:
+                raise
             poles.append(err.pole)
     masses = [cfg.profile.density_at(d.center) * haar_measure(d, p) for d in states]
     mu_inv = cfg.mu_inverse()

@@ -34,6 +34,9 @@ INFINITE_VALUATION = math.inf
 class PoleHit(ZeroDivisionError):
     """A Moebius map was evaluated at its pole."""
 
+    #: the pole, where the group-sum engine reports it
+    pole: Fraction | None = None
+
 
 def valuation(x: Rational, p: int) -> Union[int, float]:
     """Exact p-adic valuation v_p(x); ``INFINITE_VALUATION`` for x = 0."""

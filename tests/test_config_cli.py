@@ -18,9 +18,10 @@ import mumford_heat
 from mumford_heat.cli import main
 from mumford_heat.config import (ParseError, ValidationError, bundled_fixture,
                                  config_from_dict, emit_config, format_rational,
-                                 parse_config)
+                                 parse_config, profile_dict)
 from mumford_heat.heat import sample_paths
 from mumford_heat.operator import generator_matrix, tail_bound
+from mumford_heat.schottky import DomainInvalid, verify_fundamental_domain
 
 
 @pytest.fixture(scope="module")
@@ -518,13 +519,139 @@ def test_bad_profile_disc_fields_exit_2(tate_run, tmp_path, capsys, key, disc,
     assert not out.exists()
 
 
-def test_validate_writes_the_parse_time_domain_report(tate_path, tmp_path):
+def test_only_validate_runs_the_tile_certificate(tate_path, tmp_path, monkeypatch):
+    """Parsing checks clauses (i) and (ii) only; ``validate`` writes the
+    depth-4 certificate it runs."""
+    import mumford_heat.cli as cli
+    import mumford_heat.config as config
+    depths = []
+
+    def recording(group, depth=6, **kwargs):
+        depths.append(depth)
+        return verify_fundamental_domain(group, depth, **kwargs)
+
+    monkeypatch.setattr(config, "verify_fundamental_domain", recording)
+    monkeypatch.setattr(cli, "verify_fundamental_domain", recording)
     run = parse_config(tate_path)
-    assert run.domain_report.ok and run.domain_report.tiles_checked > 0
+    assert depths == [0] and not hasattr(run, "domain_report")
     assert main(["validate", "-c", str(tate_path), "-o", str(tmp_path)]) == 0
+    assert depths == [0, 0, 4]
+    report = verify_fundamental_domain(run.operator.group, depth=4)
+    assert report.ok and report.tiles_checked == 8  # g and g^-1 to each power 1..4
     domain = json.loads((tmp_path / "validation.json").read_text())["domain"]
-    assert domain["tiles_checked"] == run.domain_report.tiles_checked
-    assert domain["details"] == list(run.domain_report.details)
+    assert domain == {
+        "holes_disjoint": report.holes_disjoint,
+        "pairing_onto_targets": report.pairing_ok,
+        "tiles_checked": report.tiles_checked,
+        "tiles_disjoint": report.tiles_disjoint,
+        "details": list(report.details),
+        "measure": format_rational(run.operator.domain.measure()),
+    }
+
+
+def test_a_tile_certificate_failure_in_validate_exits_2(tate_path, tmp_path, capsys,
+                                                         monkeypatch):
+    import mumford_heat.cli as cli
+
+    def failing(group, depth=6, **kwargs):
+        raise DomainInvalid("clause (iii): tile of GroupWord(g1) meets F")
+
+    monkeypatch.setattr(cli, "verify_fundamental_domain", failing)
+    assert main(["validate", "-c", str(tate_path), "-o", str(tmp_path / "out")]) == 2
+    assert "group: clause (iii)" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def _resolution(value):
+    def mutate(raw):
+        raw["measure"]["resolution"] = value
+    return mutate
+
+
+def _only_piece(raw):
+    del raw["measure"]["datum"]
+    raw["measure"]["profile"] = {
+        "pieces": [{"center": "3", "radius_exp": -2, "density": "1"}], "zero_cores": []}
+
+
+def _factors(*factors):
+    def mutate(raw):
+        raw["measure"]["datum"]["factors"] = list(factors)
+    return mutate
+
+
+MEASURE_FAULTS = [
+    # level-0 and level-1 discs cover 0 and 2/3 of mu(F) = 8/9, and 0 of 4/9
+    ("tate-p3", _resolution(0), ("measure.resolution", "group.holes[1]")),
+    ("tate-p3", _resolution(1), ("measure.resolution", "group.holes[1]")),
+    ("genus2-p3", _resolution(0), ("measure.resolution", "group.holes[1]")),
+    ("genus2-p3", _resolution(1), ("measure.resolution", "group.holes[2]")),
+    ("genus2-p3", _only_piece, ("measure.profile.pieces",)),
+    ("tate-p3", _factors({"root": "0", "multiplicity": -1}, {"root": "1", "multiplicity": -1}),
+     ("measure.datum.factors[1]",)),
+    ("tate-p3", _factors({"root": "1"}, {"root": "10"}), ("measure.resolution",)),
+]
+
+
+@pytest.mark.parametrize("fixture,mutate,names", MEASURE_FAULTS)
+def test_measure_faults_exit_2(tmp_path, capsys, fixture, mutate, names):
+    raw = json.loads(bundled_fixture(fixture).read_text())
+    mutate(raw)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    for command in ("validate", "spectrum", "evolve", "resolvent", "sample", "audit"):
+        assert main([command, "-c", str(config), "-o", str(out)]) == 2, command
+        err = capsys.readouterr().err
+        assert all(name in err for name in names) and "Traceback" not in err, err
+        assert not out.exists()
+
+
+def test_a_word_pole_in_a_quadrature_cell_exits_2(tate_path, tmp_path, capsys):
+    # g(z) = 9z/(18z + 1): the pole 1/2 of g^-1 lies in the cell D(2, 3^-1)
+    raw = json.loads(tate_path.read_text())
+    raw["group"]["generators"] = [[["9", "0"], ["18", "1"]]]
+    raw["measure"] = {"datum": {"scale": "1", "factors": []}, "resolution": 3}
+    raw["operator"]["cutoff"] = {"len": 5}
+    raw["run"].update(level=3, times=[0.0, 0.5])
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    for command in ("spectrum", "audit"):
+        out = tmp_path / command
+        assert main([command, "-c", str(config), "--audit-samples", "10", "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "group: " in err and "GroupWord(g1')" in err, err
+        assert not out.exists()
+    for command in ("validate", "evolve", "resolvent", "sample"):
+        assert main([command, "-c", str(config), "--paths", "20",
+                     "-o", str(tmp_path / command)]) == 0, command
+
+
+def test_rates_beyond_the_float_range_exit_3(tate_run, tmp_path, capsys):
+    # the exact resolvent takes a density of 10^1500, and writes values of
+    # more than 4300 digits; the float layers cannot take it
+    raw = emit_config(tate_run)
+    del raw["measure"]["datum"]
+    raw["measure"]["profile"] = profile = profile_dict(tate_run.operator.profile)
+    profile["pieces"][0]["density"] = "1e1500"
+    raw["operator"]["cutoff"] = {"len": 4}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    for command, code in (("evolve", 3), ("sample", 3), ("resolvent", 0)):
+        out = tmp_path / command
+        assert main([command, "-c", str(config), "-o", str(out)]) == code, command
+        assert out.exists() == (code == 0)
+    assert "numerical breakdown: " in capsys.readouterr().err
+    u = (tmp_path / "resolvent" / "resolvent.csv").read_text().splitlines()[-1]
+    assert len(u) > 4300
+
+
+def test_a_drifting_transition_matrix_exits_3(tate_path, tmp_path, capsys):
+    # rounding drift grows like r*t: 5.8e-9 at t = 1e7, over the 1e-9 bound
+    out = tmp_path / "out"
+    assert main(["evolve", "-c", str(tate_path), "--t", "1e7", "-o", str(out)]) == 3
+    assert "numerical breakdown: row-sum drift" in capsys.readouterr().err
+    assert not (out / "evolution.csv").exists()
 
 
 def test_profile_based_config_round_trip(tate_run):
@@ -570,6 +697,74 @@ def test_run_section_fuzz(tate_path, field, value):
             assert code in (0, 2, 3), (command, code)
             if code == 2:
                 assert f"run.{field}" in err.getvalue(), err.getvalue()
+
+
+RATIONALS = st.sampled_from(["0", "1", "2", "3", "9", "10", "1/2", "2/3", "-1", "7/8"])
+MEASURE_VALUES = st.one_of(SCALARS, RATIONALS, st.integers(-3, 3))
+
+
+@st.composite
+def measure_mutations(draw, raw, fixture):
+    """One change to the measure section: its resolution (at most run.level),
+    one datum factor, or one piece or zero core of the explicit profile."""
+    msec = raw["measure"]
+    kind = draw(st.sampled_from(["resolution", "factor", "profile"]))
+    if kind == "resolution":
+        msec["resolution"] = draw(st.one_of(st.integers(-2, raw["run"]["level"]),
+                                            st.sampled_from(["2", 2.0, True, None])))
+    elif kind == "factor":
+        factors = msec["datum"]["factors"]
+        if factors and draw(st.booleans()):
+            factor = factors[draw(st.integers(0, len(factors) - 1))]
+            key = draw(st.sampled_from(["root", "multiplicity", "coeffs"]))
+            if draw(st.booleans()):
+                factor[key] = draw(st.one_of(MEASURE_VALUES, st.lists(RATIONALS, max_size=3)))
+            else:
+                factor.pop(key, None)
+        else:
+            factors.append({"root": draw(RATIONALS),
+                            "multiplicity": draw(st.integers(-2, 2))})
+    else:
+        profile = raw["measure"]["profile"] = profile_dict(parse_config(
+            bundled_fixture(fixture)).operator.profile)
+        del msec["datum"]
+        group = draw(st.sampled_from(["pieces", "zero_cores"]))
+        discs = profile[group]
+        if discs and draw(st.booleans()):
+            disc = discs[draw(st.integers(0, len(discs) - 1))]
+            key = draw(st.sampled_from(["center", "radius_exp", "density", "complement"]))
+            if draw(st.booleans()):
+                disc[key] = draw(MEASURE_VALUES)
+            else:
+                disc.pop(key, None)
+        elif discs and draw(st.booleans()):
+            del discs[draw(st.integers(0, len(discs) - 1))]
+        else:
+            discs.append({"center": draw(RATIONALS), "radius_exp": draw(st.integers(-3, 0)),
+                          "density": draw(RATIONALS)})
+    return kind
+
+
+@settings(max_examples=60, deadline=None)
+@given(fixture=st.sampled_from(["tate-p3", "genus2-p3"]), data=st.data())
+def test_measure_section_fuzz(fixture, data):
+    """One mutated measure field: exit 0, 2 naming the measure or group
+    section, or 3; never a traceback."""
+    raw = json.loads(bundled_fixture(fixture).read_text())
+    data.draw(measure_mutations(raw, fixture))
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "config.json"
+        config.write_text(json.dumps(raw))
+        for command in ("validate", "evolve", "resolvent", "audit"):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                code = main([command, "-c", str(config), "--audit-samples", "10",
+                             "-o", str(Path(tmp) / "out")])
+            assert code in (0, 2, 3), (command, code)
+            if code == 2:
+                assert "measure" in err.getvalue() or "group" in err.getvalue(), \
+                    err.getvalue()
 
 
 MATRICES = st.sampled_from([

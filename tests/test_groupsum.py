@@ -481,6 +481,34 @@ def test_a_pole_in_a_split_ball_splits_it(monkeypatch):
     assert gen.rows == ref_generator_per_pair(cfg, 3, 5) == ref_generator_rows(cfg, 3, 5)
 
 
+def test_a_pole_at_a_split_ball_centre_splits_it():
+    # g = 9z/(9z + 1): the pole 1 of g^-1 is the centre of the ball
+    # D(1, 3^-1) and of the state D(1, 3^-3); the ball is split, and the
+    # state raises unless a zero core of the datum takes its place
+    cfg = one_generator_group(MoebiusMap(9, 0, 9, 1), -2)
+    with pytest.raises(PoleHit):
+        generator_matrix(cfg, 3)
+    cored = dataclasses.replace(cfg, profile=build_profile(
+        RationalFunctionDatum(F(1), ((F(1), 1),)), cfg.domain, 2))
+    assert generator_matrix(cored, 3).rows == ref_generator_per_pair(cored, 3, 5)
+
+
+def test_a_pole_in_a_quadrature_cell_is_refused():
+    # the same g: the pole 1/2 of g^-1 lies off the centre of the cell
+    # D(2, 3^-1) of the wavelet and level-function quadratures, so the
+    # distances from 1 to g^-1 of that cell are not all the centre's
+    cfg = one_generator_group(MoebiusMap(9, 0, 18, 1), -2)
+    support = Disc(F(1), -2)
+    assert Disc(F(2), -1) in [cell for cell, _ in _wavelet_cells(cfg, support)]
+    with pytest.raises(ChartNotSupported) as err:
+        lambda_exact(cfg, support)
+    assert err.value.pole == F(1, 2) and "GroupWord(g1')" in str(err.value)
+    u = LevelFunction.from_mapping(1, {piece: float(k)
+                                       for k, (piece, _) in enumerate(cfg.profile.pieces)})
+    with pytest.raises(ChartNotSupported):
+        apply_operator(cfg, u, F(1))
+
+
 def test_a_group_off_the_certificate_sums_every_state_pair(monkeypatch):
     # z -> 9z + 9/2 maps D(0, 1) onto D(0, 3^-2), which is not inside the
     # hole D(0, 3^-3): without ping-pong no ball but a state is certified

@@ -471,6 +471,30 @@ class TestMultiresolution:
         u = gen.vector(resolvent_solve(gen, F(1, 2), gen.level_function(vals)))
         assert sizes == [cells] and u == dense_solve(gen, F(1, 2), vals)
 
+    @pytest.mark.parametrize("rows", [
+        # state 0 jumps into the children D(3, 3^-2) and D(6, 3^-2) of the
+        # support D(0, 3^-1) at densities 1 and 2 per unit mass
+        ((F(-4), F(1), F(2), F(1)), (F(1), F(-3), F(1), F(1)),
+         (F(1), F(1), F(-3), F(1)), (F(1), F(1), F(1), F(-3))),
+        # one density per state, but lambda (rate out plus density times the
+        # child's mass) is 3 + 1 at states 0 and 2 and 6 + 2 at state 1
+        ((F(-3), F(1), F(1), F(1)), (F(2), F(-6), F(2), F(2)),
+         (F(1), F(1), F(-3), F(1)), (F(1), F(1), F(1), F(-3))),
+    ], ids=["unequal densities", "unequal rates"])
+    def test_a_support_at_unequal_rates_is_not_divided_out(self, dense_solve,
+                                                           monkeypatch, rows):
+        states = (Disc(F(0), -2), Disc(F(3), -2), Disc(F(6), -2), Disc(F(1), -1))
+        tree = SplitTree((*states[:3], Disc(F(0), -1), states[3]),
+                         ((0,), (1,), (2,), (0, 1, 2), (3,)),
+                         ((), (), (), (0, 1, 2), ()))
+        gen = GeneratorMatrix(2, states, rows, (F(1),) * 4, F(0), 1)
+        object.__setattr__(gen, "tree", tree)  # as generator_matrix attaches it
+        assert heat._decay_rates(gen.rows, gen.masses, tree)[0] == {}
+        vals = [F(1), F(-2), F(5), F(3)]
+        sizes = cell_solve_sizes(monkeypatch)
+        u = gen.vector(resolvent_solve(gen, F(1, 2), gen.level_function(vals)))
+        assert sizes == [4] and u == dense_solve(gen, F(1, 2), vals)
+
 
 @pytest.mark.parametrize("consumer", [
     lambda gen, h: solve_cauchy(gen, h, [0.0, 1.0]),
