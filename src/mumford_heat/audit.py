@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from .measure import RationalFunctionDatum, invariance_audit
-from .operator import (OperatorConfig, lambda_exact, lambda_transform,
+from .operator import (ChartNotSupported, OperatorConfig, lambda_exact, lambda_transform,
                        transformed_config, vladimirov_local_integral,
                        vladimirov_alpha_free_value)
 from .padic import (Disc, PoleHit, abs_from_valuation, abs_p,
@@ -154,6 +154,9 @@ def check_escape_distance_bound(cfg: OperatorConfig, n: int,
     # x needs a point of F off the support: none if the support is all of F
     supports = [(s, host) for s, host in supports
                 if host or all(s.radius_exp < d.radius_exp for d in outside)]
+    if not supports:
+        return CheckResult("escape_distance_bound", True, 0, 0, (),
+                           note="no admissible support at levels <= 3 to draw y from")
     words = list(words_with_maps(group, 4))
     images: dict[tuple[GroupWord, Disc], tuple[Disc, tuple[int, int]]] = {}
     failures = 0
@@ -305,28 +308,34 @@ def check_chart_shift(cfg: OperatorConfig, datum: RationalFunctionDatum,
 
     Transport mode keeps every class value exactly; ambient mode rescales
     the oracle by an exact rational factor, which is recorded together with
-    the transformation-formula value.
+    the transformation-formula value.  A chart the exact toolkit cannot
+    evaluate on (ChartNotSupported) ends the check with no instances and
+    the reason in the note: it holds in transport mode, and is unsettled,
+    so not held, in ambient mode.
     """
     p = cfg.p
     if abs(chart_letter) > cfg.group.genus:
         return CheckResult("chart_shift_invariance", True, 0, 0, (),
                            note=f"no generator {abs(chart_letter)} to shift the chart by")
     phi = cfg.group.letter_map(chart_letter)
-    supports = admissible_supports(cfg.profile, 2)
-    instances = []
-    n = failures = 0
-    ambient_ok = True
-    for support in supports[:2]:
-        base = lambda_exact(cfg, support)
-        image = region_image(phi, support, p)
+    supports = admissible_supports(cfg.profile, 2)[:2]
+    bases = [lambda_exact(cfg, support) for support in supports]
+    images = [region_image(phi, support, p) for support in supports]
+    try:
         work = transformed_config(cfg, datum, phi)
-        shifted = lambda_exact(work, image)
+        charted = [(lambda_exact(work, image), lambda_transform(cfg, phi, support, datum))
+                   for support, image in zip(supports, images)]
+    except ChartNotSupported as exc:
+        return CheckResult("chart_shift_invariance", cfg.mode == "transport", 0, 0, (),
+                           note=f"phi(F) is out of the exact toolkit's reach: {exc}")
+    instances = []
+    failures = 0
+    ambient_ok = True
+    for support, image, base, (shifted, formula) in zip(supports, images, bases, charted):
         scale = Fraction(shifted.value) / Fraction(base.value) \
             if isinstance(shifted.value, Fraction) and isinstance(base.value, Fraction) \
             else None
-        formula = lambda_transform(cfg, phi, support, datum)
         invariant = shifted.value == base.value
-        n += 1
         failures += not invariant
         instances.append(Instance(
             f"B={support} -> {image}",
@@ -338,10 +347,8 @@ def check_chart_shift(cfg: OperatorConfig, datum: RationalFunctionDatum,
             ambient_ok = False
     note = ("transport mode: exactly invariant by construction; "
             "ambient mode: classes rescale by the exact factor shown")
-    holds = cfg.mode == "transport" or failures == 0
-    return CheckResult("chart_shift_invariance",
-                       holds if cfg.mode == "transport" else ambient_ok,
-                       n, failures, tuple(instances), note)
+    return CheckResult("chart_shift_invariance", cfg.mode == "transport" or ambient_ok,
+                       len(instances), failures, tuple(instances), note)
 
 
 def audit_lemmas(cfg: OperatorConfig, datum: RationalFunctionDatum,

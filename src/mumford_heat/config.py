@@ -20,8 +20,7 @@ from .measure import (MeasureProfile, RationalFunctionDatum, ResolutionTooCoarse
                       RootInsideDisc, build_profile)
 from .operator import OperatorConfig, growth_condition_holds
 from .padic import Disc
-from .schottky import (DomainInvalid, MoebiusMap, SchottkyGroup,
-                       verify_fundamental_domain)
+from .schottky import DomainInvalid, MoebiusMap, SchottkyGroup
 
 
 class ParseError(ValueError):
@@ -147,9 +146,9 @@ class RunSettings:
 class RunConfig:
     """Validated run configuration plus its canonical hash.
 
-    ``operator`` holds the operator section as the file gives it.  Parsing
-    checks clauses (i) and (ii) of ``verify_fundamental_domain``, which imply
-    its tile clause; only ``validate`` runs that clause, for its report.
+    ``operator`` holds the operator section as the file gives it.  Its
+    group is a Schottky figure, as ``SchottkyGroup`` checks on construction;
+    only ``validate`` runs the tile certificate, for its report.
     """
 
     operator: OperatorConfig
@@ -244,7 +243,6 @@ def config_from_dict(raw: dict) -> RunConfig:
                                                "group.holes")))
     try:
         group = SchottkyGroup(p=p, generators=tuple(gens), holes=holes, outer=outer)
-        verify_fundamental_domain(group, depth=0)
     except DomainInvalid as exc:
         raise ValidationError("group", str(exc)) from exc
 

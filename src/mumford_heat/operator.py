@@ -25,10 +25,10 @@ certificate of ``_closed_tail`` holds, and a certified tail bound otherwise.
 
 The walk skips every subtree whose distances are certified constant and
 counts it instead (ping-pong, as in Gerritzen-van der Put).  The certificate
-is that the holes are pairwise disjoint, each letter s maps the complement
-of its source hole into its target hole (``OperatorConfig.ping_pong``, once
-per configuration), and every cell is a plain disc off all holes (on every
-engine call).  Then every word P.s.r maps the
+is the Schottky figure, which every ``SchottkyGroup`` is by construction
+(the holes are pairwise disjoint and each letter s maps the complement of
+its source hole onto its target hole), and that every cell is a plain disc
+off all holes (on every engine call).  Then every word P.s.r maps the
 cells into R = chart(P(target(s))).  When R is a plain disc that holds no
 moved point chart(x), the subtree of P.s adds (2g-1)^(l-j) words to the key
 (l, v_p(chart(x) - centre(R))) for each l = j..L, j = l(P.s), and for every
@@ -161,16 +161,6 @@ class OperatorConfig:
                 raise RuntimeError("cutoff search did not converge")
         return length
 
-    @functools.cached_property
-    def ping_pong(self) -> bool:
-        """The group half of the certificate of the module docstring."""
-        group, p, holes = self.group, self.p, self.group.holes
-        letters = [s for k in range(1, group.genus + 1) for s in (k, -k)]
-        return (all(discs_disjoint(h, k, p) for i, h in enumerate(holes) for k in holes[i + 1:])
-                and all(group.target_hole(s).contains(region_image(
-                    group.letter_map(s), group.source_hole(s).complement_region(), p), p)
-                        for s in letters))
-
     def distance_power_exp(self, dist: Fraction) -> Fraction:
         """Exponent e with dist^(-alpha) = p^e, for dist an exact power of p."""
         return -Fraction(valuation(dist, self.p)) * self.alpha
@@ -218,6 +208,8 @@ def minimal_escape_distance(cfg: OperatorConfig) -> Fraction:
 
     gamma y lies in the hole of gamma's first letter while x does not, so
     the distance exceeds that hole's radius, hence is at least p times it.
+    That needs the Schottky figure, which every ``SchottkyGroup`` is by
+    construction, so the bound holds for every group that can be built.
     Transformed charts carry their own bound (set by the chart builder).
     """
     if cfg.escape_override is not None:
@@ -405,8 +397,8 @@ def _subtree_pruner(cfg: OperatorConfig, cells: Sequence[Disc], chart: MoebiusMa
     that is tested first, as it is cheaper than the image.
     """
     group, p = cfg.group, cfg.p
-    if not (cfg.ping_pong and all(not c.complement and all(
-            discs_disjoint(c, h, p) for h in group.holes) for c in cells)):
+    if not all(not c.complement and all(discs_disjoint(c, h, p) for h in group.holes)
+               for c in cells):
         return None
 
     def prune(prefix: tuple[int, ...], mat: MoebiusMap, s: int) -> bool:
@@ -970,14 +962,15 @@ class GeneratorMatrix:
 
 
 def _split_balls(cfg: OperatorConfig, level: int, poles: Sequence[Fraction],
-                 certified: bool) -> tuple[list, list, list, list, list]:
+                 certified: bool = True) -> tuple[list, list, list, list, list]:
     """(states, balls, the states in each ball, per state the indices of its
     balls, per ball the indices of its children), from one walk of the disc
     tree.  The states are ``wavelets.state_discs``, in centre order.  The
     states in one child of a node get the balls that tile the node's other
-    children.  With ``certified`` (``ping_pong``), a disc off every hole that
-    holds states and none of ``poles`` is one ball; any other is tiled by
-    its children's, down to the states.  A state that meets a hole voids
+    children.  With ``certified`` (the ping-pong certificate of the module
+    docstring), a disc off every hole that holds states and none of
+    ``poles`` is one ball; any other is tiled by its children's, down to
+    the states.  A state that meets a hole, as on a transformed chart, voids
     the certificate: the walk runs again without it.  Balls come after their
     descendants."""
     p, domain, holes = cfg.p, cfg.domain, cfg.group.holes
@@ -1039,8 +1032,7 @@ def generator_matrix(cfg: OperatorConfig, level: int,
     length = cfg.cutoff() if length is None else length
     poles: list[Fraction] = []
     while True:
-        states, balls, members, pairs, children = _split_balls(cfg, level, poles,
-                                                               cfg.ping_pong)
+        states, balls, members, pairs, children = _split_balls(cfg, level, poles)
         if not states:
             raise ValueError(f"no states at level {level}")
         try:

@@ -397,8 +397,10 @@ class SchottkyGroup:
 
     ``holes[i]`` (i < g) is the source disc D_i of generator i+1 and
     ``holes[g+i]`` its target D'_i: the generator maps the complement of the
-    source into the target.  Exactly one hole carries the co-disc flag when
+    source onto the target.  Exactly one hole carries the co-disc flag when
     g >= 1, realising the assumption that infinity is a limit point.
+    Construction refuses a figure that fails clause (i) or (ii) of
+    :func:`verify_fundamental_domain`, with DomainInvalid naming each fault.
     """
 
     p: int
@@ -416,6 +418,9 @@ class SchottkyGroup:
             raise DomainInvalid(
                 "exactly one hole must be marked as a complement so that "
                 "infinity is a limit point")
+        faults = _figure_faults(self)
+        if faults:
+            raise DomainInvalid("; ".join(faults))
 
     @property
     def genus(self) -> int:
@@ -463,8 +468,7 @@ class DomainReport:
         return self.holes_disjoint and self.pairing_ok and self.tiles_disjoint
 
 
-def verify_fundamental_domain(group: SchottkyGroup, depth: int = 6,
-                              raise_on_failure: bool = True) -> DomainReport:
+def verify_fundamental_domain(group: SchottkyGroup, depth: int = 6) -> DomainReport:
     """Exact verification of the Schottky domain data.
 
     (i) the 2g holes are pairwise disjoint and sit inside the outer disc
@@ -476,6 +480,10 @@ def verify_fundamental_domain(group: SchottkyGroup, depth: int = 6,
           w(F) is disjoint from F, certified by one containment per word: the
           region I = w(source(a_k)) must contain the complement of
           target(a_1).
+
+    ``SchottkyGroup`` refuses a figure that fails (i) or (ii), so the report
+    gives them as held and this function runs clause (iii) alone; a failed
+    tile raises DomainInvalid naming its word.
 
     Clause (iii) is sound: F lies in the complement of every hole, so the
     tile w(F) lies in w(complement of source(a_k)), the complement of I.
@@ -493,6 +501,22 @@ def verify_fundamental_domain(group: SchottkyGroup, depth: int = 6,
     contains a_1(source(a_1)), the complement of target(a_1).  The clause is
     a certificate of this ping-pong argument, not a proof.
     """
+    details = []
+    checked = 0
+    for word, mat in words_with_maps(group, depth):
+        if word.is_identity():
+            continue
+        checked += 1
+        if not _tile_in_first_target(group, word, mat):
+            details.append(f"clause (iii): tile of {word} meets F")
+    if details:
+        raise DomainInvalid("; ".join(details))
+    return DomainReport(True, True, checked, True)
+
+
+def _figure_faults(group: SchottkyGroup) -> list[str]:
+    """The failures of clauses (i) and (ii) of :func:`verify_fundamental_domain`,
+    one detail string each; empty for a Schottky figure."""
     details: list[str] = []
     p = group.p
 
@@ -514,10 +538,8 @@ def verify_fundamental_domain(group: SchottkyGroup, depth: int = 6,
             holes_ok = False
             details.append(f"clause (i): hole {i} not inside the outer disc")
     if holes_ok and group.fundamental_domain().measure() == 0:
-        holes_ok = False
         details.append("clause (i): the holes cover the outer disc, so F is empty")
 
-    pairing_ok = True
     for k in range(1, group.genus + 1):
         for letter in (k, -k):
             source = group.source_hole(letter)
@@ -527,26 +549,10 @@ def verify_fundamental_domain(group: SchottkyGroup, depth: int = 6,
             # Equality, not containment: a strictly smaller image leaves gap
             # points covered by no translate of F, so reduction would cycle.
             if not regions_equal(image, target, p):
-                pairing_ok = False
                 details.append(
                     f"clause (ii): generator letter {letter} maps the complement "
                     f"of its source to {image}, not onto {target}")
-
-    tiles_ok = True
-    checked = 0
-    if holes_ok and pairing_ok:
-        for word, mat in words_with_maps(group, depth):
-            if word.is_identity():
-                continue
-            checked += 1
-            if not _tile_in_first_target(group, word, mat):
-                tiles_ok = False
-                details.append(f"clause (iii): tile of {word} meets F")
-
-    report = DomainReport(holes_ok, pairing_ok, checked, tiles_ok, tuple(details))
-    if raise_on_failure and not report.ok:
-        raise DomainInvalid("; ".join(details))
-    return report
+    return details
 
 
 def _tile_in_first_target(group: SchottkyGroup, word: GroupWord,

@@ -61,6 +61,17 @@ def genus2_cfg(genus2_group, genus2_profile):
 
 
 @pytest.fixture(scope="session")
+def pairing_faults():
+    """The clause-(ii) details of (letter, image, target) triples, joined as
+    the group constructor joins them."""
+    def faults(*triples):
+        return "; ".join(f"clause (ii): generator letter {letter} maps the complement "
+                         f"of its source to {image}, not onto {target}"
+                         for letter, image, target in triples)
+    return faults
+
+
+@pytest.fixture(scope="session")
 def ball_domain():
     return FundamentalDomain(Disc(F(0), 0), (), 3)
 

@@ -12,9 +12,11 @@ from mumford_heat.audit import (CheckResult, Instance, audit_lemmas,
                                 check_distance_product_identity,
                                 check_distance_word_shift,
                                 check_escape_distance_bound)
+from mumford_heat.measure import RationalFunctionDatum, build_profile
 from mumford_heat.operator import OperatorConfig
-from mumford_heat.padic import abs_p
-from mumford_heat.schottky import (MoebiusMap, moebius_distance_identity_check,
+from mumford_heat.padic import Disc, abs_p
+from mumford_heat.schottky import (MoebiusMap, SchottkyGroup,
+                                   moebius_distance_identity_check,
                                    moebius_distance_valuations, region_image,
                                    words_with_maps)
 from mumford_heat.wavelets import admissible_supports
@@ -275,3 +277,22 @@ def test_distance_identity_matches_reference_on_a_grid():
 def test_audit_rejects_too_few_samples(tate_cfg, tate_datum, n_random):
     with pytest.raises(ValueError, match="n_random"):
         audit_lemmas(tate_cfg, tate_datum, n_random=n_random)
+
+
+def test_escape_bound_without_a_support_is_vacuous():
+    # genus 3 over p = 2: the co-hole and five holes of radius 2^-3 at 0, 6,
+    # 7, 1 and 2 leave F the three discs D(c, 2^-3), c = 3, 4, 5, so no
+    # admissible support at levels <= 3 holds a point y
+    group = SchottkyGroup(
+        p=2, generators=(MoebiusMap(8, 7, 0, 1), MoebiusMap(1, 96, 1, 0),
+                         MoebiusMap(2, -108, 1, -6)),
+        holes=(Disc(F(0), 0, complement=True),
+               *(Disc(F(c), -3) for c in (0, 6, 7, 1, 2))),
+        outer=Disc(F(0), 0))
+    datum = RationalFunctionDatum.constant()
+    cfg = OperatorConfig(group=group, cutoff_len=3, alpha_g=F(3),
+                         profile=build_profile(datum, group.fundamental_domain(), 3))
+    assert admissible_supports(cfg.profile, 3) == []
+    check = check_escape_distance_bound(cfg, 20)
+    assert check.holds and check.n_instances == 0 and "no admissible support" in check.note
+    assert audit_lemmas(cfg, datum, n_random=20, level=3)["escape_distance_bound"] == check

@@ -520,22 +520,22 @@ def test_bad_profile_disc_fields_exit_2(tate_run, tmp_path, capsys, key, disc,
 
 
 def test_only_validate_runs_the_tile_certificate(tate_path, tmp_path, monkeypatch):
-    """Parsing checks clauses (i) and (ii) only; ``validate`` writes the
-    depth-4 certificate it runs."""
+    """Parsing builds the group, which checks clauses (i) and (ii); only
+    ``validate`` runs the tile certificate, at depth 4, and writes it."""
     import mumford_heat.cli as cli
-    import mumford_heat.config as config
+    import mumford_heat.schottky as schottky
     depths = []
 
-    def recording(group, depth=6, **kwargs):
+    def recording(group, depth=6):
         depths.append(depth)
-        return verify_fundamental_domain(group, depth, **kwargs)
+        return verify_fundamental_domain(group, depth)
 
-    monkeypatch.setattr(config, "verify_fundamental_domain", recording)
+    monkeypatch.setattr(schottky, "verify_fundamental_domain", recording)
     monkeypatch.setattr(cli, "verify_fundamental_domain", recording)
     run = parse_config(tate_path)
-    assert depths == [0] and not hasattr(run, "domain_report")
+    assert depths == [] and not hasattr(run, "domain_report")
     assert main(["validate", "-c", str(tate_path), "-o", str(tmp_path)]) == 0
-    assert depths == [0, 0, 4]
+    assert depths == [4]
     report = verify_fundamental_domain(run.operator.group, depth=4)
     assert report.ok and report.tiles_checked == 8  # g and g^-1 to each power 1..4
     domain = json.loads((tmp_path / "validation.json").read_text())["domain"]
@@ -553,13 +553,30 @@ def test_a_tile_certificate_failure_in_validate_exits_2(tate_path, tmp_path, cap
                                                          monkeypatch):
     import mumford_heat.cli as cli
 
-    def failing(group, depth=6, **kwargs):
+    def failing(group, depth=6):
         raise DomainInvalid("clause (iii): tile of GroupWord(g1) meets F")
 
     monkeypatch.setattr(cli, "verify_fundamental_domain", failing)
     assert main(["validate", "-c", str(tate_path), "-o", str(tmp_path / "out")]) == 2
     assert "group: clause (iii)" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("mode,holds", [("ambient", False), ("transport", True)])
+def test_audit_reports_a_chart_out_of_reach(tate_path, tmp_path, capsys, mode, holds):
+    # the root 9 of the datum lies in the hole D(0, 3^-2), off F, but in the
+    # image D(9, 3^-3) of the piece D(1, 3^-1) under the chart z -> 9z
+    raw = json.loads(tate_path.read_text())
+    raw["measure"]["datum"]["factors"].append({"root": "9", "multiplicity": 1})
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    assert main(["audit", "-c", str(config), "--mode", mode, "--audit-samples", "20",
+                 "-o", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
+    checks = json.loads((tmp_path / "audit.json").read_text())["checks"]
+    chart = next(c for c in checks if c["check"] == "chart_shift_invariance")
+    assert chart["holds"] is holds and chart["instances_checked"] == 0
+    assert chart["examples"] == [] and "root 9 lies in" in chart["note"]
 
 
 def _resolution(value):
@@ -578,6 +595,58 @@ def _factors(*factors):
     def mutate(raw):
         raw["measure"]["datum"]["factors"] = list(factors)
     return mutate
+
+
+def _set(section, key, value):
+    def mutate(raw):
+        raw[section][key] = value
+    return mutate
+
+
+def _drop_datum(raw):
+    del raw["measure"]["datum"]
+
+
+def _first_hole_outside_the_outer_disc(raw):
+    raw["group"]["holes"][1] = {"center": "1/3", "radius_exp": -1}
+
+
+# (mutation of tate-p3, the config's root instead of it, the stderr prefix of
+# exit 2; None for exit 0)
+INPUT_BRANCHES = [
+    (_factors({"coeffs": ["-9", "1"]}), None, None),
+    (_factors({"coeffs": ["1", "0"]}), None, "measure.datum.factors[0]: "),
+    (_factors({"coeffs": ["1"]}), None, "measure.datum.factors[0]: "),
+    (lambda raw: raw["measure"]["datum"].update(scale="0"), None, "measure.datum: "),
+    (_drop_datum, None, "measure: "),
+    (_set("operator", "mode", "weird"), None, "operator.mode: "),
+    (_set("field", "p", "3"), None, "field.p: "),
+    (None, [], "config root must be an object"),
+    (_first_hole_outside_the_outer_disc, None, "group: "),
+]
+
+
+@pytest.mark.parametrize("mutate,root,prefix", INPUT_BRANCHES,
+                         ids=["coeffs-root-9", "coeffs-1-0", "coeffs-1", "scale-0",
+                              "no-datum", "mode", "p-string", "root-list", "hole-outside"])
+def test_input_branches(tate_path, tmp_path, capsys, mutate, root, prefix):
+    raw = json.loads(tate_path.read_text())
+    if mutate is not None:
+        mutate(raw)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw if root is None else root))
+    code = main(["validate", "-c", str(config), "-o", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    if prefix is None:
+        assert code == 0 and err == ""
+        echo = json.loads((tmp_path / "out" / "validation.json").read_text())["config"]
+        assert echo["measure"]["datum"]["factors"] == [{"multiplicity": 1, "root": "9"}]
+        return
+    assert code == 2 and err.startswith(f"validation error: {prefix}"), err
+    assert not (tmp_path / "out").exists()
+    if prefix == "group: ":
+        # the group constructor names the clause
+        assert "clause (i): hole 1 not inside the outer disc" in err
 
 
 MEASURE_FAULTS = [

@@ -10,9 +10,13 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 import mumford_heat.operator as operator
+from mumford_heat.config import ValidationError, config_from_dict
 from mumford_heat.exactnum import PowerSum
+from mumford_heat.heat import _multiresolution, _solve_exact
 from mumford_heat.measure import MeasureProfile, RationalFunctionDatum, build_profile
 from mumford_heat.operator import (ChartNotSupported, CoincidentPoints,
                                    OperatorConfig, _fold, _group_histograms,
@@ -21,8 +25,8 @@ from mumford_heat.operator import (ChartNotSupported, CoincidentPoints,
                                    simplify, transformed_config, wavelet_multiplier,
                                    word_census)
 from mumford_heat.padic import Disc, PoleHit, abs_p, haar_measure, valuation
-from mumford_heat.schottky import (GroupWord, MoebiusMap, SchottkyGroup, region_image,
-                                   words_with_maps)
+from mumford_heat.schottky import (DomainInvalid, GroupWord, MoebiusMap, SchottkyGroup,
+                                   region_image, words_with_maps)
 from mumford_heat.wavelets import LevelFunction, admissible_supports, state_discs
 
 ID = GroupWord.identity()
@@ -350,6 +354,76 @@ def test_counted_subtrees_match_the_full_walk(request, monkeypatch, name, level,
     assert pruned == every_caller(cfg, level, CHARTS[name])
 
 
+@st.composite
+def schottky_figures(draw):
+    """(operator config, level) of a random Schottky figure over p <= 7 of
+    genus g <= 3 in the outer disc D(0, 1), parsed by ``config_from_dict``.
+
+    Letter 1, z -> t + p^k z, maps D(0, 1), the complement of the co-hole
+    |z| > 1, onto D(t, p^-k).  Letter i > 1, z -> b + c/(z - a) with
+    v_p(c) = m + n - 1, maps the complement of D(a, p^-m) onto D(b, p^-n),
+    and is hyperbolic as the two discs are disjoint.  The 2g - 1 plain holes
+    have integer centres below p^3, distinct mod p^R, and radii p^-r with
+    r <= R above v_p of every difference of centres, so they are disjoint.
+    The datum is constant at the finest hole's resolution, which is the
+    level; alpha = 1, alpha_g is the least integer with p^alpha_g > 2g, and
+    the cutoff length is 3.  Figures with 3 to 40 states are kept."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    g = draw(st.integers(1, 3))
+    top = draw(st.sampled_from([r for r in (1, 2, 3) if 2 * g - 1 <= p ** r <= 49]))
+    residues = draw(st.lists(st.integers(0, p ** top - 1), min_size=2 * g - 1,
+                             max_size=2 * g - 1, unique=True))
+    centres = [r + p ** top * draw(st.integers(0, p ** (3 - top) - 1)) for r in residues]
+    exps = [draw(st.integers(1 + max((valuation(c - d, p) for d in centres if d != c),
+                                     default=0), top)) for c in centres]
+    (t, k), pairs = (centres[0], exps[0]), list(zip(centres[1:], exps[1:]))
+    generators = [[[p ** k, t], [0, 1]]]
+    for (a, m), (b, n) in zip(pairs[::2], pairs[1::2]):
+        unit = draw(st.integers(1, p - 1)) + p * draw(st.integers(-p, p))
+        c = unit * p ** (m + n - 1)
+        generators.append([[b, c - a * b], [1, -a]])
+    plain = [(t, k)] + pairs[::2] + pairs[1::2]
+    holes = ([{"center": "0", "radius_exp": 0, "complement": True}] + plain[1:g]
+             + [plain[0]] + plain[g:])
+    alpha_g = next(a for a in range(1, 4) if p ** a > 2 * g)
+    resolution = max(exps)
+    raw = {"field": {"p": p},
+           "group": {"generators": [[[str(v) for v in row] for row in m] for m in generators],
+                     "outer": {"center": "0", "radius_exp": 0},
+                     "holes": [h if isinstance(h, dict) else
+                               {"center": str(h[0]), "radius_exp": -h[1]} for h in holes]},
+           "measure": {"datum": {"scale": "1", "factors": []}, "resolution": resolution},
+           "operator": {"alpha": "1", "alpha_g": str(alpha_g), "cutoff": {"len": 3}},
+           "run": {"level": resolution}}
+    try:
+        cfg = config_from_dict(raw).operator
+    except ValidationError as exc:
+        assert "the holes cover the outer disc" in str(exc), exc  # disjoint, yet F is empty
+        reject()
+    if not 3 <= len(state_discs(cfg.domain, cfg.profile, resolution)) <= 40:
+        reject()
+    return cfg, resolution
+
+
+@settings(max_examples=40, deadline=None)
+@given(figure=schottky_figures())
+def test_random_figures_match_the_references(figure):
+    """On random Schottky figures: every engine caller pruned and with every
+    word walked, the generator against one fold per state pair, and the
+    multiresolution resolvent against the dense exact solve."""
+    cfg, level = figure
+    chart = GroupWord((-1,)) if cfg.group.genus == 1 else GroupWord((-1, 2))
+    pruned = every_caller(cfg, level, chart)
+    with pytest.MonkeyPatch.context() as mp:
+        walk_everything(mp)
+        assert pruned == every_caller(cfg, level, chart)
+    gen = generator_matrix(cfg, level)
+    assert gen.rows == ref_generator_per_pair(cfg, level, 3)
+    h = [F(i % 3 - 1, i + 2) for i in range(gen.size)]
+    system = [[int(i == k) - gen.rows[i][k] for k in range(gen.size)] for i in range(gen.size)]
+    assert _multiresolution(gen, F(1), h) == _solve_exact(system, h)
+
+
 def full_walk_size(cfg, length):
     return sum(n for _, n in word_census(cfg.group.genus, length))
 
@@ -378,22 +452,15 @@ def test_transformed_charts_prune_nothing(request, monkeypatch, name):
     assert pruned == [lambda_exact(work, s).value for s in supports]
 
 
-def test_a_letter_missing_its_target_prunes_nothing(monkeypatch):
+def test_a_letter_missing_its_target_is_refused(pairing_faults):
     # z -> 9z maps the complement of the co-hole onto D(0, 3^-2), which is
-    # not inside the target hole D(0, 3^-3): counting g1's subtree at the
-    # distance to 0 would be wrong for the point 36, 3^-3 from g1(1) = 9
-    group = SchottkyGroup(p=3, generators=(MoebiusMap(9, 0, 0, 1),),
-                          holes=(Disc(F(0), 0, complement=True), Disc(F(0), -3)),
-                          outer=Disc(F(0), 0))
-    cells = (Disc(F(1), -3), Disc(F(36), -3))
-    profile = MeasureProfile(((Disc(F(1), -1), F(1)), (Disc(F(36), -3), F(1))), (), 3)
-    cfg = OperatorConfig(group=group, profile=profile, cutoff_len=5)
-    u = LevelFunction.from_mapping(3, {cells[0]: 1.0, cells[1]: 0.0})
-    walked = walked_words(monkeypatch)
-    pruned = apply_operator(cfg, u, F(36))
-    assert len(walked) == full_walk_size(cfg, 5)
-    walk_everything(monkeypatch)
-    assert pruned == apply_operator(cfg, u, F(36))
+    # not the target hole D(0, 3^-3): counting g1's subtree at the distance
+    # to 0 would be wrong for the point 36, 3^-3 from g1(1) = 9
+    with pytest.raises(DomainInvalid) as err:
+        one_generator_group(MoebiusMap(9, 0, 0, 1), -3)
+    assert str(err.value) == pairing_faults(
+        (1, Disc(F(0), -2), Disc(F(0), -3)),
+        (-1, Disc(F(0), -1, complement=True), Disc(F(0), 0, complement=True)))
 
 
 def test_a_point_in_a_hole_keeps_the_subtrees_around_it(tate_cfg, monkeypatch):
@@ -509,15 +576,15 @@ def test_a_pole_in_a_quadrature_cell_is_refused():
         apply_operator(cfg, u, F(1))
 
 
-def test_a_group_off_the_certificate_sums_every_state_pair(monkeypatch):
+def test_a_group_off_the_certificate_is_refused(pairing_faults):
     # z -> 9z + 9/2 maps D(0, 1) onto D(0, 3^-2), which is not inside the
-    # hole D(0, 3^-3): without ping-pong no ball but a state is certified
-    cfg = one_generator_group(MoebiusMap(18, 9, 0, 2), -3)
-    handed = engine_pairs(monkeypatch)
-    gen = generator_matrix(cfg, 3)
-    assert handed == [gen.size * (gen.size - 1)]
-    monkeypatch.undo()
-    assert gen.rows == ref_generator_rows(cfg, 3, 5)
+    # hole D(0, 3^-3): the point 1/2 of F maps onto the point 9 of F, where
+    # the tail bound assumes |x - gamma y| >= 1/9 for x, y in F
+    with pytest.raises(DomainInvalid) as err:
+        one_generator_group(MoebiusMap(18, 9, 0, 2), -3)
+    assert str(err.value) == pairing_faults(
+        (1, Disc(F(9, 2), -2), Disc(F(0), -3)),
+        (-1, Disc(F(-1, 2), -1, complement=True), Disc(F(0), 0, complement=True)))
 
 
 def test_a_chart_whose_states_meet_the_holes_sums_every_state_pair(tate_cfg, monkeypatch):

@@ -160,23 +160,26 @@ class TestDomain:
     def test_genus2_passes(self, genus2_group):
         assert verify_fundamental_domain(genus2_group, depth=4).ok
 
-    def test_swapped_pairing_fails(self, tate_group):
-        bad = SchottkyGroup(p=3, generators=tate_group.generators,
-                            holes=tuple(reversed(tate_group.holes)),
-                            outer=tate_group.outer)
-        report = verify_fundamental_domain(bad, depth=2, raise_on_failure=False)
-        assert not report.pairing_ok
-        with pytest.raises(DomainInvalid):
-            verify_fundamental_domain(bad, depth=2)
+    def test_swapped_pairing_fails(self, tate_group, pairing_faults):
+        with pytest.raises(DomainInvalid) as err:
+            SchottkyGroup(p=3, generators=tate_group.generators,
+                          holes=tuple(reversed(tate_group.holes)),
+                          outer=tate_group.outer)
+        assert str(err.value) == pairing_faults(
+            (1, Disc(F(0), -4, complement=True), Disc(F(0), 0, complement=True)),
+            (-1, Disc(F(0), 2), Disc(F(0), -2)))
 
-    def test_overlapping_holes_fail(self, tate_group):
-        bad = SchottkyGroup(
-            p=3, generators=tate_group.generators * 2,
-            holes=(Disc(F(0), 0, complement=True), Disc(F(0), -2),
-                   Disc(F(0), -2), Disc(F(0), -3)),
-            outer=tate_group.outer)
-        report = verify_fundamental_domain(bad, depth=1, raise_on_failure=False)
-        assert not report.holes_disjoint
+    def test_overlapping_holes_fail(self, tate_group, pairing_faults):
+        with pytest.raises(DomainInvalid) as err:
+            SchottkyGroup(
+                p=3, generators=tate_group.generators * 2,
+                holes=(Disc(F(0), 0, complement=True), Disc(F(0), -2),
+                       Disc(F(0), -2), Disc(F(0), -3)),
+                outer=tate_group.outer)
+        assert str(err.value) == "; ".join(
+            [f"clause (i): holes {i} and {j} intersect" for i, j in ((1, 2), (1, 3), (2, 3))]
+            + [pairing_faults((2, Disc(F(0), -4, complement=True), Disc(F(0), -3)),
+                              (-2, Disc(F(0), -1, complement=True), Disc(F(0), -2)))])
 
     def test_non_hyperbolic_generator_rejected(self):
         with pytest.raises(DomainInvalid):
@@ -332,11 +335,9 @@ def test_certificate_catches_a_tile_covering_f(genus2_group, monkeypatch, tmp_pa
         return honest(gamma, region, p)
 
     monkeypatch.setattr(schottky, "region_image", overlapping)
-    report = verify_fundamental_domain(genus2_group, depth=4,
-                                       raise_on_failure=False)
-    assert report.holes_disjoint and report.pairing_ok
-    assert not report.tiles_disjoint and report.tiles_checked == 160
-    assert report.details == (f"clause (iii): tile of {word} meets F",)
+    with pytest.raises(DomainInvalid) as err:
+        verify_fundamental_domain(genus2_group, depth=4)
+    assert str(err.value) == f"clause (iii): tile of {word} meets F"
 
     out = tmp_path / "out"
     assert main(["validate", "-c", str(bundled_fixture("genus2-p3")),
@@ -430,19 +431,6 @@ def test_tile_certificate_matches_mass_oracle(name, request):
             1 for w in enumerate_words(group.genus, depth) if len(w))
 
 
-def test_tile_certificate_is_sound_on_a_broken_pairing(genus2_group):
-    """With (ii) failing the one-containment check may refuse a good tile,
-    but every tile it passes is disjoint from F by the mass oracle."""
-    h = genus2_group.holes
-    bad = SchottkyGroup(p=3, generators=genus2_group.generators,
-                        holes=(h[0], h[3], h[2], h[1]), outer=genus2_group.outer)
-    assert not verify_fundamental_domain(bad, 1, raise_on_failure=False).pairing_ok
-    verdicts = [(_tile_in_first_target(bad, word, mat), ref_tile_disjoint(bad, mat))
-                for word, mat in words_with_maps(bad, 3) if len(word)]
-    assert (True, False) not in verdicts
-    assert verdicts.count((True, True)) == 14 and verdicts.count((False, True)) == 38
-
-
 def test_both_tile_checks_flag_a_tile_covering_f(genus2_group, monkeypatch):
     import mumford_heat.schottky as schottky
 
@@ -466,22 +454,18 @@ def test_both_tile_checks_flag_a_tile_covering_f(genus2_group, monkeypatch):
 @pytest.mark.parametrize("radius_exp", [-1, -2])
 def test_outer_disc_inside_the_co_hole_core_fails(tate_group, radius_exp):
     # points between the outer disc and the co-hole lie in no tile
-    bad = SchottkyGroup(p=3, generators=tate_group.generators,
-                        holes=tate_group.holes, outer=Disc(F(0), radius_exp))
-    report = verify_fundamental_domain(bad, depth=2, raise_on_failure=False)
-    assert not report.holes_disjoint and report.tiles_checked == 0
-    assert report.details == (
-        "clause (i): co-hole 0 is not the complement of the outer disc",)
+    with pytest.raises(DomainInvalid) as err:
+        SchottkyGroup(p=3, generators=tate_group.generators,
+                      holes=tate_group.holes, outer=Disc(F(0), radius_exp))
+    assert str(err.value) == "clause (i): co-hole 0 is not the complement of the outer disc"
 
 
 def test_holes_covering_the_outer_disc_fail():
     # the pairings hold, but the three plain holes tile Z_3, so F is empty
-    group = SchottkyGroup(
-        p=3, generators=(MoebiusMap(3, 0, 0, 1), MoebiusMap(2, 1, 1, -1)),
-        holes=(Disc(F(0), 0, complement=True), Disc(F(1), -1), Disc(F(0), -1),
-               Disc(F(2), -1)),
-        outer=Disc(F(0), 0))
-    report = verify_fundamental_domain(group, depth=2, raise_on_failure=False)
-    assert report.pairing_ok and not report.holes_disjoint
-    assert report.details == (
-        "clause (i): the holes cover the outer disc, so F is empty",)
+    with pytest.raises(DomainInvalid) as err:
+        SchottkyGroup(
+            p=3, generators=(MoebiusMap(3, 0, 0, 1), MoebiusMap(2, 1, 1, -1)),
+            holes=(Disc(F(0), 0, complement=True), Disc(F(1), -1), Disc(F(0), -1),
+                   Disc(F(2), -1)),
+            outer=Disc(F(0), 0))
+    assert str(err.value) == "clause (i): the holes cover the outer disc, so F is empty"
