@@ -15,8 +15,8 @@ from .exactnum import ExactComplex, PhaseSum, PowerSum
 from .schottky import (DiscsIntersect, DomainInvalid, FundamentalDomain,
                        GroupWord, MoebiusMap, ReductionDiverged,
                        SchottkyGroup, delta, disc_distance,
-                       enumerate_words, moebius_distance_identity_check,
-                       reduce_to_domain, region_image, verify_fundamental_domain)
+                       enumerate_words, reduce_to_domain, region_image,
+                       verify_fundamental_domain)
 from .measure import (MeasureProfile, RationalFunctionDatum, RootInsideDisc,
                       UnalignedDisc, build_profile, invariance_audit, local_abs,
                       mass)

@@ -12,8 +12,10 @@ The two randomized checks run on integer valuations.  A random point is an
 integer pair n/d, a Moebius image is the pair (a*n + b*d, c*n + d*d), and a
 distance |x - y| = p^(-v) is compared through its exact valuation
 v = v_p(xn*yd - yn*xd) - v_p(xd) - v_p(yd), which needs no pair reduced
-(``padic.pair_difference_valuation``).
-Rationals are formed only for the instances the report prints.
+(``padic.pair_difference_valuation``); each integer's valuation is taken
+once.  The instances are the draws of ``random.Random(seed)``, taken as its
+``randint`` and ``choice`` take them (:func:`_randbelow`).  Rationals are
+formed only for the instances the report prints.
 """
 
 from __future__ import annotations
@@ -21,15 +23,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 from .measure import RationalFunctionDatum, invariance_audit
 from .operator import (ChartNotSupported, OperatorConfig, lambda_exact, lambda_transform,
                        transformed_config, vladimirov_local_integral,
                        vladimirov_alpha_free_value)
-from .padic import (Disc, PoleHit, abs_from_valuation, abs_p,
-                    pair_difference_valuation)
-from .schottky import (GroupWord, MoebiusMap, SchottkyGroup,
-                       moebius_distance_valuations, region_image,
-                       words_with_maps)
+from .padic import (Disc, PoleHit, abs_from_valuation, difference_valuation,
+                    valuation)
+from .schottky import MoebiusMap, SchottkyGroup, region_image, words_with_maps
 from .wavelets import admissible_supports, completeness_census
 
 
@@ -79,20 +80,25 @@ class AuditReport:
         return {"checks": [c.to_dict() for c in self.checks]}
 
 
-def _random_rational(rng: random.Random, p: int) -> tuple[int, int]:
-    """A random rational as an integer pair (numerator, positive denominator)."""
-    num = rng.randint(-p ** 4, p ** 4)
-    den = rng.randint(1, p ** 3)
-    return num, den
+def _randbelow(bits: Callable[[int], int], n: int) -> int:
+    """A uniform draw from range(n), n >= 1, taking from ``bits`` (an
+    ``rng.getrandbits``) exactly the bits CPython's ``rng.randrange(n)``
+    takes: ``lo + _randbelow(bits, hi - lo + 1)`` is ``rng.randint(lo, hi)``
+    and ``seq[_randbelow(bits, len(seq))]`` is ``rng.choice(seq)``."""
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
 
 
-def _random_point_in(disc: Disc, rng: random.Random, p: int) -> tuple[int, int]:
+def _random_point_in(disc: Disc, bits: Callable[[int], int], p: int) -> tuple[int, int]:
     """center + p^(-t) * (p-adic integer), |p^(-t)| = p^t = radius, as an
     integer pair."""
-    den = rng.randint(1, 50)
+    den = 1 + _randbelow(bits, 50)
     while den % p == 0:
-        den = rng.randint(1, 50)
-    num = rng.randint(-50 * den, 50 * den)  # num/den integral: den coprime to p
+        den = 1 + _randbelow(bits, 50)
+    num = _randbelow(bits, 100 * den + 1) - 50 * den  # num/den integral: den coprime to p
     cn, cd = disc.center.numerator, disc.center.denominator
     t = disc.radius_exp
     if t <= 0:
@@ -104,31 +110,43 @@ def check_distance_product_identity(group: SchottkyGroup, n: int,
                                     seed: int = 0) -> CheckResult:
     """|gx - gy| = |g'(x)|^(1/2) |g'(y)|^(1/2) |x - y| on random exact instances.
 
-    This is an algebraic identity and must hold without exception.  Points
-    and their images stay integer pairs, and both sides are compared as
-    exact p-adic valuations (:func:`moebius_distance_valuations`); an
-    instance is skipped when x = y, when either point is the pole, or when
-    the images coincide.
+    This is an algebraic identity and must hold without exception.  A point
+    x = xn/xd and its image gx = (Ax, Bx) stay integer pairs, reduced or not,
+    and both sides are compared as exact p-adic valuations:
+
+        left:  v(gx - gy) = v(Ax*By - Ay*Bx) - v(Bx) - v(By)
+        right: (v(g'(x)) + v(g'(y))) / 2 + v(x - y),
+
+    with v(g'(x)) = v(det) - 2*(v(Bx) - v(xd)) because c*x + d = Bx/xd, so
+    the derivative product has an even valuation and its square root is
+    exact.  v(det) is taken once per matrix, every other valuation once per
+    instance.  An instance is skipped when x = y, when either point is the
+    pole, or when the images coincide.
     """
-    rng = random.Random(seed)
+    bits = random.Random(seed).getrandbits
     p = group.p
     mats = [m for w, m in words_with_maps(group, 3) if not w.is_identity()]
-    if not mats:
-        mats = [MoebiusMap.identity()]
+    mats = [(m, valuation(m.det, p)) for m in mats or [MoebiusMap.identity()]]
+    top, dens = p ** 4, p ** 3
     failures = 0
     shown = []
-    for k in range(n):
-        mat = rng.choice(mats)
-        x, y = _random_rational(rng, p), _random_rational(rng, p)
-        gx, gy = mat.apply_pair(*x), mat.apply_pair(*y)
-        if (x[0] * y[1] == y[0] * x[1] or gx[1] == 0 or gy[1] == 0
-                or gx[0] * gy[1] == gy[0] * gx[1]):
+    for _ in range(n):
+        mat, vdet = mats[_randbelow(bits, len(mats))]
+        # numerators in [-p^4, p^4] over denominators in [1, p^3]
+        xn, xd = _randbelow(bits, 2 * top + 1) - top, 1 + _randbelow(bits, dens)
+        yn, yd = _randbelow(bits, 2 * top + 1) - top, 1 + _randbelow(bits, dens)
+        (ax, bx), (ay, by) = mat.apply_pair(xn, xd), mat.apply_pair(yn, yd)
+        dist, image_dist = xn * yd - yn * xd, ax * by - ay * bx
+        if dist == 0 or bx == 0 or by == 0 or image_dist == 0:
             continue
-        lhs, rhs = moebius_distance_valuations(mat, x, y, gx, gy, p)
+        vxd, vyd, vbx, vby = (valuation(xd, p), valuation(yd, p),
+                              valuation(bx, p), valuation(by, p))
+        lhs = valuation(image_dist, p) - vbx - vby
+        rhs = vdet - (vbx - vxd) - (vby - vyd) + valuation(dist, p) - vxd - vyd
         ok = lhs == rhs
         failures += not ok
         if not ok or len(shown) < 3:
-            shown.append(Instance(f"gamma={mat}, x={Fraction(*x)}, y={Fraction(*y)}",
+            shown.append(Instance(f"gamma={mat}, x={Fraction(xn, xd)}, y={Fraction(yn, yd)}",
                                   str(abs_from_valuation(lhs, p)),
                                   str(abs_from_valuation(rhs, p)), ok))
     return CheckResult("moebius_distance_product_identity", failures == 0, n,
@@ -142,10 +160,11 @@ def check_escape_distance_bound(cfg: OperatorConfig, n: int,
 
     Both distances are exact valuations of integer pairs: the instance holds
     iff they are equal, finite, and -v >= the radius exponent of
-    ``region_image(gamma, B)``.  That image and gamma(c_B) are computed once
-    per (word, support), the host pieces once per support.
+    ``region_image(gamma, B)``.  That image, the pair gamma(c_B) and the
+    valuation of its denominator are computed once per (word, support), the
+    host pieces once per support.
     """
-    rng = random.Random(seed)
+    bits = random.Random(seed).getrandbits
     group = cfg.group
     p = cfg.p
     outside = [piece for piece, _ in cfg.profile.pieces]
@@ -158,32 +177,41 @@ def check_escape_distance_bound(cfg: OperatorConfig, n: int,
         return CheckResult("escape_distance_bound", True, 0, 0, (),
                            note="no admissible support at levels <= 3 to draw y from")
     words = list(words_with_maps(group, 4))
-    images: dict[tuple[GroupWord, Disc], tuple[Disc, tuple[int, int]]] = {}
+    # (gamma B, gamma(c_B) as a pair, v of its denominator), keyed by
+    # word index * len(supports) + support index
+    images: dict[int, tuple[Disc, int, int, int | float]] = {}
     failures = 0
     shown = []
-    for k in range(n):
-        support, host = rng.choice(supports)
-        beta_w, beta = rng.choice(words)
-        gamma_w, gamma = rng.choice(words)
-        y = _random_point_in(support, rng, p)
+    for _ in range(n):
+        si = _randbelow(bits, len(supports))
+        support, host = supports[si]
+        beta_w, beta = words[_randbelow(bits, len(words))]
+        gi = _randbelow(bits, len(words))
+        gamma_w, gamma = words[gi]
+        y = _random_point_in(support, bits, p)
         if host:
-            x = _random_point_in(rng.choice(host), rng, p)
+            x = _random_point_in(host[_randbelow(bits, len(host))], bits, p)
         else:
-            sibling = next(ch for ch in rng.choice(outside).children(p)
+            piece = outside[_randbelow(bits, len(outside))]
+            sibling = next(ch for ch in piece.children(p)
                            if not ch.contains(support, p)
                            and not support.contains(ch, p))
-            x = _random_point_in(sibling, rng, p)
-        key = (gamma_w, support)
-        if key not in images:
-            centre = gamma.apply_pair(support.center.numerator,
+            x = _random_point_in(sibling, bits, p)
+        key = gi * len(supports) + si
+        cached = images.get(key)
+        if cached is None:
+            cn, cd = gamma.apply_pair(support.center.numerator,
                                       support.center.denominator)
-            images[key] = region_image(gamma, support, p), centre
-        image, gamma_centre = images[key]
-        bx, gy = beta.apply_pair(*x), gamma.apply_pair(*y)
-        if 0 in (bx[1], gy[1], gamma_centre[1]):
+            cached = images[key] = (region_image(gamma, support, p), cn, cd,
+                                    valuation(cd, p))
+        image, cn, cd, vcd = cached
+        bn, bd = beta.apply_pair(*x)
+        yn, yd = gamma.apply_pair(*y)
+        if 0 in (bd, yd, cd):
             raise PoleHit(f"pole hit at beta={beta_w}, gamma={gamma_w}")
-        lhs = pair_difference_valuation(bx, gy, p)
-        ctr = pair_difference_valuation(bx, gamma_centre, p)
+        vbd = valuation(bd, p)
+        lhs = valuation(bn * yd - yn * bd, p) - vbd - valuation(yd, p)
+        ctr = valuation(bn * cd - cn * bd, p) - vbd - vcd
         ok = lhs == ctr and -lhs >= image.radius_exp
         failures += not ok
         if not ok or len(shown) < 3:
@@ -200,38 +228,45 @@ def check_distance_word_shift(cfg: OperatorConfig, depth: int = 2) -> CheckResul
     """dist(beta B, gamma B) vs dist(B, beta^-1 gamma B) over short words.
 
     Exact ambient computation refutes this on expanding directions; the
-    counterexample instances carry the exact distances.  Each word's image
-    of a support is computed once, and so is the image under each shifted
-    word beta^-1 gamma.
+    counterexample instances carry the exact distances.  Each word is
+    inverted once, each word's image of a support is computed once, and so
+    is the right-hand side for each shifted word beta^-1 gamma; distances
+    are compared as valuations.
     """
     group = cfg.group
     p = cfg.p
     supports = [piece for piece, _ in cfg.profile.pieces][:2]
-    words = list(words_with_maps(group, depth))
+    walk = list(words_with_maps(group, depth))
+    inverses = [(w.inverse(), m.inverse()) for w, m in walk]
     n = failures = 0
     shown: list[Instance] = []
     counterexamples: list[Instance] = []
     for support in supports:
-        centres = [(w, region_image(m, support, p).center) for w, m in words]
-        shift_centres: dict[GroupWord, Fraction] = {}
-        for bw, left in centres:
-            for gw, right in centres:
-                shifted = bw.inverse().compose(gw)
-                if shifted.is_identity() or bw.letters == gw.letters:
+        centres = [region_image(m, support, p).center for _, m in walk]
+        rhs_by_shift: dict[tuple[int, ...], int | float] = {}
+        for bi, left in enumerate(centres):
+            inverse_w, inverse_m = inverses[bi]
+            for gi, right in enumerate(centres):
+                # the words are distinct and reduced: beta^-1 gamma = 1 iff beta = gamma
+                if bi == gi:
                     continue
                 n += 1
-                lhs = abs_p(left - right, p)
-                if shifted not in shift_centres:
-                    shift_centres[shifted] = region_image(
-                        group.word_map(shifted), support, p).center
-                rhs = abs_p(support.center - shift_centres[shifted], p)
+                gamma_w, gamma = walk[gi]
+                shifted = inverse_w.compose(gamma_w).letters
+                lhs = difference_valuation(left, right, p)
+                rhs = rhs_by_shift.get(shifted)
+                if rhs is None:
+                    image = region_image(inverse_m.compose(gamma), support, p)
+                    rhs = rhs_by_shift[shifted] = difference_valuation(
+                        support.center, image.center, p)
                 ok = lhs == rhs
                 failures += not ok
                 bucket = shown if ok else counterexamples
                 if len(bucket) < 4:
                     bucket.append(Instance(
-                        f"beta={bw}, gamma={gw}, B={support}",
-                        str(lhs), str(rhs), ok))
+                        f"beta={walk[bi][0]}, gamma={gamma_w}, B={support}",
+                        str(abs_from_valuation(lhs, p)),
+                        str(abs_from_valuation(rhs, p)), ok))
     return CheckResult("disc_distance_word_shift", failures == 0, n, failures,
                        tuple(counterexamples + shown),
                        note="ambient distances; holds by definition in transport mode")

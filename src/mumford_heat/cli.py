@@ -125,7 +125,8 @@ def _default_initial(run: RunConfig, op: OperatorConfig, gen, args) -> LevelFunc
         wavelets = admissible_wavelets(op.profile, gen.level)
         if not wavelets:
             raise ValidationError("--level" if args.level is not None else "run.level",
-                                  "no admissible wavelet at this level")
+                                  "no admissible wavelet at this level; "
+                                  "use --initial indicator")
         w = wavelets[0]
         return gen.level_function(
             [complex(wavelet_eval(w, d.center, op.profile, "omega")).real

@@ -41,9 +41,12 @@ class PoleHit(ZeroDivisionError):
 def valuation(x: Rational, p: int) -> Union[int, float]:
     """Exact p-adic valuation v_p(x); ``INFINITE_VALUATION`` for x = 0."""
     if isinstance(x, int):
+        if x % p:  # most integers are units: one remainder answers them
+            return 0
         if x == 0:
             return INFINITE_VALUATION
-        v = 0
+        x //= p
+        v = 1
         while not x % p:
             x //= p
             v += 1

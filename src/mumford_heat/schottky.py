@@ -18,7 +18,7 @@ from typing import Callable, Iterator, Sequence
 
 from .padic import (Disc, PoleHit, Rational, abs_from_valuation, abs_p,
                     covered_measure, difference_valuation, discs_disjoint,
-                    haar_measure, pair_difference_valuation, valuation)
+                    haar_measure, valuation)
 
 
 class DomainInvalid(ValueError):
@@ -128,50 +128,6 @@ class MoebiusMap:
 
     def __repr__(self):
         return f"MoebiusMap([[{self.a}, {self.b}], [{self.c}, {self.d}]])"
-
-
-def moebius_distance_identity_check(gamma: MoebiusMap, x: Rational, y: Rational,
-                                    p: int) -> tuple[Fraction, Fraction]:
-    """Both sides of |gx - gy| = |g'(x)|^(1/2) |g'(y)|^(1/2) |x - y|.
-
-    Both sides are exact rationals, obtained from the valuations of
-    :func:`moebius_distance_valuations`; the identity is unconditional.
-    """
-    x, y = Fraction(x), Fraction(y)
-    xp, yp = (x.numerator, x.denominator), (y.numerator, y.denominator)
-    lhs, rhs = moebius_distance_valuations(
-        gamma, xp, yp, gamma.apply_pair(*xp), gamma.apply_pair(*yp), p)
-    return abs_from_valuation(lhs, p), abs_from_valuation(rhs, p)
-
-
-def moebius_distance_valuations(gamma: MoebiusMap, x: tuple[int, int],
-                                y: tuple[int, int], gx: tuple[int, int],
-                                gy: tuple[int, int], p: int
-                                ) -> tuple[int | float, int | float]:
-    """Valuations of both sides of |gx - gy| = |g'(x)|^(1/2) |g'(y)|^(1/2) |x - y|.
-
-    Points are integer pairs (numerator, denominator), reduced or not, and
-    ``gx``, ``gy`` are ``gamma.apply_pair`` of ``x``, ``y``.  With
-    x = xn/xd and gx = (Ax, Bx):
-
-        left:  v(gx - gy)
-        right: (v(g'(x)) + v(g'(y))) / 2 + v(x - y),
-
-    each difference by :func:`pair_difference_valuation`, and
-    v(g'(x)) = v(det) - 2*(v(Bx) - v(xd)) because c*x + d = Bx/xd.  The
-    halving is the square root of the derivative product; it is exact only
-    for an even valuation, which is checked.  A zero distance has valuation
-    ``INFINITE_VALUATION``.
-    """
-    if gx[1] == 0 or gy[1] == 0:
-        raise PoleHit(f"{gamma!r} evaluated at its pole")
-    vdet = valuation(gamma.det, p)
-    vprod = sum(vdet - 2 * (valuation(image[1], p) - valuation(point[1], p))
-                for point, image in ((x, gx), (y, gy)))
-    if vprod % 2:
-        raise ArithmeticError(f"p^{-vprod} is not a rational square")
-    return (pair_difference_valuation(gx, gy, p),
-            vprod // 2 + pair_difference_valuation(x, y, p))
 
 
 def region_image(gamma: MoebiusMap, region: Disc, p: int) -> Disc:

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mumford_heat import audit
 from mumford_heat.audit import (CheckResult, Instance, audit_lemmas,
@@ -15,11 +17,9 @@ from mumford_heat.audit import (CheckResult, Instance, audit_lemmas,
 from mumford_heat.measure import RationalFunctionDatum, build_profile
 from mumford_heat.operator import OperatorConfig
 from mumford_heat.padic import Disc, abs_p
-from mumford_heat.schottky import (MoebiusMap, SchottkyGroup,
-                                   moebius_distance_identity_check,
-                                   moebius_distance_valuations, region_image,
-                                   words_with_maps)
+from mumford_heat.schottky import MoebiusMap, SchottkyGroup, region_image, words_with_maps
 from mumford_heat.wavelets import admissible_supports
+from test_groupsum import schottky_figures
 
 
 # --- Fraction reference: the checks as they were before the integer-valuation
@@ -76,9 +76,16 @@ def ref_distance_product(group, n, seed):
 def ref_escape_bound(cfg, n, seed, image_of=region_image):
     rng = random.Random(seed)
     p = cfg.p
-    supports = admissible_supports(cfg.profile, 3)
-    words = list(words_with_maps(cfg.group, 4))
     outside = [piece for piece, _ in cfg.profile.pieces]
+    # y's support needs a point of F off it: in a piece not holding the
+    # support, or, when every piece holds it, in a sibling of it
+    supports = [s for s in admissible_supports(cfg.profile, 3)
+                if not all(d.contains(s, p) for d in outside)
+                or all(s.radius_exp < d.radius_exp for d in outside)]
+    if not supports:
+        return CheckResult("escape_distance_bound", True, 0, 0, (),
+                           note="no admissible support at levels <= 3 to draw y from")
+    words = list(words_with_maps(cfg.group, 4))
     failures, shown = 0, []
     for _ in range(n):
         support = rng.choice(supports)
@@ -86,8 +93,13 @@ def ref_escape_bound(cfg, n, seed, image_of=region_image):
         beta_w, beta = rng.choice(words)
         gamma_w, gamma = rng.choice(words)
         y = ref_random_point_in(support, rng, p)
-        assert host  # both fixtures always have a host piece
-        x = ref_random_point_in(rng.choice(host), rng, p)
+        if host:
+            x = ref_random_point_in(rng.choice(host), rng, p)
+        else:
+            piece = rng.choice(outside)
+            x = ref_random_point_in(next(
+                ch for ch in piece.children(p)
+                if not ch.contains(support, p) and not support.contains(ch, p)), rng, p)
         bximg = beta.apply(x)
         lhs = abs_p(bximg - gamma.apply(y), p)
         ctr = abs_p(bximg - gamma.apply(support.center), p)
@@ -245,34 +257,6 @@ def test_escape_bound_at_the_radius(request, monkeypatch, fixture, shift):
             == ref_escape_bound(cfg, 300, 1, image_of=raised))
 
 
-def test_distance_identity_on_unreduced_pairs():
-    gamma = MoebiusMap(3, 0, 0, 1)
-    assert gamma.apply_pair(1, 3) == (3, 3)  # gamma(1/3) = 1, not reduced
-    for x, y in [(F(1, 3), F(2, 3)), (F(1, 3), F(5)), (F(1, 3), F(-7, 9))]:
-        assert (moebius_distance_identity_check(gamma, x, y, 3)
-                == ref_distance_identity(gamma, x, y, 3))
-    # the same points as pairs with common factors give the same valuations
-    reduced = moebius_distance_valuations(gamma, (1, 3), (2, 3), (3, 3), (6, 3), 3)
-    scaled = moebius_distance_valuations(gamma, (9, 27), (4, 6),
-                                         gamma.apply_pair(9, 27),
-                                         gamma.apply_pair(4, 6), 3)
-    assert reduced == scaled == (0, 0)
-
-
-def test_distance_identity_matches_reference_on_a_grid():
-    mats = [MoebiusMap(9, 0, 0, 1), MoebiusMap(17, -16, 8, -7),
-            MoebiusMap(9, 1, 3, 28), MoebiusMap(2, 1, 1, 1), MoebiusMap(3, 0, 0, 1)]
-    points = [F(n, d) for n in range(-4, 5) for d in (1, 2, 9)]
-    for p in (2, 3, 5):
-        for m in mats:
-            for x in points:
-                for y in points:
-                    if m.pole() in (x, y):
-                        continue
-                    assert (moebius_distance_identity_check(m, x, y, p)
-                            == ref_distance_identity(m, x, y, p))
-
-
 @pytest.mark.parametrize("n_random", [0, -5])
 def test_audit_rejects_too_few_samples(tate_cfg, tate_datum, n_random):
     with pytest.raises(ValueError, match="n_random"):
@@ -296,3 +280,45 @@ def test_escape_bound_without_a_support_is_vacuous():
     check = check_escape_distance_bound(cfg, 20)
     assert check.holds and check.n_instances == 0 and "no admissible support" in check.note
     assert audit_lemmas(cfg, datum, n_random=20, level=3)["escape_distance_bound"] == check
+
+
+def test_escape_bound_draws_x_from_a_sibling_when_every_piece_holds_the_support():
+    # genus 0: F is the single piece D(0, 1), which holds every support
+    group = SchottkyGroup(p=2, generators=(), holes=(), outer=Disc(F(0), 0))
+    cfg = OperatorConfig(group=group, cutoff_len=3, profile=build_profile(
+        RationalFunctionDatum.constant(), group.fundamental_domain(), 3))
+    check = check_escape_distance_bound(cfg, 300)
+    assert check.holds and check.n_instances == 300
+    assert check == ref_escape_bound(cfg, 300, 1)
+
+
+# one- and few-way choices, powers of p, the denominators 1..50 of a point,
+# and the numerator ranges 2p^4 + 1 of a rational for p = 3 and 7
+DRAW_WIDTHS = (1, 2, 3, 4, 8, 27, 49, 50, 163, 2 * 3 ** 4 + 1, 2 * 7 ** 4 + 1)
+
+
+def test_draws_are_the_randint_and_choice_stream():
+    """The audit's draw helper takes the bits random.Random's randint and
+    choice take, draw by draw, interleaved as the checks interleave them."""
+    for seed in range(50):
+        stream, fast = random.Random(seed), random.Random(seed)
+        for _ in range(3):
+            for width in DRAW_WIDTHS:
+                lo = -(width // 2)
+                seq = range(lo, lo + width)
+                assert seq[audit._randbelow(fast.getrandbits, width)] == stream.choice(seq)
+                assert (lo + audit._randbelow(fast.getrandbits, width)
+                        == stream.randint(lo, lo + width - 1))
+        assert fast.getstate() == stream.getstate()
+
+
+@settings(max_examples=30, deadline=None)
+@given(figure=schottky_figures(), seed=st.integers(0, 4))
+def test_the_checks_match_the_fraction_references_on_random_figures(figure, seed):
+    """The integer loops against the Fraction references off the two p = 3
+    fixtures: p in {2, 3, 5, 7}, genus <= 3."""
+    cfg, _ = figure
+    assert (check_distance_product_identity(cfg.group, 60, seed)
+            == ref_distance_product(cfg.group, 60, seed))
+    assert check_escape_distance_bound(cfg, 60, seed) == ref_escape_bound(cfg, 60, seed)
+    assert check_distance_word_shift(cfg) == ref_word_shift(cfg)

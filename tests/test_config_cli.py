@@ -281,6 +281,28 @@ def test_bad_inputs_exit_2(tmp_path, capsys, command, flags, run_section, name):
     assert not out.exists()
 
 
+def test_evolve_without_a_wavelet_names_the_remedy(tmp_path, capsys):
+    # a Schottky figure over p = 2 of genus 3 whose domain, the discs
+    # D(c, 2^-3) for c = 3, 4, 5, holds no admissible wavelet at level 3
+    raw = json.loads(bundled_fixture("genus2-p3").read_text())
+    raw["field"]["p"] = 2
+    raw["group"]["generators"] = [[[str(a), str(b)], [str(c), str(d)]] for a, b, c, d
+                                  in ((8, 7, 0, 1), (1, 96, 1, 0), (2, -108, 1, -6))]
+    raw["group"]["holes"] = [{"center": "0", "radius_exp": 0, "complement": True}] + [
+        {"center": str(c), "radius_exp": -3} for c in (0, 6, 7, 1, 2)]
+    raw["measure"]["resolution"] = 3
+    raw["operator"] = {"alpha": "1", "alpha_g": "3", "cutoff": {"len": 3}}
+    config = tmp_path / "figure.json"
+    config.write_text(json.dumps(raw))
+    assert main(["evolve", "-c", str(config), "-o", str(tmp_path / "wavelet")]) == 2
+    err = capsys.readouterr().err
+    assert "run.level" in err and "use --initial indicator" in err
+    assert not (tmp_path / "wavelet").exists()
+    assert main(["evolve", "-c", str(config), "--initial", "indicator",
+                 "-o", str(tmp_path / "indicator")]) == 0
+    assert (tmp_path / "indicator" / "evolution.csv").exists()
+
+
 @pytest.mark.parametrize("times", [[0.5, float("inf")], [float("nan")],
                                    [float("-inf"), 1.0], [10 ** 400]])
 def test_run_times_must_be_finite(tate_path, times):

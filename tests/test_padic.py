@@ -224,6 +224,32 @@ def test_disc_predicates_match_fraction_reference(p):
     assert {(True, False), (False, True), (False, False)} <= seen
 
 
+def _division_valuation(x, p):
+    """v_p(x) by the plain division loop on numerator and denominator."""
+    x = F(x)
+    if x == 0:
+        return INFINITE_VALUATION
+
+    def count(n):
+        k = 0
+        while n % p == 0:
+            n, k = n // p, k + 1
+        return k
+    return count(x.numerator) - count(x.denominator)
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=st.sampled_from([2, 3, 5, 7]), n=st.integers(-2 ** 80, 2 ** 80),
+       e=st.integers(0, 70), d=st.integers(1, 2 ** 70))
+def test_valuation_matches_the_division_loop(p, n, e, d):
+    """The int fast path and the Fraction path against the plain loop: on
+    negative and wider-than-64-bit integers, exact powers of p, 0 and
+    Fractions."""
+    for x in (n, n * p ** e, p ** e, -p ** e, 0, F(n * p ** e, d), F(d, p ** e)):
+        assert valuation(x, p) == _division_valuation(x, p)
+    assert valuation(0, p) is INFINITE_VALUATION
+
+
 def test_valuation_helpers():
     assert difference_valuation(F(1, 3), F(1, 3), 3) == INFINITE_VALUATION
     assert difference_valuation(F(1, 3), F(4, 3), 3) == 0

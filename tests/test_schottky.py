@@ -12,7 +12,6 @@ from mumford_heat.schottky import (DiscsIntersect, DomainInvalid, GroupWord,
                                    MoebiusMap, ReductionDiverged, SchottkyGroup,
                                    _tile_in_first_target, delta,
                                    disc_distance, enumerate_words,
-                                   moebius_distance_identity_check,
                                    reduce_to_domain, region_image,
                                    regions_equal, verify_fundamental_domain,
                                    words_with_maps)
@@ -46,12 +45,6 @@ class TestMoebius:
         assert SWAP.derivative_abs(2, 2) == 4
         assert MoebiusMap.identity().derivative_abs(F(7), 5) == 1
 
-    def test_distance_identity_examples(self):
-        assert moebius_distance_identity_check(SWAP, 2, 3, 2) == (2, 2)
-        assert moebius_distance_identity_check(SCALE, 1, 2, 3) == (F(1, 9), F(1, 9))
-        lhs, rhs = moebius_distance_identity_check(MoebiusMap.identity(), F(7), 5, 3)
-        assert lhs == rhs == 1  # identity map: both sides are |x - y|
-
     def test_hyperbolicity(self):
         assert SCALE.is_hyperbolic(3)
         assert MoebiusMap(17, -16, 8, -7).is_hyperbolic(3)
@@ -65,17 +58,6 @@ matrices = st.sampled_from([
     MoebiusMap(2, 1, 1, 1), MoebiusMap(9, 1, 3, 28),
 ])
 points = st.fractions(min_value=-500, max_value=500, max_denominator=100)
-
-
-@given(matrices, points, points, st.sampled_from([2, 3, 5]))
-@settings(max_examples=300)
-def test_distance_identity_universal(m, x, y, p):
-    if x == y or m.pole() in (x, y):
-        return
-    if m.apply(x) == m.apply(y):
-        return
-    lhs, rhs = moebius_distance_identity_check(m, x, y, p)
-    assert lhs == rhs
 
 
 @given(matrices, points, st.integers(-3, 2))
