@@ -346,14 +346,17 @@ def check_chart_shift(cfg: OperatorConfig, datum: RationalFunctionDatum,
     the transformation-formula value.  A chart the exact toolkit cannot
     evaluate on (ChartNotSupported) ends the check with no instances and
     the reason in the note: it holds in transport mode, and is unsettled,
-    so not held, in ambient mode.
+    so not held, in ambient mode.  No admissible support: nothing to check.
     """
     p = cfg.p
     if abs(chart_letter) > cfg.group.genus:
         return CheckResult("chart_shift_invariance", True, 0, 0, (),
                            note=f"no generator {abs(chart_letter)} to shift the chart by")
-    phi = cfg.group.letter_map(chart_letter)
     supports = admissible_supports(cfg.profile, 2)[:2]
+    if not supports:
+        return CheckResult("chart_shift_invariance", True, 0, 0, (),
+                           note="no admissible support at levels <= 2: nothing was checked")
+    phi = cfg.group.letter_map(chart_letter)
     bases = [lambda_exact(cfg, support) for support in supports]
     images = [region_image(phi, support, p) for support in supports]
     try:

@@ -279,7 +279,12 @@ def test_escape_bound_without_a_support_is_vacuous():
     assert admissible_supports(cfg.profile, 3) == []
     check = check_escape_distance_bound(cfg, 20)
     assert check.holds and check.n_instances == 0 and "no admissible support" in check.note
-    assert audit_lemmas(cfg, datum, n_random=20, level=3)["escape_distance_bound"] == check
+    report = audit_lemmas(cfg, datum, n_random=20, level=3)
+    assert report["escape_distance_bound"] == check
+    # nor is there a support for the chart shift, and its note says so
+    chart = report["chart_shift_invariance"]
+    assert chart.holds and chart.n_instances == 0 and chart.instances == ()
+    assert chart.note == "no admissible support at levels <= 2: nothing was checked"
 
 
 def test_escape_bound_draws_x_from_a_sibling_when_every_piece_holds_the_support():
@@ -294,7 +299,7 @@ def test_escape_bound_draws_x_from_a_sibling_when_every_piece_holds_the_support(
 
 # one- and few-way choices, powers of p, the denominators 1..50 of a point,
 # and the numerator ranges 2p^4 + 1 of a rational for p = 3 and 7
-DRAW_WIDTHS = (1, 2, 3, 4, 8, 27, 49, 50, 163, 2 * 3 ** 4 + 1, 2 * 7 ** 4 + 1)
+DRAW_WIDTHS = (1, 2, 3, 4, 8, 27, 49, 50, 2 * 3 ** 4 + 1, 2 * 7 ** 4 + 1)
 
 
 def test_draws_are_the_randint_and_choice_stream():

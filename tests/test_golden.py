@@ -28,7 +28,7 @@ GOLDEN = {
     ("g2-groupsum", "resolvent", "resolvent.csv"):
         "8a1906a94017b7befd9fbea85012088053b2335b019febf3bbc09737966096e8",
     ("g2-groupsum", "audit", "audit.json"):
-        "499171b95af2e7d09132882b542fb3b9621436a82be5b191c6573e39ce0ac33d",
+        "404e478eb42de8f7c7aca8796cc117747cba40938c84d89d79b01de943dc89d9",
     ("g1-states", "validate", "validation.json"):
         "7417ba43dee6dc4b72fe81e14b08e450e084a5db82c142d5cfc110c6b01f0854",
     ("g1-states", "spectrum", "spectrum.csv"):
