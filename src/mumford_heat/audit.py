@@ -122,6 +122,10 @@ def check_distance_product_identity(group: SchottkyGroup, n: int,
     exact.  v(det) is taken once per matrix, every other valuation once per
     instance.  An instance is skipped when x = y, when either point is the
     pole, or when the images coincide.
+
+    Ax*By - Ay*Bx = det * (xn*yd - yn*xd) as integers, so the two sides
+    agree whenever ``valuation`` is additive: the instances test that
+    additivity and nothing of the map or the points, as the note says.
     """
     bits = random.Random(seed).getrandbits
     p = group.p
@@ -150,7 +154,9 @@ def check_distance_product_identity(group: SchottkyGroup, n: int,
                                   str(abs_from_valuation(lhs, p)),
                                   str(abs_from_valuation(rhs, p)), ok))
     return CheckResult("moebius_distance_product_identity", failures == 0, n,
-                       failures, tuple(shown))
+                       failures, tuple(shown),
+                       note="Ax*By - Ay*Bx = det(gamma)*(xn*yd - yn*xd) as integers: "
+                            "the instances test only the additivity of padic.valuation")
 
 
 def check_escape_distance_bound(cfg: OperatorConfig, n: int,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from itertools import chain, repeat
 from operator import sub
@@ -20,8 +21,9 @@ from .audit import audit_lemmas
 from .config import (ParseError, RunConfig, ValidationError, check_level,
                      emit_config, format_rational, parse_config, parse_cutoff,
                      parse_int, parse_positive_rational, parse_times)
-from .heat import (NumericalBreakdown, SingularSystem, empirical_validation,
-                   resolvent_solve, sample_paths, solve_cauchy)
+from .heat import (PATH_CHUNK, NumericalBreakdown, PathColumns, SingularSystem,
+                   empirical_validation, resolvent_solve, sample_paths,
+                   solve_cauchy)
 from .measure import RationalFunctionDatum
 from .operator import (ChartNotSupported, CoincidentPoints, OperatorConfig,
                        RatioNotConstant, generator_matrix, spectrum, tail_bound)
@@ -49,13 +51,16 @@ def _meta(run: RunConfig, op: OperatorConfig) -> dict:
 
 
 def _header_lines(meta: dict) -> list[str]:
-    return [f"# {key}={meta[key]}"
+    return [f"# {key}={meta[key]}\n"
             for key in ("config_hash", "mode", "cutoff_len", "tail_bound")]
 
 
-def _write(path: Path, text: str) -> None:
+def _write(path: Path, pieces: Iterable[str]) -> None:
+    """Write an artifact piece by piece, in order: a lazy ``pieces`` keeps
+    only the piece being written alive."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+    with path.open("w") as fh:
+        fh.writelines(pieces)
     print(f"wrote {path}")
 
 
@@ -78,7 +83,7 @@ def cmd_validate(run: RunConfig, op: OperatorConfig, out: Path, args) -> int:
         },
         "config": emit_config(run),
     }
-    _write(out / "validation.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write(out / "validation.json", [json.dumps(payload, indent=2, sort_keys=True) + "\n"])
     return 0
 
 
@@ -92,7 +97,7 @@ def cmd_spectrum(run: RunConfig, op: OperatorConfig, out: Path, args) -> int:
     result = spectrum(op, level, datum=run.datum)
     lines = _header_lines(_meta(run, op))
     lines.append("radius_exp,density,lambda_formula,lambda_exact_lo,"
-                 "lambda_exact_hi,multiplicity,n_witness_discs")
+                 "lambda_exact_hi,multiplicity,n_witness_discs\n")
     for e in result.entries:
         lines.append(",".join([
             str(e.radius_exp),
@@ -102,9 +107,10 @@ def cmd_spectrum(run: RunConfig, op: OperatorConfig, out: Path, args) -> int:
             format_rational(e.lam_exact.hi),
             str(e.multiplicity),
             str(len(e.witnesses)),
-        ]))
-    lines.append("# word_census=" + ";".join(f"{l}:{n}" for l, n in result.word_counts))
-    _write(out / "spectrum.csv", "\n".join(lines) + "\n")
+        ]) + "\n")
+    lines.append("# word_census="
+                 + ";".join(f"{l}:{n}" for l, n in result.word_counts) + "\n")
+    _write(out / "spectrum.csv", lines)
     return 0
 
 
@@ -144,12 +150,31 @@ def cmd_evolve(run: RunConfig, op: OperatorConfig, out: Path, args) -> int:
     h0 = _default_initial(run, op, gen, args)
     sol = solve_cauchy(gen, h0, times)
     lines = _header_lines(_meta(run, op))
-    lines.append("t,state_index,value")
+    lines.append("t,state_index,value\n")
     for t, row in zip(sol.times, sol.values):
         for si, value in enumerate(row):
-            lines.append(f"{t!r},{si},{float(value)!r}")
-    _write(out / "evolution.csv", "\n".join(lines) + "\n")
+            lines.append(f"{t!r},{si},{float(value)!r}\n")
+    _write(out / "evolution.csv", lines)
     return 0
+
+
+def _path_blocks(paths: PathColumns, tails: list[str]) -> Iterator[str]:
+    """The rows of ``paths.csv``, one string per block of PATH_CHUNK paths.
+
+    A row is three pieces: its path id and a comma, the float repr of its
+    time, and ``tails[state]``, which holds the state's columns and the
+    newline."""
+    for first in range(0, len(paths), PATH_CHUNK):
+        block = paths[first:first + PATH_CHUNK]
+        bounds = block.offsets.tolist()
+        pieces = [""] * (3 * bounds[-1])
+        # one id string per path, repeated once per row of the path
+        pieces[0::3] = chain.from_iterable(
+            map(repeat, map("{},".format, range(first, first + len(block))),
+                map(sub, bounds[1:], bounds)))
+        pieces[1::3] = map(repr, block.times.tolist())
+        pieces[2::3] = map(tails.__getitem__, block.states.tolist())
+        yield "".join(pieces)
 
 
 def cmd_sample(run: RunConfig, op: OperatorConfig, out: Path, args) -> int:
@@ -164,16 +189,11 @@ def cmd_sample(run: RunConfig, op: OperatorConfig, out: Path, args) -> int:
     paths = sample_paths(gen, n_paths, t_max, seed, start_index=start)
     meta = _meta(run, op)
     lines = _header_lines(meta)
-    lines.append(f"# seed={seed} t_max={t_max!r} start_state={start}")
-    lines.append("path_id,jump_time,state_index,state_center,state_radius_exp")
-    labels = [f"{i},{format_rational(d.center)},{d.radius_exp}"
-              for i, d in enumerate(gen.states)]
-    bounds = paths.offsets.tolist()  # one id string per path, repeated per row
-    ids = chain.from_iterable(map(repeat, map(str, range(len(paths))),
-                                  map(sub, bounds[1:], bounds)))
-    lines.extend(map(",".join, zip(ids, map(repr, paths.times.tolist()),
-                                   map(labels.__getitem__, paths.states.tolist()))))
-    _write(out / "paths.csv", "\n".join(lines) + "\n")
+    lines.append(f"# seed={seed} t_max={t_max!r} start_state={start}\n")
+    lines.append("path_id,jump_time,state_index,state_center,state_radius_exp\n")
+    tails = [f",{i},{format_rational(d.center)},{d.radius_exp}\n"
+             for i, d in enumerate(gen.states)]
+    _write(out / "paths.csv", chain(lines, _path_blocks(paths, tails)))
     checkpoints = [t for t in run.run.times if 0 < t <= t_max]
     if checkpoints:
         report = empirical_validation(gen, paths, checkpoints, start_index=start)
@@ -188,17 +208,17 @@ def cmd_sample(run: RunConfig, op: OperatorConfig, out: Path, args) -> int:
                 for r in report.rows],
         }
         _write(out / "sample-validation.json",
-               json.dumps(payload, indent=2, sort_keys=True) + "\n")
+               [json.dumps(payload, indent=2, sort_keys=True) + "\n"])
     return 0
 
 
 def cmd_audit(run: RunConfig, op: OperatorConfig, out: Path, args) -> int:
     n_random = parse_int(args.audit_samples, "--audit-samples", minimum=1)
     datum = run.datum if run.datum is not None else RationalFunctionDatum.constant()
-    report = audit_lemmas(op, datum, n_random=n_random, level=run.run.level)
+    report = audit_lemmas(op, datum, n_random=n_random, level=_level(run, args))
     payload = {"meta": _meta(run, op)}
     payload.update(report.to_dict())
-    _write(out / "audit.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write(out / "audit.json", [json.dumps(payload, indent=2, sort_keys=True) + "\n"])
     return 0
 
 
@@ -211,12 +231,12 @@ def cmd_resolvent(run: RunConfig, op: OperatorConfig, out: Path, args) -> int:
     h = [Fraction(int(i == idx)) for i in range(gen.size)]
     u = gen.vector(resolvent_solve(gen, eta, gen.level_function(h)))
     lines = _header_lines(_meta(run, op))
-    lines.append(f"# eta={format_rational(eta)}")
-    lines.append("state_index,state_center,state_radius_exp,h,u")
+    lines.append(f"# eta={format_rational(eta)}\n")
+    lines.append("state_index,state_center,state_radius_exp,h,u\n")
     for i, (d, hi, ui) in enumerate(zip(gen.states, h, u)):
         lines.append(f"{i},{format_rational(d.center)},{d.radius_exp},"
-                     f"{format_rational(hi)},{_scalar_str(ui)}")
-    _write(out / "resolvent.csv", "\n".join(lines) + "\n")
+                     f"{format_rational(hi)},{_scalar_str(ui)}\n")
+    _write(out / "resolvent.csv", lines)
     return 0
 
 

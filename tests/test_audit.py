@@ -70,7 +70,9 @@ def ref_distance_product(group, n, seed):
         if not ok or len(shown) < 3:
             shown.append(Instance(f"gamma={mat}, x={x}, y={y}", str(lhs), str(rhs), ok))
     return CheckResult("moebius_distance_product_identity", failures == 0, n,
-                       failures, tuple(shown))
+                       failures, tuple(shown),
+                       note="Ax*By - Ay*Bx = det(gamma)*(xn*yd - yn*xd) as integers: "
+                            "the instances test only the additivity of padic.valuation")
 
 
 def ref_escape_bound(cfg, n, seed, image_of=region_image):

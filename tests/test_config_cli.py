@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -173,9 +174,11 @@ class TestCli:
         assert different == 0
         assert (out1 / "paths.csv").read_bytes() != (out2 / "paths.csv").read_bytes()
 
-    def test_paths_csv_matches_per_row_formatting(self, tate_path, tmp_path):
-        # the per-row f-string writer that the columnar writer replaced
-        n_paths, seed = 1500, 5  # more than one lockstep chunk
+    # one path, exactly one PATH_CHUNK block, a partial second block, two full blocks
+    @pytest.mark.parametrize("n_paths", [1, 1024, 1500, 2048])
+    def test_paths_csv_matches_per_row_formatting(self, tate_path, tmp_path, n_paths):
+        # the per-row f-string writer that the block writer replaced
+        seed = 5
         assert main(["sample", "-c", str(tate_path), "--paths", str(n_paths),
                      "--seed", str(seed), "-o", str(tmp_path)]) == 0
         run = parse_config(tate_path)
@@ -192,6 +195,17 @@ class TestCli:
         assert body == "\n".join(oracle) + "\n"
         assert header.count("\n") == 5
 
+    def test_sample_peak_memory_stays_below_twice_the_file(self, tate_path, tmp_path):
+        # paths.csv goes out one block at a time, never as one whole-file string
+        tracemalloc.start()
+        try:
+            assert main(["sample", "-c", str(tate_path), "--paths", "10000",
+                         "--seed", "3", "-o", str(tmp_path)]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * (tmp_path / "paths.csv").stat().st_size
+
     def test_audit_artifacts(self, tate_path, tmp_path):
         assert main(["audit", "-c", str(tate_path), "--audit-samples", "300",
                      "-o", str(tmp_path)]) == 0
@@ -202,6 +216,16 @@ class TestCli:
         pair = [(i["lhs"], i["rhs"])
                 for i in names["disc_distance_word_shift"]["examples"]]
         assert ("1/9", "1") in pair
+
+    def test_audit_census_is_taken_at_the_level_flag(self, tate_path, tmp_path):
+        # the config's run.level is 2, where the census reads dim=8
+        assert main(["audit", "-c", str(tate_path), "--level", "3", "--audit-samples", "1",
+                     "-o", str(tmp_path)]) == 0
+        checks = {c["check"]: c for c in
+                  json.loads((tmp_path / "audit.json").read_text())["checks"]}
+        [gap] = checks["wavelet_completeness_gap"]["examples"]
+        assert (gap["instance"], gap["lhs"], gap["rhs"]) == (
+            "level=3", "dim=24", "constants+wavelets=21")
 
     def test_evolve_and_resolvent(self, tate_path, tmp_path):
         assert main(["evolve", "-c", str(tate_path), "-o", str(tmp_path)]) == 0

@@ -28,7 +28,7 @@ GOLDEN = {
     ("g2-groupsum", "resolvent", "resolvent.csv"):
         "8a1906a94017b7befd9fbea85012088053b2335b019febf3bbc09737966096e8",
     ("g2-groupsum", "audit", "audit.json"):
-        "404e478eb42de8f7c7aca8796cc117747cba40938c84d89d79b01de943dc89d9",
+        "b2cd7c7b8338ce19d160b789fd5adb731c9bd534e9e40d21d731c35a7d7ff272",
     ("g1-states", "validate", "validation.json"):
         "7417ba43dee6dc4b72fe81e14b08e450e084a5db82c142d5cfc110c6b01f0854",
     ("g1-states", "spectrum", "spectrum.csv"):
@@ -36,7 +36,7 @@ GOLDEN = {
     ("g1-states", "resolvent", "resolvent.csv"):
         "23297aaca14eff52d3311802dc271b11b5f97f09eb8eb0ae246324522aebda87",
     ("g1-states", "audit", "audit.json"):
-        "2dcdbb080381ea2590eb86b17f673d0bb38db0c1cf9725fe294ebae8b49f15d5",
+        "025860a5fe98bf5b22e20615137dedcc70e0b97d6fac52f23d62ff2f06bf3a1c",
 }
 
 
