@@ -25,8 +25,9 @@ from .heat import (PATH_CHUNK, NumericalBreakdown, PathColumns, SingularSystem,
                    empirical_validation, resolvent_solve, sample_paths,
                    solve_cauchy)
 from .measure import RationalFunctionDatum
-from .operator import (ChartNotSupported, CoincidentPoints, OperatorConfig,
-                       RatioNotConstant, generator_matrix, spectrum, tail_bound)
+from .operator import (ChartNotSupported, CoincidentPoints, CutoffNotReached,
+                       OperatorConfig, RatioNotConstant, generator_matrix,
+                       spectrum, tail_bound)
 from .padic import PoleHit
 from .schottky import DomainInvalid, verify_fundamental_domain
 from .wavelets import LevelFunction, admissible_wavelets, wavelet_eval
@@ -293,6 +294,12 @@ def main(argv=None) -> int:
         code = COMMANDS[args.command](run, op, args.out, args)
     except (ParseError, ValidationError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
+        return 2
+    except CutoffNotReached as exc:
+        # a --cutoff-tol replaces the file's cutoff; else the file's (or the
+        # default) tolerance was searched
+        field = "--cutoff-tol" if args.cutoff_tol is not None else "operator.cutoff.tol"
+        print(f"validation error: {field}: {exc}", file=sys.stderr)
         return 2
     except (DomainInvalid, ChartNotSupported, PoleHit, CoincidentPoints) as exc:
         # the group fails a domain clause, or a walked word's pole or image

@@ -5,7 +5,7 @@ output boundary is reached:
 
 * :class:`PhaseSum` - finite rational combinations of p-power roots of unity,
   reduced modulo the cyclotomic polynomial so that zero is decidable.  Used
-  for character sums (wavelet means, inner products, the enumeration oracle).
+  for character sums (wavelet inner products, the enumeration oracle).
 * :class:`PowerSum` - finite rational combinations of rational powers of p.
   Sums of kernel terms with non-integral exponents alpha, alpha_g live here;
   for integral exponents they collapse to plain fractions.
@@ -144,10 +144,6 @@ class PhaseSum:
             (phase, coeff), = self._terms.items()
             return coeff, phase
         return None
-
-    def to_complex(self) -> complex:
-        return sum((complex(c) * cmath.exp(2j * math.pi * float(ph))
-                    for ph, c in self._terms.items()), 0j)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, PhaseSum):
@@ -337,10 +333,6 @@ class ExactComplex:
                                 self.phase, self.p_exp)
         return ExactComplex(self.coeff * -factor, self.radicand, self.p,
                             self.phase + Fraction(1, 2), self.p_exp)
-
-    def conjugate(self) -> "ExactComplex":
-        return ExactComplex(self.coeff, self.radicand, self.p,
-                            -self.phase, self.p_exp)
 
     def magnitude_squared_key(self) -> tuple[Fraction, Fraction]:
         """Canonical key for |value|^2 = q * p^s with v_p(q) = 0."""

@@ -1,4 +1,4 @@
-"""Heat semigroup, resolvent, stationary analysis and path sampling.
+"""Heat semigroup, resolvent and path sampling.
 
 The finite level-m generator Q is exact; floating point enters only through
 the semigroup, eigen-solves, resolvents of Q with irrational rates and random
@@ -30,7 +30,7 @@ import numpy as np
 
 from .operator import GeneratorMatrix, OperatorConfig, SplitTree
 from .padic import Disc
-from .wavelets import LevelFunction, Wavelet, admissible_wavelets, wavelet_eval
+from .wavelets import LevelFunction, admissible_wavelets, wavelet_eval
 
 
 class NumericalBreakdown(ArithmeticError):
@@ -41,24 +41,18 @@ class SingularSystem(ArithmeticError):
     """The resolvent system was singular (impossible for eta > 0)."""
 
 
-class Reducible(ValueError):
-    """The jump chain is not irreducible."""
-
-
 ROW_SUM_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class SpectralData:
-    """Block triangularisation of Q over [constants | wavelets | gap].
+    """Block triangularisation of Q over the basis [constants | wavelets | gap].
 
-    ``known_eigenvalues`` pairs each wavelet column with its exact decay
-    rate; the gap block is handled densely and its eigenvalues reported.
+    ``wavelet_rates`` pairs each wavelet column with its exact decay rate;
+    the gap block is handled densely and its eigenvalues reported.
     """
 
-    basis: np.ndarray          # columns: 1, wavelet vectors, gap vectors
     triangular: np.ndarray     # basis^-1 Q basis (block upper triangular)
-    wavelets: tuple[Wavelet, ...]
     wavelet_rates: tuple[float, ...]
     gap_eigenvalues: tuple[complex, ...]
     coupling_defect: float     # largest lower-left entry (should be ~0)
@@ -68,11 +62,10 @@ def spectral_data(cfg: OperatorConfig, gen: GeneratorMatrix) -> SpectralData:
     from .operator import lambda_exact
 
     n = gen.size
-    wavelets = tuple(w for w in admissible_wavelets(cfg.profile, gen.level))
     cols = [np.ones(n, dtype=complex)]
     rates = []
     by_support: dict[Disc, Fraction] = {}
-    for w in wavelets:
+    for w in admissible_wavelets(cfg.profile, gen.level):
         vec = np.array([complex(wavelet_eval(w, d.center, cfg.profile, "omega"))
                         for d in gen.states])
         cols.append(vec)
@@ -93,7 +86,7 @@ def spectral_data(cfg: OperatorConfig, gen: GeneratorMatrix) -> SpectralData:
     k = known.shape[1]
     defect = float(np.max(np.abs(tri[k:, :k]))) if k < n else 0.0
     gap_eigs = tuple(np.linalg.eigvals(tri[k:, k:])) if k < n else ()
-    return SpectralData(basis, tri, wavelets, tuple(rates), gap_eigs, defect)
+    return SpectralData(tri, tuple(rates), gap_eigs, defect)
 
 
 POISSON_TERMS = 18  # per uniformization step; see _semigroup
@@ -325,49 +318,6 @@ def _solve_exact(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction]:
         row = m[i]
         y[i] = (prev * row[n] - sum(row[j] * y[j] for j in range(i + 1, n))) // row[i]
     return [Fraction(v, prev) for v in y]
-
-
-@dataclass(frozen=True)
-class StationaryReport:
-    distribution: np.ndarray
-    residual: float
-    tv_distance_to_mass: float
-
-
-def stationary_distribution(gen: GeneratorMatrix) -> StationaryReport:
-    """The unique probability vector with pi Q = 0.
-
-    Irreducibility is checked on the positive-rate graph.  The report also
-    measures (never asserts) the total-variation distance between pi and the
-    mass-normalised measure.
-    """
-    n = gen.size
-    q = gen.matrix
-    _check_irreducible(gen)
-    # pi Q = 0, sum pi = 1: least squares on the stacked system
-    a = np.vstack([q.T, np.ones(n)])
-    b = np.zeros(n + 1)
-    b[-1] = 1.0
-    pi, *_ = np.linalg.lstsq(a, b, rcond=None)
-    residual = float(np.max(np.abs(pi @ q)))
-    if residual > 1e-9 or pi.min() <= 0:
-        raise Reducible(f"no positive stationary solution (residual {residual})")
-    masses = np.array([float(m) for m in gen.masses])
-    masses = masses / masses.sum()
-    tv = 0.5 * float(np.abs(pi - masses).sum())
-    return StationaryReport(pi, residual, tv)
-
-
-def _check_irreducible(gen: GeneratorMatrix) -> None:
-    """Reducible unless every state reaches every state along positive rates;
-    each squaring of the reachability matrix doubles the path length covered."""
-    reach = gen.matrix > 0
-    np.fill_diagonal(reach, True)
-    for _ in range(gen.size.bit_length()):
-        reach = (reach.astype(int) @ reach) > 0
-    stuck = np.flatnonzero(~reach.all(axis=1))
-    if stuck.size:
-        raise Reducible(f"state {stuck[0]} does not reach every state")
 
 
 PATH_CHUNK = 1024  # paths drawn in lockstep; another width is another stream

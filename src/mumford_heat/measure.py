@@ -22,7 +22,8 @@ class RootInsideDisc(ValueError):
 
 
 class UnalignedDisc(ValueError):
-    """mass() was asked for a disc that straddles the piece partition."""
+    """A disc or point lies in no single piece of the profile (or, for a
+    level function, in no state disc)."""
 
 
 class ResolutionTooCoarse(ValueError):
@@ -100,10 +101,6 @@ class MeasureProfile:
     @property
     def total_mass(self) -> Fraction:
         return sum((c * haar_measure(d, self.p) for d, c in self.pieces),
-                   Fraction(0))
-
-    def zero_core_mass(self) -> Fraction:
-        return sum((haar_measure(d, self.p) for d in self.zero_cores),
                    Fraction(0))
 
     def density_on(self, disc: Disc) -> Fraction:
@@ -207,29 +204,6 @@ def _coalesce(pieces: dict[Disc, Fraction], domain: FundamentalDomain,
             else:
                 merged.update((e, level[e]) for e in sibs)
     return merged
-
-
-def mass(profile: MeasureProfile, disc: Disc) -> Fraction:
-    """|omega|-mass of a partition-aligned disc (zero cores carry none)."""
-    p = profile.p
-    total = Fraction(0)
-    seen = False
-    for piece, dens in profile.pieces:
-        if discs_disjoint(disc, piece, p):
-            continue
-        if piece.contains(disc, p):
-            return dens * haar_measure(disc, p)
-        if disc.contains(piece, p):
-            total += dens * haar_measure(piece, p)
-            seen = True
-        else:
-            raise UnalignedDisc(f"{disc} straddles piece {piece}")
-    for core in profile.zero_cores:
-        if not discs_disjoint(disc, core, p) and not disc.contains(core, p):
-            raise UnalignedDisc(f"{disc} straddles zero core {core}")
-    if not seen and not any(disc.contains(c, p) for c in profile.zero_cores):
-        raise UnalignedDisc(f"{disc} meets no piece of the profile")
-    return total
 
 
 @dataclass(frozen=True)

@@ -83,6 +83,10 @@ class NotLocallyConstant(ValueError):
     """apply_operator needs a locally constant input at a declared level."""
 
 
+class CutoffNotReached(ValueError):
+    """No cutoff length up to MAX_CUTOFF brings the tail bound below the tolerance."""
+
+
 class ChartNotSupported(ValueError):
     """The requested chart transform leaves the exact toolkit's reach."""
 
@@ -93,6 +97,9 @@ class ChartNotSupported(ValueError):
 def growth_condition_holds(p: int, genus: int, alpha_g: Fraction) -> bool:
     """p^alpha_g > 2g, decided exactly as p^a > (2g)^b for alpha_g = a/b > 0."""
     return p ** alpha_g.numerator > (2 * genus) ** alpha_g.denominator
+
+
+MAX_CUTOFF = 10_000  # the longest truncation that a cutoff tolerance may ask for
 
 
 @dataclass(frozen=True)
@@ -157,8 +164,9 @@ class OperatorConfig:
         while bound > tol:
             length += 1
             bound *= ratio
-            if length > 10_000:
-                raise RuntimeError("cutoff search did not converge")
+            if length > MAX_CUTOFF:
+                raise CutoffNotReached(f"no cutoff length up to {MAX_CUTOFF} "
+                                       "brings the tail bound below the tolerance")
         return length
 
     def distance_power_exp(self, dist: Fraction) -> Fraction:
@@ -179,29 +187,8 @@ def as_power_sum(p: int, value: Scalar) -> PowerSum:
 
 
 # ---------------------------------------------------------------------------
-# Kernel and tail bounds
+# Tail bounds
 # ---------------------------------------------------------------------------
-
-def kernel(cfg: OperatorConfig, beta_spec: tuple[GroupWord, Rational],
-           gamma_spec: tuple[GroupWord, Rational]) -> Scalar:
-    """Exact kernel value H(beta x, gamma y) for x, y in F.
-
-    In transport mode the pair (beta, gamma) is first shifted to
-    (1, beta^-1 gamma), which is the reading under which the kernel does not
-    depend on the chart.
-    """
-    beta, x = beta_spec
-    gamma, y = gamma_spec
-    if cfg.mode == "transport":
-        beta, gamma = GroupWord.identity(), beta.inverse().compose(gamma)
-    bx = cfg.group.word_map(beta).apply(x)
-    gy = cfg.group.word_map(gamma).apply(y)
-    v = (_cross_valuation(bx.numerator, bx.denominator, gy.numerator, gy.denominator,
-                          cfg.p) - valuation(bx.denominator * gy.denominator, cfg.p))
-    length = len(beta.inverse().compose(gamma))
-    return simplify(PowerSum(cfg.p).add_term(
-        cfg.mu_inverse(), cfg.alpha * v - cfg.alpha_g * length))
-
 
 def minimal_escape_distance(cfg: OperatorConfig) -> Fraction:
     """Certified lower bound for |x - gamma y| over x, y in F, l(gamma) >= 1.
@@ -684,14 +671,12 @@ def _scaled(p: int, series: SeriesValue, pref: Fraction,
 class LambdaExact:
     """First-principles eigenvalue: the constant ratio -(H psi)(x) / psi(x).
 
-    ``value`` is the truncated exact ratio, certified to within ``tail``;
-    ``samples`` lists the child-center evaluation points over which exact
-    constancy was verified.
+    ``value`` is the truncated exact ratio, the same at every child centre
+    of the support, certified to within ``tail``.
     """
 
     value: Scalar
     tail: Fraction
-    samples: tuple[Fraction, ...]
     cutoff: int
 
     @property
@@ -720,7 +705,7 @@ def lambda_exact(cfg: OperatorConfig, support: Disc,
               for mult in _multipliers(cfg, support, samples, length, None)]
     if any(val != values[0] for val in values[1:]):
         raise RatioNotConstant(f"operator ratio varies over {support}: {values}")
-    return LambdaExact(values[0], tail_bound(cfg, length), samples, length)
+    return LambdaExact(values[0], tail_bound(cfg, length), length)
 
 
 # ---------------------------------------------------------------------------
@@ -740,11 +725,7 @@ class SpectrumEntry:
 @dataclass(frozen=True)
 class SpectrumResult:
     entries: tuple[SpectrumEntry, ...]
-    level: int
-    mode: str
-    cutoff: int
     word_counts: tuple[tuple[int, int], ...]  # (length, number of words)
-    chart: GroupWord | None = None
 
 
 def word_census(g: int, max_len: int = 8) -> tuple[tuple[int, int], ...]:
@@ -787,8 +768,7 @@ def spectrum(cfg: OperatorConfig, level: int,
             lambda_exact(work, witness),
             len(discs) * (work.p - 1),
             tuple(discs)))
-    return SpectrumResult(tuple(entries), level, cfg.mode, work.cutoff(),
-                          word_census(cfg.group.genus), chart)
+    return SpectrumResult(tuple(entries), word_census(cfg.group.genus))
 
 
 def transformed_config(cfg: OperatorConfig, datum: RationalFunctionDatum,

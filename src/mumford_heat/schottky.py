@@ -5,8 +5,7 @@ determinant); group elements are reduced words over the generators and their
 inverses.  The module provides exact disc images under Moebius maps (with
 co-disc handling for regions containing infinity), breadth-first word
 enumeration with the standard 2g(2g-1)^(l-1) counts (optionally pruned),
-fundamental-domain verification, and reduction of points to the fundamental
-domain.
+and fundamental-domain verification.
 """
 
 from __future__ import annotations
@@ -16,21 +15,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
-from .padic import (Disc, PoleHit, Rational, abs_from_valuation, abs_p,
-                    covered_measure, difference_valuation, discs_disjoint,
-                    haar_measure, valuation)
+from .padic import (Disc, PoleHit, Rational, abs_p, covered_measure,
+                    discs_disjoint, haar_measure, valuation)
 
 
 class DomainInvalid(ValueError):
     """A fundamental-domain invariant failed; the message names the clause."""
-
-
-class ReductionDiverged(RuntimeError):
-    """Point reduction hit its iteration cap or its witness failed to check."""
-
-
-class DiscsIntersect(ValueError):
-    """disc_distance was asked for two intersecting discs."""
 
 
 def _gcd_many(values: Sequence[int]) -> int:
@@ -164,15 +154,6 @@ def region_image(gamma: MoebiusMap, region: Disc, p: int) -> Disc:
 def regions_equal(r1: Disc, r2: Disc, p: int) -> bool:
     """Set equality of discs/co-discs (centers need not match literally)."""
     return r1.contains(r2, p) and r2.contains(r1, p)
-
-
-def disc_distance(d1: Disc, d2: Disc, p: int) -> Fraction:
-    """|center1 - center2| for disjoint plain discs (constant over point pairs)."""
-    if d1.complement or d2.complement:
-        raise DiscsIntersect("distance only defined for plain discs")
-    if not discs_disjoint(d1, d2, p):
-        raise DiscsIntersect(f"{d1} and {d2} intersect")
-    return abs_from_valuation(difference_valuation(d1.center, d2.center, p), p)
 
 
 # ---------------------------------------------------------------------------
@@ -403,14 +384,6 @@ class SchottkyGroup:
         return FundamentalDomain(self.outer, self.holes, self.p)
 
 
-def delta(disc: Disc, word: GroupWord, group: SchottkyGroup) -> Fraction:
-    """delta(B, gamma*B): 1 for the identity, the exact disc distance otherwise."""
-    if word.is_identity():
-        return Fraction(1)
-    image = region_image(group.word_map(word), disc, group.p)
-    return disc_distance(disc, image, group.p)
-
-
 @dataclass(frozen=True)
 class DomainReport:
     holes_disjoint: bool
@@ -503,7 +476,7 @@ def _figure_faults(group: SchottkyGroup) -> list[str]:
             image = region_image(group.letter_map(letter),
                                  source.complement_region(), p)
             # Equality, not containment: a strictly smaller image leaves gap
-            # points covered by no translate of F, so reduction would cycle.
+            # points covered by no translate of F.
             if not regions_equal(image, target, p):
                 details.append(
                     f"clause (ii): generator letter {letter} maps the complement "
@@ -518,38 +491,3 @@ def _tile_in_first_target(group: SchottkyGroup, word: GroupWord,
     image = region_image(mat, group.source_hole(word.letters[-1]), group.p)
     return image.contains(group.target_hole(word.letters[0]).complement_region(),
                           group.p)
-
-
-def reduce_to_domain(group: SchottkyGroup, z: Rational,
-                     max_steps: int = 256) -> tuple[Fraction, GroupWord]:
-    """Reduce z in Omega to its representative x in F with an exact witness.
-
-    Returns (x, w) with w(x) = z exactly.  Each step applies the letter whose
-    source hole contains the point, which strictly shortens the word of the
-    tile containing it; points on or near the limit set exhaust the cap and
-    raise ReductionDiverged, as does a witness that fails its exact check.
-    """
-    z = Fraction(z)
-    domain = group.fundamental_domain()
-    witness: list[Letter] = []
-    x = z
-    for _ in range(max_steps):
-        if domain.contains_point(x):
-            # x = t_n(...t_1(z)) for the applied letters t_i, so
-            # z = (t_1^-1 o ... o t_n^-1)(x).
-            word = GroupWord.from_letters([-t for t in witness])
-            if group.word_map(word).apply(x) != z:
-                raise ReductionDiverged(f"witness {word} does not map {x} to {z}")
-            return x, word
-        for k in range(1, group.genus + 1):
-            for letter in (k, -k):
-                if group.source_hole(letter).contains_point(x, group.p):
-                    x = group.letter_map(letter).apply(x)
-                    witness.append(letter)
-                    break
-            else:
-                continue
-            break
-        else:
-            raise ReductionDiverged(f"{z} lies in no hole and outside F")
-    raise ReductionDiverged(f"reduction of {z} exceeded {max_steps} steps")

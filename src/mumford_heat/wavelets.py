@@ -1,4 +1,5 @@
-"""Kozyrev wavelets on admissible discs and their exact inner products.
+"""Kozyrev wavelets on admissible discs, their exact inner products, and the
+level functions that the heat layer moves them in.
 
 A wavelet is a normalised character bump on a disc B: constant in absolute
 value on B, constant on each child sub-disc, mean zero against any density
@@ -6,9 +7,11 @@ that is constant on B.  Two normalisations are available: ``haar`` divides
 by the square root of the Haar mass of B, ``omega`` by the square root of
 the |omega|-mass, which makes the admissible family orthonormal.
 
-Inner products and means are computed in exact cyclotomic arithmetic
+Inner products are computed in exact cyclotomic arithmetic
 (:class:`~mumford_heat.exactnum.PhaseSum`), so orthogonality statements are
-decided, not approximated.
+decided, not approximated.  A ``LevelFunction`` holds one value per state
+disc of a level; ``state_discs`` lists those discs and
+``admissible_supports`` the wavelet supports that a level resolves.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import Iterable, Mapping
 from .exactnum import ExactComplex, PhaseSum
 from .padic import Disc, Rational, character_phase, discs_disjoint, haar_measure
 from .measure import MeasureProfile, UnalignedDisc
-from .schottky import FundamentalDomain, SchottkyGroup, reduce_to_domain
+from .schottky import FundamentalDomain
 
 
 class NotAdmissible(ValueError):
@@ -79,37 +82,9 @@ def wavelet_eval(w: Wavelet, x: Rational, profile: MeasureProfile | None = None,
     return ExactComplex(mag.coeff, mag.radicand, w.p, w.phase_at(x), mag.p_exp)
 
 
-@dataclass(frozen=True)
-class InvariantWavelet:
-    """Extension of a wavelet constant along group orbits."""
-
-    base: Wavelet
-    group: SchottkyGroup
-
-
-def invariant_eval(w: InvariantWavelet, z: Rational,
-                   profile: MeasureProfile | None = None,
-                   normalization: str = "haar") -> ExactComplex:
-    """Value at any regular point: evaluate the base wavelet at the
-    fundamental-domain representative."""
-    x, _ = reduce_to_domain(w.group, z)
-    return wavelet_eval(w.base, x, profile, normalization)
-
-
 def _support_check(w: Wavelet, profile: MeasureProfile) -> None:
     if not profile.admissible(w.support):
         raise NotAdmissible(f"support {w.support} is not admissible")
-
-
-def wavelet_mean(w: Wavelet, profile: MeasureProfile,
-                 normalization: str = "haar") -> ExactComplex:
-    """Integral of the wavelet against the profile; exactly zero when admissible."""
-    _support_check(w, profile)
-    dens = profile.density_on(w.support)
-    phases = PhaseSum(w.p)
-    for child in w.support.children(w.p):
-        phases.add(w.phase_at(child.center), dens * haar_measure(child, w.p))
-    return _collapse(phases, w.norm_magnitude(profile, normalization))
 
 
 def inner_product(w1: Wavelet, w2: Wavelet, profile: MeasureProfile,
@@ -152,7 +127,7 @@ def _collapse(phases: PhaseSum, magnitude: ExactComplex) -> ExactComplex:
 
 
 # ---------------------------------------------------------------------------
-# Level functions and the analysis/synthesis pair
+# Level functions, state discs and admissible supports
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -221,96 +196,3 @@ def admissible_wavelets(profile: MeasureProfile, max_level: int) -> list[Wavelet
     return [Wavelet(d, j, profile.p)
             for d in admissible_supports(profile, max_level)
             for j in range(1, profile.p)]
-
-
-@dataclass(frozen=True)
-class Analysis:
-    """u = constant + sum of wavelet coefficients + residual, at one level."""
-
-    constant: complex
-    coefficients: tuple[tuple[Wavelet, complex], ...]
-    residual: LevelFunction
-
-
-def analyze(u: LevelFunction, profile: MeasureProfile,
-            wavelets: list[Wavelet] | None = None) -> Analysis:
-    """Expand a level function over constants and omega-normalised wavelets.
-
-    The residual is stored explicitly (it spans the completeness gap of the
-    wavelet family on a holed domain), so synthesis reconstructs u exactly.
-    """
-    p = profile.p
-    if wavelets is None:
-        wavelets = admissible_wavelets(profile, u.level)
-    masses = {d: profile.density_at(d.center) * haar_measure(d, p)
-              for d, _ in u.values}
-    total = sum(masses.values())
-    mean = sum(masses[d] * v for d, v in u.values) / total
-    coeffs = []
-    recon = {d: complex(mean) for d, _ in u.values}
-    for w in wavelets:
-        c = 0j
-        for d, v in u.values:
-            val = wavelet_eval(w, d.center, profile, "omega")
-            if not val.is_zero():
-                c += float(masses[d]) * v * complex(val.conjugate())
-        coeffs.append((w, c))
-        if c:
-            for d, _ in u.values:
-                val = wavelet_eval(w, d.center, profile, "omega")
-                recon[d] += c * complex(val)
-    residual = LevelFunction.from_mapping(
-        u.level, {d: v - recon[d] for d, v in u.values})
-    return Analysis(complex(mean), tuple(coeffs), residual)
-
-
-def synthesize(analysis: Analysis, profile: MeasureProfile) -> LevelFunction:
-    """Rebuild the level function: constant + wavelet part + stored residual."""
-    out = {}
-    for d, r in analysis.residual.values:
-        val = analysis.constant + r
-        for w, c in analysis.coefficients:
-            if c:
-                wval = wavelet_eval(w, d.center, profile, "omega")
-                if not wval.is_zero():
-                    val += c * complex(wval)
-        out[d] = val
-    return LevelFunction.from_mapping(analysis.residual.level, out)
-
-
-@dataclass(frozen=True)
-class CensusRow:
-    level: int
-    n_discs: int
-    n_wavelets: int
-    gap: int
-
-
-@dataclass(frozen=True)
-class Census:
-    rows: tuple[CensusRow, ...]
-    maximal_admissible: tuple[Disc, ...]
-
-    def at_level(self, m: int) -> CensusRow:
-        for row in self.rows:
-            if row.level == m:
-                return row
-        raise KeyError(m)
-
-
-def completeness_census(domain: FundamentalDomain, profile: MeasureProfile,
-                        max_level: int) -> Census:
-    """Dimension bookkeeping per level: states vs constants + wavelets.
-
-    The gap (states - 1 - wavelets) measures how far the wavelet family is
-    from spanning the level functions; on a holed domain with k maximal
-    admissible discs the gap is k - 1.
-    """
-    rows = []
-    for m in range(max_level + 1):
-        discs = state_discs(domain, profile, m)
-        n_wav = len(admissible_wavelets(profile, m))
-        rows.append(CensusRow(m, len(discs), n_wav,
-                              len(discs) - 1 - n_wav if discs else 0))
-    maximal = tuple(piece for piece, _ in profile.pieces)
-    return Census(tuple(rows), maximal)

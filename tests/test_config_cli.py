@@ -288,6 +288,8 @@ BAD_INPUTS = [
     # not): genus2-p3 has no admissible wavelet at level 2
     ("evolve", ["--level", "2"], {"fixture": "genus2-p3"}, "--level"),
     ("evolve", [], {"fixture": "genus2-p3", "level": 2}, "run.level"),
+    # no cutoff length up to MAX_CUTOFF reaches this tolerance
+    ("spectrum", ["--cutoff-tol", "1e-5000"], {}, "--cutoff-tol"),
 ]
 
 
@@ -442,6 +444,7 @@ BAD_FIELDS = [
     ("operator", {"alpha": "-1"}, "operator.alpha"),
     ("operator", {"alpha_g": "0"}, "operator.alpha_g"),
     ("operator", {"alpha_g": "-3/2"}, "operator.alpha_g"),
+    ("operator", {"cutoff": {"tol": "1e-5000"}}, "operator.cutoff.tol"),
 ]
 
 

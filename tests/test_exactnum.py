@@ -34,7 +34,6 @@ def test_deep_cyclotomic_reduction():
     for k in range(9):
         s.add(F(k, 9), F(1, 9))
     assert s.is_zero()
-    assert abs(s.to_complex()) < 1e-15
 
 
 def test_phase_sum_equality_and_scaling():
@@ -93,8 +92,6 @@ def test_exact_complex_equality_across_forms():
     b = ExactComplex(F(1), F(1), 3, F(1, 9), F(1, 2))
     assert a == b
     assert complex(a) == pytest.approx(complex(b))
-    assert a.conjugate().phase == F(8, 9)
-    assert (a * a.conjugate()).phase == 0
 
 
 def test_exact_complex_zero_and_sign():

@@ -5,8 +5,7 @@ import pytest
 from mumford_heat.padic import Disc, discs_disjoint, haar_measure
 from mumford_heat.measure import (RationalFunctionDatum,
                                   ResolutionTooCoarse, RootInsideDisc,
-                                  UnalignedDisc, build_profile,
-                                  invariance_audit, local_abs, mass,
+                                  build_profile, invariance_audit, local_abs,
                                   region_image_density)
 from mumford_heat.schottky import SchottkyGroup
 
@@ -51,7 +50,7 @@ def test_zero_core_mass_shrinks_geometrically(ball_domain):
     previous = None
     for m in (1, 2, 3, 4):
         profile = build_profile(fz, ball_domain, m)
-        core = profile.zero_core_mass()
+        core = sum(haar_measure(d, 3) for d in profile.zero_cores)
         assert core == F(1, 3 ** m)
         if previous is not None:
             assert core <= previous / 3
@@ -81,22 +80,6 @@ def test_close_zeros_need_resolution(ball_domain):
 def test_pole_inside_domain_rejected(ball_domain, tate_datum):
     with pytest.raises(RootInsideDisc):
         build_profile(tate_datum, ball_domain, 2)
-
-
-def test_mass_examples(tate_profile):
-    assert mass(tate_profile, Disc(F(1), -1)) == F(1, 3)
-    assert mass(tate_profile, Disc(F(3), -2)) == F(1, 3)
-    assert mass(tate_profile, Disc(F(0), 0)) == F(4, 3)
-    assert mass(tate_profile, Disc(F(1), -2)) == F(1, 9)
-    assert mass(tate_profile, Disc(F(0), -1)) == F(2, 3)
-
-
-def test_mass_unaligned(ball_domain):
-    fz = RationalFunctionDatum(F(1), ((F(0), 1),))
-    profile = build_profile(fz, ball_domain, 2)
-    assert mass(profile, Disc(F(0), -2)) == 0  # exactly the zero core
-    with pytest.raises(UnalignedDisc):
-        mass(profile, Disc(F(0), -3))
 
 
 def test_invariance_audit_tate(tate_profile, tate_datum, tate_group):

@@ -4,10 +4,9 @@ from fractions import Fraction as F
 import pytest
 
 from mumford_heat.exactnum import PowerSum
-from mumford_heat.operator import (ChartNotSupported, CoincidentPoints,
-                                   _chart_escape_distance,
+from mumford_heat.operator import (ChartNotSupported, _chart_escape_distance,
                                    NotAdmissible, OperatorConfig,
-                                   apply_operator, generator_matrix, kernel,
+                                   apply_operator, generator_matrix,
                                    lambda_exact, lambda_formula,
                                    lambda_transform, minimal_escape_distance,
                                    scalar_times_value, spectrum, tail_bound,
@@ -20,8 +19,6 @@ from mumford_heat.schottky import DomainInvalid, GroupWord, MoebiusMap
 from mumford_heat.wavelets import (LevelFunction, Wavelet, state_discs,
                                    wavelet_eval)
 
-ID = GroupWord.identity()
-
 # oracle eigenvalues for the multiplicative fixture, frozen after independent
 # brute-force quadrature on a level-6 refinement of the domain
 TATE_EXACT = {
@@ -32,31 +29,7 @@ TATE_EXACT = {
 
 
 class TestKernel:
-    def test_worked_value(self, tate_cfg):
-        k = kernel(tate_cfg, (ID, F(1)), (GroupWord((1,)), F(1)))
-        assert k == F(3, 8)  # mu^-1 * p^-alpha_g * |1 - 9|^-alpha
-
-    def test_word_cancellation(self, tate_cfg):
-        k1 = kernel(tate_cfg, (GroupWord((1,)), F(1)), (GroupWord((1,)), F(2)))
-        k2 = kernel(tate_cfg, (ID, F(9)), (ID, F(18)))
-        assert k1 == k2  # l(beta^-1 gamma) = 0 either way
-
-    def test_weight_scales_per_letter(self, tate_cfg):
-        base = kernel(tate_cfg, (ID, F(1)), (GroupWord((1,)), F(1)))
-        deeper = kernel(tate_cfg, (ID, F(1)), (GroupWord((1, 1)), F(1)))
-        # same distance class |1 - 81| = |1 - 9| = 1; one extra letter
-        assert deeper == base * F(1, 3)
-
-    def test_transport_mode_is_chart_free(self, tate_group, tate_profile):
-        cfg = OperatorConfig(group=tate_group, profile=tate_profile,
-                             mode="transport", cutoff_len=40)
-        shifted = kernel(cfg, (GroupWord((1,)), F(1)), (GroupWord((1, 1)), F(1)))
-        base = kernel(cfg, (ID, F(1)), (GroupWord((1,)), F(1)))
-        assert shifted == base
-
-    def test_coincident_points(self, tate_cfg):
-        with pytest.raises(CoincidentPoints):
-            kernel(tate_cfg, (ID, F(1)), (ID, F(1)))
+    """The kernel's group sums converge only under the growth condition."""
 
     def test_growth_condition_enforced(self, genus2_group, genus2_profile):
         with pytest.raises(DomainInvalid):

@@ -8,11 +8,9 @@ from hypothesis import strategies as st
 
 from mumford_heat.padic import (Disc, PoleHit, covered_measure, discs_disjoint,
                                 haar_measure)
-from mumford_heat.schottky import (DiscsIntersect, DomainInvalid, GroupWord,
-                                   MoebiusMap, ReductionDiverged, SchottkyGroup,
-                                   _tile_in_first_target, delta,
-                                   disc_distance, enumerate_words,
-                                   reduce_to_domain, region_image,
+from mumford_heat.schottky import (DomainInvalid, GroupWord, MoebiusMap,
+                                   SchottkyGroup, _tile_in_first_target,
+                                   enumerate_words, region_image,
                                    regions_equal, verify_fundamental_domain,
                                    words_with_maps)
 
@@ -179,50 +177,6 @@ class TestDomain:
         assert centers == [F(k) for k in (1, 2, 3, 4, 5, 6, 7, 8)]
         assert sorted((d.center, d.radius_exp) for d in dom.maximal_discs()) \
             == [(F(1), -1), (F(2), -1), (F(3), -2), (F(6), -2)]
-
-
-class TestReduction:
-    def test_examples(self, tate_group):
-        assert reduce_to_domain(tate_group, 27) == (3, GroupWord((1,)))
-        assert reduce_to_domain(tate_group, 1) == (1, GroupWord.identity())
-        assert reduce_to_domain(tate_group, F(1, 3)) == (3, GroupWord((-1,)))
-
-    def test_round_trip_genus2(self, genus2_group):
-        dom = genus2_group.fundamental_domain()
-        seeds = [F(27), F(5, 3), F(23, 11)]
-        for w in (GroupWord((1, 2)), GroupWord((2, -1, 2)), GroupWord((-2, 1, 1, 2))):
-            seeds.append(genus2_group.word_map(w).apply(F(6)))
-        for z in seeds:
-            x, witness = reduce_to_domain(genus2_group, z)
-            assert genus2_group.word_map(witness).apply(x) == z
-            assert dom.contains_point(x)
-
-    def test_witness_is_checked(self, tate_group, monkeypatch):
-        # a wrong word map must be caught by a check that survives python -O
-        monkeypatch.setattr(SchottkyGroup, "word_map",
-                            lambda self, word: MoebiusMap(1, 1, 0, 1))
-        with pytest.raises(ReductionDiverged):
-            reduce_to_domain(tate_group, 27)
-
-    def test_limit_points_diverge(self, genus2_group):
-        for z in (F(81), F(1, 9), F(1), F(2)):
-            with pytest.raises(ReductionDiverged):
-                reduce_to_domain(genus2_group, z, max_steps=64)
-
-
-class TestDistances:
-    def test_disc_distance_examples(self):
-        assert disc_distance(Disc(F(1), -1), Disc(F(9), -3), 3) == 1
-        assert disc_distance(Disc(F(1), -1), Disc(F(2), -1), 3) == 1
-        assert disc_distance(Disc(F(3), -2), Disc(F(6), -2), 3) == F(1, 3)
-        with pytest.raises(DiscsIntersect):
-            disc_distance(Disc(F(1), -1), Disc(F(4), -2), 3)
-
-    def test_delta_examples(self, tate_group):
-        b = Disc(F(1), -1)
-        assert delta(b, GroupWord.identity(), tate_group) == 1
-        assert delta(b, GroupWord((1,)), tate_group) == 1
-        assert delta(b, GroupWord((-1,)), tate_group) == 9
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,11 @@
 import math
 from fractions import Fraction as F
 
-import numpy as np
-import pytest
-
 from mumford_heat.measure import RationalFunctionDatum, build_profile
-from mumford_heat.padic import Disc, haar_measure
-from mumford_heat.wavelets import (InvariantWavelet, LevelFunction,
-                                   NotAdmissible, Wavelet, admissible_supports,
-                                   admissible_wavelets, analyze,
-                                   completeness_census, inner_product,
-                                   invariant_eval, state_discs, synthesize,
-                                   wavelet_eval, wavelet_mean)
+from mumford_heat.padic import Disc
+from mumford_heat.wavelets import (Wavelet, admissible_supports,
+                                   admissible_wavelets, inner_product,
+                                   state_discs, wavelet_eval)
 
 
 def test_wavelet_eval_examples():
@@ -32,27 +26,6 @@ def test_wavelet_constant_on_children():
             assert wavelet_eval(w, grand.center) == ref
 
 
-def test_invariant_eval(tate_group, tate_profile):
-    w = Wavelet(Disc(F(1), -1), 1, 3)
-    iw = InvariantWavelet(w, tate_group)
-    for x in (F(1), F(4), F(5, 3)):
-        assert invariant_eval(iw, 9 * x) == wavelet_eval(w, x) \
-            or complex(invariant_eval(iw, 9 * x)) == complex(wavelet_eval(w, x))
-    assert complex(invariant_eval(iw, 9)) == complex(wavelet_eval(w, 1))
-    assert invariant_eval(iw, 2) == wavelet_eval(w, 2)
-
-
-def test_mean_zero_exact(tate_profile):
-    for support in (Disc(F(1), -1), Disc(F(3), -2)):
-        for j in (1, 2):
-            assert wavelet_mean(Wavelet(support, j, 3), tate_profile).is_zero()
-
-
-def test_mean_rejects_inadmissible(tate_profile):
-    with pytest.raises(NotAdmissible):
-        wavelet_mean(Wavelet(Disc(F(0), -1), 1, 3), tate_profile)
-
-
 def test_gram_matrix_is_exact_identity(tate_profile):
     wavelets = admissible_wavelets(tate_profile, 3)
     assert len(wavelets) == 20
@@ -71,16 +44,17 @@ def test_haar_gram_diagonal_is_density(tate_profile):
 
 
 def test_census_examples(tate_group, tate_profile, ball_domain):
-    census = completeness_census(tate_group.fundamental_domain(), tate_profile, 3)
-    row2 = census.at_level(2)
-    assert (row2.n_discs, row2.n_wavelets, row2.gap) == (8, 4, 3)
-    row3 = census.at_level(3)
-    assert (row3.n_discs, row3.n_wavelets, row3.gap) == (24, 20, 3)
-    assert row3.gap == len(census.maximal_admissible) - 1
+    # states against constants + wavelets, counted as the audit's
+    # completeness check counts them: the gap is (maximal admissible discs) - 1
+    domain = tate_group.fundamental_domain()
+    census = [(len(state_discs(domain, tate_profile, m)),
+               len(admissible_wavelets(tate_profile, m))) for m in (2, 3)]
+    assert census == [(8, 4), (24, 20)]
+    assert [n - 1 - k for n, k in census] == [3, 3] == [len(tate_profile.pieces) - 1] * 2
 
     profile = build_profile(RationalFunctionDatum.constant(), ball_domain, 1)
-    ball_row = completeness_census(ball_domain, profile, 1).at_level(1)
-    assert (ball_row.n_discs, ball_row.n_wavelets, ball_row.gap) == (3, 2, 0)
+    assert (len(state_discs(ball_domain, profile, 1)),
+            len(admissible_wavelets(profile, 1))) == (3, 2)
 
 
 def test_supports_enumeration(tate_profile):
@@ -88,55 +62,3 @@ def test_supports_enumeration(tate_profile):
     assert len(supports) == 10
     assert sum(1 for s in supports if s.radius_exp == -1) == 2
     assert sum(1 for s in supports if s.radius_exp == -2) == 8
-
-
-class TestAnalysis:
-    def _states(self, tate_group, tate_profile):
-        return state_discs(tate_group.fundamental_domain(), tate_profile, 2)
-
-    def test_wavelet_projects_to_single_coefficient(self, tate_group, tate_profile):
-        states = self._states(tate_group, tate_profile)
-        w = admissible_wavelets(tate_profile, 2)[0]
-        u = LevelFunction.from_wavelet(w, 2, states, tate_profile, "omega")
-        result = analyze(u, tate_profile)
-        big = [(wv, c) for wv, c in result.coefficients if abs(c) > 1e-12]
-        assert len(big) == 1 and big[0][0] == w
-        assert abs(big[0][1] - 1) < 1e-12
-        assert result.residual.sup_norm() < 1e-12
-        assert abs(result.constant) < 1e-13
-
-    def test_constant_is_mean_only(self, tate_group, tate_profile):
-        states = self._states(tate_group, tate_profile)
-        u = LevelFunction.constant(2, states, 2.5)
-        result = analyze(u, tate_profile)
-        assert abs(result.constant - 2.5) < 1e-14
-        assert all(abs(c) < 1e-13 for _, c in result.coefficients)
-        assert result.residual.sup_norm() < 1e-13
-
-    def test_indicator_has_residual_and_roundtrips(self, tate_group, tate_profile):
-        states = self._states(tate_group, tate_profile)
-        top = Disc(F(1), -1)
-        u = LevelFunction.from_mapping(
-            2, {d: (1.0 if top.contains(d, 3) else 0.0) for d in states})
-        result = analyze(u, tate_profile)
-        assert result.residual.sup_norm() > 1e-3
-        back = synthesize(result, tate_profile)
-        for (d, a), (_, b) in zip(back.values, u.values):
-            assert abs(a - b) < 1e-12
-
-    def test_residual_orthogonality(self, tate_group, tate_profile):
-        states = self._states(tate_group, tate_profile)
-        rng = np.random.default_rng(11)
-        u = LevelFunction.from_mapping(
-            2, {d: complex(*rng.uniform(-1, 1, 2)) for d in states})
-        result = analyze(u, tate_profile)
-        masses = {d: float(tate_profile.density_at(d.center) * haar_measure(d, 3))
-                  for d in states}
-        res = result.residual.as_dict()
-        for w in admissible_wavelets(tate_profile, 2):
-            dot = sum(masses[d] * res[d]
-                      * complex(wavelet_eval(w, d.center, tate_profile,
-                                             "omega").conjugate())
-                      for d in states)
-            assert abs(dot) < 1e-12
-        assert abs(sum(masses[d] * res[d] for d in states)) < 1e-12
