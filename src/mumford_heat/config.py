@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .measure import (MeasureProfile, RationalFunctionDatum, ResolutionTooCoarse,
                       RootInsideDisc, build_profile)
-from .operator import OperatorConfig, growth_condition_holds
+from .operator import MAX_CUTOFF, OperatorConfig, growth_condition_holds
 from .padic import Disc
 from .schottky import DomainInvalid, MoebiusMap, SchottkyGroup
 
@@ -68,21 +68,24 @@ def parse_times(values, path: str) -> tuple[float, ...]:
     return tuple(float(t) for t in values)
 
 
-def parse_int(value, path: str, minimum: int | None = None) -> int:
+def parse_int(value, path: str, minimum: int | None = None,
+              maximum: int | None = None) -> int:
     """An integer field; booleans, floats and strings are rejected."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValidationError(path, f"expected an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ValidationError(path, f"must be at least {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise ValidationError(path, f"must be at most {maximum}, got {value}")
     return value
 
 
 def parse_cutoff(cutoff_len, cutoff_tol, len_path: str, tol_path: str
                  ) -> tuple[int | None, Fraction | None]:
-    """The truncation length (an integer >= 1) and tolerance (a rational > 0);
-    either may be None."""
+    """The truncation length (an integer from 1 to MAX_CUTOFF) and tolerance
+    (a rational > 0); either may be None."""
     if cutoff_len is not None:
-        cutoff_len = parse_int(cutoff_len, len_path, minimum=1)
+        cutoff_len = parse_int(cutoff_len, len_path, minimum=1, maximum=MAX_CUTOFF)
     if cutoff_tol is not None:
         cutoff_tol = parse_positive_rational(cutoff_tol, tol_path)
     return cutoff_len, cutoff_tol

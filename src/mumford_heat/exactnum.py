@@ -222,6 +222,8 @@ class PowerSum:
             out.add_term(coeff * factor, exp)
         return out
 
+    __mul__ = __rmul__ = scaled  # by a rational only
+
     def mul_power(self, coeff: Rational, exponent: Rational) -> "PowerSum":
         """Multiply the whole sum by coeff * p**exponent."""
         out = PowerSum(self.p)

@@ -2,9 +2,10 @@
 
 The finite level-m generator Q is exact; floating point enters only through
 the semigroup, eigen-solves, resolvents of Q with irrational rates and random
-sampling.  Everything here reads Q through its ``GeneratorMatrix``: the
-cached float ``matrix``, the exact state ``masses``, and ``vector`` and
-``level_function`` to move a level function into and out of state order.
+sampling.  Everything here reads Q through its ``GeneratorMatrix``: the float
+``matrix`` built from its tree's densities, the exact state ``masses``, and
+``vector`` and ``level_function`` to move a level function into and out of
+state order.
 P_t = exp(tQ) is a sum of nonnegative terms (uniformization with squaring);
 ``spectral_data`` shows the known eigenvectors, constants plus wavelets, as
 a diagnostic only.  Paths follow the exact jump-chain construction
@@ -14,9 +15,9 @@ come back as columns (``PathColumns``: row offsets per path, flat times and
 states) with ``PathSample`` as a per-path view.
 
 The exact resolvent is solved by multiresolution over the generator's split
-balls (``GeneratorMatrix.tree``): one division by eta + lambda_B per
-certified wavelet support B and one small exact solve for the cell means,
-as ``resolvent_solve`` sets out with its checks.
+balls (``GeneratorMatrix.tree``), from their sibling densities alone: one
+division by eta + lambda_B per certified wavelet support B and one small
+exact solve for the cell means, as ``resolvent_solve`` sets out.
 """
 
 from __future__ import annotations
@@ -173,42 +174,25 @@ def solve_cauchy(gen: GeneratorMatrix, h0: LevelFunction,
 def resolvent_solve(gen: GeneratorMatrix, eta, h: LevelFunction) -> LevelFunction:
     """Solve (eta*I - Q) u = h for eta > 0 (ValueError otherwise).
 
-    u is exact, one Fraction per state, when eta, h and every rate of Q are
-    rational; otherwise it is a float solve, in real arithmetic unless h has
-    a nonzero imaginary part.  For eta > 0 the system matrix is strictly
-    diagonally dominant (the diagonal is eta plus the total jump rate,
-    off-diagonals are the negated nonnegative rates), so it is never singular.
+    u is exact, one Fraction per state, when eta, h and every density of
+    ``gen.tree`` are rational; otherwise it is a float solve, in real
+    arithmetic unless h has a nonzero imaginary part.  For eta > 0 the
+    system is strictly diagonally dominant, so it is never singular.
 
-    The exact u comes from multiresolution over ``gen.tree``.  With m the
-    state masses, Q acts as -lambda_B on V_B, the functions constant on the
-    children of a certified support B, zero off B and of m-mean zero, and
-    as a lumped chain on the functions constant on each cell (a maximal
-    certified support, or a state in none).  So h splits into its cell
-    means, solved by one ``_solve_exact`` of size #cells, and per support B
-    into mean_child(h) - mean_B(h) on each child, divided by eta + lambda_B.
-    The checks are exact:
-
-    1. B is one split ball for every row outside it, so Q f = 0 off B for f
-       in V_B (the tree holds only such balls);
-    2. at each state x of B, the rates into the other children of B have
-       one density s_B(x) per unit mass;
-    3. lambda_B = (rate of x out of B) + s_B(x) * m(B) is the same at every
-       x in B, and each child of B is a state or certified;
-    4. every state of a cell has the same rate into each other cell, so the
-       cell functions are Q-invariant.  A cell where this fails is split
-       into its children, and its support is no longer divided out.
-
-    Without certified supports every state is a cell and the cell system is
-    the full one, as for a generator built by hand or by
-    ``dataclasses.replace``, which has no tree.
+    The exact u is read from the tree's densities by multiresolution.  A
+    ball B whose children, each a state or certified, have one sibling
+    density s_B is certified: with m the state masses, Q acts as -lambda_B,
+    lambda_B = (rate out of B) + s_B * m(B), on the functions constant on
+    the children of B, zero off B and of m-mean zero, and as a chain on the
+    functions constant on each cell (a maximal certified B, or a state in
+    none).  So h splits into its cell means, solved by one ``_solve_exact``
+    of size #cells, and per B into mean_child(h) - mean_B(h), divided by
+    eta + lambda_B.
     """
     if not eta > 0:
         raise ValueError(f"eta must be positive, got {eta!r}")
     vals = gen.vector(h)
-    # Q[i][i] is minus the sum of row i's nonnegative rates, and the terms
-    # of a rate at a fractional power of p have positive coefficients, so
-    # they cannot cancel: the diagonal is a Fraction exactly when its row is.
-    exact_q = all(isinstance(gen.rows[i][i], Fraction) for i in range(gen.size))
+    exact_q = all(isinstance(d, Fraction) for row in gen.tree.density for d in row.values())
     exact_h = all(isinstance(v, (int, Fraction)) for v in vals)
     if exact_q and exact_h and isinstance(eta, (int, Fraction)):
         return gen.level_function(_multiresolution(gen, Fraction(eta),
@@ -225,29 +209,25 @@ def _multiresolution(gen: GeneratorMatrix, eta: Fraction,
                      h: list[Fraction]) -> list[Fraction]:
     """The exact solution of (eta*I - Q) u = h: one ``_solve_exact`` of size
     #cells and one division per certified support (``resolvent_solve``)."""
-    n, q, m = gen.size, gen.rows, gen.masses
-    tree = gen.tree or SplitTree(gen.states, tuple((i,) for i in range(n)), ((),) * n)
+    tree, m = gen.tree, gen.masses
     rep = [ins[0] for ins in tree.members]
-    lam, leave, mass = _decay_rates(q, m, tree)
+    lam, mass = _decay_rates(tree, m)
     total = []  # per ball, the m-weighted sum of h
     for r, kids in zip(rep, tree.children):
         total.append(sum(total[k] for k in kids) if kids else m[r] * h[r])
     nested = {k for b in lam for k in tree.children[b]}
     cells = [b for b, kids in enumerate(tree.children)
              if (b in lam or not kids) and b not in nested]
-
-    def uneven(c):  # a state of cell c enters another cell at another rate
-        return any(q[x][rep[d]] != q[rep[c]][rep[d]]
-                   for x in tree.members[c][1:] for d in cells if d != c)
-
-    while (split := next(filter(uneven, cells), None)) is not None:
-        del lam[split]
-        cells.remove(split)
-        cells.extend(tree.children[split])
-    # the rate from cell c into cell d, whose states get rates proportional to mass
-    a = [[eta + leave[c] if d == c else -q[rep[c]][rep[d]] * mass[d] / m[rep[d]]
-          for d in cells] for c in cells]
-    u = [Fraction(0)] * n
+    leave = tree.rates_out(m, cells)[1]
+    up = {k: b for b, kids in enumerate(tree.children) for k in kids}
+    a = []
+    for c in cells:
+        into, b = {}, c  # per state off c, the density into it from c
+        while b is not None:
+            into.update({i: v for t, v in tree.density[b].items() for i in tree.members[t]})
+            b = up.get(b)
+        a.append([eta + leave[c] if d == c else -into[rep[d]] * mass[d] for d in cells])
+    u = [Fraction(0)] * gen.size
     stack = list(zip(cells, _solve_exact(a, [total[c] / mass[c] for c in cells])))
     while stack:
         b, value = stack.pop()
@@ -261,31 +241,18 @@ def _multiresolution(gen: GeneratorMatrix, eta: Fraction,
     return u
 
 
-def _decay_rates(q, m, tree: SplitTree):
+def _decay_rates(tree: SplitTree, m: Sequence[Fraction]):
     """({b: lambda_B} over the certified supports B = tree.balls[b], per ball
-    the rate out of it from its first state, per ball its mass).  Balls come
-    after their descendants, so one pass reads each state's ancestors bottom
-    up, and lambda_B at x in child C is (rate of x out of C) + s_B(x) * m(C)."""
-    rep, mass = [ins[0] for ins in tree.members], []
-    for r, kids in zip(rep, tree.children):
-        mass.append(sum(mass[k] for k in kids) if kids else m[r])
-    out = [-row[x] for x, row in enumerate(q)]  # rate of x out of its certified ball
-    lam, leave = {}, [out[r] for r in rep]
+    its mass), as ``resolvent_solve`` sets out, children before parents."""
+    sibling = {}
     for b, kids in enumerate(tree.children):
-        if not kids or any(tree.children[k] and k not in lam for k in kids):
+        if not kids or any(tree.children[k] and k not in sibling for k in kids):
             continue
-        at = [(c, x) for c in kids for x in tree.members[c]]
-        dens = [[q[x][rep[k]] / m[rep[k]] for k in kids if k != c] or [0] for c, x in at]
-        if any(v != d[0] for d in dens for v in d):
-            continue
-        rates = [out[x] + d[0] * mass[c] for (c, x), d in zip(at, dens)]
-        if any(v != rates[0] for v in rates):
-            continue
-        lam[b] = rates[0]
-        for (_, x), d in zip(at, dens):
-            out[x] = lam[b] - d[0] * mass[b]
-        leave[b] = out[rep[b]]
-    return lam, leave, mass
+        dens = [tree.density[k][c] for k in kids for c in kids if k != c] or [0]
+        if all(v == dens[0] for v in dens):
+            sibling[b] = dens[0]
+    mass, leave = tree.rates_out(m, sibling)
+    return {b: leave[b] + s * mass[b] for b, s in sibling.items()}, mass
 
 
 def _solve_exact(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction]:

@@ -36,14 +36,12 @@ cell.  On the bundled fixtures only the chain of words into the co-hole is
 walked, 1 + L words instead of about (2g-1)^L; on a transformed chart the
 cells meet the holes, nothing is pruned and every word is walked.
 
-The generator counts one group sum per (state D, split ball B), where B is
-the largest disc that holds the state D' but not D, split into its children
-while it meets a hole or holds the pole of a walked word.  With the states
-off the holes too, such a B is a cell of the certificate without a pole:
-the identity and every walked word map it onto a plain disc without c_D (a
-hole, for a word), and counted subtrees are per point, so every D' in B has
-the histogram of c_B.  That is O(n * depth) sums for n states, not n^2.  The
-generator keeps these balls (``SplitTree``) for the exact resolvent.
+The generator counts one group sum per ordered pair (A, B) of sibling
+split balls, discs that tile two children of a node of the disc tree and
+are split while they meet a hole or hold a walked word's pole.  As cells of
+the certificate, the identity and every walked word map B onto a plain disc
+apart from A (a hole, for a word), so every x in A and y in B have the
+histogram of c_A and c_B: one density Q(x, y) / m(y) per pair.
 """
 
 from __future__ import annotations
@@ -99,7 +97,7 @@ def growth_condition_holds(p: int, genus: int, alpha_g: Fraction) -> bool:
     return p ** alpha_g.numerator > (2 * genus) ** alpha_g.denominator
 
 
-MAX_CUTOFF = 10_000  # the longest truncation that a cutoff tolerance may ask for
+MAX_CUTOFF = 1_000  # the longest truncation that a cutoff may ask for (docs/formats.md)
 
 
 @dataclass(frozen=True)
@@ -292,7 +290,8 @@ def _group_histograms(cfg: OperatorConfig, length: int, points: Sequence[Fractio
                       whole_cells: Sequence[bool] = (),
                       pairs: Sequence[Sequence[int]] | None = None,
                       runs: list | None = None,
-                      frontier: list | None = None) -> list[list[dict]]:
+                      frontier: list | None = None,
+                      counted: list | None = None) -> list[list[dict]]:
     """{(l(w), v): count} for each (point x, cell) pair, where v is the
     valuation of chart(x) - chart(w(c)), c the cell's centre, over the reduced
     words w with l(w) <= length.  With ``pairs``, row i holds only the cells
@@ -305,9 +304,11 @@ def _group_histograms(cfg: OperatorConfig, length: int, points: Sequence[Fractio
     elsewhere in a cell flagged in ``whole_cells`` raises ChartNotSupported;
     either has the pole as its ``pole``.  A word that maps a centre onto a
     point raises CoincidentPoints.  The subtrees that
-    :func:`_subtree_pruner` certifies are counted, not walked; ``runs`` and
-    ``frontier``, when given, get them (as (l(P.s), valuation per point))
-    and the walked words of full length (as (letters, word map)).
+    :func:`_subtree_pruner` certifies are counted, not walked, into one
+    histogram per point, added to each of its histograms or, with
+    ``counted``, appended there instead.  ``runs`` and ``frontier``, when
+    given, get the counted subtrees (as (l(P.s), valuation per point)) and
+    the walked words of full length (as (letters, word map)).
     """
     p = cfg.p
     moved = list(points) if chart is None else [chart.apply(x) for x in points]
@@ -359,14 +360,19 @@ def _group_histograms(cfg: OperatorConfig, length: int, points: Sequence[Fractio
     # a subtree rooted at a word of length j holds (2g-1)^(l-j) words of
     # each length l = j..length, all at the run's distance from the point
     branch = 2 * cfg.group.genus - 1
+    extras: dict[tuple, Counter] = {}  # per distances from a point to the runs
     for i, row in enumerate(hists):
-        counted: dict[tuple[int, int], int] = {}
-        for j, vs in runs:
-            for ell in range(j, length + 1):
-                key = (ell, vs[i])
-                counted[key] = counted.get(key, 0) + branch ** (ell - j)
+        vs = tuple(v[i] for _, v in runs)
+        if vs not in extras:
+            extra = extras[vs] = Counter()
+            for (j, _), v in zip(runs, vs):
+                for ell in range(j, length + 1):
+                    extra[ell, v] += branch ** (ell - j)
+        if counted is not None:
+            counted.append(extras[vs])
+            continue
         for hist in row:
-            for key, count in counted.items():
+            for key, count in extras[vs].items():
                 hist[key] = hist.get(key, 0) + count
     return hists
 
@@ -887,44 +893,83 @@ def vladimirov_alpha_free_value(support: Disc, j: int, x: Rational, p: int) -> E
 class SplitTree:
     """The discs the generator counted whole, the states included, each after
     its descendants: ``members[k]`` indexes the states in ``balls[k]`` and
-    ``children[k]`` its children's balls.  The rates from a state outside a
-    ball into its states are proportional to their masses."""
+    ``children[k]`` its children's balls.  For siblings a and b, balls that
+    tile two children of one node, ``density[a][b]`` is Q[x][y] / m(y) for
+    every state x in a and y in b; two states lie in one sibling pair."""
 
     balls: tuple[Disc, ...]
     members: tuple[tuple[int, ...], ...]
     children: tuple[tuple[int, ...], ...]
+    density: tuple[dict[int, Scalar], ...]
+
+    def rates_out(self, masses: Sequence[Fraction], balls) -> tuple[list, dict]:
+        """(per ball its mass, {b: the rate out of ball b from any of its states}
+        for the given balls): its parent's, plus its sibling densities * masses."""
+        mass, parent, out = [], {}, {}
+        for b, (ins, kids) in enumerate(zip(self.members, self.children)):
+            mass.append(sum(mass[k] for k in kids) if kids else masses[ins[0]])
+            parent.update(dict.fromkeys(kids, b))
+
+        def rate(b):
+            if b not in out:
+                above = rate(parent[b]) if b in parent else Fraction(0)
+                out[b] = sum((d * mass[k] for k, d in self.density[b].items()), above)
+            return out[b]
+
+        return mass, {b: rate(b) for b in balls}
 
 
 @dataclass(frozen=True)
 class GeneratorMatrix:
     """Exact level-m restriction of the operator: the Markov jump generator.
 
-    Off-diagonal entries are nonnegative jump rates; the diagonal is the
-    negative row sum, so rows sum to zero exactly.  ``masses`` are the exact
-    |omega|-masses of the states.  ``entry_tail`` bounds the truncation error
-    of any single off-diagonal entry.  Numeric code reads the rates as
-    ``matrix`` and moves level functions into and out of state order with
-    ``vector`` and ``level_function``.
+    Its rates are the sibling densities of ``tree`` times the exact
+    |omega|-masses of the states, and Q[x][x] is minus the rate out of x.
+    ``rows`` (exact) and ``matrix`` (float64) are dense forms built on
+    demand; numeric code reads ``matrix`` and moves level functions into and
+    out of state order with ``vector`` and ``level_function``.
     """
 
     level: int
     states: tuple[Disc, ...]
-    rows: tuple[tuple[Scalar, ...], ...]
     masses: tuple[Fraction, ...]
-    entry_tail: Fraction
+    tree: SplitTree
     cutoff: int
-    #: the split balls the rows were counted on, attached by generator_matrix
-    #: only: a matrix built by hand or by dataclasses.replace has none
-    tree: SplitTree | None = dataclasses.field(default=None, init=False, compare=False)
 
     @property
     def size(self) -> int:
         return len(self.states)
 
     @functools.cached_property
+    def rows(self) -> tuple[tuple[Scalar, ...], ...]:
+        """The rates as exact dense rows."""
+        tree, m = self.tree, self.masses
+        rows = [[Fraction(0)] * self.size for _ in range(self.size)]
+        for a, row in enumerate(tree.density):
+            for b, d in row.items():
+                for j in tree.members[b]:
+                    rate = d * m[j]
+                    for i in tree.members[a]:
+                        rows[i][j] = rate
+        for i, row in enumerate(rows):
+            row[i] = simplify(-sum(row, Fraction(0)))
+        return tuple(map(tuple, rows))
+
+    @functools.cached_property
     def matrix(self) -> np.ndarray:
-        """The rates as float64, converted once and read-only."""
-        q = np.array([[float(v) for v in row] for row in self.rows])
+        """The rates as float64, read-only, one block per sibling pair."""
+        tree, m = self.tree, self.masses
+        index = [np.array(ins) for ins in tree.members]
+        q = np.zeros((self.size, self.size))
+        for a, row in enumerate(tree.density):
+            for b, d in row.items():
+                col = [m[j] for j in tree.members[b]]
+                rate = {mass: float(d * mass) for mass in set(col)}
+                q[np.ix_(index[a], index[b])] = [rate[mass] for mass in col]
+        leaves = {b: ins[0] for b, (ins, kids) in enumerate(zip(tree.members, tree.children))
+                  if not kids}
+        for b, rate in tree.rates_out(m, leaves)[1].items():
+            q[leaves[b], leaves[b]] = -float(rate)
         q.flags.writeable = False
         return q
 
@@ -943,39 +988,38 @@ class GeneratorMatrix:
 
 def _split_balls(cfg: OperatorConfig, level: int, poles: Sequence[Fraction],
                  certified: bool = True) -> tuple[list, list, list, list, list]:
-    """(states, balls, the states in each ball, per state the indices of its
-    balls, per ball the indices of its children), from one walk of the disc
-    tree.  The states are ``wavelets.state_discs``, in centre order.  The
-    states in one child of a node get the balls that tile the node's other
-    children.  With ``certified`` (the ping-pong certificate of the module
-    docstring), a disc off every hole that holds states and none of
-    ``poles`` is one ball; any other is tiled by its children's, down to
-    the states.  A state that meets a hole, as on a transformed chart, voids
-    the certificate: the walk runs again without it.  Balls come after their
-    descendants."""
-    p, domain, holes = cfg.p, cfg.domain, cfg.group.holes
-    states, balls, members, pairs, children = [], [], [], [], []
+    """(states, balls, the states in each ball, per ball its children, per
+    ball its siblings: the balls that tile the other children of the node
+    whose child it tiles), from one walk of the disc tree, each ball after
+    its descendants.  The states are ``wavelets.state_discs``, in centre
+    order.  With ``certified`` (the module docstring's certificate), a disc
+    off every hole that holds states and none of ``poles`` is one ball; any
+    other is tiled by its children's.  A state that meets a hole voids the
+    certificate, and every state becomes a ball of its own."""
+    p, domain, holes = cfg.p, cfg.domain, (*cfg.domain.holes, *cfg.group.holes)
+    states, balls, members, children, met, siblings = [], [], [], [], [], {}
 
-    def walk(disc):  # -> (states in disc, indices of the balls tiling them)
-        if any(h.contains(disc, p) for h in domain.holes):
-            return [], []
+    def walk(disc, off):  # -> (states in disc, indices of the balls tiling them)
+        if not off:  # else an ancestor is off every hole, and so is disc
+            if any(h.contains(disc, p) for h in domain.holes):
+                return [], []
+            off = all(discs_disjoint(disc, h, p) for h in holes)
         if disc.radius_exp <= -level:
-            if not (disc.radius_exp == -level and domain.contains_disc(disc) and all(
+            if not (disc.radius_exp == -level and (off or domain.contains_disc(disc)) and all(
                     discs_disjoint(disc, core, p) for core in cfg.profile.zero_cores)):
                 return [], []
             inside, tiles, whole = [len(states)], [], True
             states.append(disc)
-            pairs.append([])
+            met.append(not off)  # in the domain, so not off means a hole of the group
         else:
-            kids = [walk(child) for child in disc.children(p)]
-            for a, (inside, _) in enumerate(kids):
+            kids = [walk(child, off) for child in disc.children(p)]
+            for a, (_, mine) in enumerate(kids):
                 others = [k for b, (_, tiles) in enumerate(kids) if b != a for k in tiles]
-                for i in inside:
-                    pairs[i].extend(others)
+                for k in mine:
+                    siblings.setdefault(k, []).extend(others)
             inside = [i for kid, _ in kids for i in kid]
             tiles = [k for _, kid in kids for k in kid]
-            whole = (certified and all(discs_disjoint(disc, h, p) for h in holes)
-                     and not any(disc.contains_point(z, p) for z in poles))
+            whole = certified and off and not any(disc.contains_point(z, p) for z in poles)
         if inside and whole:
             balls.append(disc)
             members.append(inside)
@@ -983,76 +1027,60 @@ def _split_balls(cfg: OperatorConfig, level: int, poles: Sequence[Fraction],
             tiles = [len(balls) - 1]
         return inside, tiles
 
-    walk(domain.outer)
-    if certified and not all(discs_disjoint(d, h, p) for d in states for h in holes):
+    walk(domain.outer, False)
+    if certified and any(met):
         return _split_balls(cfg, level, poles, False)
     order = sorted(range(len(states)), key=lambda i: states[i].center)
     rank = {old: new for new, old in enumerate(order)}
     return ([states[i] for i in order], balls, [[rank[i] for i in ins] for ins in members],
-            [pairs[i] for i in order], children)
+            children, siblings)
 
 
 def generator_matrix(cfg: OperatorConfig, level: int,
                      length: int | None = None) -> GeneratorMatrix:
-    """Assemble the exact jump-rate matrix on the level-m discs of F.
+    """Assemble the exact jump rates on the level-m discs of F.
 
     Q[D, D'] = mu(F)^-1 * mass(D') * sum_gamma p^(-alpha_g l) |c_D - gamma c_D'|^(-alpha)
     for D != D'; the diagonal is defined as the negative row sum (jumps
     within a state cancel in the operator and carry no rate).
 
-    The sum is counted once per split ball B of row D, not per state: by
-    the certificate of the module docstring it is the same at every D' in B.
-    A ball that holds a walked word's pole (ChartNotSupported, or PoleHit
-    at its centre, from the engine) is split and the sums are counted
-    again; a pole still hit after that is a state's centre, and raises.
-    Each distinct (mass(D'), histogram) pair is folded once per call; the
-    diagonal is -sum count * entry over the row's tally of those pairs.
+    The sum is counted once per ordered sibling pair (A, B) of split balls,
+    at c_A and c_B, as the density Q[D, D'] / mass(D') of every D in A and
+    D' in B.  A ball that holds a walked word's pole (ChartNotSupported, or
+    PoleHit at its centre, from the engine) is split and the sums counted
+    again; a pole still hit is a state's centre, and raises.
     """
     p = cfg.p
     length = cfg.cutoff() if length is None else length
     poles: list[Fraction] = []
     while True:
-        states, balls, members, pairs, children = _split_balls(cfg, level, poles)
+        states, balls, members, children, siblings = _split_balls(cfg, level, poles)
         if not states:
             raise ValueError(f"no states at level {level}")
+        counted: list[dict] = []
         try:
-            hists = _group_histograms(cfg, length, [d.center for d in states], balls,
-                                      whole_cells=[b.radius_exp > -level for b in balls],
-                                      pairs=pairs)
+            hists = _group_histograms(cfg, length, [balls[a].center for a in siblings],
+                                      balls, whole_cells=[b.radius_exp > -level for b in balls],
+                                      pairs=list(siblings.values()), counted=counted)
             break
         except (ChartNotSupported, PoleHit) as err:
             if err.pole in poles:
                 raise
             poles.append(err.pole)
-    masses = [cfg.profile.density_at(d.center) * haar_measure(d, p) for d in states]
     mu_inv = cfg.mu_inverse()
-    # masses and histograms enter the keys as ints, which hash and compare
-    # fast: a mass as its first index, a histogram as its order of appearance
-    first: dict[Fraction, int] = {}
-    mass_keys = [first.setdefault(mass, k) for k, mass in enumerate(masses)]
-    hist_ids: dict[frozenset, int] = {}
-    folded: dict[tuple[int, int], Scalar] = {}
-    rows = []
-    for i, (ks, row_hists) in enumerate(zip(pairs, hists)):
-        row = [Fraction(0)] * len(states)
-        tally: dict[tuple[int, int], int] = {}
-        for k, hist in zip(ks, row_hists):
-            h = hist_ids.setdefault(frozenset(hist.items()), len(hist_ids))
-            for j in members[k]:
-                key = (mass_keys[j], h)
-                if key not in folded:
-                    folded[key] = _fold(cfg, mu_inv * masses[j], hist)
-                tally[key] = tally.get(key, 0) + 1
-                row[j] = folded[key]
-        # an exact Fraction sum unless some rate keeps a fractional power of p
-        diag = Fraction(0)
-        for key, count in tally.items():
-            entry = folded[key]
-            diag += entry.mul_power(count, 0) if isinstance(entry, PowerSum) else count * entry
-        row[i] = simplify(-diag)
-        rows.append(tuple(row))
-    tail = mu_inv * max(masses) * _group_tail(cfg, length)
-    gen = GeneratorMatrix(level, tuple(states), tuple(rows), tuple(masses), tail, length)
-    object.__setattr__(gen, "tree", SplitTree(tuple(balls), tuple(map(tuple, members)),
-                                              tuple(map(tuple, children))))
-    return gen
+    folded: dict[frozenset, Scalar] = {}
+
+    def fold(hist: dict) -> Scalar:
+        if (key := frozenset(hist.items())) not in folded:
+            folded[key] = _fold(cfg, mu_inv, hist)
+        return folded[key]
+
+    density: list[dict[int, Scalar]] = [{} for _ in balls]
+    for (a, bs), row, extra in zip(siblings.items(), hists, counted):
+        rest = fold(extra)
+        for b, hist in zip(bs, row):
+            density[a][b] = simplify(fold(hist) + rest)
+    masses = [cfg.profile.density_at(d.center) * haar_measure(d, p) for d in states]
+    tree = SplitTree(tuple(balls), tuple(map(tuple, members)), tuple(map(tuple, children)),
+                     tuple(density))
+    return GeneratorMatrix(level, tuple(states), tuple(masses), tree, length)

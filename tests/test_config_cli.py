@@ -21,7 +21,7 @@ from mumford_heat.config import (ParseError, ValidationError, bundled_fixture,
                                  config_from_dict, emit_config, format_rational,
                                  parse_config, profile_dict)
 from mumford_heat.heat import sample_paths
-from mumford_heat.operator import generator_matrix, tail_bound
+from mumford_heat.operator import MAX_CUTOFF, GeneratorMatrix, generator_matrix, tail_bound
 from mumford_heat.schottky import DomainInvalid, verify_fundamental_domain
 
 
@@ -460,6 +460,43 @@ def test_bad_config_fields_exit_2(tate_path, tmp_path, capsys, section, update,
     err = capsys.readouterr().err
     assert name in err and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flags,cutoff,name", [
+    (["--cutoff-tol", "1e-4000"], None, "--cutoff-tol"),
+    (["--cutoff-len", str(MAX_CUTOFF + 1)], None, "--cutoff-len"),
+    ([], {"tol": "1e-4000"}, "operator.cutoff.tol"),
+    ([], {"len": MAX_CUTOFF + 1}, "operator.cutoff.len"),
+], ids=["tol-flag", "len-flag", "tol-field", "len-field"])
+def test_a_cutoff_past_the_cap_is_refused_within_a_second(tate_path, tmp_path, capsys,
+                                                           flags, cutoff, name):
+    # 1e-4000 needs L near 8 400, where spectrum would run for minutes
+    raw = json.loads(tate_path.read_text())
+    if cutoff is not None:
+        raw["operator"]["cutoff"] = cutoff
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    start = time.perf_counter()
+    assert main(["spectrum", "-c", str(config), *flags, "-o", str(out)]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert name in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,dense", [
+    ("resolvent", ("rows", "matrix")), ("evolve", ("rows",)), ("sample", ("rows",)),
+])
+def test_commands_build_only_the_dense_forms_they_read(tate_path, tmp_path, monkeypatch,
+                                                       command, dense):
+    # the resolvent reads the generator's sibling densities; the semigroup
+    # and the sampler read the float matrix, built from the same densities
+    for attr in dense:
+        monkeypatch.setattr(GeneratorMatrix, attr, property(
+            lambda self, attr=attr: pytest.fail(f"{command} built GeneratorMatrix.{attr}")))
+    assert main([command, "-c", str(tate_path), "--level", "3", "--initial", "indicator",
+                 "--paths", "50", "-o", str(tmp_path)]) == 0
 
 
 BAD_SHAPES = [

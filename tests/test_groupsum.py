@@ -409,7 +409,8 @@ def schottky_figures(draw):
 @given(figure=schottky_figures())
 def test_random_figures_match_the_references(figure):
     """On random Schottky figures: every engine caller pruned and with every
-    word walked, the generator against one fold per state pair, and the
+    word walked, the generator's rows and float matrix, built from its
+    sibling densities, against one fold per state pair, and the
     multiresolution resolvent against the dense exact solve."""
     cfg, level = figure
     chart = GroupWord((-1,)) if cfg.group.genus == 1 else GroupWord((-1, 2))
@@ -418,7 +419,9 @@ def test_random_figures_match_the_references(figure):
         walk_everything(mp)
         assert pruned == every_caller(cfg, level, chart)
     gen = generator_matrix(cfg, level)
-    assert gen.rows == ref_generator_per_pair(cfg, level, 3)
+    ref = ref_generator_per_pair(cfg, level, 3)
+    assert gen.rows == ref  # derived from the sibling densities
+    assert np.array_equal(gen.matrix, np.array([[float(v) for v in row] for row in ref]))
     h = [F(i % 3 - 1, i + 2) for i in range(gen.size)]
     system = [[int(i == k) - gen.rows[i][k] for k in range(gen.size)] for i in range(gen.size)]
     assert _multiresolution(gen, F(1), h) == _solve_exact(system, h)
@@ -515,12 +518,12 @@ def test_split_balls_match_per_pair_folds_at_level_4(request, name, length, vari
     assert np.array_equal(gen.matrix, np.array([[float(v) for v in row] for row in ref]))
 
 
-@pytest.mark.parametrize("level,most", [(3, 156), (4, 612)])
-def test_generator_counts_one_sum_per_split_ball(tate_cfg, monkeypatch, level, most):
+@pytest.mark.parametrize("level,pairs", [(3, 72), (4, 216)])
+def test_generator_counts_one_sum_per_sibling_pair(tate_cfg, monkeypatch, level, pairs):
     # one sum per state pair would be 24 * 23 = 552 and 72 * 71 = 5 112
     handed = engine_pairs(monkeypatch)
-    generator_matrix(dataclasses.replace(tate_cfg, cutoff_len=6), level)
-    assert len(handed) == 1 and handed[0] <= most
+    gen = generator_matrix(dataclasses.replace(tate_cfg, cutoff_len=6), level)
+    assert handed == [pairs] == [sum(map(len, gen.tree.density))]
 
 
 def test_a_pole_in_a_split_ball_splits_it(monkeypatch):

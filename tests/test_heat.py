@@ -45,12 +45,22 @@ def stationary(gen):
     return np.linalg.lstsq(a, np.eye(gen.size + 1)[-1], rcond=None)[0]
 
 
+def flat_generator(states, rows, masses, level=1):
+    """The generator with the given rows as a flat tree: every state is a
+    ball and every pair of states a sibling pair, at density Q[x][y] / m(y)."""
+    n = len(states)
+    density = tuple({j: F(rows[i][j]) / masses[j] for j in range(n) if j != i}
+                    for i in range(n))
+    tree = SplitTree(tuple(states), tuple((i,) for i in range(n)), ((),) * n, density)
+    return GeneratorMatrix(level, tuple(states), tuple(masses), tree, 1)
+
+
 def two_state_toy():
     """Hand-built symmetric 2-state chain over Q_2: the two halves of Z_2,
     each of Haar mass 1/2 under density 1."""
     states = (Disc(F(0), -1), Disc(F(1), -1))
     rows = ((F(-1), F(1)), (F(1), F(-1)))
-    return GeneratorMatrix(1, states, rows, (F(1, 2), F(1, 2)), F(0), 1)
+    return flat_generator(states, rows, (F(1, 2), F(1, 2)))
 
 
 def three_state_toy():
@@ -60,7 +70,7 @@ def three_state_toy():
     rows = ((F(-2), F(0), F(2)),
             (F(1), F(-3), F(2)),
             (F(1), F(1), F(-2)))
-    return GeneratorMatrix(1, states, rows, (F(1, 3),) * 3, F(0), 1)
+    return flat_generator(states, rows, (F(1, 3),) * 3)
 
 
 class TestSpectralStructure:
@@ -103,7 +113,8 @@ class TestTransitionMatrix:
         assert p.provenance == "uniformization"
 
     def test_zero_rates_give_identity(self):
-        frozen = replace(two_state_toy(), rows=((F(0), F(0)), (F(0), F(0))))
+        toy = two_state_toy()
+        frozen = flat_generator(toy.states, ((F(0), F(0)), (F(0), F(0))), toy.masses)
         assert (transition_matrix(frozen, 5.0).matrix == np.eye(2)).all()
 
     @pytest.mark.parametrize("t", [1e12, 1e308])
@@ -423,7 +434,7 @@ class TestMultiresolution:
         # the paper's theorem: each admissible support is certified, and its
         # rate read off the split balls is lambda_exact at the same cutoff
         cfg, gen = certified(name, level)
-        lam, _, _ = heat._decay_rates(gen.rows, gen.masses, gen.tree)
+        lam, _ = heat._decay_rates(gen.tree, gen.masses)
         rates = {gen.tree.balls[b]: v for b, v in lam.items()}
         assert all(rates[b] == lambda_exact(cfg, b, gen.cutoff).value
                    for b in admissible_supports(cfg.profile, level))
@@ -440,8 +451,7 @@ class TestMultiresolution:
     @pytest.mark.parametrize("build", [
         lambda cfg: generator_matrix(transformed_config(
             cfg, RationalFunctionDatum.tate(), cfg.group.word_map(GroupWord((-1,)))), 1),
-        lambda cfg: replace(generator_matrix(cfg, 2), rows=tuple(
-            tuple(2 * v for v in row) for row in generator_matrix(cfg, 2).rows)),
+        lambda cfg: doubled(generator_matrix(cfg, 2)),
         lambda cfg: two_state_toy(),
         lambda cfg: three_state_toy(),
     ], ids=["z/9 chart", "replaced rows", "two-state toy", "three-state toy"])
@@ -456,50 +466,34 @@ class TestMultiresolution:
             assert u == dense_solve(gen, eta, vals)
         assert sizes == [gen.size] * 2
 
-    @pytest.mark.parametrize("rate_out,cells", [(F(1), 2), (F(2), 3)])
-    def test_a_cell_left_at_unequal_rates_is_split(self, dense_solve, monkeypatch,
-                                                   rate_out, cells):
-        # states 0 and 1 form one support, a wavelet eigenspace with
-        # lambda = 3 either way; with unequal rates into state 2 its
-        # indicator is not mapped to a cell function, so the support is
-        # split back into its states
-        states = (Disc(F(0), -2), Disc(F(3), -2), Disc(F(1), -1))
-        s = (3 - rate_out) / 2  # lambda = rate out of the support + s * its mass
-        rows = ((F(-2), F(1), F(1)),
-                (s, -s - rate_out, rate_out),
-                (F(1), F(1), F(-2)))
-        tree = SplitTree((*states[:2], Disc(F(0), -1), states[2]),
-                         ((0,), (1,), (0, 1), (2,)), ((), (), (0, 1), ()))
-        gen = GeneratorMatrix(2, states, rows, (F(1),) * 3, F(0), 1)
-        object.__setattr__(gen, "tree", tree)  # as generator_matrix attaches it
-        vals = [F(1), F(-2), F(5)]
-        sizes = cell_solve_sizes(monkeypatch)
-        u = gen.vector(resolvent_solve(gen, F(1, 2), gen.level_function(vals)))
-        assert sizes == [cells] and u == dense_solve(gen, F(1, 2), vals)
-
     @pytest.mark.parametrize("rows", [
         # state 0 jumps into the children D(3, 3^-2) and D(6, 3^-2) of the
         # support D(0, 3^-1) at densities 1 and 2 per unit mass
         ((F(-4), F(1), F(2), F(1)), (F(1), F(-3), F(1), F(1)),
          (F(1), F(1), F(-3), F(1)), (F(1), F(1), F(1), F(-3))),
-        # one density per state, but lambda (rate out plus density times the
-        # child's mass) is 3 + 1 at states 0 and 2 and 6 + 2 at state 1
-        ((F(-3), F(1), F(1), F(1)), (F(2), F(-6), F(2), F(2)),
-         (F(1), F(1), F(-3), F(1)), (F(1), F(1), F(1), F(-3))),
-    ], ids=["unequal densities", "unequal rates"])
+    ], ids=["unequal densities"])
     def test_a_support_at_unequal_rates_is_not_divided_out(self, dense_solve,
                                                            monkeypatch, rows):
+        # the support's children are balls 0-2; it and state 3 are the top
+        # sibling pair, at density 1 either way
         states = (Disc(F(0), -2), Disc(F(3), -2), Disc(F(6), -2), Disc(F(1), -1))
+        density = tuple({b: rows[a][b] for b in range(3) if b != a} for a in range(3))
         tree = SplitTree((*states[:3], Disc(F(0), -1), states[3]),
                          ((0,), (1,), (2,), (0, 1, 2), (3,)),
-                         ((), (), (), (0, 1, 2), ()))
-        gen = GeneratorMatrix(2, states, rows, (F(1),) * 4, F(0), 1)
-        object.__setattr__(gen, "tree", tree)  # as generator_matrix attaches it
-        assert heat._decay_rates(gen.rows, gen.masses, tree)[0] == {}
+                         ((), (), (), (0, 1, 2), ()), (*density, {4: F(1)}, {3: F(1)}))
+        gen = GeneratorMatrix(2, states, (F(1),) * 4, tree, 1)
+        assert gen.rows == rows
+        assert heat._decay_rates(tree, gen.masses)[0] == {}
         vals = [F(1), F(-2), F(5), F(3)]
         sizes = cell_solve_sizes(monkeypatch)
         u = gen.vector(resolvent_solve(gen, F(1, 2), gen.level_function(vals)))
         assert sizes == [4] and u == dense_solve(gen, F(1, 2), vals)
+
+
+def doubled(gen):
+    """gen with every rate doubled, as a flat tree."""
+    return flat_generator(gen.states, [[2 * v for v in row] for row in gen.rows],
+                          gen.masses, gen.level)
 
 
 @pytest.mark.parametrize("consumer", [
@@ -543,8 +537,8 @@ class TestSampling:
     def test_bad_inputs_rejected(self, gen):
         with pytest.raises(ValueError):
             sample_paths(gen, 0, 1.0, seed=1)
-        absorbing = replace(gen, states=gen.states[:2], masses=gen.masses[:2],
-                            rows=((F(0), F(0)), (F(1), F(-1))), entry_tail=F(0))
+        absorbing = flat_generator(gen.states[:2], ((F(0), F(0)), (F(1), F(-1))),
+                                   gen.masses[:2])
         with pytest.raises(ValueError):
             sample_paths(absorbing, 5, 1.0, seed=1)
 
@@ -580,7 +574,7 @@ class TestSampling:
         skewed[0] *= 1.1
         rows = tuple(tuple(F(x).limit_denominator(10 ** 9) for x in row)
                      for row in skewed)
-        broken = replace(gen, rows=rows)
+        broken = flat_generator(gen.states, rows, gen.masses, gen.level)
         report2 = empirical_validation(broken, paths, [1.0])
         assert not report2.passed
 
