@@ -3,17 +3,20 @@
 Outputs are deterministic: identical config, flags and seed produce
 byte-identical files.  Every artifact embeds the config hash, the evaluation
 mode, the resolved cutoff length and the certified tail bound at that
-cutoff.  Exit codes: 0 success, 2 validation failure, 3 numerical breakdown.
+cutoff.  Exit codes: 0 success, 1 a failed ``paths.csv`` worker, 2 validation
+failure, 3 numerical breakdown.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from bisect import bisect_left
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain, pairwise, repeat
 from operator import sub
 from pathlib import Path
 
@@ -63,6 +66,16 @@ def _write(path: Path, pieces: Iterable[str]) -> None:
     with path.open("w") as fh:
         fh.writelines(pieces)
     print(f"wrote {path}")
+
+
+def _check_out(out: Path) -> None:
+    """Refuse an ``--out`` that names a file, or a path under one, before
+    any work: the first artifact write would fail only after all of it."""
+    for path in (out, *out.parents):
+        if path.is_dir():
+            return
+        if os.path.lexists(path):
+            raise ValidationError("--out", f"{path} exists and is not a directory")
 
 
 def cmd_validate(run: RunConfig, op: OperatorConfig, out: Path, args) -> int:
@@ -159,13 +172,14 @@ def cmd_evolve(run: RunConfig, op: OperatorConfig, out: Path, args) -> int:
     return 0
 
 
-def _path_blocks(paths: PathColumns, tails: list[str]) -> Iterator[str]:
-    """The rows of ``paths.csv``, one string per block of PATH_CHUNK paths.
+def _path_blocks(paths: PathColumns, tails: list[str], blocks: range) -> Iterator[str]:
+    """The rows of ``paths.csv`` for ``blocks``, one string per block of
+    PATH_CHUNK paths (block b holds paths b*PATH_CHUNK onwards).
 
     A row is three pieces: its path id and a comma, the float repr of its
     time, and ``tails[state]``, which holds the state's columns and the
     newline."""
-    for first in range(0, len(paths), PATH_CHUNK):
+    for first in range(blocks.start * PATH_CHUNK, blocks.stop * PATH_CHUNK, PATH_CHUNK):
         block = paths[first:first + PATH_CHUNK]
         bounds = block.offsets.tolist()
         pieces = [""] * (3 * bounds[-1])
@@ -176,6 +190,100 @@ def _path_blocks(paths: PathColumns, tails: list[str]) -> Iterator[str]:
         pieces[1::3] = map(repr, block.times.tolist())
         pieces[2::3] = map(tails.__getitem__, block.states.tolist())
         yield "".join(pieces)
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the platform
+    has one, else every CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _block_ranges(paths: PathColumns, k: int) -> list[range]:
+    """At most k contiguous, non-empty ranges of the PATH_CHUNK blocks, with
+    about equal row counts: range j ends at the first block whose rows,
+    counted from the start, reach (j + 1)/k of all rows."""
+    n = len(paths)
+    rows = paths.offsets[[*range(PATH_CHUNK, n, PATH_CHUNK), n]].tolist()
+    cuts = [0, *(bisect_left(rows, rows[-1] * j / k) + 1 for j in range(1, k)), len(rows)]
+    return [range(a, b) for a, b in pairwise(cuts) if a < b]
+
+
+def _path_rows(paths: PathColumns, tails: list[str], cpus: int | None = None) -> Iterator[str]:
+    """The rows of ``paths.csv`` in order, formatted on up to ``cpus`` CPUs
+    (default: the usable ones).
+
+    The blocks split into one contiguous range per CPU (``_block_ranges``).
+    A single range, or a platform without ``os.fork``, is formatted here,
+    block by block, and starts no process; else see ``_forked_rows``.  The
+    text does not depend on the number of ranges."""
+    n_blocks = -(-len(paths) // PATH_CHUNK)
+    ranges = _block_ranges(paths, min(cpus or _usable_cpus(), n_blocks))
+    if len(ranges) == 1 or not hasattr(os, "fork"):
+        return _path_blocks(paths, tails, range(n_blocks))
+    return _forked_rows(paths, tails, ranges)
+
+
+PIPE_READ = 1 << 16  # bytes copied from a worker's pipe at a time
+
+
+def _forked_rows(paths: PathColumns, tails: list[str], ranges: list[range]) -> Iterator[str]:
+    """The rows of ``ranges``, the first formatted here and each other one
+    by a forked worker, which formats its whole range and then writes it to
+    a pipe.  The parent yields its own range block by block, then each
+    worker's text in order, PIPE_READ bytes at a time, so no range is held
+    whole in this process.
+
+    The fork is safe in a process with threads (a BLAS pool, say): the
+    worker only slices arrays and formats strings, and calls no BLAS.  It
+    leaves by ``os._exit`` on every path, so it never flushes this process's
+    buffered files.  The read ends are closed before the workers are
+    waited for, so a worker blocked on a full pipe, when the rows are not
+    read to the end, fails with a broken pipe instead of hanging.  A worker
+    that did not exit 0 raises ChildProcessError once every row is out."""
+    pids: list[int] = []
+    reads: list[int] = []
+    try:
+        for blocks in ranges[1:]:
+            read_end, write_end = os.pipe()
+            reads.append(read_end)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _format_in_worker(paths, tails, blocks, reads, write_end)
+            finally:
+                os.close(write_end)  # only the parent gets here
+            pids.append(pid)
+        yield from _path_blocks(paths, tails, ranges[0])
+        for read_end in reads:
+            while piece := os.read(read_end, PIPE_READ):
+                yield piece.decode("ascii")
+    finally:
+        for read_end in reads:
+            os.close(read_end)
+        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
+    for blocks, status in zip(ranges[1:], statuses):
+        if status:
+            raise ChildProcessError(
+                f"paths.csv: the worker formatting blocks {blocks.start}-"
+                f"{blocks.stop - 1} exited with status {os.waitstatus_to_exitcode(status)}")
+
+
+def _format_in_worker(paths: PathColumns, tails: list[str], blocks: range,
+                      reads: list[int], write_end: int):
+    """A forked worker's whole life: format ``blocks`` into memory, write the
+    text to ``write_end`` and exit, with status 0 only if all of it went."""
+    status = 1
+    try:
+        for read_end in reads:  # its own and those of earlier workers
+            os.close(read_end)
+        text = list(_path_blocks(paths, tails, blocks))
+        with open(write_end, "w", encoding="ascii") as pipe:
+            pipe.writelines(text)
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def cmd_sample(run: RunConfig, op: OperatorConfig, out: Path, args) -> int:
@@ -194,7 +302,7 @@ def cmd_sample(run: RunConfig, op: OperatorConfig, out: Path, args) -> int:
     lines.append("path_id,jump_time,state_index,state_center,state_radius_exp\n")
     tails = [f",{i},{format_rational(d.center)},{d.radius_exp}\n"
              for i, d in enumerate(gen.states)]
-    _write(out / "paths.csv", chain(lines, _path_blocks(paths, tails)))
+    _write(out / "paths.csv", chain(lines, _path_rows(paths, tails)))
     checkpoints = [t for t in run.run.times if 0 < t <= t_max]
     if checkpoints:
         report = empirical_validation(gen, paths, checkpoints, start_index=start)
@@ -284,6 +392,7 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(0)
     args = build_parser().parse_args(argv)
     try:
+        _check_out(args.out)
         cutoff_len, cutoff_tol = parse_cutoff(args.cutoff_len, args.cutoff_tol,
                                               "--cutoff-len", "--cutoff-tol")
         run = parse_config(args.config)
@@ -309,6 +418,9 @@ def main(argv=None) -> int:
     except (NumericalBreakdown, SingularSystem, RatioNotConstant, OverflowError) as exc:
         print(f"numerical breakdown: {exc}", file=sys.stderr)
         return 3
+    except ChildProcessError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     return code
 
 

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -16,7 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mumford_heat
-from mumford_heat.cli import main
+from mumford_heat import cli
+from mumford_heat.cli import _path_rows, main
 from mumford_heat.config import (ParseError, ValidationError, bundled_fixture,
                                  config_from_dict, emit_config, format_rational,
                                  parse_config, profile_dict)
@@ -174,8 +176,9 @@ class TestCli:
         assert different == 0
         assert (out1 / "paths.csv").read_bytes() != (out2 / "paths.csv").read_bytes()
 
-    # one path, exactly one PATH_CHUNK block, a partial second block, two full blocks
-    @pytest.mark.parametrize("n_paths", [1, 1024, 1500, 2048])
+    # one path, exactly one PATH_CHUNK block, a partial second block, two
+    # full blocks, three blocks (the last partial)
+    @pytest.mark.parametrize("n_paths", [1, 1024, 1025, 1500, 2048, 3000])
     def test_paths_csv_matches_per_row_formatting(self, tate_path, tmp_path, n_paths):
         # the per-row f-string writer that the block writer replaced
         seed = 5
@@ -185,15 +188,21 @@ class TestCli:
         gen = generator_matrix(run.operator_config(), run.run.level)
         labels = [f"{i},{format_rational(d.center)},{d.radius_exp}"
                   for i, d in enumerate(gen.states)]
+        paths = sample_paths(gen, n_paths, max(run.run.times), seed,
+                             start_index=run.run.start_state)
         oracle = []
-        for path in sample_paths(gen, n_paths, max(run.run.times), seed,
-                                 start_index=run.run.start_state):
+        for path in paths:
             for t, s in zip((0.0, *path.jump_times.tolist()), path.states.tolist()):
                 oracle.append(f"{path.path_index},{t!r},{labels[s]}")
+        oracle = "\n".join(oracle) + "\n"
         text = (tmp_path / "paths.csv").read_text()
         header, body = text.split("state_radius_exp\n")
-        assert body == "\n".join(oracle) + "\n"
+        assert body == oracle
         assert header.count("\n") == 5
+        # the same text from one, two and three ranges, whatever the CPUs here
+        tails = [f",{label}\n" for label in labels]
+        for cpus in (1, 2, 3):
+            assert "".join(_path_rows(paths, tails, cpus)) == oracle
 
     def test_sample_peak_memory_stays_below_twice_the_file(self, tate_path, tmp_path):
         # paths.csv goes out one block at a time, never as one whole-file string
@@ -240,6 +249,113 @@ class TestCli:
         assert main(["spectrum", "-c", str(tate_path), "--level", "2",
                      "--mode", "transport", "-o", str(tmp_path)]) == 0
         assert "# mode=transport" in (tmp_path / "spectrum.csv").read_text()
+
+
+def _assert_no_child():
+    # every child of this process has been waited for
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The number of os.fork calls, counted while the real fork still runs;
+    paths.csv is split as if there were three usable CPUs."""
+    calls = []
+    real_fork = os.fork
+
+    def counted():
+        calls.append(None)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+    return calls
+
+
+def _tate_rows(n_paths):
+    run = parse_config(bundled_fixture("tate-p3"))
+    gen = generator_matrix(run.operator_config(), run.run.level)
+    paths = sample_paths(gen, n_paths, max(run.run.times), 5,
+                         start_index=run.run.start_state)
+    return paths, [f",{i},{format_rational(d.center)},{d.radius_exp}\n"
+                   for i, d in enumerate(gen.states)]
+
+
+@pytest.mark.parametrize("fixture,flags", [
+    ("tate-p3", ["--paths", "1024"]), ("tate-p3", []), ("genus2-p3", [])])
+def test_one_block_starts_no_process(tmp_path, monkeypatch, fixture, flags):
+    # both fixtures sample 1000 paths as configured: one PATH_CHUNK block
+    def no_fork():
+        raise AssertionError("os.fork called")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+    assert main(["sample", "-c", str(bundled_fixture(fixture)), *flags,
+                 "-o", str(tmp_path)]) == 0
+    # many blocks on one CPU start none either
+    paths, tails = _tate_rows(3000)
+    assert "".join(_path_rows(paths, tails, 1))
+
+
+def test_sample_reaps_its_workers(tate_path, tmp_path, forks):
+    assert main(["sample", "-c", str(tate_path), "--paths", "5000",
+                 "-o", str(tmp_path)]) == 0
+    assert len(forks) == 2
+    _assert_no_child()
+
+
+def test_rows_closed_early_reap_their_workers(forks):
+    # each worker's range is far more than a pipe holds
+    paths, tails = _tate_rows(5000)
+    rows = _path_rows(paths, tails)
+    assert next(rows)
+
+    def hung(_signum, _frame):
+        raise TimeoutError("closing the rows waits on a worker blocked on its pipe")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(10)
+    try:
+        start = time.perf_counter()
+        rows.close()
+        assert time.perf_counter() - start < 1
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert len(forks) == 2
+    _assert_no_child()
+
+
+def test_a_failed_worker_fails_the_command(tate_path, tmp_path, capsys, monkeypatch, forks):
+    parent = os.getpid()
+    real_blocks = cli._path_blocks
+
+    def failing_in_a_worker(*args):
+        if os.getpid() != parent:
+            raise MemoryError
+        return real_blocks(*args)
+
+    monkeypatch.setattr(cli, "_path_blocks", failing_in_a_worker)
+    assert main(["sample", "-c", str(tate_path), "--paths", "3000",
+                 "-o", str(tmp_path)]) == 1
+    assert "exited with status 1" in capsys.readouterr().err
+    assert not (tmp_path / "sample-validation.json").exists()
+    _assert_no_child()
+
+
+@pytest.mark.parametrize("under", [False, True])
+@pytest.mark.parametrize("command", ["validate", "spectrum", "evolve", "sample",
+                                     "audit", "resolvent"])
+def test_an_out_that_is_a_file_exits_2(tate_path, tmp_path, capsys, command, under):
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    out = taken / "x" if under else taken
+    assert main([command, "-c", str(tate_path), "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "validation error: --out: " in err and "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+    assert taken.read_text() == "kept\n"
 
 
 BAD_INPUTS = [
