@@ -61,10 +61,17 @@ def _header_lines(meta: dict) -> list[str]:
 
 def _write(path: Path, pieces: Iterable[str]) -> None:
     """Write an artifact piece by piece, in order: a lazy ``pieces`` keeps
-    only the piece being written alive."""
+    only the piece being written alive.  The pieces go to a temporary name
+    beside ``path``, renamed to it only once all are written, so a write
+    that fails leaves neither the artifact nor the temporary file."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w") as fh:
-        fh.writelines(pieces)
+    partial = path.with_name(f".{path.name}.partial")
+    try:
+        with partial.open("w") as fh:
+            fh.writelines(pieces)
+        os.replace(partial, path)
+    finally:
+        partial.unlink(missing_ok=True)  # gone already once replaced
     print(f"wrote {path}")
 
 

@@ -2,22 +2,18 @@
 
 The finite level-m generator Q is exact; floating point enters only through
 the semigroup, eigen-solves, resolvents of Q with irrational rates and random
-sampling.  Everything here reads Q through its ``GeneratorMatrix``: the float
-``matrix`` built from its tree's densities, the exact state ``masses``, and
-``vector`` and ``level_function`` to move a level function into and out of
-state order.
-P_t = exp(tQ) is a sum of nonnegative terms (uniformization with squaring);
-``spectral_data`` shows the known eigenvectors, constants plus wavelets, as
-a diagnostic only.  Paths follow the exact jump-chain construction
+sampling.  Q acts diagonally on the wavelets of its split balls
+(``GeneratorMatrix.tree``), so f(-Q) h is one descent of the tree
+(``_descend``): f(-Q_c) on the cell means of h, Q_c the small chain between
+the cells, then one factor f(lambda_B) per certified support B.  So come the
+heat semigroup P_t and the validation law (f = e^(-lambda t), e^(tQ_c) by
+uniformization with squaring) and the resolvent (f = 1/(eta + lambda)).  The
+dense ``transition_matrix`` is their reference, ``spectral_data`` a diagnostic.
+Paths follow the exact jump-chain construction on the float ``matrix``
 (exponential holding times, jump probabilities proportional to the rates),
 drawn from one seeded stream in lockstep chunks of PATH_CHUNK paths, and
 come back as columns (``PathColumns``: row offsets per path, flat times and
 states) with ``PathSample`` as a per-path view.
-
-The exact resolvent is solved by multiresolution over the generator's split
-balls (``GeneratorMatrix.tree``), from their sibling densities alone: one
-division by eta + lambda_B per certified wavelet support B and one small
-exact solve for the cell means, as ``resolvent_solve`` sets out.
 """
 
 from __future__ import annotations
@@ -99,7 +95,8 @@ def _semigroup(q: np.ndarray, t: float) -> np.ndarray:
     With r = max_i(-Q_ii) and B = I + Q/r >= 0, exp(tQ) is
     (sum_k e^-theta theta^k/k! B^k)^(2^s) with theta = rt/2^s <= 1.  The sum
     stops at k = POISSON_TERMS = 18, so each step drops a Poisson tail of at
-    most theta^19/19! <= 1/19! < 1e-17.  No term, so no entry, is negative."""
+    most theta^19/19! <= 1/19! < 1e-17.  No term, so no entry, is negative.
+    NumericalBreakdown unless every row sums to 1 within ROW_SUM_TOL."""
     if not 0 <= t < math.inf:
         raise ValueError(f"t must be finite and nonnegative, got {t!r}")
     eye = np.eye(len(q))
@@ -117,6 +114,9 @@ def _semigroup(q: np.ndarray, t: float) -> np.ndarray:
         p += weight * term
     for _ in range(s):
         p = p @ p
+    drift = float(np.max(np.abs(p.sum(axis=1) - 1)))
+    if not drift <= ROW_SUM_TOL:
+        raise NumericalBreakdown(f"row-sum drift {drift}")
     return p
 
 
@@ -130,20 +130,12 @@ class TransitionMatrix:
     row_sum_error: float
     min_entry: float
 
-    def clamped(self) -> np.ndarray:
-        out = np.where(self.matrix < 0, 0.0, self.matrix)
-        return out / out.sum(axis=1, keepdims=True)
-
 
 def transition_matrix(gen: GeneratorMatrix, t: float) -> TransitionMatrix:
-    """P_t = exp(tQ) by uniformization (``_semigroup``); NumericalBreakdown
-    unless every row sums to 1 within ROW_SUM_TOL."""
+    """P_t = exp(tQ) over every state from the dense ``gen.matrix``: a reference."""
     p = _semigroup(gen.matrix, float(t))
-    drift = float(np.max(np.abs(p.sum(axis=1) - 1)))
-    if not drift <= ROW_SUM_TOL:
-        raise NumericalBreakdown(f"row-sum drift {drift}")
-    return TransitionMatrix(float(t), p, "uniformization", drift,
-                            float(p.min()))
+    return TransitionMatrix(float(t), p, "uniformization",
+                            float(np.max(np.abs(p.sum(axis=1) - 1))), float(p.min()))
 
 
 @dataclass(frozen=True)
@@ -163,12 +155,25 @@ def _float_vector(values: Sequence) -> np.ndarray:
 
 def solve_cauchy(gen: GeneratorMatrix, h0: LevelFunction,
                  times: Sequence[float]) -> HeatSolution:
-    """h(t) = P_t h0 on the time grid; t = 0 reproduces h0 exactly.  The
-    values are real unless h0 has a nonzero imaginary part."""
+    """h(t) = P_t h0 on the time grid (``_flow``); t = 0 reproduces h0
+    exactly.  The values are real unless h0 has a nonzero imaginary part."""
     vec = _float_vector(gen.vector(h0))
-    rows = [vec if t == 0 else transition_matrix(gen, t).matrix @ vec
-            for t in times]
-    return HeatSolution(tuple(float(t) for t in times), np.array(rows))
+    rows = _flow(gen, _cell_chain(gen), vec, times, lambda p, means: p @ means)
+    return HeatSolution(tuple(float(t) for t in times),
+                        np.array([vec if t == 0 else u for t, u in zip(times, rows)]))
+
+
+def _flow(gen: GeneratorMatrix, chain, h: Sequence, times: Sequence[float],
+          coarse) -> np.ndarray:
+    """P_t h at every t, shape (len(times), n): one ``_descend`` on arrays over the
+    times, f(lambda) = e^(-lambda t), cell values coarse(e^(tQ_c), cell means)."""
+    q, t = np.array(chain[1], dtype=float), np.array(times, dtype=float)
+    semigroups = [_semigroup(q, float(s)) for s in t]
+
+    def cell_values(means: list) -> np.ndarray:  # one column per time
+        return np.reshape([coarse(p, means) for p in semigroups], (len(t), len(means))).T
+
+    return np.transpose(_descend(gen, chain, h, cell_values, lambda lam: np.exp(-float(lam) * t)))
 
 
 def resolvent_solve(gen: GeneratorMatrix, eta, h: LevelFunction) -> LevelFunction:
@@ -177,73 +182,83 @@ def resolvent_solve(gen: GeneratorMatrix, eta, h: LevelFunction) -> LevelFunctio
     u is exact, one Fraction per state, when eta, h and every density of
     ``gen.tree`` are rational; otherwise it is a float solve, in real
     arithmetic unless h has a nonzero imaginary part.  For eta > 0 the
-    system is strictly diagonally dominant, so it is never singular.
-
-    The exact u is read from the tree's densities by multiresolution.  A
-    ball B whose children, each a state or certified, have one sibling
-    density s_B is certified: with m the state masses, Q acts as -lambda_B,
-    lambda_B = (rate out of B) + s_B * m(B), on the functions constant on
-    the children of B, zero off B and of m-mean zero, and as a chain on the
-    functions constant on each cell (a maximal certified B, or a state in
-    none).  So h splits into its cell means, solved by one ``_solve_exact``
-    of size #cells, and per B into mean_child(h) - mean_B(h), divided by
-    eta + lambda_B.
-    """
+    system is strictly diagonally dominant, so it is never singular.  u is
+    ``_descend`` with f(lambda) = 1/(eta + lambda): one solve of size #cells
+    (``_solve_exact``, or numpy's in floats) and one division per support."""
     if not eta > 0:
         raise ValueError(f"eta must be positive, got {eta!r}")
     vals = gen.vector(h)
     exact_q = all(isinstance(d, Fraction) for row in gen.tree.density for d in row.values())
     exact_h = all(isinstance(v, (int, Fraction)) for v in vals)
-    if exact_q and exact_h and isinstance(eta, (int, Fraction)):
-        return gen.level_function(_multiresolution(gen, Fraction(eta),
-                                                   [Fraction(v) for v in vals]))
-    a = float(eta) * np.eye(gen.size) - gen.matrix
-    try:
-        u = np.linalg.solve(a, _float_vector(vals))
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(str(exc)) from exc
-    return gen.level_function(u)
+    num = Fraction if exact_q and exact_h and isinstance(eta, (int, Fraction)) else float
+    eta, chain = num(eta), _cell_chain(gen)
+    a = [[eta * (i == j) - num(v) for j, v in enumerate(row)] for i, row in enumerate(chain[1])]
+
+    def coarse(means: list) -> Sequence:
+        try:
+            return _solve_exact(a, means) if num is Fraction else np.linalg.solve(a, means)
+        except np.linalg.LinAlgError as exc:
+            raise SingularSystem(str(exc)) from exc
+
+    h = [Fraction(v) for v in vals] if num is Fraction else _float_vector(vals)
+    return gen.level_function(_descend(gen, chain, h, coarse,
+                                       lambda lam: 1 / (eta + num(lam))))
 
 
-def _multiresolution(gen: GeneratorMatrix, eta: Fraction,
-                     h: list[Fraction]) -> list[Fraction]:
-    """The exact solution of (eta*I - Q) u = h: one ``_solve_exact`` of size
-    #cells and one division per certified support (``resolvent_solve``)."""
+def _cell_chain(gen: GeneratorMatrix):
+    """(cells, Q_c, {b: lambda_B}, per ball its mass), all exact: the cells as
+    ball indices and the chain Q_c between them, as ``_descend`` sets out."""
     tree, m = gen.tree, gen.masses
     rep = [ins[0] for ins in tree.members]
     lam, mass = _decay_rates(tree, m)
-    total = []  # per ball, the m-weighted sum of h
-    for r, kids in zip(rep, tree.children):
-        total.append(sum(total[k] for k in kids) if kids else m[r] * h[r])
     nested = {k for b in lam for k in tree.children[b]}
     cells = [b for b, kids in enumerate(tree.children)
              if (b in lam or not kids) and b not in nested]
     leave = tree.rates_out(m, cells)[1]
     up = {k: b for b, kids in enumerate(tree.children) for k in kids}
-    a = []
+    chain = []
     for c in cells:
         into, b = {}, c  # per state off c, the density into it from c
         while b is not None:
             into.update({i: v for t, v in tree.density[b].items() for i in tree.members[t]})
             b = up.get(b)
-        a.append([eta + leave[c] if d == c else -into[rep[d]] * mass[d] for d in cells])
-    u = [Fraction(0)] * gen.size
-    stack = list(zip(cells, _solve_exact(a, [total[c] / mass[c] for c in cells])))
+        chain.append([-leave[c] if d == c else into[rep[d]] * mass[d] for d in cells])
+    return cells, chain, lam, mass
+
+
+def _descend(gen: GeneratorMatrix, chain, h: Sequence, coarse, factor) -> list:
+    """f(-Q) h, one value per state, read from the generator's split balls.
+
+    A ball B whose children, each a state or certified, have one sibling
+    density s_B is certified: with m the state masses, Q acts as -lambda_B,
+    lambda_B = (rate out of B) + s_B * m(B), on the functions constant on
+    the children of B, zero off B and of m-mean zero, and as the chain Q_c
+    of ``_cell_chain`` on the functions constant on each cell (a maximal
+    certified B, or a state in none; with no certified B, every state).  So
+    h splits into its cell means, which ``coarse`` maps to the cell values of
+    f(-Q) h, and per B into mean_child(h) - mean_B(h), times factor(lambda_B)."""
+    tree, m = gen.tree, gen.masses
+    cells, _, lam, mass = chain
+    total = []  # per ball, the m-weighted sum of h
+    for ins, kids in zip(tree.members, tree.children):
+        total.append(sum(total[k] for k in kids) if kids else m[ins[0]] * h[ins[0]])
+    u = [None] * gen.size
+    stack = list(zip(cells, coarse([total[c] / mass[c] for c in cells])))
     while stack:
         b, value = stack.pop()
         if not tree.children[b]:
-            u[rep[b]] = value
+            u[tree.members[b][0]] = value
             continue
         mean = total[b] / mass[b]
         for k in tree.children[b]:
             diff = total[k] / mass[k] - mean
-            stack.append((k, value + diff / (eta + lam[b]) if diff else value))
+            stack.append((k, value + diff * factor(lam[b]) if diff else value))
     return u
 
 
 def _decay_rates(tree: SplitTree, m: Sequence[Fraction]):
     """({b: lambda_B} over the certified supports B = tree.balls[b], per ball
-    its mass), as ``resolvent_solve`` sets out, children before parents."""
+    its mass), as ``_descend`` sets out, children before parents."""
     sibling = {}
     for b, kids in enumerate(tree.children):
         if not kids or any(tree.children[k] and k not in sibling for k in kids):
@@ -435,15 +450,25 @@ class ValidationReport:
 VALIDATION_SIGMAS = 4.0  # binomial sigmas a state's empirical frequency may deviate
 
 
+def _laws(gen: GeneratorMatrix, x: int, times: Sequence[float]) -> np.ndarray:
+    """P_t[x, .] per t, a rounding below 0 as 0: m * ``_flow``(delta_x / m(x))
+    with the row e^(tQ_c)[C_x, .] over the cell masses as cell values."""
+    cells, _, _, mass = chain = _cell_chain(gen)
+    home = next(i for i, b in enumerate(cells) if x in gen.tree.members[b])
+    cell_mass = np.array([float(mass[b]) for b in cells])
+    h = np.where(np.arange(gen.size) == x, 1 / float(gen.masses[x]), 0.0)
+    m = np.array([float(v) for v in gen.masses])
+    return np.maximum(m * _flow(gen, chain, h, times, lambda p, means: p[home] / cell_mass), 0)
+
+
 def empirical_validation(gen: GeneratorMatrix, paths: PathColumns,
                          checkpoints: Sequence[float],
                          start_index: int = 0) -> ValidationReport:
     """Per-checkpoint comparison of the empirical state distribution with the
-    transition row, at a binomial-sigma threshold per state."""
+    law from the start state (``_laws``), at a binomial-sigma threshold."""
     n_paths = len(paths)
     rows = []
-    for t in checkpoints:
-        analytic = transition_matrix(gen, float(t)).clamped()[start_index]
+    for t, analytic in zip(checkpoints, _laws(gen, start_index, checkpoints)):
         counts = np.bincount(paths.states_at(float(t)), minlength=gen.size)
         emp = counts / n_paths
         sigma = np.sqrt(np.maximum(analytic * (1 - analytic), 1e-300) / n_paths)

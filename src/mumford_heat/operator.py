@@ -926,8 +926,9 @@ class GeneratorMatrix:
     Its rates are the sibling densities of ``tree`` times the exact
     |omega|-masses of the states, and Q[x][x] is minus the rate out of x.
     ``rows`` (exact) and ``matrix`` (float64) are dense forms built on
-    demand; numeric code reads ``matrix`` and moves level functions into and
-    out of state order with ``vector`` and ``level_function``.
+    demand: the semigroup and the resolvent read ``tree`` alone, the path
+    sampler and the dense references read ``matrix``.  ``vector`` and
+    ``level_function`` move level functions into and out of state order.
     """
 
     level: int

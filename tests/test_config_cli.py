@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mumford_heat
-from mumford_heat import cli
+from mumford_heat import cli, heat
 from mumford_heat.cli import _path_rows, main
 from mumford_heat.config import (ParseError, ValidationError, bundled_fixture,
                                  config_from_dict, emit_config, format_rational,
@@ -340,7 +340,8 @@ def test_a_failed_worker_fails_the_command(tate_path, tmp_path, capsys, monkeypa
     assert main(["sample", "-c", str(tate_path), "--paths", "3000",
                  "-o", str(tmp_path)]) == 1
     assert "exited with status 1" in capsys.readouterr().err
-    assert not (tmp_path / "sample-validation.json").exists()
+    # no partial paths.csv, no temporary file and no sample-validation.json
+    assert list(tmp_path.iterdir()) == []
     _assert_no_child()
 
 
@@ -601,18 +602,38 @@ def test_a_cutoff_past_the_cap_is_refused_within_a_second(tate_path, tmp_path, c
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command,dense", [
-    ("resolvent", ("rows", "matrix")), ("evolve", ("rows",)), ("sample", ("rows",)),
-])
+@pytest.mark.parametrize("command,alpha,dense", [
+    ("resolvent", "1", ("rows", "matrix")), ("evolve", "1", ("rows", "matrix")),
+    ("sample", "1", ("rows",)), ("resolvent", "1/2", ("rows", "matrix")),
+], ids=["resolvent-dense0", "evolve-dense1", "sample-dense2", "resolvent-alpha1/2-dense3"])
 def test_commands_build_only_the_dense_forms_they_read(tate_path, tmp_path, monkeypatch,
-                                                       command, dense):
-    # the resolvent reads the generator's sibling densities; the semigroup
-    # and the sampler read the float matrix, built from the same densities
+                                                       command, alpha, dense):
+    # the resolvent (exact or float) and the semigroup read the generator's
+    # sibling densities; the sampler reads the float matrix built from them
+    raw = json.loads(tate_path.read_text())
+    raw["operator"]["alpha"] = alpha
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
     for attr in dense:
         monkeypatch.setattr(GeneratorMatrix, attr, property(
             lambda self, attr=attr: pytest.fail(f"{command} built GeneratorMatrix.{attr}")))
-    assert main([command, "-c", str(tate_path), "--level", "3", "--initial", "indicator",
+    assert main([command, "-c", str(config), "--level", "3", "--initial", "indicator",
+                 "--paths", "50", "-o", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize("command", ["evolve", "sample"])
+@pytest.mark.parametrize("fixture", ["tate-p3", "genus2-p3"])
+def test_the_semigroup_runs_on_the_cells_only(tmp_path, monkeypatch, fixture, command):
+    # e^(tQ) is taken of the chain between the cells (4 on both fixtures),
+    # never of the n x n generator
+    path = bundled_fixture(fixture)
+    gen = generator_matrix(parse_config(path).operator_config(), 3)
+    cells = len(heat._cell_chain(gen)[0])
+    seen, honest = [], heat._semigroup
+    monkeypatch.setattr(heat, "_semigroup", lambda q, t: seen.append(len(q)) or honest(q, t))
+    assert main([command, "-c", str(path), "--level", "3", "--initial", "indicator",
                  "--paths", "50", "-o", str(tmp_path)]) == 0
+    assert seen and max(seen) <= cells < gen.size
 
 
 BAD_SHAPES = [

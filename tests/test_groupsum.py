@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 import mumford_heat.operator as operator
 from mumford_heat.config import ValidationError, config_from_dict
 from mumford_heat.exactnum import PowerSum
-from mumford_heat.heat import _multiresolution, _solve_exact
+from mumford_heat.heat import (_laws, _solve_exact, resolvent_solve, solve_cauchy,
+                               transition_matrix)
 from mumford_heat.measure import MeasureProfile, RationalFunctionDatum, build_profile
 from mumford_heat.operator import (ChartNotSupported, CoincidentPoints,
                                    OperatorConfig, _fold, _group_histograms,
@@ -410,8 +411,9 @@ def schottky_figures(draw):
 def test_random_figures_match_the_references(figure):
     """On random Schottky figures: every engine caller pruned and with every
     word walked, the generator's rows and float matrix, built from its
-    sibling densities, against one fold per state pair, and the
-    multiresolution resolvent against the dense exact solve."""
+    sibling densities, against one fold per state pair; the multiresolution
+    resolvent against the dense exact solve; and the heat flow and the
+    validation law, read from the split balls, against the dense semigroup."""
     cfg, level = figure
     chart = GroupWord((-1,)) if cfg.group.genus == 1 else GroupWord((-1, 2))
     pruned = every_caller(cfg, level, chart)
@@ -424,7 +426,14 @@ def test_random_figures_match_the_references(figure):
     assert np.array_equal(gen.matrix, np.array([[float(v) for v in row] for row in ref]))
     h = [F(i % 3 - 1, i + 2) for i in range(gen.size)]
     system = [[int(i == k) - gen.rows[i][k] for k in range(gen.size)] for i in range(gen.size)]
-    assert _multiresolution(gen, F(1), h) == _solve_exact(system, h)
+    assert gen.vector(resolvent_solve(gen, F(1), gen.level_function(h))) == _solve_exact(system, h)
+    times = [1e-6, 0.3, 1.0, 7.0, 50.0]
+    flow = solve_cauchy(gen, gen.level_function(h), times).values
+    laws = _laws(gen, 0, times)
+    for k, t in enumerate(times):
+        p = transition_matrix(gen, t).matrix
+        assert np.max(np.abs(flow[k] - p @ [float(v) for v in h])) < 1e-12
+        assert np.max(np.abs(laws[k] - p[0])) < 1e-12
 
 
 def full_walk_size(cfg, length):

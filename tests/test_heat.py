@@ -349,6 +349,21 @@ class TestResolvent:
         dense = np.linalg.solve(np.eye(half.size) - half.matrix, np.eye(half.size)[0])
         assert np.allclose(vec, dense, rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("level", [2, 3, 5])
+    @pytest.mark.parametrize("name", ["tate_cfg", "genus2_cfg"])
+    def test_the_float_resolvent_matches_the_dense_solve(self, request, name, level):
+        # the multiresolution in floats against numpy's n x n solve
+        gen = generator_matrix(replace(request.getfixturevalue(name), alpha=F(1, 2),
+                                       cutoff_len=4), level)
+        rng = random.Random(level)
+        for vals in (indicator(gen), [F(rng.randint(1, 9), rng.randint(1, 9))
+                                      for _ in gen.states]):
+            for eta in (F(1), F(1, 3), 2.5):
+                u = gen.vector(resolvent_solve(gen, eta, gen.level_function(vals)))
+                dense = np.linalg.solve(float(eta) * np.eye(gen.size) - gen.matrix,
+                                        [float(v) for v in vals])
+                assert np.max(np.abs(np.array(u) / dense - 1)) < 1e-12
+
     @pytest.mark.parametrize("level", [2, 3])
     @pytest.mark.parametrize("name,alpha,alpha_g", [
         ("tate_cfg", F(1), F(1)), ("tate_cfg", F(1, 2), F(1)), ("tate_cfg", F(1, 3), F(1)),
@@ -490,6 +505,26 @@ class TestMultiresolution:
         assert sizes == [4] and u == dense_solve(gen, F(1, 2), vals)
 
 
+TIMES = [1e-6, 0.3, 1.0, 7.0, 50.0]
+
+
+@pytest.mark.parametrize("level", [2, 3, 4, 5])
+@pytest.mark.parametrize("name", ["tate-p3", "genus2-p3"])
+def test_the_tree_semigroup_matches_the_dense_one(certified, name, level):
+    # solve_cauchy and the validation law read P_t from the split balls;
+    # transition_matrix is the dense uniformization of gen.matrix
+    _, gen = certified(name, level)
+    h = np.random.default_rng(level).standard_normal(gen.size)
+    flow = solve_cauchy(gen, gen.level_function(h), TIMES).values
+    starts = (0, gen.size - 1)
+    laws = [heat._laws(gen, x, TIMES) for x in starts]
+    for k, t in enumerate(TIMES):
+        p = transition_matrix(gen, t).matrix
+        assert np.max(np.abs(flow[k] - p @ h)) < 1e-12
+        for x, law in zip(starts, laws):
+            assert np.max(np.abs(law[k] - p[x])) < 1e-12
+
+
 def doubled(gen):
     """gen with every rate doubled, as a flat tree."""
     return flat_generator(gen.states, [[2 * v for v in row] for row in gen.rows],
@@ -615,7 +650,7 @@ def test_law_over_many_seeds(gen):
                    if t > 0]
     n_paths, seeds = 4000, range(200)
     per_seed = sum(_false_alarm_rate(
-        transition_matrix(gen, t).clamped()[0], n_paths)
+        transition_matrix(gen, t).matrix[0], n_paths)
         for t in checkpoints)
     assert 0 < per_seed < 0.01
     failed = sum(not empirical_validation(
