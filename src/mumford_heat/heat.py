@@ -5,10 +5,11 @@ the semigroup, eigen-solves, resolvents of Q with irrational rates and random
 sampling.  Q acts diagonally on the wavelets of its split balls
 (``GeneratorMatrix.tree``), so f(-Q) h is one descent of the tree
 (``_descend``): f(-Q_c) on the cell means of h, Q_c the small chain between
-the cells, then one factor f(lambda_B) per certified support B.  So come the
-heat semigroup P_t and the validation law (f = e^(-lambda t), e^(tQ_c) by
-uniformization with squaring) and the resolvent (f = 1/(eta + lambda)).  The
-dense ``transition_matrix`` is their reference, ``spectral_data`` a diagnostic.
+the maximal balls, then one factor f(lambda_B) per split ball B that is not
+a state, each certified by the tree's form.  So come the heat semigroup P_t
+and the validation law (f = e^(-lambda t), e^(tQ_c) by uniformization with
+squaring) and the resolvent (f = 1/(eta + lambda)).  The dense
+``transition_matrix`` is their reference, ``spectral_data`` a diagnostic.
 Paths follow the exact jump-chain construction on the float ``matrix``
 (exponential holding times, jump probabilities proportional to the rates),
 drawn from one seeded stream in lockstep chunks of PATH_CHUNK paths, and
@@ -25,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .operator import GeneratorMatrix, OperatorConfig, SplitTree
+from .operator import GeneratorMatrix, OperatorConfig
 from .padic import Disc
 from .wavelets import LevelFunction, admissible_wavelets, wavelet_eval
 
@@ -188,7 +189,7 @@ def resolvent_solve(gen: GeneratorMatrix, eta, h: LevelFunction) -> LevelFunctio
     if not eta > 0:
         raise ValueError(f"eta must be positive, got {eta!r}")
     vals = gen.vector(h)
-    exact_q = all(isinstance(d, Fraction) for row in gen.tree.density for d in row.values())
+    exact_q = all(isinstance(d, Fraction) for _, _, d in gen.tree.blocks())
     exact_h = all(isinstance(v, (int, Fraction)) for v in vals)
     num = Fraction if exact_q and exact_h and isinstance(eta, (int, Fraction)) else float
     eta, chain = num(eta), _cell_chain(gen)
@@ -206,37 +207,28 @@ def resolvent_solve(gen: GeneratorMatrix, eta, h: LevelFunction) -> LevelFunctio
 
 
 def _cell_chain(gen: GeneratorMatrix):
-    """(cells, Q_c, {b: lambda_B}, per ball its mass), all exact: the cells as
-    ball indices and the chain Q_c between them, as ``_descend`` sets out."""
-    tree, m = gen.tree, gen.masses
-    rep = [ins[0] for ins in tree.members]
-    lam, mass = _decay_rates(tree, m)
-    nested = {k for b in lam for k in tree.children[b]}
-    cells = [b for b, kids in enumerate(tree.children)
-             if (b in lam or not kids) and b not in nested]
-    leave = tree.rates_out(m, cells)[1]
-    up = {k: b for b, kids in enumerate(tree.children) for k in kids}
-    chain = []
-    for c in cells:
-        into, b = {}, c  # per state off c, the density into it from c
-        while b is not None:
-            into.update({i: v for t, v in tree.density[b].items() for i in tree.members[t]})
-            b = up.get(b)
-        chain.append([-leave[c] if d == c else into[rep[d]] * mass[d] for d in cells])
-    return cells, chain, lam, mass
+    """(cells, Q_c, {b: lambda_B}, per ball its mass), all exact, as ``_descend``
+    sets out: the cells are the tree's tops and Q_c their cross densities
+    times the cell masses, with minus each cell's exit rate on the diagonal."""
+    tree = gen.tree
+    mass, out = tree.exits(gen.masses)
+    chain = [[-out[c] if d == c else v * mass[d] for d, v in zip(tree.tops, row)]
+             for c, row in zip(tree.tops, tree.cross)]
+    lam = {b: out[b] + s * mass[b] for b, s in enumerate(tree.density) if s is not None}
+    return tree.tops, chain, lam, mass
 
 
 def _descend(gen: GeneratorMatrix, chain, h: Sequence, coarse, factor) -> list:
     """f(-Q) h, one value per state, read from the generator's split balls.
 
-    A ball B whose children, each a state or certified, have one sibling
-    density s_B is certified: with m the state masses, Q acts as -lambda_B,
-    lambda_B = (rate out of B) + s_B * m(B), on the functions constant on
-    the children of B, zero off B and of m-mean zero, and as the chain Q_c
-    of ``_cell_chain`` on the functions constant on each cell (a maximal
-    certified B, or a state in none; with no certified B, every state).  So
-    h splits into its cell means, which ``coarse`` maps to the cell values of
-    f(-Q) h, and per B into mean_child(h) - mean_B(h), times factor(lambda_B)."""
+    Every split ball B that is not a state has one density s_B between its
+    children (the lemma of ``operator``), so with m the state masses Q acts
+    as -lambda_B, lambda_B = (rate out of B) + s_B * m(B), on the functions
+    constant on the children of B, zero off B and of m-mean zero, and as the
+    chain Q_c of ``_cell_chain`` on the functions constant on each cell, a
+    maximal ball.  So h splits into its cell means, which ``coarse`` maps to
+    the cell values of f(-Q) h, and per B into mean_child(h) - mean_B(h),
+    times factor(lambda_B)."""
     tree, m = gen.tree, gen.masses
     cells, _, lam, mass = chain
     total = []  # per ball, the m-weighted sum of h
@@ -254,20 +246,6 @@ def _descend(gen: GeneratorMatrix, chain, h: Sequence, coarse, factor) -> list:
             diff = total[k] / mass[k] - mean
             stack.append((k, value + diff * factor(lam[b]) if diff else value))
     return u
-
-
-def _decay_rates(tree: SplitTree, m: Sequence[Fraction]):
-    """({b: lambda_B} over the certified supports B = tree.balls[b], per ball
-    its mass), as ``_descend`` sets out, children before parents."""
-    sibling = {}
-    for b, kids in enumerate(tree.children):
-        if not kids or any(tree.children[k] and k not in sibling for k in kids):
-            continue
-        dens = [tree.density[k][c] for k in kids for c in kids if k != c] or [0]
-        if all(v == dens[0] for v in dens):
-            sibling[b] = dens[0]
-    mass, leave = tree.rates_out(m, sibling)
-    return {b: leave[b] + s * mass[b] for b, s in sibling.items()}, mass
 
 
 def _solve_exact(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction]:

@@ -36,12 +36,25 @@ cell.  On the bundled fixtures only the chain of words into the co-hole is
 walked, 1 + L words instead of about (2g-1)^L; on a transformed chart the
 cells meet the holes, nothing is pruned and every word is walked.
 
-The generator counts one group sum per ordered pair (A, B) of sibling
-split balls, discs that tile two children of a node of the disc tree and
-are split while they meet a hole or hold a walked word's pole.  As cells of
-the certificate, the identity and every walked word map B onto a plain disc
-apart from A (a hole, for a word), so every x in A and y in B have the
-histogram of c_A and c_B: one density Q(x, y) / m(y) per pair.
+The generator is an ultrametric (tree) matrix plus a chain between its k
+maximal split balls (Dellacherie-Martinez-San Martin).  Split balls are the
+discs that hold states, lie off every hole and hold no walked word's pole;
+the maximal ones, the tops, partition the states.  Lemma: for x, y in a top
+M and a reduced word gamma != 1, |x - gamma y| = |c_M - gamma c_M|.  By
+ping-pong, M lies off the source hole of gamma's last letter, each letter
+maps the complement of its source into its target hole, and a reduced
+word's next source avoids that target, so gamma(M) lies in the target hole
+of gamma's first letter: a plain disc, as M holds no walked word's pole and
+a pruned word maps it into a plain disc R.  Two disjoint discs of an
+ultrametric field are one distance apart, and gamma(M), in a hole, misses
+M.  So x, y in two children of a split ball B in M, exactly radius(B) apart,
+have Q(x, y) / m(y) = mu(F)^-1 radius(B)^(-alpha) + G_M, G_M the group part
+at c_M; and x in M, y in another top M' have one density cross(M, M').  One
+engine call, the tops' centres as points and the tops as cells, counts all
+k^2 sums; where the point lies in its cell it leaves the identity out, and
+that histogram is G_M.  An uncertified region needs no special case: where
+a state meets a hole every state is a top, and a ball around a walked pole
+is split until its tiles hold none, so the table is the per-state-pair count.
 """
 
 from __future__ import annotations
@@ -288,14 +301,11 @@ def _cross_valuation(xn: int, xd: int, tn: int, td: int, p: int) -> int:
 def _group_histograms(cfg: OperatorConfig, length: int, points: Sequence[Fraction],
                       cells: Sequence[Disc], chart: MoebiusMap | None = None,
                       whole_cells: Sequence[bool] = (),
-                      pairs: Sequence[Sequence[int]] | None = None,
                       runs: list | None = None,
-                      frontier: list | None = None,
-                      counted: list | None = None) -> list[list[dict]]:
+                      frontier: list | None = None) -> list[list[dict]]:
     """{(l(w), v): count} for each (point x, cell) pair, where v is the
     valuation of chart(x) - chart(w(c)), c the cell's centre, over the reduced
-    words w with l(w) <= length.  With ``pairs``, row i holds only the cells
-    pairs[i] (indices into ``cells``), in that order; without, every cell.
+    words w with l(w) <= length.
 
     Centres move as integer pairs, n/d -> (a*n + b*d, c*n + d*d) under the
     matrix of chart o w.  The identity word is left out of every pair whose
@@ -305,10 +315,10 @@ def _group_histograms(cfg: OperatorConfig, length: int, points: Sequence[Fractio
     either has the pole as its ``pole``.  A word that maps a centre onto a
     point raises CoincidentPoints.  The subtrees that
     :func:`_subtree_pruner` certifies are counted, not walked, into one
-    histogram per point, added to each of its histograms or, with
-    ``counted``, appended there instead.  ``runs`` and ``frontier``, when
-    given, get the counted subtrees (as (l(P.s), valuation per point)) and
-    the walked words of full length (as (letters, word map)).
+    histogram per point and added to each of its histograms.  ``runs`` and
+    ``frontier``, when given, get the counted subtrees (as (l(P.s),
+    valuation per point)) and the walked words of full length (as (letters,
+    word map)).
     """
     p = cfg.p
     moved = list(points) if chart is None else [chart.apply(x) for x in points]
@@ -320,10 +330,9 @@ def _group_histograms(cfg: OperatorConfig, length: int, points: Sequence[Fractio
     reach = [valuation(m, p) - cell.radius_exp if whole else INFINITE_VALUATION
              for cell, (_, m), whole in zip(cells, centres,
                                              whole_cells or [False] * len(cells))]
-    pairs = [range(len(cells))] * len(points) if pairs is None else pairs
-    inside = [[pair_difference_valuation((x.numerator, x.denominator), centres[k], p)
-               >= -cells[k].radius_exp for k in ks] for x, ks in zip(points, pairs)]
-    hists = [[{} for _ in ks] for ks in pairs]
+    inside = [[pair_difference_valuation((x.numerator, x.denominator), centre, p)
+               >= -cell.radius_exp for cell, centre in zip(cells, centres)] for x in points]
+    hists = [[{} for _ in cells] for _ in points]
     runs = [] if runs is None else runs
     for word, mat in words_with_maps(cfg.group, length,
                                      _subtree_pruner(cfg, cells, chart, moved, runs)):
@@ -349,10 +358,9 @@ def _group_histograms(cfg: OperatorConfig, length: int, points: Sequence[Fractio
                 raise err
             targets.append((a * n + b * m, den, vden))
         try:
-            for (xn, xd, vx), ks, x_inside, row in zip(xs, pairs, inside, hists):
-                for k, skip, hist in zip(ks, x_inside, row):
+            for (xn, xd, vx), x_inside, row in zip(xs, inside, hists):
+                for (tn, td, vt), skip, hist in zip(targets, x_inside, row):
                     if ell or not skip:
-                        tn, td, vt = targets[k]
                         key = (ell, _cross_valuation(xn, xd, tn, td, p) - vx - vt)
                         hist[key] = hist.get(key, 0) + 1
         except CoincidentPoints as exc:
@@ -368,9 +376,6 @@ def _group_histograms(cfg: OperatorConfig, length: int, points: Sequence[Fractio
             for (j, _), v in zip(runs, vs):
                 for ell in range(j, length + 1):
                     extra[ell, v] += branch ** (ell - j)
-        if counted is not None:
-            counted.append(extras[vs])
-            continue
         for hist in row:
             for key, count in extras[vs].items():
                 hist[key] = hist.get(key, 0) + count
@@ -891,43 +896,56 @@ def vladimirov_alpha_free_value(support: Disc, j: int, x: Rational, p: int) -> E
 
 @dataclass(frozen=True)
 class SplitTree:
-    """The discs the generator counted whole, the states included, each after
-    its descendants: ``members[k]`` indexes the states in ``balls[k]`` and
-    ``children[k]`` its children's balls.  For siblings a and b, balls that
-    tile two children of one node, ``density[a][b]`` is Q[x][y] / m(y) for
-    every state x in a and y in b; two states lie in one sibling pair."""
+    """The generator in the form of the module docstring's lemma, so every
+    ball with children is a certified wavelet support by construction: the
+    split balls, the states included, each after its descendants
+    (``members[k]`` indexes the states in ``balls[k]``, ``children[k]`` its
+    children's balls), and the maximal balls ``tops``, which partition the
+    states.  For x and y in two children of ball B, Q[x][y] / m(y) is
+    ``density[B]``, mu(F)^-1 radius(B)^(-alpha) + G_M, M the top holding B
+    (None for a state); for x in top M and y in top M' != M it is
+    ``cross[M][M']``, by position in ``tops``; ``cross[M][M]`` is G_M."""
 
     balls: tuple[Disc, ...]
     members: tuple[tuple[int, ...], ...]
     children: tuple[tuple[int, ...], ...]
-    density: tuple[dict[int, Scalar], ...]
+    density: tuple[Scalar | None, ...]
+    tops: tuple[int, ...]
+    cross: tuple[tuple[Scalar, ...], ...]
 
-    def rates_out(self, masses: Sequence[Fraction], balls) -> tuple[list, dict]:
-        """(per ball its mass, {b: the rate out of ball b from any of its states}
-        for the given balls): its parent's, plus its sibling densities * masses."""
-        mass, parent, out = [], {}, {}
-        for b, (ins, kids) in enumerate(zip(self.members, self.children)):
+    def blocks(self) -> list[tuple[int, int, Scalar]]:
+        """(a, b, Q[x][y] / m(y) for x in ball a and y in ball b) per ordered
+        pair of sibling balls: two tops, or two children of one ball."""
+        pairs = [(a, b, d) for a, row in zip(self.tops, self.cross)
+                 for b, d in zip(self.tops, row)]
+        pairs += [(a, b, d) for kids, d in zip(self.children, self.density)
+                  for a in kids for b in kids]
+        return [(a, b, d) for a, b, d in pairs if a != b]
+
+    def exits(self, masses: Sequence[Fraction]) -> tuple[list, list]:
+        """(per ball its mass, per ball the rate out of it from any of its
+        states): a top's is its cross densities times the other tops'
+        masses, a child k of B adds density[B] * (m(B) - m(k))."""
+        mass, out = [], [None] * len(self.balls)
+        for ins, kids in zip(self.members, self.children):
             mass.append(sum(mass[k] for k in kids) if kids else masses[ins[0]])
-            parent.update(dict.fromkeys(kids, b))
-
-        def rate(b):
-            if b not in out:
-                above = rate(parent[b]) if b in parent else Fraction(0)
-                out[b] = sum((d * mass[k] for k, d in self.density[b].items()), above)
-            return out[b]
-
-        return mass, {b: rate(b) for b in balls}
+        for a, row in zip(self.tops, self.cross):
+            out[a] = sum((d * mass[b] for b, d in zip(self.tops, row) if b != a), Fraction(0))
+        for b in reversed(range(len(self.balls))):
+            for k in self.children[b]:
+                out[k] = out[b] + self.density[b] * (mass[b] - mass[k])
+        return mass, out
 
 
 @dataclass(frozen=True)
 class GeneratorMatrix:
     """Exact level-m restriction of the operator: the Markov jump generator.
 
-    Its rates are the sibling densities of ``tree`` times the exact
-    |omega|-masses of the states, and Q[x][x] is minus the rate out of x.
-    ``rows`` (exact) and ``matrix`` (float64) are dense forms built on
-    demand: the semigroup and the resolvent read ``tree`` alone, the path
-    sampler and the dense references read ``matrix``.  ``vector`` and
+    Its rates are the densities of ``tree`` times the exact |omega|-masses
+    of the states, and Q[x][x] is minus the rate out of x.  ``rows``
+    (exact) and ``matrix`` (float64) are dense forms built on demand: the
+    semigroup and the resolvent read ``tree`` alone, the path sampler and
+    the dense references read ``matrix``.  ``vector`` and
     ``level_function`` move level functions into and out of state order.
     """
 
@@ -946,12 +964,11 @@ class GeneratorMatrix:
         """The rates as exact dense rows."""
         tree, m = self.tree, self.masses
         rows = [[Fraction(0)] * self.size for _ in range(self.size)]
-        for a, row in enumerate(tree.density):
-            for b, d in row.items():
-                for j in tree.members[b]:
-                    rate = d * m[j]
-                    for i in tree.members[a]:
-                        rows[i][j] = rate
+        for a, b, d in tree.blocks():
+            for j in tree.members[b]:
+                rate = d * m[j]
+                for i in tree.members[a]:
+                    rows[i][j] = rate
         for i, row in enumerate(rows):
             row[i] = simplify(-sum(row, Fraction(0)))
         return tuple(map(tuple, rows))
@@ -962,15 +979,13 @@ class GeneratorMatrix:
         tree, m = self.tree, self.masses
         index = [np.array(ins) for ins in tree.members]
         q = np.zeros((self.size, self.size))
-        for a, row in enumerate(tree.density):
-            for b, d in row.items():
-                col = [m[j] for j in tree.members[b]]
-                rate = {mass: float(d * mass) for mass in set(col)}
-                q[np.ix_(index[a], index[b])] = [rate[mass] for mass in col]
-        leaves = {b: ins[0] for b, (ins, kids) in enumerate(zip(tree.members, tree.children))
-                  if not kids}
-        for b, rate in tree.rates_out(m, leaves)[1].items():
-            q[leaves[b], leaves[b]] = -float(rate)
+        for a, b, d in tree.blocks():
+            col = [m[j] for j in tree.members[b]]
+            rate = {mass: float(d * mass) for mass in set(col)}
+            q[np.ix_(index[a], index[b])] = [rate[mass] for mass in col]
+        for ins, kids, rate in zip(tree.members, tree.children, tree.exits(m)[1]):
+            if not kids:
+                q[ins[0], ins[0]] = -float(rate)
         q.flags.writeable = False
         return q
 
@@ -989,16 +1004,15 @@ class GeneratorMatrix:
 
 def _split_balls(cfg: OperatorConfig, level: int, poles: Sequence[Fraction],
                  certified: bool = True) -> tuple[list, list, list, list, list]:
-    """(states, balls, the states in each ball, per ball its children, per
-    ball its siblings: the balls that tile the other children of the node
-    whose child it tiles), from one walk of the disc tree, each ball after
-    its descendants.  The states are ``wavelets.state_discs``, in centre
-    order.  With ``certified`` (the module docstring's certificate), a disc
-    off every hole that holds states and none of ``poles`` is one ball; any
-    other is tiled by its children's.  A state that meets a hole voids the
-    certificate, and every state becomes a ball of its own."""
+    """(states, balls, the states in each ball, per ball its children, the
+    maximal balls), from one walk of the disc tree, each ball after its
+    descendants.  The states are ``wavelets.state_discs``, in centre order.
+    With ``certified`` (the module docstring's lemma), a disc off every hole
+    that holds states and none of ``poles`` is one ball; any other is tiled
+    by its children's.  A state that meets a hole voids the lemma, and every
+    state becomes a ball of its own."""
     p, domain, holes = cfg.p, cfg.domain, (*cfg.domain.holes, *cfg.group.holes)
-    states, balls, members, children, met, siblings = [], [], [], [], [], {}
+    states, balls, members, children, met = [], [], [], [], []
 
     def walk(disc, off):  # -> (states in disc, indices of the balls tiling them)
         if not off:  # else an ancestor is off every hole, and so is disc
@@ -1014,10 +1028,6 @@ def _split_balls(cfg: OperatorConfig, level: int, poles: Sequence[Fraction],
             met.append(not off)  # in the domain, so not off means a hole of the group
         else:
             kids = [walk(child, off) for child in disc.children(p)]
-            for a, (_, mine) in enumerate(kids):
-                others = [k for b, (_, tiles) in enumerate(kids) if b != a for k in tiles]
-                for k in mine:
-                    siblings.setdefault(k, []).extend(others)
             inside = [i for kid, _ in kids for i in kid]
             tiles = [k for _, kid in kids for k in kid]
             whole = certified and off and not any(disc.contains_point(z, p) for z in poles)
@@ -1028,13 +1038,13 @@ def _split_balls(cfg: OperatorConfig, level: int, poles: Sequence[Fraction],
             tiles = [len(balls) - 1]
         return inside, tiles
 
-    walk(domain.outer, False)
+    _, tops = walk(domain.outer, False)
     if certified and any(met):
         return _split_balls(cfg, level, poles, False)
     order = sorted(range(len(states)), key=lambda i: states[i].center)
     rank = {old: new for new, old in enumerate(order)}
     return ([states[i] for i in order], balls, [[rank[i] for i in ins] for ins in members],
-            children, siblings)
+            children, tops)
 
 
 def generator_matrix(cfg: OperatorConfig, level: int,
@@ -1045,24 +1055,24 @@ def generator_matrix(cfg: OperatorConfig, level: int,
     for D != D'; the diagonal is defined as the negative row sum (jumps
     within a state cancel in the operator and carry no rate).
 
-    The sum is counted once per ordered sibling pair (A, B) of split balls,
-    at c_A and c_B, as the density Q[D, D'] / mass(D') of every D in A and
-    D' in B.  A ball that holds a walked word's pole (ChartNotSupported, or
-    PoleHit at its centre, from the engine) is split and the sums counted
-    again; a pole still hit is a state's centre, and raises.
+    One engine call counts the sums between the k maximal split balls, at
+    their centres: G_M and the cross densities of the module docstring's
+    lemma, from which each ball's density follows.  A ball that holds a
+    walked word's pole (ChartNotSupported, or PoleHit at its centre, from
+    the engine) is split and the sums counted again; a pole still hit is a
+    state's centre, and raises.
     """
     p = cfg.p
     length = cfg.cutoff() if length is None else length
     poles: list[Fraction] = []
     while True:
-        states, balls, members, children, siblings = _split_balls(cfg, level, poles)
+        states, balls, members, children, tops = _split_balls(cfg, level, poles)
         if not states:
             raise ValueError(f"no states at level {level}")
-        counted: list[dict] = []
+        cells = [balls[t] for t in tops]
         try:
-            hists = _group_histograms(cfg, length, [balls[a].center for a in siblings],
-                                      balls, whole_cells=[b.radius_exp > -level for b in balls],
-                                      pairs=list(siblings.values()), counted=counted)
+            hists = _group_histograms(cfg, length, [c.center for c in cells], cells,
+                                      whole_cells=[c.radius_exp > -level for c in cells])
             break
         except (ChartNotSupported, PoleHit) as err:
             if err.pole in poles:
@@ -1076,12 +1086,13 @@ def generator_matrix(cfg: OperatorConfig, level: int,
             folded[key] = _fold(cfg, mu_inv, hist)
         return folded[key]
 
-    density: list[dict[int, Scalar]] = [{} for _ in balls]
-    for (a, bs), row, extra in zip(siblings.items(), hists, counted):
-        rest = fold(extra)
-        for b, hist in zip(bs, row):
-            density[a][b] = simplify(fold(hist) + rest)
+    cross = tuple(tuple(map(fold, row)) for row in hists)
+    top = dict(zip(tops, range(len(tops))))  # per ball, the position of its top
+    for b in reversed(range(len(balls))):
+        top.update(dict.fromkeys(children[b], top[b]))
+    density = [simplify(fold({(0, -ball.radius_exp): 1}) + cross[top[b]][top[b]])
+               if kids else None for b, (ball, kids) in enumerate(zip(balls, children))]
     masses = [cfg.profile.density_at(d.center) * haar_measure(d, p) for d in states]
     tree = SplitTree(tuple(balls), tuple(map(tuple, members)), tuple(map(tuple, children)),
-                     tuple(density))
+                     tuple(density), tuple(tops), cross)
     return GeneratorMatrix(level, tuple(states), tuple(masses), tree, length)

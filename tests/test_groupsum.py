@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 import mumford_heat.operator as operator
 from mumford_heat.config import ValidationError, config_from_dict
 from mumford_heat.exactnum import PowerSum
-from mumford_heat.heat import (_laws, _solve_exact, resolvent_solve, solve_cauchy,
-                               transition_matrix)
+from mumford_heat.heat import (_cell_chain, _laws, _solve_exact, resolvent_solve,
+                               solve_cauchy, transition_matrix)
 from mumford_heat.measure import MeasureProfile, RationalFunctionDatum, build_profile
 from mumford_heat.operator import (ChartNotSupported, CoincidentPoints,
                                    OperatorConfig, _fold, _group_histograms,
@@ -411,9 +411,10 @@ def schottky_figures(draw):
 def test_random_figures_match_the_references(figure):
     """On random Schottky figures: every engine caller pruned and with every
     word walked, the generator's rows and float matrix, built from its
-    sibling densities, against one fold per state pair; the multiresolution
-    resolvent against the dense exact solve; and the heat flow and the
-    validation law, read from the split balls, against the dense semigroup."""
+    tree, against one fold per state pair; the tree's dimension count and
+    trace identity; the multiresolution resolvent against the dense exact
+    solve; and the heat flow and the validation law, read from the split
+    balls, against the dense semigroup."""
     cfg, level = figure
     chart = GroupWord((-1,)) if cfg.group.genus == 1 else GroupWord((-1, 2))
     pruned = every_caller(cfg, level, chart)
@@ -422,8 +423,9 @@ def test_random_figures_match_the_references(figure):
         assert pruned == every_caller(cfg, level, chart)
     gen = generator_matrix(cfg, level)
     ref = ref_generator_per_pair(cfg, level, 3)
-    assert gen.rows == ref  # derived from the sibling densities
+    assert gen.rows == ref  # derived from the tree's densities
     assert np.array_equal(gen.matrix, np.array([[float(v) for v in row] for row in ref]))
+    assert_tree_accounts_for_the_states_and_the_trace(gen)
     h = [F(i % 3 - 1, i + 2) for i in range(gen.size)]
     system = [[int(i == k) - gen.rows[i][k] for k in range(gen.size)] for i in range(gen.size)]
     assert gen.vector(resolvent_solve(gen, F(1), gen.level_function(h))) == _solve_exact(system, h)
@@ -490,7 +492,7 @@ def test_a_point_in_a_hole_keeps_the_subtrees_around_it(tate_cfg, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# One group sum per (state, split ball)
+# One group sum per pair of maximal split balls
 # ---------------------------------------------------------------------------
 
 def engine_pairs(monkeypatch):
@@ -498,9 +500,9 @@ def engine_pairs(monkeypatch):
     handed = []
     honest = operator._group_histograms
 
-    def counting(cfg, length, points, cells, *args, pairs=None, **kwargs):
-        handed.append(len(points) * len(cells) if pairs is None else sum(map(len, pairs)))
-        return honest(cfg, length, points, cells, *args, pairs=pairs, **kwargs)
+    def counting(cfg, length, points, cells, *args, **kwargs):
+        handed.append(len(points) * len(cells))
+        return honest(cfg, length, points, cells, *args, **kwargs)
 
     monkeypatch.setattr(operator, "_group_histograms", counting)
     return handed
@@ -527,12 +529,36 @@ def test_split_balls_match_per_pair_folds_at_level_4(request, name, length, vari
     assert np.array_equal(gen.matrix, np.array([[float(v) for v in row] for row in ref]))
 
 
-@pytest.mark.parametrize("level,pairs", [(3, 72), (4, 216)])
-def test_generator_counts_one_sum_per_sibling_pair(tate_cfg, monkeypatch, level, pairs):
-    # one sum per state pair would be 24 * 23 = 552 and 72 * 71 = 5 112
+@pytest.mark.parametrize("level", [3, 4, 5, 6])
+@pytest.mark.parametrize("name", ["tate_cfg", "genus2_cfg"])
+def test_generator_counts_one_sum_per_pair_of_maximal_balls(request, monkeypatch,
+                                                              name, level):
+    # k = 4 maximal balls at every level, so k^2 = 16 sums, where one per
+    # pair of states would grow as the square of the state count
+    cfg = dataclasses.replace(request.getfixturevalue(name), cutoff_len=4)
     handed = engine_pairs(monkeypatch)
-    gen = generator_matrix(dataclasses.replace(tate_cfg, cutoff_len=6), level)
-    assert handed == [pairs] == [sum(map(len, gen.tree.density))]
+    gen = generator_matrix(cfg, level)
+    assert handed == [16] == [len(gen.tree.tops) ** 2]
+
+
+def assert_tree_accounts_for_the_states_and_the_trace(gen):
+    """Exactly: the cells and the #children(B) - 1 wavelets of each split
+    ball B that is not a state number the states, and
+    tr Q = tr Q_c - sum_B (#children(B) - 1) * lambda_B."""
+    cells, chain, lam, _ = _cell_chain(gen)
+    wavelets = {b: len(gen.tree.children[b]) - 1 for b in lam}
+    assert len(cells) + sum(wavelets.values()) == gen.size
+    trace = sum((row[i] for i, row in enumerate(gen.rows)), F(0))
+    assert trace + sum((k * lam[b] for b, k in wavelets.items()), F(0)) == sum(
+        (row[i] for i, row in enumerate(chain)), F(0))
+
+
+@pytest.mark.parametrize("alpha", [F(1), F(1, 2)], ids=["alpha1", "alpha1/2"])
+@pytest.mark.parametrize("level", [2, 3, 4, 5])
+@pytest.mark.parametrize("name,length", [("tate_cfg", 6), ("genus2_cfg", 4)])
+def test_the_tree_accounts_for_the_states_and_the_trace(request, name, length, level, alpha):
+    cfg = dataclasses.replace(request.getfixturevalue(name), cutoff_len=length, alpha=alpha)
+    assert_tree_accounts_for_the_states_and_the_trace(generator_matrix(cfg, level))
 
 
 def test_a_pole_in_a_split_ball_splits_it(monkeypatch):
@@ -608,6 +634,6 @@ def test_a_chart_whose_states_meet_the_holes_sums_every_state_pair(tate_cfg, mon
                               base.group.word_map(GroupWord((-1,))))
     handed = engine_pairs(monkeypatch)
     gen = generator_matrix(work, 2)
-    assert handed == [gen.size * (gen.size - 1)]
+    assert handed == [gen.size ** 2]
     monkeypatch.undo()
     assert gen.rows == ref_generator_rows(work, 2, 4)

@@ -47,11 +47,12 @@ def stationary(gen):
 
 def flat_generator(states, rows, masses, level=1):
     """The generator with the given rows as a flat tree: every state is a
-    ball and every pair of states a sibling pair, at density Q[x][y] / m(y)."""
+    maximal ball, at the cross density Q[x][y] / m(y) to every other."""
     n = len(states)
-    density = tuple({j: F(rows[i][j]) / masses[j] for j in range(n) if j != i}
-                    for i in range(n))
-    tree = SplitTree(tuple(states), tuple((i,) for i in range(n)), ((),) * n, density)
+    cross = tuple(tuple(F(rows[i][j]) / masses[j] if j != i else F(0) for j in range(n))
+                  for i in range(n))
+    tree = SplitTree(tuple(states), tuple((i,) for i in range(n)), ((),) * n, (None,) * n,
+                     tuple(range(n)), cross)
     return GeneratorMatrix(level, tuple(states), tuple(masses), tree, 1)
 
 
@@ -449,7 +450,7 @@ class TestMultiresolution:
         # the paper's theorem: each admissible support is certified, and its
         # rate read off the split balls is lambda_exact at the same cutoff
         cfg, gen = certified(name, level)
-        lam, _ = heat._decay_rates(gen.tree, gen.masses)
+        lam = heat._cell_chain(gen)[2]
         rates = {gen.tree.balls[b]: v for b, v in lam.items()}
         assert all(rates[b] == lambda_exact(cfg, b, gen.cutoff).value
                    for b in admissible_supports(cfg.profile, level))
@@ -480,29 +481,6 @@ class TestMultiresolution:
             u = gen.vector(resolvent_solve(gen, eta, gen.level_function(vals)))
             assert u == dense_solve(gen, eta, vals)
         assert sizes == [gen.size] * 2
-
-    @pytest.mark.parametrize("rows", [
-        # state 0 jumps into the children D(3, 3^-2) and D(6, 3^-2) of the
-        # support D(0, 3^-1) at densities 1 and 2 per unit mass
-        ((F(-4), F(1), F(2), F(1)), (F(1), F(-3), F(1), F(1)),
-         (F(1), F(1), F(-3), F(1)), (F(1), F(1), F(1), F(-3))),
-    ], ids=["unequal densities"])
-    def test_a_support_at_unequal_rates_is_not_divided_out(self, dense_solve,
-                                                           monkeypatch, rows):
-        # the support's children are balls 0-2; it and state 3 are the top
-        # sibling pair, at density 1 either way
-        states = (Disc(F(0), -2), Disc(F(3), -2), Disc(F(6), -2), Disc(F(1), -1))
-        density = tuple({b: rows[a][b] for b in range(3) if b != a} for a in range(3))
-        tree = SplitTree((*states[:3], Disc(F(0), -1), states[3]),
-                         ((0,), (1,), (2,), (0, 1, 2), (3,)),
-                         ((), (), (), (0, 1, 2), ()), (*density, {4: F(1)}, {3: F(1)}))
-        gen = GeneratorMatrix(2, states, (F(1),) * 4, tree, 1)
-        assert gen.rows == rows
-        assert heat._decay_rates(tree, gen.masses)[0] == {}
-        vals = [F(1), F(-2), F(5), F(3)]
-        sizes = cell_solve_sizes(monkeypatch)
-        u = gen.vector(resolvent_solve(gen, F(1, 2), gen.level_function(vals)))
-        assert sizes == [4] and u == dense_solve(gen, F(1, 2), vals)
 
 
 TIMES = [1e-6, 0.3, 1.0, 7.0, 50.0]
