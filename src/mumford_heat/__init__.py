@@ -16,7 +16,7 @@ from .schottky import (DomainInvalid, FundamentalDomain, GroupWord, MoebiusMap,
                        SchottkyGroup, enumerate_words, region_image,
                        verify_fundamental_domain)
 from .measure import (MeasureProfile, RationalFunctionDatum, RootInsideDisc,
-                      UnalignedDisc, build_profile, invariance_audit, local_abs)
+                      UnalignedDisc, build_profile, local_abs)
 from .wavelets import (LevelFunction, NotAdmissible, Wavelet,
                        admissible_supports, admissible_wavelets, inner_product,
                        state_discs, wavelet_eval)

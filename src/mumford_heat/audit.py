@@ -24,7 +24,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
-from .measure import RationalFunctionDatum, invariance_audit
+from .measure import RationalFunctionDatum, RootInsideDisc, local_abs
 from .operator import (ChartNotSupported, OperatorConfig, lambda_exact, lambda_transform,
                        transformed_config, vladimirov_local_integral,
                        vladimirov_alpha_free_value)
@@ -280,27 +280,51 @@ def check_distance_word_shift(cfg: OperatorConfig, depth: int = 2) -> CheckResul
 
 def check_density_transport(cfg: OperatorConfig,
                             datum: RationalFunctionDatum) -> CheckResult:
-    """The three density-transport identities per (piece, generator):
-    honest form invariance, constancy of the density under the group, and
-    unimodularity of the derivative."""
-    report = invariance_audit(cfg.profile, datum, cfg.group)
-    rows = []
-    failures = 0
-    for r in report.rows:
-        ok = r.density_transported and r.derivative_unimodular
-        failures += not ok
-        if len(rows) < 6:
-            lhs, rhs, deriv = r.values
-            rows.append(Instance(
-                f"piece={r.piece}, generator={r.generator_index}",
-                f"form: |f(gy)||g'(y)|={lhs} vs |f(y)|={rhs}",
-                f"C_B transported: {r.density_transported}, |g'|={deriv}",
-                ok))
-    note = (f"form invariance holds: {report.form_invariance_holds}; "
-            f"density constancy holds: {report.density_transport_holds}; "
-            f"derivative unimodular: {report.derivative_unimodular_holds}")
-    return CheckResult("density_transport", failures == 0,
-                       len(report.rows), failures, tuple(rows), note)
+    """Three density-transport identities per (piece, generator), exactly:
+    (A) honest form invariance |f(gamma y)| |gamma'(y)| = |f(y)| at the
+    piece's centre and its children's; (B) the piece's density equals |f| on
+    the image disc gamma(piece); (C) |gamma'| = 1 at those samples.  An
+    instance holds when (B) and (C) do.  A root of f at an image sample (the
+    form side is None) or in the image disc is a finding, never an error."""
+    p = cfg.p
+    shown = []
+    n = failures = 0
+    form_holds = transport_holds = unimodular_holds = True
+    for piece, dens in cfg.profile.pieces:
+        samples = [piece.center] + [child.center for child in piece.children(p)]
+        for gi, gen in enumerate(cfg.group.generators or (MoebiusMap.identity(),)):
+            sides = []
+            for y in samples:
+                try:
+                    lhs = datum.abs_at(gen.apply(y), p) * gen.derivative_abs(y, p)
+                except ZeroDivisionError:  # gamma(y) is a root of f: |f| is 0 or infinite
+                    lhs = None
+                sides.append((lhs, datum.abs_at(y, p)))
+            image = region_image(gen, piece, p)
+            try:
+                transported = not image.complement and local_abs(datum, image, p) == dens
+            except RootInsideDisc:  # |f| is not constant on gamma(piece)
+                transported = False
+            unimodular = all(gen.derivative_abs(y, p) == 1 for y in samples)
+            ok = transported and unimodular
+            n += 1
+            failures += not ok
+            form_holds &= all(lhs == rhs for lhs, rhs in sides)
+            transport_holds &= transported
+            unimodular_holds &= unimodular
+            if len(shown) < 6:
+                lhs, rhs = sides[0]
+                shown.append(Instance(
+                    f"piece={piece}, generator={gi}",
+                    f"form: |f(gy)||g'(y)|={lhs} vs |f(y)|={rhs}",
+                    f"C_B transported: {transported}, "
+                    f"|g'|={gen.derivative_abs(piece.center, p)}",
+                    ok))
+    note = (f"form invariance holds: {form_holds}; "
+            f"density constancy holds: {transport_holds}; "
+            f"derivative unimodular: {unimodular_holds}")
+    return CheckResult("density_transport", failures == 0, n, failures,
+                       tuple(shown), note)
 
 
 def check_local_integral_alpha(cfg: OperatorConfig) -> CheckResult:

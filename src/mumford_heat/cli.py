@@ -217,16 +217,15 @@ def _block_ranges(paths: PathColumns, k: int) -> list[range]:
     return [range(a, b) for a, b in pairwise(cuts) if a < b]
 
 
-def _path_rows(paths: PathColumns, tails: list[str], cpus: int | None = None) -> Iterator[str]:
-    """The rows of ``paths.csv`` in order, formatted on up to ``cpus`` CPUs
-    (default: the usable ones).
+def _path_rows(paths: PathColumns, tails: list[str]) -> Iterator[str]:
+    """The rows of ``paths.csv`` in order, formatted on the usable CPUs.
 
     The blocks split into one contiguous range per CPU (``_block_ranges``).
     A single range, or a platform without ``os.fork``, is formatted here,
     block by block, and starts no process; else see ``_forked_rows``.  The
     text does not depend on the number of ranges."""
     n_blocks = -(-len(paths) // PATH_CHUNK)
-    ranges = _block_ranges(paths, min(cpus or _usable_cpus(), n_blocks))
+    ranges = _block_ranges(paths, min(_usable_cpus(), n_blocks))
     if len(ranges) == 1 or not hasattr(os, "fork"):
         return _path_blocks(paths, tails, range(n_blocks))
     return _forked_rows(paths, tails, ranges)

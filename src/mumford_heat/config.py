@@ -211,9 +211,15 @@ def parse_config(path) -> RunConfig:
     if not path.exists():
         raise ParseError(f"no such config file: {path}")
     try:
-        raw = json.loads(path.read_text())
+        raw = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"{path}: invalid JSON: nested too deeply") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
+    except OSError as exc:
+        raise ParseError(f"{path}: unreadable: {exc.strerror or exc}") from exc
     return config_from_dict(raw)
 
 

@@ -365,8 +365,10 @@ def sample_paths(gen: GeneratorMatrix, n_paths: int, t_max: float, seed: int,
     rate = -gen.matrix.diagonal()
     if (rate <= 0).any():
         raise ValueError("absorbing state: zero hold rate")
-    jumps = gen.matrix + np.diag(rate)  # the diagonal cancels to 0.0 exactly
-    mean_hold, cum = 1.0 / rate, np.cumsum(jumps / rate[:, None], axis=1)
+    cum = gen.matrix / rate[:, None]
+    np.fill_diagonal(cum, 0.0)
+    np.cumsum(cum, axis=1, out=cum)
+    mean_hold = 1.0 / rate
     rng = np.random.default_rng(seed)
     chunks = [_lockstep_chunk(rng, mean_hold, cum, min(PATH_CHUNK, n_paths - first),
                               t_max, start_index)

@@ -2,19 +2,19 @@
 
 A rational-function datum f(z) = c * prod (z - a_i)^(n_i) induces the measure
 |f(z)| |dz| away from its zeros; on any disc avoiding the roots the density
-is an exact rational constant.  Profiles partition F into pieces of constant
-density plus zero-core discs around the declared zeros, which carry no
-density at all (the measure is not extended to the zero set).
+is an exact rational constant.  A profile partitions F into pieces, the
+maximal discs of F clear of the zero cores and no finer than its resolution,
+each with its constant density, plus zero-core discs around the declared
+zeros, which carry no density at all (the measure is not extended to the
+zero set).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from .padic import (Disc, Rational, abs_p, character_phase, discs_disjoint,
-                    haar_measure, p_power)
-from .schottky import (FundamentalDomain, MoebiusMap, SchottkyGroup,
-                       region_image)
+from .padic import Disc, Rational, abs_p, discs_disjoint, haar_measure
+from .schottky import FundamentalDomain
 
 
 class RootInsideDisc(ValueError):
@@ -148,7 +148,13 @@ def build_profile(datum: RationalFunctionDatum, domain: FundamentalDomain,
 
     Zeros of the datum inside F get a level-``resolution`` core disc that is
     excluded from the pieces; distinct zeros must separate at that
-    resolution.  Pieces are coalesced to maximal discs of constant density.
+    resolution.  The pieces are the maximal discs of F clear of every core
+    and no finer than the resolution, found by one walk down from the outer
+    disc: a disc inside F and clear of the cores is a piece, and any other
+    disc coarser than the resolution and in no hole splits into its
+    children.  A piece holds no zero or pole of f, so |f| is one constant
+    on it (``local_abs``, which refuses a piece holding a root of
+    multiplicity 0).
     """
     p = domain.p
     zeros_in_f = [z for z in datum.zeros() if domain.contains_point(z)]
@@ -162,121 +168,15 @@ def build_profile(datum: RationalFunctionDatum, domain: FundamentalDomain,
                 raise ResolutionTooCoarse(
                     f"zeros {zeros_in_f[i]} and {zeros_in_f[j]} share a "
                     f"level-{resolution} disc")
-    pieces: dict[Disc, Fraction] = {}
-    for disc in domain.level_discs(resolution):
-        if any(not discs_disjoint(disc, core, p) for core in cores):
-            continue
-        pieces[disc] = local_abs(datum, disc, p)
-    merged = _coalesce(pieces, domain, cores, p)
-    ordered = tuple(sorted(merged.items(), key=lambda it: (it[0].center, it[0].radius_exp)))
-    return MeasureProfile(ordered, tuple(cores), p)
-
-
-def _coalesce(pieces: dict[Disc, Fraction], domain: FundamentalDomain,
-              cores: list[Disc], p: int) -> dict[Disc, Fraction]:
-    """Merge complete sibling families of equal density into their parent.
-
-    Levels are taken finest first, and each is read once: discs of radius
-    exponent t are siblings when their centres c agree in the p-adic
-    fractional part of c * p^(t + 1), so grouping by that key is linear.  A
-    merged parent, centred at its least sibling centre, joins level t + 1.
-    The result is the set of maximal constant-density discs in F that avoid
-    the cores.
-    """
-    levels: dict[int, dict[Disc, Fraction]] = {}
-    for d, dens in pieces.items():
-        levels.setdefault(d.radius_exp, {})[d] = dens
-    merged: dict[Disc, Fraction] = {}
-    while levels:
-        t = min(levels)
-        level = levels.pop(t)
-        families: dict[Fraction, list[Disc]] = {}
-        for d in level:
-            key = character_phase(d.center * p_power(p, t + 1), p)
-            families.setdefault(key, []).append(d)
-        for sibs in families.values():
-            dens = level[sibs[0]]
-            parent = Disc(min(e.center for e in sibs), t + 1)
-            if (len(sibs) == p and all(level[e] == dens for e in sibs)
-                    and domain.contains_disc(parent)
-                    and all(discs_disjoint(parent, core, p) for core in cores)):
-                levels.setdefault(t + 1, {})[parent] = dens
-            else:
-                merged.update((e, level[e]) for e in sibs)
-    return merged
-
-
-@dataclass(frozen=True)
-class InvarianceRow:
-    piece: Disc
-    generator_index: int
-    form_invariant: bool        # |f(gamma y)| |gamma'(y)| == |f(y)|
-    density_transported: bool   # C_B == C_{gamma B}
-    derivative_unimodular: bool # |gamma'| == 1 on the piece
-    values: tuple[Fraction, Fraction, Fraction]  # (|f(gy)||g'(y)|, |f(y)|, |g'(y)|)
-
-
-@dataclass(frozen=True)
-class InvarianceReport:
-    rows: tuple[InvarianceRow, ...]
-
-    @property
-    def form_invariance_holds(self) -> bool:
-        return all(r.form_invariant for r in self.rows)
-
-    @property
-    def density_transport_holds(self) -> bool:
-        return all(r.density_transported for r in self.rows)
-
-    @property
-    def derivative_unimodular_holds(self) -> bool:
-        return all(r.derivative_unimodular for r in self.rows)
-
-
-def invariance_audit(profile: MeasureProfile, datum: RationalFunctionDatum,
-                     group: SchottkyGroup) -> InvarianceReport:
-    """Exact check of three transport identities per (piece, generator).
-
-    (A) honest form-invariance |f(gamma y)| * |gamma'(y)| = |f(y)| sampled on
-    the piece; (B) equality of the density constant with the ambient density
-    of the image disc; (C) |gamma'| = 1 on the piece.  Disagreement is a
-    reported finding, never an error, and so is a root of f at an image
-    sample (the value is None) or in the image disc.
-    """
-    p = group.p
-    rows = []
-    generators = group.generators if group.genus else (MoebiusMap.identity(),)
-    for piece, dens in profile.pieces:
-        samples = [piece.center] + [child.center for child in piece.children(p)]
-        for gi, gen in enumerate(generators):
-            form_ok = True
-            vals = None
-            for y in samples:
-                try:
-                    lhs = datum.abs_at(gen.apply(y), p) * gen.derivative_abs(y, p)
-                except ZeroDivisionError:  # gamma(y) is a root of f: |f| is 0 or infinite
-                    lhs = None
-                rhs = datum.abs_at(y, p)
-                if vals is None:
-                    vals = (lhs, rhs, gen.derivative_abs(y, p))
-                if lhs != rhs:
-                    form_ok = False
-            try:
-                image = region_image_density(datum, gen, piece, p)
-            except RootInsideDisc:  # |f| is not constant on gamma(piece)
-                image = None
-            rows.append(InvarianceRow(
-                piece, gi, form_ok,
-                image == dens,
-                all(gen.derivative_abs(y, p) == 1 for y in samples),
-                vals))
-    return InvarianceReport(tuple(rows))
-
-
-def region_image_density(datum: RationalFunctionDatum, gen: MoebiusMap,
-                         piece: Disc, p: int) -> Fraction:
-    """Ambient density |f| on the image disc gamma(piece)."""
-    image = region_image(gen, piece, p)
-    if image.complement:
-        raise RootInsideDisc("image of a piece should stay affine")
-    return local_abs(datum, image, p)
+    pieces = []
+    stack = [domain.outer] if domain.outer.radius_exp >= -resolution else []
+    while stack:
+        disc = stack.pop()
+        if domain.contains_disc(disc) and all(discs_disjoint(disc, core, p)
+                                              for core in cores):
+            pieces.append((disc, local_abs(datum, disc, p)))
+        elif (disc.radius_exp > -resolution
+              and not any(h.contains(disc, p) for h in domain.holes)):
+            stack.extend(disc.children(p))
+    pieces.sort(key=lambda it: (it[0].center, it[0].radius_exp))
+    return MeasureProfile(tuple(pieces), tuple(cores), p)

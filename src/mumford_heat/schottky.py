@@ -313,20 +313,6 @@ class FundamentalDomain:
         found.sort(key=lambda d: d.center)
         return found
 
-    def maximal_discs(self) -> list[Disc]:
-        """Maximal discs contained in F (the canonical coarse partition)."""
-        out: list[Disc] = []
-        stack = [self.outer]
-        while stack:
-            d = stack.pop()
-            if self.contains_disc(d):
-                out.append(d)
-            elif all(not h.contains(d, self.p) for h in self.holes):
-                if any(not discs_disjoint(d, h, self.p) for h in self.holes):
-                    stack.extend(d.children(self.p))
-        out.sort(key=lambda d: (d.center, d.radius_exp))
-        return out
-
 
 @dataclass(frozen=True)
 class SchottkyGroup:

@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 
 from mumford_heat import audit
 from mumford_heat.audit import (CheckResult, Instance, audit_lemmas,
-                                check_chart_shift,
+                                check_chart_shift, check_density_transport,
                                 check_distance_product_identity,
                                 check_distance_word_shift,
                                 check_escape_distance_bound)
-from mumford_heat.measure import RationalFunctionDatum, build_profile
+from mumford_heat.measure import RationalFunctionDatum, build_profile, local_abs
 from mumford_heat.operator import OperatorConfig
 from mumford_heat.padic import Disc, abs_p
 from mumford_heat.schottky import MoebiusMap, SchottkyGroup, region_image, words_with_maps
@@ -168,6 +168,36 @@ def test_density_transport_findings(tate_report):
     assert not check.holds
     assert "form invariance holds: True" in check.note
     assert "density constancy holds: False" in check.note
+
+
+def test_density_transport_tate(tate_cfg, tate_datum):
+    # z -> 9z keeps the form |f(z)| |dz| = |dz/z| but not the density, as
+    # |gamma'| = 1/9 on every piece
+    check = check_density_transport(tate_cfg, tate_datum)
+    assert not check.holds
+    assert check.n_instances == check.n_failures == 4
+    assert check.note == ("form invariance holds: True; density constancy holds: "
+                          "False; derivative unimodular: False")
+    first = check.instances[0]
+    assert first.label == f"piece={Disc(F(1), -1)}, generator=0"
+    assert first.lhs == "form: |f(gy)||g'(y)|=1 vs |f(y)|=1"
+    assert first.rhs == "C_B transported: False, |g'|=1/9"
+    # the image of D(1, 1/3) is D(9, 1/27), where |1/z| = 9, not 1
+    assert local_abs(tate_datum, region_image(tate_cfg.group.generators[0],
+                                              Disc(F(1), -1), 3), 3) == 9
+
+
+def test_density_transport_identity_group(ball_domain):
+    # genus 0: the identity stands in for the generators and moves nothing
+    trivial = SchottkyGroup(p=3, generators=(), holes=(), outer=Disc(F(0), 0))
+    constant = RationalFunctionDatum.constant()
+    cfg = OperatorConfig(group=trivial, cutoff_len=3,
+                         profile=build_profile(constant, ball_domain, 1))
+    check = check_density_transport(cfg, constant)
+    assert check.holds
+    assert check.n_instances == 1 and check.n_failures == 0
+    assert check.note == ("form invariance holds: True; density constancy holds: "
+                          "True; derivative unimodular: True")
 
 
 def test_local_integral_findings(tate_report):

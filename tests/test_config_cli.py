@@ -179,7 +179,8 @@ class TestCli:
     # one path, exactly one PATH_CHUNK block, a partial second block, two
     # full blocks, three blocks (the last partial)
     @pytest.mark.parametrize("n_paths", [1, 1024, 1025, 1500, 2048, 3000])
-    def test_paths_csv_matches_per_row_formatting(self, tate_path, tmp_path, n_paths):
+    def test_paths_csv_matches_per_row_formatting(self, tate_path, tmp_path, n_paths,
+                                                   monkeypatch):
         # the per-row f-string writer that the block writer replaced
         seed = 5
         assert main(["sample", "-c", str(tate_path), "--paths", str(n_paths),
@@ -202,7 +203,8 @@ class TestCli:
         # the same text from one, two and three ranges, whatever the CPUs here
         tails = [f",{label}\n" for label in labels]
         for cpus in (1, 2, 3):
-            assert "".join(_path_rows(paths, tails, cpus)) == oracle
+            monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+            assert "".join(_path_rows(paths, tails)) == oracle
 
     def test_sample_peak_memory_stays_below_twice_the_file(self, tate_path, tmp_path):
         # paths.csv goes out one block at a time, never as one whole-file string
@@ -294,8 +296,9 @@ def test_one_block_starts_no_process(tmp_path, monkeypatch, fixture, flags):
     assert main(["sample", "-c", str(bundled_fixture(fixture)), *flags,
                  "-o", str(tmp_path)]) == 0
     # many blocks on one CPU start none either
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
     paths, tails = _tate_rows(3000)
-    assert "".join(_path_rows(paths, tails, 1))
+    assert "".join(_path_rows(paths, tails))
 
 
 def test_sample_reaps_its_workers(tate_path, tmp_path, forks):
@@ -343,6 +346,24 @@ def test_a_failed_worker_fails_the_command(tate_path, tmp_path, capsys, monkeypa
     # no partial paths.csv, no temporary file and no sample-validation.json
     assert list(tmp_path.iterdir()) == []
     _assert_no_child()
+
+
+@pytest.mark.parametrize("kind,reason", [
+    ("directory", "unreadable: Is a directory"),
+    ("not-utf8", "not UTF-8 text: invalid start byte at byte 11"),
+    ("over-nested", "invalid JSON: nested too deeply")])
+def test_an_unreadable_config_exits_2(tmp_path, capsys, kind, reason):
+    config = tmp_path / kind
+    if kind == "directory":
+        config.mkdir()
+    elif kind == "not-utf8":
+        config.write_bytes(b'{"field": "\xff"}')
+    else:
+        config.write_text("[" * 100_000)
+    assert main(["validate", "-c", str(config), "-o", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"validation error: {config}: {reason}\n"
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("under", [False, True])

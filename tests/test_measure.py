@@ -1,13 +1,15 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mumford_heat.padic import Disc, discs_disjoint, haar_measure
-from mumford_heat.measure import (RationalFunctionDatum,
+from mumford_heat.measure import (MeasureProfile, RationalFunctionDatum,
                                   ResolutionTooCoarse, RootInsideDisc,
-                                  build_profile, invariance_audit, local_abs,
-                                  region_image_density)
-from mumford_heat.schottky import SchottkyGroup
+                                  build_profile, local_abs)
+from mumford_heat.schottky import FundamentalDomain
+from test_groupsum import schottky_figures
 
 
 def test_local_abs_examples(tate_datum):
@@ -82,31 +84,8 @@ def test_pole_inside_domain_rejected(ball_domain, tate_datum):
         build_profile(tate_datum, ball_domain, 2)
 
 
-def test_invariance_audit_tate(tate_profile, tate_datum, tate_group):
-    report = invariance_audit(tate_profile, tate_datum, tate_group)
-    assert report.form_invariance_holds
-    assert not report.density_transport_holds
-    assert not report.derivative_unimodular_holds
-    row = next(r for r in report.rows if r.piece == Disc(F(1), -1))
-    assert row.form_invariant
-    assert not row.density_transported
-    assert not row.derivative_unimodular
-    assert row.values[2] == F(1, 9)  # |gamma'| on the piece
-    assert region_image_density(tate_datum, tate_group.generators[0],
-                                Disc(F(1), -1), 3) == 9
-
-
-def test_invariance_audit_identity_group(ball_domain):
-    trivial = SchottkyGroup(p=3, generators=(), holes=(), outer=Disc(F(0), 0))
-    profile = build_profile(RationalFunctionDatum.constant(), ball_domain, 1)
-    report = invariance_audit(profile, RationalFunctionDatum.constant(), trivial)
-    assert report.form_invariance_holds
-    assert report.density_transport_holds
-    assert report.derivative_unimodular_holds
-
-
 # ---------------------------------------------------------------------------
-# Coalescing against the former rescanning merge
+# The walk to F's maximal discs against the former coalescing builder
 # ---------------------------------------------------------------------------
 
 def ref_coalesce(pieces, domain, cores, p):
@@ -146,25 +125,80 @@ def ref_coalesce(pieces, domain, cores, p):
     return current
 
 
-# zeros at 3 and 4 lie in F for both fixtures; the pole 0 lies in a hole
+def ref_build_profile(datum, domain, resolution):
+    """The former builder: the density of every level-``resolution`` disc of
+    F clear of the zero cores, merged back up by ``ref_coalesce``."""
+    p = domain.p
+    zeros = [z for z in datum.zeros() if domain.contains_point(z)]
+    if any(domain.contains_point(pole) for pole in datum.poles()):
+        raise RootInsideDisc("a pole lies inside the domain")
+    cores = [Disc(z, -resolution) for z in zeros]
+    if any(not discs_disjoint(c, d, p) for i, c in enumerate(cores) for d in cores[i + 1:]):
+        raise ResolutionTooCoarse("two zeros share a core")
+    pieces = {d: local_abs(datum, d, p) for d in domain.level_discs(resolution)
+              if all(discs_disjoint(d, core, p) for core in cores)}
+    merged = ref_coalesce(pieces, domain, cores, p)
+    return MeasureProfile(tuple(sorted(merged.items(),
+                                       key=lambda it: (it[0].center, it[0].radius_exp))),
+                          tuple(cores), p)
+
+
+def outcome(build, datum, domain, resolution):
+    """The profile, or the type of the exception the build raised."""
+    try:
+        return build(datum, domain, resolution)
+    except (RootInsideDisc, ResolutionTooCoarse) as exc:
+        return type(exc)
+
+
+# zeros at 3 and 4 lie in F for both fixtures; the pole 0 lies in a hole,
+# and so does the root 0 of multiplicity 0, while 4 lies in F
 COALESCE_DATA = [RationalFunctionDatum.tate(), RationalFunctionDatum.constant(),
-                 RationalFunctionDatum(F(2), ((F(3), 1), (F(4), 2), (F(0), -1)))]
+                 RationalFunctionDatum(F(2), ((F(3), 1), (F(4), 2), (F(0), -1))),
+                 RationalFunctionDatum(F(1), ((F(0), 0), (F(3), 1))),
+                 RationalFunctionDatum(F(1), ((F(4), 0),))]
 
 
 @pytest.mark.parametrize("name", ["tate_group", "genus2_group"])
-@pytest.mark.parametrize("datum", COALESCE_DATA, ids=["tate", "constant", "zeros"])
-def test_coalesce_matches_rescanning_merge(name, datum, request, monkeypatch):
-    import mumford_heat.measure as measure
+@pytest.mark.parametrize("datum", COALESCE_DATA,
+                         ids=["tate", "constant", "zeros", "hole-root", "f-root"])
+def test_coalesce_matches_rescanning_merge(name, datum, request):
     domain = request.getfixturevalue(name).fundamental_domain()
-    for resolution in range(2, 7):
-        profile = build_profile(datum, domain, resolution)
-        with monkeypatch.context() as patch:
-            patch.setattr(measure, "_coalesce", ref_coalesce)
-            assert profile == build_profile(datum, domain, resolution)
-        if datum.zeros():
-            assert len(profile.zero_cores) == 2
-        if resolution > 2:  # some family merged
+    for resolution in range(1, 8):
+        profile = outcome(build_profile, datum, domain, resolution)
+        assert profile == outcome(ref_build_profile, datum, domain, resolution)
+        if datum.factors == ((F(4), 0),):
+            # |f| is not constant around 4, unless no disc of F is that coarse
+            assert profile is RootInsideDisc or profile.pieces == ()
+        elif datum.zeros():
+            assert len(profile.zero_cores) == len(datum.zeros())
+        if resolution > 2 and isinstance(profile, MeasureProfile):  # some family merged
             assert len(profile.pieces) < len(domain.level_discs(resolution))
+
+
+def test_an_outer_disc_finer_than_the_resolution_holds_no_piece():
+    domain = FundamentalDomain(Disc(F(0), -2), (), 3)
+    for resolution in range(1, 5):
+        for datum in COALESCE_DATA[:2]:
+            profile = outcome(build_profile, datum, domain, resolution)
+            assert profile == outcome(ref_build_profile, datum, domain, resolution)
+    assert build_profile(COALESCE_DATA[1], domain, 1).pieces == ()
+    assert build_profile(COALESCE_DATA[1], domain, 2).pieces == ((Disc(F(0), -2), 1),)
+
+
+@settings(max_examples=60, deadline=None)
+@given(figure=schottky_figures(),
+       factors=st.lists(st.tuples(st.integers(-60, 60), st.integers(1, 4),
+                                  st.sampled_from([-1, 0, 1, 2])), max_size=3))
+def test_walk_matches_the_coalescing_builder_on_random_figures(figure, factors):
+    # roots n/d with a multiplicity: poles, roots of multiplicity 0, simple
+    # and double roots, in F, in a hole or outside the outer disc
+    cfg, level = figure
+    datum = RationalFunctionDatum(F(1), tuple((F(n, d), k) for n, d, k in factors))
+    domain = cfg.domain
+    for resolution in (max(1, level - 1), level, level + 1):
+        assert outcome(build_profile, datum, domain, resolution) \
+            == outcome(ref_build_profile, datum, domain, resolution)
 
 
 def test_fine_resolution_parses_quickly():
@@ -173,7 +207,7 @@ def test_fine_resolution_parses_quickly():
 
     from mumford_heat.config import bundled_fixture, config_from_dict
     raw = json.loads(bundled_fixture("tate-p3").read_text())
-    raw["measure"]["resolution"] = raw["run"]["level"] = 8
+    raw["measure"]["resolution"] = raw["run"]["level"] = 10
     start = time.perf_counter()
     run = config_from_dict(raw)
     assert time.perf_counter() - start < 2
