@@ -24,7 +24,7 @@ from .audit import audit_lemmas
 from .config import (ParseError, RunConfig, ValidationError, check_level,
                      emit_config, format_rational, parse_config, parse_cutoff,
                      parse_int, parse_positive_rational, parse_times)
-from .heat import (PATH_CHUNK, NumericalBreakdown, PathColumns, SingularSystem,
+from .heat import (NumericalBreakdown, PathColumns, SingularSystem,
                    empirical_validation, resolvent_solve, sample_paths,
                    solve_cauchy)
 from .measure import RationalFunctionDatum
@@ -177,6 +177,9 @@ def cmd_evolve(run: RunConfig, op: OperatorConfig, out: Path, args) -> int:
             lines.append(f"{t!r},{si},{float(value)!r}\n")
     _write(out / "evolution.csv", lines)
     return 0
+
+
+PATH_CHUNK = 1024  # paths per block of paths.csv text
 
 
 def _path_blocks(paths: PathColumns, tails: list[str], blocks: range) -> Iterator[str]:

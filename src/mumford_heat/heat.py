@@ -10,11 +10,13 @@ a state, each certified by the tree's form.  So come the heat semigroup P_t
 and the validation law (f = e^(-lambda t), e^(tQ_c) by uniformization with
 squaring) and the resolvent (f = 1/(eta + lambda)).  The dense
 ``transition_matrix`` is their reference, ``spectral_data`` a diagnostic.
-Paths follow the exact jump-chain construction on the float ``matrix``
-(exponential holding times, jump probabilities proportional to the rates),
-drawn from one seeded stream in lockstep chunks of PATH_CHUNK paths, and
-come back as columns (``PathColumns``: row offsets per path, flat times and
-states) with ``PathSample`` as a per-path view.
+Paths follow the exact jump-chain construction on the same tree
+(exponential holds at the exit rate, a jump into a sibling ball of an
+ancestor or another maximal ball by its rate, then into one of its states
+by mass), each path from its own counter-based SplitMix64 stream, all live
+paths one vectorised step at a time.  They come back as columns
+(``PathColumns``: row offsets per path, flat times and states) with
+``PathSample`` as a per-path view.
 """
 
 from __future__ import annotations
@@ -280,9 +282,6 @@ def _solve_exact(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction]:
     return [Fraction(v, prev) for v in y]
 
 
-PATH_CHUNK = 1024  # paths drawn in lockstep; another width is another stream
-
-
 @dataclass(eq=False, slots=True)
 class PathSample:
     """One cadlag trajectory, a view into the columns of a ``PathColumns``:
@@ -348,64 +347,124 @@ class PathColumns:
         return self.states[starts + upto - 1]
 
 
+GOLDEN = 0x9E3779B97F4A7C15  # SplitMix64's increment of the stream state
+MIX = tuple(map(np.uint64, (30, 0xBF58476D1CE4E5B9, 27, 0x94D049BB133111EB, 31)))
+
+
+def _mix(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's output function of the state, in place on a uint64 array."""
+    s1, m1, s2, m2, s3 = MIX
+    z ^= z >> s1
+    z *= m1
+    z ^= z >> s2
+    z *= m2
+    z ^= z >> s3
+    return z
+
+
+def _path_keys(seed: int, n: int) -> np.ndarray:
+    """The keys of paths 0..n-1: outputs 1..n of the SplitMix64 stream whose
+    state starts at the seed, a seed past 64 bits folded in 64 bits at a time."""
+    root = np.zeros(1, dtype=np.uint64)
+    for shift in range(0, max(seed.bit_length(), 1), 64):
+        root = _mix(root + np.uint64(GOLDEN)) ^ np.uint64(seed >> shift & 2 ** 64 - 1)
+    return _mix(root + np.uint64(GOLDEN) * np.arange(1, n + 1, dtype=np.uint64))
+
+
+def _uniforms(keys: np.ndarray, draws: range) -> np.ndarray:
+    """Per key a row of its draws: draw d is output d + 1 of the SplitMix64
+    stream whose state starts at the key, as a float in [0, 1) from its
+    top 53 bits."""
+    steps = np.array([GOLDEN * (d + 1) & 2 ** 64 - 1 for d in draws], dtype=np.uint64)
+    z = _mix(keys[:, None] + steps)
+    return (z >> np.uint64(11)) * 2.0 ** -53
+
+
+def _jump_table(gen: GeneratorMatrix):
+    """(hold rates, balls, rates): per state x, -Q[x][x] and the balls a jump
+    from x enters, with the rate into each, padded with ball 0 at rate 0.
+
+    The balls are the other tops, at their cross density times their mass,
+    and per split ball B above x the children of B that miss x, at
+    ``density[B]`` times their mass: they tile the states other than x, and
+    a ball's rate spreads over its states by mass.  A ball at rate 0 is left
+    out.  So x has O(depth * p + #tops) entries, each ball's list its
+    parent's and its siblings."""
+    tree = gen.tree
+    mass, out = tree.exits(gen.masses)
+    entries = [None] * len(tree.balls)
+    for a, row in zip(tree.tops, tree.cross):
+        entries[a] = [(b, float(d * mass[b])) for b, d in zip(tree.tops, row) if b != a]
+    for b in reversed(range(len(tree.balls))):  # each ball before its descendants
+        kids = [(k, float(tree.density[b] * mass[k])) for k in tree.children[b]]
+        for k in tree.children[b]:
+            entries[k] = entries[b] + [e for e in kids if e[0] != k]
+    hold, rows = np.zeros(gen.size), [()] * gen.size
+    for b, (ins, kids) in enumerate(zip(tree.members, tree.children)):
+        if not kids:
+            hold[ins[0]], rows[ins[0]] = out[b], [e for e in entries[b] if e[1] > 0]
+    balls = np.zeros((gen.size, max(1, *map(len, rows))), dtype=np.intp)
+    rates = np.zeros(balls.shape)
+    for x, row in enumerate(rows):
+        balls[x, :len(row)] = [b for b, _ in row]
+        rates[x, :len(row)] = [r for _, r in row]
+    return hold, balls, rates
+
+
 def sample_paths(gen: GeneratorMatrix, n_paths: int, t_max: float, seed: int,
                  start_index: int = 0) -> PathColumns:
-    """Exact-jump-chain sampling: exponential holds at rate -Q[s,s], jumps
-    with probability proportional to the off-diagonal rates.
+    """Exact-jump-chain sampling on the generator's tree: a hold at rate
+    -Q[x][x], then a jump into a ball of ``_jump_table`` with probability
+    proportional to its rate, and to a state of that ball by mass.
 
-    Paths advance in lockstep chunks of PATH_CHUNK from the one stream
-    default_rng(seed).  Each step of a chunk draws PATH_CHUNK exponentials,
-    then PATH_CHUNK uniforms, and path j of the chunk always uses element j,
-    even after it stopped; so the first k paths of a sample with seed s are
-    the sample of k paths."""
+    Path j draws from its own SplitMix64 stream, keyed by the seed and j
+    (``_path_keys``): its k-th hold, ball and state are ``_uniforms`` draws
+    3k, 3k + 1 and 3k + 2.  Every live path advances in one vectorised
+    step, and path j's draws depend on the seed and j alone, so the first
+    k paths of a sample with seed s are the sample of k paths."""
     if n_paths < 1:
         raise ValueError("n_paths must be at least 1")
     if not 0 <= t_max < math.inf:
         raise ValueError(f"t_max must be finite and nonnegative, got {t_max!r}")
-    rate = -gen.matrix.diagonal()
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
+    rate, balls, rates = _jump_table(gen)
     if (rate <= 0).any():
         raise ValueError("absorbing state: zero hold rate")
-    cum = gen.matrix / rate[:, None]
-    np.fill_diagonal(cum, 0.0)
-    np.cumsum(cum, axis=1, out=cum)
-    mean_hold = 1.0 / rate
-    rng = np.random.default_rng(seed)
-    chunks = [_lockstep_chunk(rng, mean_hold, cum, min(PATH_CHUNK, n_paths - first),
-                              t_max, start_index)
-              for first in range(0, n_paths, PATH_CHUNK)]
-    counts = np.concatenate([c for c, _, _ in chunks])
-    return PathColumns(np.concatenate(([0], np.cumsum(counts))),
-                       np.concatenate([t for _, t, _ in chunks]),
-                       np.concatenate([s for _, _, s in chunks]))
-
-
-def _lockstep_chunk(rng, mean_hold: np.ndarray, cum: np.ndarray, k: int,
-                    t_max: float, start: int):
-    """The first k paths of one lockstep chunk: rows per path, then the time
-    and state columns in path-major order."""
-    t = np.zeros(k)
-    s = np.full(k, start)
-    live = np.arange(k)
-    ids, times, states = [live], [t.copy()], [s.copy()]
+    # transposed: a step gathers one column per live path, counts down the rows
+    cum, last = np.cumsum(rates, axis=1).T.copy(), np.count_nonzero(rates, axis=1) - 1
+    # the tops' members list each state once, and ball b's are a run of
+    # them, positions first..end, over the cumulative masses low to low + span
+    members = gen.tree.members
+    order = np.array([x for a in gen.tree.tops for x in members[a]])
+    first = np.argsort(order)[[ins[0] for ins in members]]
+    end = first + np.array([len(ins) for ins in members]) - 1
+    edges = np.concatenate(([0.0], np.cumsum([float(gen.masses[x]) for x in order])))
+    low = edges[first]
+    span = edges[end + 1] - low
+    mean_hold, keys = 1 / rate, _path_keys(seed, n_paths)
+    live, t, s = np.arange(n_paths), np.zeros(n_paths), np.full(n_paths, start_index)
+    steps = []  # per step: the paths that jumped, the jump times, the states entered
     while live.size:
-        hold = rng.standard_exponential(PATH_CHUNK)[live]
-        u = rng.random(PATH_CHUNK)[live]
-        t_next = t[live] + hold * mean_hold[s[live]]
-        going = t_next < t_max
-        live = live[going]
-        # entries <= u*total counted: bisect_right, so neither the zeroed
-        # diagonal nor any other zero-probability entry is ever chosen
-        cum_rows = cum[s[live]]
-        s[live] = (cum_rows <= (u[going] * cum_rows[:, -1])[:, None]).sum(axis=1)
-        t[live] = t_next[going]
-        ids.append(live)
-        times.append(t[live])
-        states.append(s[live])
-    # rows were appended step by step, so a stable sort by path keeps time order
-    ids = np.concatenate(ids)
-    order = np.argsort(ids, kind="stable")
-    return (np.bincount(ids, minlength=k), np.concatenate(times)[order],
-            np.concatenate(states)[order])
+        u = _uniforms(keys, range(3 * len(steps), 3 * len(steps) + 3))
+        t = t - np.log1p(-u[:, 0]) * mean_hold[s]
+        going = t < t_max
+        live, keys, t, s, u = live[going], keys[going], t[going], s[going], u[going]
+        # entries <= the draw counted, so an entry at rate 0 is never chosen
+        counted = (cum.take(s, axis=1) <= u[:, 1] * cum[-1, s]).sum(axis=0, dtype=np.intp)
+        b = balls[s, np.minimum(counted, last[s])]
+        at = low[b] + u[:, 2] * span[b]
+        s = order[np.minimum(np.searchsorted(edges, at, side="right") - 1, end[b])]
+        steps.append((live, t, s))
+    counts = np.ones(n_paths, dtype=np.intp)
+    for ids, _, _ in steps:
+        counts[ids] += 1
+    offsets = np.concatenate(([0], np.cumsum(counts)))
+    times, states = np.zeros(offsets[-1]), np.full(offsets[-1], start_index)
+    for k, (ids, t, s) in enumerate(steps, 1):  # a path's k-th jump is its row k
+        rows = offsets[ids] + k
+        times[rows], states[rows] = t, s
+    return PathColumns(offsets, times, states)
 
 
 @dataclass(frozen=True)

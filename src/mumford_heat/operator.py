@@ -899,12 +899,13 @@ class SplitTree:
     """The generator in the form of the module docstring's lemma, so every
     ball with children is a certified wavelet support by construction: the
     split balls, the states included, each after its descendants
-    (``members[k]`` indexes the states in ``balls[k]``, ``children[k]`` its
-    children's balls), and the maximal balls ``tops``, which partition the
-    states.  For x and y in two children of ball B, Q[x][y] / m(y) is
-    ``density[B]``, mu(F)^-1 radius(B)^(-alpha) + G_M, M the top holding B
-    (None for a state); for x in top M and y in top M' != M it is
-    ``cross[M][M']``, by position in ``tops``; ``cross[M][M]`` is G_M."""
+    (``members[k]`` indexes the states in ``balls[k]``, its children's in
+    the order of ``children[k]``), and the maximal balls ``tops``, which
+    partition the states.  For x and y in two children of ball B,
+    Q[x][y] / m(y) is ``density[B]``, mu(F)^-1 radius(B)^(-alpha) + G_M, M
+    the top holding B (None for a state); for x in top M and y in top
+    M' != M it is ``cross[M][M']``, by position in ``tops``; ``cross[M][M]``
+    is G_M."""
 
     balls: tuple[Disc, ...]
     members: tuple[tuple[int, ...], ...]
@@ -944,8 +945,8 @@ class GeneratorMatrix:
     Its rates are the densities of ``tree`` times the exact |omega|-masses
     of the states, and Q[x][x] is minus the rate out of x.  ``rows``
     (exact) and ``matrix`` (float64) are dense forms built on demand: the
-    semigroup and the resolvent read ``tree`` alone, the path sampler and
-    the dense references read ``matrix``.  ``vector`` and
+    semigroup, the resolvent and the path sampler read ``tree`` alone; the
+    dense references and ``spectral_data`` read ``matrix``.  ``vector`` and
     ``level_function`` move level functions into and out of state order.
     """
 

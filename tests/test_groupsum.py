@@ -544,7 +544,12 @@ def test_generator_counts_one_sum_per_pair_of_maximal_balls(request, monkeypatch
 def assert_tree_accounts_for_the_states_and_the_trace(gen):
     """Exactly: the cells and the #children(B) - 1 wavelets of each split
     ball B that is not a state number the states, and
-    tr Q = tr Q_c - sum_B (#children(B) - 1) * lambda_B."""
+    tr Q = tr Q_c - sum_B (#children(B) - 1) * lambda_B.  The tops' members
+    list every state once, and a ball's are its children's in order."""
+    tree = gen.tree
+    assert sorted(x for a in tree.tops for x in tree.members[a]) == list(range(gen.size))
+    for ins, kids in zip(tree.members, tree.children):
+        assert not kids or list(ins) == [x for k in kids for x in tree.members[k]]
     cells, chain, lam, _ = _cell_chain(gen)
     wavelets = {b: len(gen.tree.children[b]) - 1 for b in lam}
     assert len(cells) + sum(wavelets.values()) == gen.size

@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from mumford_heat.config import bundled_fixture, parse_config
 from mumford_heat.exactnum import PowerSum
@@ -21,6 +22,7 @@ from mumford_heat.operator import (GeneratorMatrix, NotLocallyConstant, SplitTre
 from mumford_heat.padic import Disc
 from mumford_heat.schottky import GroupWord
 from mumford_heat.wavelets import LevelFunction, Wavelet, admissible_supports, wavelet_eval
+from test_groupsum import schottky_figures
 
 
 @pytest.fixture(scope="module")
@@ -528,6 +530,8 @@ class TestSampling:
         assert a == b
         c = sample_paths(gen, 200, 1.0, seed=43)
         assert a != c
+        # a seed past 64 bits is folded in, not cut off
+        assert sample_paths(gen, 200, 1.0, seed=2 ** 64 + 42) not in (a, c)
 
     def test_prefix_of_a_sample_is_the_smaller_sample(self, gen):
         full = sample_paths(gen, 300, 1.0, seed=7)
@@ -550,6 +554,8 @@ class TestSampling:
     def test_bad_inputs_rejected(self, gen):
         with pytest.raises(ValueError):
             sample_paths(gen, 0, 1.0, seed=1)
+        with pytest.raises(ValueError):
+            sample_paths(gen, 1, 1.0, seed=-1)
         absorbing = flat_generator(gen.states[:2], ((F(0), F(0)), (F(1), F(-1))),
                                    gen.masses[:2])
         with pytest.raises(ValueError):
@@ -603,6 +609,62 @@ class TestSampling:
         probes = [0.0, 0.3, 1.999, *sample[7].jump_times[:2]]  # jump instants too
         for t in probes:
             assert sample.states_at(t).tolist() == [p.state_at(t) for p in sample]
+
+
+def assert_jump_law(gen):
+    """The sampler's jump table against the exact rows: from each state x,
+    an entry's rate spread over its ball by mass, over the hold rate, is
+    Q[x][y] / -Q[x][x] to 1e-15, and the entries' balls tile the states
+    y != x with Q[x][y] != 0."""
+    rate, balls, rates = heat._jump_table(gen)
+    members, mass = gen.tree.members, gen.tree.exits(gen.masses)[0]
+    for x, row in enumerate(gen.rows):
+        assert rate[x] == float(-row[x])
+        law = {}
+        for b, r in zip(balls[x].tolist(), rates[x].tolist()):
+            for y in members[b] if r else ():
+                assert y not in law
+                law[y] = r * float(gen.masses[y] / mass[b]) / rate[x]
+        assert set(law) == {y for y, q in enumerate(row) if y != x and q != 0}
+        for y, p in law.items():
+            assert p == pytest.approx(float(row[y] / -row[x]), rel=1e-15, abs=0)
+
+
+class TestJumpChain:
+    @pytest.mark.parametrize("level", [2, 3, 4, 5])
+    @pytest.mark.parametrize("name", ["tate-p3", "genus2-p3"])
+    def test_jumps_follow_the_rows_on_the_fixtures(self, certified, name, level):
+        assert_jump_law(certified(name, level)[1])
+
+    @pytest.mark.parametrize("build", [
+        lambda gen: two_state_toy(), lambda gen: three_state_toy(), doubled,
+    ], ids=["two-state toy", "three-state toy", "replaced rows"])
+    def test_jumps_follow_the_rows_on_flat_trees(self, gen, build):
+        assert_jump_law(build(gen))
+
+    @settings(max_examples=15, deadline=None)
+    @given(figure=schottky_figures())
+    def test_jumps_follow_the_rows_on_random_figures(self, figure):
+        cfg, level = figure
+        assert_jump_law(generator_matrix(cfg, level))
+
+    def test_the_streams_pass_a_chi_square_test(self):
+        # 10^6 uniforms, the first four draws of 250 000 paths, on 64 bins;
+        # chi^2 with 63 degrees of freedom exceeds 131.4 with probability 1e-6
+        keys = heat._path_keys(2024, 250_000)
+        u = heat._uniforms(keys, range(4)).ravel()
+        counts = np.bincount((u * 64).astype(np.intp), minlength=64)
+        expected = len(u) / 64
+        assert ((counts - expected) ** 2 / expected).sum() < 131.4
+
+    def test_neighbouring_paths_draw_uncorrelated_first_draws(self):
+        # 10^5 pairs: the sample correlation of independent uniforms has
+        # standard deviation 1/sqrt(10^5), about 0.0032; the second pair
+        # would be equal if path j + 1's stream ran one draw behind path j's
+        keys = heat._path_keys(7, 100_001)
+        first, second = heat._uniforms(keys, range(2)).T
+        for a, b in ((first[:-1], first[1:]), (second[:-1], first[1:])):
+            assert abs(np.corrcoef(a, b)[0, 1]) < 5 / math.sqrt(100_000)
 
 
 def _false_alarm_rate(analytic: np.ndarray, n: int, sigmas: float = 4.0) -> float:

@@ -88,40 +88,43 @@ def test_pole_inside_domain_rejected(ball_domain, tate_datum):
 # The walk to F's maximal discs against the former coalescing builder
 # ---------------------------------------------------------------------------
 
+def ball_key(center, exp, p):
+    """The disc of radius p^exp around ``center`` as a canonical value: the
+    representative of center mod p^-exp in [0, p^-exp), with the
+    denominator's power of p (the valuation, if negative) kept."""
+    num, den, shift = center.numerator, center.denominator, 0
+    while den % p == 0:
+        den, shift = den // p, shift + 1
+    modulus = p ** (shift - exp)
+    if shift - exp <= 0 or num % modulus == 0:
+        return F(0)
+    return F(num * pow(den, -1, modulus) % modulus, p ** shift)
+
+
 def ref_coalesce(pieces, domain, cores, p):
-    """Merge complete sibling families of equal density, rescanning a level
-    for each disc's siblings and restarting after every merging level."""
+    """Merge complete sibling families of equal density, finest level first:
+    a level's discs grouped by the disc one level up (``ball_key``), each
+    merged family's parent, centred on its least centre, joining the next
+    level."""
     current = dict(pieces)
-    changed = True
-    while changed:
-        changed = False
-        by_exp = {}
-        for d in sorted(current, key=lambda d: (d.radius_exp, d.center)):
-            by_exp.setdefault(d.radius_exp, []).append(d)
-        for t in sorted(by_exp):
-            used = set()
-            for d in by_exp[t]:
-                if d in used:
-                    continue
-                parent = Disc(d.center, t + 1)
-                sibs = [e for e in by_exp[t]
-                        if e not in used and parent.contains(e, p)]
-                if len(sibs) != p:
-                    continue
-                dens = current[sibs[0]]
-                if any(current[e] != dens for e in sibs):
-                    continue
-                if not domain.contains_disc(parent):
-                    continue
-                if any(not discs_disjoint(parent, core, p) for core in cores):
-                    continue
+    levels = {}
+    for d in current:
+        levels.setdefault(d.radius_exp, []).append(d)
+    while levels:
+        t = min(levels)
+        families = {}
+        for d in sorted(levels.pop(t), key=lambda d: d.center):
+            families.setdefault(ball_key(d.center, t + 1, p), []).append(d)
+        for sibs in families.values():
+            parent = Disc(sibs[0].center, t + 1)
+            dens = current[sibs[0]]
+            if (len(sibs) == p and all(current[e] == dens for e in sibs)
+                    and domain.contains_disc(parent)
+                    and all(discs_disjoint(parent, core, p) for core in cores)):
                 for e in sibs:
-                    used.add(e)
                     del current[e]
                 current[parent] = dens
-                changed = True
-            if changed:
-                break
+                levels.setdefault(t + 1, []).append(parent)
     return current
 
 
