@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -35,7 +36,14 @@ class ValidationError(ValueError):
         super().__init__(f"{path}: {message}")
 
 
+MAX_EXPONENT_DIGITS = 4  # of a decimal exponent: Fraction("1e<e>") builds 10**e first
+
+
 def parse_rational(value, path: str = "") -> Fraction:
+    exp = isinstance(value, str) and re.search(r"[eE][-+]?([\d_]+)\s*\Z", value)
+    if exp and len(exp[1].replace("_", "").lstrip("0")) > MAX_EXPONENT_DIGITS:
+        raise ValidationError(path, f"not an exact rational with a decimal exponent "
+                                    f"of at most {MAX_EXPONENT_DIGITS} digits")
     try:
         if isinstance(value, bool):
             raise TypeError("booleans are not numbers")

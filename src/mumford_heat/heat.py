@@ -2,17 +2,16 @@
 
 The finite level-m generator Q is exact; floating point enters only through
 the semigroup, eigen-solves, resolvents of Q with irrational rates and random
-sampling.  Q acts diagonally on the wavelets of its split balls
-(``GeneratorMatrix.tree``), so f(-Q) h is one descent of the tree
-(``_descend``): f(-Q_c) on the cell means of h, Q_c the small chain between
-the maximal balls, then one factor f(lambda_B) per split ball B that is not
-a state, each certified by the tree's form.  So come the heat semigroup P_t
-and the validation law (f = e^(-lambda t), e^(tQ_c) by uniformization with
-squaring) and the resolvent (f = 1/(eta + lambda)).  The dense
-``transition_matrix`` is their reference, ``spectral_data`` a diagnostic.
-Paths follow the exact jump-chain construction on the same tree
-(exponential holds at the exit rate, a jump into a sibling ball of an
-ancestor or another maximal ball by its rate, then into one of its states
+sampling.  Q acts diagonally on the wavelets of its split balls, so f(-Q) h
+is one descent of the tree (``_descend``): f(-Q_c) on the cell means of h,
+Q_c the small chain between the maximal balls, then one factor f(lambda_B)
+per split ball B that is not a state (``GeneratorMatrix.chain``).  So come
+the heat flow, the validation law and ``transition_matrix`` (f = e^(-lambda
+t), e^(tQ_c) by uniformization with squaring), the resolvent (f = 1/(eta +
+lambda)) and Q basis in ``spectral_data`` (f = -lambda); no n x n float
+copy of Q is built.  Paths follow the exact jump-chain construction on the
+same tree (exponential holds at the exit rate, a jump into a sibling ball of
+an ancestor or another maximal ball by its rate, then into one of its states
 by mass), each path from its own counter-based SplitMix64 stream, all live
 paths one vectorised step at a time.  They come back as columns
 (``PathColumns``: row offsets per path, flat times and states) with
@@ -34,7 +33,8 @@ from .wavelets import LevelFunction, admissible_wavelets, wavelet_eval
 
 
 class NumericalBreakdown(ArithmeticError):
-    """Stochasticity of the computed semigroup drifted beyond tolerance."""
+    """Stochasticity of the computed semigroup drifted beyond tolerance, or a
+    sample would make more jumps than its budget."""
 
 
 class SingularSystem(ArithmeticError):
@@ -75,14 +75,12 @@ def spectral_data(cfg: OperatorConfig, gen: GeneratorMatrix) -> SpectralData:
         rates.append(float(by_support[w.support]))
     known = np.column_stack(cols)
     # complete with the omega-orthogonal complement of the known columns
-    weights = np.array([float(m) for m in gen.masses])
-    scaled = known * np.sqrt(weights)[:, None]
-    u2, s2, _ = np.linalg.svd(scaled, full_matrices=True)
-    rank = int(np.sum(s2 > 1e-10))
-    complement = u2[:, rank:]
-    gap_cols = complement / np.sqrt(weights)[:, None]
-    basis = np.column_stack([known, gap_cols])
-    tri = np.linalg.solve(basis, gen.matrix @ basis)
+    root = np.sqrt([float(m) for m in gen.masses])[:, None]
+    u2, s2, _ = np.linalg.svd(known * root, full_matrices=True)
+    basis = np.column_stack([known, u2[:, int(np.sum(s2 > 1e-10)):] / root])
+    q = np.array(gen.chain.q, dtype=float)  # Q basis from one descent, f = -lambda
+    tri = np.linalg.solve(basis, _descend(gen, basis, lambda means: q @ means,
+                                          lambda lam: -float(lam)))
     k = known.shape[1]
     defect = float(np.max(np.abs(tri[k:, :k]))) if k < n else 0.0
     gap_eigs = tuple(np.linalg.eigvals(tri[k:, k:])) if k < n else ()
@@ -135,8 +133,9 @@ class TransitionMatrix:
 
 
 def transition_matrix(gen: GeneratorMatrix, t: float) -> TransitionMatrix:
-    """P_t = exp(tQ) over every state from the dense ``gen.matrix``: a reference."""
-    p = _semigroup(gen.matrix, float(t))
+    """P_t = exp(tQ) over every state: ``_flow`` of the identity, so column
+    j is P_t e_j, from the split balls and e^(tQ_c) alone."""
+    p = _flow(gen, np.eye(gen.size), [t], lambda pc, means: pc @ means)[0]
     return TransitionMatrix(float(t), p, "uniformization",
                             float(np.max(np.abs(p.sum(axis=1) - 1))), float(p.min()))
 
@@ -161,22 +160,23 @@ def solve_cauchy(gen: GeneratorMatrix, h0: LevelFunction,
     """h(t) = P_t h0 on the time grid (``_flow``); t = 0 reproduces h0
     exactly.  The values are real unless h0 has a nonzero imaginary part."""
     vec = _float_vector(gen.vector(h0))
-    rows = _flow(gen, _cell_chain(gen), vec, times, lambda p, means: p @ means)
+    rows = _flow(gen, vec, times, lambda p, means: p @ means)
     return HeatSolution(tuple(float(t) for t in times),
                         np.array([vec if t == 0 else u for t, u in zip(times, rows)]))
 
 
-def _flow(gen: GeneratorMatrix, chain, h: Sequence, times: Sequence[float],
-          coarse) -> np.ndarray:
-    """P_t h at every t, shape (len(times), n): one ``_descend`` on arrays over the
-    times, f(lambda) = e^(-lambda t), cell values coarse(e^(tQ_c), cell means)."""
-    q, t = np.array(chain[1], dtype=float), np.array(times, dtype=float)
+def _flow(gen: GeneratorMatrix, h: Sequence, times: Sequence[float], coarse) -> np.ndarray:
+    """P_t h at every t, shape (len(times), *h.shape): one ``_descend`` on arrays
+    over the times, f(lambda) = e^(-lambda t), cell values coarse(e^(tQ_c), means)."""
+    q, t = np.array(gen.chain.q, dtype=float), np.array(times, dtype=float)
     semigroups = [_semigroup(q, float(s)) for s in t]
+    t = t.reshape(-1, *[1] * (np.ndim(h) - 1))  # times first, then h's columns
 
-    def cell_values(means: list) -> np.ndarray:  # one column per time
-        return np.reshape([coarse(p, means) for p in semigroups], (len(t), len(means))).T
+    def cell_values(means: list) -> np.ndarray:  # per cell, times first
+        values = [coarse(p, means) for p in semigroups]
+        return np.moveaxis(np.reshape(values, (len(t), len(means), *np.shape(h)[1:])), 0, 1)
 
-    return np.transpose(_descend(gen, chain, h, cell_values, lambda lam: np.exp(-float(lam) * t)))
+    return np.moveaxis(_descend(gen, h, cell_values, lambda lam: np.exp(-float(lam) * t)), 0, 1)
 
 
 def resolvent_solve(gen: GeneratorMatrix, eta, h: LevelFunction) -> LevelFunction:
@@ -194,8 +194,8 @@ def resolvent_solve(gen: GeneratorMatrix, eta, h: LevelFunction) -> LevelFunctio
     exact_q = all(isinstance(d, Fraction) for _, _, d in gen.tree.blocks())
     exact_h = all(isinstance(v, (int, Fraction)) for v in vals)
     num = Fraction if exact_q and exact_h and isinstance(eta, (int, Fraction)) else float
-    eta, chain = num(eta), _cell_chain(gen)
-    a = [[eta * (i == j) - num(v) for j, v in enumerate(row)] for i, row in enumerate(chain[1])]
+    eta = num(eta)
+    a = [[eta * (i == j) - num(v) for j, v in enumerate(row)] for i, row in enumerate(gen.chain.q)]
 
     def coarse(means: list) -> Sequence:
         try:
@@ -204,35 +204,23 @@ def resolvent_solve(gen: GeneratorMatrix, eta, h: LevelFunction) -> LevelFunctio
             raise SingularSystem(str(exc)) from exc
 
     h = [Fraction(v) for v in vals] if num is Fraction else _float_vector(vals)
-    return gen.level_function(_descend(gen, chain, h, coarse,
-                                       lambda lam: 1 / (eta + num(lam))))
+    return gen.level_function(_descend(gen, h, coarse, lambda lam: 1 / (eta + num(lam))))
 
 
-def _cell_chain(gen: GeneratorMatrix):
-    """(cells, Q_c, {b: lambda_B}, per ball its mass), all exact, as ``_descend``
-    sets out: the cells are the tree's tops and Q_c their cross densities
-    times the cell masses, with minus each cell's exit rate on the diagonal."""
-    tree = gen.tree
-    mass, out = tree.exits(gen.masses)
-    chain = [[-out[c] if d == c else v * mass[d] for d, v in zip(tree.tops, row)]
-             for c, row in zip(tree.tops, tree.cross)]
-    lam = {b: out[b] + s * mass[b] for b, s in enumerate(tree.density) if s is not None}
-    return tree.tops, chain, lam, mass
-
-
-def _descend(gen: GeneratorMatrix, chain, h: Sequence, coarse, factor) -> list:
-    """f(-Q) h, one value per state, read from the generator's split balls.
+def _descend(gen: GeneratorMatrix, h: Sequence, coarse, factor) -> list:
+    """f(-Q) h, one value per state (per row of a 2-D h), from the split balls.
 
     Every split ball B that is not a state has one density s_B between its
     children (the lemma of ``operator``), so with m the state masses Q acts
     as -lambda_B, lambda_B = (rate out of B) + s_B * m(B), on the functions
     constant on the children of B, zero off B and of m-mean zero, and as the
-    chain Q_c of ``_cell_chain`` on the functions constant on each cell, a
-    maximal ball.  So h splits into its cell means, which ``coarse`` maps to
-    the cell values of f(-Q) h, and per B into mean_child(h) - mean_B(h),
-    times factor(lambda_B)."""
-    tree, m = gen.tree, gen.masses
-    cells, _, lam, mass = chain
+    chain Q_c on the functions constant on each cell, a maximal ball.  So h
+    splits into its cell means, which ``coarse`` maps to the cell values of
+    f(-Q) h, and per B into mean_child(h) - mean_B(h), times factor(lambda_B)."""
+    tree, lam, cells = gen.tree, gen.chain.lam, gen.tree.tops
+    m, mass = gen.masses, gen.chain.mass
+    if columns := isinstance(h, np.ndarray) and h.ndim == 2:
+        m, mass = ([float(v) for v in w] for w in (m, mass))  # float rows, not objects
     total = []  # per ball, the m-weighted sum of h
     for ins, kids in zip(tree.members, tree.children):
         total.append(sum(total[k] for k in kids) if kids else m[ins[0]] * h[ins[0]])
@@ -246,7 +234,7 @@ def _descend(gen: GeneratorMatrix, chain, h: Sequence, coarse, factor) -> list:
         mean = total[b] / mass[b]
         for k in tree.children[b]:
             diff = total[k] / mass[k] - mean
-            stack.append((k, value + diff * factor(lam[b]) if diff else value))
+            stack.append((k, value + diff * factor(lam[b]) if columns or diff else value))
     return u
 
 
@@ -290,9 +278,6 @@ class PathSample:
     path_index: int
     jump_times: np.ndarray  # increasing
     states: np.ndarray      # visited states; states[0] at time 0
-
-    def state_at(self, t: float) -> int:
-        return int(self.states[np.searchsorted(self.jump_times, t, side="right")])
 
 
 @dataclass(frozen=True, eq=False)
@@ -390,8 +375,7 @@ def _jump_table(gen: GeneratorMatrix):
     a ball's rate spreads over its states by mass.  A ball at rate 0 is left
     out.  So x has O(depth * p + #tops) entries, each ball's list its
     parent's and its siblings."""
-    tree = gen.tree
-    mass, out = tree.exits(gen.masses)
+    tree, mass, out = gen.tree, gen.chain.mass, gen.chain.out
     entries = [None] * len(tree.balls)
     for a, row in zip(tree.tops, tree.cross):
         entries[a] = [(b, float(d * mass[b])) for b, d in zip(tree.tops, row) if b != a]
@@ -411,6 +395,9 @@ def _jump_table(gen: GeneratorMatrix):
     return hold, balls, rates
 
 
+MAX_JUMPS = 10 ** 7  # budget on a sample's expected jump count; see sample_paths
+
+
 def sample_paths(gen: GeneratorMatrix, n_paths: int, t_max: float, seed: int,
                  start_index: int = 0) -> PathColumns:
     """Exact-jump-chain sampling on the generator's tree: a hold at rate
@@ -421,7 +408,9 @@ def sample_paths(gen: GeneratorMatrix, n_paths: int, t_max: float, seed: int,
     (``_path_keys``): its k-th hold, ball and state are ``_uniforms`` draws
     3k, 3k + 1 and 3k + 2.  Every live path advances in one vectorised
     step, and path j's draws depend on the seed and j alone, so the first
-    k paths of a sample with seed s are the sample of k paths."""
+    k paths of a sample with seed s are the sample of k paths.  Huge rates
+    would run for ever: NumericalBreakdown before any draw if the largest
+    hold rate * t_max * n_paths, a bound on the expected jumps, passes MAX_JUMPS."""
     if n_paths < 1:
         raise ValueError("n_paths must be at least 1")
     if not 0 <= t_max < math.inf:
@@ -431,6 +420,9 @@ def sample_paths(gen: GeneratorMatrix, n_paths: int, t_max: float, seed: int,
     rate, balls, rates = _jump_table(gen)
     if (rate <= 0).any():
         raise ValueError("absorbing state: zero hold rate")
+    if not (jumps := float(rate.max()) * t_max * n_paths) <= MAX_JUMPS:
+        raise NumericalBreakdown(f"{n_paths} paths to t = {t_max!r} may make {jumps:.3g} "
+                                 f"jumps, past the budget of {MAX_JUMPS:.0e}")
     # transposed: a step gathers one column per live path, counts down the rows
     cum, last = np.cumsum(rates, axis=1).T.copy(), np.count_nonzero(rates, axis=1) - 1
     # the tops' members list each state once, and ball b's are a run of
@@ -492,12 +484,12 @@ VALIDATION_SIGMAS = 4.0  # binomial sigmas a state's empirical frequency may dev
 def _laws(gen: GeneratorMatrix, x: int, times: Sequence[float]) -> np.ndarray:
     """P_t[x, .] per t, a rounding below 0 as 0: m * ``_flow``(delta_x / m(x))
     with the row e^(tQ_c)[C_x, .] over the cell masses as cell values."""
-    cells, _, _, mass = chain = _cell_chain(gen)
+    cells, mass = gen.tree.tops, gen.chain.mass
     home = next(i for i, b in enumerate(cells) if x in gen.tree.members[b])
     cell_mass = np.array([float(mass[b]) for b in cells])
     h = np.where(np.arange(gen.size) == x, 1 / float(gen.masses[x]), 0.0)
     m = np.array([float(v) for v in gen.masses])
-    return np.maximum(m * _flow(gen, chain, h, times, lambda p, means: p[home] / cell_mass), 0)
+    return np.maximum(m * _flow(gen, h, times, lambda p, means: p[home] / cell_mass), 0)
 
 
 def empirical_validation(gen: GeneratorMatrix, paths: PathColumns,

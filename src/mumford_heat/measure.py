@@ -54,11 +54,6 @@ class RationalFunctionDatum:
     def constant(cls, value: Rational = 1) -> "RationalFunctionDatum":
         return cls(Fraction(value), ())
 
-    @classmethod
-    def tate(cls) -> "RationalFunctionDatum":
-        """The multiplicative-coordinate form dz/z: f(z) = 1/z."""
-        return cls(Fraction(1), ((Fraction(0), -1),))
-
     def zeros(self) -> list[Fraction]:
         return [r for r, n in self.factors if n > 0]
 

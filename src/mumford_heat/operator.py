@@ -55,6 +55,9 @@ k^2 sums; where the point lies in its cell it leaves the identity out, and
 that histogram is G_M.  An uncertified region needs no special case: where
 a state meets a hole every state is a top, and a ball around a walked pole
 is split until its tiles hold none, so the table is the per-state-pair count.
+The tree is the one form of Q kept: ``GeneratorMatrix.chain`` reads off it
+the cell chain Q_c, the exit rates and each support's rate lambda_B, all
+that the heat layer needs; exact dense rows are built only on demand.
 """
 
 from __future__ import annotations
@@ -66,8 +69,6 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
-
-import numpy as np
 
 from .exactnum import ExactComplex, PowerSum, p_power_bounds
 from .padic import (INFINITE_VALUATION, Disc, PoleHit, Rational, abs_p,
@@ -923,19 +924,19 @@ class SplitTree:
                   for a in kids for b in kids]
         return [(a, b, d) for a, b, d in pairs if a != b]
 
-    def exits(self, masses: Sequence[Fraction]) -> tuple[list, list]:
-        """(per ball its mass, per ball the rate out of it from any of its
-        states): a top's is its cross densities times the other tops'
-        masses, a child k of B adds density[B] * (m(B) - m(k))."""
-        mass, out = [], [None] * len(self.balls)
-        for ins, kids in zip(self.members, self.children):
-            mass.append(sum(mass[k] for k in kids) if kids else masses[ins[0]])
-        for a, row in zip(self.tops, self.cross):
-            out[a] = sum((d * mass[b] for b, d in zip(self.tops, row) if b != a), Fraction(0))
-        for b in reversed(range(len(self.balls))):
-            for k in self.children[b]:
-                out[k] = out[b] + self.density[b] * (mass[b] - mass[k])
-        return mass, out
+
+@dataclass(frozen=True)
+class CellChain:
+    """The tree's diagonalisation of Q (``heat._descend``), exact: per ball its
+    ``mass`` and its exit rate ``out`` (a top's: the cross densities times the
+    other tops' masses; a child k of B adds density[B] * (m(B) - m(k))); Q_c
+    as ``q``, cross densities times cell masses and minus the exit rates on
+    the diagonal; per split ball B that is no state, lam[B] = out[B] + density[B] m(B)."""
+
+    mass: tuple[Fraction, ...]
+    out: tuple[Scalar, ...]
+    q: tuple[tuple[Scalar, ...], ...]
+    lam: dict[int, Scalar]
 
 
 @dataclass(frozen=True)
@@ -943,10 +944,9 @@ class GeneratorMatrix:
     """Exact level-m restriction of the operator: the Markov jump generator.
 
     Its rates are the densities of ``tree`` times the exact |omega|-masses
-    of the states, and Q[x][x] is minus the rate out of x.  ``rows``
-    (exact) and ``matrix`` (float64) are dense forms built on demand: the
-    semigroup, the resolvent and the path sampler read ``tree`` alone; the
-    dense references and ``spectral_data`` read ``matrix``.  ``vector`` and
+    of the states, and Q[x][x] is minus the rate out of x.  ``tree`` is the
+    one form of Q that ``heat`` reads, through ``chain``, derived from it once;
+    ``rows``, the exact dense rows, is built only on demand.  ``vector`` and
     ``level_function`` move level functions into and out of state order.
     """
 
@@ -975,20 +975,21 @@ class GeneratorMatrix:
         return tuple(map(tuple, rows))
 
     @functools.cached_property
-    def matrix(self) -> np.ndarray:
-        """The rates as float64, read-only, one block per sibling pair."""
-        tree, m = self.tree, self.masses
-        index = [np.array(ins) for ins in tree.members]
-        q = np.zeros((self.size, self.size))
-        for a, b, d in tree.blocks():
-            col = [m[j] for j in tree.members[b]]
-            rate = {mass: float(d * mass) for mass in set(col)}
-            q[np.ix_(index[a], index[b])] = [rate[mass] for mass in col]
-        for ins, kids, rate in zip(tree.members, tree.children, tree.exits(m)[1]):
-            if not kids:
-                q[ins[0], ins[0]] = -float(rate)
-        q.flags.writeable = False
-        return q
+    def chain(self) -> CellChain:
+        """The ``CellChain`` of ``tree``, derived once."""
+        tree = self.tree
+        mass, out = [], [None] * len(tree.balls)
+        for ins, kids in zip(tree.members, tree.children):
+            mass.append(sum(mass[k] for k in kids) if kids else self.masses[ins[0]])
+        for a, row in zip(tree.tops, tree.cross):
+            out[a] = sum((d * mass[b] for b, d in zip(tree.tops, row) if b != a), Fraction(0))
+        for b in reversed(range(len(tree.balls))):
+            for k in tree.children[b]:
+                out[k] = out[b] + tree.density[b] * (mass[b] - mass[k])
+        q = tuple(tuple(-out[c] if d == c else v * mass[d] for d, v in zip(tree.tops, row))
+                  for c, row in zip(tree.tops, tree.cross))
+        lam = {b: out[b] + s * mass[b] for b, s in enumerate(tree.density) if s is not None}
+        return CellChain(tuple(mass), tuple(out), q, lam)
 
     def vector(self, u: LevelFunction) -> list:
         """u's values in state order; NotLocallyConstant names a missing state."""

@@ -1,11 +1,22 @@
 import json
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from mumford_heat import (Disc, FundamentalDomain, MoebiusMap, OperatorConfig,
                           RationalFunctionDatum, SchottkyGroup, build_profile)
 from mumford_heat.config import bundled_fixture
+
+
+# the multiplicative-coordinate form dz/z: f(z) = 1/z
+TATE_DATUM = RationalFunctionDatum(F(1), ((F(0), -1),))
+
+
+def dense(gen):
+    """The generator's rates as a float n x n array, from its exact rows: the
+    independent reference of the tree's semigroup and matvec."""
+    return np.array([[float(v) for v in row] for row in gen.rows])
 
 
 @pytest.fixture(scope="session")
@@ -21,7 +32,7 @@ def tate_group():
 
 @pytest.fixture(scope="session")
 def tate_datum():
-    return RationalFunctionDatum.tate()
+    return TATE_DATUM
 
 
 @pytest.fixture(scope="session")

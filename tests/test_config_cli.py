@@ -624,21 +624,63 @@ def test_a_cutoff_past_the_cap_is_refused_within_a_second(tate_path, tmp_path, c
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command,alpha,dense", [
-    ("resolvent", "1", ("rows", "matrix")), ("evolve", "1", ("rows", "matrix")),
-    ("sample", "1", ("rows", "matrix")), ("resolvent", "1/2", ("rows", "matrix")),
+@pytest.mark.parametrize("command,flags,field", [
+    ("resolvent", ["--eta", "1e10000000"], None),
+    ("spectrum", ["--cutoff-tol", "1e-10000000"], None),
+    ("validate", [], "1e10000000"),
+], ids=["eta", "cutoff-tol", "density"])
+def test_a_huge_decimal_exponent_is_refused_within_a_second(tate_run, tmp_path, capsys,
+                                                            command, flags, field):
+    # Fraction("1e10000000") builds 10^10000000 first, about 10 s; four
+    # digits of exponent still admit the density 1e1500 of the test below
+    raw = emit_config(tate_run)
+    if field is not None:
+        del raw["measure"]["datum"]
+        raw["measure"]["profile"] = profile = profile_dict(tate_run.operator.profile)
+        profile["pieces"][0]["density"] = field
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    start = time.perf_counter()
+    assert main([command, "-c", str(config), *flags, "-o", str(out)]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    name = flags[0] if flags else "measure.profile.pieces[0].density"
+    assert f"{name}: not an exact rational with a decimal exponent of at most 4 digits" in err
+    assert "Traceback" not in err and not out.exists()
+
+
+def test_a_sample_past_the_jump_budget_exits_3(tate_path, tmp_path, capsys):
+    # at alpha = 100 the hold rates reach 4.8e47 at level 2: the sampler
+    # would never finish, so it refuses before the first draw, as evolve
+    # breaks down on the same config
+    raw = json.loads(tate_path.read_text())
+    raw["operator"]["alpha"] = "100"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    start = time.perf_counter()
+    for command in ("sample", "evolve"):
+        out = tmp_path / command
+        assert main([command, "-c", str(config), "-o", str(out)]) == 3
+        assert not out.exists()
+    assert time.perf_counter() - start < 5.0
+    err = capsys.readouterr().err
+    assert f"past the budget of {heat.MAX_JUMPS:.0e}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command,alpha", [
+    ("resolvent", "1"), ("evolve", "1"), ("sample", "1"), ("resolvent", "1/2"),
 ], ids=["resolvent-dense0", "evolve-dense1", "sample-dense2", "resolvent-alpha1/2-dense3"])
 def test_commands_build_only_the_dense_forms_they_read(tate_path, tmp_path, monkeypatch,
-                                                       command, alpha, dense):
+                                                       command, alpha):
     # the resolvent (exact or float), the semigroup and the jump chain read
-    # the generator's sibling densities, and none builds the dense forms
+    # the generator's sibling densities, and none builds the dense rows
     raw = json.loads(tate_path.read_text())
     raw["operator"]["alpha"] = alpha
     config = tmp_path / "config.json"
     config.write_text(json.dumps(raw))
-    for attr in dense:
-        monkeypatch.setattr(GeneratorMatrix, attr, property(
-            lambda self, attr=attr: pytest.fail(f"{command} built GeneratorMatrix.{attr}")))
+    monkeypatch.setattr(GeneratorMatrix, "rows", property(
+        lambda self: pytest.fail(f"{command} built GeneratorMatrix.rows")))
     assert main([command, "-c", str(config), "--level", "3", "--initial", "indicator",
                  "--paths", "50", "-o", str(tmp_path / "out")]) == 0
 
@@ -650,7 +692,7 @@ def test_the_semigroup_runs_on_the_cells_only(tmp_path, monkeypatch, fixture, co
     # never of the n x n generator
     path = bundled_fixture(fixture)
     gen = generator_matrix(parse_config(path).operator_config(), 3)
-    cells = len(heat._cell_chain(gen)[0])
+    cells = len(gen.tree.tops)
     seen, honest = [], heat._semigroup
     monkeypatch.setattr(heat, "_semigroup", lambda q, t: seen.append(len(q)) or honest(q, t))
     assert main([command, "-c", str(path), "--level", "3", "--initial", "indicator",

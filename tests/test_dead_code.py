@@ -7,7 +7,9 @@ only tests call is a test oracle, and lives in tests/.
 A public name must be read outside its own definition in src/ (not counting
 the package's re-exports), in perfbench/, in tests/test_acceptance.py or in
 the README's Python sketch: a paper object stays only if a command, the
-benchmark, an acceptance criterion or the documented API reaches it.
+benchmark, an acceptance criterion or the documented API reaches it.  The
+same holds for each method and property of a class of src/mumford_heat,
+dunder methods aside: a method that only tests call is a test oracle.
 
 A read is a name, an attribute or a ``from ... import``; a recursive call
 inside the definition does not count, and neither does a mention in a string.
@@ -21,12 +23,21 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "mumford_heat"
 
 
-def _definitions(tree: ast.Module, public: bool = False) -> dict[str, tuple[int, int]]:
-    """{name: (first line, last line)} of the top-level private (or, with
+def _definitions(tree: ast.Module, public: bool = False) -> list[tuple[str, int, int]]:
+    """(name, first line, last line) of the top-level private (or, with
     ``public``, public) functions and classes."""
-    return {node.name: (node.lineno, node.end_lineno) for node in tree.body
+    return [(node.name, node.lineno, node.end_lineno) for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            and node.name.startswith("_") != public and not node.name.startswith("__")}
+            and node.name.startswith("_") != public and not node.name.startswith("__")]
+
+
+def _methods(tree: ast.Module) -> list[tuple[str, int, int]]:
+    """('Class.name', first line, last line) of the methods and properties of
+    the top-level classes, dunder methods aside."""
+    return [(f"{cls.name}.{node.name}", node.lineno, node.end_lineno)
+            for cls in tree.body if isinstance(cls, ast.ClassDef) for node in cls.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (node.name.startswith("__") and node.name.endswith("__"))]
 
 
 def _reads(tree: ast.Module):
@@ -42,19 +53,20 @@ def _reads(tree: ast.Module):
 
 
 def _unread(sources: dict[str, str], readers: dict[str, str] | None = None,
-            public: bool = False) -> list[str]:
-    """'module:name' of each private (or public) definition of ``sources``
-    that no module of ``sources`` or ``readers`` reads outside the
-    definition itself."""
+            public: bool = False, methods: bool = False) -> list[str]:
+    """'module:name' of each private (or public, or with ``methods`` each
+    method's 'Class.name') definition of ``sources`` whose name no module of
+    ``sources`` or ``readers`` reads outside the definition itself."""
     trees = {module: ast.parse(text) for module, text in sources.items()}
     reads = {module: list(_reads(ast.parse(text)))
              for module, text in {**sources, **(readers or {})}.items()}
     unread = []
     for module, tree in trees.items():
-        for name, (first, last) in _definitions(tree, public).items():
+        for label, first, last in _methods(tree) if methods else _definitions(tree, public):
+            name = label.rpartition(".")[2]
             if not any(read == name and (other != module or not first <= line <= last)
                        for other, found in reads.items() for read, line in found):
-                unread.append(f"{module}:{name}")
+                unread.append(f"{module}:{label}")
     return unread
 
 
@@ -64,7 +76,9 @@ def test_every_private_definition_is_read_in_src():
     assert _unread(sources) == []
 
 
-def test_every_public_definition_has_a_reader():
+def _public_sources_and_readers() -> tuple[dict[str, str], dict[str, str]]:
+    """The modules of src/mumford_heat but its re-exports, and the readers
+    outside src/: perfbench/, the acceptance tests and the README sketch."""
     sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))
                if path.name != "__init__.py"}
     readers = {str(path.relative_to(ROOT)): path.read_text()
@@ -72,9 +86,20 @@ def test_every_public_definition_has_a_reader():
     readers["tests/test_acceptance.py"] = (ROOT / "tests" / "test_acceptance.py").read_text()
     readers["README.md"] = "\n".join(
         re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S))
+    return sources, readers
+
+
+def test_every_public_definition_has_a_reader():
+    sources, readers = _public_sources_and_readers()
     assert sum(len(_definitions(ast.parse(text), public=True))
                for text in sources.values()) > 40
     assert _unread(sources, readers, public=True) == []
+
+
+def test_every_method_and_property_has_a_reader():
+    sources, readers = _public_sources_and_readers()
+    assert sum(len(_methods(ast.parse(text))) for text in sources.values()) > 40
+    assert _unread(sources, readers, methods=True) == []
 
 
 def test_a_definition_read_only_by_itself_or_in_a_string_is_caught():
@@ -98,3 +123,17 @@ def test_an_unread_public_definition_is_caught():
     readers = {"README.md": "from a import Shown\n"}
     assert _unread(sources, readers, public=True) == ["a.py:alone"]
     assert _unread(sources, public=True) == ["a.py:alone", "a.py:Shown"]
+
+
+def test_an_unread_method_or_property_is_caught():
+    sources = {
+        "a.py": "class Box:\n"
+                "    def used(self):\n        return self.shown\n\n"
+                "    @property\n    def shown(self):\n        return 1\n\n"
+                "    def alone(self, n):\n        return self.alone(n - 1)\n\n"
+                "    def __len__(self):\n        return 0\n\n\n"
+                "def public():\n    return 'Box().alone(1)'\n",
+    }
+    readers = {"README.md": "Box().used()\n"}
+    assert _unread(sources, readers, methods=True) == ["a.py:Box.alone"]
+    assert _unread(sources, methods=True) == ["a.py:Box.used", "a.py:Box.alone"]

@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 import mumford_heat.operator as operator
 from mumford_heat.config import ValidationError, config_from_dict
 from mumford_heat.exactnum import PowerSum
-from mumford_heat.heat import (_cell_chain, _laws, _solve_exact, resolvent_solve,
-                               solve_cauchy, transition_matrix)
+from mumford_heat.heat import (_laws, _semigroup, _solve_exact, resolvent_solve,
+                               solve_cauchy, spectral_data, transition_matrix)
 from mumford_heat.measure import MeasureProfile, RationalFunctionDatum, build_profile
 from mumford_heat.operator import (ChartNotSupported, CoincidentPoints,
                                    OperatorConfig, _fold, _group_histograms,
@@ -29,6 +29,7 @@ from mumford_heat.padic import Disc, PoleHit, abs_p, haar_measure, valuation
 from mumford_heat.schottky import (DomainInvalid, GroupWord, MoebiusMap, SchottkyGroup,
                                    region_image, words_with_maps)
 from mumford_heat.wavelets import LevelFunction, admissible_supports, state_discs
+from conftest import TATE_DATUM, dense
 
 ID = GroupWord.identity()
 
@@ -410,11 +411,11 @@ def schottky_figures(draw):
 @given(figure=schottky_figures())
 def test_random_figures_match_the_references(figure):
     """On random Schottky figures: every engine caller pruned and with every
-    word walked, the generator's rows and float matrix, built from its
-    tree, against one fold per state pair; the tree's dimension count and
-    trace identity; the multiresolution resolvent against the dense exact
-    solve; and the heat flow and the validation law, read from the split
-    balls, against the dense semigroup."""
+    word walked, the generator's rows, built from its tree, against one fold
+    per state pair; the tree's dimension count and trace identity; the
+    multiresolution resolvent against the dense exact solve; the heat flow,
+    the validation law and P_t, read from the split balls, against the
+    dense semigroup; and ``spectral_data`` against the dense solve."""
     cfg, level = figure
     chart = GroupWord((-1,)) if cfg.group.genus == 1 else GroupWord((-1, 2))
     pruned = every_caller(cfg, level, chart)
@@ -422,9 +423,9 @@ def test_random_figures_match_the_references(figure):
         walk_everything(mp)
         assert pruned == every_caller(cfg, level, chart)
     gen = generator_matrix(cfg, level)
+    assert gen.states == tuple(state_discs(cfg.domain, cfg.profile, level))
     ref = ref_generator_per_pair(cfg, level, 3)
     assert gen.rows == ref  # derived from the tree's densities
-    assert np.array_equal(gen.matrix, np.array([[float(v) for v in row] for row in ref]))
     assert_tree_accounts_for_the_states_and_the_trace(gen)
     h = [F(i % 3 - 1, i + 2) for i in range(gen.size)]
     system = [[int(i == k) - gen.rows[i][k] for k in range(gen.size)] for i in range(gen.size)]
@@ -433,9 +434,22 @@ def test_random_figures_match_the_references(figure):
     flow = solve_cauchy(gen, gen.level_function(h), times).values
     laws = _laws(gen, 0, times)
     for k, t in enumerate(times):
-        p = transition_matrix(gen, t).matrix
+        p = _semigroup(dense(gen), t)
+        assert np.max(np.abs(transition_matrix(gen, t).matrix - p)) < 1e-12
         assert np.max(np.abs(flow[k] - p @ [float(v) for v in h])) < 1e-12
         assert np.max(np.abs(laws[k] - p[0])) < 1e-12
+    assert_spectral_data_matches_the_dense_solve(cfg, gen)
+
+
+def assert_spectral_data_matches_the_dense_solve(cfg, gen):
+    """``spectral_data``'s basis^-1 Q basis, Q basis from one tree descent,
+    against solve(basis, dense(gen) @ basis) on the basis it solved in."""
+    bases, honest = [], np.linalg.solve
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "solve", lambda a, b: bases.append(a) or honest(a, b))
+        data = spectral_data(cfg, gen)
+    (basis,) = bases
+    assert np.max(np.abs(data.triangular - honest(basis, dense(gen) @ basis))) < 1e-12
 
 
 def full_walk_size(cfg, length):
@@ -454,7 +468,7 @@ def test_genus2_walks_only_the_co_hole_chain(genus2_cfg, monkeypatch):
 def test_transformed_charts_prune_nothing(request, monkeypatch, name):
     # g1 = 9z moves F into its own target hole, so the chart's cells meet it
     base = dataclasses.replace(request.getfixturevalue(name), cutoff_len=4)
-    datum = (RationalFunctionDatum.tate() if name == "tate_cfg"
+    datum = (TATE_DATUM if name == "tate_cfg"
              else RationalFunctionDatum.constant())
     phi = base.group.word_map(GroupWord((1,)))
     work = transformed_config(base, datum, phi)
@@ -526,7 +540,25 @@ def test_split_balls_match_per_pair_folds_at_level_4(request, name, length, vari
     gen = generator_matrix(cfg, 4)
     ref = ref_generator_per_pair(cfg, 4, length)
     assert gen.rows == ref
-    assert np.array_equal(gen.matrix, np.array([[float(v) for v in row] for row in ref]))
+
+
+@pytest.mark.parametrize("name,level", [
+    *((name, level) for name in ("tate_cfg", "genus2_cfg") for level in (2, 3, 4, 5)),
+    ("z/9 chart", 2), ("z/9 chart", 3),  # uncertified: every word walked per state pair
+])
+def test_the_states_are_the_state_discs_in_centre_order(request, name, level):
+    # _split_balls walks the disc tree in its own order; the generator's
+    # states must still be wavelets.state_discs, sorted by centre
+    if name == "z/9 chart":
+        base = request.getfixturevalue("tate_cfg")
+        cfg = transformed_config(base, TATE_DATUM,
+                                 base.group.word_map(GroupWord((-1,))))
+    else:
+        cfg = request.getfixturevalue(name)
+    cfg = dataclasses.replace(cfg, cutoff_len=3)
+    states = tuple(state_discs(cfg.domain, cfg.profile, level))
+    assert states == tuple(sorted(states, key=lambda d: d.center))
+    assert generator_matrix(cfg, level).states == states
 
 
 @pytest.mark.parametrize("level", [3, 4, 5, 6])
@@ -550,9 +582,9 @@ def assert_tree_accounts_for_the_states_and_the_trace(gen):
     assert sorted(x for a in tree.tops for x in tree.members[a]) == list(range(gen.size))
     for ins, kids in zip(tree.members, tree.children):
         assert not kids or list(ins) == [x for k in kids for x in tree.members[k]]
-    cells, chain, lam, _ = _cell_chain(gen)
+    chain, lam = gen.chain.q, gen.chain.lam
     wavelets = {b: len(gen.tree.children[b]) - 1 for b in lam}
-    assert len(cells) + sum(wavelets.values()) == gen.size
+    assert len(tree.tops) + sum(wavelets.values()) == gen.size
     trace = sum((row[i] for i, row in enumerate(gen.rows)), F(0))
     assert trace + sum((k * lam[b] for b, k in wavelets.items()), F(0)) == sum(
         (row[i] for i, row in enumerate(chain)), F(0))
@@ -635,7 +667,7 @@ def test_a_chart_whose_states_meet_the_holes_sums_every_state_pair(tate_cfg, mon
     # word may map a ball onto a disc around such a state, so the split
     # balls need the states off the holes, and every ball is a state
     base = dataclasses.replace(tate_cfg, cutoff_len=4)
-    work = transformed_config(base, RationalFunctionDatum.tate(),
+    work = transformed_config(base, TATE_DATUM,
                               base.group.word_map(GroupWord((-1,))))
     handed = engine_pairs(monkeypatch)
     gen = generator_matrix(work, 2)

@@ -15,14 +15,14 @@ from mumford_heat.heat import (ROW_SUM_TOL, NumericalBreakdown, SingularSystem,
                                resolvent_solve, sample_paths, solve_cauchy,
                                spectral_data, transition_matrix)
 from mumford_heat import heat
-from mumford_heat.measure import RationalFunctionDatum
 from mumford_heat.operator import (GeneratorMatrix, NotLocallyConstant, SplitTree,
                                    generator_matrix, lambda_exact,
                                    transformed_config)
 from mumford_heat.padic import Disc
 from mumford_heat.schottky import GroupWord
 from mumford_heat.wavelets import LevelFunction, Wavelet, admissible_supports, wavelet_eval
-from test_groupsum import schottky_figures
+from conftest import TATE_DATUM, dense
+from test_groupsum import assert_spectral_data_matches_the_dense_solve, schottky_figures
 
 
 @pytest.fixture(scope="module")
@@ -43,7 +43,7 @@ def tate_lambda(tate_cfg):
 def stationary(gen):
     """The invariant law pi of the chain, pi Q = 0 with sum(pi) = 1, by least
     squares on the stacked system."""
-    a = np.vstack([gen.matrix.T, np.ones(gen.size)])
+    a = np.vstack([dense(gen).T, np.ones(gen.size)])
     return np.linalg.lstsq(a, np.eye(gen.size + 1)[-1], rcond=None)[0]
 
 
@@ -106,7 +106,7 @@ class TestTransitionMatrix:
         from scipy.linalg import expm
         g = (gen if fixture.startswith("tate")
              else request.getfixturevalue("genus2_level3")[1])
-        q = g.matrix
+        q = dense(g)
         if t == "50/gap":
             t = 50.0 / np.sort(np.abs(np.linalg.eigvals(q).real))[1]
         p = transition_matrix(g, t)
@@ -152,7 +152,7 @@ class TestTransitionMatrix:
     def test_spectral_vs_dense(self, gen):
         ps = transition_matrix(gen, 1.0).matrix
         from scipy.linalg import expm
-        pd = expm(gen.matrix)
+        pd = expm(dense(gen))
         assert np.max(np.abs(ps - pd)) < 1e-10
 
     def test_long_time_limit_is_stationary(self, gen, data, tate_lambda):
@@ -165,6 +165,12 @@ class TestTransitionMatrix:
 
 
 class TestCauchy:
+    def test_an_empty_time_grid_gives_no_rows(self, gen):
+        # run.times may be empty: evolve then writes a header only
+        h0 = LevelFunction.constant(2, gen.states, 1.0)
+        assert solve_cauchy(gen, h0, []).values.size == 0
+        assert heat._laws(gen, 0, []).shape == (0, gen.size)
+
     def test_wavelet_initial_condition_decays_exactly(self, tate_cfg, gen, tate_lambda):
         w = Wavelet(Disc(F(1), -1), 1, 3)
         h0 = LevelFunction.from_mapping(
@@ -347,10 +353,10 @@ class TestResolvent:
         u = resolvent_solve(half, F(1), h).as_dict()
         vec = np.array([u[d] for d in half.states])
         assert vec.dtype == np.float64
-        residual = (np.eye(half.size) - half.matrix) @ vec
+        residual = (np.eye(half.size) - dense(half)) @ vec
         assert np.max(np.abs(residual - np.eye(half.size)[0])) < 1e-12
-        dense = np.linalg.solve(np.eye(half.size) - half.matrix, np.eye(half.size)[0])
-        assert np.allclose(vec, dense, rtol=1e-12, atol=0)
+        ref = np.linalg.solve(np.eye(half.size) - dense(half), np.eye(half.size)[0])
+        assert np.allclose(vec, ref, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("level", [2, 3, 5])
     @pytest.mark.parametrize("name", ["tate_cfg", "genus2_cfg"])
@@ -363,9 +369,9 @@ class TestResolvent:
                                       for _ in gen.states]):
             for eta in (F(1), F(1, 3), 2.5):
                 u = gen.vector(resolvent_solve(gen, eta, gen.level_function(vals)))
-                dense = np.linalg.solve(float(eta) * np.eye(gen.size) - gen.matrix,
-                                        [float(v) for v in vals])
-                assert np.max(np.abs(np.array(u) / dense - 1)) < 1e-12
+                ref = np.linalg.solve(float(eta) * np.eye(gen.size) - dense(gen),
+                                      [float(v) for v in vals])
+                assert np.max(np.abs(np.array(u) / ref - 1)) < 1e-12
 
     @pytest.mark.parametrize("level", [2, 3])
     @pytest.mark.parametrize("name,alpha,alpha_g", [
@@ -452,7 +458,7 @@ class TestMultiresolution:
         # the paper's theorem: each admissible support is certified, and its
         # rate read off the split balls is lambda_exact at the same cutoff
         cfg, gen = certified(name, level)
-        lam = heat._cell_chain(gen)[2]
+        lam = gen.chain.lam
         rates = {gen.tree.balls[b]: v for b, v in lam.items()}
         assert all(rates[b] == lambda_exact(cfg, b, gen.cutoff).value
                    for b in admissible_supports(cfg.profile, level))
@@ -468,7 +474,7 @@ class TestMultiresolution:
 
     @pytest.mark.parametrize("build", [
         lambda cfg: generator_matrix(transformed_config(
-            cfg, RationalFunctionDatum.tate(), cfg.group.word_map(GroupWord((-1,)))), 1),
+            cfg, TATE_DATUM, cfg.group.word_map(GroupWord((-1,)))), 1),
         lambda cfg: doubled(generator_matrix(cfg, 2)),
         lambda cfg: two_state_toy(),
         lambda cfg: three_state_toy(),
@@ -491,18 +497,26 @@ TIMES = [1e-6, 0.3, 1.0, 7.0, 50.0]
 @pytest.mark.parametrize("level", [2, 3, 4, 5])
 @pytest.mark.parametrize("name", ["tate-p3", "genus2-p3"])
 def test_the_tree_semigroup_matches_the_dense_one(certified, name, level):
-    # solve_cauchy and the validation law read P_t from the split balls;
-    # transition_matrix is the dense uniformization of gen.matrix
+    # solve_cauchy, the validation law and transition_matrix read P_t from
+    # the split balls; the reference is the dense uniformization of the rows
     _, gen = certified(name, level)
     h = np.random.default_rng(level).standard_normal(gen.size)
     flow = solve_cauchy(gen, gen.level_function(h), TIMES).values
     starts = (0, gen.size - 1)
     laws = [heat._laws(gen, x, TIMES) for x in starts]
     for k, t in enumerate(TIMES):
-        p = transition_matrix(gen, t).matrix
+        p = heat._semigroup(dense(gen), t)
+        assert np.max(np.abs(transition_matrix(gen, t).matrix - p)) < 1e-12
         assert np.max(np.abs(flow[k] - p @ h)) < 1e-12
         for x, law in zip(starts, laws):
             assert np.max(np.abs(law[k] - p[x])) < 1e-12
+
+
+@pytest.mark.parametrize("level", [2, 3, 4, 5])
+@pytest.mark.parametrize("name", ["tate-p3", "genus2-p3"])
+def test_the_tree_matvec_matches_the_dense_one(certified, name, level):
+    # spectral_data reads Q basis from one descent of the split balls
+    assert_spectral_data_matches_the_dense_solve(*certified(name, level))
 
 
 def doubled(gen):
@@ -521,6 +535,12 @@ def test_missing_state_is_named(gen, consumer):
         gen.level, {d: F(1) for d in gen.states if d != missing})
     with pytest.raises(NotLocallyConstant, match=re.escape(repr(missing))):
         consumer(gen, h)
+
+
+def state_at(path, t):
+    """The state of one path view at time t, right-continuous: the oracle of
+    ``PathColumns.states_at``."""
+    return int(path.states[np.searchsorted(path.jump_times, t, side="right")])
 
 
 class TestSampling:
@@ -561,6 +581,14 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample_paths(absorbing, 5, 1.0, seed=1)
 
+    def test_a_sample_past_the_jump_budget_is_a_breakdown(self, gen, monkeypatch):
+        # the largest hold rate times t_max times the paths bounds the jumps
+        monkeypatch.setattr(heat, "MAX_JUMPS", 1000)
+        rate = max(float(-row[i]) for i, row in enumerate(gen.rows))
+        assert len(sample_paths(gen, 10, 0.99 * 100 / rate, seed=1)) == 10
+        with pytest.raises(NumericalBreakdown, match="past the budget of 1e"):
+            sample_paths(gen, 10, 1.01 * 100 / rate, seed=1)
+
     @pytest.mark.parametrize("t_max", [math.inf, math.nan, -1.0])
     def test_non_finite_or_negative_horizon_rejected(self, gen, t_max):
         with pytest.raises(ValueError):
@@ -570,11 +598,11 @@ class TestSampling:
         for path in sample_paths(gen, 50, 2.0, seed=1):
             assert len(path.states) == len(path.jump_times) + 1
             assert all(a < b for a, b in zip(path.jump_times, path.jump_times[1:]))
-            assert path.state_at(0.0) == path.states[0]
+            assert state_at(path, 0.0) == path.states[0]
             if len(path.jump_times):
                 t0 = path.jump_times[0]
-                assert path.state_at(t0) == path.states[1]  # right continuous
-                assert path.state_at(t0 - 1e-12) == path.states[0]
+                assert state_at(path, t0) == path.states[1]  # right continuous
+                assert state_at(path, t0 - 1e-12) == path.states[0]
 
     def test_hold_rates_positive(self, gen):
         assert all(-row[i] > 0 for i, row in enumerate(gen.rows))
@@ -589,7 +617,7 @@ class TestSampling:
         report = empirical_validation(gen, paths, [1.0])
         assert report.passed
         # reweight one transition row by 10 percent: the test must have power
-        skewed = gen.matrix.copy()
+        skewed = dense(gen)
         skewed[0] *= 1.1
         rows = tuple(tuple(F(x).limit_denominator(10 ** 9) for x in row)
                      for row in skewed)
@@ -608,7 +636,7 @@ class TestSampling:
         sample = sample_paths(gen, 300, 2.0, seed=2)
         probes = [0.0, 0.3, 1.999, *sample[7].jump_times[:2]]  # jump instants too
         for t in probes:
-            assert sample.states_at(t).tolist() == [p.state_at(t) for p in sample]
+            assert sample.states_at(t).tolist() == [state_at(p, t) for p in sample]
 
 
 def assert_jump_law(gen):
@@ -617,7 +645,7 @@ def assert_jump_law(gen):
     Q[x][y] / -Q[x][x] to 1e-15, and the entries' balls tile the states
     y != x with Q[x][y] != 0."""
     rate, balls, rates = heat._jump_table(gen)
-    members, mass = gen.tree.members, gen.tree.exits(gen.masses)[0]
+    members, mass = gen.tree.members, gen.chain.mass
     for x, row in enumerate(gen.rows):
         assert rate[x] == float(-row[x])
         law = {}
@@ -690,7 +718,7 @@ def test_law_over_many_seeds(gen):
                    if t > 0]
     n_paths, seeds = 4000, range(200)
     per_seed = sum(_false_alarm_rate(
-        transition_matrix(gen, t).matrix[0], n_paths)
+        heat._semigroup(dense(gen), t)[0], n_paths)
         for t in checkpoints)
     assert 0 < per_seed < 0.01
     failed = sum(not empirical_validation(

@@ -9,6 +9,7 @@ from mumford_heat.measure import (MeasureProfile, RationalFunctionDatum,
                                   ResolutionTooCoarse, RootInsideDisc,
                                   build_profile, local_abs)
 from mumford_heat.schottky import FundamentalDomain
+from conftest import TATE_DATUM
 from test_groupsum import schottky_figures
 
 
@@ -156,7 +157,7 @@ def outcome(build, datum, domain, resolution):
 
 # zeros at 3 and 4 lie in F for both fixtures; the pole 0 lies in a hole,
 # and so does the root 0 of multiplicity 0, while 4 lies in F
-COALESCE_DATA = [RationalFunctionDatum.tate(), RationalFunctionDatum.constant(),
+COALESCE_DATA = [TATE_DATUM, RationalFunctionDatum.constant(),
                  RationalFunctionDatum(F(2), ((F(3), 1), (F(4), 2), (F(0), -1))),
                  RationalFunctionDatum(F(1), ((F(0), 0), (F(3), 1))),
                  RationalFunctionDatum(F(1), ((F(4), 0),))]
