@@ -3,8 +3,10 @@
 Outputs are deterministic: identical config, flags and seed produce
 byte-identical files.  Every artifact embeds the config hash, the evaluation
 mode, the resolved cutoff length and the certified tail bound at that
-cutoff.  Exit codes: 0 success, 1 a failed ``paths.csv`` worker, 2 validation
-failure, 3 numerical breakdown.
+cutoff.  ``sample`` draws, counts and formats its paths in up to one process
+per usable CPU, and its bytes do not depend on their number.  Exit codes: 0
+success, 1 a failed ``paths.csv`` worker, 2 validation failure, 3 numerical
+breakdown.
 """
 
 from __future__ import annotations
@@ -13,27 +15,28 @@ import argparse
 import json
 import os
 import sys
-from bisect import bisect_left
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from itertools import chain, pairwise, repeat
 from operator import sub
 from pathlib import Path
 
+import numpy as np
+
 from .audit import audit_lemmas
 from .config import (ParseError, RunConfig, ValidationError, check_level,
                      emit_config, format_rational, parse_config, parse_cutoff,
                      parse_int, parse_positive_rational, parse_times)
 from .heat import (NumericalBreakdown, PathColumns, SingularSystem,
-                   empirical_validation, resolvent_solve, sample_paths,
-                   solve_cauchy)
+                   empirical_validation, jump_chain, resolvent_solve,
+                   sample_paths, solve_cauchy, wavelet_column)
 from .measure import RationalFunctionDatum
 from .operator import (ChartNotSupported, CoincidentPoints, CutoffNotReached,
                        OperatorConfig, RatioNotConstant, generator_matrix,
                        spectrum, tail_bound)
 from .padic import PoleHit
 from .schottky import DomainInvalid, verify_fundamental_domain
-from .wavelets import LevelFunction, admissible_wavelets, wavelet_eval
+from .wavelets import LevelFunction, Wavelet
 
 
 def _scalar_str(value) -> str:
@@ -149,15 +152,14 @@ def _start_state(run: RunConfig, gen) -> int:
 def _default_initial(run: RunConfig, op: OperatorConfig, gen, args) -> LevelFunction:
     kind = args.initial
     if kind == "wavelet":
-        wavelets = admissible_wavelets(op.profile, gen.level)
-        if not wavelets:
+        # the first admissible support: a largest piece the level resolves
+        pieces = [d for d, _ in op.profile.pieces if d.radius_exp > -gen.level]
+        if not pieces:
             raise ValidationError("--level" if args.level is not None else "run.level",
                                   "no admissible wavelet at this level; "
                                   "use --initial indicator")
-        w = wavelets[0]
-        return gen.level_function(
-            [complex(wavelet_eval(w, d.center, op.profile, "omega")).real
-             for d in gen.states])
+        w = Wavelet(min(pieces, key=lambda d: (-d.radius_exp, d.center)), 1, op.p)
+        return gen.level_function(wavelet_column(w, gen.states, op.profile).real.tolist())
     if kind == "indicator":
         idx = _start_state(run, gen)
         return gen.level_function([float(i == idx) for i in range(gen.size)])
@@ -182,20 +184,18 @@ def cmd_evolve(run: RunConfig, op: OperatorConfig, out: Path, args) -> int:
 PATH_CHUNK = 1024  # paths per block of paths.csv text
 
 
-def _path_blocks(paths: PathColumns, tails: list[str], blocks: range) -> Iterator[str]:
-    """The rows of ``paths.csv`` for ``blocks``, one string per block of
-    PATH_CHUNK paths (block b holds paths b*PATH_CHUNK onwards).
-
-    A row is three pieces: its path id and a comma, the float repr of its
-    time, and ``tails[state]``, which holds the state's columns and the
-    newline."""
-    for first in range(blocks.start * PATH_CHUNK, blocks.stop * PATH_CHUNK, PATH_CHUNK):
-        block = paths[first:first + PATH_CHUNK]
+def _path_blocks(paths: PathColumns, tails: list[str], first: int) -> Iterator[str]:
+    """The rows of ``paths.csv`` for ``paths``, path ids from ``first``, one
+    string per block of PATH_CHUNK paths.  A row is three pieces: its path id
+    and a comma, the float repr of its time, and ``tails[state]``, which
+    holds the state's columns and the newline."""
+    for lo in range(first, first + len(paths), PATH_CHUNK):
+        block = paths[lo - first:lo - first + PATH_CHUNK]
         bounds = block.offsets.tolist()
         pieces = [""] * (3 * bounds[-1])
         # one id string per path, repeated once per row of the path
         pieces[0::3] = chain.from_iterable(
-            map(repeat, map("{},".format, range(first, first + len(block))),
+            map(repeat, map("{},".format, range(lo, lo + len(block))),
                 map(sub, bounds[1:], bounds)))
         pieces[1::3] = map(repr, block.times.tolist())
         pieces[2::3] = map(tails.__getitem__, block.states.tolist())
@@ -203,93 +203,75 @@ def _path_blocks(paths: PathColumns, tails: list[str], blocks: range) -> Iterato
 
 
 def _usable_cpus() -> int:
-    """The CPUs this process may run on: its affinity set where the platform
-    has one, else every CPU."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+    """The CPUs this process may run on: its affinity set, else every CPU."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
-def _block_ranges(paths: PathColumns, k: int) -> list[range]:
-    """At most k contiguous, non-empty ranges of the PATH_CHUNK blocks, with
-    about equal row counts: range j ends at the first block whose rows,
-    counted from the start, reach (j + 1)/k of all rows."""
-    n = len(paths)
-    rows = paths.offsets[[*range(PATH_CHUNK, n, PATH_CHUNK), n]].tolist()
-    cuts = [0, *(bisect_left(rows, rows[-1] * j / k) + 1 for j in range(1, k)), len(rows)]
-    return [range(a, b) for a, b in pairwise(cuts) if a < b]
-
-
-def _path_rows(paths: PathColumns, tails: list[str]) -> Iterator[str]:
-    """The rows of ``paths.csv`` in order, formatted on the usable CPUs.
-
-    The blocks split into one contiguous range per CPU (``_block_ranges``).
-    A single range, or a platform without ``os.fork``, is formatted here,
-    block by block, and starts no process; else see ``_forked_rows``.  The
-    text does not depend on the number of ranges."""
-    n_blocks = -(-len(paths) // PATH_CHUNK)
-    ranges = _block_ranges(paths, min(_usable_cpus(), n_blocks))
-    if len(ranges) == 1 or not hasattr(os, "fork"):
-        return _path_blocks(paths, tails, range(n_blocks))
-    return _forked_rows(paths, tails, ranges)
+def _ranges(n_paths: int) -> list[range]:
+    """Contiguous ranges of whole PATH_CHUNK blocks (the last may be partial), one
+    per usable CPU but at most one per block, and one without ``os.fork``."""
+    n_blocks = -(-n_paths // PATH_CHUNK)
+    k = min(_usable_cpus(), n_blocks) if hasattr(os, "fork") else 1
+    cuts = [n_blocks * j // k * PATH_CHUNK for j in range(k)]
+    return [range(a, b) for a, b in pairwise([*cuts, n_paths])]
 
 
 PIPE_READ = 1 << 16  # bytes copied from a worker's pipe at a time
 
 
-def _forked_rows(paths: PathColumns, tails: list[str], ranges: list[range]) -> Iterator[str]:
-    """The rows of ``ranges``, the first formatted here and each other one
-    by a forked worker, which formats its whole range and then writes it to
-    a pipe.  The parent yields its own range block by block, then each
-    worker's text in order, PIPE_READ bytes at a time, so no range is held
-    whole in this process.
-
-    The fork is safe in a process with threads (a BLAS pool, say): the
-    worker only slices arrays and formats strings, and calls no BLAS.  It
-    leaves by ``os._exit`` on every path, so it never flushes this process's
-    buffered files.  The read ends are closed before the workers are
-    waited for, so a worker blocked on a full pipe, when the rows are not
-    read to the end, fails with a broken pipe instead of hanging.  A worker
-    that did not exit 0 raises ChildProcessError once every row is out."""
-    pids: list[int] = []
-    reads: list[int] = []
+def _sampled_rows(draw, ranges: list[range], tails: list[str], counts: list) -> Iterator[str]:
+    """The rows of ``paths.csv``; ``draw(ids)`` gives a range's checkpoint counts
+    and sample, and the counts go to ``counts``.  A forked worker per range but
+    the first draws it and writes to a pipe its counts (little-endian int64),
+    then its text; this process yields the first range block by block, then
+    copies each pipe.  A worker calls no BLAS, so a BLAS pool's threads are no
+    hazard, and leaves by ``os._exit``, flushing no file of this process.  The
+    pipes close before the workers are waited for, so one blocked on a full
+    pipe fails instead of hanging; one that did not exit 0 raises ChildProcessError."""
+    pids, pipes = [], []
     try:
-        for blocks in ranges[1:]:
+        for ids in ranges[1:]:
             read_end, write_end = os.pipe()
-            reads.append(read_end)
+            pipes.append(open(read_end, "rb"))
             try:
-                pid = os.fork()
-                if pid == 0:
-                    _format_in_worker(paths, tails, blocks, reads, write_end)
+                if (pid := os.fork()) == 0:
+                    _work(draw, ids, tails, pipes, write_end)
             finally:
                 os.close(write_end)  # only the parent gets here
             pids.append(pid)
-        yield from _path_blocks(paths, tails, ranges[0])
-        for read_end in reads:
-            while piece := os.read(read_end, PIPE_READ):
+        own, paths = draw(ranges[0])
+        counts.append(own)
+        yield from _path_blocks(paths, tails, 0)
+        del paths  # freed before the workers' text is copied: a lower peak
+        for pipe in pipes:
+            if len(head := pipe.read(own.nbytes)) < own.nbytes:
+                break  # the worker died before its counts: its status raises
+            counts.append(np.frombuffer(head, "<i8").reshape(own.shape))
+            while piece := pipe.read(PIPE_READ):
                 yield piece.decode("ascii")
     finally:
-        for read_end in reads:
-            os.close(read_end)
+        for pipe in pipes:
+            pipe.close()
         statuses = [os.waitpid(pid, 0)[1] for pid in pids]
-    for blocks, status in zip(ranges[1:], statuses):
+    for ids, status in zip(ranges[1:], statuses):
         if status:
-            raise ChildProcessError(
-                f"paths.csv: the worker formatting blocks {blocks.start}-"
-                f"{blocks.stop - 1} exited with status {os.waitstatus_to_exitcode(status)}")
+            raise ChildProcessError(f"paths.csv: the worker on paths {ids.start}-{ids.stop - 1} "
+                                    f"exited with status {os.waitstatus_to_exitcode(status)}")
 
 
-def _format_in_worker(paths: PathColumns, tails: list[str], blocks: range,
-                      reads: list[int], write_end: int):
-    """A forked worker's whole life: format ``blocks`` into memory, write the
-    text to ``write_end`` and exit, with status 0 only if all of it went."""
+def _work(draw, ids: range, tails: list[str], pipes: list, write_end: int):
+    """A forked worker's whole life: draw, count and format ``ids``, write it
+    all to ``write_end`` and exit, with status 0 only if all of it went."""
     status = 1
     try:
-        for read_end in reads:  # its own and those of earlier workers
-            os.close(read_end)
-        text = list(_path_blocks(paths, tails, blocks))
-        with open(write_end, "w", encoding="ascii") as pipe:
-            pipe.writelines(text)
+        for pipe in pipes:  # its own read end and those of earlier workers
+            pipe.close()
+        counts, paths = draw(ids)
+        text = list(_path_blocks(paths, tails, ids.start))
+        with open(write_end, "wb") as pipe:
+            pipe.write(counts.astype("<i8").tobytes())
+            pipe.writelines(map(str.encode, text))
         status = 0
     finally:
         os._exit(status)
@@ -304,17 +286,23 @@ def cmd_sample(run: RunConfig, op: OperatorConfig, out: Path, args) -> int:
     gen = generator_matrix(op, level)
     start = _start_state(run, gen)
     t_max = max(run.run.times) if run.run.times else 1.0
-    paths = sample_paths(gen, n_paths, t_max, seed, start_index=start)
+    jumps = jump_chain(gen, n_paths, t_max, seed)  # refuses before any process starts
+    checkpoints = [t for t in run.run.times if 0 < t <= t_max]
+
+    def draw(ids: range) -> tuple:
+        paths = sample_paths(gen, n_paths, t_max, seed, start, paths=ids, chain=jumps)
+        return paths.counts(checkpoints, gen.size), paths
+
     meta = _meta(run, op)
     lines = _header_lines(meta)
     lines.append(f"# seed={seed} t_max={t_max!r} start_state={start}\n")
     lines.append("path_id,jump_time,state_index,state_center,state_radius_exp\n")
     tails = [f",{i},{format_rational(d.center)},{d.radius_exp}\n"
              for i, d in enumerate(gen.states)]
-    _write(out / "paths.csv", chain(lines, _path_rows(paths, tails)))
-    checkpoints = [t for t in run.run.times if 0 < t <= t_max]
+    counts = []
+    _write(out / "paths.csv", chain(lines, _sampled_rows(draw, _ranges(n_paths), tails, counts)))
     if checkpoints:
-        report = empirical_validation(gen, paths, checkpoints, start_index=start)
+        report = empirical_validation(gen, sum(counts), checkpoints, start_index=start)
         payload = {
             "meta": meta,
             "n_paths": report.n_paths,

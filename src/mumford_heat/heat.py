@@ -12,10 +12,11 @@ lambda)) and Q basis in ``spectral_data`` (f = -lambda); no n x n float
 copy of Q is built.  Paths follow the exact jump-chain construction on the
 same tree (exponential holds at the exit rate, a jump into a sibling ball of
 an ancestor or another maximal ball by its rate, then into one of its states
-by mass), each path from its own counter-based SplitMix64 stream, all live
-paths one vectorised step at a time.  They come back as columns
-(``PathColumns``: row offsets per path, flat times and states) with
-``PathSample`` as a per-path view.
+by mass), each path from its own counter-based SplitMix64 stream, so any
+range of paths is drawn alone, its live paths one vectorised step at a time.
+They come back as columns (``PathColumns``: row offsets per path, flat times
+and states; ``PathSample`` is a per-path view), and ``empirical_validation``
+reads their state counts at the checkpoints, summed over ranges if need be.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 
 from .operator import GeneratorMatrix, OperatorConfig
 from .padic import Disc
-from .wavelets import LevelFunction, admissible_wavelets, wavelet_eval
+from .wavelets import LevelFunction, Wavelet, admissible_wavelets, wavelet_eval
 
 
 class NumericalBreakdown(ArithmeticError):
@@ -58,6 +59,12 @@ class SpectralData:
     coupling_defect: float     # largest lower-left entry (should be ~0)
 
 
+def wavelet_column(w: Wavelet, states: Sequence[Disc], profile) -> np.ndarray:
+    """w, omega-normalised, at the states' centres: exact on its support, 0 off it."""
+    return np.array([complex(wavelet_eval(w, d.center, profile, "omega"))
+                     if w.support.contains_point(d.center, w.p) else 0j for d in states])
+
+
 def spectral_data(cfg: OperatorConfig, gen: GeneratorMatrix) -> SpectralData:
     from .operator import lambda_exact
 
@@ -66,9 +73,7 @@ def spectral_data(cfg: OperatorConfig, gen: GeneratorMatrix) -> SpectralData:
     rates = []
     by_support: dict[Disc, Fraction] = {}
     for w in admissible_wavelets(cfg.profile, gen.level):
-        vec = np.array([complex(wavelet_eval(w, d.center, cfg.profile, "omega"))
-                        for d in gen.states])
-        cols.append(vec)
+        cols.append(wavelet_column(w, gen.states, cfg.profile))
         if w.support not in by_support:
             by_support[w.support] = Fraction(lambda_exact(cfg, w.support,
                                                           gen.cutoff).value)
@@ -331,6 +336,11 @@ class PathColumns:
         upto = np.add.reduceat(self.times <= t, starts, dtype=np.intp)
         return self.states[starts + upto - 1]
 
+    def counts(self, times: Sequence[float], size: int) -> np.ndarray:
+        """Per time t, the paths in each of ``size`` states at t (int64)."""
+        return np.array([np.bincount(self.states_at(float(t)), minlength=size) for t in times],
+                        dtype=np.int64).reshape(len(times), size)
+
 
 GOLDEN = 0x9E3779B97F4A7C15  # SplitMix64's increment of the stream state
 MIX = tuple(map(np.uint64, (30, 0xBF58476D1CE4E5B9, 27, 0x94D049BB133111EB, 31)))
@@ -347,13 +357,14 @@ def _mix(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _path_keys(seed: int, n: int) -> np.ndarray:
-    """The keys of paths 0..n-1: outputs 1..n of the SplitMix64 stream whose
+def _path_keys(seed: int, paths: range) -> np.ndarray:
+    """The keys of ``paths``: key j is output j + 1 of the SplitMix64 stream whose
     state starts at the seed, a seed past 64 bits folded in 64 bits at a time."""
     root = np.zeros(1, dtype=np.uint64)
     for shift in range(0, max(seed.bit_length(), 1), 64):
         root = _mix(root + np.uint64(GOLDEN)) ^ np.uint64(seed >> shift & 2 ** 64 - 1)
-    return _mix(root + np.uint64(GOLDEN) * np.arange(1, n + 1, dtype=np.uint64))
+    return _mix(root + np.uint64(GOLDEN) * np.arange(paths.start + 1, paths.stop + 1,
+                                                     dtype=np.uint64))
 
 
 def _uniforms(keys: np.ndarray, draws: range) -> np.ndarray:
@@ -395,22 +406,13 @@ def _jump_table(gen: GeneratorMatrix):
     return hold, balls, rates
 
 
-MAX_JUMPS = 10 ** 7  # budget on a sample's expected jump count; see sample_paths
+MAX_JUMPS = 10 ** 7  # budget on a sample's expected jump count; see jump_chain
 
 
-def sample_paths(gen: GeneratorMatrix, n_paths: int, t_max: float, seed: int,
-                 start_index: int = 0) -> PathColumns:
-    """Exact-jump-chain sampling on the generator's tree: a hold at rate
-    -Q[x][x], then a jump into a ball of ``_jump_table`` with probability
-    proportional to its rate, and to a state of that ball by mass.
-
-    Path j draws from its own SplitMix64 stream, keyed by the seed and j
-    (``_path_keys``): its k-th hold, ball and state are ``_uniforms`` draws
-    3k, 3k + 1 and 3k + 2.  Every live path advances in one vectorised
-    step, and path j's draws depend on the seed and j alone, so the first
-    k paths of a sample with seed s are the sample of k paths.  Huge rates
-    would run for ever: NumericalBreakdown before any draw if the largest
-    hold rate * t_max * n_paths, a bound on the expected jumps, passes MAX_JUMPS."""
+def jump_chain(gen: GeneratorMatrix, n_paths: int, t_max: float, seed: int) -> tuple:
+    """Check a sample and build the tables its ranges draw from: ValueError on
+    a bad argument or an absorbing state, NumericalBreakdown (huge rates run
+    for ever) if n_paths * t_max * the largest hold rate passes MAX_JUMPS."""
     if n_paths < 1:
         raise ValueError("n_paths must be at least 1")
     if not 0 <= t_max < math.inf:
@@ -423,8 +425,6 @@ def sample_paths(gen: GeneratorMatrix, n_paths: int, t_max: float, seed: int,
     if not (jumps := float(rate.max()) * t_max * n_paths) <= MAX_JUMPS:
         raise NumericalBreakdown(f"{n_paths} paths to t = {t_max!r} may make {jumps:.3g} "
                                  f"jumps, past the budget of {MAX_JUMPS:.0e}")
-    # transposed: a step gathers one column per live path, counts down the rows
-    cum, last = np.cumsum(rates, axis=1).T.copy(), np.count_nonzero(rates, axis=1) - 1
     # the tops' members list each state once, and ball b's are a run of
     # them, positions first..end, over the cumulative masses low to low + span
     members = gen.tree.members
@@ -432,10 +432,31 @@ def sample_paths(gen: GeneratorMatrix, n_paths: int, t_max: float, seed: int,
     first = np.argsort(order)[[ins[0] for ins in members]]
     end = first + np.array([len(ins) for ins in members]) - 1
     edges = np.concatenate(([0.0], np.cumsum([float(gen.masses[x]) for x in order])))
-    low = edges[first]
-    span = edges[end + 1] - low
-    mean_hold, keys = 1 / rate, _path_keys(seed, n_paths)
-    live, t, s = np.arange(n_paths), np.zeros(n_paths), np.full(n_paths, start_index)
+    # transposed: a step gathers one column per live path, counts down the rows
+    return (1 / rate, np.cumsum(rates, axis=1).T.copy(), np.count_nonzero(rates, axis=1) - 1,
+            balls, order, edges, edges[first], edges[end + 1] - edges[first], end)
+
+
+def sample_paths(gen: GeneratorMatrix, n_paths: int, t_max: float, seed: int,
+                 start_index: int = 0, paths: range | None = None,
+                 chain: tuple | None = None) -> PathColumns:
+    """Exact-jump-chain sampling on the generator's tree: a hold at rate
+    -Q[x][x], then a jump into a ball of ``_jump_table`` with probability
+    proportional to its rate, and to a state of that ball by mass.
+
+    Path j draws from its own SplitMix64 stream, keyed by the seed and j
+    (``_path_keys``): its k-th hold, ball and state are ``_uniforms`` draws
+    3k, 3k + 1 and 3k + 2, so they depend on the seed and j alone, and
+    ``paths``, a range of the n_paths (all by default), is drawn alone as
+    the sample's slice of it.  Every live path advances in one vectorised
+    step.  ``chain`` is ``jump_chain``'s, built here unless given."""
+    mean_hold, cum, last, balls, order, edges, low, span, end = (
+        chain or jump_chain(gen, n_paths, t_max, seed))
+    paths = range(n_paths) if paths is None else paths
+    if paths.step != 1 or not 0 <= paths.start <= paths.stop <= n_paths:
+        raise ValueError(f"{paths} is not a range of the {n_paths} paths")
+    n, keys = len(paths), _path_keys(seed, paths)
+    live, t, s = np.arange(n), np.zeros(n), np.full(n, start_index)
     steps = []  # per step: the paths that jumped, the jump times, the states entered
     while live.size:
         u = _uniforms(keys, range(3 * len(steps), 3 * len(steps) + 3))
@@ -448,7 +469,7 @@ def sample_paths(gen: GeneratorMatrix, n_paths: int, t_max: float, seed: int,
         at = low[b] + u[:, 2] * span[b]
         s = order[np.minimum(np.searchsorted(edges, at, side="right") - 1, end[b])]
         steps.append((live, t, s))
-    counts = np.ones(n_paths, dtype=np.intp)
+    counts = np.ones(n, dtype=np.intp)
     for ids, _, _ in steps:
         counts[ids] += 1
     offsets = np.concatenate(([0], np.cumsum(counts)))
@@ -492,16 +513,17 @@ def _laws(gen: GeneratorMatrix, x: int, times: Sequence[float]) -> np.ndarray:
     return np.maximum(m * _flow(gen, h, times, lambda p, means: p[home] / cell_mass), 0)
 
 
-def empirical_validation(gen: GeneratorMatrix, paths: PathColumns,
+def empirical_validation(gen: GeneratorMatrix, paths: PathColumns | np.ndarray,
                          checkpoints: Sequence[float],
                          start_index: int = 0) -> ValidationReport:
     """Per-checkpoint comparison of the empirical state distribution with the
-    law from the start state (``_laws``), at a binomial-sigma threshold."""
-    n_paths = len(paths)
+    law from the start state (``_laws``), at a binomial-sigma threshold.
+    ``paths`` is a sample, or the sum of ``PathColumns.counts`` over its ranges."""
+    counts = paths.counts(checkpoints, gen.size) if isinstance(paths, PathColumns) else paths
+    n_paths = int(counts[0].sum()) if len(counts) else len(paths)
     rows = []
-    for t, analytic in zip(checkpoints, _laws(gen, start_index, checkpoints)):
-        counts = np.bincount(paths.states_at(float(t)), minlength=gen.size)
-        emp = counts / n_paths
+    for t, analytic, found in zip(checkpoints, _laws(gen, start_index, checkpoints), counts):
+        emp = found / n_paths
         sigma = np.sqrt(np.maximum(analytic * (1 - analytic), 1e-300) / n_paths)
         dev = np.abs(emp - analytic) / sigma
         worst = int(np.argmax(dev))

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import mumford_heat
 from mumford_heat import cli, heat
-from mumford_heat.cli import _path_rows, main
+from mumford_heat.cli import main
 from mumford_heat.config import (ParseError, ValidationError, bundled_fixture,
                                  config_from_dict, emit_config, format_rational,
                                  parse_config, profile_dict)
@@ -177,14 +177,14 @@ class TestCli:
         assert (out1 / "paths.csv").read_bytes() != (out2 / "paths.csv").read_bytes()
 
     # one path, exactly one PATH_CHUNK block, a partial second block, two
-    # full blocks, three blocks (the last partial)
-    @pytest.mark.parametrize("n_paths", [1, 1024, 1025, 1500, 2048, 3000])
+    # full blocks, three blocks (the last partial), twenty blocks
+    @pytest.mark.parametrize("n_paths", [1, 1024, 1025, 1500, 2048, 3000, 20000])
     def test_paths_csv_matches_per_row_formatting(self, tate_path, tmp_path, n_paths,
                                                    monkeypatch):
-        # the per-row f-string writer that the block writer replaced
+        # the per-row f-string writer that the block writer replaced, and the
+        # validation of the whole sample, against the command drawing,
+        # counting and formatting in one, two and three ranges
         seed = 5
-        assert main(["sample", "-c", str(tate_path), "--paths", str(n_paths),
-                     "--seed", str(seed), "-o", str(tmp_path)]) == 0
         run = parse_config(tate_path)
         gen = generator_matrix(run.operator_config(), run.run.level)
         labels = [f"{i},{format_rational(d.center)},{d.radius_exp}"
@@ -196,15 +196,25 @@ class TestCli:
             for t, s in zip((0.0, *path.jump_times.tolist()), path.states.tolist()):
                 oracle.append(f"{path.path_index},{t!r},{labels[s]}")
         oracle = "\n".join(oracle) + "\n"
-        text = (tmp_path / "paths.csv").read_text()
-        header, body = text.split("state_radius_exp\n")
-        assert body == oracle
-        assert header.count("\n") == 5
-        # the same text from one, two and three ranges, whatever the CPUs here
-        tails = [f",{label}\n" for label in labels]
+        checkpoints = [t for t in run.run.times if t > 0]
+        report = heat.empirical_validation(gen, paths, checkpoints,
+                                           start_index=run.run.start_state)
+        artifacts = set()
         for cpus in (1, 2, 3):
             monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
-            assert "".join(_path_rows(paths, tails)) == oracle
+            out = tmp_path / str(cpus)
+            assert main(["sample", "-c", str(tate_path), "--paths", str(n_paths),
+                         "--seed", str(seed), "-o", str(out)]) == 0
+            text = (out / "paths.csv").read_text()
+            header, body = text.split("state_radius_exp\n")
+            assert body == oracle
+            assert header.count("\n") == 5
+            validation = json.loads((out / "sample-validation.json").read_text())
+            assert validation["n_paths"] == n_paths
+            assert [(c["t"], c["max_sigma"], c["worst_state"]) for c in validation["checkpoints"]] \
+                == [(r.t, r.max_sigma, r.worst_state) for r in report.rows]
+            artifacts.add(tuple(sorted((p.name, p.read_bytes()) for p in out.iterdir())))
+        assert len(artifacts) == 1  # the bytes do not depend on the CPU count
 
     def test_sample_peak_memory_stays_below_twice_the_file(self, tate_path, tmp_path):
         # paths.csv goes out one block at a time, never as one whole-file string
@@ -276,29 +286,66 @@ def forks(monkeypatch):
 
 
 def _tate_rows(n_paths):
+    """``cli._sampled_rows`` as ``sample --paths n_paths --seed 5`` runs it on
+    tate-p3."""
     run = parse_config(bundled_fixture("tate-p3"))
     gen = generator_matrix(run.operator_config(), run.run.level)
-    paths = sample_paths(gen, n_paths, max(run.run.times), 5,
-                         start_index=run.run.start_state)
-    return paths, [f",{i},{format_rational(d.center)},{d.radius_exp}\n"
-                   for i, d in enumerate(gen.states)]
+    t_max = max(run.run.times)
+
+    def draw(ids):
+        paths = sample_paths(gen, n_paths, t_max, 5, start_index=run.run.start_state,
+                             paths=ids)
+        return paths.counts([t for t in run.run.times if t > 0], gen.size), paths
+
+    tails = [f",{i},{format_rational(d.center)},{d.radius_exp}\n"
+             for i, d in enumerate(gen.states)]
+    return cli._sampled_rows(draw, cli._ranges(n_paths), tails, [])
+
+
+def _no_fork():
+    raise AssertionError("os.fork called")
 
 
 @pytest.mark.parametrize("fixture,flags", [
     ("tate-p3", ["--paths", "1024"]), ("tate-p3", []), ("genus2-p3", [])])
 def test_one_block_starts_no_process(tmp_path, monkeypatch, fixture, flags):
     # both fixtures sample 1000 paths as configured: one PATH_CHUNK block
-    def no_fork():
-        raise AssertionError("os.fork called")
-
-    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(os, "fork", _no_fork)
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
     assert main(["sample", "-c", str(bundled_fixture(fixture)), *flags,
                  "-o", str(tmp_path)]) == 0
     # many blocks on one CPU start none either
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
-    paths, tails = _tate_rows(3000)
-    assert "".join(_path_rows(paths, tails))
+    assert main(["sample", "-c", str(bundled_fixture("tate-p3")), "--paths", "3000",
+                 "-o", str(tmp_path / "one-cpu")]) == 0
+    assert (tmp_path / "one-cpu" / "sample-validation.json").exists()
+
+
+def test_a_refused_sample_starts_no_process(tate_path, tmp_path, monkeypatch, capsys):
+    # the jump budget, --paths and --seed are checked before any worker forks
+    monkeypatch.setattr(os, "fork", _no_fork)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+    raw = json.loads(tate_path.read_text())
+    raw["operator"]["alpha"] = "100"
+    steep = tmp_path / "alpha-100.json"
+    steep.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    for config, flags, code in [(steep, ["--paths", "20000"], 3),
+                                (tate_path, ["--paths", "0"], 2),
+                                (tate_path, ["--paths", "20000", "--seed", "-1"], 2)]:
+        assert main(["sample", "-c", str(config), *flags, "-o", str(out)]) == code
+        assert not out.exists()
+    err = capsys.readouterr().err
+    assert "past the budget" in err and "--paths" in err and "--seed" in err
+
+
+def test_the_ranges_are_whole_blocks_of_about_equal_size(monkeypatch):
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+    chunk = cli.PATH_CHUNK
+    assert cli._ranges(1) == [range(0, 1)]
+    assert cli._ranges(chunk + 1) == [range(0, chunk), range(chunk, chunk + 1)]
+    assert cli._ranges(20_000) == [range(0, 6 * chunk), range(6 * chunk, 13 * chunk),
+                                   range(13 * chunk, 20_000)]
 
 
 def test_sample_reaps_its_workers(tate_path, tmp_path, forks):
@@ -310,8 +357,7 @@ def test_sample_reaps_its_workers(tate_path, tmp_path, forks):
 
 def test_rows_closed_early_reap_their_workers(forks):
     # each worker's range is far more than a pipe holds
-    paths, tails = _tate_rows(5000)
-    rows = _path_rows(paths, tails)
+    rows = _tate_rows(5000)
     assert next(rows)
 
     def hung(_signum, _frame):
@@ -344,6 +390,25 @@ def test_a_failed_worker_fails_the_command(tate_path, tmp_path, capsys, monkeypa
                  "-o", str(tmp_path)]) == 1
     assert "exited with status 1" in capsys.readouterr().err
     # no partial paths.csv, no temporary file and no sample-validation.json
+    assert list(tmp_path.iterdir()) == []
+    _assert_no_child()
+
+
+def test_a_worker_killed_before_its_counts_fails_the_command(tate_path, tmp_path, capsys,
+                                                              monkeypatch, forks):
+    # the parent reads a short counts header, and the status names the signal
+    parent = os.getpid()
+    real_sample = cli.sample_paths
+
+    def killed_in_a_worker(*args, **kwargs):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real_sample(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "sample_paths", killed_in_a_worker)
+    assert main(["sample", "-c", str(tate_path), "--paths", "3000",
+                 "-o", str(tmp_path)]) == 1
+    assert f"exited with status -{int(signal.SIGKILL)}" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
     _assert_no_child()
 

@@ -639,6 +639,51 @@ class TestSampling:
             assert sample.states_at(t).tolist() == [state_at(p, t) for p in sample]
 
 
+
+class TestRanges:
+    """A range [a, b) of a sample of n paths is drawn alone: it is those rows
+    of the whole sample, offsets rebased, and the ranges' checkpoint counts
+    sum to the sample's."""
+
+    N, SEED, CHECKPOINTS = 2500, 9, (0.25, 0.5, 1.0)
+
+    # the first range, an interior one, the last, a single path, and ranges
+    # across one and two PATH_CHUNK boundaries
+    @pytest.mark.parametrize("a,b", [(0, 700), (300, 1000), (2048, 2500), (1234, 1235),
+                                     (1000, 1030), (1000, 2100)])
+    @pytest.mark.parametrize("start", [0, 3])
+    def test_a_range_is_those_rows_of_the_sample(self, gen, a, b, start):
+        full = sample_paths(gen, self.N, 1.0, self.SEED, start_index=start)
+        part = sample_paths(gen, self.N, 1.0, self.SEED, start_index=start,
+                            paths=range(a, b))
+        assert len(part) == b - a and part.offsets[0] == 0
+        assert part == full[a:b]
+        chain = heat.jump_chain(gen, self.N, 1.0, self.SEED)
+        assert sample_paths(gen, self.N, 1.0, self.SEED, start_index=start,
+                            paths=range(a, b), chain=chain) == part
+
+    def test_the_keys_of_a_range_are_those_of_the_stream(self):
+        assert (heat._path_keys(2 ** 70 + 5, range(1000, 1030))
+                == heat._path_keys(2 ** 70 + 5, range(1030))[1000:]).all()
+
+    def test_range_counts_sum_to_the_sample_counts(self, gen):
+        full = sample_paths(gen, self.N, 1.0, self.SEED)
+        chain = heat.jump_chain(gen, self.N, 1.0, self.SEED)
+        cuts = [0, 1024, 2048, self.N]
+        counts = [sample_paths(gen, self.N, 1.0, self.SEED, paths=range(a, b), chain=chain)
+                  .counts(self.CHECKPOINTS, gen.size) for a, b in zip(cuts, cuts[1:])]
+        assert all(c.dtype == np.int64 and c.shape == (3, gen.size) for c in counts)
+        whole = full.counts(self.CHECKPOINTS, gen.size)
+        assert (sum(counts) == whole).all() and (whole.sum(axis=1) == self.N).all()
+        # the validation reads the summed counts as it reads the sample
+        assert (empirical_validation(gen, sum(counts), self.CHECKPOINTS)
+                == empirical_validation(gen, full, self.CHECKPOINTS))
+
+    @pytest.mark.parametrize("paths", [range(5, 11), range(-1, 3), range(0, 10, 2)])
+    def test_a_range_outside_the_sample_is_rejected(self, gen, paths):
+        with pytest.raises(ValueError, match="is not a range of the 10 paths"):
+            sample_paths(gen, 10, 1.0, 1, paths=paths)
+
 def assert_jump_law(gen):
     """The sampler's jump table against the exact rows: from each state x,
     an entry's rate spread over its ball by mass, over the hold rate, is
@@ -679,7 +724,7 @@ class TestJumpChain:
     def test_the_streams_pass_a_chi_square_test(self):
         # 10^6 uniforms, the first four draws of 250 000 paths, on 64 bins;
         # chi^2 with 63 degrees of freedom exceeds 131.4 with probability 1e-6
-        keys = heat._path_keys(2024, 250_000)
+        keys = heat._path_keys(2024, range(250_000))
         u = heat._uniforms(keys, range(4)).ravel()
         counts = np.bincount((u * 64).astype(np.intp), minlength=64)
         expected = len(u) / 64
@@ -689,7 +734,7 @@ class TestJumpChain:
         # 10^5 pairs: the sample correlation of independent uniforms has
         # standard deviation 1/sqrt(10^5), about 0.0032; the second pair
         # would be equal if path j + 1's stream ran one draw behind path j's
-        keys = heat._path_keys(7, 100_001)
+        keys = heat._path_keys(7, range(100_001))
         first, second = heat._uniforms(keys, range(2)).T
         for a, b in ((first[:-1], first[1:]), (second[:-1], first[1:])):
             assert abs(np.corrcoef(a, b)[0, 1]) < 5 / math.sqrt(100_000)
