@@ -248,11 +248,11 @@ class PowerSum:
             return self._terms[Fraction(0)]
         raise NotRationalError(f"power sum is not rational: {self._terms}")
 
-    def bounds(self, digits: int = 15) -> tuple[Fraction, Fraction]:
-        """Certified rational enclosure of the value."""
+    def bounds(self) -> tuple[Fraction, Fraction]:
+        """Certified rational enclosure of the value, each p-power to 15 digits."""
         lo = hi = Fraction(0)
         for exp, coeff in self._terms.items():
-            blo, bhi = p_power_bounds(self.p, exp, digits)
+            blo, bhi = p_power_bounds(self.p, exp, 15)
             if coeff >= 0:
                 lo += coeff * blo
                 hi += coeff * bhi

@@ -411,8 +411,10 @@ MAX_JUMPS = 10 ** 7  # budget on a sample's expected jump count; see jump_chain
 
 def jump_chain(gen: GeneratorMatrix, n_paths: int, t_max: float, seed: int) -> tuple:
     """Check a sample and build the tables its ranges draw from: ValueError on
-    a bad argument or an absorbing state, NumericalBreakdown (huge rates run
-    for ever) if n_paths * t_max * the largest hold rate passes MAX_JUMPS."""
+    a bad argument or an absorbing state among several, NumericalBreakdown
+    (huge rates run for ever) if n_paths * t_max * the largest hold rate
+    passes MAX_JUMPS.  The operator's off-diagonal rates are all positive,
+    so only a lone state holds for ever: ``sample_paths`` draws no hold there."""
     if n_paths < 1:
         raise ValueError("n_paths must be at least 1")
     if not 0 <= t_max < math.inf:
@@ -420,7 +422,7 @@ def jump_chain(gen: GeneratorMatrix, n_paths: int, t_max: float, seed: int) -> t
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
     rate, balls, rates = _jump_table(gen)
-    if (rate <= 0).any():
+    if gen.size > 1 and (rate <= 0).any():
         raise ValueError("absorbing state: zero hold rate")
     if not (jumps := float(rate.max()) * t_max * n_paths) <= MAX_JUMPS:
         raise NumericalBreakdown(f"{n_paths} paths to t = {t_max!r} may make {jumps:.3g} "
@@ -433,7 +435,8 @@ def jump_chain(gen: GeneratorMatrix, n_paths: int, t_max: float, seed: int) -> t
     end = first + np.array([len(ins) for ins in members]) - 1
     edges = np.concatenate(([0.0], np.cumsum([float(gen.masses[x]) for x in order])))
     # transposed: a step gathers one column per live path, counts down the rows
-    return (1 / rate, np.cumsum(rates, axis=1).T.copy(), np.count_nonzero(rates, axis=1) - 1,
+    return (np.divide(1, rate, out=np.full(gen.size, math.inf), where=rate > 0),
+            np.cumsum(rates, axis=1).T.copy(), np.count_nonzero(rates, axis=1) - 1,
             balls, order, edges, edges[first], edges[end + 1] - edges[first], end)
 
 
@@ -456,7 +459,7 @@ def sample_paths(gen: GeneratorMatrix, n_paths: int, t_max: float, seed: int,
     if paths.step != 1 or not 0 <= paths.start <= paths.stop <= n_paths:
         raise ValueError(f"{paths} is not a range of the {n_paths} paths")
     n, keys = len(paths), _path_keys(seed, paths)
-    live, t, s = np.arange(n), np.zeros(n), np.full(n, start_index)
+    live, t, s = np.arange(n if gen.size > 1 else 0), np.zeros(n), np.full(n, start_index)
     steps = []  # per step: the paths that jumped, the jump times, the states entered
     while live.size:
         u = _uniforms(keys, range(3 * len(steps), 3 * len(steps) + 3))

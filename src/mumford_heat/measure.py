@@ -51,8 +51,8 @@ class RationalFunctionDatum:
             raise ValueError("datum scale must be nonzero")
 
     @classmethod
-    def constant(cls, value: Rational = 1) -> "RationalFunctionDatum":
-        return cls(Fraction(value), ())
+    def constant(cls) -> "RationalFunctionDatum":
+        return cls(Fraction(1), ())
 
     def zeros(self) -> list[Fraction]:
         return [r for r, n in self.factors if n > 0]

@@ -2,16 +2,16 @@
 
 The operator acts on functions of the orbit space through the kernel
 
-    H(beta x, gamma y) = mu(F)^-1 * p^(-alpha_g * l(beta^-1 gamma)) * |beta x - gamma y|^(-alpha)
+    H(x, gamma y) = mu(F)^-1 * p^(-alpha_g * l(gamma)) * |x - gamma y|^(-alpha)
 
-integrated over the fundamental domain against the density profile.  For a
-wavelet the whole truncated sum collapses, by ultrametric constancy and
+integrated over the fundamental domain against the density profile, x in F.
+For a wavelet the whole truncated sum collapses, by ultrametric constancy and
 exact character cancellation, to a rational (or exact p-power) multiple of
 the wavelet value; that multiple is the first-principles eigenvalue oracle.
 Both readings of translated quantities are supported: ``ambient`` recomputes
 distances and densities in the field, ``transport`` defines gamma-translated
-data to equal its representative on F; the beta = 1 spectral computation is
-the same in both modes.
+data to equal its representative on F; the spectral computation on F is the
+same in both modes.
 
 Every truncated group sum (generator matrix, wavelet multipliers and their
 eigenvalue oracle, eigenvalue series, level-function quadrature) runs through
@@ -29,9 +29,9 @@ is the Schottky figure, which every ``SchottkyGroup`` is by construction
 (the holes are pairwise disjoint and each letter s maps the complement of
 its source hole onto its target hole), and that every cell is a plain disc
 off all holes (on every engine call).  Then every word P.s.r maps the
-cells into R = chart(P(target(s))).  When R is a plain disc that holds no
-moved point chart(x), the subtree of P.s adds (2g-1)^(l-j) words to the key
-(l, v_p(chart(x) - centre(R))) for each l = j..L, j = l(P.s), and for every
+cells into R = P(target(s)).  When R is a plain disc that holds no point
+x, the subtree of P.s adds (2g-1)^(l-j) words to the key
+(l, v_p(x - centre(R))) for each l = j..L, j = l(P.s), and for every
 cell.  On the bundled fixtures only the chain of words into the co-hole is
 walked, 1 + L words instead of about (2g-1)^L; on a transformed chart the
 cells meet the holes, nothing is pruned and every word is walked.
@@ -52,9 +52,10 @@ have Q(x, y) / m(y) = mu(F)^-1 radius(B)^(-alpha) + G_M, G_M the group part
 at c_M; and x in M, y in another top M' have one density cross(M, M').  One
 engine call, the tops' centres as points and the tops as cells, counts all
 k^2 sums; where the point lies in its cell it leaves the identity out, and
-that histogram is G_M.  An uncertified region needs no special case: where
-a state meets a hole every state is a top, and a ball around a walked pole
-is split until its tiles hold none, so the table is the per-state-pair count.
+that histogram is G_M.  A ball around a walked pole is split until its
+tiles hold none.  The lemma needs every state off the group's holes, which
+holds on the base chart, where F's holes are the group's; a state that
+meets a hole of the group (on a transformed chart) raises ChartNotSupported.
 The tree is the one form of Q kept: ``GeneratorMatrix.chain`` reads off it
 the cell chain Q_c, the exit rates and each support's rate lambda_B, all
 that the heat layer needs; exact dense rows are built only on demand.
@@ -181,10 +182,6 @@ class OperatorConfig:
                                        "brings the tail bound below the tolerance")
         return length
 
-    def distance_power_exp(self, dist: Fraction) -> Fraction:
-        """Exponent e with dist^(-alpha) = p^e, for dist an exact power of p."""
-        return -Fraction(valuation(dist, self.p)) * self.alpha
-
 
 def simplify(value: Scalar) -> Scalar:
     if isinstance(value, PowerSum) and value.is_rational():
@@ -236,14 +233,14 @@ def _group_tail(cfg: OperatorConfig, length: int) -> Fraction:
     return dist_hi * first / (1 - ratio)
 
 
-def tail_bound(cfg: OperatorConfig, length: int, sup_norm: Rational = 1) -> Fraction:
-    """Certified bound for the discarded l > length part of an operator sum.
+def tail_bound(cfg: OperatorConfig, length: int) -> Fraction:
+    """Certified bound for the discarded l > length part of an operator sum
+    on a function of sup norm 1.
 
-    2 ||u||_inf * mu(F)^-1 * total_mass * (group-sum tail); exact rational,
-    monotone decreasing in the cutoff length.
+    2 * mu(F)^-1 * total_mass * (group-sum tail); exact rational, monotone
+    decreasing in the cutoff length.
     """
-    return (2 * Fraction(sup_norm) * cfg.mu_inverse() * cfg.profile.total_mass
-            * _group_tail(cfg, length))
+    return 2 * cfg.mu_inverse() * cfg.profile.total_mass * _group_tail(cfg, length)
 
 
 # ---------------------------------------------------------------------------
@@ -300,16 +297,15 @@ def _cross_valuation(xn: int, xd: int, tn: int, td: int, p: int) -> int:
 
 
 def _group_histograms(cfg: OperatorConfig, length: int, points: Sequence[Fraction],
-                      cells: Sequence[Disc], chart: MoebiusMap | None = None,
-                      whole_cells: Sequence[bool] = (),
+                      cells: Sequence[Disc], whole_cells: Sequence[bool] = (),
                       runs: list | None = None,
                       frontier: list | None = None) -> list[list[dict]]:
     """{(l(w), v): count} for each (point x, cell) pair, where v is the
-    valuation of chart(x) - chart(w(c)), c the cell's centre, over the reduced
-    words w with l(w) <= length.
+    valuation of x - w(c), c the cell's centre, over the reduced words w
+    with l(w) <= length.
 
     Centres move as integer pairs, n/d -> (a*n + b*d, c*n + d*d) under the
-    matrix of chart o w.  The identity word is left out of every pair whose
+    matrix of w.  The identity word is left out of every pair whose
     point lies in the cell: that part of the integral is the caller's.  A
     word whose pole is a cell centre raises PoleHit; one whose pole lies
     elsewhere in a cell flagged in ``whole_cells`` raises ChartNotSupported;
@@ -322,9 +318,7 @@ def _group_histograms(cfg: OperatorConfig, length: int, points: Sequence[Fractio
     word map)).
     """
     p = cfg.p
-    moved = list(points) if chart is None else [chart.apply(x) for x in points]
-    chart = chart or MoebiusMap.identity()
-    xs = [(y.numerator, y.denominator, valuation(y.denominator, p)) for y in moved]
+    xs = [(x.numerator, x.denominator, valuation(x.denominator, p)) for x in points]
     centres = [(cell.center.numerator, cell.center.denominator) for cell in cells]
     # a word's pole -d/c lies in a flagged cell iff |c*centre + d| / |c| <= its
     # radius, that is v(den) >= v(c) + reach for den the centre's image pair
@@ -336,14 +330,11 @@ def _group_histograms(cfg: OperatorConfig, length: int, points: Sequence[Fractio
     hists = [[{} for _ in cells] for _ in points]
     runs = [] if runs is None else runs
     for word, mat in words_with_maps(cfg.group, length,
-                                     _subtree_pruner(cfg, cells, chart, moved, runs)):
+                                     _subtree_pruner(cfg, cells, points, runs)):
         ell = len(word)
         if frontier is not None and ell == length:
             frontier.append((word.letters, mat))
-        a = chart.a * mat.a + chart.b * mat.c
-        b = chart.a * mat.b + chart.b * mat.d
-        c = chart.c * mat.a + chart.d * mat.c
-        d = chart.c * mat.b + chart.d * mat.d
+        a, b, c, d = mat.a, mat.b, mat.c, mat.d
         vc = valuation(c, p)
         targets = []
         for cell, (n, m), r in zip(cells, centres, reach):
@@ -383,16 +374,16 @@ def _group_histograms(cfg: OperatorConfig, length: int, points: Sequence[Fractio
     return hists
 
 
-def _subtree_pruner(cfg: OperatorConfig, cells: Sequence[Disc], chart: MoebiusMap,
-                    moved: Sequence[Fraction], runs: list):
+def _subtree_pruner(cfg: OperatorConfig, cells: Sequence[Disc],
+                    points: Sequence[Fraction], runs: list):
     """The walk's pruning predicate, or None when the certificate of the
     module docstring fails for these cells.
 
     For each subtree P.s it prunes, the predicate appends (l(P.s), the
-    valuation of chart(x) - centre(R) per moved point) to ``runs``.  The
-    pruned images lie in the plain disc R, which holds no moved point, so
-    no pruned word could have hit a pole, wrapped infinity or met a point.
-    R is a co-disc exactly when the pole of chart o P lies in target(s);
+    valuation of x - centre(R) per point x) to ``runs``.  The pruned
+    images lie in the plain disc R, which holds no point, so no pruned
+    word could have hit a pole, wrapped infinity or met a point.
+    R is a co-disc exactly when the pole of P lies in target(s);
     that is tested first, as it is cheaper than the image.
     """
     group, p = cfg.group, cfg.p
@@ -401,13 +392,12 @@ def _subtree_pruner(cfg: OperatorConfig, cells: Sequence[Disc], chart: MoebiusMa
         return None
 
     def prune(prefix: tuple[int, ...], mat: MoebiusMap, s: int) -> bool:
-        m = chart.compose(mat)
         target = group.target_hole(s)
-        pole = m.pole()
+        pole = mat.pole()
         if target.complement if pole is None else target.contains_point(pole, p):
             return False
-        region = region_image(m, target, p)
-        vs = [difference_valuation(y, region.center, p) for y in moved]
+        region = region_image(mat, target, p)
+        vs = [difference_valuation(x, region.center, p) for x in points]
         if region.complement or any(v >= -region.radius_exp for v in vs):
             return False
         runs.append((len(prefix) + 1, vs))
@@ -443,20 +433,13 @@ def _fold(cfg: OperatorConfig, coeff: Fraction, hist: dict) -> Scalar:
 # ---------------------------------------------------------------------------
 
 def _multipliers(cfg: OperatorConfig, support: Disc, points: Sequence[Fraction],
-                 length: int, chart: GroupWord | None) -> list[Scalar]:
+                 length: int) -> list[Scalar]:
     """:func:`wavelet_multiplier` at each of the points, from one walk."""
     p = cfg.p
-    beta = GroupWord.identity() if (chart is None or cfg.mode == "transport") else chart
-    beta_map = cfg.group.word_map(beta)
     cells = _wavelet_cells(cfg, support)
     local_exp = Fraction(support.radius_exp) * (1 - cfg.alpha)
-    if not beta.is_identity():
-        # |beta x - beta y| = |beta'|_B * |x - y| on the support, so the
-        # local integral picks up the factor |beta'|_B^(-alpha)
-        deriv = beta_map.derivative_abs(support.center, p)
-        local_exp += cfg.distance_power_exp(deriv)
     hists = _group_histograms(cfg, length, points, [cell for cell, _ in cells],
-                              beta_map, whole_cells=[True] * len(cells))
+                              whole_cells=[True] * len(cells))
     local = PowerSum(p).add_term(-cfg.profile.density_on(support), local_exp)
     return [simplify((local + sum((_fold(cfg, -dens * haar_measure(cell, p), hist)
                                    for (cell, dens), hist in zip(cells, row)),
@@ -465,21 +448,20 @@ def _multipliers(cfg: OperatorConfig, support: Disc, points: Sequence[Fraction],
 
 
 def wavelet_multiplier(cfg: OperatorConfig, support: Disc, x: Rational,
-                       length: int | None = None,
-                       chart: GroupWord | None = None) -> tuple[Scalar, Fraction]:
-    """Exact scalar M with (H psi)(beta x) = M * psi(x), truncated at the cutoff.
+                       length: int | None = None) -> tuple[Scalar, Fraction]:
+    """Exact scalar M with (H psi)(x) = M * psi(x), truncated at the cutoff.
 
-    x must lie in the support.  The cell of gamma = beta over the support
-    contributes the exact local integral -C_B * p^(d(1-alpha)) (times the
-    |beta'|^(-alpha) factor off the base chart); every other (gamma, cell)
-    pair sees a constant distance, so its wavelet part cancels exactly and
-    only the -psi(x) part survives.  Returns (M, certified tail bound).
+    x must lie in the support.  The identity's cell over the support
+    contributes the exact local integral -C_B * p^(d(1-alpha)); every other
+    (gamma, cell) pair sees a constant distance, so its wavelet part cancels
+    exactly and only the -psi(x) part survives.  Returns (M, certified tail
+    bound).
     """
     x = Fraction(x)
     if not support.contains_point(x, cfg.p):
         raise ValueError(f"{x} is not in the support {support}")
     length = cfg.cutoff() if length is None else length
-    mult, = _multipliers(cfg, support, [x], length, chart)
+    mult, = _multipliers(cfg, support, [x], length)
     return mult, tail_bound(cfg, length)
 
 
@@ -496,10 +478,8 @@ def scalar_times_value(p: int, scalar: Scalar, base: ExactComplex) -> ExactCompl
     raise ArithmeticError("scalar did not collapse to a single p-power term")
 
 
-def apply_operator(cfg: OperatorConfig, u, x: Rational,
-                   beta: GroupWord | None = None,
-                   length: int | None = None):
-    """Apply the truncated operator at a point of F (or its beta-translate).
+def apply_operator(cfg: OperatorConfig, u, x: Rational, length: int | None = None):
+    """Apply the truncated operator at a point of F.
 
     For a wavelet the result is exact: (ExactComplex value, Fraction tail).
     For a level function the generic quadrature runs in complex floats and
@@ -512,28 +492,27 @@ def apply_operator(cfg: OperatorConfig, u, x: Rational,
             # wavelet part integrates to zero over the support cell (full
             # character sum) and u(x) = 0 kills the rest, so no tail at all
             return ExactComplex.zero(cfg.p), Fraction(0)
-        mult, tail = wavelet_multiplier(cfg, u.support, x, length, beta)
+        mult, tail = wavelet_multiplier(cfg, u.support, x, length)
         base = wavelet_eval(u, x, cfg.profile, "haar")
         return scalar_times_value(cfg.p, mult, base), tail
     if isinstance(u, LevelFunction):
-        return _apply_to_level_function(cfg, u, Fraction(x), beta, length)
+        return _apply_to_level_function(cfg, u, Fraction(x), length)
     raise NotLocallyConstant(f"cannot apply the operator to {type(u)!r}")
 
 
 def _apply_to_level_function(cfg: OperatorConfig, u: LevelFunction, x: Fraction,
-                             beta: GroupWord | None, length: int | None):
+                             length: int | None):
     p = cfg.p
     length = cfg.cutoff() if length is None else length
-    beta = GroupWord.identity() if (beta is None or cfg.mode == "transport") else beta
     ux = u.value_at(x, p)
     masses = [cfg.profile.density_at(d.center) * haar_measure(d, p) for d, _ in u.values]
     # the identity term vanishes on the cell of x, which the engine skips
     row, = _group_histograms(cfg, length, [x], [d for d, _ in u.values],
-                             cfg.group.word_map(beta), whole_cells=[True] * len(masses))
+                             whole_cells=[True] * len(masses))
     total = sum((float(_fold(cfg, mass, hist)) * (val - ux)
                  for mass, (_, val), hist in zip(masses, u.values, row)), 0j)
     return (total * float(cfg.mu_inverse()),
-            float(tail_bound(cfg, length, Fraction(1))) * u.sup_norm())
+            float(tail_bound(cfg, length)) * u.sup_norm())
 
 
 # ---------------------------------------------------------------------------
@@ -586,7 +565,7 @@ def _closed_tail(cfg: OperatorConfig, length: int, support: Disc, runs: list,
     group, p, x = cfg.group, cfg.p, support.center
     branch = 2 * group.genus - 1
     letters = [s for k in range(1, group.genus + 1) for s in (k, -k)]
-    prune = _subtree_pruner(cfg, [support], MoebiusMap.identity(), [x], runs)
+    prune = _subtree_pruner(cfg, [support], [x], runs)
     rate = p ** int(cfg.alpha_g)
     whole = Fraction(rate, rate - branch)  # 1/(1 - r): a subtree's every length
     total = Fraction(0)
@@ -714,7 +693,7 @@ def lambda_exact(cfg: OperatorConfig, support: Disc,
     length = cfg.cutoff() if length is None else length
     samples = tuple(child.center for child in support.children(cfg.p))
     values = [simplify(-mult)
-              for mult in _multipliers(cfg, support, samples, length, None)]
+              for mult in _multipliers(cfg, support, samples, length)]
     if any(val != values[0] for val in values[1:]):
         raise RatioNotConstant(f"operator ratio varies over {support}: {values}")
     return LambdaExact(values[0], tail_bound(cfg, length), length)
@@ -740,10 +719,10 @@ class SpectrumResult:
     word_counts: tuple[tuple[int, int], ...]  # (length, number of words)
 
 
-def word_census(g: int, max_len: int = 8) -> tuple[tuple[int, int], ...]:
-    """Exact reduced-word counts per length: 1 and then 2g(2g-1)^(l-1)."""
+def word_census(g: int) -> tuple[tuple[int, int], ...]:
+    """Exact reduced-word counts per length up to 8: 1 and then 2g(2g-1)^(l-1)."""
     rows = [(0, 1)]
-    for length in range(1, max_len + 1):
+    for length in range(1, 9):
         rows.append((length, 2 * g * (2 * g - 1) ** (length - 1) if g else 0))
     return tuple(rows)
 
@@ -1004,17 +983,16 @@ class GeneratorMatrix:
         return LevelFunction.from_mapping(self.level, dict(zip(self.states, values)))
 
 
-def _split_balls(cfg: OperatorConfig, level: int, poles: Sequence[Fraction],
-                 certified: bool = True) -> tuple[list, list, list, list, list]:
+def _split_balls(cfg: OperatorConfig, level: int,
+                 poles: Sequence[Fraction]) -> tuple[list, list, list, list, list]:
     """(states, balls, the states in each ball, per ball its children, the
     maximal balls), from one walk of the disc tree, each ball after its
     descendants.  The states are ``wavelets.state_discs``, in centre order.
-    With ``certified`` (the module docstring's lemma), a disc off every hole
-    that holds states and none of ``poles`` is one ball; any other is tiled
-    by its children's.  A state that meets a hole voids the lemma, and every
-    state becomes a ball of its own."""
+    By the module docstring's lemma, a disc off every hole that holds states
+    and none of ``poles`` is one ball; any other is tiled by its children's.
+    A state that meets a hole of the group voids the lemma: ChartNotSupported."""
     p, domain, holes = cfg.p, cfg.domain, (*cfg.domain.holes, *cfg.group.holes)
-    states, balls, members, children, met = [], [], [], [], []
+    states, balls, members, children = [], [], [], []
 
     def walk(disc, off):  # -> (states in disc, indices of the balls tiling them)
         if not off:  # else an ancestor is off every hole, and so is disc
@@ -1025,14 +1003,15 @@ def _split_balls(cfg: OperatorConfig, level: int, poles: Sequence[Fraction],
             if not (disc.radius_exp == -level and (off or domain.contains_disc(disc)) and all(
                     discs_disjoint(disc, core, p) for core in cfg.profile.zero_cores)):
                 return [], []
+            if not off:  # in the domain, so it meets a hole of the group
+                raise ChartNotSupported(f"the state {disc} meets a hole of the group")
             inside, tiles, whole = [len(states)], [], True
             states.append(disc)
-            met.append(not off)  # in the domain, so not off means a hole of the group
         else:
             kids = [walk(child, off) for child in disc.children(p)]
             inside = [i for kid, _ in kids for i in kid]
             tiles = [k for _, kid in kids for k in kid]
-            whole = certified and off and not any(disc.contains_point(z, p) for z in poles)
+            whole = off and not any(disc.contains_point(z, p) for z in poles)
         if inside and whole:
             balls.append(disc)
             members.append(inside)
@@ -1041,16 +1020,13 @@ def _split_balls(cfg: OperatorConfig, level: int, poles: Sequence[Fraction],
         return inside, tiles
 
     _, tops = walk(domain.outer, False)
-    if certified and any(met):
-        return _split_balls(cfg, level, poles, False)
     order = sorted(range(len(states)), key=lambda i: states[i].center)
     rank = {old: new for new, old in enumerate(order)}
     return ([states[i] for i in order], balls, [[rank[i] for i in ins] for ins in members],
             children, tops)
 
 
-def generator_matrix(cfg: OperatorConfig, level: int,
-                     length: int | None = None) -> GeneratorMatrix:
+def generator_matrix(cfg: OperatorConfig, level: int) -> GeneratorMatrix:
     """Assemble the exact jump rates on the level-m discs of F.
 
     Q[D, D'] = mu(F)^-1 * mass(D') * sum_gamma p^(-alpha_g l) |c_D - gamma c_D'|^(-alpha)
@@ -1064,8 +1040,7 @@ def generator_matrix(cfg: OperatorConfig, level: int,
     the engine) is split and the sums counted again; a pole still hit is a
     state's centre, and raises.
     """
-    p = cfg.p
-    length = cfg.cutoff() if length is None else length
+    p, length = cfg.p, cfg.cutoff()
     poles: list[Fraction] = []
     while True:
         states, balls, members, children, tops = _split_balls(cfg, level, poles)

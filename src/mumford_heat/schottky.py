@@ -378,10 +378,6 @@ class DomainReport:
     tiles_disjoint: bool
     details: tuple[str, ...] = ()
 
-    @property
-    def ok(self) -> bool:
-        return self.holes_disjoint and self.pairing_ok and self.tiles_disjoint
-
 
 def verify_fundamental_domain(group: SchottkyGroup, depth: int = 6) -> DomainReport:
     """Exact verification of the Schottky domain data.

@@ -151,10 +151,6 @@ class LevelFunction:
             vals[disc] = complex(wavelet_eval(w, disc.center, profile, normalization))
         return cls.from_mapping(level, vals)
 
-    @classmethod
-    def constant(cls, level: int, states: Iterable[Disc], value: complex = 1.0) -> "LevelFunction":
-        return cls.from_mapping(level, {d: value for d in states})
-
     def as_dict(self) -> dict[Disc, complex]:
         return dict(self.values)
 

@@ -19,6 +19,11 @@ def dense(gen):
     return np.array([[float(v) for v in row] for row in gen.rows])
 
 
+def domain_ok(report):
+    """Every clause of a ``schottky.DomainReport`` holds."""
+    return report.holes_disjoint and report.pairing_ok and report.tiles_disjoint
+
+
 @pytest.fixture(scope="session")
 def tate_group():
     gen = MoebiusMap(9, 0, 0, 1)

@@ -9,6 +9,7 @@ import sys
 import tempfile
 import time
 import tracemalloc
+import warnings
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -25,6 +26,7 @@ from mumford_heat.config import (ParseError, ValidationError, bundled_fixture,
 from mumford_heat.heat import sample_paths
 from mumford_heat.operator import MAX_CUTOFF, GeneratorMatrix, generator_matrix, tail_bound
 from mumford_heat.schottky import DomainInvalid, verify_fundamental_domain
+from conftest import domain_ok
 
 
 @pytest.fixture(scope="module")
@@ -599,6 +601,29 @@ def test_a_genus0_group_writes_a_zero_tail_bound(tate_path, tmp_path):
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
 
 
+def test_sample_on_a_one_state_level_writes_constant_paths(tate_path, tmp_path):
+    # genus 0 at level 0: the one state D(0, 1) has no rate out and holds
+    # for ever, so each path is one row at time 0, and its law is the point
+    # mass there; as evolve and resolvent, sample exits 0, with no warning
+    raw = json.loads(tate_path.read_text())
+    raw["group"] = {"generators": [], "outer": {"center": "0", "radius_exp": 0},
+                    "holes": []}
+    raw["measure"] = {"datum": {"scale": "1", "factors": []}, "resolution": 0}
+    raw["run"]["level"] = 0
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("error")
+        assert main(["sample", "-c", str(config), "--paths", "5", "-o", str(out)]) == 0
+    lines = (out / "paths.csv").read_text().splitlines()
+    assert lines[-6:] == ["path_id,jump_time,state_index,state_center,state_radius_exp",
+                          *(f"{j},0.0,0,0,0" for j in range(5))]
+    report = json.loads((out / "sample-validation.json").read_text())
+    assert report["passed"] and report["n_paths"] == 5
+    assert [row["max_sigma"] for row in report["checkpoints"]] == [0.0] * 4
+
+
 def test_commands_do_not_import_scipy(tate_path, tmp_path):
     code = "\n".join([
         "import sys",
@@ -889,7 +914,7 @@ def test_only_validate_runs_the_tile_certificate(tate_path, tmp_path, monkeypatc
     assert main(["validate", "-c", str(tate_path), "-o", str(tmp_path)]) == 0
     assert depths == [4]
     report = verify_fundamental_domain(run.operator.group, depth=4)
-    assert report.ok and report.tiles_checked == 8  # g and g^-1 to each power 1..4
+    assert domain_ok(report) and report.tiles_checked == 8  # g and g^-1 to each power 1..4
     domain = json.loads((tmp_path / "validation.json").read_text())["domain"]
     assert domain == {
         "holes_disjoint": report.holes_disjoint,
@@ -1288,3 +1313,47 @@ def test_operator_section_fuzz(fixture, field, value, unknown):
             if code == 2:
                 assert f"operator.{field}" in err.getvalue(), err.getvalue()
                 assert not out.exists()
+
+
+BAD_WORDS = st.sampled_from(["x", "", "1.5", "-inf", "nan", "1e999"])
+# per flag, its values: a valid run stays under a second (level <= 4, cutoff
+# length <= 40, at most 2 000 audit samples and 3 000 paths); 10^7 paths
+# trip the jump budget before any draw
+FLAG_VALUES = {
+    "--level": st.one_of(st.integers(-2, 4), BAD_WORDS),
+    "--t": st.lists(st.one_of(st.sampled_from(["0", "0.25", "1", "3", "1e308", "-1"]),
+                              BAD_WORDS), min_size=1, max_size=3),
+    "--paths": st.one_of(st.integers(-2, 3_000), st.just(10 ** 7), BAD_WORDS),
+    "--seed": st.one_of(st.integers(-2, 2 ** 70), BAD_WORDS),
+    "--mode": st.sampled_from(["ambient", "transport", "both", ""]),
+    "--cutoff-len": st.one_of(st.integers(-1, 40), st.just(1001), BAD_WORDS),
+    "--cutoff-tol": st.one_of(st.sampled_from(["1e-12", "1/100", "1e-40", "2", "0", "-1/3",
+                                               "1e-5000"]), BAD_WORDS),
+    "--eta": st.one_of(st.sampled_from(["1", "1/3", "1e-3", "1e40", "0", "-1"]), BAD_WORDS),
+    "--initial": st.sampled_from(["wavelet", "indicator", "gaussian"]),
+    "--audit-samples": st.one_of(st.integers(-1, 2_000), BAD_WORDS),
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(fixture=st.sampled_from(["tate-p3", "genus2-p3"]),
+       command=st.sampled_from(sorted(cli.COMMANDS)),
+       flag=st.sampled_from(sorted(FLAG_VALUES)), data=st.data())
+def test_cli_flag_fuzz(fixture, command, flag, data):
+    """One mutated flag on a bundled fixture, in process and on one CPU:
+    the command exits 0, 2 or 3, or argparse exits 2; an exit 2 names the
+    flag on stderr.  Never a traceback."""
+    value = data.draw(FLAG_VALUES[flag])
+    argv = [flag, *map(str, value)] if flag == "--t" else [f"{flag}={value}"]
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_usable_cpus", lambda: 1)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            try:
+                code = main([command, "-c", str(bundled_fixture(fixture)), *argv,
+                             "-o", str(Path(tmp) / "out")])
+            except SystemExit as exc:  # argparse refuses the flag's text
+                code = exc.code
+        assert code in (0, 2, 3), (argv, code, err.getvalue())
+        if code == 2:
+            assert flag in err.getvalue(), (argv, err.getvalue())

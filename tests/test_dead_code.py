@@ -13,6 +13,12 @@ dunder methods aside: a method that only tests call is a test oracle.
 
 A read is a name, an attribute or a ``from ... import``; a recursive call
 inside the definition does not count, and neither does a mention in a string.
+
+The same readers must pass each defaulted parameter of a top-level function
+or a method of src/mumford_heat, by keyword or by position, in a call of
+that name (``C(...)`` calls ``C.__init__``); src/ counts outside the
+function itself.  An option that only tests set is a test oracle too, and
+the value everything else uses becomes a constant.
 """
 
 import ast
@@ -137,3 +143,102 @@ def test_an_unread_method_or_property_is_caught():
     readers = {"README.md": "Box().used()\n"}
     assert _unread(sources, readers, methods=True) == ["a.py:Box.alone"]
     assert _unread(sources, methods=True) == ["a.py:Box.used", "a.py:Box.alone"]
+
+
+def _defaulted(tree: ast.Module) -> list[tuple[str, str, int | None, int, int]]:
+    """(called name, parameter, its position in a call or None if keyword-only,
+    first line, last line) per defaulted parameter of the top-level functions
+    and the methods of the top-level classes; ``__init__`` is called by the
+    class name, and a method's position leaves out ``self`` or ``cls``."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            owners = [(None, node)]
+        elif isinstance(node, ast.ClassDef):
+            owners = [(node.name, f) for f in node.body if isinstance(f, ast.FunctionDef)]
+        else:
+            continue
+        for cls, fn in owners:
+            args = fn.args
+            positional = [a.arg for a in args.posonlyargs + args.args]
+            static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                         for d in fn.decorator_list)
+            shift = 1 if cls and not static else 0
+            called = cls if fn.name == "__init__" else fn.name
+            names = positional[len(positional) - len(args.defaults):]
+            names += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            for name in names:
+                index = positional.index(name) - shift if name in positional else None
+                found.append((called, name, index, fn.lineno, fn.end_lineno))
+    return found
+
+
+def _passes(call: ast.Call, name: str, index: int | None) -> bool:
+    """Whether the call passes the parameter: by keyword, by position, or
+    possibly through ``*args`` or ``**kwargs``."""
+    if any(k.arg in (name, None) for k in call.keywords):
+        return True
+    return index is not None and (len(call.args) > index or any(
+        isinstance(a, ast.Starred) for a in call.args))
+
+
+def _calls(tree: ast.Module):
+    """(called name, call) for each call of a name or an attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, (ast.Name, ast.Attribute)):
+                yield func.id if isinstance(func, ast.Name) else func.attr, node
+
+
+def _unpassed(sources: dict[str, str], readers: dict[str, str] | None = None) -> list[str]:
+    """'module:name(parameter)' of each defaulted parameter of ``sources``
+    that no call in ``sources`` (outside the function) or ``readers`` passes."""
+    calls = {module: list(_calls(ast.parse(text)))
+             for module, text in {**sources, **(readers or {})}.items()}
+    unpassed = []
+    for module, text in sources.items():
+        for called, name, index, first, last in _defaulted(ast.parse(text)):
+            if not any(label == called and _passes(call, name, index)
+                       and (other != module or not first <= call.lineno <= last)
+                       for other, found in calls.items() for label, call in found):
+                unpassed.append(f"{module}:{called}({name})")
+    return unpassed
+
+
+def _all_sources_and_readers() -> tuple[dict[str, str], dict[str, str]]:
+    """Every module of src/mumford_heat, and the readers outside src/."""
+    _, readers = _public_sources_and_readers()
+    return {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}, readers
+
+
+def test_every_defaulted_parameter_is_passed_by_a_reader():
+    sources, readers = _all_sources_and_readers()
+    assert sum(len(_defaulted(ast.parse(text))) for text in sources.values()) > 20
+    assert _unpassed(sources, readers) == []
+
+
+def test_an_unpassed_parameter_is_caught():
+    sources = {
+        "a.py": "def f(a, b=1, c=2, *, d=3, e=4):\n    return f(a, 1, e=5)\n\n\n"
+                "class Box:\n"
+                "    def __init__(self, size=1, shape=2):\n        pass\n\n"
+                "    def grow(self, by=1):\n        return Box(by)\n\n"
+                "    @staticmethod\n    def make(n=0):\n        return n\n",
+    }
+    assert _unpassed(sources) == ["a.py:f(b)", "a.py:f(c)", "a.py:f(d)", "a.py:f(e)",
+                                  "a.py:Box(shape)", "a.py:grow(by)", "a.py:make(n)"]
+    readers = {"README.md": "f(0, d=1)\nBox().grow(2)\nBox.make(1)\n"}
+    assert _unpassed(sources, readers) == ["a.py:f(b)", "a.py:f(c)", "a.py:f(e)",
+                                           "a.py:Box(shape)"]
+    readers["b.py"] = "f(0, *rest, **options)\nBox(**options)\n"
+    assert _unpassed(sources, readers) == []
+
+
+def test_a_new_unused_keyword_in_the_library_is_caught():
+    sources, readers = _all_sources_and_readers()
+    signature = "def tail_bound(cfg: OperatorConfig, length: int)"
+    assert sources["operator.py"].count(signature) == 1
+    sources["operator.py"] = sources["operator.py"].replace(
+        signature, "def tail_bound(cfg: OperatorConfig, length: int, spare: int = 0)")
+    assert _unpassed(sources, readers) == ["operator.py:tail_bound(spare)"]

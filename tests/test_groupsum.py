@@ -23,24 +23,21 @@ from mumford_heat.operator import (ChartNotSupported, CoincidentPoints,
                                    OperatorConfig, _fold, _group_histograms,
                                    _multipliers, _wavelet_cells, apply_operator,
                                    delta_series, generator_matrix, lambda_exact,
-                                   simplify, transformed_config, wavelet_multiplier,
-                                   word_census)
+                                   simplify, transformed_config, wavelet_multiplier)
 from mumford_heat.padic import Disc, PoleHit, abs_p, haar_measure, valuation
 from mumford_heat.schottky import (DomainInvalid, GroupWord, MoebiusMap, SchottkyGroup,
                                    region_image, words_with_maps)
 from mumford_heat.wavelets import LevelFunction, admissible_supports, state_discs
 from conftest import TATE_DATUM, dense
 
-ID = GroupWord.identity()
 
-
-def ref_sum(cfg, length, x, centre, beta_map, skip_identity):
-    """sum over l(w) <= length of p^(-alpha_g l(w)) |beta x - beta w c|^(-alpha)."""
-    p, bx, total = cfg.p, beta_map.apply(x), PowerSum(cfg.p)
+def ref_sum(cfg, length, x, centre, skip_identity):
+    """sum over l(w) <= length of p^(-alpha_g l(w)) |x - w c|^(-alpha)."""
+    p, total = cfg.p, PowerSum(cfg.p)
     for word, mat in words_with_maps(cfg.group, length):
         if skip_identity and word.is_identity():
             continue
-        dist = abs_p(bx - beta_map.compose(mat).apply(centre), p)
+        dist = abs_p(x - mat.apply(centre), p)
         assert dist != 0
         total.add_term(1, -cfg.alpha_g * len(word) - cfg.alpha * valuation(dist, p))
     return total
@@ -56,7 +53,7 @@ def ref_generator_rows(cfg, level, length):
                 row.append(None)
                 continue
             mass = cfg.profile.density_at(dk.center) * haar_measure(dk, p)
-            entry = ref_sum(cfg, length, di.center, dk.center, MoebiusMap.identity(),
+            entry = ref_sum(cfg, length, di.center, dk.center,
                             False).mul_power(cfg.mu_inverse() * mass, 0)
             row.append(simplify(entry))
             diag = diag + entry
@@ -65,30 +62,25 @@ def ref_generator_rows(cfg, level, length):
     return tuple(rows)
 
 
-def ref_multiplier(cfg, support, x, length, chart=None):
+def ref_multiplier(cfg, support, x, length):
     p = cfg.p
-    beta = chart if chart is not None and cfg.mode == "ambient" else ID
-    beta_map = cfg.group.word_map(beta)
     local_exp = support.radius_exp * (1 - cfg.alpha)
-    if not beta.is_identity():
-        local_exp -= cfg.alpha * valuation(beta_map.derivative_abs(support.center, p), p)
     total = PowerSum(p).add_term(-cfg.profile.density_on(support), local_exp)
     for cell, dens in _wavelet_cells(cfg, support):
-        part = ref_sum(cfg, length, x, cell.center, beta_map, cell == support)
+        part = ref_sum(cfg, length, x, cell.center, cell == support)
         total = total + part.scaled(-dens * haar_measure(cell, p))
     return simplify(total.mul_power(cfg.mu_inverse(), 0))
 
 
-def ref_level_apply(cfg, u, x, length, chart):
+def ref_level_apply(cfg, u, x, length):
     """The level-function quadrature, term by term in complex floats."""
     p = cfg.p
-    beta_map = cfg.group.word_map(chart if cfg.mode == "ambient" else ID)
-    bx, ux, total = beta_map.apply(x), u.value_at(x, p), 0j
+    ux, total = u.value_at(x, p), 0j
     for word, mat in words_with_maps(cfg.group, length):
         for cell, val in u.values:
             if word.is_identity() and cell.contains_point(x, p):
                 continue
-            dist = abs_p(bx - beta_map.compose(mat).apply(cell.center), p)
+            dist = abs_p(x - mat.apply(cell.center), p)
             mass = cfg.profile.density_at(cell.center) * haar_measure(cell, p)
             total += (float(p) ** -float(cfg.alpha_g * len(word)) * float(mass)
                       * float(dist) ** -float(cfg.alpha) * (val - ux))
@@ -106,28 +98,27 @@ def ref_delta_value(cfg, support):
     return simplify(total)
 
 
-# (fixture, alpha, alpha_g, cutoff length, chart word for the ambient multiplier;
-# its inverse letter puts p in the denominator of the moved base point);
-# 3^(3/2) > 4 keeps the genus-2 growth condition at alpha_g = 3/2
+# (fixture, alpha, alpha_g, cutoff length); 3^(3/2) > 4 keeps the genus-2
+# growth condition at alpha_g = 3/2
 CASES = [
-    ("tate_cfg", F(1), F(1), 6, GroupWord((-1,))),
-    ("tate_cfg", F(1, 2), F(1), 6, GroupWord((-1,))),
-    ("genus2_cfg", F(1), F(2), 3, GroupWord((-1, 2))),
-    ("genus2_cfg", F(1), F(3, 2), 3, GroupWord((-1, 2))),
+    ("tate_cfg", F(1), F(1), 6),
+    ("tate_cfg", F(1, 2), F(1), 6),
+    ("genus2_cfg", F(1), F(2), 3),
+    ("genus2_cfg", F(1), F(3, 2), 3),
 ]
 
 
 @pytest.fixture(params=[(c, mode) for c in CASES for mode in ("ambient", "transport")],
                 ids=lambda cm: f"{cm[0][0]}-a{cm[0][1]}-ag{cm[0][2]}-{cm[1]}")
 def case(request):
-    (name, alpha, alpha_g, length, chart), mode = request.param
+    (name, alpha, alpha_g, length), mode = request.param
     cfg = dataclasses.replace(request.getfixturevalue(name), alpha=alpha,
                               alpha_g=alpha_g, mode=mode, cutoff_len=length)
-    return cfg, length, chart
+    return cfg, length
 
 
 def test_generator_matrix_matches_reference(case):
-    cfg, length, _ = case
+    cfg, length = case
     gen = generator_matrix(cfg, 2)
     assert gen.rows == ref_generator_rows(cfg, 2, length)
     if cfg.alpha.denominator > 1 or cfg.alpha_g.denominator > 1:
@@ -158,33 +149,31 @@ def test_half_alpha_gives_power_sum_rates(request, name, length):
 
 
 def test_lambda_exact_and_multipliers_match_reference(case):
-    cfg, length, chart = case
+    cfg, length = case
     for support in admissible_supports(cfg.profile, 3):
         children = [child.center for child in support.children(cfg.p)]
         assert lambda_exact(cfg, support).value == simplify(
             -ref_multiplier(cfg, support, children[0], length))
         for x in children:
-            for word in (None, chart):
-                mult, _ = wavelet_multiplier(cfg, support, x, chart=word)
-                assert mult == ref_multiplier(cfg, support, x, length, word)
+            mult, _ = wavelet_multiplier(cfg, support, x)
+            assert mult == ref_multiplier(cfg, support, x, length)
 
 
 def test_level_function_quadrature_matches_reference(case):
     # the engine sums each cell exactly before the one conversion to float,
     # so it agrees with the term-by-term float sum to rounding only
-    cfg, length, chart = case
+    cfg, length = case
     states = state_discs(cfg.domain, cfg.profile, 2)
     u = LevelFunction.from_mapping(2, {d: complex(i % 3, i % 2 - 1)
                                        for i, d in enumerate(states)})
     for d in states:
-        for word in (ID, chart):
-            value, _ = apply_operator(cfg, u, d.center, beta=word)
-            assert value == pytest.approx(ref_level_apply(cfg, u, d.center, length, word),
-                                          rel=1e-12, abs=1e-12)
+        value, _ = apply_operator(cfg, u, d.center)
+        assert value == pytest.approx(ref_level_apply(cfg, u, d.center, length),
+                                      rel=1e-12, abs=1e-12)
 
 
 def test_delta_series_matches_reference(case):
-    cfg, _, _ = case
+    cfg, _ = case
     for support in admissible_supports(cfg.profile, 3):
         series = delta_series(cfg, support)
         if series.is_exact:
@@ -252,7 +241,7 @@ def ref_generator_per_pair(cfg, level, length):
 
 
 def test_generator_matrix_matches_per_pair_folds(case):
-    cfg, length, _ = case
+    cfg, length = case
     gen = generator_matrix(cfg, 3)
     ref = ref_generator_per_pair(cfg, 3, length)
     assert gen.rows == ref
@@ -309,27 +298,25 @@ def walked_words(monkeypatch):
     return walked
 
 
-def every_caller(cfg, level, chart):
+def every_caller(cfg, level):
     """What the four engine callers give at this level: the generator, and
     at a spread of supports and states the eigenvalue oracle, the
-    (chart-shifted) multipliers, the series and the level-function
-    quadrature."""
+    multipliers, the series and the level-function quadrature."""
     states = state_discs(cfg.domain, cfg.profile, level)
     supports = admissible_supports(cfg.profile, level)
     u = LevelFunction.from_mapping(level, {d: complex(i % 3, i % 2 - 1)
                                            for i, d in enumerate(states)})
     out = {"generator": generator_matrix(cfg, level).rows,
-           "level": [apply_operator(cfg, u, d.center, beta=chart)[0]
+           "level": [apply_operator(cfg, u, d.center)[0]
                      for d in states[::max(1, len(states) // 2)]]}
     for support in supports[::max(1, len(supports) // 3)]:
         children = [child.center for child in support.children(cfg.p)]
         out[support] = (lambda_exact(cfg, support).value,
-                        _multipliers(cfg, support, children, cfg.cutoff(), chart),
+                        _multipliers(cfg, support, children, cfg.cutoff()),
                         dataclasses.astuple(delta_series(cfg, support)))
     return out
 
 
-CHARTS = {"tate_cfg": GroupWord((-1,)), "genus2_cfg": GroupWord((-1, 2))}
 VARIANTS = {"ambient": {}, "transport": {"mode": "transport"},
             "alpha1/2": {"alpha": F(1, 2)}, "alpha_g3/2": {"alpha_g": F(3, 2)}}
 # every cutoff at level 2; the exhaustive walk grows as (2g-1)^L and the
@@ -351,9 +338,9 @@ def test_counted_subtrees_match_the_full_walk(request, monkeypatch, name, level,
                                               variant):
     cfg = dataclasses.replace(request.getfixturevalue(name), cutoff_len=length,
                               **VARIANTS[variant])
-    pruned = every_caller(cfg, level, CHARTS[name])
+    pruned = every_caller(cfg, level)
     walk_everything(monkeypatch)
-    assert pruned == every_caller(cfg, level, CHARTS[name])
+    assert pruned == every_caller(cfg, level)
 
 
 @st.composite
@@ -417,11 +404,10 @@ def test_random_figures_match_the_references(figure):
     the validation law and P_t, read from the split balls, against the
     dense semigroup; and ``spectral_data`` against the dense solve."""
     cfg, level = figure
-    chart = GroupWord((-1,)) if cfg.group.genus == 1 else GroupWord((-1, 2))
-    pruned = every_caller(cfg, level, chart)
+    pruned = every_caller(cfg, level)
     with pytest.MonkeyPatch.context() as mp:
         walk_everything(mp)
-        assert pruned == every_caller(cfg, level, chart)
+        assert pruned == every_caller(cfg, level)
     gen = generator_matrix(cfg, level)
     assert gen.states == tuple(state_discs(cfg.domain, cfg.profile, level))
     ref = ref_generator_per_pair(cfg, level, 3)
@@ -453,7 +439,8 @@ def assert_spectral_data_matches_the_dense_solve(cfg, gen):
 
 
 def full_walk_size(cfg, length):
-    return sum(n for _, n in word_census(cfg.group.genus, length))
+    g = cfg.group.genus
+    return 1 + sum(2 * g * (2 * g - 1) ** (ell - 1) for ell in range(1, length + 1))
 
 
 def test_genus2_walks_only_the_co_hole_chain(genus2_cfg, monkeypatch):
@@ -464,13 +451,19 @@ def test_genus2_walks_only_the_co_hole_chain(genus2_cfg, monkeypatch):
     assert length == 8 and len(walked) <= 1 + 2 * g * length
 
 
-@pytest.mark.parametrize("name", ["tate_cfg", "genus2_cfg"])
-def test_transformed_charts_prune_nothing(request, monkeypatch, name):
-    # g1 = 9z moves F into its own target hole, so the chart's cells meet it
+@pytest.mark.parametrize("name,letters", [
+    pytest.param("tate_cfg", (1,), id="tate_cfg"),
+    pytest.param("genus2_cfg", (1,), id="genus2_cfg"),
+    pytest.param("tate_cfg", (-1,), id="tate_cfg-z/9 chart"),
+])
+def test_transformed_charts_prune_nothing(request, monkeypatch, name, letters):
+    # g1 = 9z moves F into its own target hole, so the chart's cells meet
+    # it; z/9 moves F into the co-hole, and its points have 9 in the
+    # denominator, which the engine's valuations must take out
     base = dataclasses.replace(request.getfixturevalue(name), cutoff_len=4)
     datum = (TATE_DATUM if name == "tate_cfg"
              else RationalFunctionDatum.constant())
-    phi = base.group.word_map(GroupWord((1,)))
+    phi = base.group.word_map(GroupWord(letters))
     work = transformed_config(base, datum, phi)
     supports = [region_image(phi, s, base.p) for s in admissible_supports(base.profile, 3)]
     walked = walked_words(monkeypatch)
@@ -542,20 +535,12 @@ def test_split_balls_match_per_pair_folds_at_level_4(request, name, length, vari
     assert gen.rows == ref
 
 
-@pytest.mark.parametrize("name,level", [
-    *((name, level) for name in ("tate_cfg", "genus2_cfg") for level in (2, 3, 4, 5)),
-    ("z/9 chart", 2), ("z/9 chart", 3),  # uncertified: every word walked per state pair
-])
+@pytest.mark.parametrize("level", [2, 3, 4, 5])
+@pytest.mark.parametrize("name", ["tate_cfg", "genus2_cfg"])
 def test_the_states_are_the_state_discs_in_centre_order(request, name, level):
     # _split_balls walks the disc tree in its own order; the generator's
     # states must still be wavelets.state_discs, sorted by centre
-    if name == "z/9 chart":
-        base = request.getfixturevalue("tate_cfg")
-        cfg = transformed_config(base, TATE_DATUM,
-                                 base.group.word_map(GroupWord((-1,))))
-    else:
-        cfg = request.getfixturevalue(name)
-    cfg = dataclasses.replace(cfg, cutoff_len=3)
+    cfg = dataclasses.replace(request.getfixturevalue(name), cutoff_len=3)
     states = tuple(state_discs(cfg.domain, cfg.profile, level))
     assert states == tuple(sorted(states, key=lambda d: d.center))
     assert generator_matrix(cfg, level).states == states
@@ -662,15 +647,16 @@ def test_a_group_off_the_certificate_is_refused(pairing_faults):
         (-1, Disc(F(-1, 2), -1, complement=True), Disc(F(0), 0, complement=True)))
 
 
-def test_a_chart_whose_states_meet_the_holes_sums_every_state_pair(tate_cfg, monkeypatch):
+def test_a_chart_whose_states_meet_the_holes_is_refused(tate_cfg, monkeypatch):
     # z -> z/9 maps F onto D(0, 9) minus D(0, 1), inside the co-hole: a
-    # word may map a ball onto a disc around such a state, so the split
-    # balls need the states off the holes, and every ball is a state
+    # word may map a ball onto a disc around such a state, so the split-ball
+    # lemma fails there, and the generator is refused before any group sum
     base = dataclasses.replace(tate_cfg, cutoff_len=4)
     work = transformed_config(base, TATE_DATUM,
                               base.group.word_map(GroupWord((-1,))))
     handed = engine_pairs(monkeypatch)
-    gen = generator_matrix(work, 2)
-    assert handed == [gen.size ** 2]
-    monkeypatch.undo()
-    assert gen.rows == ref_generator_rows(work, 2, 4)
+    with pytest.raises(ChartNotSupported, match="meets a hole of the group") as err:
+        generator_matrix(work, 2)
+    assert handed == []
+    assert any(str(state) in str(err.value)
+               for state in state_discs(work.domain, work.profile, 2))

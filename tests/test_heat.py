@@ -16,12 +16,10 @@ from mumford_heat.heat import (ROW_SUM_TOL, NumericalBreakdown, SingularSystem,
                                spectral_data, transition_matrix)
 from mumford_heat import heat
 from mumford_heat.operator import (GeneratorMatrix, NotLocallyConstant, SplitTree,
-                                   generator_matrix, lambda_exact,
-                                   transformed_config)
+                                   generator_matrix, lambda_exact)
 from mumford_heat.padic import Disc
-from mumford_heat.schottky import GroupWord
 from mumford_heat.wavelets import LevelFunction, Wavelet, admissible_supports, wavelet_eval
-from conftest import TATE_DATUM, dense
+from conftest import dense
 from test_groupsum import assert_spectral_data_matches_the_dense_solve, schottky_figures
 
 
@@ -130,7 +128,7 @@ class TestTransitionMatrix:
     def test_non_finite_or_negative_time_rejected(self, gen, t):
         with pytest.raises(ValueError):
             transition_matrix(gen, t)
-        h0 = LevelFunction.constant(2, gen.states, 1.0)
+        h0 = LevelFunction.from_mapping(2, dict.fromkeys(gen.states, 1.0))
         with pytest.raises(ValueError):
             solve_cauchy(gen, h0, [0.0, t])
 
@@ -167,7 +165,7 @@ class TestTransitionMatrix:
 class TestCauchy:
     def test_an_empty_time_grid_gives_no_rows(self, gen):
         # run.times may be empty: evolve then writes a header only
-        h0 = LevelFunction.constant(2, gen.states, 1.0)
+        h0 = LevelFunction.from_mapping(2, dict.fromkeys(gen.states, 1.0))
         assert solve_cauchy(gen, h0, []).values.size == 0
         assert heat._laws(gen, 0, []).shape == (0, gen.size)
 
@@ -194,12 +192,12 @@ class TestCauchy:
         assert abs(rate - tate_lambda) / tate_lambda < 1e-6
 
     def test_negative_time_rejected(self, gen):
-        h0 = LevelFunction.constant(2, gen.states, 1.0)
+        h0 = LevelFunction.from_mapping(2, dict.fromkeys(gen.states, 1.0))
         with pytest.raises(ValueError):
             solve_cauchy(gen, h0, [0.0, -1.0])
 
     def test_constant_is_preserved(self, gen):
-        h0 = LevelFunction.constant(2, gen.states, 4.0)
+        h0 = LevelFunction.from_mapping(2, dict.fromkeys(gen.states, 4.0))
         sol = solve_cauchy(gen, h0, [0.0, 1.0, 10.0])
         assert np.max(np.abs(sol.values - 4.0)) < 1e-10
 
@@ -341,7 +339,7 @@ class TestResolvent:
 
     @pytest.mark.parametrize("eta", [F(-1), -1, 0, 0.0, -1.0, math.nan])
     def test_non_positive_eta_rejected(self, gen, eta):
-        h = LevelFunction.constant(2, gen.states, F(1))
+        h = LevelFunction.from_mapping(2, dict.fromkeys(gen.states, F(1)))
         with pytest.raises(ValueError):
             resolvent_solve(gen, eta, h)
 
@@ -473,12 +471,10 @@ class TestMultiresolution:
         assert len(sizes) == 1 and sizes[0] <= 4
 
     @pytest.mark.parametrize("build", [
-        lambda cfg: generator_matrix(transformed_config(
-            cfg, TATE_DATUM, cfg.group.word_map(GroupWord((-1,)))), 1),
         lambda cfg: doubled(generator_matrix(cfg, 2)),
         lambda cfg: two_state_toy(),
         lambda cfg: three_state_toy(),
-    ], ids=["z/9 chart", "replaced rows", "two-state toy", "three-state toy"])
+    ], ids=["replaced rows", "two-state toy", "three-state toy"])
     def test_without_certified_supports_the_cells_are_the_states(
             self, tate_cfg, dense_solve, monkeypatch, build):
         gen = build(replace(tate_cfg, cutoff_len=4))

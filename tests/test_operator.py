@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -103,21 +104,9 @@ class TestEigenvalueOracle:
 
     def test_constant_function_maps_to_zero(self, tate_cfg, tate_group):
         states = state_discs(tate_group.fundamental_domain(), tate_cfg.profile, 2)
-        u = LevelFunction.constant(2, states, 1.0)
+        u = LevelFunction.from_mapping(2, dict.fromkeys(states, 1.0))
         value, _ = apply_operator(tate_cfg, u, F(1))
         assert value == 0j
-
-    def test_chart_shift_modes(self, tate_cfg, tate_group, tate_profile):
-        support = Disc(F(1), -1)
-        base, _ = wavelet_multiplier(tate_cfg, support, F(1))
-        shifted, _ = wavelet_multiplier(tate_cfg, support, F(1),
-                                        chart=GroupWord((1,)))
-        assert F(shifted) / F(base) == 9  # ambient values differ by an exact factor
-        transport = OperatorConfig(group=tate_group, profile=tate_profile,
-                                   mode="transport", cutoff_len=40)
-        same, _ = wavelet_multiplier(transport, support, F(1),
-                                     chart=GroupWord((1,)))
-        assert same == base
 
 
 class TestLambdaPaper:
@@ -295,7 +284,7 @@ class TestGeneratorMatrix:
 
     def test_rates_against_kernel(self, tate_cfg):
         # independent recomputation of one entry from kernel values
-        gen = generator_matrix(tate_cfg, 2, length=12)
+        gen = generator_matrix(replace(tate_cfg, cutoff_len=12), 2)
         states = gen.states
         i, k = 0, 3
         total = F(0)
@@ -351,10 +340,10 @@ def test_cutoff_searched_once_per_instance(name, tol, request, monkeypatch):
     searches = []
     honest = operator.tail_bound
 
-    def counting(cfg, length, sup_norm=1):
+    def counting(cfg, length):
         if length == 1:
             searches.append(cfg)
-        return honest(cfg, length, sup_norm)
+        return honest(cfg, length)
 
     monkeypatch.setattr(operator, "tail_bound", counting)
     assert [cfg.cutoff() for _ in range(3)] == [expected] * 3
@@ -379,9 +368,9 @@ def test_cutoff_search_evaluates_one_tail_bound(name, request, monkeypatch):
     calls = []
     honest = operator.tail_bound
 
-    def counting(cfg, length, sup_norm=1):
+    def counting(cfg, length):
         calls.append(length)
-        return honest(cfg, length, sup_norm)
+        return honest(cfg, length)
 
     monkeypatch.setattr(operator, "tail_bound", counting)
     found = [dataclasses.replace(base, cutoff_len=None, cutoff_tol=tol).cutoff()
