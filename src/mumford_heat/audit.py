@@ -422,24 +422,26 @@ def check_chart_shift(cfg: OperatorConfig, datum: RationalFunctionDatum) -> Chec
                        len(instances), failures, tuple(instances), note)
 
 
-def audit_lemmas(cfg: OperatorConfig, datum: RationalFunctionDatum,
-                 n_random: int = 2000, level: int = 2) -> AuditReport:
+def audit_lemmas(cfg: OperatorConfig, datum: RationalFunctionDatum, n_random: int = 2000,
+                 level: int = 2, evaluate=lambda checks: [c() for c in checks]) -> AuditReport:
     """Run every identity check and collect the findings.
 
     The distance-product identity and the escape bound must pass; the rest
     are reported findings whose exact counterexamples document which
     convention each statement needs.  ``n_random`` (at least 1) is the
-    number of random instances of each of the first two.
+    number of random instances of each of the first two.  The checks are
+    independent: ``evaluate`` takes them as argument-free calls and returns
+    their results in order, by default calling them one after another.
     """
     if n_random < 1:
         raise ValueError(f"n_random must be at least 1, got {n_random}")
-    checks = (
-        check_distance_product_identity(cfg.group, n_random, 0),
-        check_escape_distance_bound(cfg, n_random, 1),
-        check_distance_word_shift(cfg),
-        check_density_transport(cfg, datum),
-        check_local_integral_alpha(cfg),
-        check_completeness_gap(cfg, level),
-        check_chart_shift(cfg, datum),
-    )
-    return AuditReport(checks)
+    checks = [
+        lambda: check_distance_product_identity(cfg.group, n_random, 0),
+        lambda: check_escape_distance_bound(cfg, n_random, 1),
+        lambda: check_distance_word_shift(cfg),
+        lambda: check_density_transport(cfg, datum),
+        lambda: check_local_integral_alpha(cfg),
+        lambda: check_completeness_gap(cfg, level),
+        lambda: check_chart_shift(cfg, datum),
+    ]
+    return AuditReport(tuple(evaluate(checks)))

@@ -3,10 +3,10 @@
 Outputs are deterministic: identical config, flags and seed produce
 byte-identical files.  Every artifact embeds the config hash, the evaluation
 mode, the resolved cutoff length and the certified tail bound at that
-cutoff.  ``sample`` draws, counts and formats its paths in up to one process
-per usable CPU, and its bytes do not depend on their number.  Exit codes: 0
-success, 1 a failed ``paths.csv`` worker, 2 validation failure, 3 numerical
-breakdown.
+cutoff.  ``sample`` draws, counts and formats its paths, and ``audit`` runs
+its checks, in up to one process per usable CPU, and their bytes do not
+depend on the number.  Exit codes: 0 success, 1 a failed worker of
+``sample`` or ``audit``, 2 validation failure, 3 numerical breakdown.
 """
 
 from __future__ import annotations
@@ -14,8 +14,10 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import pickle
 import sys
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
+from contextlib import contextmanager, suppress
 from fractions import Fraction
 from itertools import chain, pairwise, repeat
 from operator import sub
@@ -220,26 +222,62 @@ def _ranges(n_paths: int) -> list[range]:
 PIPE_READ = 1 << 16  # bytes copied from a worker's pipe at a time
 
 
-def _sampled_rows(draw, ranges: list[range], tails: list[str], counts: list) -> Iterator[str]:
-    """The rows of ``paths.csv``; ``draw(ids)`` gives a range's checkpoint counts
-    and sample, and the counts go to ``counts``.  A forked worker per range but
-    the first draws it and writes to a pipe its counts (little-endian int64),
-    then its text; this process yields the first range block by block, then
-    copies each pipe.  A worker calls no BLAS, so a BLAS pool's threads are no
-    hazard, and leaves by ``os._exit``, flushing no file of this process.  The
+@contextmanager
+def _workers(tasks: list[tuple[str, Callable]]) -> Iterator[list]:
+    """Fork a worker per ``(name, task)`` and yield the read ends of their pipes,
+    in order; ``task(pipe)`` writes to the binary file ``pipe``.  A worker calls
+    no BLAS and leaves by ``os._exit``, flushing no file of this process.  The
     pipes close before the workers are waited for, so one blocked on a full
     pipe fails instead of hanging; one that did not exit 0 raises ChildProcessError."""
     pids, pipes = [], []
     try:
-        for ids in ranges[1:]:
+        for _, task in tasks:
             read_end, write_end = os.pipe()
             pipes.append(open(read_end, "rb"))
             try:
                 if (pid := os.fork()) == 0:
-                    _work(draw, ids, tails, pipes, write_end)
+                    _work(task, pipes, write_end)
             finally:
                 os.close(write_end)  # only the parent gets here
             pids.append(pid)
+        yield pipes
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
+    for (name, _), status in zip(tasks, statuses):
+        if status:
+            raise ChildProcessError(
+                f"{name} exited with status {os.waitstatus_to_exitcode(status)}")
+
+
+def _work(task: Callable, pipes: list, write_end: int):
+    """A forked worker's whole life: run ``task`` on ``write_end``; exit 0 only if it all went."""
+    status = 1
+    try:
+        for pipe in pipes:  # its own read end and those of earlier workers
+            pipe.close()
+        with open(write_end, "wb") as pipe:
+            task(pipe)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _sampled_rows(draw, ranges: list[range], tails: list[str], counts: list) -> Iterator[str]:
+    """The rows of ``paths.csv``; ``draw(ids)`` gives a range's checkpoint counts
+    and sample, and the counts go to ``counts``.  A worker per range but the
+    first writes its counts (little-endian int64), then its text; this process
+    yields the first range block by block, then copies each pipe."""
+    def task(ids: range) -> tuple[str, Callable]:
+        def run(pipe):
+            counts, paths = draw(ids)
+            text = list(_path_blocks(paths, tails, ids.start))
+            pipe.write(counts.astype("<i8").tobytes())
+            pipe.writelines(map(str.encode, text))
+        return f"paths.csv: the worker on paths {ids.start}-{ids.stop - 1}", run
+
+    with _workers(list(map(task, ranges[1:]))) as pipes:
         own, paths = draw(ranges[0])
         counts.append(own)
         yield from _path_blocks(paths, tails, 0)
@@ -250,31 +288,30 @@ def _sampled_rows(draw, ranges: list[range], tails: list[str], counts: list) -> 
             counts.append(np.frombuffer(head, "<i8").reshape(own.shape))
             while piece := pipe.read(PIPE_READ):
                 yield piece.decode("ascii")
-    finally:
-        for pipe in pipes:
-            pipe.close()
-        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
-    for ids, status in zip(ranges[1:], statuses):
-        if status:
-            raise ChildProcessError(f"paths.csv: the worker on paths {ids.start}-{ids.stop - 1} "
-                                    f"exited with status {os.waitstatus_to_exitcode(status)}")
 
 
-def _work(draw, ids: range, tails: list[str], pipes: list, write_end: int):
-    """A forked worker's whole life: draw, count and format ``ids``, write it
-    all to ``write_end`` and exit, with status 0 only if all of it went."""
-    status = 1
-    try:
-        for pipe in pipes:  # its own read end and those of earlier workers
-            pipe.close()
-        counts, paths = draw(ids)
-        text = list(_path_blocks(paths, tails, ids.start))
-        with open(write_end, "wb") as pipe:
-            pipe.write(counts.astype("<i8").tobytes())
-            pipe.writelines(map(str.encode, text))
-        status = 0
-    finally:
-        os._exit(status)
+def _outcome(check: Callable):
+    """The check's result, or None (its exception suppressed) if it raised."""
+    with suppress(Exception):
+        return check()
+
+
+def _evaluate_checks(checks: list) -> list:
+    """The audit's checks: check i runs in process i mod k, k the smaller of
+    the usable CPUs and the number of checks, and process 0 is this one.  A
+    worker pickles its outcomes to its pipe.  The checks that raised run
+    again here, in order, so the first raises as it would in one process."""
+    k = min(_usable_cpus(), len(checks)) if hasattr(os, "fork") else 1
+    tasks = [(f"audit.json: the worker on checks {', '.join(map(str, range(j, len(checks), k)))}",
+              lambda pipe, j=j: pickle.dump(list(map(_outcome, checks[j::k])), pipe))
+             for j in range(1, k)]
+    results = [None] * len(checks)
+    with _workers(tasks) as pipes:
+        results[0::k] = map(_outcome, checks[0::k])
+        blobs = [pipe.read() for pipe in pipes]
+    for j, blob in enumerate(blobs, 1):
+        results[j::k] = pickle.loads(blob)
+    return [check() if result is None else result for result, check in zip(results, checks)]
 
 
 def cmd_sample(run: RunConfig, op: OperatorConfig, out: Path, args) -> int:
@@ -321,7 +358,8 @@ def cmd_sample(run: RunConfig, op: OperatorConfig, out: Path, args) -> int:
 def cmd_audit(run: RunConfig, op: OperatorConfig, out: Path, args) -> int:
     n_random = parse_int(args.audit_samples, "--audit-samples", minimum=1)
     datum = run.datum if run.datum is not None else RationalFunctionDatum.constant()
-    report = audit_lemmas(op, datum, n_random=n_random, level=_level(run, args))
+    report = audit_lemmas(op, datum, n_random=n_random, level=_level(run, args),
+                          evaluate=_evaluate_checks)
     payload = {"meta": _meta(run, op)}
     payload.update(report.to_dict())
     _write(out / "audit.json", [json.dumps(payload, indent=2, sort_keys=True) + "\n"])

@@ -47,9 +47,7 @@ def parse_rational(value, path: str = "") -> Fraction:
     try:
         if isinstance(value, bool):
             raise TypeError("booleans are not numbers")
-        if isinstance(value, int):
-            return Fraction(value)
-        if isinstance(value, str):
+        if isinstance(value, (int, str)):
             return Fraction(value)
     except (ValueError, ZeroDivisionError, TypeError) as exc:
         raise ValidationError(path, f"not an exact rational: {value!r}") from exc
@@ -115,10 +113,8 @@ def parse_cutoff(cutoff_len, cutoff_tol, len_path: str, tol_path: str
 
 
 def format_rational(value: Fraction) -> str:
-    value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    """``n`` for an integer, else ``n/d`` in lowest terms."""
+    return str(Fraction(value))
 
 
 def check_level(level: int, resolution: int, path: str) -> None:

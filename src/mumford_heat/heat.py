@@ -28,9 +28,10 @@ from typing import Sequence
 
 import numpy as np
 
+from .exactnum import ExactComplex
 from .operator import GeneratorMatrix, OperatorConfig
 from .padic import Disc
-from .wavelets import LevelFunction, Wavelet, admissible_wavelets, wavelet_eval
+from .wavelets import LevelFunction, Wavelet, admissible_wavelets
 
 
 class NumericalBreakdown(ArithmeticError):
@@ -61,7 +62,9 @@ class SpectralData:
 
 def wavelet_column(w: Wavelet, states: Sequence[Disc], profile) -> np.ndarray:
     """w, omega-normalised, at the states' centres: exact on its support, 0 off it."""
-    return np.array([complex(wavelet_eval(w, d.center, profile, "omega"))
+    mag = w.norm_magnitude(profile, "omega")  # once per wavelet, not per state
+    return np.array([complex(ExactComplex(mag.coeff, mag.radicand, w.p, w.phase_at(d.center),
+                                          mag.p_exp))
                      if w.support.contains_point(d.center, w.p) else 0j for d in states])
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from .padic import Disc, Rational, abs_p, discs_disjoint, haar_measure
+from .padic import Disc, Rational, abs_p, disc_name, discs_disjoint, haar_measure
 from .schottky import FundamentalDomain
 
 
@@ -81,7 +81,7 @@ def local_abs(datum: RationalFunctionDatum, disc: Disc, p: int) -> Fraction:
         raise RootInsideDisc("density is only defined on plain discs")
     for root, _ in datum.factors:
         if disc.contains_point(root, p):
-            raise RootInsideDisc(f"root {root} lies in {disc}")
+            raise RootInsideDisc(f"root {root} lies in {disc_name(disc, p)}")
     return datum.abs_at(disc.center, p)
 
 

@@ -73,7 +73,7 @@ from typing import Sequence, Union
 
 from .exactnum import ExactComplex, PowerSum, p_power_bounds
 from .padic import (INFINITE_VALUATION, Disc, PoleHit, Rational, abs_p,
-                    difference_valuation, discs_disjoint, haar_measure,
+                    difference_valuation, disc_name, discs_disjoint, haar_measure,
                     pair_difference_valuation, valuation)
 from .measure import MeasureProfile, RationalFunctionDatum, RootInsideDisc, local_abs
 from .schottky import (DomainInvalid, FundamentalDomain, GroupWord, MoebiusMap,
@@ -345,7 +345,8 @@ def _group_histograms(cfg: OperatorConfig, length: int, points: Sequence[Fractio
                 raise err
             vden = valuation(den, p)
             if vden >= vc + r:
-                err = ChartNotSupported(f"image of {cell} under {word} wraps infinity")
+                err = ChartNotSupported(
+                    f"image of {disc_name(cell, p)} under {word} wraps infinity")
                 err.pole = Fraction(-d, c)
                 raise err
             targets.append((a * n + b * m, den, vden))
@@ -778,7 +779,7 @@ def transformed_config(cfg: OperatorConfig, datum: RationalFunctionDatum,
         try:
             pieces.append((image, local_abs(datum, image, p)))
         except RootInsideDisc as exc:  # the image wraps infinity or holds a root of f
-            raise ChartNotSupported(f"chart piece {image}: {exc}") from exc
+            raise ChartNotSupported(f"chart piece {disc_name(image, p)}: {exc}") from exc
     pieces.sort(key=lambda it: (it[0].center, it[0].radius_exp))
     cores = tuple(region_image(phi, core, p) for core in cfg.profile.zero_cores)
     profile = MeasureProfile(tuple(pieces), cores, p)
@@ -1004,7 +1005,8 @@ def _split_balls(cfg: OperatorConfig, level: int,
                     discs_disjoint(disc, core, p) for core in cfg.profile.zero_cores)):
                 return [], []
             if not off:  # in the domain, so it meets a hole of the group
-                raise ChartNotSupported(f"the state {disc} meets a hole of the group")
+                raise ChartNotSupported(
+                    f"the state {disc_name(disc, p)} meets a hole of the group")
             inside, tiles, whole = [len(states)], [], True
             states.append(disc)
         else:

@@ -166,6 +166,12 @@ class Disc:
             yield Disc(self.center + i * step, self.radius_exp - 1)
 
 
+def disc_name(disc: Disc, p: int) -> str:
+    """The docs' name of a disc, ``D(1/3, 3^-2)``; a co-disc is ``Q_3 \\ D(0, 3^0)``."""
+    name = f"D({disc.center}, {p}^{disc.radius_exp})"
+    return f"Q_{p} \\ {name}" if disc.complement else name
+
+
 def discs_disjoint(d1: Disc, d2: Disc, p: int) -> bool:
     """Exact disjointness test; handles the co-disc flag on either side."""
     if not d1.complement and not d2.complement:

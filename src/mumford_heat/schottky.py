@@ -23,13 +23,6 @@ class DomainInvalid(ValueError):
     """A fundamental-domain invariant failed; the message names the clause."""
 
 
-def _gcd_many(values: Sequence[int]) -> int:
-    g = 0
-    for v in values:
-        g = math.gcd(g, v)
-    return g
-
-
 @dataclass(frozen=True)
 class MoebiusMap:
     """Integer matrix [[a, b], [c, d]] acting as x -> (a*x+b)/(c*x+d).
@@ -45,10 +38,9 @@ class MoebiusMap:
     d: int
 
     def __post_init__(self):
-        det = self.a * self.d - self.b * self.c
-        if det == 0:
+        if self.det == 0:
             raise ValueError("singular matrix")
-        g = _gcd_many([self.a, self.b, self.c, self.d])
+        g = math.gcd(self.a, self.b, self.c, self.d)
         if g > 1:
             object.__setattr__(self, "a", self.a // g)
             object.__setattr__(self, "b", self.b // g)

@@ -658,5 +658,6 @@ def test_a_chart_whose_states_meet_the_holes_is_refused(tate_cfg, monkeypatch):
     with pytest.raises(ChartNotSupported, match="meets a hole of the group") as err:
         generator_matrix(work, 2)
     assert handed == []
-    assert any(str(state) in str(err.value)
-               for state in state_discs(work.domain, work.profile, 2))
+    # the refused state is named as the docs name discs, D(centre, p^radius_exp)
+    assert str(err.value) == "the state D(1/3, 3^-2) meets a hole of the group"
+    assert Disc(F(1, 3), -2) in state_discs(work.domain, work.profile, 2)

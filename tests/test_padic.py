@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from mumford_heat.padic import (Disc, INFINITE_VALUATION, abs_p,
                                 ball_character_moment_integral,
                                 brute_sphere_decomposition, character_phase,
-                                covered_measure, difference_valuation,
+                                covered_measure, difference_valuation, disc_name,
                                 discs_disjoint, haar_measure, p_power,
                                 sphere_character_integral, valuation)
 
@@ -84,6 +84,16 @@ def test_codisc_membership_and_containment():
     assert co.contains(Disc(F(1, 9), 2, complement=True), 3)
     assert not co.contains(Disc(F(0), -1), 3)
     assert discs_disjoint(co, Disc(F(1), -1), 3)
+
+
+def test_disc_names_are_the_docs_notation():
+    # error messages name discs this way; repr stays the dataclass's, which
+    # audit.json's instance labels embed
+    assert disc_name(Disc(F(1, 3), -2), 3) == "D(1/3, 3^-2)"
+    assert disc_name(Disc(F(-7), 1), 5) == "D(-7, 5^1)"
+    assert disc_name(Disc(F(0), 0, complement=True), 3) == "Q_3 \\ D(0, 3^0)"
+    assert repr(Disc(F(1, 3), -2)) == \
+        "Disc(center=Fraction(1, 3), radius_exp=-2, complement=False)"
 
 
 def test_covered_measure_maximal_members():
