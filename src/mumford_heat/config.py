@@ -281,13 +281,16 @@ def config_from_dict(raw: dict) -> RunConfig:
         datum = _parse_datum(msec["datum"])
         profile = _datum_profile(datum, group, resolution)
     elif "profile" in msec:
-        profile = _parse_profile(msec["profile"], p)
+        profile = _parse_profile(msec["profile"], p, resolution)
         fault = profile.tiling_fault(group.fundamental_domain())
         if fault:
             raise ValidationError("measure.profile.pieces",
                                   f"the pieces and zero cores do not tile F: {fault}")
     else:
         raise ValidationError("measure", "needs either a datum or a profile")
+    if not profile.pieces:  # the zero cores tile F, so no level has a state
+        raise ValidationError("measure.profile.pieces" if datum is None else
+                              "measure.datum.factors", "the measure vanishes on all of F")
 
     osec = _typed(raw.get("operator", {}), dict, "operator")
     alpha = parse_exponent(osec.get("alpha", "1"), "operator.alpha")
@@ -372,18 +375,28 @@ def _datum_profile(datum: RationalFunctionDatum, group: SchottkyGroup,
     return profile
 
 
-def _parse_profile(obj, p: int) -> MeasureProfile:
+def _resolved_disc(obj, path: str, resolution: int) -> Disc:
+    """A profile disc no finer than the resolution, so that each state,
+    at a level no coarser, lies in one piece or core or misses it."""
+    disc = _parse_disc(obj, path)
+    if disc.radius_exp < -resolution:
+        raise ValidationError(path, f"radius_exp {disc.radius_exp} is finer than the "
+                                    f"measure resolution {resolution}")
+    return disc
+
+
+def _parse_profile(obj, p: int, resolution: int) -> MeasureProfile:
     _typed(obj, dict, "measure.profile")
     pieces = []
     for i, piece in enumerate(_typed(obj.get("pieces", []), list,
                                      "measure.profile.pieces")):
         ppath = f"measure.profile.pieces[{i}]"
-        disc = _parse_disc(piece, ppath)
+        disc = _resolved_disc(piece, ppath, resolution)
         dens = parse_rational(piece.get("density"), f"{ppath}.density")
         if dens <= 0:
             raise ValidationError(f"{ppath}.density", "density must be positive")
         pieces.append((disc, dens))
-    cores = tuple(_parse_disc(c, f"measure.profile.zero_cores[{i}]")
+    cores = tuple(_resolved_disc(c, f"measure.profile.zero_cores[{i}]", resolution)
                   for i, c in enumerate(_typed(obj.get("zero_cores", []), list,
                                                "measure.profile.zero_cores")))
     pieces.sort(key=lambda it: (it[0].center, it[0].radius_exp))

@@ -5,7 +5,8 @@ the semigroup, eigen-solves, resolvents of Q with irrational rates and random
 sampling.  Q acts diagonally on the wavelets of its split balls, so f(-Q) h
 is one descent of the tree (``_descend``): f(-Q_c) on the cell means of h,
 Q_c the small chain between the maximal balls, then one factor f(lambda_B)
-per split ball B that is not a state (``GeneratorMatrix.chain``).  So come
+per split ball B that is not a state, all read off the tree when the
+``GeneratorMatrix`` is built (its ``q`` and ``lam``).  So come
 the heat flow, the validation law and ``transition_matrix`` (f = e^(-lambda
 t), e^(tQ_c) by uniformization with squaring), the resolvent (f = 1/(eta +
 lambda)) and Q basis in ``spectral_data`` (f = -lambda); no n x n float
@@ -86,7 +87,7 @@ def spectral_data(cfg: OperatorConfig, gen: GeneratorMatrix) -> SpectralData:
     root = np.sqrt([float(m) for m in gen.masses])[:, None]
     u2, s2, _ = np.linalg.svd(known * root, full_matrices=True)
     basis = np.column_stack([known, u2[:, int(np.sum(s2 > 1e-10)):] / root])
-    q = np.array(gen.chain.q, dtype=float)  # Q basis from one descent, f = -lambda
+    q = np.array(gen.q, dtype=float)  # Q basis from one descent, f = -lambda
     tri = np.linalg.solve(basis, _descend(gen, basis, lambda means: q @ means,
                                           lambda lam: -float(lam)))
     k = known.shape[1]
@@ -176,7 +177,7 @@ def solve_cauchy(gen: GeneratorMatrix, h0: LevelFunction,
 def _flow(gen: GeneratorMatrix, h: Sequence, times: Sequence[float], coarse) -> np.ndarray:
     """P_t h at every t, shape (len(times), *h.shape): one ``_descend`` on arrays
     over the times, f(lambda) = e^(-lambda t), cell values coarse(e^(tQ_c), means)."""
-    q, t = np.array(gen.chain.q, dtype=float), np.array(times, dtype=float)
+    q, t = np.array(gen.q, dtype=float), np.array(times, dtype=float)
     semigroups = [_semigroup(q, float(s)) for s in t]
     t = t.reshape(-1, *[1] * (np.ndim(h) - 1))  # times first, then h's columns
 
@@ -191,7 +192,7 @@ def resolvent_solve(gen: GeneratorMatrix, eta, h: LevelFunction) -> LevelFunctio
     """Solve (eta*I - Q) u = h for eta > 0 (ValueError otherwise).
 
     u is exact, one Fraction per state, when eta, h and every density of
-    ``gen.tree`` are rational; otherwise it is a float solve, in real
+    ``gen`` are rational; otherwise it is a float solve, in real
     arithmetic unless h has a nonzero imaginary part.  For eta > 0 the
     system is strictly diagonally dominant, so it is never singular.  u is
     ``_descend`` with f(lambda) = 1/(eta + lambda): one solve of size #cells
@@ -199,11 +200,12 @@ def resolvent_solve(gen: GeneratorMatrix, eta, h: LevelFunction) -> LevelFunctio
     if not eta > 0:
         raise ValueError(f"eta must be positive, got {eta!r}")
     vals = gen.vector(h)
-    exact_q = all(isinstance(d, Fraction) for _, _, d in gen.tree.blocks())
+    exact_q = all(isinstance(d, Fraction) for d in (*gen.density, *sum(gen.cross, ()))
+                  if d is not None)
     exact_h = all(isinstance(v, (int, Fraction)) for v in vals)
     num = Fraction if exact_q and exact_h and isinstance(eta, (int, Fraction)) else float
     eta = num(eta)
-    a = [[eta * (i == j) - num(v) for j, v in enumerate(row)] for i, row in enumerate(gen.chain.q)]
+    a = [[eta * (i == j) - num(v) for j, v in enumerate(row)] for i, row in enumerate(gen.q)]
 
     def coarse(means: list) -> Sequence:
         try:
@@ -224,25 +226,25 @@ def _descend(gen: GeneratorMatrix, h: Sequence, coarse, factor) -> list:
     constant on the children of B, zero off B and of m-mean zero, and as the
     chain Q_c on the functions constant on each cell, a maximal ball.  So h
     splits into its cell means, which ``coarse`` maps to the cell values of
-    f(-Q) h, and per B into mean_child(h) - mean_B(h), times factor(lambda_B)."""
-    tree, lam, cells = gen.tree, gen.chain.lam, gen.tree.tops
-    m, mass = gen.masses, gen.chain.mass
+    f(-Q) h, and per B into mean_child(h) - mean_B(h), times factor(lambda_B):
+    the ball masses m(B) and the rates lambda_B are ``gen.mass`` and ``gen.lam``."""
+    m, mass, order = gen.masses, gen.mass, gen.order
     if columns := isinstance(h, np.ndarray) and h.ndim == 2:
         m, mass = ([float(v) for v in w] for w in (m, mass))  # float rows, not objects
     total = []  # per ball, the m-weighted sum of h
-    for ins, kids in zip(tree.members, tree.children):
-        total.append(sum(total[k] for k in kids) if kids else m[ins[0]] * h[ins[0]])
+    for (lo, _), kids in zip(gen.spans, gen.children):
+        total.append(sum(total[k] for k in kids) if kids else m[order[lo]] * h[order[lo]])
     u = [None] * gen.size
-    stack = list(zip(cells, coarse([total[c] / mass[c] for c in cells])))
+    stack = list(zip(gen.tops, coarse([total[c] / mass[c] for c in gen.tops])))
     while stack:
         b, value = stack.pop()
-        if not tree.children[b]:
-            u[tree.members[b][0]] = value
+        if not gen.children[b]:
+            u[order[gen.spans[b][0]]] = value
             continue
         mean = total[b] / mass[b]
-        for k in tree.children[b]:
+        for k in gen.children[b]:
             diff = total[k] / mass[k] - mean
-            stack.append((k, value + diff * factor(lam[b]) if columns or diff else value))
+            stack.append((k, value + diff * factor(gen.lam[b]) if columns or diff else value))
     return u
 
 
@@ -389,18 +391,18 @@ def _jump_table(gen: GeneratorMatrix):
     a ball's rate spreads over its states by mass.  A ball at rate 0 is left
     out.  So x has O(depth * p + #tops) entries, each ball's list its
     parent's and its siblings."""
-    tree, mass, out = gen.tree, gen.chain.mass, gen.chain.out
-    entries = [None] * len(tree.balls)
-    for a, row in zip(tree.tops, tree.cross):
-        entries[a] = [(b, float(d * mass[b])) for b, d in zip(tree.tops, row) if b != a]
-    for b in reversed(range(len(tree.balls))):  # each ball before its descendants
-        kids = [(k, float(tree.density[b] * mass[k])) for k in tree.children[b]]
-        for k in tree.children[b]:
+    entries = [None] * len(gen.balls)
+    for a, row in zip(gen.tops, gen.cross):
+        entries[a] = [(b, float(d * gen.mass[b])) for b, d in zip(gen.tops, row) if b != a]
+    for b in reversed(range(len(gen.balls))):  # each ball before its descendants
+        kids = [(k, float(gen.density[b] * gen.mass[k])) for k in gen.children[b]]
+        for k in gen.children[b]:
             entries[k] = entries[b] + [e for e in kids if e[0] != k]
     hold, rows = np.zeros(gen.size), [()] * gen.size
-    for b, (ins, kids) in enumerate(zip(tree.members, tree.children)):
+    for b, ((lo, _), kids) in enumerate(zip(gen.spans, gen.children)):
         if not kids:
-            hold[ins[0]], rows[ins[0]] = out[b], [e for e in entries[b] if e[1] > 0]
+            x = gen.order[lo]
+            hold[x], rows[x] = gen.out[b], [e for e in entries[b] if e[1] > 0]
     balls = np.zeros((gen.size, max(1, *map(len, rows))), dtype=np.intp)
     rates = np.zeros(balls.shape)
     for x, row in enumerate(rows):
@@ -430,17 +432,13 @@ def jump_chain(gen: GeneratorMatrix, n_paths: int, t_max: float, seed: int) -> t
     if not (jumps := float(rate.max()) * t_max * n_paths) <= MAX_JUMPS:
         raise NumericalBreakdown(f"{n_paths} paths to t = {t_max!r} may make {jumps:.3g} "
                                  f"jumps, past the budget of {MAX_JUMPS:.0e}")
-    # the tops' members list each state once, and ball b's are a run of
-    # them, positions first..end, over the cumulative masses low to low + span
-    members = gen.tree.members
-    order = np.array([x for a in gen.tree.tops for x in members[a]])
-    first = np.argsort(order)[[ins[0] for ins in members]]
-    end = first + np.array([len(ins) for ins in members]) - 1
+    # ball b's states are the run order[lo:hi], over the cumulative masses edges[lo:hi + 1]
+    order, (lo, hi) = np.array(gen.order), np.array(gen.spans).T
     edges = np.concatenate(([0.0], np.cumsum([float(gen.masses[x]) for x in order])))
     # transposed: a step gathers one column per live path, counts down the rows
     return (np.divide(1, rate, out=np.full(gen.size, math.inf), where=rate > 0),
             np.cumsum(rates, axis=1).T.copy(), np.count_nonzero(rates, axis=1) - 1,
-            balls, order, edges, edges[first], edges[end + 1] - edges[first], end)
+            balls, order, edges, edges[lo], edges[hi] - edges[lo], hi - 1)
 
 
 def sample_paths(gen: GeneratorMatrix, n_paths: int, t_max: float, seed: int,
@@ -511,9 +509,8 @@ VALIDATION_SIGMAS = 4.0  # binomial sigmas a state's empirical frequency may dev
 def _laws(gen: GeneratorMatrix, x: int, times: Sequence[float]) -> np.ndarray:
     """P_t[x, .] per t, a rounding below 0 as 0: m * ``_flow``(delta_x / m(x))
     with the row e^(tQ_c)[C_x, .] over the cell masses as cell values."""
-    cells, mass = gen.tree.tops, gen.chain.mass
-    home = next(i for i, b in enumerate(cells) if x in gen.tree.members[b])
-    cell_mass = np.array([float(mass[b]) for b in cells])
+    home = next(i for i, b in enumerate(gen.tops) if x in gen.order[slice(*gen.spans[b])])
+    cell_mass = np.array([float(gen.mass[b]) for b in gen.tops])
     h = np.where(np.arange(gen.size) == x, 1 / float(gen.masses[x]), 0.0)
     m = np.array([float(v) for v in gen.masses])
     return np.maximum(m * _flow(gen, h, times, lambda p, means: p[home] / cell_mass), 0)

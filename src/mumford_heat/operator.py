@@ -56,9 +56,9 @@ that histogram is G_M.  A ball around a walked pole is split until its
 tiles hold none.  The lemma needs every state off the group's holes, which
 holds on the base chart, where F's holes are the group's; a state that
 meets a hole of the group (on a transformed chart) raises ChartNotSupported.
-The tree is the one form of Q kept: ``GeneratorMatrix.chain`` reads off it
-the cell chain Q_c, the exit rates and each support's rate lambda_B, all
-that the heat layer needs; exact dense rows are built only on demand.
+The tree is the one form of Q kept, ``GeneratorMatrix``, and building it
+reads off the cell chain Q_c, the exit rates and each support's rate
+lambda_B: all that the heat layer needs.  Exact dense rows come on demand.
 """
 
 from __future__ import annotations
@@ -876,65 +876,62 @@ def vladimirov_alpha_free_value(support: Disc, j: int, x: Rational, p: int) -> E
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class SplitTree:
-    """The generator in the form of the module docstring's lemma, so every
-    ball with children is a certified wavelet support by construction: the
-    split balls, the states included, each after its descendants
-    (``members[k]`` indexes the states in ``balls[k]``, its children's in
-    the order of ``children[k]``), and the maximal balls ``tops``, which
-    partition the states.  For x and y in two children of ball B,
-    Q[x][y] / m(y) is ``density[B]``, mu(F)^-1 radius(B)^(-alpha) + G_M, M
-    the top holding B (None for a state); for x in top M and y in top
-    M' != M it is ``cross[M][M']``, by position in ``tops``; ``cross[M][M]``
-    is G_M."""
-
-    balls: tuple[Disc, ...]
-    members: tuple[tuple[int, ...], ...]
-    children: tuple[tuple[int, ...], ...]
-    density: tuple[Scalar | None, ...]
-    tops: tuple[int, ...]
-    cross: tuple[tuple[Scalar, ...], ...]
-
-    def blocks(self) -> list[tuple[int, int, Scalar]]:
-        """(a, b, Q[x][y] / m(y) for x in ball a and y in ball b) per ordered
-        pair of sibling balls: two tops, or two children of one ball."""
-        pairs = [(a, b, d) for a, row in zip(self.tops, self.cross)
-                 for b, d in zip(self.tops, row)]
-        pairs += [(a, b, d) for kids, d in zip(self.children, self.density)
-                  for a in kids for b in kids]
-        return [(a, b, d) for a, b, d in pairs if a != b]
-
-
-@dataclass(frozen=True)
-class CellChain:
-    """The tree's diagonalisation of Q (``heat._descend``), exact: per ball its
-    ``mass`` and its exit rate ``out`` (a top's: the cross densities times the
-    other tops' masses; a child k of B adds density[B] * (m(B) - m(k))); Q_c
-    as ``q``, cross densities times cell masses and minus the exit rates on
-    the diagonal; per split ball B that is no state, lam[B] = out[B] + density[B] m(B)."""
-
-    mass: tuple[Fraction, ...]
-    out: tuple[Scalar, ...]
-    q: tuple[tuple[Scalar, ...], ...]
-    lam: dict[int, Scalar]
-
-
-@dataclass(frozen=True)
 class GeneratorMatrix:
-    """Exact level-m restriction of the operator: the Markov jump generator.
+    """Exact level-m restriction of the operator, the Markov jump generator,
+    as the tree of the module docstring's lemma: every ball with children
+    is a certified wavelet support by construction.
 
-    Its rates are the densities of ``tree`` times the exact |omega|-masses
-    of the states, and Q[x][x] is minus the rate out of x.  ``tree`` is the
-    one form of Q that ``heat`` reads, through ``chain``, derived from it once;
-    ``rows``, the exact dense rows, is built only on demand.  ``vector`` and
-    ``level_function`` move level functions into and out of state order.
+    ``balls`` are the split balls, the states included, each after its
+    descendants (its child balls in ``children``); the maximal ones,
+    ``tops``, partition the states.  ``order`` lists the state indices as
+    the walk of the disc tree meets them, and ball k holds the run
+    ``order[lo:hi]``, (lo, hi) = ``spans[k]``.  For x and y in two children
+    of ball B, Q[x][y] / m(y) is ``density[B]``, mu(F)^-1 radius(B)^(-alpha)
+    + G_M, M the top holding B (None for a state); for x in top M and y in
+    top M' != M it is ``cross[M][M']``, by position in ``tops``;
+    ``cross[M][M]`` is G_M.  m(y) is the exact |omega|-mass ``masses[y]``,
+    and Q[x][x] is minus the rate out of x.
+
+    Construction reads off, exactly, the cell chain of ``heat._descend``:
+    per ball its ``mass`` and exit rate ``out`` (a top's: the cross
+    densities times the other tops' masses; a child k of B adds density[B]
+    * (m(B) - m(k))); Q_c as ``q``, cross densities times cell masses and
+    minus the exit rates on the diagonal; per split ball B that is no state,
+    lam[B] = out[B] + density[B] m(B).  ``rows``, the exact dense rows, is
+    built only on demand; ``vector`` and ``level_function`` move level
+    functions into and out of state order.
     """
 
     level: int
     states: tuple[Disc, ...]
     masses: tuple[Fraction, ...]
-    tree: SplitTree
     cutoff: int
+    balls: tuple[Disc, ...]
+    order: tuple[int, ...]
+    spans: tuple[tuple[int, int], ...]
+    children: tuple[tuple[int, ...], ...]
+    density: tuple[Scalar | None, ...]
+    tops: tuple[int, ...]
+    cross: tuple[tuple[Scalar, ...], ...]
+    mass: tuple[Fraction, ...] = dataclasses.field(init=False)
+    out: tuple[Scalar, ...] = dataclasses.field(init=False)
+    q: tuple[tuple[Scalar, ...], ...] = dataclasses.field(init=False)
+    lam: dict[int, Scalar] = dataclasses.field(init=False)
+
+    def __post_init__(self):
+        mass, out = [], [None] * len(self.balls)
+        for (lo, _), kids in zip(self.spans, self.children):
+            mass.append(sum(mass[k] for k in kids) if kids else self.masses[self.order[lo]])
+        for a, row in zip(self.tops, self.cross):
+            out[a] = sum((d * mass[b] for b, d in zip(self.tops, row) if b != a), Fraction(0))
+        for b in reversed(range(len(self.balls))):
+            for k in self.children[b]:
+                out[k] = out[b] + self.density[b] * (mass[b] - mass[k])
+        q = tuple(tuple(-out[c] if d == c else v * mass[d] for d, v in zip(self.tops, row))
+                  for c, row in zip(self.tops, self.cross))
+        lam = {b: out[b] + s * mass[b] for b, s in enumerate(self.density) if s is not None}
+        for name, value in ("mass", tuple(mass)), ("out", tuple(out)), ("q", q), ("lam", lam):
+            object.__setattr__(self, name, value)
 
     @property
     def size(self) -> int:
@@ -942,34 +939,21 @@ class GeneratorMatrix:
 
     @functools.cached_property
     def rows(self) -> tuple[tuple[Scalar, ...], ...]:
-        """The rates as exact dense rows."""
-        tree, m = self.tree, self.masses
+        """The rates as exact dense rows: one block per ordered pair of
+        sibling balls, two tops or two children of one ball."""
+        m, tops, order, spans = self.masses, self.tops, self.order, self.spans
         rows = [[Fraction(0)] * self.size for _ in range(self.size)]
-        for a, b, d in tree.blocks():
-            for j in tree.members[b]:
+        pairs = [(a, b, d) for a, row in zip(tops, self.cross) for b, d in zip(tops, row)]
+        pairs += [(a, b, d) for kids, d in zip(self.children, self.density)
+                  for a in kids for b in kids]
+        for a, b, d in pairs:
+            for j in order[slice(*spans[b])] if a != b else ():
                 rate = d * m[j]
-                for i in tree.members[a]:
+                for i in order[slice(*spans[a])]:
                     rows[i][j] = rate
         for i, row in enumerate(rows):
             row[i] = simplify(-sum(row, Fraction(0)))
         return tuple(map(tuple, rows))
-
-    @functools.cached_property
-    def chain(self) -> CellChain:
-        """The ``CellChain`` of ``tree``, derived once."""
-        tree = self.tree
-        mass, out = [], [None] * len(tree.balls)
-        for ins, kids in zip(tree.members, tree.children):
-            mass.append(sum(mass[k] for k in kids) if kids else self.masses[ins[0]])
-        for a, row in zip(tree.tops, tree.cross):
-            out[a] = sum((d * mass[b] for b, d in zip(tree.tops, row) if b != a), Fraction(0))
-        for b in reversed(range(len(tree.balls))):
-            for k in tree.children[b]:
-                out[k] = out[b] + tree.density[b] * (mass[b] - mass[k])
-        q = tuple(tuple(-out[c] if d == c else v * mass[d] for d, v in zip(tree.tops, row))
-                  for c, row in zip(tree.tops, tree.cross))
-        lam = {b: out[b] + s * mass[b] for b, s in enumerate(tree.density) if s is not None}
-        return CellChain(tuple(mass), tuple(out), q, lam)
 
     def vector(self, u: LevelFunction) -> list:
         """u's values in state order; NotLocallyConstant names a missing state."""
@@ -985,47 +969,48 @@ class GeneratorMatrix:
 
 
 def _split_balls(cfg: OperatorConfig, level: int,
-                 poles: Sequence[Fraction]) -> tuple[list, list, list, list, list]:
-    """(states, balls, the states in each ball, per ball its children, the
-    maximal balls), from one walk of the disc tree, each ball after its
-    descendants.  The states are ``wavelets.state_discs``, in centre order.
-    By the module docstring's lemma, a disc off every hole that holds states
-    and none of ``poles`` is one ball; any other is tiled by its children's.
-    A state that meets a hole of the group voids the lemma: ChartNotSupported."""
+                 poles: Sequence[Fraction]) -> tuple[list, list, list, list, list, list]:
+    """(states, order, balls, spans, per ball its children, the maximal
+    balls), from one walk of the disc tree, each ball after its descendants,
+    as ``GeneratorMatrix`` holds them.  The states are
+    ``wavelets.state_discs``, in centre order.  By the module docstring's
+    lemma, a disc off every hole that holds states and none of ``poles`` is
+    one ball; any other is tiled by its children's.  A state that meets a
+    hole of the group voids the lemma: ChartNotSupported."""
     p, domain, holes = cfg.p, cfg.domain, (*cfg.domain.holes, *cfg.group.holes)
-    states, balls, members, children = [], [], [], []
+    states, balls, spans, children = [], [], [], []
 
-    def walk(disc, off):  # -> (states in disc, indices of the balls tiling them)
+    def walk(disc, off):  # -> indices of the balls tiling the states in disc
+        start = len(states)
         if not off:  # else an ancestor is off every hole, and so is disc
             if any(h.contains(disc, p) for h in domain.holes):
-                return [], []
+                return []
             off = all(discs_disjoint(disc, h, p) for h in holes)
         if disc.radius_exp <= -level:
             if not (disc.radius_exp == -level and (off or domain.contains_disc(disc)) and all(
                     discs_disjoint(disc, core, p) for core in cfg.profile.zero_cores)):
-                return [], []
+                return []
             if not off:  # in the domain, so it meets a hole of the group
                 raise ChartNotSupported(
                     f"the state {disc_name(disc, p)} meets a hole of the group")
-            inside, tiles, whole = [len(states)], [], True
+            tiles, whole = [], True
             states.append(disc)
         else:
-            kids = [walk(child, off) for child in disc.children(p)]
-            inside = [i for kid, _ in kids for i in kid]
-            tiles = [k for _, kid in kids for k in kid]
+            tiles = [k for child in disc.children(p) for k in walk(child, off)]
             whole = off and not any(disc.contains_point(z, p) for z in poles)
-        if inside and whole:
+        if len(states) > start and whole:
             balls.append(disc)
-            members.append(inside)
+            spans.append((start, len(states)))
             children.append(tiles)
             tiles = [len(balls) - 1]
-        return inside, tiles
+        return tiles
 
-    _, tops = walk(domain.outer, False)
-    order = sorted(range(len(states)), key=lambda i: states[i].center)
-    rank = {old: new for new, old in enumerate(order)}
-    return ([states[i] for i in order], balls, [[rank[i] for i in ins] for ins in members],
-            children, tops)
+    tops = walk(domain.outer, False)
+    by_centre = sorted(range(len(states)), key=lambda i: states[i].center)
+    order = [0] * len(states)  # per walked state, its index in centre order
+    for new, old in enumerate(by_centre):
+        order[old] = new
+    return [states[i] for i in by_centre], order, balls, spans, children, tops
 
 
 def generator_matrix(cfg: OperatorConfig, level: int) -> GeneratorMatrix:
@@ -1045,7 +1030,7 @@ def generator_matrix(cfg: OperatorConfig, level: int) -> GeneratorMatrix:
     p, length = cfg.p, cfg.cutoff()
     poles: list[Fraction] = []
     while True:
-        states, balls, members, children, tops = _split_balls(cfg, level, poles)
+        states, order, balls, spans, children, tops = _split_balls(cfg, level, poles)
         if not states:
             raise ValueError(f"no states at level {level}")
         cells = [balls[t] for t in tops]
@@ -1072,6 +1057,6 @@ def generator_matrix(cfg: OperatorConfig, level: int) -> GeneratorMatrix:
     density = [simplify(fold({(0, -ball.radius_exp): 1}) + cross[top[b]][top[b]])
                if kids else None for b, (ball, kids) in enumerate(zip(balls, children))]
     masses = [cfg.profile.density_at(d.center) * haar_measure(d, p) for d in states]
-    tree = SplitTree(tuple(balls), tuple(map(tuple, members)), tuple(map(tuple, children)),
-                     tuple(density), tuple(tops), cross)
-    return GeneratorMatrix(level, tuple(states), tuple(masses), tree, length)
+    return GeneratorMatrix(level, tuple(states), tuple(masses), length, tuple(balls),
+                           tuple(order), tuple(spans), tuple(map(tuple, children)),
+                           tuple(density), tuple(tops), cross)

@@ -861,7 +861,7 @@ def test_the_semigroup_runs_on_the_cells_only(tmp_path, monkeypatch, fixture, co
     # never of the n x n generator
     path = bundled_fixture(fixture)
     gen = generator_matrix(parse_config(path).operator_config(), 3)
-    cells = len(gen.tree.tops)
+    cells = len(gen.tops)
     seen, honest = [], heat._semigroup
     monkeypatch.setattr(heat, "_semigroup", lambda q, t: seen.append(len(q)) or honest(q, t))
     assert main([command, "-c", str(path), "--level", "3", "--initial", "indicator",
@@ -1048,6 +1048,21 @@ def _only_piece(raw):
         "pieces": [{"center": "3", "radius_exp": -2, "density": "1"}], "zero_cores": []}
 
 
+def _profile(resolution, level, pieces, cores=()):
+    """An explicit profile of (centre, radius_exp, density) pieces and
+    (centre, radius_exp) zero cores, at a resolution and run level."""
+    def mutate(raw):
+        raw["measure"] = {"resolution": resolution, "profile": {
+            "pieces": [{"center": c, "radius_exp": r, "density": d} for c, r, d in pieces],
+            "zero_cores": [{"center": c, "radius_exp": r} for c, r in cores]}}
+        raw["run"]["level"] = level
+    return mutate
+
+
+# tate-p3's F, Z_3 minus D(0, 3^-2), as its own four pieces
+TATE_PIECES = [("1", -1, "1"), ("2", -1, "1"), ("3", -2, "3"), ("6", -2, "3")]
+
+
 def _factors(*factors):
     def mutate(raw):
         raw["measure"]["datum"]["factors"] = list(factors)
@@ -1116,6 +1131,20 @@ MEASURE_FAULTS = [
     ("tate-p3", _factors({"root": "0", "multiplicity": -1}, {"root": "1", "multiplicity": -1}),
      ("measure.datum.factors[1]",)),
     ("tate-p3", _factors({"root": "1"}, {"root": "10"}), ("measure.resolution",)),
+    # a piece or core finer than the resolution: a state could straddle
+    # pieces (D(1, 3^-1) here, |omega|-mass 13/9) or hold a core
+    ("tate-p3", _profile(1, 1, [("2", -1, "1"), ("3", -2, "3"), ("6", -2, "3"),
+                                ("1", -2, "1"), ("4", -2, "5"), ("7", -2, "7")]),
+     ("measure.profile.pieces[1]: radius_exp -2 is finer than the measure resolution 1",)),
+    ("tate-p3", _profile(0, 0, TATE_PIECES), ("measure.profile.pieces[0]: ",)),
+    ("tate-p3", _profile(1, 1, TATE_PIECES[:2], [("3", -2), ("6", -2)]),
+     ("measure.profile.zero_cores[0]: ",)),
+    # zero cores on all of F: no level has a state
+    ("tate-p3", _factors({"root": "0", "multiplicity": -1},
+                         *({"root": str(k)} for k in range(1, 9))),
+     ("measure.datum.factors: the measure vanishes on all of F",)),
+    ("tate-p3", _profile(2, 2, [], [(c, r) for c, r, _ in TATE_PIECES]),
+     ("measure.profile.pieces: the measure vanishes on all of F",)),
 ]
 
 

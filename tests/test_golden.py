@@ -3,7 +3,8 @@
 ``validation.json``, ``spectrum.csv``, ``resolvent.csv`` and ``audit.json``
 come from exact arithmetic and Python's own ``random``, with no BLAS and no
 numpy RNG, so their bytes are the same on every machine.  The fingerprints
-are the benchmark's g2-groupsum and g1-states settings.  A change that means
+are the benchmark's three settings: g2-groupsum, g1-states and g1-paths,
+which is tate-p3 as configured (its seeded sample writes none of these).  A change that means
 to alter these bytes updates the hashes here and says so in CHANGES.md.
 """
 
@@ -19,6 +20,7 @@ from mumford_heat.config import bundled_fixture
 SETTINGS = {
     "g2-groupsum": ("genus2-p3", ["--level", "3", "--cutoff-len", "4"]),
     "g1-states": ("tate-p3", ["--level", "3", "--cutoff-len", "6"]),
+    "g1-paths": ("tate-p3", []),
 }
 GOLDEN = {
     ("g2-groupsum", "validate", "validation.json"):
@@ -37,6 +39,14 @@ GOLDEN = {
         "23297aaca14eff52d3311802dc271b11b5f97f09eb8eb0ae246324522aebda87",
     ("g1-states", "audit", "audit.json"):
         "025860a5fe98bf5b22e20615137dedcc70e0b97d6fac52f23d62ff2f06bf3a1c",
+    ("g1-paths", "validate", "validation.json"):
+        "f8186bb5d0d0780ac70796a70d60f8cc02b4a37c832a376c414548564d35fb27",
+    ("g1-paths", "spectrum", "spectrum.csv"):
+        "d50d29b6a250c31863f139a3420024e98f131417b465ed9675751f3583a0624c",
+    ("g1-paths", "resolvent", "resolvent.csv"):
+        "58729ebf741e0bdb0c2f490e43ca69186fd06299291f5d674bab72bf13ea67ab",
+    ("g1-paths", "audit", "audit.json"):
+        "7070ce7f9d89f28f651ee9c76f4ac778c8d4df9f6131a49136cda7c7eb3a2c66",
 }
 
 

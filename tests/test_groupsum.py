@@ -400,6 +400,7 @@ def test_random_figures_match_the_references(figure):
     """On random Schottky figures: every engine caller pruned and with every
     word walked, the generator's rows, built from its tree, against one fold
     per state pair; the tree's dimension count and trace identity; the
+    next level's tree, cut at this level's radius, against this one; the
     multiresolution resolvent against the dense exact solve; the heat flow,
     the validation law and P_t, read from the split balls, against the
     dense semigroup; and ``spectral_data`` against the dense solve."""
@@ -413,6 +414,7 @@ def test_random_figures_match_the_references(figure):
     ref = ref_generator_per_pair(cfg, level, 3)
     assert gen.rows == ref  # derived from the tree's densities
     assert_tree_accounts_for_the_states_and_the_trace(gen)
+    assert_the_tower_is_structural(gen, generator_matrix(cfg, level + 1))
     h = [F(i % 3 - 1, i + 2) for i in range(gen.size)]
     system = [[int(i == k) - gen.rows[i][k] for k in range(gen.size)] for i in range(gen.size)]
     assert gen.vector(resolvent_solve(gen, F(1), gen.level_function(h))) == _solve_exact(system, h)
@@ -555,7 +557,7 @@ def test_generator_counts_one_sum_per_pair_of_maximal_balls(request, monkeypatch
     cfg = dataclasses.replace(request.getfixturevalue(name), cutoff_len=4)
     handed = engine_pairs(monkeypatch)
     gen = generator_matrix(cfg, level)
-    assert handed == [16] == [len(gen.tree.tops) ** 2]
+    assert handed == [16] == [len(gen.tops) ** 2]
 
 
 def assert_tree_accounts_for_the_states_and_the_trace(gen):
@@ -563,13 +565,13 @@ def assert_tree_accounts_for_the_states_and_the_trace(gen):
     ball B that is not a state number the states, and
     tr Q = tr Q_c - sum_B (#children(B) - 1) * lambda_B.  The tops' members
     list every state once, and a ball's are its children's in order."""
-    tree = gen.tree
-    assert sorted(x for a in tree.tops for x in tree.members[a]) == list(range(gen.size))
-    for ins, kids in zip(tree.members, tree.children):
-        assert not kids or list(ins) == [x for k in kids for x in tree.members[k]]
-    chain, lam = gen.chain.q, gen.chain.lam
-    wavelets = {b: len(gen.tree.children[b]) - 1 for b in lam}
-    assert len(tree.tops) + sum(wavelets.values()) == gen.size
+    members = [gen.order[lo:hi] for lo, hi in gen.spans]
+    assert sorted(x for a in gen.tops for x in members[a]) == list(range(gen.size))
+    for ins, kids in zip(members, gen.children):
+        assert not kids or list(ins) == [x for k in kids for x in members[k]]
+    chain, lam = gen.q, gen.lam
+    wavelets = {b: len(gen.children[b]) - 1 for b in lam}
+    assert len(gen.tops) + sum(wavelets.values()) == gen.size
     trace = sum((row[i] for i, row in enumerate(gen.rows)), F(0))
     assert trace + sum((k * lam[b] for b, k in wavelets.items()), F(0)) == sum(
         (row[i] for i, row in enumerate(chain)), F(0))
@@ -581,6 +583,50 @@ def assert_tree_accounts_for_the_states_and_the_trace(gen):
 def test_the_tree_accounts_for_the_states_and_the_trace(request, name, length, level, alpha):
     cfg = dataclasses.replace(request.getfixturevalue(name), cutoff_len=length, alpha=alpha)
     assert_tree_accounts_for_the_states_and_the_trace(generator_matrix(cfg, level))
+
+
+def assert_the_tower_lumps(p, coarse, fine):
+    """Strong lumpability, exactly: from each level-(m+1) state y, the rates
+    into the states of a level-m state X other than y's parent add up to
+    Q_m[parent(y)][X]."""
+    parent = [next(i for i, x in enumerate(coarse.states) if x.contains(y, p))
+              for y in fine.states]
+    for y, row in enumerate(fine.rows):
+        into = [F(0)] * coarse.size
+        for z, rate in enumerate(row):
+            into[parent[z]] = into[parent[z]] + rate
+        assert all(simplify(total) == coarse.rows[parent[y]][x]
+                   for x, total in enumerate(into) if x != parent[y])
+
+
+def assert_the_tower_is_structural(coarse, fine):
+    """Level m's tree is level m + 1's cut at radius p^-m: the same tops,
+    cross table and cell chain, the balls of radius at least p^-m, and the
+    same density on each ball with children at both levels."""
+    assert [coarse.balls[t] for t in coarse.tops] == [fine.balls[t] for t in fine.tops]
+    assert coarse.cross == fine.cross and coarse.q == fine.q
+    assert set(coarse.balls) == {b for b in fine.balls if b.radius_exp >= -coarse.level}
+    density = dict(zip(fine.balls, fine.density))
+    assert all(d == density[b] for b, d in zip(coarse.balls, coarse.density) if d is not None)
+
+
+@pytest.fixture(scope="module")
+def tate_zero_cfg(tate_cfg):
+    """tate-p3 with one more zero of omega, at 1, so a zero core in F."""
+    datum = RationalFunctionDatum(F(1), ((F(0), -1), (F(1), 1)))
+    return dataclasses.replace(tate_cfg, profile=build_profile(datum, tate_cfg.domain, 3))
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("name,level", [
+    ("tate_cfg", 2), ("tate_cfg", 3), ("tate_cfg", 4), ("genus2_cfg", 2), ("genus2_cfg", 3),
+    ("genus2_cfg", 4), ("tate_zero_cfg", 3), ("tate_zero_cfg", 4)])
+def test_each_level_is_an_exact_projection_of_the_next(request, name, level, variant):
+    cfg = dataclasses.replace(request.getfixturevalue(name), cutoff_len=6, **VARIANTS[variant])
+    coarse, fine = generator_matrix(cfg, level), generator_matrix(cfg, level + 1)
+    assert_the_tower_is_structural(coarse, fine)
+    if level < 4:  # the dense rows of level 5 take seconds, more than all the rest
+        assert_the_tower_lumps(cfg.p, coarse, fine)
 
 
 def test_a_pole_in_a_split_ball_splits_it(monkeypatch):

@@ -15,7 +15,7 @@ from mumford_heat.heat import (ROW_SUM_TOL, NumericalBreakdown, SingularSystem,
                                resolvent_solve, sample_paths, solve_cauchy,
                                spectral_data, transition_matrix)
 from mumford_heat import heat
-from mumford_heat.operator import (GeneratorMatrix, NotLocallyConstant, SplitTree,
+from mumford_heat.operator import (GeneratorMatrix, NotLocallyConstant,
                                    generator_matrix, lambda_exact)
 from mumford_heat.padic import Disc
 from mumford_heat.wavelets import LevelFunction, Wavelet, admissible_supports, wavelet_eval
@@ -51,9 +51,9 @@ def flat_generator(states, rows, masses, level=1):
     n = len(states)
     cross = tuple(tuple(F(rows[i][j]) / masses[j] if j != i else F(0) for j in range(n))
                   for i in range(n))
-    tree = SplitTree(tuple(states), tuple((i,) for i in range(n)), ((),) * n, (None,) * n,
-                     tuple(range(n)), cross)
-    return GeneratorMatrix(level, tuple(states), tuple(masses), tree, 1)
+    return GeneratorMatrix(level, tuple(states), tuple(masses), 1, tuple(states),
+                           tuple(range(n)), tuple((i, i + 1) for i in range(n)), ((),) * n,
+                           (None,) * n, tuple(range(n)), cross)
 
 
 def two_state_toy():
@@ -456,8 +456,8 @@ class TestMultiresolution:
         # the paper's theorem: each admissible support is certified, and its
         # rate read off the split balls is lambda_exact at the same cutoff
         cfg, gen = certified(name, level)
-        lam = gen.chain.lam
-        rates = {gen.tree.balls[b]: v for b, v in lam.items()}
+        lam = gen.lam
+        rates = {gen.balls[b]: v for b, v in lam.items()}
         assert all(rates[b] == lambda_exact(cfg, b, gen.cutoff).value
                    for b in admissible_supports(cfg.profile, level))
 
@@ -686,7 +686,7 @@ def assert_jump_law(gen):
     Q[x][y] / -Q[x][x] to 1e-15, and the entries' balls tile the states
     y != x with Q[x][y] != 0."""
     rate, balls, rates = heat._jump_table(gen)
-    members, mass = gen.tree.members, gen.chain.mass
+    members, mass = [gen.order[lo:hi] for lo, hi in gen.spans], gen.mass
     for x, row in enumerate(gen.rows):
         assert rate[x] == float(-row[x])
         law = {}
