@@ -143,11 +143,10 @@ def cmd_spectrum(run: RunConfig, op: OperatorConfig, out: Path, args) -> int:
 def _start_state(run: RunConfig, gen) -> int:
     """``run.start_state``, checked against the states at the generator's level."""
     idx = run.run.start_state
-    if idx >= len(gen.states):
+    if idx >= gen.size:
         raise ValidationError(
             "run.start_state",
-            f"state {idx} does not exist: level {gen.level} has "
-            f"{len(gen.states)} states")
+            f"state {idx} does not exist: level {gen.level} has {gen.size} states")
     return idx
 
 
@@ -161,7 +160,7 @@ def _default_initial(run: RunConfig, op: OperatorConfig, gen, args) -> LevelFunc
                                   "no admissible wavelet at this level; "
                                   "use --initial indicator")
         w = Wavelet(min(pieces, key=lambda d: (-d.radius_exp, d.center)), 1, op.p)
-        return gen.level_function(wavelet_column(w, gen.states, op.profile).real.tolist())
+        return gen.level_function(wavelet_column(w, gen, op.profile).real.tolist())
     if kind == "indicator":
         idx = _start_state(run, gen)
         return gen.level_function([float(i == idx) for i in range(gen.size)])
@@ -176,10 +175,9 @@ def cmd_evolve(run: RunConfig, op: OperatorConfig, out: Path, args) -> int:
     sol = solve_cauchy(gen, h0, times)
     lines = _header_lines(_meta(run, op))
     lines.append("t,state_index,value\n")
-    for t, row in zip(sol.times, sol.values):
-        for si, value in enumerate(row):
-            lines.append(f"{t!r},{si},{float(value)!r}\n")
-    _write(out / "evolution.csv", lines)
+    rows = ("".join(f"{t!r},{si},{float(value)!r}\n" for si, value in enumerate(row))
+            for t, row in zip(sol.times, sol.values))
+    _write(out / "evolution.csv", chain(lines, rows))
     return 0
 
 
@@ -334,8 +332,7 @@ def cmd_sample(run: RunConfig, op: OperatorConfig, out: Path, args) -> int:
     lines = _header_lines(meta)
     lines.append(f"# seed={seed} t_max={t_max!r} start_state={start}\n")
     lines.append("path_id,jump_time,state_index,state_center,state_radius_exp\n")
-    tails = [f",{i},{format_rational(d.center)},{d.radius_exp}\n"
-             for i, d in enumerate(gen.states)]
+    tails = [f",{i},{format_rational(c)},{-gen.level}\n" for i, c in enumerate(gen.centers())]
     counts = []
     _write(out / "paths.csv", chain(lines, _sampled_rows(draw, _ranges(n_paths), tails, counts)))
     if checkpoints:
@@ -372,15 +369,14 @@ def cmd_resolvent(run: RunConfig, op: OperatorConfig, out: Path, args) -> int:
     level = _level(run, args)
     gen = generator_matrix(op, level)
     idx = _start_state(run, gen)
-    h = [Fraction(int(i == idx)) for i in range(gen.size)]
+    h = [int(i == idx) for i in range(gen.size)]
     u = gen.vector(resolvent_solve(gen, eta, gen.level_function(h)))
     lines = _header_lines(_meta(run, op))
     lines.append(f"# eta={format_rational(eta)}\n")
     lines.append("state_index,state_center,state_radius_exp,h,u\n")
-    for i, (d, hi, ui) in enumerate(zip(gen.states, h, u)):
-        lines.append(f"{i},{format_rational(d.center)},{d.radius_exp},"
-                     f"{format_rational(hi)},{_scalar_str(ui)}\n")
-    _write(out / "resolvent.csv", lines)
+    rows = (f"{i},{format_rational(c)},{-gen.level},{hi},{_scalar_str(ui)}\n"
+            for i, (c, hi, ui) in enumerate(zip(gen.centers(), h, u)))
+    _write(out / "resolvent.csv", chain(lines, rows))
     return 0
 
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import truediv
 from typing import Sequence
 
 import numpy as np
@@ -61,12 +62,19 @@ class SpectralData:
     coupling_defect: float     # largest lower-left entry (should be ~0)
 
 
-def wavelet_column(w: Wavelet, states: Sequence[Disc], profile) -> np.ndarray:
-    """w, omega-normalised, at the states' centres: exact on its support, 0 off it."""
+def wavelet_column(w: Wavelet, gen: GeneratorMatrix, profile) -> np.ndarray:
+    """w, omega-normalised, at the states' centres: exact on its support's
+    states ``gen.members``, 0 off them.  w is constant on each child of its
+    support, so a state's value is its child's, the digit of its key at the
+    support's depth."""
     mag = w.norm_magnitude(profile, "omega")  # once per wavelet, not per state
-    return np.array([complex(ExactComplex(mag.coeff, mag.radicand, w.p, w.phase_at(d.center),
-                                          mag.p_exp))
-                     if w.support.contains_point(d.center, w.p) else 0j for d in states])
+    values = [complex(ExactComplex(mag.coeff, mag.radicand, w.p, w.phase_at(child.center),
+                                   mag.p_exp)) for child in w.support.children(w.p)]
+    column, unit = np.zeros(gen.size, dtype=complex), w.p ** (gen.outer.radius_exp
+                                                             - w.support.radius_exp)
+    for x in gen.members(w.support):
+        column[x] = values[gen.keys[x] // unit % w.p]
+    return column
 
 
 def spectral_data(cfg: OperatorConfig, gen: GeneratorMatrix) -> SpectralData:
@@ -77,7 +85,7 @@ def spectral_data(cfg: OperatorConfig, gen: GeneratorMatrix) -> SpectralData:
     rates = []
     by_support: dict[Disc, Fraction] = {}
     for w in admissible_wavelets(cfg.profile, gen.level):
-        cols.append(wavelet_column(w, gen.states, cfg.profile))
+        cols.append(wavelet_column(w, gen, cfg.profile))
         if w.support not in by_support:
             by_support[w.support] = Fraction(lambda_exact(cfg, w.support,
                                                           gen.cutoff).value)
@@ -213,11 +221,17 @@ def resolvent_solve(gen: GeneratorMatrix, eta, h: LevelFunction) -> LevelFunctio
         except np.linalg.LinAlgError as exc:
             raise SingularSystem(str(exc)) from exc
 
-    h = [Fraction(v) for v in vals] if num is Fraction else _float_vector(vals)
-    return gen.level_function(_descend(gen, h, coarse, lambda lam: 1 / (eta + num(lam))))
+    if num is float:
+        return gen.level_function(_descend(gen, _float_vector(vals), coarse,
+                                           lambda lam: 1 / (eta + float(lam))))
+    # exact: h as integers over their common denominator, so are the totals
+    scale = math.lcm(*(v.denominator for v in vals))
+    h = [v.numerator * (scale // v.denominator) for v in vals]
+    return gen.level_function(_descend(gen, h, coarse, lambda lam: 1 / (eta + Fraction(lam)),
+                                       scale))
 
 
-def _descend(gen: GeneratorMatrix, h: Sequence, coarse, factor) -> list:
+def _descend(gen: GeneratorMatrix, h: Sequence, coarse, factor, scale: int = 0) -> list:
     """f(-Q) h, one value per state (per row of a 2-D h), from the split balls.
 
     Every split ball B that is not a state has one density s_B between its
@@ -227,23 +241,28 @@ def _descend(gen: GeneratorMatrix, h: Sequence, coarse, factor) -> list:
     chain Q_c on the functions constant on each cell, a maximal ball.  So h
     splits into its cell means, which ``coarse`` maps to the cell values of
     f(-Q) h, and per B into mean_child(h) - mean_B(h), times factor(lambda_B):
-    the ball masses m(B) and the rates lambda_B are ``gen.mass`` and ``gen.lam``."""
-    m, mass, order = gen.masses, gen.mass, gen.order
-    if columns := isinstance(h, np.ndarray) and h.ndim == 2:
-        m, mass = ([float(v) for v in w] for w in (m, mass))  # float rows, not objects
+    the ball masses m(B) and the rates lambda_B are ``gen.mass`` and ``gen.lam``.
+    h is a float array, or, given ``scale``, integers, scale times the exact
+    h: then the m-weighted totals are integers over ``gen.mass_num`` and
+    only the means are Fractions."""
+    order, columns = gen.order, isinstance(h, np.ndarray) and h.ndim == 2
+    if scale:
+        mass, mean_of = gen.mass_num, lambda total, m: Fraction(total, m * scale)
+    else:
+        mass, mean_of = [float(v) for v in gen.mass], truediv
     total = []  # per ball, the m-weighted sum of h
-    for (lo, _), kids in zip(gen.spans, gen.children):
-        total.append(sum(total[k] for k in kids) if kids else m[order[lo]] * h[order[lo]])
+    for b, ((lo, _), kids) in enumerate(zip(gen.spans, gen.children)):
+        total.append(sum(total[k] for k in kids) if kids else mass[b] * h[order[lo]])
     u = [None] * gen.size
-    stack = list(zip(gen.tops, coarse([total[c] / mass[c] for c in gen.tops])))
+    stack = list(zip(gen.tops, coarse([mean_of(total[c], mass[c]) for c in gen.tops])))
     while stack:
         b, value = stack.pop()
         if not gen.children[b]:
             u[order[gen.spans[b][0]]] = value
             continue
-        mean = total[b] / mass[b]
+        mean = mean_of(total[b], mass[b])
         for k in gen.children[b]:
-            diff = total[k] / mass[k] - mean
+            diff = mean_of(total[k], mass[k]) - mean
             stack.append((k, value + diff * factor(gen.lam[b]) if columns or diff else value))
     return u
 
@@ -389,24 +408,27 @@ def _jump_table(gen: GeneratorMatrix):
     and per split ball B above x the children of B that miss x, at
     ``density[B]`` times their mass: they tile the states other than x, and
     a ball's rate spreads over its states by mass.  A ball at rate 0 is left
-    out.  So x has O(depth * p + #tops) entries, each ball's list its
-    parent's and its siblings."""
-    entries = [None] * len(gen.balls)
-    for a, row in zip(gen.tops, gen.cross):
-        entries[a] = [(b, float(d * gen.mass[b])) for b, d in zip(gen.tops, row) if b != a]
-    for b in reversed(range(len(gen.balls))):  # each ball before its descendants
-        kids = [(k, float(gen.density[b] * gen.mass[k])) for k in gen.children[b]]
+    out.  So x has O(depth * p + #tops) entries, its parent's and its
+    siblings, built on one descent that keeps only the entries of the balls
+    on its path."""
+    width = [len(gen.tops) - 1] * len(gen.depths)  # per ball, its entries before the cut
+    for b in reversed(range(len(gen.depths))):
         for k in gen.children[b]:
-            entries[k] = entries[b] + [e for e in kids if e[0] != k]
-    hold, rows = np.zeros(gen.size), [()] * gen.size
-    for b, ((lo, _), kids) in enumerate(zip(gen.spans, gen.children)):
-        if not kids:
-            x = gen.order[lo]
-            hold[x], rows[x] = gen.out[b], [e for e in entries[b] if e[1] > 0]
-    balls = np.zeros((gen.size, max(1, *map(len, rows))), dtype=np.intp)
+            width[k] = width[b] + len(gen.children[b]) - 1
+    hold = np.zeros(gen.size)
+    balls = np.zeros((gen.size, max(1, max(width))), dtype=np.intp)
     rates = np.zeros(balls.shape)
-    for x, row in enumerate(rows):
-        balls[x, :len(row)] = [b for b, _ in row]
+    stack = [(a, [(b, float(d * gen.mass[b])) for b, d in zip(gen.tops, row) if b != a])
+             for a, row in zip(gen.tops, gen.cross)]
+    while stack:
+        b, entries = stack.pop()
+        if kids := gen.children[b]:
+            rated = [(k, float(gen.density[b] * gen.mass[k])) for k in kids]
+            stack.extend((k, entries + [e for e in rated if e[0] != k]) for k in kids)
+            continue
+        x, row = gen.order[gen.spans[b][0]], [e for e in entries if e[1] > 0]
+        hold[x] = gen.out[b]
+        balls[x, :len(row)] = [k for k, _ in row]
         rates[x, :len(row)] = [r for _, r in row]
     return hold, balls, rates
 
@@ -436,8 +458,9 @@ def jump_chain(gen: GeneratorMatrix, n_paths: int, t_max: float, seed: int) -> t
     order, (lo, hi) = np.array(gen.order), np.array(gen.spans).T
     edges = np.concatenate(([0.0], np.cumsum([float(gen.masses[x]) for x in order])))
     # transposed: a step gathers one column per live path, counts down the rows
+    cum = rates.T.copy()
     return (np.divide(1, rate, out=np.full(gen.size, math.inf), where=rate > 0),
-            np.cumsum(rates, axis=1).T.copy(), np.count_nonzero(rates, axis=1) - 1,
+            np.cumsum(cum, axis=0, out=cum), np.count_nonzero(rates, axis=1) - 1,
             balls, order, edges, edges[lo], edges[hi] - edges[lo], hi - 1)
 
 

@@ -59,6 +59,17 @@ meets a hole of the group (on a transformed chart) raises ChartNotSupported.
 The tree is the one form of Q kept, ``GeneratorMatrix``, and building it
 reads off the cell chain Q_c, the exit rates and each support's rate
 lambda_B: all that the heat layer needs.  Exact dense rows come on demand.
+
+The tree is walked on integer addresses.  Lemma: the discs under F's outer
+disc D(c0, r0) are the (d, N) with 0 <= N < p^d, centre c0 + p^(-r0) N and
+radius p^(r0 - d); child i of (d, N) is (d + 1, N + i p^d).  So N's base-p
+digits are the children chosen from the outer disc down, centre order at
+one depth is the integer order of N, and (d', N') lies in (d, N) exactly
+when d' >= d and N' = N mod p^d; two balls meet when one lies in the other.
+Holes, zero cores, pieces and poles become addresses once (the rest of the
+outer disc beyond an address, for a co-disc).  A co-hole, whose complement
+is the outer disc, meets no ball under it and drops out.  Discs are made
+only at the edges: the k tops' cells, ``GeneratorMatrix.states`` on demand.
 """
 
 from __future__ import annotations
@@ -74,8 +85,9 @@ from typing import Sequence, Union
 from .exactnum import ExactComplex, PowerSum, p_power_bounds
 from .padic import (INFINITE_VALUATION, Disc, PoleHit, Rational, abs_p,
                     difference_valuation, disc_name, discs_disjoint, haar_measure,
-                    pair_difference_valuation, valuation)
-from .measure import MeasureProfile, RationalFunctionDatum, RootInsideDisc, local_abs
+                    p_power, pair_difference_valuation, valuation)
+from .measure import (MeasureProfile, RationalFunctionDatum, RootInsideDisc, UnalignedDisc,
+                      local_abs)
 from .schottky import (DomainInvalid, FundamentalDomain, GroupWord, MoebiusMap,
                        SchottkyGroup, region_image, words_with_maps)
 from .wavelets import (LevelFunction, NotAdmissible, Wavelet,
@@ -875,38 +887,71 @@ def vladimirov_alpha_free_value(support: Disc, j: int, x: Rational, p: int) -> E
 # Finite generator matrix
 # ---------------------------------------------------------------------------
 
+def _address(region: Disc, outer: Disc, p: int) -> tuple[int, int, bool]:
+    """(d, N, rest): ``region`` meets ``outer`` in the ball (d, N) or, with
+    ``rest``, in the rest of the outer disc beyond it; (0, 0, True) is empty."""
+    d = outer.radius_exp - region.radius_exp
+    meets = (difference_valuation(region.center, outer.center, p)
+             >= -max(region.radius_exp, outer.radius_exp))
+    if d <= 0 or not meets:  # the region holds the outer disc or misses it
+        return 0, 0, meets == region.complement
+    y, unit = (region.center - outer.center) * p_power(p, outer.radius_exp), p ** d
+    return d, y.numerator * pow(y.denominator, -1, unit) % unit, region.complement
+
+
+def _relation(region: tuple, depth: int, n: int, powers: list[int]) -> tuple[bool, bool]:
+    """(meets, holds): whether an ``_address`` meets, and holds, the ball (depth, n)."""
+    d, m, rest = region
+    meets = n % powers[d] == m if d <= depth else m % powers[depth] == n
+    holds = meets and d <= depth
+    return (not holds, not meets) if rest else (meets, holds)
+
+
+def _centres(outer: Disc, p: int, keys: Sequence[int]) -> list[Fraction]:
+    """c0 + p^(-r0) N for each N of ``keys``: the centres of balls under ``outer``."""
+    a, b, r0 = outer.center.numerator, outer.center.denominator, outer.radius_exp
+    up, down = p ** max(r0, 0), p ** max(-r0, 0)
+    return [Fraction(a * up + n * b * down, b * up) for n in keys]
+
+
 @dataclass(frozen=True)
 class GeneratorMatrix:
     """Exact level-m restriction of the operator, the Markov jump generator,
     as the tree of the module docstring's lemma: every ball with children
     is a certified wavelet support by construction.
 
-    ``balls`` are the split balls, the states included, each after its
-    descendants (its child balls in ``children``); the maximal ones,
+    Discs are addresses under the disc ``outer``: the states lie at depth
+    r0 + m, with the numbers ``keys`` in centre order.  The split balls, the
+    states included, come each after its descendants (its child balls in
+    ``children``), ball k at depth ``depths[k]``; the maximal ones,
     ``tops``, partition the states.  ``order`` lists the state indices as
-    the walk of the disc tree meets them, and ball k holds the run
-    ``order[lo:hi]``, (lo, hi) = ``spans[k]``.  For x and y in two children
-    of ball B, Q[x][y] / m(y) is ``density[B]``, mu(F)^-1 radius(B)^(-alpha)
-    + G_M, M the top holding B (None for a state); for x in top M and y in
-    top M' != M it is ``cross[M][M']``, by position in ``tops``;
-    ``cross[M][M]`` is G_M.  m(y) is the exact |omega|-mass ``masses[y]``,
-    and Q[x][x] is minus the rate out of x.
+    the walk of the tree meets them, and ball k holds the run
+    ``order[lo:hi]``, (lo, hi) = ``spans[k]``; ``address`` gives its
+    (depth, N), N any of its states' keys mod p^depth.  For x and y in two children of ball B, Q[x][y] / m(y) is
+    ``density[B]``, mu(F)^-1 radius(B)^(-alpha) + G_M, M the top holding B
+    (None for a state); for x in top M and y in top M' != M it is
+    ``cross[M][M']``, by position in ``tops``; ``cross[M][M]`` is G_M.  m(y)
+    is the exact |omega|-mass ``masses[y]``, and Q[x][x] is minus the rate
+    out of x.
 
     Construction reads off, exactly, the cell chain of ``heat._descend``:
-    per ball its ``mass`` and exit rate ``out`` (a top's: the cross
+    per ball its ``mass`` (and ``mass_num``, the masses' integer numerators
+    over their common denominator) and exit rate ``out`` (a top's: the cross
     densities times the other tops' masses; a child k of B adds density[B]
     * (m(B) - m(k))); Q_c as ``q``, cross densities times cell masses and
     minus the exit rates on the diagonal; per split ball B that is no state,
-    lam[B] = out[B] + density[B] m(B).  ``rows``, the exact dense rows, is
-    built only on demand; ``vector`` and ``level_function`` move level
-    functions into and out of state order.
+    lam[B] = out[B] + density[B] m(B).  The state discs ``states`` and the
+    exact dense ``rows`` are built only on demand; ``vector`` and
+    ``level_function`` move level functions into and out of state order.
     """
 
     level: int
-    states: tuple[Disc, ...]
+    p: int
+    outer: Disc
+    keys: tuple[int, ...]
     masses: tuple[Fraction, ...]
     cutoff: int
-    balls: tuple[Disc, ...]
+    depths: tuple[int, ...]
     order: tuple[int, ...]
     spans: tuple[tuple[int, int], ...]
     children: tuple[tuple[int, ...], ...]
@@ -914,28 +959,71 @@ class GeneratorMatrix:
     tops: tuple[int, ...]
     cross: tuple[tuple[Scalar, ...], ...]
     mass: tuple[Fraction, ...] = dataclasses.field(init=False)
+    mass_num: tuple[int, ...] = dataclasses.field(init=False)
     out: tuple[Scalar, ...] = dataclasses.field(init=False)
     q: tuple[tuple[Scalar, ...], ...] = dataclasses.field(init=False)
     lam: dict[int, Scalar] = dataclasses.field(init=False)
 
     def __post_init__(self):
-        mass, out = [], [None] * len(self.balls)
+        den, num = math.lcm(*{m.denominator for m in self.masses}), []
         for (lo, _), kids in zip(self.spans, self.children):
-            mass.append(sum(mass[k] for k in kids) if kids else self.masses[self.order[lo]])
+            m = self.masses[self.order[lo]]
+            num.append(sum(num[k] for k in kids) if kids else m.numerator * (den // m.denominator))
+        unique = {n: Fraction(n, den) for n in set(num)}
+        mass, out = [unique[n] for n in num], [None] * len(self.depths)
         for a, row in zip(self.tops, self.cross):
             out[a] = sum((d * mass[b] for b, d in zip(self.tops, row) if b != a), Fraction(0))
-        for b in reversed(range(len(self.balls))):
+        # the balls of one top and depth share a density object, and siblings
+        # of one mass an exit rate: each value is computed once, keyed by the
+        # identities of the values it comes from
+        known, lam = {}, {}
+        for b in reversed(range(len(self.depths))):
+            s = self.density[b]
             for k in self.children[b]:
-                out[k] = out[b] + self.density[b] * (mass[b] - mass[k])
+                if (key := (id(out[b]), id(s), num[b] - num[k])) not in known:
+                    known[key] = out[b] + s * (mass[b] - mass[k])
+                out[k] = known[key]
+        for b, s in enumerate(self.density):
+            if s is not None:
+                if (key := (id(out[b]), id(s), num[b], None)) not in known:
+                    known[key] = out[b] + s * mass[b]
+                lam[b] = known[key]
         q = tuple(tuple(-out[c] if d == c else v * mass[d] for d, v in zip(self.tops, row))
                   for c, row in zip(self.tops, self.cross))
-        lam = {b: out[b] + s * mass[b] for b, s in enumerate(self.density) if s is not None}
-        for name, value in ("mass", tuple(mass)), ("out", tuple(out)), ("q", q), ("lam", lam):
+        for name, value in (("mass", tuple(mass)), ("mass_num", tuple(num)),
+                            ("out", tuple(out)), ("q", q), ("lam", lam)):
             object.__setattr__(self, name, value)
 
     @property
     def size(self) -> int:
-        return len(self.states)
+        return len(self.keys)
+
+    def centers(self) -> list[Fraction]:
+        """The states' centres, in state order."""
+        return _centres(self.outer, self.p, self.keys)
+
+    @functools.cached_property
+    def states(self) -> tuple[Disc, ...]:
+        """The state discs, made from their addresses when first asked for."""
+        return tuple(Disc(c, -self.level) for c in self.centers())
+
+    def address(self, b: int) -> tuple[int, int]:
+        """Ball b's address (depth, N)."""
+        depth = self.depths[b]
+        return depth, self.keys[self.order[self.spans[b][0]]] % self.p ** depth
+
+    def members(self, disc: Disc) -> list[int]:
+        """The states in ``disc``: the runs of its largest split balls, found
+        from the tops down (a ball in a top, or the tops in it)."""
+        d, n, rest = _address(disc, self.outer, self.p)
+        runs, stack = [], [] if rest else list(self.tops)
+        while stack:
+            e, m = self.address(b := stack.pop())
+            if e >= d and m % self.p ** d == n:
+                runs.append(self.spans[b])
+            elif e < d and n % self.p ** e == m:
+                stack.extend(self.children[b])
+        return [x for lo, hi in runs for x in self.order[lo:hi]]
 
     @functools.cached_property
     def rows(self) -> tuple[tuple[Scalar, ...], ...]:
@@ -968,49 +1056,68 @@ class GeneratorMatrix:
         return LevelFunction.from_mapping(self.level, dict(zip(self.states, values)))
 
 
-def _split_balls(cfg: OperatorConfig, level: int,
-                 poles: Sequence[Fraction]) -> tuple[list, list, list, list, list, list]:
-    """(states, order, balls, spans, per ball its children, the maximal
-    balls), from one walk of the disc tree, each ball after its descendants,
-    as ``GeneratorMatrix`` holds them.  The states are
-    ``wavelets.state_discs``, in centre order.  By the module docstring's
+def _split_balls(cfg: OperatorConfig, level: int, poles: Sequence[Fraction]) -> tuple:
+    """(state keys, order, ball depths, spans, per ball its children, the
+    maximal balls, state masses), from one walk of the address tree, each ball after
+    its descendants, as ``GeneratorMatrix`` holds them.  The keys are those
+    of ``wavelets.state_discs``, in centre order.  By the module docstring's
     lemma, a disc off every hole that holds states and none of ``poles`` is
     one ball; any other is tiled by its children's.  A state that meets a
-    hole of the group voids the lemma: ChartNotSupported."""
-    p, domain, holes = cfg.p, cfg.domain, (*cfg.domain.holes, *cfg.group.holes)
-    states, balls, spans, children = [], [], [], []
+    hole of the group voids the lemma: ChartNotSupported.  A state's mass is
+    its piece's density times p^-level."""
+    p, domain = cfg.p, cfg.domain
+    outer, last = domain.outer, domain.outer.radius_exp + level  # the states' depth
+    powers = [p ** k for k in range(last + 1)]
 
-    def walk(disc, off):  # -> indices of the balls tiling the states in disc
-        start = len(states)
-        if not off:  # else an ancestor is off every hole, and so is disc
-            if any(h.contains(disc, p) for h in domain.holes):
+    def regions(discs) -> set:
+        return {_address(disc, outer, p) for disc in discs} - {(0, 0, True)}
+
+    inner, holes = regions(domain.holes), regions((*domain.holes, *cfg.group.holes))
+    cores, marks = regions(cfg.profile.zero_cores), regions(Disc(z, -level) for z in poles)
+    pieces = {_address(d, outer, p)[:2]: i for i, (d, _) in enumerate(cfg.profile.pieces)}
+    keys, found, depths, spans, children = [], [], [], [], []
+    at = [0]  # at[i] is i, one int object per position for all the spans
+
+    def hit(regions, depth, n, holds=False):
+        return any(_relation(r, depth, n, powers)[holds] for r in regions)
+
+    def walk(depth, n, off, piece):  # -> indices of the balls tiling the states in (depth, n)
+        start = at[-1]
+        piece = pieces.get((depth, n)) if piece is None else piece
+        if not off:  # else an ancestor is off every hole, and so is this ball
+            if hit(inner, depth, n, holds=True):
                 return []
-            off = all(discs_disjoint(disc, h, p) for h in holes)
-        if disc.radius_exp <= -level:
-            if not (disc.radius_exp == -level and (off or domain.contains_disc(disc)) and all(
-                    discs_disjoint(disc, core, p) for core in cfg.profile.zero_cores)):
+            off = not hit(holes, depth, n)
+        if depth == last:
+            if not (off or not hit(inner, depth, n)) or hit(cores, depth, n):
                 return []
             if not off:  # in the domain, so it meets a hole of the group
-                raise ChartNotSupported(
-                    f"the state {disc_name(disc, p)} meets a hole of the group")
-            tiles, whole = [], True
-            states.append(disc)
+                disc = Disc(_centres(outer, p, [n])[0], -level)
+                raise ChartNotSupported(f"the state {disc_name(disc, p)} meets a hole of the group")
+            if piece is None:
+                raise UnalignedDisc(f"the level-{level} state {n} lies in no piece")
+            tiles, whole = (), True
+            keys.append(n)
+            found.append(piece)
+            at.append(len(keys))
         else:
-            tiles = [k for child in disc.children(p) for k in walk(child, off)]
-            whole = off and not any(disc.contains_point(z, p) for z in poles)
-        if len(states) > start and whole:
-            balls.append(disc)
-            spans.append((start, len(states)))
-            children.append(tiles)
-            tiles = [len(balls) - 1]
+            tiles = [k for i in range(p) for k in walk(depth + 1, n + i * powers[depth], off, piece)]
+            whole = off and not hit(marks, depth, n)
+        if at[-1] > start and whole:
+            depths.append(depth)
+            spans.append((start, at[-1]))
+            children.append(tuple(tiles))
+            tiles = [len(depths) - 1]
         return tiles
 
-    tops = walk(domain.outer, False)
-    by_centre = sorted(range(len(states)), key=lambda i: states[i].center)
-    order = [0] * len(states)  # per walked state, its index in centre order
+    tops = walk(0, 0, False, None) if last >= 0 else []
+    by_centre = sorted(range(len(keys)), key=keys.__getitem__)
+    order = [0] * len(keys)  # per walked state, its index in centre order
     for new, old in enumerate(by_centre):
-        order[old] = new
-    return [states[i] for i in by_centre], order, balls, spans, children, tops
+        order[old] = at[new]
+    unit = [dens * p_power(p, -level) for _, dens in cfg.profile.pieces]
+    return ([keys[i] for i in by_centre], order, depths, spans, children, tops,
+            [unit[found[i]] for i in by_centre])
 
 
 def generator_matrix(cfg: OperatorConfig, level: int) -> GeneratorMatrix:
@@ -1022,18 +1129,19 @@ def generator_matrix(cfg: OperatorConfig, level: int) -> GeneratorMatrix:
 
     One engine call counts the sums between the k maximal split balls, at
     their centres: G_M and the cross densities of the module docstring's
-    lemma, from which each ball's density follows.  A ball that holds a
-    walked word's pole (ChartNotSupported, or PoleHit at its centre, from
-    the engine) is split and the sums counted again; a pole still hit is a
-    state's centre, and raises.
+    lemma, from which each ball's density follows, one per (top, depth).  A
+    ball that holds a walked word's pole (ChartNotSupported, or PoleHit at
+    its centre, from the engine) is split and the sums counted again; a
+    pole still hit is a state's centre, and raises.
     """
-    p, length = cfg.p, cfg.cutoff()
+    p, length, outer = cfg.p, cfg.cutoff(), cfg.domain.outer
     poles: list[Fraction] = []
     while True:
-        states, order, balls, spans, children, tops = _split_balls(cfg, level, poles)
-        if not states:
+        keys, order, depths, spans, children, tops, masses = _split_balls(cfg, level, poles)
+        if not keys:
             raise ValueError(f"no states at level {level}")
-        cells = [balls[t] for t in tops]
+        cells = [Disc(c, outer.radius_exp - depths[t]) for t, c in zip(tops, _centres(
+            outer, p, [keys[order[spans[t][0]]] % p ** depths[t] for t in tops]))]
         try:
             hists = _group_histograms(cfg, length, [c.center for c in cells], cells,
                                       whole_cells=[c.radius_exp > -level for c in cells])
@@ -1051,12 +1159,19 @@ def generator_matrix(cfg: OperatorConfig, level: int) -> GeneratorMatrix:
         return folded[key]
 
     cross = tuple(tuple(map(fold, row)) for row in hists)
-    top = dict(zip(tops, range(len(tops))))  # per ball, the position of its top
-    for b in reversed(range(len(balls))):
-        top.update(dict.fromkeys(children[b], top[b]))
-    density = [simplify(fold({(0, -ball.radius_exp): 1}) + cross[top[b]][top[b]])
-               if kids else None for b, (ball, kids) in enumerate(zip(balls, children))]
-    masses = [cfg.profile.density_at(d.center) * haar_measure(d, p) for d in states]
-    return GeneratorMatrix(level, tuple(states), tuple(masses), length, tuple(balls),
-                           tuple(order), tuple(spans), tuple(map(tuple, children)),
+
+    @functools.cache
+    def ball_density(depth: int, t: int) -> Scalar:
+        return simplify(fold({(0, depth - outer.radius_exp): 1}) + cross[t][t])
+
+    top = [0] * len(depths)  # per ball, the position of its top
+    for t, b in enumerate(tops):
+        top[b] = t
+    for b in reversed(range(len(depths))):
+        for k in children[b]:
+            top[k] = top[b]
+    density = [ball_density(depth, top[b]) if kids else None
+               for b, (depth, kids) in enumerate(zip(depths, children))]
+    return GeneratorMatrix(level, p, outer, tuple(keys), tuple(masses), length, tuple(depths),
+                           tuple(order), tuple(spans), tuple(children),
                            tuple(density), tuple(tops), cross)

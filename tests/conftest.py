@@ -19,6 +19,14 @@ def dense(gen):
     return np.array([[float(v) for v in row] for row in gen.rows])
 
 
+def ball_discs(gen):
+    """The split balls of a ``GeneratorMatrix`` as discs: the ball (d, N)
+    under the outer disc D(c0, r0) is D(c0 + p^(-r0) N, p^(r0 - d))."""
+    c0, r0 = gen.outer.center, gen.outer.radius_exp
+    return [Disc(c0 + n * F(gen.p) ** -r0, r0 - d)
+            for d, n in map(gen.address, range(len(gen.depths)))]
+
+
 def domain_ok(report):
     """Every clause of a ``schottky.DomainReport`` holds."""
     return report.holes_disjoint and report.pairing_ok and report.tiles_disjoint

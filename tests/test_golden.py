@@ -4,8 +4,10 @@
 come from exact arithmetic and Python's own ``random``, with no BLAS and no
 numpy RNG, so their bytes are the same on every machine.  The fingerprints
 are the benchmark's three settings: g2-groupsum, g1-states and g1-paths,
-which is tate-p3 as configured (its seeded sample writes none of these).  A change that means
-to alter these bytes updates the hashes here and says so in CHANGES.md.
+which is tate-p3 as configured (its seeded sample writes none of these),
+plus ``resolvent.csv`` and ``spectrum.csv`` of both fixtures at levels 5 and
+7, where the split-ball tree is several balls deep.  A change that means to
+alter these bytes updates the hashes here and says so in CHANGES.md.
 """
 
 import contextlib
@@ -21,6 +23,10 @@ SETTINGS = {
     "g2-groupsum": ("genus2-p3", ["--level", "3", "--cutoff-len", "4"]),
     "g1-states": ("tate-p3", ["--level", "3", "--cutoff-len", "6"]),
     "g1-paths": ("tate-p3", []),
+    "g1-level5": ("tate-p3", ["--level", "5"]),
+    "g1-level7": ("tate-p3", ["--level", "7"]),
+    "g2-level5": ("genus2-p3", ["--level", "5"]),
+    "g2-level7": ("genus2-p3", ["--level", "7"]),
 }
 GOLDEN = {
     ("g2-groupsum", "validate", "validation.json"):
@@ -47,6 +53,22 @@ GOLDEN = {
         "58729ebf741e0bdb0c2f490e43ca69186fd06299291f5d674bab72bf13ea67ab",
     ("g1-paths", "audit", "audit.json"):
         "7070ce7f9d89f28f651ee9c76f4ac778c8d4df9f6131a49136cda7c7eb3a2c66",
+    ("g1-level5", "spectrum", "spectrum.csv"):
+        "1b7b2d6c0e573c28d324ac3a9d53e477ee512b043f9dba60ca9646b4bc31f146",
+    ("g1-level5", "resolvent", "resolvent.csv"):
+        "5b257f2895330bcd89b89e454630e113126a3cd6d7623c25c410ba43b6f02c6b",
+    ("g1-level7", "spectrum", "spectrum.csv"):
+        "e505a1ebbdc11d981a2a07bf38e5d92eded9f67a19c46e542d9dfd617d69a479",
+    ("g1-level7", "resolvent", "resolvent.csv"):
+        "cb7657d9a0985f5330adb59d6fe2af4d1a2ee99dec2b6685d294e1f098461511",
+    ("g2-level5", "spectrum", "spectrum.csv"):
+        "c56d2ce5227efbd8edb01b45a86f9be96ea1e50842fbbc39104543282eca8ba6",
+    ("g2-level5", "resolvent", "resolvent.csv"):
+        "8d1c575bb373db4a67cb61f1c49ec8a85617e263ed70f0e3e2ce4773998ea35d",
+    ("g2-level7", "spectrum", "spectrum.csv"):
+        "9ad6f34a2c440e6c0604a1f88cc34c5310c13cdae30239bff722e826f25028dd",
+    ("g2-level7", "resolvent", "resolvent.csv"):
+        "628e0a60200c7d11c5518490d8765e0d4e278a0a14959f26a4a138d589948167",
 }
 
 

@@ -28,7 +28,7 @@ from mumford_heat.padic import Disc, PoleHit, abs_p, haar_measure, valuation
 from mumford_heat.schottky import (DomainInvalid, GroupWord, MoebiusMap, SchottkyGroup,
                                    region_image, words_with_maps)
 from mumford_heat.wavelets import LevelFunction, admissible_supports, state_discs
-from conftest import TATE_DATUM, dense
+from conftest import TATE_DATUM, ball_discs, dense
 
 
 def ref_sum(cfg, length, x, centre, skip_identity):
@@ -603,11 +603,12 @@ def assert_the_tower_is_structural(coarse, fine):
     """Level m's tree is level m + 1's cut at radius p^-m: the same tops,
     cross table and cell chain, the balls of radius at least p^-m, and the
     same density on each ball with children at both levels."""
-    assert [coarse.balls[t] for t in coarse.tops] == [fine.balls[t] for t in fine.tops]
+    coarse_balls, fine_balls = ball_discs(coarse), ball_discs(fine)
+    assert [coarse_balls[t] for t in coarse.tops] == [fine_balls[t] for t in fine.tops]
     assert coarse.cross == fine.cross and coarse.q == fine.q
-    assert set(coarse.balls) == {b for b in fine.balls if b.radius_exp >= -coarse.level}
-    density = dict(zip(fine.balls, fine.density))
-    assert all(d == density[b] for b, d in zip(coarse.balls, coarse.density) if d is not None)
+    assert set(coarse_balls) == {b for b in fine_balls if b.radius_exp >= -coarse.level}
+    density = dict(zip(fine_balls, fine.density))
+    assert all(d == density[b] for b, d in zip(coarse_balls, coarse.density) if d is not None)
 
 
 @pytest.fixture(scope="module")

@@ -19,7 +19,7 @@ from mumford_heat.operator import (GeneratorMatrix, NotLocallyConstant,
                                    generator_matrix, lambda_exact)
 from mumford_heat.padic import Disc
 from mumford_heat.wavelets import LevelFunction, Wavelet, admissible_supports, wavelet_eval
-from conftest import dense
+from conftest import ball_discs, dense
 from test_groupsum import assert_spectral_data_matches_the_dense_solve, schottky_figures
 
 
@@ -45,14 +45,19 @@ def stationary(gen):
     return np.linalg.lstsq(a, np.eye(gen.size + 1)[-1], rcond=None)[0]
 
 
-def flat_generator(states, rows, masses, level=1):
+def flat_generator(states, rows, masses, p=3):
     """The generator with the given rows as a flat tree: every state is a
-    maximal ball, at the cross density Q[x][y] / m(y) to every other."""
-    n = len(states)
+    maximal ball, at the cross density Q[x][y] / m(y) to every other.  The
+    states are discs of one level with integer centres below p^level, so
+    their addresses under D(0, 1) are their centres."""
+    n, level = len(states), -states[0].radius_exp
+    keys = tuple(int(d.center) for d in states)
+    assert all(d == Disc(F(k), -level) and 0 <= k < p ** level for d, k in zip(states, keys))
     cross = tuple(tuple(F(rows[i][j]) / masses[j] if j != i else F(0) for j in range(n))
                   for i in range(n))
-    return GeneratorMatrix(level, tuple(states), tuple(masses), 1, tuple(states),
-                           tuple(range(n)), tuple((i, i + 1) for i in range(n)), ((),) * n,
+    return GeneratorMatrix(level, p, Disc(F(0), 0), keys, tuple(masses), 1,
+                           (level,) * n, tuple(range(n)),
+                           tuple((i, i + 1) for i in range(n)), ((),) * n,
                            (None,) * n, tuple(range(n)), cross)
 
 
@@ -61,7 +66,7 @@ def two_state_toy():
     each of Haar mass 1/2 under density 1."""
     states = (Disc(F(0), -1), Disc(F(1), -1))
     rows = ((F(-1), F(1)), (F(1), F(-1)))
-    return flat_generator(states, rows, (F(1, 2), F(1, 2)))
+    return flat_generator(states, rows, (F(1, 2), F(1, 2)), p=2)
 
 
 def three_state_toy():
@@ -115,7 +120,8 @@ class TestTransitionMatrix:
 
     def test_zero_rates_give_identity(self):
         toy = two_state_toy()
-        frozen = flat_generator(toy.states, ((F(0), F(0)), (F(0), F(0))), toy.masses)
+        frozen = flat_generator(toy.states, ((F(0), F(0)), (F(0), F(0))), toy.masses,
+                                p=toy.p)
         assert (transition_matrix(frozen, 5.0).matrix == np.eye(2)).all()
 
     @pytest.mark.parametrize("t", [1e12, 1e308])
@@ -457,7 +463,7 @@ class TestMultiresolution:
         # rate read off the split balls is lambda_exact at the same cutoff
         cfg, gen = certified(name, level)
         lam = gen.lam
-        rates = {gen.balls[b]: v for b, v in lam.items()}
+        rates = {ball_discs(gen)[b]: v for b, v in lam.items()}
         assert all(rates[b] == lambda_exact(cfg, b, gen.cutoff).value
                    for b in admissible_supports(cfg.profile, level))
 
@@ -518,7 +524,7 @@ def test_the_tree_matvec_matches_the_dense_one(certified, name, level):
 def doubled(gen):
     """gen with every rate doubled, as a flat tree."""
     return flat_generator(gen.states, [[2 * v for v in row] for row in gen.rows],
-                          gen.masses, gen.level)
+                          gen.masses)
 
 
 @pytest.mark.parametrize("consumer", [
@@ -617,7 +623,7 @@ class TestSampling:
         skewed[0] *= 1.1
         rows = tuple(tuple(F(x).limit_denominator(10 ** 9) for x in row)
                      for row in skewed)
-        broken = flat_generator(gen.states, rows, gen.masses, gen.level)
+        broken = flat_generator(gen.states, rows, gen.masses)
         report2 = empirical_validation(broken, paths, [1.0])
         assert not report2.passed
 
