@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import truediv
 from typing import Sequence
 
 import numpy as np
@@ -221,17 +220,11 @@ def resolvent_solve(gen: GeneratorMatrix, eta, h: LevelFunction) -> LevelFunctio
         except np.linalg.LinAlgError as exc:
             raise SingularSystem(str(exc)) from exc
 
-    if num is float:
-        return gen.level_function(_descend(gen, _float_vector(vals), coarse,
-                                           lambda lam: 1 / (eta + float(lam))))
-    # exact: h as integers over their common denominator, so are the totals
-    scale = math.lcm(*(v.denominator for v in vals))
-    h = [v.numerator * (scale // v.denominator) for v in vals]
-    return gen.level_function(_descend(gen, h, coarse, lambda lam: 1 / (eta + Fraction(lam)),
-                                       scale))
+    h = [Fraction(v) for v in vals] if num is Fraction else _float_vector(vals)
+    return gen.level_function(_descend(gen, h, coarse, lambda lam: 1 / (eta + num(lam))))
 
 
-def _descend(gen: GeneratorMatrix, h: Sequence, coarse, factor, scale: int = 0) -> list:
+def _descend(gen: GeneratorMatrix, h: Sequence, coarse, factor) -> list:
     """f(-Q) h, one value per state (per row of a 2-D h), from the split balls.
 
     Every split ball B that is not a state has one density s_B between its
@@ -241,28 +234,24 @@ def _descend(gen: GeneratorMatrix, h: Sequence, coarse, factor, scale: int = 0) 
     chain Q_c on the functions constant on each cell, a maximal ball.  So h
     splits into its cell means, which ``coarse`` maps to the cell values of
     f(-Q) h, and per B into mean_child(h) - mean_B(h), times factor(lambda_B):
-    the ball masses m(B) and the rates lambda_B are ``gen.mass`` and ``gen.lam``.
-    h is a float array, or, given ``scale``, integers, scale times the exact
-    h: then the m-weighted totals are integers over ``gen.mass_num`` and
-    only the means are Fractions."""
+    the ball masses m(B) and the rates lambda_B are ``gen.mass`` and ``gen.lam``,
+    floats for a float array h, else the integer numerators ``gen.mass_num``:
+    the means are the same."""
     order, columns = gen.order, isinstance(h, np.ndarray) and h.ndim == 2
-    if scale:
-        mass, mean_of = gen.mass_num, lambda total, m: Fraction(total, m * scale)
-    else:
-        mass, mean_of = [float(v) for v in gen.mass], truediv
+    mass = [float(v) for v in gen.mass] if isinstance(h, np.ndarray) else gen.mass_num
     total = []  # per ball, the m-weighted sum of h
     for b, ((lo, _), kids) in enumerate(zip(gen.spans, gen.children)):
         total.append(sum(total[k] for k in kids) if kids else mass[b] * h[order[lo]])
     u = [None] * gen.size
-    stack = list(zip(gen.tops, coarse([mean_of(total[c], mass[c]) for c in gen.tops])))
+    stack = list(zip(gen.tops, coarse([total[c] / mass[c] for c in gen.tops])))
     while stack:
         b, value = stack.pop()
         if not gen.children[b]:
             u[order[gen.spans[b][0]]] = value
             continue
-        mean = mean_of(total[b], mass[b])
+        mean = total[b] / mass[b]
         for k in gen.children[b]:
-            diff = mean_of(total[k], mass[k]) - mean
+            diff = total[k] / mass[k] - mean
             stack.append((k, value + diff * factor(gen.lam[b]) if columns or diff else value))
     return u
 

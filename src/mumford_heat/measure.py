@@ -111,12 +111,6 @@ class MeasureProfile:
         clear = all(discs_disjoint(disc, core, self.p) for core in self.zero_cores)
         return inside and clear
 
-    def density_at(self, x: Rational) -> Fraction:
-        for piece, dens in self.pieces:
-            if piece.contains_point(x, self.p):
-                return dens
-        raise UnalignedDisc(f"{x} is not in any piece")
-
     def tiling_fault(self, domain: FundamentalDomain) -> str | None:
         """Why the pieces and zero cores do not tile F, or None when they do.
 

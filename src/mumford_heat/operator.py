@@ -79,6 +79,7 @@ import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import pairwise
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -518,7 +519,7 @@ def _apply_to_level_function(cfg: OperatorConfig, u: LevelFunction, x: Fraction,
     p = cfg.p
     length = cfg.cutoff() if length is None else length
     ux = u.value_at(x, p)
-    masses = [cfg.profile.density_at(d.center) * haar_measure(d, p) for d, _ in u.values]
+    masses = [cfg.profile.density_on(d) * haar_measure(d, p) for d, _ in u.values]
     # the identity term vanishes on the cell of x, which the engine skips
     row, = _group_histograms(cfg, length, [x], [d for d, _ in u.values],
                              whole_cells=[True] * len(masses))
@@ -920,29 +921,27 @@ class GeneratorMatrix:
     as the tree of the module docstring's lemma: every ball with children
     is a certified wavelet support by construction.
 
-    Discs are addresses under the disc ``outer``: the states lie at depth
-    r0 + m, with the numbers ``keys`` in centre order.  The split balls, the
-    states included, come each after its descendants (its child balls in
-    ``children``), ball k at depth ``depths[k]``; the maximal ones,
-    ``tops``, partition the states.  ``order`` lists the state indices as
-    the walk of the tree meets them, and ball k holds the run
-    ``order[lo:hi]``, (lo, hi) = ``spans[k]``; ``address`` gives its
-    (depth, N), N any of its states' keys mod p^depth.  For x and y in two children of ball B, Q[x][y] / m(y) is
-    ``density[B]``, mu(F)^-1 radius(B)^(-alpha) + G_M, M the top holding B
-    (None for a state); for x in top M and y in top M' != M it is
-    ``cross[M][M']``, by position in ``tops``; ``cross[M][M]`` is G_M.  m(y)
-    is the exact |omega|-mass ``masses[y]``, and Q[x][x] is minus the rate
-    out of x.
+    Discs are addresses under ``outer``: state i is (r0 + m, ``keys[i]``),
+    in centre order, and the split balls, the states included, come each
+    after its descendants (its child balls in ``children``), ball k at depth
+    ``depths[k]``; the maximal ones, ``tops``, partition the states.
+    ``order`` lists the state indices as the walk meets them, and ball k
+    holds the run ``order[lo:hi]``, (lo, hi) = ``spans[k]``.  For x and y in
+    two children of ball B, Q[x][y] / m(y) is ``density[B]``, mu(F)^-1
+    radius(B)^(-alpha) + G_M, M the top holding B (None for a state); for x
+    in top M and y in top M' != M it is ``cross[M][M']``, by position in
+    ``tops``; ``cross[M][M]`` is G_M.  m(y) is the exact |omega|-mass
+    ``masses[y]``, and Q[x][x] is minus the rate out of x.
 
     Construction reads off, exactly, the cell chain of ``heat._descend``:
-    per ball its ``mass`` (and ``mass_num``, the masses' integer numerators
-    over their common denominator) and exit rate ``out`` (a top's: the cross
-    densities times the other tops' masses; a child k of B adds density[B]
-    * (m(B) - m(k))); Q_c as ``q``, cross densities times cell masses and
-    minus the exit rates on the diagonal; per split ball B that is no state,
-    lam[B] = out[B] + density[B] m(B).  The state discs ``states`` and the
-    exact dense ``rows`` are built only on demand; ``vector`` and
-    ``level_function`` move level functions into and out of state order.
+    per ball its ``mass`` (numerator ``mass_num`` over the masses' common
+    denominator) and exit rate ``out`` (a top's: the cross densities times
+    the other tops' masses; a child k of B adds density[B] * (m(B) - m(k)));
+    Q_c as ``q``, cross densities times cell masses and minus the exit rates
+    on the diagonal; per split ball B that is no state, lam[B] = out[B] +
+    density[B] m(B).  The discs ``states`` and the exact dense ``rows`` are
+    built on demand; ``vector`` and ``level_function`` move level functions
+    into and out of state order.
     """
 
     level: int
@@ -970,24 +969,20 @@ class GeneratorMatrix:
             m = self.masses[self.order[lo]]
             num.append(sum(num[k] for k in kids) if kids else m.numerator * (den // m.denominator))
         unique = {n: Fraction(n, den) for n in set(num)}
-        mass, out = [unique[n] for n in num], [None] * len(self.depths)
+        mass, out, known = [unique[n] for n in num], [None] * len(num), {}
         for a, row in zip(self.tops, self.cross):
             out[a] = sum((d * mass[b] for b, d in zip(self.tops, row) if b != a), Fraction(0))
-        # the balls of one top and depth share a density object, and siblings
-        # of one mass an exit rate: each value is computed once, keyed by the
-        # identities of the values it comes from
-        known, lam = {}, {}
-        for b in reversed(range(len(self.depths))):
+
+        def once(key, value):  # the balls of one top and depth share a density
+            return known[key] if key in known else known.setdefault(key, value())
+
+        for b in reversed(range(len(num))):  # each value once, keyed by its inputs' identities
             s = self.density[b]
             for k in self.children[b]:
-                if (key := (id(out[b]), id(s), num[b] - num[k])) not in known:
-                    known[key] = out[b] + s * (mass[b] - mass[k])
-                out[k] = known[key]
-        for b, s in enumerate(self.density):
-            if s is not None:
-                if (key := (id(out[b]), id(s), num[b], None)) not in known:
-                    known[key] = out[b] + s * mass[b]
-                lam[b] = known[key]
+                out[k] = once((id(out[b]), id(s), num[b] - num[k]),
+                              lambda: out[b] + s * (mass[b] - mass[k]))
+        lam = {b: once((id(out[b]), id(s), num[b], None), lambda: out[b] + s * mass[b])
+               for b, s in enumerate(self.density) if s is not None}
         q = tuple(tuple(-out[c] if d == c else v * mass[d] for d, v in zip(self.tops, row))
                   for c, row in zip(self.tops, self.cross))
         for name, value in (("mass", tuple(mass)), ("mass_num", tuple(num)),
@@ -1007,23 +1002,19 @@ class GeneratorMatrix:
         """The state discs, made from their addresses when first asked for."""
         return tuple(Disc(c, -self.level) for c in self.centers())
 
-    def address(self, b: int) -> tuple[int, int]:
-        """Ball b's address (depth, N)."""
-        depth = self.depths[b]
-        return depth, self.keys[self.order[self.spans[b][0]]] % self.p ** depth
-
     def members(self, disc: Disc) -> list[int]:
-        """The states in ``disc``: the runs of its largest split balls, found
-        from the tops down (a ball in a top, or the tops in it)."""
+        """The states in ``disc``: the runs of the largest split balls in it,
+        found from the tops down."""
         d, n, rest = _address(disc, self.outer, self.p)
         runs, stack = [], [] if rest else list(self.tops)
         while stack:
-            e, m = self.address(b := stack.pop())
-            if e >= d and m % self.p ** d == n:
-                runs.append(self.spans[b])
-            elif e < d and n % self.p ** e == m:
+            (lo, hi), e = self.spans[b := stack.pop()], self.depths[b]
+            key = self.keys[self.order[lo]]  # the ball is (e, key mod p^e)
+            if e >= d and key % self.p ** d == n:
+                runs += self.order[lo:hi]
+            elif e < d and (key - n) % self.p ** e == 0:
                 stack.extend(self.children[b])
-        return [x for lo, hi in runs for x in self.order[lo:hi]]
+        return runs
 
     @functools.cached_property
     def rows(self) -> tuple[tuple[Scalar, ...], ...]:
@@ -1057,52 +1048,50 @@ class GeneratorMatrix:
 
 
 def _split_balls(cfg: OperatorConfig, level: int, poles: Sequence[Fraction]) -> tuple:
-    """(state keys, order, ball depths, spans, per ball its children, the
-    maximal balls, state masses), from one walk of the address tree, each ball after
-    its descendants, as ``GeneratorMatrix`` holds them.  The keys are those
-    of ``wavelets.state_discs``, in centre order.  By the module docstring's
-    lemma, a disc off every hole that holds states and none of ``poles`` is
-    one ball; any other is tiled by its children's.  A state that meets a
-    hole of the group voids the lemma: ChartNotSupported.  A state's mass is
-    its piece's density times p^-level."""
-    p, domain = cfg.p, cfg.domain
-    outer, last = domain.outer, domain.outer.radius_exp + level  # the states' depth
+    """``GeneratorMatrix``'s keys, order, depths, spans, children and tops,
+    and the state masses, from one walk of the address tree, each ball after
+    its descendants; the keys are ``wavelets.state_discs``', in centre order.
+    By the module docstring's lemma, a disc off every hole that holds states
+    and none of ``poles`` is one ball; any other is tiled by its children's.
+    A state that meets a hole of the group voids the lemma: ChartNotSupported.
+    A state's mass is its piece's density times p^-level."""
+    p, domain, outer = cfg.p, cfg.domain, cfg.domain.outer
+    last = outer.radius_exp + level  # the states' depth
     powers = [p ** k for k in range(last + 1)]
 
-    def regions(discs) -> set:
+    def regions(discs) -> set:  # a co-hole is empty under the outer disc
         return {_address(disc, outer, p) for disc in discs} - {(0, 0, True)}
 
     inner, holes = regions(domain.holes), regions((*domain.holes, *cfg.group.holes))
     cores, marks = regions(cfg.profile.zero_cores), regions(Disc(z, -level) for z in poles)
     pieces = {_address(d, outer, p)[:2]: i for i, (d, _) in enumerate(cfg.profile.pieces)}
     keys, found, depths, spans, children = [], [], [], [], []
-    at = [0]  # at[i] is i, one int object per position for all the spans
+    at = [0]  # at[i] is i: one int object per position, for all the spans
 
     def hit(regions, depth, n, holds=False):
         return any(_relation(r, depth, n, powers)[holds] for r in regions)
 
     def walk(depth, n, off, piece):  # -> indices of the balls tiling the states in (depth, n)
-        start = at[-1]
-        piece = pieces.get((depth, n)) if piece is None else piece
+        start, piece = at[-1], pieces.get((depth, n)) if piece is None else piece
         if not off:  # else an ancestor is off every hole, and so is this ball
             if hit(inner, depth, n, holds=True):
                 return []
             off = not hit(holes, depth, n)
-        if depth == last:
-            if not (off or not hit(inner, depth, n)) or hit(cores, depth, n):
-                return []
+        if depth < last:
+            tiles = [k for i in range(p) for k in walk(depth + 1, n + i * powers[depth], off, piece)]
+            whole = off and not hit(marks, depth, n)
+        elif (off or not hit(inner, depth, n)) and not hit(cores, depth, n):
             if not off:  # in the domain, so it meets a hole of the group
                 disc = Disc(_centres(outer, p, [n])[0], -level)
                 raise ChartNotSupported(f"the state {disc_name(disc, p)} meets a hole of the group")
             if piece is None:
                 raise UnalignedDisc(f"the level-{level} state {n} lies in no piece")
-            tiles, whole = (), True
             keys.append(n)
             found.append(piece)
             at.append(len(keys))
+            tiles, whole = (), True
         else:
-            tiles = [k for i in range(p) for k in walk(depth + 1, n + i * powers[depth], off, piece)]
-            whole = off and not hit(marks, depth, n)
+            return []
         if at[-1] > start and whole:
             depths.append(depth)
             spans.append((start, at[-1]))
@@ -1164,14 +1153,10 @@ def generator_matrix(cfg: OperatorConfig, level: int) -> GeneratorMatrix:
     def ball_density(depth: int, t: int) -> Scalar:
         return simplify(fold({(0, depth - outer.radius_exp): 1}) + cross[t][t])
 
-    top = [0] * len(depths)  # per ball, the position of its top
-    for t, b in enumerate(tops):
-        top[b] = t
-    for b in reversed(range(len(depths))):
-        for k in children[b]:
-            top[k] = top[b]
-    density = [ball_density(depth, top[b]) if kids else None
-               for b, (depth, kids) in enumerate(zip(depths, children))]
+    # per ball its top's position: top t's balls follow top t - 1, up to it
+    top = [t for t, (a, b) in enumerate(pairwise([-1, *tops])) for _ in range(b - a)]
+    density = [ball_density(depth, t) if kids else None
+               for depth, kids, t in zip(depths, children, top)]
     return GeneratorMatrix(level, p, outer, tuple(keys), tuple(masses), length, tuple(depths),
                            tuple(order), tuple(spans), tuple(children),
                            tuple(density), tuple(tops), cross)

@@ -22,9 +22,9 @@ def dense(gen):
 def ball_discs(gen):
     """The split balls of a ``GeneratorMatrix`` as discs: the ball (d, N)
     under the outer disc D(c0, r0) is D(c0 + p^(-r0) N, p^(r0 - d))."""
-    c0, r0 = gen.outer.center, gen.outer.radius_exp
-    return [Disc(c0 + n * F(gen.p) ** -r0, r0 - d)
-            for d, n in map(gen.address, range(len(gen.depths)))]
+    c0, r0, p = gen.outer.center, gen.outer.radius_exp, gen.p
+    return [Disc(c0 + gen.keys[gen.order[lo]] % p ** d * F(p) ** -r0, r0 - d)
+            for d, (lo, _) in zip(gen.depths, gen.spans)]
 
 
 def domain_ok(report):

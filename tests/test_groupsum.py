@@ -7,6 +7,7 @@ engine's integer histograms must give values that are ``==`` to it.
 
 import dataclasses
 from fractions import Fraction as F
+from itertools import pairwise
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 import mumford_heat.operator as operator
-from mumford_heat.config import ValidationError, config_from_dict
+from mumford_heat.config import ValidationError, config_from_dict, format_rational
 from mumford_heat.exactnum import PowerSum
 from mumford_heat.heat import (_laws, _semigroup, _solve_exact, resolvent_solve,
                                solve_cauchy, spectral_data, transition_matrix)
@@ -24,7 +25,8 @@ from mumford_heat.operator import (ChartNotSupported, CoincidentPoints,
                                    _multipliers, _wavelet_cells, apply_operator,
                                    delta_series, generator_matrix, lambda_exact,
                                    simplify, transformed_config, wavelet_multiplier)
-from mumford_heat.padic import Disc, PoleHit, abs_p, haar_measure, valuation
+from mumford_heat.padic import (Disc, PoleHit, abs_p, disc_name, discs_disjoint,
+                               haar_measure, valuation)
 from mumford_heat.schottky import (DomainInvalid, GroupWord, MoebiusMap, SchottkyGroup,
                                    region_image, words_with_maps)
 from mumford_heat.wavelets import LevelFunction, admissible_supports, state_discs
@@ -52,7 +54,7 @@ def ref_generator_rows(cfg, level, length):
             if k == i:
                 row.append(None)
                 continue
-            mass = cfg.profile.density_at(dk.center) * haar_measure(dk, p)
+            mass = cfg.profile.density_on(dk) * haar_measure(dk, p)
             entry = ref_sum(cfg, length, di.center, dk.center,
                             False).mul_power(cfg.mu_inverse() * mass, 0)
             row.append(simplify(entry))
@@ -81,7 +83,7 @@ def ref_level_apply(cfg, u, x, length):
             if word.is_identity() and cell.contains_point(x, p):
                 continue
             dist = abs_p(x - mat.apply(cell.center), p)
-            mass = cfg.profile.density_at(cell.center) * haar_measure(cell, p)
+            mass = cfg.profile.density_on(cell) * haar_measure(cell, p)
             total += (float(p) ** -float(cfg.alpha_g * len(word)) * float(mass)
                       * float(dist) ** -float(cfg.alpha) * (val - ux))
     return total * float(cfg.mu_inverse())
@@ -229,7 +231,7 @@ def test_image_wrapping_infinity(genus2_cfg, centre):
 def ref_generator_per_pair(cfg, level, length):
     """The generator with one ``_fold`` per (state, state) pair."""
     p, states = cfg.p, state_discs(cfg.domain, cfg.profile, level)
-    masses = [cfg.profile.density_at(d.center) * haar_measure(d, p) for d in states]
+    masses = [cfg.profile.density_on(d) * haar_measure(d, p) for d in states]
     hists = _group_histograms(cfg, length, [d.center for d in states], states)
     rows = []
     for i, row_hists in enumerate(hists):
@@ -546,6 +548,111 @@ def test_the_states_are_the_state_discs_in_centre_order(request, name, level):
     states = tuple(state_discs(cfg.domain, cfg.profile, level))
     assert states == tuple(sorted(states, key=lambda d: d.center))
     assert generator_matrix(cfg, level).states == states
+
+
+def ref_split_balls(cfg, level, poles):
+    """The split-ball walk on ``Disc``s with ``Fraction`` centres: (states in
+    centre order, order, balls, spans, per ball its children, tops), the
+    reference of ``operator._split_balls``'s walk on integer addresses."""
+    p, domain, holes = cfg.p, cfg.domain, (*cfg.domain.holes, *cfg.group.holes)
+    states, balls, spans, children = [], [], [], []
+
+    def walk(disc, off):  # -> indices of the balls tiling the states in disc
+        start = len(states)
+        if not off:  # else an ancestor is off every hole, and so is disc
+            if any(h.contains(disc, p) for h in domain.holes):
+                return []
+            off = all(discs_disjoint(disc, h, p) for h in holes)
+        if disc.radius_exp <= -level:
+            if not (disc.radius_exp == -level and (off or domain.contains_disc(disc)) and all(
+                    discs_disjoint(disc, core, p) for core in cfg.profile.zero_cores)):
+                return []
+            if not off:  # in the domain, so it meets a hole of the group
+                raise ChartNotSupported(
+                    f"the state {disc_name(disc, p)} meets a hole of the group")
+            tiles, whole = [], True
+            states.append(disc)
+        else:
+            tiles = [k for child in disc.children(p) for k in walk(child, off)]
+            whole = off and not any(disc.contains_point(z, p) for z in poles)
+        if len(states) > start and whole:
+            balls.append(disc)
+            spans.append((start, len(states)))
+            children.append(tiles)
+            tiles = [len(balls) - 1]
+        return tiles
+
+    tops = walk(domain.outer, False)
+    by_centre = sorted(range(len(states)), key=lambda i: states[i].center)
+    order = [0] * len(states)  # per walked state, its index in centre order
+    for new, old in enumerate(by_centre):
+        order[old] = new
+    return [states[i] for i in by_centre], order, balls, spans, children, tops
+
+
+@settings(max_examples=40, deadline=None)
+@given(figure=schottky_figures(), data=st.data())
+def test_the_address_walk_matches_the_disc_walk(figure, data):
+    """On random Schottky figures, with poles drawn among the state centres
+    and the points 1/p^k: the same states, centre order, balls, spans,
+    children and tops as the walk on discs; the masses are density times
+    Haar measure, and each state's formatted centre is its disc's."""
+    cfg, level = figure
+    states = state_discs(cfg.domain, cfg.profile, level)
+    poles = data.draw(st.lists(st.sampled_from([d.center for d in states]
+                                               + [F(1, cfg.p ** k) for k in range(3)]),
+                               max_size=2, unique=True))
+    ref_states, *ref_tree = ref_split_balls(cfg, level, poles)
+    keys, *tree, masses = operator._split_balls(cfg, level, poles)
+    order, depths, spans, children, tops = tree
+    gen = operator.GeneratorMatrix(level, cfg.p, cfg.domain.outer, tuple(keys), tuple(masses),
+                                   3, tuple(depths), tuple(order), tuple(spans),
+                                   tuple(children), tuple(F(1) if kids else None
+                                                          for kids in children), tuple(tops),
+                                   ((F(0),) * len(tops),) * len(tops))
+    assert gen.states == tuple(ref_states) == tuple(states)
+    assert [order, ball_discs(gen), spans, [list(kids) for kids in children], tops] == ref_tree
+    assert masses == [cfg.profile.density_on(d) * haar_measure(d, cfg.p) for d in states]
+    assert list(map(format_rational, gen.centers())) == [format_rational(d.center)
+                                                        for d in states]
+
+
+def test_the_generator_makes_no_disc_per_state(tate_cfg, monkeypatch):
+    # a timing-free guard on the address walk: the build makes the tops'
+    # cells and the engine's images, the same discs at 24 states as at 648
+    made, honest = [], Disc.__post_init__
+    monkeypatch.setattr(Disc, "__post_init__", lambda disc: made.append(1) or honest(disc))
+    counts = []
+    for level in (3, 6):
+        made.clear()
+        gen = generator_matrix(tate_cfg, level)
+        counts.append(len(made))
+    assert gen.size == 648 and counts[0] == counts[1] < gen.size // 8
+
+
+@pytest.mark.parametrize("level", [3, 4, 5, 6])
+@pytest.mark.parametrize("name", ["tate_cfg", "genus2_cfg"])
+def test_lambda_is_one_value_per_top_and_depth(request, name, level):
+    # lambda_B depends on B through its top M and its depth alone, and at
+    # alpha = 1 each depth adds exactly s_M = mu(F)^-1 rho_M (1 - 1/p), rho_M
+    # the |omega| density on M: 9/4 and 3/4 on tate-p3, 3/2 on genus2-p3
+    cfg = request.getfixturevalue(name)
+    gen, by = generator_matrix(cfg, level), {}
+    assert cfg.alpha == 1
+    for t, (a, b) in enumerate(pairwise([-1, *gen.tops])):  # top t's balls follow top t - 1's
+        for k in range(a + 1, b + 1):
+            if k in gen.lam:
+                by.setdefault((t, gen.depths[k]), set()).add(gen.lam[k])
+    assert all(len(values) == 1 for values in by.values())
+    steps, tops = set(), ball_discs(gen)
+    for (t, depth), (lam,) in by.items():
+        if (t, depth + 1) in by:
+            (deeper,) = by[t, depth + 1]
+            rho = cfg.profile.density_on(tops[gen.tops[t]])
+            assert deeper - lam == cfg.mu_inverse() * rho * (1 - F(1, cfg.p))
+            steps.add(deeper - lam)
+    expected = {F(9, 4), F(3, 4)} if name == "tate_cfg" else {F(3, 2)}
+    assert steps == expected if level >= 4 else steps <= expected
 
 
 @pytest.mark.parametrize("level", [3, 4, 5, 6])

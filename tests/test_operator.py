@@ -277,7 +277,7 @@ class TestGeneratorMatrix:
     def test_float_matrix_and_masses(self, tate_cfg):
         gen = generator_matrix(tate_cfg, 2)
         assert dense(gen).tolist() == [[float(v) for v in row] for row in gen.rows]
-        assert gen.masses == tuple(tate_cfg.profile.density_at(d.center)
+        assert gen.masses == tuple(tate_cfg.profile.density_on(d)
                                    * haar_measure(d, 3) for d in gen.states)
         values = [F(i) for i in range(gen.size)]
         assert gen.vector(gen.level_function(values)) == values
@@ -293,7 +293,7 @@ class TestGeneratorMatrix:
         for word, mat in words_with_maps(tate_cfg.group, 12):
             dist = abs_p(states[i].center - mat.apply(states[k].center), 3)
             total += (F(1, 3) ** len(word)) / dist
-        mass = tate_cfg.profile.density_at(states[k].center) \
+        mass = tate_cfg.profile.density_on(states[k]) \
             * haar_measure(states[k], 3)
         assert gen.rows[i][k] == total * mass * F(9, 8)
 
