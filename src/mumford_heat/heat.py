@@ -63,16 +63,14 @@ class SpectralData:
 
 def wavelet_column(w: Wavelet, gen: GeneratorMatrix, profile) -> np.ndarray:
     """w, omega-normalised, at the states' centres: exact on its support's
-    states ``gen.members``, 0 off them.  w is constant on each child of its
-    support, so a state's value is its child's, the digit of its key at the
-    support's depth."""
-    mag = w.norm_magnitude(profile, "omega")  # once per wavelet, not per state
+    states, 0 off them.  w is one value per child of its support, which a
+    state's key picks by its digit at the support's depth d."""
+    mag, d = w.norm_magnitude(profile, "omega"), gen.outer.radius_exp - w.support.radius_exp
     values = [complex(ExactComplex(mag.coeff, mag.radicand, w.p, w.phase_at(child.center),
                                    mag.p_exp)) for child in w.support.children(w.p)]
-    column, unit = np.zeros(gen.size, dtype=complex), w.p ** (gen.outer.radius_exp
-                                                             - w.support.radius_exp)
+    column = np.zeros(gen.size, dtype=complex)
     for x in gen.members(w.support):
-        column[x] = values[gen.keys[x] // unit % w.p]
+        column[x] = values[gen.keys[x] // w.p ** d % w.p]
     return column
 
 
@@ -400,12 +398,10 @@ def _jump_table(gen: GeneratorMatrix):
     out.  So x has O(depth * p + #tops) entries, its parent's and its
     siblings, built on one descent that keeps only the entries of the balls
     on its path."""
-    width = [len(gen.tops) - 1] * len(gen.depths)  # per ball, its entries before the cut
-    for b in reversed(range(len(gen.depths))):
-        for k in gen.children[b]:
-            width[k] = width[b] + len(gen.children[b]) - 1
-    hold = np.zeros(gen.size)
-    balls = np.zeros((gen.size, max(1, max(width))), dtype=np.intp)
+    # at most the other tops and p - 1 siblings per depth below the highest top
+    width = len(gen.tops) - 1 + (gen.p - 1) * (max(gen.depths) - min(map(gen.depths.__getitem__,
+                                                                         gen.tops)))
+    hold, balls = np.zeros(gen.size), np.zeros((gen.size, max(1, width)), dtype=np.intp)
     rates = np.zeros(balls.shape)
     stack = [(a, [(b, float(d * gen.mass[b])) for b, d in zip(gen.tops, row) if b != a])
              for a, row in zip(gen.tops, gen.cross)]

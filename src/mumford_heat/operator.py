@@ -61,15 +61,14 @@ reads off the cell chain Q_c, the exit rates and each support's rate
 lambda_B: all that the heat layer needs.  Exact dense rows come on demand.
 
 The tree is walked on integer addresses.  Lemma: the discs under F's outer
-disc D(c0, r0) are the (d, N) with 0 <= N < p^d, centre c0 + p^(-r0) N and
-radius p^(r0 - d); child i of (d, N) is (d + 1, N + i p^d).  So N's base-p
-digits are the children chosen from the outer disc down, centre order at
-one depth is the integer order of N, and (d', N') lies in (d, N) exactly
-when d' >= d and N' = N mod p^d; two balls meet when one lies in the other.
-Holes, zero cores, pieces and poles become addresses once (the rest of the
-outer disc beyond an address, for a co-disc).  A co-hole, whose complement
-is the outer disc, meets no ball under it and drops out.  Discs are made
-only at the edges: the k tops' cells, ``GeneratorMatrix.states`` on demand.
+disc D(c0, r0) are the (d, N), 0 <= N < p^d, of centre c0 + p^(-r0) N and
+radius p^(r0 - d); child i of (d, N) is (d + 1, N + i p^d).  So centre
+order at one depth is the integer order of N, and (d', N') lies in (d, N)
+exactly when d' >= d and N' = N mod p^d (two balls meet when one lies in
+the other).  Holes, zero cores, pieces and poles become addresses once (a
+co-disc, the rest of the outer disc beyond one); a co-hole, the outer
+disc's complement, meets no ball and drops out.  Discs are made only at
+the edges: the k tops' cells, and ``GeneratorMatrix.states`` on demand.
 """
 
 from __future__ import annotations
@@ -904,8 +903,7 @@ def _relation(region: tuple, depth: int, n: int, powers: list[int]) -> tuple[boo
     """(meets, holds): whether an ``_address`` meets, and holds, the ball (depth, n)."""
     d, m, rest = region
     meets = n % powers[d] == m if d <= depth else m % powers[depth] == n
-    holds = meets and d <= depth
-    return (not holds, not meets) if rest else (meets, holds)
+    return (not (meets and d <= depth), not meets) if rest else (meets, meets and d <= depth)
 
 
 def _centres(outer: Disc, p: int, keys: Sequence[int]) -> list[Fraction]:
@@ -1049,12 +1047,11 @@ class GeneratorMatrix:
 
 def _split_balls(cfg: OperatorConfig, level: int, poles: Sequence[Fraction]) -> tuple:
     """``GeneratorMatrix``'s keys, order, depths, spans, children and tops,
-    and the state masses, from one walk of the address tree, each ball after
-    its descendants; the keys are ``wavelets.state_discs``', in centre order.
-    By the module docstring's lemma, a disc off every hole that holds states
-    and none of ``poles`` is one ball; any other is tiled by its children's.
-    A state that meets a hole of the group voids the lemma: ChartNotSupported.
-    A state's mass is its piece's density times p^-level."""
+    and the state masses (piece density times p^-level), from one walk of
+    the address tree.  By the module docstring's lemma, a disc off every
+    hole that holds states and none of ``poles`` is one ball; any other is
+    tiled by its children's.  A state that meets a hole of the group voids
+    the lemma: ChartNotSupported."""
     p, domain, outer = cfg.p, cfg.domain, cfg.domain.outer
     last = outer.radius_exp + level  # the states' depth
     powers = [p ** k for k in range(last + 1)]
