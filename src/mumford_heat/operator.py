@@ -903,7 +903,8 @@ def _relation(region: tuple, depth: int, n: int, powers: list[int]) -> tuple[boo
     """(meets, holds): whether an ``_address`` meets, and holds, the ball (depth, n)."""
     d, m, rest = region
     meets = n % powers[d] == m if d <= depth else m % powers[depth] == n
-    return (not (meets and d <= depth), not meets) if rest else (meets, meets and d <= depth)
+    holds = meets and d <= depth
+    return (not holds, not meets) if rest else (meets, holds)
 
 
 def _centres(outer: Disc, p: int, keys: Sequence[int]) -> list[Fraction]:
@@ -970,17 +971,21 @@ class GeneratorMatrix:
         mass, out, known = [unique[n] for n in num], [None] * len(num), {}
         for a, row in zip(self.tops, self.cross):
             out[a] = sum((d * mass[b] for b, d in zip(self.tops, row) if b != a), Fraction(0))
-
-        def once(key, value):  # the balls of one top and depth share a density
-            return known[key] if key in known else known.setdefault(key, value())
-
-        for b in reversed(range(len(num))):  # each value once, keyed by its inputs' identities
+        # the balls of one top and depth share a density object, and siblings
+        # of one mass an exit rate: each value is computed once, keyed by the
+        # identities of the values it comes from
+        for b in reversed(range(len(num))):
             s = self.density[b]
             for k in self.children[b]:
-                out[k] = once((id(out[b]), id(s), num[b] - num[k]),
-                              lambda: out[b] + s * (mass[b] - mass[k]))
-        lam = {b: once((id(out[b]), id(s), num[b], None), lambda: out[b] + s * mass[b])
-               for b, s in enumerate(self.density) if s is not None}
+                if (key := (id(out[b]), id(s), num[b] - num[k])) not in known:
+                    known[key] = out[b] + s * (mass[b] - mass[k])
+                out[k] = known[key]
+        lam = {}
+        for b, s in enumerate(self.density):
+            if s is not None:
+                if (key := (id(out[b]), id(s), num[b], None)) not in known:
+                    known[key] = out[b] + s * mass[b]
+                lam[b] = known[key]
         q = tuple(tuple(-out[c] if d == c else v * mass[d] for d, v in zip(self.tops, row))
                   for c, row in zip(self.tops, self.cross))
         for name, value in (("mass", tuple(mass)), ("mass_num", tuple(num)),
