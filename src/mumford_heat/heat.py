@@ -63,14 +63,13 @@ class SpectralData:
 
 def wavelet_column(w: Wavelet, gen: GeneratorMatrix, profile) -> np.ndarray:
     """w, omega-normalised, at the states' centres: exact on its support's
-    states, 0 off them.  w is one value per child of its support, which a
-    state's key picks by its digit at the support's depth d."""
-    mag, d = w.norm_magnitude(profile, "omega"), gen.outer.radius_exp - w.support.radius_exp
+    states ``gen.members``, one value per child of the support, 0 off them."""
+    mag = w.norm_magnitude(profile, "omega")  # once per wavelet, not per state
     values = [complex(ExactComplex(mag.coeff, mag.radicand, w.p, w.phase_at(child.center),
                                    mag.p_exp)) for child in w.support.children(w.p)]
     column = np.zeros(gen.size, dtype=complex)
-    for x in gen.members(w.support):
-        column[x] = values[gen.keys[x] // w.p ** d % w.p]
+    for x, i in gen.members(w.support):
+        column[x] = values[i]
     return column
 
 

@@ -1005,9 +1005,9 @@ class GeneratorMatrix:
         """The state discs, made from their addresses when first asked for."""
         return tuple(Disc(c, -self.level) for c in self.centers())
 
-    def members(self, disc: Disc) -> list[int]:
-        """The states in ``disc``: the runs of the largest split balls in it,
-        found from the tops down."""
+    def members(self, disc: Disc) -> list[tuple[int, int]]:
+        """(x, i) for each state x in ``disc``, x in child i of ``disc``: the
+        runs of the largest split balls in it, found from the tops down."""
         d, n, rest = _address(disc, self.outer, self.p)
         runs, stack = [], [] if rest else list(self.tops)
         while stack:
@@ -1017,7 +1017,7 @@ class GeneratorMatrix:
                 runs += self.order[lo:hi]
             elif e < d and (key - n) % self.p ** e == 0:
                 stack.extend(self.children[b])
-        return runs
+        return [(x, self.keys[x] // self.p ** d % self.p) for x in runs]
 
     @functools.cached_property
     def rows(self) -> tuple[tuple[Scalar, ...], ...]:

@@ -593,26 +593,39 @@ def ref_split_balls(cfg, level, poles):
 @settings(max_examples=40, deadline=None)
 @given(figure=schottky_figures(), data=st.data())
 def test_the_address_walk_matches_the_disc_walk(figure, data):
-    """On random Schottky figures, with poles drawn among the state centres
-    and the points 1/p^k: the same states, centre order, balls, spans,
-    children and tops as the walk on discs; the masses are density times
-    Haar measure, and each state's formatted centre is its disc's."""
+    """On random Schottky figures, as given or moved by an affine chart,
+    with poles drawn among the state centres and the points 1/p^k: the same
+    states, centre order, balls, spans, children and tops as the walk on
+    discs, or the same refusal of a state that meets a hole of the group;
+    the masses are density times Haar measure, and each state's formatted
+    centre is its disc's."""
     cfg, level = figure
+    p = cfg.p
+    chart = data.draw(st.sampled_from([None, MoebiusMap(p, 1, 0, p), MoebiusMap(1, 0, 0, p),
+                                       MoebiusMap(p * p, 1, 0, p)]))
+    if chart is not None:  # z + 1/p, z/p or p z + 1/p: an outer disc off 0 or wider
+        cfg = transformed_config(cfg, RationalFunctionDatum.constant(), chart)
     states = state_discs(cfg.domain, cfg.profile, level)
     poles = data.draw(st.lists(st.sampled_from([d.center for d in states]
-                                               + [F(1, cfg.p ** k) for k in range(3)]),
+                                               + [F(1, p ** k) for k in range(3)]),
                                max_size=2, unique=True))
-    ref_states, *ref_tree = ref_split_balls(cfg, level, poles)
+    try:
+        ref_states, *ref_tree = ref_split_balls(cfg, level, poles)
+    except ChartNotSupported as refused:
+        with pytest.raises(ChartNotSupported) as err:
+            operator._split_balls(cfg, level, poles)
+        assert str(err.value) == str(refused)
+        return
     keys, *tree, masses = operator._split_balls(cfg, level, poles)
     order, depths, spans, children, tops = tree
-    gen = operator.GeneratorMatrix(level, cfg.p, cfg.domain.outer, tuple(keys), tuple(masses),
+    gen = operator.GeneratorMatrix(level, p, cfg.domain.outer, tuple(keys), tuple(masses),
                                    3, tuple(depths), tuple(order), tuple(spans),
                                    tuple(children), tuple(F(1) if kids else None
                                                           for kids in children), tuple(tops),
                                    ((F(0),) * len(tops),) * len(tops))
     assert gen.states == tuple(ref_states) == tuple(states)
     assert [order, ball_discs(gen), spans, [list(kids) for kids in children], tops] == ref_tree
-    assert masses == [cfg.profile.density_on(d) * haar_measure(d, cfg.p) for d in states]
+    assert masses == [cfg.profile.density_on(d) * haar_measure(d, p) for d in states]
     assert list(map(format_rational, gen.centers())) == [format_rational(d.center)
                                                         for d in states]
 
