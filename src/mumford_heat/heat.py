@@ -398,8 +398,8 @@ def _jump_table(gen: GeneratorMatrix):
     siblings, built on one descent that keeps only the entries of the balls
     on its path."""
     # at most the other tops and p - 1 siblings per depth below the highest top
-    width = len(gen.tops) - 1 + (gen.p - 1) * (max(gen.depths) - min(map(gen.depths.__getitem__,
-                                                                         gen.tops)))
+    width = len(gen.tops) - 1 + (gen.p - 1) * (max(gen.depths)
+                                               - min(gen.depths[t] for t in gen.tops))
     hold, balls = np.zeros(gen.size), np.zeros((gen.size, max(1, width)), dtype=np.intp)
     rates = np.zeros(balls.shape)
     stack = [(a, [(b, float(d * gen.mass[b])) for b, d in zip(gen.tops, row) if b != a])

@@ -67,8 +67,8 @@ order at one depth is the integer order of N, and (d', N') lies in (d, N)
 exactly when d' >= d and N' = N mod p^d (two balls meet when one lies in
 the other).  Holes, zero cores, pieces and poles become addresses once (a
 co-disc, the rest of the outer disc beyond one); a co-hole, the outer
-disc's complement, meets no ball and drops out.  Discs are made only at
-the edges: the k tops' cells, and ``GeneratorMatrix.states`` on demand.
+disc's complement, meets no ball and drops out.  No disc is made per
+state but ``GeneratorMatrix.states``, on demand.
 """
 
 from __future__ import annotations
