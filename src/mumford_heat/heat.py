@@ -63,13 +63,12 @@ class SpectralData:
 
 def wavelet_column(w: Wavelet, gen: GeneratorMatrix, profile) -> np.ndarray:
     """w, omega-normalised, at the states' centres: exact on its support's
-    states ``gen.members``, one value per child of the support, 0 off them."""
+    states, one value per child of the support (``gen.members``), 0 off them."""
     mag = w.norm_magnitude(profile, "omega")  # once per wavelet, not per state
-    values = [complex(ExactComplex(mag.coeff, mag.radicand, w.p, w.phase_at(child.center),
-                                   mag.p_exp)) for child in w.support.children(w.p)]
     column = np.zeros(gen.size, dtype=complex)
-    for x, i in gen.members(w.support):
-        column[x] = values[i]
+    for centre, states in gen.members(w.support):
+        column[states] = complex(ExactComplex(mag.coeff, mag.radicand, w.p, w.phase_at(centre),
+                                              mag.p_exp))
     return column
 
 
@@ -231,11 +230,10 @@ def _descend(gen: GeneratorMatrix, h: Sequence, coarse, factor) -> list:
     chain Q_c on the functions constant on each cell, a maximal ball.  So h
     splits into its cell means, which ``coarse`` maps to the cell values of
     f(-Q) h, and per B into mean_child(h) - mean_B(h), times factor(lambda_B):
-    the ball masses m(B) and the rates lambda_B are ``gen.mass`` and ``gen.lam``,
-    floats for a float array h, else the integer numerators ``gen.mass_num``:
-    the means are the same."""
+    the ball masses m(B), floats for a float array h, and the rates lambda_B
+    are ``gen.mass`` and ``gen.lam``."""
     order, columns = gen.order, isinstance(h, np.ndarray) and h.ndim == 2
-    mass = [float(v) for v in gen.mass] if isinstance(h, np.ndarray) else gen.mass_num
+    mass = [float(v) for v in gen.mass] if isinstance(h, np.ndarray) else gen.mass
     total = []  # per ball, the m-weighted sum of h
     for b, ((lo, _), kids) in enumerate(zip(gen.spans, gen.children)):
         total.append(sum(total[k] for k in kids) if kids else mass[b] * h[order[lo]])

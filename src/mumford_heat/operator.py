@@ -933,7 +933,7 @@ class GeneratorMatrix:
     ``masses[y]``, and Q[x][x] is minus the rate out of x.
 
     Construction reads off, exactly, the cell chain of ``heat._descend``:
-    per ball its ``mass`` (numerator ``mass_num`` over the masses' common
+    per ball its ``mass`` (summed as integers over the masses' common
     denominator) and exit rate ``out`` (a top's: the cross densities times
     the other tops' masses; a child k of B adds density[B] * (m(B) - m(k)));
     Q_c as ``q``, cross densities times cell masses and minus the exit rates
@@ -957,7 +957,6 @@ class GeneratorMatrix:
     tops: tuple[int, ...]
     cross: tuple[tuple[Scalar, ...], ...]
     mass: tuple[Fraction, ...] = dataclasses.field(init=False)
-    mass_num: tuple[int, ...] = dataclasses.field(init=False)
     out: tuple[Scalar, ...] = dataclasses.field(init=False)
     q: tuple[tuple[Scalar, ...], ...] = dataclasses.field(init=False)
     lam: dict[int, Scalar] = dataclasses.field(init=False)
@@ -967,29 +966,29 @@ class GeneratorMatrix:
         for (lo, _), kids in zip(self.spans, self.children):
             m = self.masses[self.order[lo]]
             num.append(sum(num[k] for k in kids) if kids else m.numerator * (den // m.denominator))
-        unique = {n: Fraction(n, den) for n in set(num)}
-        mass, out, known = [unique[n] for n in num], [None] * len(num), {}
-        for a, row in zip(self.tops, self.cross):
+        unique = {n: Fraction(n, den) for n in set(num)}  # a few values over all the balls
+        mass, out, lam = [unique[n] for n in num], [None] * len(num), {}
+        rate, parents, known = [None] * len(num), {}, {}  # per ball the number of its rate
+        for i, (a, row) in enumerate(zip(self.tops, self.cross)):
             out[a] = sum((d * mass[b] for b, d in zip(self.tops, row) if b != a), Fraction(0))
-        # the balls of one top and depth share a density object, and siblings
-        # of one mass an exit rate: each value is computed once, keyed by the
-        # identities of the values it comes from
+            rate[a] = -1 - i  # apart from the numbers that ``known`` gives
+        # each distinct rate is computed once, keyed by value: by the number of
+        # the parent's (rate, density) and a mass numerator
         for b in reversed(range(len(num))):
-            s = self.density[b]
+            if (s := self.density[b]) is None:
+                continue
+            by = s if isinstance(s, Fraction) else frozenset(s.terms().items())
+            at = parents.setdefault((rate[b], by), len(parents))
             for k in self.children[b]:
-                if (key := (id(out[b]), id(s), num[b] - num[k])) not in known:
-                    known[key] = out[b] + s * (mass[b] - mass[k])
-                out[k] = known[key]
-        lam = {}
-        for b, s in enumerate(self.density):
-            if s is not None:
-                if (key := (id(out[b]), id(s), num[b], None)) not in known:
-                    known[key] = out[b] + s * mass[b]
-                lam[b] = known[key]
+                if (key := (at, num[b] - num[k])) not in known:
+                    known[key] = len(known), out[b] + s * (mass[b] - mass[k])
+                rate[k], out[k] = known[key]
+            if (key := (at, num[b], None)) not in known:
+                known[key] = len(known), out[b] + s * mass[b]
+            lam[b] = known[key][1]
         q = tuple(tuple(-out[c] if d == c else v * mass[d] for d, v in zip(self.tops, row))
                   for c, row in zip(self.tops, self.cross))
-        for name, value in (("mass", tuple(mass)), ("mass_num", tuple(num)),
-                            ("out", tuple(out)), ("q", q), ("lam", lam)):
+        for name, value in ("mass", tuple(mass)), ("out", tuple(out)), ("q", q), ("lam", lam):
             object.__setattr__(self, name, value)
 
     @property
@@ -1005,19 +1004,20 @@ class GeneratorMatrix:
         """The state discs, made from their addresses when first asked for."""
         return tuple(Disc(c, -self.level) for c in self.centers())
 
-    def members(self, disc: Disc) -> list[tuple[int, int]]:
-        """(x, i) for each state x in ``disc``, x in child i of ``disc``: the
-        runs of the largest split balls in it, found from the tops down."""
-        d, n, rest = _address(disc, self.outer, self.p)
-        runs, stack = [], [] if rest else list(self.tops)
+    def members(self, disc: Disc) -> list[tuple[Fraction, list[int]]]:
+        """Per child of ``disc``, its centre and its states: the runs of the
+        largest split balls in ``disc``, found from the tops down."""
+        (d, n, rest), p = _address(disc, self.outer, self.p), self.p
+        kids, stack = [[] for _ in range(p)], [] if rest else list(self.tops)
         while stack:
             (lo, hi), e = self.spans[b := stack.pop()], self.depths[b]
             key = self.keys[self.order[lo]]  # the ball is (e, key mod p^e)
-            if e >= d and key % self.p ** d == n:
-                runs += self.order[lo:hi]
-            elif e < d and (key - n) % self.p ** e == 0:
+            if e >= d and key % p ** d == n:
+                for x in self.order[lo:hi]:
+                    kids[self.keys[x] // p ** d % p].append(x)
+            elif e < d and (key - n) % p ** e == 0:
                 stack.extend(self.children[b])
-        return [(x, self.keys[x] // self.p ** d % self.p) for x in runs]
+        return list(zip(_centres(self.outer, p, range(n, n + p ** (d + 1), p ** d)), kids))
 
     @functools.cached_property
     def rows(self) -> tuple[tuple[Scalar, ...], ...]:
@@ -1068,13 +1068,12 @@ def _split_balls(cfg: OperatorConfig, level: int, poles: Sequence[Fraction]) -> 
     cores, marks = regions(cfg.profile.zero_cores), regions(Disc(z, -level) for z in poles)
     pieces = {_address(d, outer, p)[:2]: i for i, (d, _) in enumerate(cfg.profile.pieces)}
     keys, found, depths, spans, children = [], [], [], [], []
-    at = [0]  # at[i] is i: one int object per position, for all the spans
 
     def hit(regions, depth, n, holds=False):
         return any(_relation(r, depth, n, powers)[holds] for r in regions)
 
     def walk(depth, n, off, piece):  # -> indices of the balls tiling the states in (depth, n)
-        start, piece = at[-1], pieces.get((depth, n)) if piece is None else piece
+        start, piece = len(keys), pieces.get((depth, n)) if piece is None else piece
         if not off:  # else an ancestor is off every hole, and so is this ball
             if hit(inner, depth, n, holds=True):
                 return []
@@ -1090,22 +1089,22 @@ def _split_balls(cfg: OperatorConfig, level: int, poles: Sequence[Fraction]) -> 
                 raise UnalignedDisc(f"the level-{level} state {n} lies in no piece")
             keys.append(n)
             found.append(piece)
-            at.append(len(keys))
             tiles, whole = (), True
         else:
             return []
-        if at[-1] > start and whole:
+        if len(keys) > start and whole:
             depths.append(depth)
-            spans.append((start, at[-1]))
+            spans.append((start, len(keys)))
             children.append(tuple(tiles))
             tiles = [len(depths) - 1]
         return tiles
 
     tops = walk(0, 0, False, None) if last >= 0 else []
+    del walk  # it refers to itself: free it on return, not at a cyclic collection
     by_centre = sorted(range(len(keys)), key=keys.__getitem__)
     order = [0] * len(keys)  # per walked state, its index in centre order
     for new, old in enumerate(by_centre):
-        order[old] = at[new]
+        order[old] = new
     unit = [dens * p_power(p, -level) for _, dens in cfg.profile.pieces]
     return ([keys[i] for i in by_centre], order, depths, spans, children, tops,
             [unit[found[i]] for i in by_centre])

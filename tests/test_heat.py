@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import re
@@ -13,12 +14,14 @@ from mumford_heat.exactnum import PowerSum
 from mumford_heat.heat import (ROW_SUM_TOL, NumericalBreakdown, SingularSystem,
                                _solve_exact, empirical_validation,
                                resolvent_solve, sample_paths, solve_cauchy,
-                               spectral_data, transition_matrix)
+                               spectral_data, transition_matrix, wavelet_column)
 from mumford_heat import heat
+from mumford_heat.cli import main
 from mumford_heat.operator import (GeneratorMatrix, NotLocallyConstant,
                                    generator_matrix, lambda_exact)
 from mumford_heat.padic import Disc
-from mumford_heat.wavelets import LevelFunction, Wavelet, admissible_supports, wavelet_eval
+from mumford_heat.wavelets import (LevelFunction, Wavelet, admissible_supports,
+                                  admissible_wavelets, wavelet_eval)
 from conftest import ball_discs, dense
 from test_groupsum import assert_spectral_data_matches_the_dense_solve, schottky_figures
 
@@ -94,6 +97,32 @@ class TestSpectralStructure:
 
     def test_gap_eigenvalues_reported(self, data):
         assert len(data.gap_eigenvalues) == 3  # 8 - 1 - 4
+
+
+def test_wavelets_on_pieces_named_by_any_centre(tmp_path):
+    # tate-p3's four pieces D(1, 3^-1), D(2, 3^-1), D(3, 3^-2), D(6, 3^-2),
+    # each named by another of its points: every wavelet column, and
+    # evolve's default initial function, is w at each state's own centre
+    raw = json.loads(bundled_fixture("tate-p3").read_text())
+    pieces = [("5/2", -1, "1"), ("-1", -1, "1"), ("12", -2, "3"), ("-3", -2, "3")]
+    raw["measure"] = {"resolution": 2, "profile": {"zero_cores": [], "pieces": [
+        {"center": c, "radius_exp": r, "density": d} for c, r, d in pieces]}}
+    raw["run"]["level"] = 4
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    cfg = parse_config(config).operator
+    gen = generator_matrix(cfg, 4)
+    for w in admissible_wavelets(cfg.profile, 4):
+        assert wavelet_column(w, gen, cfg.profile).tolist() == [
+            complex(wavelet_eval(w, d.center, cfg.profile, "omega")) for d in gen.states]
+    assert main(["evolve", "-c", str(config), "-o", str(tmp_path / "out")]) == 0
+    w = Wavelet(min((d for d, _ in cfg.profile.pieces), key=lambda d: (-d.radius_exp, d.center)),
+                1, 3)
+    rows = (tmp_path / "out" / "evolution.csv").read_text().splitlines()
+    start = rows.index("t,state_index,value") + 1
+    assert rows[start:start + gen.size] == [
+        f"0.0,{i},{complex(wavelet_eval(w, d.center, cfg.profile, 'omega')).real!r}"
+        for i, d in enumerate(gen.states)]
 
 
 @pytest.fixture(scope="module")
