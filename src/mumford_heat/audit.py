@@ -23,7 +23,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 from .measure import RationalFunctionDatum, RootInsideDisc, local_abs
 from .operator import (ChartNotSupported, OperatorConfig, lambda_exact, lambda_transform,
                        transformed_config, vladimirov_local_integral,
@@ -34,8 +34,7 @@ from .schottky import MoebiusMap, SchottkyGroup, region_image, words_with_maps
 from .wavelets import admissible_supports, admissible_wavelets, state_discs
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(NamedTuple):
     label: str
     lhs: str
     rhs: str
@@ -46,8 +45,7 @@ class Instance:
                 "equal": self.equal}
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     holds: bool
     n_instances: int

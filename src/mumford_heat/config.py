@@ -12,10 +12,11 @@ import hashlib
 import json
 import re
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 from .measure import (MeasureProfile, RationalFunctionDatum, ResolutionTooCoarse,
                       RootInsideDisc, build_profile)
@@ -154,8 +155,7 @@ def _disc_dict(d: Disc) -> dict:
     return out
 
 
-@dataclass(frozen=True)
-class RunSettings:
+class RunSettings(NamedTuple):
     level: int
     times: tuple[float, ...]
     paths: int
@@ -164,8 +164,7 @@ class RunSettings:
     eta: Fraction
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """Validated run configuration plus its canonical hash.
 
     ``operator`` holds the operator section as the file gives it.  Its

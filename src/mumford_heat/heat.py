@@ -18,6 +18,9 @@ range of paths is drawn alone, its live paths one vectorised step at a time.
 They come back as columns (``PathColumns``: row offsets per path, flat times
 and states; ``PathSample`` is a per-path view), and ``empirical_validation``
 reads their state counts at the checkpoints, summed over ranges if need be.
+The records (``SpectralData``, ``HeatSolution``, ``ValidationReport`` ...) are
+``NamedTuple``s, as are the package's other plain results: immutable and
+picklable, and so a record compares equal to a plain tuple of the same values.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -47,8 +50,7 @@ class SingularSystem(ArithmeticError):
 ROW_SUM_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class SpectralData:
+class SpectralData(NamedTuple):
     """Block triangularisation of Q over the basis [constants | wavelets | gap].
 
     ``wavelet_rates`` pairs each wavelet column with its exact decay rate;
@@ -133,8 +135,7 @@ def _semigroup(q: np.ndarray, t: float) -> np.ndarray:
     return p
 
 
-@dataclass(frozen=True)
-class TransitionMatrix:
+class TransitionMatrix(NamedTuple):
     """Row-stochastic P_t with provenance and the observed row-sum drift."""
 
     t: float
@@ -152,8 +153,7 @@ def transition_matrix(gen: GeneratorMatrix, t: float) -> TransitionMatrix:
                             float(np.max(np.abs(p.sum(axis=1) - 1))), float(p.min()))
 
 
-@dataclass(frozen=True)
-class HeatSolution:
+class HeatSolution(NamedTuple):
     times: tuple[float, ...]
     values: np.ndarray  # shape (len(times), n)
 
@@ -283,8 +283,7 @@ def _solve_exact(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction]:
     return [Fraction(v, prev) for v in y]
 
 
-@dataclass(eq=False, slots=True)
-class PathSample:
+class PathSample(NamedTuple):
     """One cadlag trajectory, a view into the columns of a ``PathColumns``:
     a right-continuous step function of state indices."""
 
@@ -399,16 +398,24 @@ def _jump_table(gen: GeneratorMatrix):
     width = len(gen.tops) - 1 + (gen.p - 1) * (max(gen.depths)
                                                - min(gen.depths[t] for t in gen.tops))
     hold, balls = np.zeros(gen.size), np.zeros((gen.size, max(1, width)), dtype=np.intp)
-    rates = np.zeros(balls.shape)
-    stack = [(a, [(b, float(d * gen.mass[b])) for b, d in zip(gen.tops, row) if b != a])
+    rates, floats = np.zeros(balls.shape), {}
+
+    def rate(density, mass) -> float:
+        # one float per pair of objects, all held by ``gen``: a few dozen pairs
+        if (key := (id(density), id(mass))) not in floats:
+            floats[key] = float(density * mass)
+        return floats[key]
+
+    stack = [(a, [(b, r) for b, d in zip(gen.tops, row)
+                  if b != a and (r := rate(d, gen.mass[b])) > 0])
              for a, row in zip(gen.tops, gen.cross)]
     while stack:
-        b, entries = stack.pop()
+        b, row = stack.pop()
         if kids := gen.children[b]:
-            rated = [(k, float(gen.density[b] * gen.mass[k])) for k in kids]
-            stack.extend((k, entries + [e for e in rated if e[0] != k]) for k in kids)
+            rated = [(k, r) for k in kids if (r := rate(gen.density[b], gen.mass[k])) > 0]
+            stack.extend((k, row + [e for e in rated if e[0] != k]) for k in kids)
             continue
-        x, row = gen.order[gen.spans[b][0]], [e for e in entries if e[1] > 0]
+        x = gen.order[gen.spans[b][0]]
         hold[x] = gen.out[b]
         balls[x, :len(row)] = [k for k, _ in row]
         rates[x, :len(row)] = [r for _, r in row]
@@ -489,16 +496,14 @@ def sample_paths(gen: GeneratorMatrix, n_paths: int, t_max: float, seed: int,
     return PathColumns(offsets, times, states)
 
 
-@dataclass(frozen=True)
-class CheckpointRow:
+class CheckpointRow(NamedTuple):
     t: float
     max_sigma: float
     worst_state: int
     passed: bool
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     rows: tuple[CheckpointRow, ...]
     n_paths: int
     threshold: float

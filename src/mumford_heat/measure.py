@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 from .padic import Disc, Rational, abs_p, disc_name, discs_disjoint, haar_measure
 from .schottky import FundamentalDomain
 
@@ -85,8 +86,7 @@ def local_abs(datum: RationalFunctionDatum, disc: Disc, p: int) -> Fraction:
     return datum.abs_at(disc.center, p)
 
 
-@dataclass(frozen=True)
-class MeasureProfile:
+class MeasureProfile(NamedTuple):
     """Locally constant density on F: disjoint pieces plus zero-core discs."""
 
     pieces: tuple[tuple[Disc, Fraction], ...]

@@ -80,7 +80,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import pairwise
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 from .exactnum import ExactComplex, PowerSum, p_power_bounds
 from .padic import (INFINITE_VALUATION, Disc, PoleHit, Rational, abs_p,
@@ -532,8 +532,7 @@ def _apply_to_level_function(cfg: OperatorConfig, u: LevelFunction, x: Fraction,
 # Eigenvalue series
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SeriesValue:
+class SeriesValue(NamedTuple):
     """A group-sum value with certified enclosure.
 
     ``value`` is the exact total when ``is_exact`` (closed form), otherwise
@@ -671,8 +670,7 @@ def _scaled(p: int, series: SeriesValue, pref: Fraction,
                        series.is_exact, series.cutoff)
 
 
-@dataclass(frozen=True)
-class LambdaExact:
+class LambdaExact(NamedTuple):
     """First-principles eigenvalue: the constant ratio -(H psi)(x) / psi(x).
 
     ``value`` is the truncated exact ratio, the same at every child centre
@@ -716,8 +714,7 @@ def lambda_exact(cfg: OperatorConfig, support: Disc,
 # Spectrum
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SpectrumEntry:
+class SpectrumEntry(NamedTuple):
     radius_exp: int
     density: Fraction
     lam_formula: SeriesValue
@@ -726,8 +723,7 @@ class SpectrumEntry:
     witnesses: tuple[Disc, ...]
 
 
-@dataclass(frozen=True)
-class SpectrumResult:
+class SpectrumResult(NamedTuple):
     entries: tuple[SpectrumEntry, ...]
     word_counts: tuple[tuple[int, int], ...]  # (length, number of words)
 
@@ -914,7 +910,7 @@ def _centres(outer: Disc, p: int, keys: Sequence[int]) -> list[Fraction]:
     return [Fraction(a * up + n * b * down, b * up) for n in keys]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeneratorMatrix:
     """Exact level-m restriction of the operator, the Markov jump generator,
     as the tree of the module docstring's lemma: every ball with children

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .padic import (Disc, PoleHit, Rational, abs_p, covered_measure,
                     discs_disjoint, haar_measure, valuation)
@@ -258,8 +258,7 @@ def words_with_maps(group: "SchottkyGroup", max_len: int,
 # The group with its fundamental domain data
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FundamentalDomain:
+class FundamentalDomain(NamedTuple):
     """Outer disc minus the 2g holes: the good fundamental domain F.
 
     Holes may carry the co-disc flag (a hole around infinity); such a hole
@@ -362,8 +361,7 @@ class SchottkyGroup:
         return FundamentalDomain(self.outer, self.holes, self.p)
 
 
-@dataclass(frozen=True)
-class DomainReport:
+class DomainReport(NamedTuple):
     holes_disjoint: bool
     pairing_ok: bool
     tiles_checked: int

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .exactnum import ExactComplex, PhaseSum
 from .padic import Disc, Rational, character_phase, discs_disjoint, haar_measure
@@ -130,8 +130,7 @@ def _collapse(phases: PhaseSum, magnitude: ExactComplex) -> ExactComplex:
 # Level functions, state discs and admissible supports
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LevelFunction:
+class LevelFunction(NamedTuple):
     """Locally constant function at a fixed level: one value per state disc."""
 
     level: int

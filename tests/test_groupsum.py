@@ -315,7 +315,7 @@ def every_caller(cfg, level):
         children = [child.center for child in support.children(cfg.p)]
         out[support] = (lambda_exact(cfg, support).value,
                         _multipliers(cfg, support, children, cfg.cutoff()),
-                        dataclasses.astuple(delta_series(cfg, support)))
+                        tuple(delta_series(cfg, support)))
     return out
 
 

@@ -313,6 +313,12 @@ class TestGeneratorMatrix:
         assert all(isinstance(v, F) for row in gen.rows for v in row)
         assert all(sum(row) == 0 for row in gen.rows)
 
+    def test_hash_and_equality_by_identity(self, tate_cfg):
+        # its ``lam`` is a dict, so a hash by value would raise TypeError
+        gen, twin = generator_matrix(tate_cfg, 2), generator_matrix(tate_cfg, 2)
+        assert hash(gen) == hash(gen) and gen == gen
+        assert gen != twin and {gen, twin} == {twin, gen}
+
 
 # ---------------------------------------------------------------------------
 # The cutoff search runs once per configuration
