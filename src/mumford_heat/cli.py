@@ -16,7 +16,7 @@ import json
 import os
 import pickle
 import sys
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextlib import contextmanager, suppress
 from fractions import Fraction
 from itertools import chain, pairwise, repeat
@@ -38,7 +38,7 @@ from .operator import (ChartNotSupported, CoincidentPoints, CutoffNotReached,
                        spectrum, tail_bound)
 from .padic import PoleHit
 from .schottky import DomainInvalid, verify_fundamental_domain
-from .wavelets import LevelFunction, Wavelet
+from .wavelets import Wavelet
 
 
 def _scalar_str(value) -> str:
@@ -119,8 +119,7 @@ def _level(run: RunConfig, args) -> int:
 
 
 def cmd_spectrum(run: RunConfig, op: OperatorConfig, out: Path, args) -> int:
-    level = _level(run, args)
-    result = spectrum(op, level, datum=run.datum)
+    result = spectrum(op, _level(run, args), datum=run.datum)
     lines = _header_lines(_meta(run, op))
     lines.append("radius_exp,density,lambda_formula,lambda_exact_lo,"
                  "lambda_exact_hi,multiplicity,n_witness_discs\n")
@@ -150,29 +149,23 @@ def _start_state(run: RunConfig, gen) -> int:
     return idx
 
 
-def _default_initial(run: RunConfig, op: OperatorConfig, gen, args) -> LevelFunction:
-    kind = args.initial
-    if kind == "wavelet":
-        # the first admissible support: a largest piece the level resolves
-        pieces = [d for d, _ in op.profile.pieces if d.radius_exp > -gen.level]
-        if not pieces:
-            raise ValidationError("--level" if args.level is not None else "run.level",
-                                  "no admissible wavelet at this level; "
-                                  "use --initial indicator")
-        w = Wavelet(min(pieces, key=lambda d: (-d.radius_exp, d.center)), 1, op.p)
-        return gen.level_function(wavelet_column(w, gen, op.profile).real.tolist())
-    if kind == "indicator":
+def _default_initial(run: RunConfig, op: OperatorConfig, gen, args) -> Sequence[float]:
+    if args.initial == "indicator":  # else "wavelet": argparse allows no other
         idx = _start_state(run, gen)
-        return gen.level_function([float(i == idx) for i in range(gen.size)])
-    raise ValidationError("--initial", f"unknown initial condition {kind!r}")
+        return [float(i == idx) for i in range(gen.size)]
+    # the first admissible support: a largest piece the level resolves
+    pieces = [d for d, _ in op.profile.pieces if d.radius_exp > -gen.level]
+    if not pieces:
+        raise ValidationError("--level" if args.level is not None else "run.level",
+                              "no admissible wavelet at this level; use --initial indicator")
+    w = Wavelet(min(pieces, key=lambda d: (-d.radius_exp, d.center)), 1, op.p)
+    return wavelet_column(w, gen, op.profile).real
 
 
 def cmd_evolve(run: RunConfig, op: OperatorConfig, out: Path, args) -> int:
     times = parse_times(args.times, "--t") if args.times else run.run.times
-    level = _level(run, args)
-    gen = generator_matrix(op, level)
-    h0 = _default_initial(run, op, gen, args)
-    sol = solve_cauchy(gen, h0, times)
+    gen = generator_matrix(op, _level(run, args))
+    sol = solve_cauchy(gen, _default_initial(run, op, gen, args), times)
     lines = _header_lines(_meta(run, op))
     lines.append("t,state_index,value\n")
     rows = ("".join(f"{t!r},{si},{float(value)!r}\n" for si, value in enumerate(row))
@@ -317,8 +310,7 @@ def cmd_sample(run: RunConfig, op: OperatorConfig, out: Path, args) -> int:
                if args.paths is not None else run.run.paths)
     seed = (parse_int(args.seed, "--seed", minimum=0)
             if args.seed is not None else run.run.seed)
-    level = _level(run, args)
-    gen = generator_matrix(op, level)
+    gen = generator_matrix(op, _level(run, args))
     start = _start_state(run, gen)
     t_max = max(run.run.times) if run.run.times else 1.0
     jumps = jump_chain(gen, n_paths, t_max, seed)  # refuses before any process starts
@@ -366,11 +358,10 @@ def cmd_audit(run: RunConfig, op: OperatorConfig, out: Path, args) -> int:
 def cmd_resolvent(run: RunConfig, op: OperatorConfig, out: Path, args) -> int:
     eta = (parse_positive_rational(args.eta, "--eta") if args.eta is not None
            else run.run.eta)
-    level = _level(run, args)
-    gen = generator_matrix(op, level)
+    gen = generator_matrix(op, _level(run, args))
     idx = _start_state(run, gen)
     h = [int(i == idx) for i in range(gen.size)]
-    u = gen.vector(resolvent_solve(gen, eta, gen.level_function(h)))
+    u = resolvent_solve(gen, eta, h)
     lines = _header_lines(_meta(run, op))
     lines.append(f"# eta={format_rational(eta)}\n")
     lines.append("state_index,state_center,state_radius_exp,h,u\n")

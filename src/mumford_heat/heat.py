@@ -6,7 +6,8 @@ sampling.  Q acts diagonally on the wavelets of its split balls, so f(-Q) h
 is one descent of the tree (``_descend``): f(-Q_c) on the cell means of h,
 Q_c the small chain between the maximal balls, then one factor f(lambda_B)
 per split ball B that is not a state, all read off the tree when the
-``GeneratorMatrix`` is built (its ``q`` and ``lam``).  So come
+``GeneratorMatrix`` is built (its ``q`` and ``lam``).  h is one value per
+state, in state order (``gen.vector`` reads a ``LevelFunction``).  So come
 the heat flow, the validation law and ``transition_matrix`` (f = e^(-lambda
 t), e^(tQ_c) by uniformization with squaring), the resolvent (f = 1/(eta +
 lambda)) and Q basis in ``spectral_data`` (f = -lambda); no n x n float
@@ -167,7 +168,7 @@ def _float_vector(values: Sequence) -> np.ndarray:
     return vec if vec.imag.any() else vec.real
 
 
-def solve_cauchy(gen: GeneratorMatrix, h0: LevelFunction,
+def solve_cauchy(gen: GeneratorMatrix, h0: LevelFunction | Sequence,
                  times: Sequence[float]) -> HeatSolution:
     """h(t) = P_t h0 on the time grid (``_flow``); t = 0 reproduces h0
     exactly.  The values are real unless h0 has a nonzero imaginary part."""
@@ -191,8 +192,9 @@ def _flow(gen: GeneratorMatrix, h: Sequence, times: Sequence[float], coarse) -> 
     return np.moveaxis(_descend(gen, h, cell_values, lambda lam: np.exp(-float(lam) * t)), 0, 1)
 
 
-def resolvent_solve(gen: GeneratorMatrix, eta, h: LevelFunction) -> LevelFunction:
-    """Solve (eta*I - Q) u = h for eta > 0 (ValueError otherwise).
+def resolvent_solve(gen: GeneratorMatrix, eta, h: LevelFunction | Sequence) -> LevelFunction | list:
+    """Solve (eta*I - Q) u = h for eta > 0 (ValueError otherwise): u in state
+    order, a list, or a ``LevelFunction`` when h is one.
 
     u is exact, one Fraction per state, when eta, h and every density of
     ``gen`` are rational; otherwise it is a float solve, in real
@@ -216,8 +218,11 @@ def resolvent_solve(gen: GeneratorMatrix, eta, h: LevelFunction) -> LevelFunctio
         except np.linalg.LinAlgError as exc:
             raise SingularSystem(str(exc)) from exc
 
-    h = [Fraction(v) for v in vals] if num is Fraction else _float_vector(vals)
-    return gen.level_function(_descend(gen, h, coarse, lambda lam: 1 / (eta + num(lam))))
+    vals = [Fraction(v) for v in vals] if num is Fraction else _float_vector(vals)
+    u = _descend(gen, vals, coarse, lambda lam: 1 / (eta + num(lam)))
+    if isinstance(h, LevelFunction):
+        return LevelFunction(gen.level, tuple(zip(gen.states, u)))
+    return u
 
 
 def _descend(gen: GeneratorMatrix, h: Sequence, coarse, factor) -> list:

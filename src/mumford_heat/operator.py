@@ -935,8 +935,8 @@ class GeneratorMatrix:
     Q_c as ``q``, cross densities times cell masses and minus the exit rates
     on the diagonal; per split ball B that is no state, lam[B] = out[B] +
     density[B] m(B).  The discs ``states`` and the exact dense ``rows`` are
-    built on demand; ``vector`` and ``level_function`` move level functions
-    into and out of state order.
+    built on demand.  A level function is a sequence in state order;
+    ``vector`` reads a ``LevelFunction`` into one.
     """
 
     level: int
@@ -1033,17 +1033,19 @@ class GeneratorMatrix:
             row[i] = simplify(-sum(row, Fraction(0)))
         return tuple(map(tuple, rows))
 
-    def vector(self, u: LevelFunction) -> list:
-        """u's values in state order; NotLocallyConstant names a missing state."""
+    def vector(self, u: LevelFunction | Sequence) -> Sequence:
+        """u in state order: a sequence of one value per state as it is (else
+        ValueError), a ``LevelFunction`` by state disc (NotLocallyConstant
+        names a missing state)."""
+        if not isinstance(u, LevelFunction):
+            if len(u) != self.size:
+                raise ValueError(f"{len(u)} values for the {self.size} states")
+            return u
         values = u.as_dict()
         try:
             return [values[d] for d in self.states]
         except KeyError as exc:
             raise NotLocallyConstant(f"missing state {exc}") from exc
-
-    def level_function(self, values: Sequence) -> LevelFunction:
-        """The level function with values[i] on states[i]."""
-        return LevelFunction.from_mapping(self.level, dict(zip(self.states, values)))
 
 
 def _split_balls(cfg: OperatorConfig, level: int, poles: Sequence[Fraction]) -> tuple:

@@ -1,5 +1,5 @@
-"""Kozyrev wavelets on admissible discs, their exact inner products, and the
-level functions that the heat layer moves them in.
+"""Kozyrev wavelets on admissible discs, their exact inner products, and
+level functions keyed by state disc.
 
 A wavelet is a normalised character bump on a disc B: constant in absolute
 value on B, constant on each child sub-disc, mean zero against any density
@@ -10,7 +10,7 @@ the |omega|-mass, which makes the admissible family orthonormal.
 Inner products are computed in exact cyclotomic arithmetic
 (:class:`~mumford_heat.exactnum.PhaseSum`), so orthogonality statements are
 decided, not approximated.  A ``LevelFunction`` holds one value per state
-disc of a level; ``state_discs`` lists those discs and
+disc of a level, keyed by disc; ``state_discs`` lists those discs and
 ``admissible_supports`` the wavelet supports that a level resolves.
 """
 

@@ -6,8 +6,10 @@ numpy RNG, so their bytes are the same on every machine.  The fingerprints
 are the benchmark's three settings: g2-groupsum, g1-states and g1-paths,
 which is tate-p3 as configured (its seeded sample writes none of these),
 plus ``resolvent.csv`` and ``spectrum.csv`` of both fixtures at levels 5 and
-7, where the split-ball tree is several balls deep.  A change that means to
-alter these bytes updates the hashes here and says so in CHANGES.md.
+7, where the split-ball tree is several balls deep.  ``evolution.csv`` at
+t = 0 is h0 itself, with no BLAS, so both initial conditions of ``evolve
+--t 0`` are pinned too, on both fixtures at level 5.  A change that means
+to alter these bytes updates the hashes here and says so in CHANGES.md.
 """
 
 import contextlib
@@ -27,6 +29,11 @@ SETTINGS = {
     "g1-level7": ("tate-p3", ["--level", "7"]),
     "g2-level5": ("genus2-p3", ["--level", "5"]),
     "g2-level7": ("genus2-p3", ["--level", "7"]),
+    "g1-level5-t0-wavelet": ("tate-p3", ["--level", "5", "--t", "0", "--initial", "wavelet"]),
+    "g1-level5-t0-indicator": ("tate-p3", ["--level", "5", "--t", "0", "--initial", "indicator"]),
+    "g2-level5-t0-wavelet": ("genus2-p3", ["--level", "5", "--t", "0", "--initial", "wavelet"]),
+    "g2-level5-t0-indicator": ("genus2-p3", ["--level", "5", "--t", "0",
+                                             "--initial", "indicator"]),
 }
 GOLDEN = {
     ("g2-groupsum", "validate", "validation.json"):
@@ -69,6 +76,14 @@ GOLDEN = {
         "9ad6f34a2c440e6c0604a1f88cc34c5310c13cdae30239bff722e826f25028dd",
     ("g2-level7", "resolvent", "resolvent.csv"):
         "628e0a60200c7d11c5518490d8765e0d4e278a0a14959f26a4a138d589948167",
+    ("g1-level5-t0-wavelet", "evolve", "evolution.csv"):
+        "a97e2360d1943c2d79f21aebe94660bf70996dce26d99df04e36afd5473a4b35",
+    ("g1-level5-t0-indicator", "evolve", "evolution.csv"):
+        "f1d1057f57e1b447b31271ec3e4bb6a72b20a95c2cd0f39685d83189668a9b27",
+    ("g2-level5-t0-wavelet", "evolve", "evolution.csv"):
+        "410f284a10f2501c0740063b2f08972cee76d0d730ef20691fce4ef572897e2d",
+    ("g2-level5-t0-indicator", "evolve", "evolution.csv"):
+        "1ab4694ce5c563424a87d4685887d7d93f4a3a144df5e52494895b3c7fa53db6",
 }
 
 

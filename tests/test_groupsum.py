@@ -5,7 +5,9 @@ rational with ``abs_p``, one ``PowerSum`` term per (word, cell) pair; the
 engine's integer histograms must give values that are ``==`` to it.
 """
 
+import contextlib
 import dataclasses
+import io
 from fractions import Fraction as F
 from itertools import pairwise
 
@@ -15,7 +17,9 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 import mumford_heat.operator as operator
-from mumford_heat.config import ValidationError, config_from_dict, format_rational
+from mumford_heat.cli import main
+from mumford_heat.config import (ValidationError, bundled_fixture, config_from_dict,
+                                 format_rational)
 from mumford_heat.exactnum import PowerSum
 from mumford_heat.heat import (_laws, _semigroup, _solve_exact, resolvent_solve,
                                solve_cauchy, spectral_data, transition_matrix)
@@ -419,9 +423,9 @@ def test_random_figures_match_the_references(figure):
     assert_the_tower_is_structural(gen, generator_matrix(cfg, level + 1))
     h = [F(i % 3 - 1, i + 2) for i in range(gen.size)]
     system = [[int(i == k) - gen.rows[i][k] for k in range(gen.size)] for i in range(gen.size)]
-    assert gen.vector(resolvent_solve(gen, F(1), gen.level_function(h))) == _solve_exact(system, h)
+    assert resolvent_solve(gen, F(1), h) == _solve_exact(system, h)
     times = [1e-6, 0.3, 1.0, 7.0, 50.0]
-    flow = solve_cauchy(gen, gen.level_function(h), times).values
+    flow = solve_cauchy(gen, h, times).values
     laws = _laws(gen, 0, times)
     for k, t in enumerate(times):
         p = _semigroup(dense(gen), t)
@@ -641,6 +645,24 @@ def test_the_generator_makes_no_disc_per_state(tate_cfg, monkeypatch):
         gen = generator_matrix(tate_cfg, level)
         counts.append(len(made))
     assert gen.size == 648 and counts[0] == counts[1] < gen.size // 8
+
+
+@pytest.mark.parametrize("argv", [["evolve", "--initial", "wavelet"],
+                                  ["evolve", "--initial", "indicator"], ["resolvent"]],
+                         ids=["evolve-wavelet", "evolve-indicator", "resolvent"])
+def test_the_heat_commands_make_no_disc_per_state(tmp_path, monkeypatch, argv):
+    # the same guard over a whole command: h and u stay in state order, so
+    # the command makes as many discs at 24 states as at 648
+    made, honest = [], Disc.__post_init__
+    monkeypatch.setattr(Disc, "__post_init__", lambda disc: made.append(1) or honest(disc))
+    counts = []
+    for level in (3, 6):
+        made.clear()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main([*argv, "-c", str(bundled_fixture("tate-p3")), "--level", str(level),
+                         "-o", str(tmp_path / str(level))]) == 0
+        counts.append(len(made))
+    assert counts[0] == counts[1]
 
 
 @pytest.mark.parametrize("level", [3, 4, 5, 6])

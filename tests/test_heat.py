@@ -293,10 +293,10 @@ def random_rational(rng):
 
 
 def resolvent_system(gen, eta, h):
-    hd = h.as_dict()
+    """(eta*I - Q, h) as exact dense rows, h in state order."""
     a = [[(eta if i == k else 0) - gen.rows[i][k] for k in range(gen.size)]
          for i in range(gen.size)]
-    return a, [F(hd[d]) for d in gen.states]
+    return a, [F(v) for v in h]
 
 
 class TestExactSolve:
@@ -334,7 +334,7 @@ class TestExactSolve:
             3, {d: F(int(i == 0)) for i, d in enumerate(gen3.states)})
         u = resolvent_solve(gen3, F(1), h).as_dict()
         got = [u[d] for d in gen3.states]
-        assert got == gauss_jordan(*resolvent_system(gen3, F(1), h))
+        assert got == gauss_jordan(*resolvent_system(gen3, F(1), gen3.vector(h)))
         assert gen3.size == 24
         assert max(v.denominator.bit_length() for v in got) == 125
 
@@ -401,7 +401,7 @@ class TestResolvent:
         for vals in (indicator(gen), [F(rng.randint(1, 9), rng.randint(1, 9))
                                       for _ in gen.states]):
             for eta in (F(1), F(1, 3), 2.5):
-                u = gen.vector(resolvent_solve(gen, eta, gen.level_function(vals)))
+                u = resolvent_solve(gen, eta, vals)
                 ref = np.linalg.solve(float(eta) * np.eye(gen.size) - dense(gen),
                                       [float(v) for v in vals])
                 assert np.max(np.abs(np.array(u) / ref - 1)) < 1e-12
@@ -419,7 +419,7 @@ class TestResolvent:
         scan = [all(isinstance(v, F) for v in row) for row in gen.rows]
         assert scan == [isinstance(row[i], F) for i, row in enumerate(gen.rows)]
         sizes = cell_solve_sizes(monkeypatch)
-        u = gen.vector(resolvent_solve(gen, F(1), gen.level_function(indicator(gen))))
+        u = resolvent_solve(gen, F(1), indicator(gen))
         assert bool(sizes) == all(scan) == all(isinstance(v, F) for v in u)
         assert all(scan) == (alpha.denominator == alpha_g.denominator == 1)
 
@@ -449,7 +449,7 @@ def dense_solve():
     def get(gen, eta, vals):
         key = (gen.rows, eta, tuple(vals))
         if key not in solved:
-            solved[key] = _solve_exact(*resolvent_system(gen, eta, gen.level_function(vals)))
+            solved[key] = _solve_exact(*resolvent_system(gen, eta, vals))
         return solved[key]
     return get
 
@@ -483,7 +483,7 @@ class TestMultiresolution:
         small = [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in gen.states]
         for vals in (indicator(gen), small):
             for eta in (F(1), F(2), F(1, 3)):
-                u = gen.vector(resolvent_solve(gen, eta, gen.level_function(vals)))
+                u = resolvent_solve(gen, eta, vals)
                 assert u == dense_solve(gen, eta, vals)
 
     @pytest.mark.parametrize("name,level", FIXTURE_LEVELS)
@@ -502,7 +502,7 @@ class TestMultiresolution:
                                                           name, level):
         _, gen = certified(name, level)
         sizes = cell_solve_sizes(monkeypatch)
-        resolvent_solve(gen, F(1), gen.level_function(indicator(gen)))
+        resolvent_solve(gen, F(1), indicator(gen))
         assert len(sizes) == 1 and sizes[0] <= 4
 
     @pytest.mark.parametrize("build", [
@@ -517,7 +517,7 @@ class TestMultiresolution:
         vals = [random_rational(rng) for _ in gen.states]
         sizes = cell_solve_sizes(monkeypatch)
         for eta in (F(1), F(1, 3)):
-            u = gen.vector(resolvent_solve(gen, eta, gen.level_function(vals)))
+            u = resolvent_solve(gen, eta, vals)
             assert u == dense_solve(gen, eta, vals)
         assert sizes == [gen.size] * 2
 
@@ -532,7 +532,7 @@ def test_the_tree_semigroup_matches_the_dense_one(certified, name, level):
     # the split balls; the reference is the dense uniformization of the rows
     _, gen = certified(name, level)
     h = np.random.default_rng(level).standard_normal(gen.size)
-    flow = solve_cauchy(gen, gen.level_function(h), TIMES).values
+    flow = solve_cauchy(gen, h, TIMES).values
     starts = (0, gen.size - 1)
     laws = [heat._laws(gen, x, TIMES) for x in starts]
     for k, t in enumerate(TIMES):
@@ -550,6 +550,35 @@ def test_the_tree_matvec_matches_the_dense_one(certified, name, level):
     assert_spectral_data_matches_the_dense_solve(*certified(name, level))
 
 
+def diagonal_over_mass(gen, t):
+    """P_t(x, x) / m(x) per state x by the tree formula of docs/heat-kernel.md:
+    [e^(tQ_c)]_CC / m(C), C the top of x, plus per split ball B above x
+    e^(-lambda_B t) (1/m(child_B(x)) - 1/m(B)); e^(tQ_c) from scipy."""
+    from scipy.linalg import expm
+    coarse = expm(t * np.array(gen.q, dtype=float))
+    out = np.zeros(gen.size)
+    stack = [(c, coarse[i, i] / float(gen.mass[c])) for i, c in enumerate(gen.tops)]
+    while stack:
+        b, value = stack.pop()
+        if not gen.children[b]:
+            out[gen.order[gen.spans[b][0]]] = value
+            continue
+        decay = math.exp(-float(gen.lam[b]) * t)
+        stack.extend((k, value + decay * (1 / float(gen.mass[k]) - 1 / float(gen.mass[b])))
+                     for k in gen.children[b])
+    return out
+
+
+@pytest.mark.parametrize("t", [0.05, 0.3, 0.488, 1.0, 2.0, 10.0])
+@pytest.mark.parametrize("level", [3, 5])
+@pytest.mark.parametrize("name", ["tate-p3", "genus2-p3"])
+def test_the_diagonal_of_the_heat_kernel_is_the_tree_formula(certified, name, level, t):
+    _, gen = certified(name, level)
+    masses = np.array([float(m) for m in gen.masses])
+    reference = transition_matrix(gen, t).matrix.diagonal() / masses
+    assert np.max(np.abs(diagonal_over_mass(gen, t) / reference - 1)) < 1e-12
+
+
 def doubled(gen):
     """gen with every rate doubled, as a flat tree."""
     return flat_generator(gen.states, [[2 * v for v in row] for row in gen.rows],
@@ -565,6 +594,18 @@ def test_missing_state_is_named(gen, consumer):
     h = LevelFunction.from_mapping(
         gen.level, {d: F(1) for d in gen.states if d != missing})
     with pytest.raises(NotLocallyConstant, match=re.escape(repr(missing))):
+        consumer(gen, h)
+
+
+@pytest.mark.parametrize("extra", [-1, 1], ids=["short", "long"])
+@pytest.mark.parametrize("form", [list, np.array])
+@pytest.mark.parametrize(*test_missing_state_is_named.pytestmark[0].args,
+                         **test_missing_state_is_named.pytestmark[0].kwargs)
+def test_a_state_order_h_of_another_length_is_refused(gen, consumer, form, extra):
+    # the consumers above, on h in state order: a long h would otherwise
+    # lose its last values silently, a short one fail with an IndexError
+    h = form([F(1)] * (gen.size + extra))
+    with pytest.raises(ValueError, match=f"^{gen.size + extra} values for the {gen.size} states"):
         consumer(gen, h)
 
 
