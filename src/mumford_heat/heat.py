@@ -35,7 +35,7 @@ import numpy as np
 
 from .exactnum import ExactComplex
 from .operator import GeneratorMatrix, OperatorConfig
-from .padic import Disc
+from .padic import Disc, _address, _centres
 from .wavelets import LevelFunction, Wavelet, admissible_wavelets
 
 
@@ -66,13 +66,14 @@ class SpectralData(NamedTuple):
 
 def wavelet_column(w: Wavelet, gen: GeneratorMatrix, profile) -> np.ndarray:
     """w, omega-normalised, at the states' centres: exact on its support's
-    states, one value per child of the support (``gen.members``), 0 off them."""
-    mag = w.norm_magnitude(profile, "omega")  # once per wavelet, not per state
-    column = np.zeros(gen.size, dtype=complex)
-    for centre, states in gen.members(w.support):
-        column[states] = complex(ExactComplex(mag.coeff, mag.radicand, w.p, w.phase_at(centre),
-                                              mag.p_exp))
-    return column
+    states, one value per child of the support, 0 off them.  State i lies in
+    the support (d, n) when keys[i] = n mod p^d, in child keys[i] // p^d mod p."""
+    (d, n, rest), p = _address(w.support, gen.outer, gen.p), gen.p
+    mag, unit = w.norm_magnitude(profile, "omega"), p ** d  # once per wavelet, not per state
+    values = [complex(ExactComplex(mag.coeff, mag.radicand, p, w.phase_at(c), mag.p_exp))
+              for c in _centres(gen.outer, p, range(n, n + p * unit, unit))]
+    return np.array([0 if rest or key % unit != n else values[key // unit % p]
+                     for key in gen.keys], dtype=complex)
 
 
 def spectral_data(cfg: OperatorConfig, gen: GeneratorMatrix) -> SpectralData:
@@ -236,18 +237,22 @@ def _descend(gen: GeneratorMatrix, h: Sequence, coarse, factor) -> list:
     splits into its cell means, which ``coarse`` maps to the cell values of
     f(-Q) h, and per B into mean_child(h) - mean_B(h), times factor(lambda_B):
     the ball masses m(B), floats for a float array h, and the rates lambda_B
-    are ``gen.mass`` and ``gen.lam``."""
+    are ``gen.mass`` and ``gen.lam``.  A ball where a 1-D h is 0 at every
+    state (a test on the states, not on the total) passes its value on."""
     order, columns = gen.order, isinstance(h, np.ndarray) and h.ndim == 2
     mass = [float(v) for v in gen.mass] if isinstance(h, np.ndarray) else gen.mass
-    total = []  # per ball, the m-weighted sum of h
+    total, live = [], []  # per ball, the m-weighted sum of h, and whether h is nonzero on it
     for b, ((lo, _), kids) in enumerate(zip(gen.spans, gen.children)):
-        total.append(sum(total[k] for k in kids) if kids else mass[b] * h[order[lo]])
+        live.append(columns or (any(live[k] for k in kids) if kids else h[order[lo]] != 0))
+        total.append(sum(total[k] for k in kids if live[k]) if kids else
+                     mass[b] * h[order[lo]] if live[b] else 0)
     u = [None] * gen.size
     stack = list(zip(gen.tops, coarse([total[c] / mass[c] for c in gen.tops])))
     while stack:
         b, value = stack.pop()
-        if not gen.children[b]:
-            u[order[gen.spans[b][0]]] = value
+        if not (live[b] and gen.children[b]):  # a state, or h is zero on b
+            for x in order[slice(*gen.spans[b])]:
+                u[x] = value
             continue
         mean = total[b] / mass[b]
         for k in gen.children[b]:

@@ -58,17 +58,9 @@ holds on the base chart, where F's holes are the group's; a state that
 meets a hole of the group (on a transformed chart) raises ChartNotSupported.
 The tree is the one form of Q kept, ``GeneratorMatrix``, and building it
 reads off the cell chain Q_c, the exit rates and each support's rate
-lambda_B: all that the heat layer needs.  Exact dense rows come on demand.
-
-The tree is walked on integer addresses.  Lemma: the discs under F's outer
-disc D(c0, r0) are the (d, N), 0 <= N < p^d, of centre c0 + p^(-r0) N and
-radius p^(r0 - d); child i of (d, N) is (d + 1, N + i p^d).  So centre
-order at one depth is the integer order of N, and (d', N') lies in (d, N)
-exactly when d' >= d and N' = N mod p^d (two balls meet when one lies in
-the other).  Holes, zero cores, pieces and poles become addresses once (a
-co-disc, the rest of the outer disc beyond one); a co-hole, the outer
-disc's complement, meets no ball and drops out.  No disc is made per
-state but ``GeneratorMatrix.states``, on demand.
+lambda_B: all that the heat layer needs.  It comes from the one walk of F's
+disc tree, on integer addresses (``schottky._split_balls``); exact dense
+rows and the state discs, ``GeneratorMatrix.states``, come on demand.
 """
 
 from __future__ import annotations
@@ -83,13 +75,13 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence, Union
 
 from .exactnum import ExactComplex, PowerSum, p_power_bounds
-from .padic import (INFINITE_VALUATION, Disc, PoleHit, Rational, abs_p,
+from .padic import (INFINITE_VALUATION, Disc, PoleHit, Rational, _centres, abs_p,
                     difference_valuation, disc_name, discs_disjoint, haar_measure,
                     p_power, pair_difference_valuation, valuation)
 from .measure import (MeasureProfile, RationalFunctionDatum, RootInsideDisc, UnalignedDisc,
                       local_abs)
-from .schottky import (DomainInvalid, FundamentalDomain, GroupWord, MoebiusMap,
-                       SchottkyGroup, region_image, words_with_maps)
+from .schottky import (ChartNotSupported, DomainInvalid, FundamentalDomain, GroupWord,
+                       MoebiusMap, SchottkyGroup, _split_balls, region_image, words_with_maps)
 from .wavelets import (LevelFunction, NotAdmissible, Wavelet,
                        admissible_supports, wavelet_eval)
 
@@ -110,13 +102,6 @@ class NotLocallyConstant(ValueError):
 
 class CutoffNotReached(ValueError):
     """No cutoff length up to MAX_CUTOFF brings the tail bound below the tolerance."""
-
-
-class ChartNotSupported(ValueError):
-    """The requested chart transform leaves the exact toolkit's reach."""
-
-    #: the pole of the word whose image of a cell wraps infinity, if that is the cause
-    pole: Fraction | None = None
 
 
 def growth_condition_holds(p: int, genus: int, alpha_g: Fraction) -> bool:
@@ -883,33 +868,6 @@ def vladimirov_alpha_free_value(support: Disc, j: int, x: Rational, p: int) -> E
 # Finite generator matrix
 # ---------------------------------------------------------------------------
 
-def _address(region: Disc, outer: Disc, p: int) -> tuple[int, int, bool]:
-    """(d, N, rest): ``region`` meets ``outer`` in the ball (d, N) or, with
-    ``rest``, in the rest of the outer disc beyond it; (0, 0, True) is empty."""
-    d = outer.radius_exp - region.radius_exp
-    meets = (difference_valuation(region.center, outer.center, p)
-             >= -max(region.radius_exp, outer.radius_exp))
-    if d <= 0 or not meets:  # the region holds the outer disc or misses it
-        return 0, 0, meets == region.complement
-    y, unit = (region.center - outer.center) * p_power(p, outer.radius_exp), p ** d
-    return d, y.numerator * pow(y.denominator, -1, unit) % unit, region.complement
-
-
-def _relation(region: tuple, depth: int, n: int, powers: list[int]) -> tuple[bool, bool]:
-    """(meets, holds): whether an ``_address`` meets, and holds, the ball (depth, n)."""
-    d, m, rest = region
-    meets = n % powers[d] == m if d <= depth else m % powers[depth] == n
-    holds = meets and d <= depth
-    return (not holds, not meets) if rest else (meets, holds)
-
-
-def _centres(outer: Disc, p: int, keys: Sequence[int]) -> list[Fraction]:
-    """c0 + p^(-r0) N for each N of ``keys``: the centres of balls under ``outer``."""
-    a, b, r0 = outer.center.numerator, outer.center.denominator, outer.radius_exp
-    up, down = p ** max(r0, 0), p ** max(-r0, 0)
-    return [Fraction(a * up + n * b * down, b * up) for n in keys]
-
-
 @dataclass(frozen=True, eq=False)
 class GeneratorMatrix:
     """Exact level-m restriction of the operator, the Markov jump generator,
@@ -1000,21 +958,6 @@ class GeneratorMatrix:
         """The state discs, made from their addresses when first asked for."""
         return tuple(Disc(c, -self.level) for c in self.centers())
 
-    def members(self, disc: Disc) -> list[tuple[Fraction, list[int]]]:
-        """Per child of ``disc``, its centre and its states: the runs of the
-        largest split balls in ``disc``, found from the tops down."""
-        (d, n, rest), p = _address(disc, self.outer, self.p), self.p
-        kids, stack = [[] for _ in range(p)], [] if rest else list(self.tops)
-        while stack:
-            (lo, hi), e = self.spans[b := stack.pop()], self.depths[b]
-            key = self.keys[self.order[lo]]  # the ball is (e, key mod p^e)
-            if e >= d and key % p ** d == n:
-                for x in self.order[lo:hi]:
-                    kids[self.keys[x] // p ** d % p].append(x)
-            elif e < d and (key - n) % p ** e == 0:
-                stack.extend(self.children[b])
-        return list(zip(_centres(self.outer, p, range(n, n + p ** (d + 1), p ** d)), kids))
-
     @functools.cached_property
     def rows(self) -> tuple[tuple[Scalar, ...], ...]:
         """The rates as exact dense rows: one block per ordered pair of
@@ -1048,66 +991,6 @@ class GeneratorMatrix:
             raise NotLocallyConstant(f"missing state {exc}") from exc
 
 
-def _split_balls(cfg: OperatorConfig, level: int, poles: Sequence[Fraction]) -> tuple:
-    """``GeneratorMatrix``'s keys, order, depths, spans, children and tops,
-    and the state masses (piece density times p^-level), from one walk of
-    the address tree.  By the module docstring's lemma, a disc off every
-    hole that holds states and none of ``poles`` is one ball; any other is
-    tiled by its children's.  A state that meets a hole of the group voids
-    the lemma: ChartNotSupported."""
-    p, domain, outer = cfg.p, cfg.domain, cfg.domain.outer
-    last = outer.radius_exp + level  # the states' depth
-    powers = [p ** k for k in range(last + 1)]
-
-    def regions(discs) -> set:  # a co-hole is empty under the outer disc
-        return {_address(disc, outer, p) for disc in discs} - {(0, 0, True)}
-
-    inner, holes = regions(domain.holes), regions((*domain.holes, *cfg.group.holes))
-    cores, marks = regions(cfg.profile.zero_cores), regions(Disc(z, -level) for z in poles)
-    pieces = {_address(d, outer, p)[:2]: i for i, (d, _) in enumerate(cfg.profile.pieces)}
-    keys, found, depths, spans, children = [], [], [], [], []
-
-    def hit(regions, depth, n, holds=False):
-        return any(_relation(r, depth, n, powers)[holds] for r in regions)
-
-    def walk(depth, n, off, piece):  # -> indices of the balls tiling the states in (depth, n)
-        start, piece = len(keys), pieces.get((depth, n)) if piece is None else piece
-        if not off:  # else an ancestor is off every hole, and so is this ball
-            if hit(inner, depth, n, holds=True):
-                return []
-            off = not hit(holes, depth, n)
-        if depth < last:
-            tiles = [k for i in range(p) for k in walk(depth + 1, n + i * powers[depth], off, piece)]
-            whole = off and not hit(marks, depth, n)
-        elif (off or not hit(inner, depth, n)) and not hit(cores, depth, n):
-            if not off:  # in the domain, so it meets a hole of the group
-                disc = Disc(_centres(outer, p, [n])[0], -level)
-                raise ChartNotSupported(f"the state {disc_name(disc, p)} meets a hole of the group")
-            if piece is None:
-                raise UnalignedDisc(f"the level-{level} state {n} lies in no piece")
-            keys.append(n)
-            found.append(piece)
-            tiles, whole = (), True
-        else:
-            return []
-        if len(keys) > start and whole:
-            depths.append(depth)
-            spans.append((start, len(keys)))
-            children.append(tuple(tiles))
-            tiles = [len(depths) - 1]
-        return tiles
-
-    tops = walk(0, 0, False, None) if last >= 0 else []
-    del walk  # it refers to itself: free it on return, not at a cyclic collection
-    by_centre = sorted(range(len(keys)), key=keys.__getitem__)
-    order = [0] * len(keys)  # per walked state, its index in centre order
-    for new, old in enumerate(by_centre):
-        order[old] = new
-    unit = [dens * p_power(p, -level) for _, dens in cfg.profile.pieces]
-    return ([keys[i] for i in by_centre], order, depths, spans, children, tops,
-            [unit[found[i]] for i in by_centre])
-
-
 def generator_matrix(cfg: OperatorConfig, level: int) -> GeneratorMatrix:
     """Assemble the exact jump rates on the level-m discs of F.
 
@@ -1120,14 +1003,19 @@ def generator_matrix(cfg: OperatorConfig, level: int) -> GeneratorMatrix:
     lemma, from which each ball's density follows, one per (top, depth).  A
     ball that holds a walked word's pole (ChartNotSupported, or PoleHit at
     its centre, from the engine) is split and the sums counted again; a
-    pole still hit is a state's centre, and raises.
+    pole still hit is a state's centre, and raises.  A state in no piece of
+    the profile raises UnalignedDisc.
     """
     p, length, outer = cfg.p, cfg.cutoff(), cfg.domain.outer
     poles: list[Fraction] = []
     while True:
-        keys, order, depths, spans, children, tops, masses = _split_balls(cfg, level, poles)
+        keys, order, depths, spans, children, tops, found = _split_balls(
+            cfg.domain, cfg.profile, level, cfg.group.holes, poles)
         if not keys:
             raise ValueError(f"no states at level {level}")
+        if None in found:
+            state = Disc(_centres(outer, p, [keys[found.index(None)]])[0], -level)
+            raise UnalignedDisc(f"the level-{level} state {disc_name(state, p)} lies in no piece")
         cells = [Disc(c, outer.radius_exp - depths[t]) for t, c in zip(tops, _centres(
             outer, p, [keys[order[spans[t][0]]] % p ** depths[t] for t in tops]))]
         try:
@@ -1156,6 +1044,7 @@ def generator_matrix(cfg: OperatorConfig, level: int) -> GeneratorMatrix:
     top = [t for t, (a, b) in enumerate(pairwise([-1, *tops])) for _ in range(b - a)]
     density = [ball_density(depth, t) if kids else None
                for depth, kids, t in zip(depths, children, top)]
-    return GeneratorMatrix(level, p, outer, tuple(keys), tuple(masses), length, tuple(depths),
-                           tuple(order), tuple(spans), tuple(children),
+    unit = [dens * p_power(p, -level) for _, dens in cfg.profile.pieces]
+    return GeneratorMatrix(level, p, outer, tuple(keys), tuple(unit[i] for i in found), length,
+                           tuple(depths), tuple(order), tuple(spans), tuple(children),
                            tuple(density), tuple(tops), cross)

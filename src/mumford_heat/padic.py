@@ -11,6 +11,13 @@ The disc predicates (membership, containment, disjointness) compare
 valuations, not absolute values: |x - c| <= p^t is v_p(x - c) >= -t, with
 v_p(x - c) read off the integer numerators and denominators by
 :func:`difference_valuation`, so no ``Fraction`` is built to answer them.
+
+Discs under an outer disc D(c0, r0) have integer addresses.  Lemma: they
+are the (d, N), 0 <= N < p^d, of centre c0 + p^(-r0) N and radius
+p^(r0 - d) (``_centres``); child i of (d, N) is (d + 1, N + i p^d).  So
+centre order at one depth is the integer order of N, and (d', N') lies in
+(d, N) exactly when d' >= d and N' = N mod p^d (``_relation``; two balls
+meet when one lies in the other).  ``_address`` gives a region's address.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Union
+from typing import Iterator, Sequence, Union
 
 Rational = Union[int, Fraction]
 
@@ -183,6 +190,33 @@ def discs_disjoint(d1: Disc, d2: Disc, p: int) -> bool:
         return Disc(d2.center, d2.radius_exp).contains(d1, p)
     # two co-discs always share the neighbourhood of infinity
     return False
+
+
+def _address(region: Disc, outer: Disc, p: int) -> tuple[int, int, bool]:
+    """(d, N, rest): ``region`` meets ``outer`` in the ball (d, N) or, with
+    ``rest``, in the rest of the outer disc beyond it; (0, 0, True) is empty."""
+    d = outer.radius_exp - region.radius_exp
+    meets = (difference_valuation(region.center, outer.center, p)
+             >= -max(region.radius_exp, outer.radius_exp))
+    if d <= 0 or not meets:  # the region holds the outer disc or misses it
+        return 0, 0, meets == region.complement
+    y, unit = (region.center - outer.center) * p_power(p, outer.radius_exp), p ** d
+    return d, y.numerator * pow(y.denominator, -1, unit) % unit, region.complement
+
+
+def _relation(region: tuple, depth: int, n: int, powers: list[int]) -> tuple[bool, bool]:
+    """(meets, holds): whether an ``_address`` meets, and holds, the ball (depth, n)."""
+    d, m, rest = region
+    meets = n % powers[d] == m if d <= depth else m % powers[depth] == n
+    holds = meets and d <= depth
+    return (not holds, not meets) if rest else (meets, holds)
+
+
+def _centres(outer: Disc, p: int, keys: Sequence[int]) -> list[Fraction]:
+    """c0 + p^(-r0) N for each N of ``keys``: the centres of balls under ``outer``."""
+    a, b, r0 = outer.center.numerator, outer.center.denominator, outer.radius_exp
+    up, down = p ** max(r0, 0), p ** max(-r0, 0)
+    return [Fraction(a * up + n * b * down, b * up) for n in keys]
 
 
 def haar_measure(disc: Disc, p: int) -> Fraction:

@@ -5,7 +5,8 @@ determinant); group elements are reduced words over the generators and their
 inverses.  The module provides exact disc images under Moebius maps (with
 co-disc handling for regions containing infinity), breadth-first word
 enumeration with the standard 2g(2g-1)^(l-1) counts (optionally pruned),
-and fundamental-domain verification.
+fundamental-domain verification, and the one walk of F's disc tree at a
+level, on integer addresses (``_split_balls``).
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, NamedTuple, Sequence
 
-from .padic import (Disc, PoleHit, Rational, abs_p, covered_measure,
-                    discs_disjoint, haar_measure, valuation)
+from .padic import (Disc, PoleHit, Rational, _address, _centres, _relation, abs_p,
+                    covered_measure, disc_name, discs_disjoint, haar_measure, valuation)
 
 
 class DomainInvalid(ValueError):
@@ -286,23 +287,71 @@ class FundamentalDomain(NamedTuple):
             return False
         return all(discs_disjoint(disc, h, self.p) for h in self.holes)
 
-    def level_discs(self, m: int) -> list[Disc]:
-        """All discs of radius p^-m inside F, ordered by center."""
-        if self.outer.radius_exp < -m:
+
+class ChartNotSupported(ValueError):
+    """The requested chart transform leaves the exact toolkit's reach."""
+
+    #: the pole of the word whose image of a cell wraps infinity, if that is the cause
+    pole: Fraction | None = None
+
+
+def _split_balls(domain: FundamentalDomain, profile, level: int, holes: Sequence[Disc] = (),
+                 poles: Sequence[Fraction] = ()) -> tuple:
+    """The one walk of F's disc tree at a level, on ``padic`` addresses: the
+    states, F's level discs clear of the zero cores of ``profile``, as keys
+    in centre order; the split balls over them as ``GeneratorMatrix`` holds
+    them (order, depths, spans, children, tops); per state its piece's index
+    in ``profile``, or None.  A disc off F's holes and ``holes`` that holds
+    states and none of ``poles`` is one ball; any other is tiled by its
+    children's.  A state meeting one of ``holes``: ChartNotSupported."""
+    p, outer = domain.p, domain.outer
+    last = outer.radius_exp + level  # the states' depth
+    powers = [p ** k for k in range(last + 1)]
+
+    def regions(discs) -> set:  # a co-hole is empty under the outer disc
+        return {_address(disc, outer, p) for disc in discs} - {(0, 0, True)}
+
+    inner, holes = regions(domain.holes), regions((*domain.holes, *holes))
+    cores, marks = regions(profile.zero_cores), regions(Disc(z, -level) for z in poles)
+    pieces = {_address(d, outer, p)[:2]: i for i, (d, _) in enumerate(profile.pieces)}
+    keys, found, depths, spans, children = [], [], [], [], []
+
+    def hit(regions, depth, n, holds=False):
+        return any(_relation(r, depth, n, powers)[holds] for r in regions)
+
+    def walk(depth, n, off, piece):  # -> indices of the balls tiling the states in (depth, n)
+        start, piece = len(keys), pieces.get((depth, n)) if piece is None else piece
+        if not off:  # else an ancestor is off every hole, and so is this ball
+            if hit(inner, depth, n, holds=True):
+                return []
+            off = not hit(holes, depth, n)
+        if depth < last:
+            tiles = [k for i in range(p) for k in walk(depth + 1, n + i * powers[depth], off, piece)]
+            whole = off and not hit(marks, depth, n)
+        elif (off or not hit(inner, depth, n)) and not hit(cores, depth, n):
+            if not off:  # in F, so it meets one of ``holes``
+                disc = Disc(_centres(outer, p, [n])[0], -level)
+                raise ChartNotSupported(f"the state {disc_name(disc, p)} meets a hole of the group")
+            keys.append(n)
+            found.append(piece)
+            tiles, whole = (), True
+        else:
             return []
-        found = []
-        stack = [self.outer]
-        while stack:
-            d = stack.pop()
-            if any(h.contains(d, self.p) for h in self.holes):
-                continue
-            if d.radius_exp == -m:
-                if self.contains_disc(d):
-                    found.append(d)
-                continue
-            stack.extend(d.children(self.p))
-        found.sort(key=lambda d: d.center)
-        return found
+        if len(keys) > start and whole:
+            depths.append(depth)
+            spans.append((start, len(keys)))
+            children.append(tuple(tiles))
+            tiles = [len(depths) - 1]
+        return tiles
+
+    tops = walk(0, 0, False, None) if last >= 0 else []
+    del walk  # it refers to itself: free it on return, not at a cyclic collection
+    by_centre = sorted(range(len(keys)), key=keys.__getitem__)
+    order = [0] * len(keys)  # per walked state, its index in centre order
+    for new, old in enumerate(by_centre):
+        order[old] = new
+    return ([keys[i] for i in by_centre], order, depths, spans, children, tops,
+            [found[i] for i in by_centre])
 
 
 @dataclass(frozen=True)

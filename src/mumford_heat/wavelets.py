@@ -10,20 +10,22 @@ the |omega|-mass, which makes the admissible family orthonormal.
 Inner products are computed in exact cyclotomic arithmetic
 (:class:`~mumford_heat.exactnum.PhaseSum`), so orthogonality statements are
 decided, not approximated.  A ``LevelFunction`` holds one value per state
-disc of a level, keyed by disc; ``state_discs`` lists those discs and
-``admissible_supports`` the wavelet supports that a level resolves.
+disc of a level, keyed by disc; ``state_discs`` lists those discs (the
+states of ``schottky._split_balls``) and ``admissible_supports`` the wavelet
+supports that a level resolves, from integer centres.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple
 
 from .exactnum import ExactComplex, PhaseSum
-from .padic import Disc, Rational, character_phase, discs_disjoint, haar_measure
+from .padic import Disc, Rational, _centres, character_phase, discs_disjoint, haar_measure
 from .measure import MeasureProfile, UnalignedDisc
-from .schottky import FundamentalDomain
+from .schottky import FundamentalDomain, _split_balls
 
 
 class NotAdmissible(ValueError):
@@ -165,25 +167,25 @@ class LevelFunction(NamedTuple):
 
 def state_discs(domain: FundamentalDomain, profile: MeasureProfile,
                 level: int) -> list[Disc]:
-    """Level-``level`` discs of F clear of every zero core, ordered by center."""
-    return [d for d in domain.level_discs(level)
-            if all(discs_disjoint(d, core, profile.p)
-                   for core in profile.zero_cores)]
+    """Level-``level`` discs of F clear of every zero core, ordered by centre:
+    the states of ``schottky._split_balls``, a piece of ``profile`` or none."""
+    keys = _split_balls(domain, profile, level)[0]
+    return [Disc(c, -level) for c in _centres(domain.outer, domain.p, keys)]
 
 
 def admissible_supports(profile: MeasureProfile, max_level: int) -> list[Disc]:
-    """All admissible wavelet supports whose children live at level <= max_level."""
+    """All admissible wavelet supports whose children live at level <= max_level,
+    by radius, then centre: in each piece D(c, p^r) the discs
+    D(c + p^(-r) M, p^(r-j)), 0 <= M < p^j, their centres sorted as integers
+    over one common denominator."""
+    p = profile.p
+    den = math.lcm(*(d.center.denominator * p ** max(d.radius_exp, 0) for d, _ in profile.pieces))
+    runs = [(d.radius_exp, int(d.center * den), int(den * Fraction(p) ** -d.radius_exp))
+            for d, _ in profile.pieces]  # per piece D(c, p^r): r, den c and den p^(-r)
     out = []
-    min_exp = 1 - max_level
-    for piece, _ in profile.pieces:
-        stack = [piece]
-        while stack:
-            d = stack.pop()
-            if d.radius_exp < min_exp:
-                continue
-            out.append(d)
-            stack.extend(d.children(profile.p))
-    out.sort(key=lambda d: (-d.radius_exp, d.center))
+    for e in range(max((r for r, _, _ in runs), default=0), -max_level, -1):
+        out += [Disc(Fraction(n, den), e) for n in sorted(
+            c + m * step for r, c, step in runs if r >= e for m in range(p ** (r - e)))]
     return out
 
 

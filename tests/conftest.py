@@ -7,6 +7,7 @@ import pytest
 from mumford_heat import (Disc, FundamentalDomain, MoebiusMap, OperatorConfig,
                           RationalFunctionDatum, SchottkyGroup, build_profile)
 from mumford_heat.config import bundled_fixture
+from mumford_heat.padic import discs_disjoint
 
 
 # the multiplicative-coordinate form dz/z: f(z) = 1/z
@@ -25,6 +26,44 @@ def ball_discs(gen):
     c0, r0, p = gen.outer.center, gen.outer.radius_exp, gen.p
     return [Disc(c0 + gen.keys[gen.order[lo]] % p ** d * F(p) ** -r0, r0 - d)
             for d, (lo, _) in zip(gen.depths, gen.spans)]
+
+
+def ref_level_discs(domain, m):
+    """All discs of radius p^-m inside F, ordered by centre, from a walk of
+    ``Disc.children``: the reference of the address walk's states."""
+    if domain.outer.radius_exp < -m:
+        return []
+    found, stack = [], [domain.outer]
+    while stack:
+        d = stack.pop()
+        if any(h.contains(d, domain.p) for h in domain.holes):
+            continue
+        if d.radius_exp == -m:
+            if domain.contains_disc(d):
+                found.append(d)
+            continue
+        stack.extend(d.children(domain.p))
+    return sorted(found, key=lambda d: d.center)
+
+
+def ref_state_discs(domain, profile, level):
+    """The reference of ``wavelets.state_discs``: the level discs clear of
+    every zero core."""
+    return [d for d in ref_level_discs(domain, level)
+            if all(discs_disjoint(d, core, profile.p) for core in profile.zero_cores)]
+
+
+def ref_admissible_supports(profile, max_level):
+    """The reference of ``wavelets.admissible_supports``: every descendant of
+    a piece down to radius p^(1 - max_level), from a walk of
+    ``Disc.children``, sorted by radius and then by ``Fraction`` centre."""
+    out, stack = [], [piece for piece, _ in profile.pieces]
+    while stack:
+        d = stack.pop()
+        if d.radius_exp >= 1 - max_level:
+            out.append(d)
+            stack.extend(d.children(profile.p))
+    return sorted(out, key=lambda d: (-d.radius_exp, d.center))
 
 
 def domain_ok(report):

@@ -7,6 +7,7 @@ engine's integer histograms must give values that are ``==`` to it.
 
 import contextlib
 import dataclasses
+import functools
 import io
 from fractions import Fraction as F
 from itertools import pairwise
@@ -19,11 +20,12 @@ from hypothesis import strategies as st
 import mumford_heat.operator as operator
 from mumford_heat.cli import main
 from mumford_heat.config import (ValidationError, bundled_fixture, config_from_dict,
-                                 format_rational)
+                                 format_rational, parse_config)
 from mumford_heat.exactnum import PowerSum
 from mumford_heat.heat import (_laws, _semigroup, _solve_exact, resolvent_solve,
                                solve_cauchy, spectral_data, transition_matrix)
-from mumford_heat.measure import MeasureProfile, RationalFunctionDatum, build_profile
+from mumford_heat.measure import (MeasureProfile, RationalFunctionDatum, UnalignedDisc,
+                                  build_profile)
 from mumford_heat.operator import (ChartNotSupported, CoincidentPoints,
                                    OperatorConfig, _fold, _group_histograms,
                                    _multipliers, _wavelet_cells, apply_operator,
@@ -32,9 +34,9 @@ from mumford_heat.operator import (ChartNotSupported, CoincidentPoints,
 from mumford_heat.padic import (Disc, PoleHit, abs_p, disc_name, discs_disjoint,
                                haar_measure, valuation)
 from mumford_heat.schottky import (DomainInvalid, GroupWord, MoebiusMap, SchottkyGroup,
-                                   region_image, words_with_maps)
+                                   _split_balls, region_image, words_with_maps)
 from mumford_heat.wavelets import LevelFunction, admissible_supports, state_discs
-from conftest import TATE_DATUM, ball_discs, dense
+from conftest import TATE_DATUM, ball_discs, dense, ref_state_discs
 
 
 def ref_sum(cfg, length, x, centre, skip_identity):
@@ -547,10 +549,12 @@ def test_split_balls_match_per_pair_folds_at_level_4(request, name, length, vari
 @pytest.mark.parametrize("name", ["tate_cfg", "genus2_cfg"])
 def test_the_states_are_the_state_discs_in_centre_order(request, name, level):
     # _split_balls walks the disc tree in its own order; the generator's
-    # states must still be wavelets.state_discs, sorted by centre
+    # states and wavelets.state_discs must still be the discs of the
+    # reference walk on Disc.children, sorted by centre
     cfg = dataclasses.replace(request.getfixturevalue(name), cutoff_len=3)
-    states = tuple(state_discs(cfg.domain, cfg.profile, level))
+    states = tuple(ref_state_discs(cfg.domain, cfg.profile, level))
     assert states == tuple(sorted(states, key=lambda d: d.center))
+    assert tuple(state_discs(cfg.domain, cfg.profile, level)) == states
     assert generator_matrix(cfg, level).states == states
 
 
@@ -613,15 +617,17 @@ def test_the_address_walk_matches_the_disc_walk(figure, data):
     poles = data.draw(st.lists(st.sampled_from([d.center for d in states]
                                                + [F(1, p ** k) for k in range(3)]),
                                max_size=2, unique=True))
+    walk = functools.partial(_split_balls, cfg.domain, cfg.profile, level, cfg.group.holes)
     try:
         ref_states, *ref_tree = ref_split_balls(cfg, level, poles)
     except ChartNotSupported as refused:
         with pytest.raises(ChartNotSupported) as err:
-            operator._split_balls(cfg, level, poles)
+            walk(poles)
         assert str(err.value) == str(refused)
         return
-    keys, *tree, masses = operator._split_balls(cfg, level, poles)
+    keys, *tree, found = walk(poles)
     order, depths, spans, children, tops = tree
+    masses = [cfg.profile.pieces[i][1] * F(p) ** -level for i in found]
     gen = operator.GeneratorMatrix(level, p, cfg.domain.outer, tuple(keys), tuple(masses),
                                    3, tuple(depths), tuple(order), tuple(spans),
                                    tuple(children), tuple(F(1) if kids else None
@@ -645,6 +651,33 @@ def test_the_generator_makes_no_disc_per_state(tate_cfg, monkeypatch):
         gen = generator_matrix(tate_cfg, level)
         counts.append(len(made))
     assert gen.size == 648 and counts[0] == counts[1] < gen.size // 8
+
+
+def test_the_listings_make_one_disc_per_disc_listed(monkeypatch):
+    # the same guard on state_discs and admissible_supports: they read
+    # integer addresses and centres, and build only the discs they return
+    cfg = parse_config(bundled_fixture("tate-p3")).operator_config()
+    made, honest = [], Disc.__post_init__
+    monkeypatch.setattr(Disc, "__post_init__", lambda disc: made.append(1) or honest(disc))
+    for listing in (lambda: state_discs(cfg.domain, cfg.profile, 6),
+                    lambda: admissible_supports(cfg.profile, 6)):
+        made.clear()
+        assert len(listing()) == len(made) > 100
+
+
+def test_a_state_in_no_piece_is_listed_and_refused(tate_cfg):
+    # D(1, 3^-1) gives way to two of its children, so the state D(7, 3^-2)
+    # lies in no piece: state_discs still lists it, and the generator
+    # refuses it, named as the docs name discs
+    dens = tate_cfg.profile.density_on(Disc(F(1), -1))
+    pieces = [(d, c) for d, c in tate_cfg.profile.pieces if d != Disc(F(1), -1)]
+    profile = tate_cfg.profile._replace(
+        pieces=(*pieces, (Disc(F(1), -2), dens), (Disc(F(4), -2), dens)))
+    cfg = dataclasses.replace(tate_cfg, profile=profile, cutoff_len=4)
+    assert Disc(F(7), -2) in state_discs(cfg.domain, profile, 2)
+    with pytest.raises(UnalignedDisc) as err:
+        generator_matrix(cfg, 2)
+    assert str(err.value) == "the level-2 state D(7, 3^-2) lies in no piece"
 
 
 @pytest.mark.parametrize("argv", [["evolve", "--initial", "wavelet"],

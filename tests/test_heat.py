@@ -424,6 +424,24 @@ class TestResolvent:
         assert all(scan) == (alpha.denominator == alpha_g.denominator == 1)
 
 
+@pytest.mark.parametrize("name", ["tate_cfg", "genus2_cfg"])
+def test_a_signed_h_with_zero_total_on_a_ball(request, name):
+    # h = m(k') on the states of a child k of a split ball B and -m(k) on
+    # those of a sibling k': its total on B is zero, yet h is not zero on B,
+    # so a descent that skipped B for a zero total would lose both children
+    gen = generator_matrix(replace(request.getfixturevalue(name), cutoff_len=4), 4)
+    b = next(b for b, kids in enumerate(gen.children) if len(kids) > 1 and b not in gen.tops)
+    (k, kk), h = gen.children[b][:2], [F(0)] * gen.size
+    for ball, value in ((k, gen.mass[kk]), (kk, -gen.mass[k])):
+        for x in gen.order[slice(*gen.spans[ball])]:
+            h[x] = value
+    assert any(h) and sum(m * v for m, v in zip(gen.masses, h)) == 0
+    assert resolvent_solve(gen, F(1), h) == _solve_exact(*resolvent_system(gen, F(1), h))
+    vec, times = np.array([float(v) for v in h]), [0.5, 2.0]
+    for t, row in zip(times, solve_cauchy(gen, h, times).values):
+        assert np.max(np.abs(row - transition_matrix(gen, t).matrix @ vec)) < 1e-12
+
+
 @pytest.fixture(scope="module")
 def certified(tate_cfg, genus2_cfg):
     """(cfg, generator) of a fixture at a level and mode, built once; the

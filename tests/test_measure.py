@@ -9,7 +9,7 @@ from mumford_heat.measure import (MeasureProfile, RationalFunctionDatum,
                                   ResolutionTooCoarse, RootInsideDisc,
                                   build_profile, local_abs)
 from mumford_heat.schottky import FundamentalDomain
-from conftest import TATE_DATUM
+from conftest import TATE_DATUM, ref_level_discs
 from test_groupsum import schottky_figures
 
 
@@ -139,7 +139,7 @@ def ref_build_profile(datum, domain, resolution):
     cores = [Disc(z, -resolution) for z in zeros]
     if any(not discs_disjoint(c, d, p) for i, c in enumerate(cores) for d in cores[i + 1:]):
         raise ResolutionTooCoarse("two zeros share a core")
-    pieces = {d: local_abs(datum, d, p) for d in domain.level_discs(resolution)
+    pieces = {d: local_abs(datum, d, p) for d in ref_level_discs(domain, resolution)
               if all(discs_disjoint(d, core, p) for core in cores)}
     merged = ref_coalesce(pieces, domain, cores, p)
     return MeasureProfile(tuple(sorted(merged.items(),
@@ -177,7 +177,7 @@ def test_coalesce_matches_rescanning_merge(name, datum, request):
         elif datum.zeros():
             assert len(profile.zero_cores) == len(datum.zeros())
         if resolution > 2 and isinstance(profile, MeasureProfile):  # some family merged
-            assert len(profile.pieces) < len(domain.level_discs(resolution))
+            assert len(profile.pieces) < len(ref_level_discs(domain, resolution))
 
 
 def test_an_outer_disc_finer_than_the_resolution_holds_no_piece():

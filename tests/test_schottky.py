@@ -14,7 +14,8 @@ from mumford_heat.schottky import (DomainInvalid, GroupWord, MoebiusMap,
                                    enumerate_words, region_image,
                                    regions_equal, verify_fundamental_domain,
                                    words_with_maps)
-from conftest import domain_ok
+from mumford_heat.wavelets import state_discs
+from conftest import domain_ok, ref_level_discs
 
 SCALE = MoebiusMap(9, 0, 0, 1)
 SWAP = MoebiusMap(0, 1, 1, 0)
@@ -182,10 +183,11 @@ class TestDomain:
         assert tate_group.fundamental_domain().measure() == F(8, 9)
         assert genus2_group.fundamental_domain().measure() == F(4, 9)
 
-    def test_level_discs(self, tate_group):
+    def test_level_discs(self, tate_group, tate_profile):
         dom = tate_group.fundamental_domain()
-        centers = [d.center for d in dom.level_discs(2)]
+        centers = [d.center for d in ref_level_discs(dom, 2)]
         assert centers == [F(k) for k in (1, 2, 3, 4, 5, 6, 7, 8)]
+        assert state_discs(dom, tate_profile, 2) == ref_level_discs(dom, 2)
         assert [(d.center, d.radius_exp) for d in maximal_discs(dom)] \
             == [(F(1), -1), (F(2), -1), (F(3), -2), (F(6), -2)]
 

@@ -1,11 +1,16 @@
 import math
 from fractions import Fraction as F
 
-from mumford_heat.measure import RationalFunctionDatum, build_profile
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mumford_heat.measure import MeasureProfile, RationalFunctionDatum, build_profile
 from mumford_heat.padic import Disc
 from mumford_heat.wavelets import (Wavelet, admissible_supports,
                                    admissible_wavelets, inner_product,
                                    state_discs, wavelet_eval)
+from conftest import ref_admissible_supports, ref_state_discs
+from test_groupsum import schottky_figures
 
 
 def test_wavelet_eval_examples():
@@ -62,3 +67,27 @@ def test_supports_enumeration(tate_profile):
     assert len(supports) == 10
     assert sum(1 for s in supports if s.radius_exp == -1) == 2
     assert sum(1 for s in supports if s.radius_exp == -2) == 8
+
+
+@settings(max_examples=40, deadline=None)
+@given(figure=schottky_figures(), data=st.data())
+def test_the_listings_match_the_disc_walks_on_random_figures(figure, data):
+    # levels <= 5, and at most 729 discs of the finest radius in D(0, 1)
+    cfg, _ = figure
+    level = data.draw(st.integers(0, min(5, int(math.log(729, cfg.p) + 1e-9))))
+    assert state_discs(cfg.domain, cfg.profile, level) \
+        == ref_state_discs(cfg.domain, cfg.profile, level)
+    assert admissible_supports(cfg.profile, level) == ref_admissible_supports(cfg.profile, level)
+
+
+def test_the_listings_keep_the_centres_that_name_the_pieces(tate_group):
+    # tate-p3's pieces named by other points: D(5, 3^-1) for D(2, 3^-1), and
+    # the negative centres -2 for 1 and -3 for 6; each support is a piece's
+    # own centre plus p^(-r) M, in the order of the walk on Disc.children
+    domain = tate_group.fundamental_domain()
+    profile = MeasureProfile(((Disc(F(-2), -1), F(1)), (Disc(F(5), -1), F(1)),
+                              (Disc(F(3), -2), F(3)), (Disc(F(-3), -2), F(3))), (), 3)
+    for level in range(1, 6):
+        assert state_discs(domain, profile, level) == ref_state_discs(domain, profile, level)
+        assert admissible_supports(profile, level) == ref_admissible_supports(profile, level)
+    assert admissible_supports(profile, 2) == [Disc(F(-2), -1), Disc(F(5), -1)]
