@@ -30,8 +30,8 @@ from .operator import (ChartNotSupported, OperatorConfig, lambda_exact, lambda_t
                        vladimirov_alpha_free_value)
 from .padic import (Disc, PoleHit, abs_from_valuation, difference_valuation,
                     valuation)
-from .schottky import MoebiusMap, SchottkyGroup, region_image, words_with_maps
-from .wavelets import admissible_supports, admissible_wavelets, state_discs
+from .schottky import MoebiusMap, SchottkyGroup, _split_balls, region_image, words_with_maps
+from .wavelets import admissible_supports, support_runs
 
 
 class Instance(NamedTuple):
@@ -329,26 +329,19 @@ def check_density_transport(cfg: OperatorConfig,
 def check_local_integral_alpha(cfg: OperatorConfig) -> CheckResult:
     """Local wavelet integral: stated alpha-free value vs the sphere
     decomposition, which carries the extra factor p^(-d*alpha)."""
-    p = cfg.p
-    supports = admissible_supports(cfg.profile, 3)
-    scales = sorted({s.radius_exp for s in supports}, reverse=True)
+    p, firsts = cfg.p, {}
+    for support, _ in support_runs(cfg.profile, 3):  # the first support per radius
+        firsts.setdefault(support.radius_exp, support)
     shown = []
-    n = failures = 0
     for alpha in (Fraction(0), Fraction(1), Fraction(2)):
-        for rexp in scales:
-            support = next(s for s in supports if s.radius_exp == rexp)
-            x = support.center
-            oracle = vladimirov_local_integral(support, 1, alpha, x, p)
-            stated = vladimirov_alpha_free_value(support, 1, x, p)
-            ok = oracle == stated
-            n += 1
-            failures += not ok
-            shown.append(Instance(
-                f"alpha={alpha}, d={rexp}",
-                repr(oracle), repr(stated), ok))
+        for rexp, support in firsts.items():
+            oracle = vladimirov_local_integral(support, 1, alpha, support.center, p)
+            stated = vladimirov_alpha_free_value(support, 1, support.center, p)
+            shown.append(Instance(f"alpha={alpha}, d={rexp}", repr(oracle), repr(stated),
+                                  oracle == stated))
+    failures = sum(not i.equal for i in shown)
     return CheckResult(
-        "local_integral_alpha_dependence", failures == 0, n, failures,
-        tuple(shown),
+        "local_integral_alpha_dependence", failures == 0, len(shown), failures, tuple(shown),
         note="oracle and stated value agree exactly iff d = 0 or alpha = 0")
 
 
@@ -357,8 +350,8 @@ def check_completeness_gap(cfg: OperatorConfig, level: int) -> CheckResult:
     (states - 1 - wavelets) is how far the wavelets are from spanning the
     level functions; on a holed domain it is the number of maximal admissible
     discs, the profile's pieces, minus one."""
-    n_discs = len(state_discs(cfg.domain, cfg.profile, level))
-    n_wavelets = len(admissible_wavelets(cfg.profile, level))
+    n_discs = len(_split_balls(cfg.domain, cfg.profile, level)[0])
+    n_wavelets = (cfg.p - 1) * sum(n for _, n in support_runs(cfg.profile, level))
     gap = n_discs - 1 - n_wavelets if n_discs else 0
     holds = gap == 0
     inst = Instance(f"level={level}", f"dim={n_discs}",

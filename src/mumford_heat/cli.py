@@ -38,7 +38,7 @@ from .operator import (ChartNotSupported, CoincidentPoints, CutoffNotReached,
                        spectrum, tail_bound)
 from .padic import PoleHit
 from .schottky import DomainInvalid, verify_fundamental_domain
-from .wavelets import Wavelet
+from .wavelets import Wavelet, support_runs
 
 
 def _scalar_str(value) -> str:
@@ -123,18 +123,11 @@ def cmd_spectrum(run: RunConfig, op: OperatorConfig, out: Path, args) -> int:
     lines = _header_lines(_meta(run, op))
     lines.append("radius_exp,density,lambda_formula,lambda_exact_lo,"
                  "lambda_exact_hi,multiplicity,n_witness_discs\n")
-    for e in result.entries:
-        lines.append(",".join([
-            str(e.radius_exp),
-            format_rational(e.density),
-            _scalar_str(e.lam_formula.value),
-            format_rational(e.lam_exact.lo),
-            format_rational(e.lam_exact.hi),
-            str(e.multiplicity),
-            str(len(e.witnesses)),
-        ]) + "\n")
-    lines.append("# word_census="
-                 + ";".join(f"{l}:{n}" for l, n in result.word_counts) + "\n")
+    lines += [",".join([str(e.radius_exp), format_rational(e.density),
+                        _scalar_str(e.lam_formula.value), format_rational(e.lam_exact.lo),
+                        format_rational(e.lam_exact.hi), str(e.multiplicity),
+                        str(e.n_witness_discs)]) + "\n" for e in result.entries]
+    lines.append("# word_census=" + ";".join(f"{l}:{n}" for l, n in result.word_counts) + "\n")
     _write(out / "spectrum.csv", lines)
     return 0
 
@@ -153,13 +146,10 @@ def _default_initial(run: RunConfig, op: OperatorConfig, gen, args) -> Sequence[
     if args.initial == "indicator":  # else "wavelet": argparse allows no other
         idx = _start_state(run, gen)
         return [float(i == idx) for i in range(gen.size)]
-    # the first admissible support: a largest piece the level resolves
-    pieces = [d for d, _ in op.profile.pieces if d.radius_exp > -gen.level]
-    if not pieces:
-        raise ValidationError("--level" if args.level is not None else "run.level",
-                              "no admissible wavelet at this level; use --initial indicator")
-    w = Wavelet(min(pieces, key=lambda d: (-d.radius_exp, d.center)), 1, op.p)
-    return wavelet_column(w, gen, op.profile).real
+    for support, _ in support_runs(op.profile, gen.level):  # the first admissible support
+        return wavelet_column(Wavelet(support, 1, op.p), gen, op.profile).real
+    raise ValidationError("--level" if args.level is not None else "run.level",
+                          "no admissible wavelet at this level; use --initial indicator")
 
 
 def cmd_evolve(run: RunConfig, op: OperatorConfig, out: Path, args) -> int:

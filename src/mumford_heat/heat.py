@@ -29,14 +29,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .exactnum import ExactComplex
 from .operator import GeneratorMatrix, OperatorConfig
-from .padic import Disc, _address, _centres
-from .wavelets import LevelFunction, Wavelet, admissible_wavelets
+from .padic import _address, _centres
+from .wavelets import LevelFunction, Wavelet, admissible_supports
 
 
 class NumericalBreakdown(ArithmeticError):
@@ -82,13 +83,11 @@ def spectral_data(cfg: OperatorConfig, gen: GeneratorMatrix) -> SpectralData:
     n = gen.size
     cols = [np.ones(n, dtype=complex)]
     rates = []
-    by_support: dict[Disc, Fraction] = {}
-    for w in admissible_wavelets(cfg.profile, gen.level):
-        cols.append(wavelet_column(w, gen, cfg.profile))
-        if w.support not in by_support:
-            by_support[w.support] = Fraction(lambda_exact(cfg, w.support,
-                                                          gen.cutoff).value)
-        rates.append(float(by_support[w.support]))
+    for support in admissible_supports(cfg.profile, gen.level):
+        rate = float(Fraction(lambda_exact(cfg, support, gen.cutoff).value))
+        for j in range(1, gen.p):
+            cols.append(wavelet_column(Wavelet(support, j, gen.p), gen, cfg.profile))
+            rates.append(rate)
     known = np.column_stack(cols)
     # complete with the omega-orthogonal complement of the known columns
     root = np.sqrt([float(m) for m in gen.masses])[:, None]
@@ -402,13 +401,12 @@ def _jump_table(gen: GeneratorMatrix):
     ``density[B]`` times their mass: they tile the states other than x, and
     a ball's rate spreads over its states by mass.  A ball at rate 0 is left
     out.  So x has O(depth * p + #tops) entries, its parent's and its
-    siblings, built on one descent that keeps only the entries of the balls
-    on its path."""
+    siblings, built on one descent that keeps only the balls on its path;
+    the tables are filled at once, from one rate per child ball."""
     # at most the other tops and p - 1 siblings per depth below the highest top
     width = len(gen.tops) - 1 + (gen.p - 1) * (max(gen.depths)
                                                - min(gen.depths[t] for t in gen.tops))
-    hold, balls = np.zeros(gen.size), np.zeros((gen.size, max(1, width)), dtype=np.intp)
-    rates, floats = np.zeros(balls.shape), {}
+    floats, into = {}, [0.0] * len(gen.depths)
 
     def rate(density, mass) -> float:
         # one float per pair of objects, all held by ``gen``: a few dozen pairs
@@ -416,20 +414,35 @@ def _jump_table(gen: GeneratorMatrix):
             floats[key] = float(density * mass)
         return floats[key]
 
-    stack = [(a, [(b, r) for b, d in zip(gen.tops, row)
-                  if b != a and (r := rate(d, gen.mass[b])) > 0])
-             for a, row in zip(gen.tops, gen.cross)]
+    for b, kids in enumerate(gen.children):
+        for k in kids:
+            into[k] = rate(gen.density[b], gen.mass[k])
+    tops = [[(b, r) for b, d in zip(gen.tops, row) if b != a and (r := rate(d, gen.mass[b])) > 0]
+            for a, row in zip(gen.tops, gen.cross)]
+    stack = [(a, [b for b, _ in row]) for a, row in zip(gen.tops, tops)]
+    rows, outs = [()] * gen.size, [0] * gen.size  # per state its balls and exit rate
     while stack:
         b, row = stack.pop()
         if kids := gen.children[b]:
-            rated = [(k, r) for k in kids if (r := rate(gen.density[b], gen.mass[k])) > 0]
-            stack.extend((k, row + [e for e in rated if e[0] != k]) for k in kids)
+            rated = [k for k in kids if into[k] > 0]
+            stack.extend((k, row + [j for j in rated if j != k]) for k in kids)
             continue
         x = gen.order[gen.spans[b][0]]
-        hold[x] = gen.out[b]
-        balls[x, :len(row)] = [k for k, _ in row]
-        rates[x, :len(row)] = [r for _, r in row]
-    return hold, balls, rates
+        rows[x], outs[x] = row, gen.out[b]
+    balls = np.zeros((gen.size, max(1, width)), dtype=np.intp)
+    filled = np.arange(balls.shape[1]) < np.array([len(row) for row in rows])[:, None]
+    balls[filled] = np.fromiter(chain.from_iterable(rows), np.intp)
+    rates = np.array(into)[balls]
+    rates[~filled] = 0
+    for a, row in zip(gen.tops, tops):
+        rates[list(gen.order[slice(*gen.spans[a])]), :len(row)] = [r for _, r in row]
+    return np.array(_floats(outs)), balls, rates
+
+
+def _floats(values) -> list[float]:
+    """float(v) per v, converted once per object: a generator holds few distinct ones."""
+    memo = {}
+    return [memo[i] if (i := id(v)) in memo else memo.setdefault(i, float(v)) for v in values]
 
 
 MAX_JUMPS = 10 ** 7  # budget on a sample's expected jump count; see jump_chain
@@ -455,7 +468,7 @@ def jump_chain(gen: GeneratorMatrix, n_paths: int, t_max: float, seed: int) -> t
                                  f"jumps, past the budget of {MAX_JUMPS:.0e}")
     # ball b's states are the run order[lo:hi], over the cumulative masses edges[lo:hi + 1]
     order, (lo, hi) = np.array(gen.order), np.array(gen.spans).T
-    edges = np.concatenate(([0.0], np.cumsum([float(gen.masses[x]) for x in order])))
+    edges = np.concatenate(([0.0], np.cumsum(_floats(map(gen.masses.__getitem__, gen.order)))))
     # transposed: a step gathers one column per live path, counts down the rows
     cum = rates.T.copy()
     return (np.divide(1, rate, out=np.full(gen.size, math.inf), where=rate > 0),

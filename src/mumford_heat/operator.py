@@ -82,8 +82,7 @@ from .measure import (MeasureProfile, RationalFunctionDatum, RootInsideDisc, Una
                       local_abs)
 from .schottky import (ChartNotSupported, DomainInvalid, FundamentalDomain, GroupWord,
                        MoebiusMap, SchottkyGroup, _split_balls, region_image, words_with_maps)
-from .wavelets import (LevelFunction, NotAdmissible, Wavelet,
-                       admissible_supports, wavelet_eval)
+from .wavelets import LevelFunction, NotAdmissible, Wavelet, support_runs, wavelet_eval
 
 Scalar = Union[Fraction, PowerSum]
 
@@ -705,7 +704,8 @@ class SpectrumEntry(NamedTuple):
     lam_formula: SeriesValue
     lam_exact: LambdaExact
     multiplicity: int
-    witnesses: tuple[Disc, ...]
+    witness: Disc         # the class's smallest-centre support
+    n_witness_discs: int  # the class's number of supports
 
 
 class SpectrumResult(NamedTuple):
@@ -730,29 +730,24 @@ def spectrum(cfg: OperatorConfig, level: int,
     closed-form value, the oracle value with certified interval, and the
     multiplicity (number of same-class discs in F) * (p - 1).  With a chart
     word, ambient mode recomputes everything on phi(F) (which needs the
-    measure datum); transport mode returns the base spectrum unchanged.
+    measure datum); transport mode returns the base spectrum unchanged.  A
+    class is whole ``support_runs``: a run has one density and, phi's pole
+    being off F (``transformed_config``), one image radius.
     """
-    work = cfg
-    supports = admissible_supports(cfg.profile, level)
+    work, runs = cfg, support_runs(cfg.profile, level)
     if chart is not None and not chart.is_identity() and cfg.mode == "ambient":
         if datum is None:
             raise ChartNotSupported("ambient chart shift needs the measure datum")
         phi = cfg.group.word_map(chart)
         work = transformed_config(cfg, datum, phi)
-        supports = [region_image(phi, s, cfg.p) for s in supports]
-    classes: dict[tuple[int, Fraction], list[Disc]] = {}
-    for s in supports:
-        key = (s.radius_exp, work.profile.density_on(s))
-        classes.setdefault(key, []).append(s)
-    entries = []
-    for (rexp, dens), discs in sorted(classes.items()):
-        witness = discs[0]
-        entries.append(SpectrumEntry(
-            rexp, dens,
-            lambda_formula(work, witness),
-            lambda_exact(work, witness),
-            len(discs) * (work.p - 1),
-            tuple(discs)))
+        runs = ((region_image(phi, s, cfg.p), n) for s, n in runs)
+    classes: dict[tuple[int, Fraction], tuple[Disc, int]] = {}  # first witness, count
+    for s, n in runs:
+        witness, count = classes.get(key := (s.radius_exp, work.profile.density_on(s)), (s, 0))
+        classes[key] = witness, count + n
+    entries = (SpectrumEntry(rexp, dens, lambda_formula(work, w), lambda_exact(work, w),
+                             count * (work.p - 1), w, count)
+               for (rexp, dens), (w, count) in sorted(classes.items()))
     return SpectrumResult(tuple(entries), word_census(cfg.group.genus))
 
 

@@ -11,8 +11,8 @@ Inner products are computed in exact cyclotomic arithmetic
 (:class:`~mumford_heat.exactnum.PhaseSum`), so orthogonality statements are
 decided, not approximated.  A ``LevelFunction`` holds one value per state
 disc of a level, keyed by disc; ``state_discs`` lists those discs (the
-states of ``schottky._split_balls``) and ``admissible_supports`` the wavelet
-supports that a level resolves, from integer centres.
+states of ``schottky._split_balls``), ``admissible_supports`` the wavelet
+supports that a level resolves, and ``support_runs`` counts them by piece.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .exactnum import ExactComplex, PhaseSum
 from .padic import Disc, Rational, _centres, character_phase, discs_disjoint, haar_measure
@@ -187,6 +187,15 @@ def admissible_supports(profile: MeasureProfile, max_level: int) -> list[Disc]:
         out += [Disc(Fraction(n, den), e) for n in sorted(
             c + m * step for r, c, step in runs if r >= e for m in range(p ** (r - e)))]
     return out
+
+
+def support_runs(profile: MeasureProfile, max_level: int) -> Iterator[tuple[Disc, int]]:
+    """``admissible_supports`` as runs, none listed: per radius p^e, largest first,
+    and per piece D(c, p^r), r >= e, by centre, D(c, p^e) and its count p^(r-e)."""
+    pieces = sorted((d for d, _ in profile.pieces), key=lambda d: d.center)
+    for e in range(max((d.radius_exp for d in pieces), default=0), -max_level, -1):
+        yield from ((Disc(d.center, e), profile.p ** (d.radius_exp - e))
+                    for d in pieces if d.radius_exp >= e)
 
 
 def admissible_wavelets(profile: MeasureProfile, max_level: int) -> list[Wavelet]:

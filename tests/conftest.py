@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from mumford_heat import (Disc, FundamentalDomain, MoebiusMap, OperatorConfig,
-                          RationalFunctionDatum, SchottkyGroup, build_profile)
+                          RationalFunctionDatum, SchottkyGroup, build_profile,
+                          region_image, transformed_config)
 from mumford_heat.config import bundled_fixture
 from mumford_heat.padic import discs_disjoint
 
@@ -64,6 +65,23 @@ def ref_admissible_supports(profile, max_level):
             out.append(d)
             stack.extend(d.children(profile.p))
     return sorted(out, key=lambda d: (-d.radius_exp, d.center))
+
+
+def ref_spectrum_classes(cfg, level, chart=None, datum=None):
+    """The reference of ``operator.spectrum``'s grouping: every admissible
+    support listed (imaged under an ambient chart), its density read by a
+    scan of the pieces, grouped by (radius exponent, density).  Returns the
+    config the classes live on and, sorted by key, (key, supports) with each
+    class's supports in listing order."""
+    work, supports = cfg, ref_admissible_supports(cfg.profile, level)
+    if chart is not None and not chart.is_identity() and cfg.mode == "ambient":
+        phi = cfg.group.word_map(chart)
+        work = transformed_config(cfg, datum, phi)
+        supports = [region_image(phi, s, cfg.p) for s in supports]
+    classes = {}
+    for s in supports:
+        classes.setdefault((s.radius_exp, work.profile.density_on(s)), []).append(s)
+    return work, sorted(classes.items())
 
 
 def domain_ok(report):

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -17,9 +18,10 @@ from mumford_heat.operator import (ChartNotSupported, _chart_escape_distance,
                                    word_census)
 from mumford_heat.padic import Disc, abs_p, haar_measure
 from mumford_heat.schottky import DomainInvalid, GroupWord, MoebiusMap
-from mumford_heat.wavelets import (LevelFunction, Wavelet, state_discs,
+from mumford_heat.measure import RationalFunctionDatum
+from mumford_heat.wavelets import (LevelFunction, Wavelet, state_discs, support_runs,
                                    wavelet_eval)
-from conftest import dense
+from conftest import TATE_DATUM, dense, ref_spectrum_classes
 
 # oracle eigenvalues for the multiplicative fixture, frozen after independent
 # brute-force quadrature on a level-6 refinement of the domain
@@ -177,6 +179,73 @@ class TestSpectrum:
         ratio = F(shifted.entries[0].lam_exact.value) \
             / F(base.entries[0].lam_exact.value)
         assert ratio == 81
+
+
+def renamed_pieces(cfg):
+    """``cfg`` with piece i of k, D(c, p^r), named D(c + (k - i) p^(-r), p^r):
+    the same discs, pieces of one radius in reverse centre order, given in
+    their old order, so not sorted by centre."""
+    k, p = len(cfg.profile.pieces), cfg.p
+    named = [(Disc(d.center + (k - i) * F(p) ** -d.radius_exp, d.radius_exp), dens)
+             for i, (d, dens) in enumerate(cfg.profile.pieces)]
+    assert named != sorted(named, key=lambda piece: piece[0].center)
+    return replace(cfg, profile=cfg.profile._replace(pieces=tuple(named)))
+
+
+# chart words per fixture; an ambient chart on genus2-p3 costs about 0.3 s
+# per class, so it runs to level 3, and on p = 5 over 1 s, so it is left out
+SPECTRUM_CHARTS = {"tate_cfg": [(), (1,), (-1,), (1, 1)], "p5_cfg": [()],
+                   "genus2_cfg": [(), (1,), (2,), (-2,)]}
+
+
+@pytest.mark.parametrize("name,change,mode", [
+    *[(name, {}, mode) for name in SPECTRUM_CHARTS for mode in ("ambient", "transport")],
+    *[(name, change, "ambient") for name in ("tate_cfg", "genus2_cfg")
+      for change in ({"alpha": F(1, 2)}, {"alpha": F(3, 2)}, "renamed")]])
+def test_spectrum_matches_the_listed_supports(request, name, change, mode):
+    # the classes read off the support runs are the listing-and-scan
+    # grouping's: key, first witness, support count, multiplicity and both
+    # eigenvalues; a chart the toolkit refuses is refused by both
+    cfg = request.getfixturevalue(name)
+    cfg = replace(renamed_pieces(cfg) if change == "renamed" else replace(cfg, **change),
+                  mode=mode)
+    datum = TATE_DATUM if name == "tate_cfg" else RationalFunctionDatum.constant()
+    for letters in SPECTRUM_CHARTS[name]:
+        chart = GroupWord(letters) if letters else None
+        top = 3 if letters and mode == "ambient" and name == "genus2_cfg" else 6
+        for level in range(1, top + 1):
+            try:
+                work, classes = ref_spectrum_classes(cfg, level, chart, datum)
+            except ChartNotSupported:
+                with pytest.raises(ChartNotSupported):
+                    spectrum(cfg, level, chart=chart, datum=datum)
+                continue
+            got = [(e.radius_exp, e.density, e.witness, e.n_witness_discs, e.multiplicity,
+                    e.lam_formula, e.lam_exact)
+                   for e in spectrum(cfg, level, chart=chart, datum=datum).entries]
+            assert got == [(*key, found[0], len(found), len(found) * (cfg.p - 1),
+                            lambda_formula(work, found[0]), lambda_exact(work, found[0]))
+                           for key, found in classes]
+
+
+@pytest.mark.parametrize("name,made", [("tate_cfg", 4661), ("genus2_cfg", 2870)])
+def test_spectrum_at_level_30_lists_no_support(request, monkeypatch, name, made):
+    # each piece D(c, p^r) has p^(r - e) supports at each radius p^e above
+    # p^-30: (p^(r + 30) - 1) / (p - 1) in all, counted without one Disc per
+    # support (level 12 alone lists 236 236 on tate-p3); the Discs built are
+    # the runs' first supports and the eigenvalue oracle's, as measured
+    cfg = request.getfixturevalue(name)
+    p, counts = cfg.p, Counter()
+    for support, n in support_runs(cfg.profile, 30):
+        counts[support.center] += n
+    assert counts == {d.center: (p ** (d.radius_exp + 30) - 1) // (p - 1)
+                      for d, _ in cfg.profile.pieces}
+    built, honest = [], Disc.__post_init__
+    monkeypatch.setattr(Disc, "__post_init__", lambda disc: built.append(1) or honest(disc))
+    result = spectrum(cfg, 30)
+    assert len(built) <= made
+    assert sum(e.n_witness_discs for e in result.entries) == sum(counts.values())
+    assert all(e.multiplicity == e.n_witness_discs * (p - 1) for e in result.entries)
 
 
 class TestLambdaTransform:

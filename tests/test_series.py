@@ -18,6 +18,7 @@ from mumford_heat.operator import (_closed_tail, _fold, _group_histograms, _grou
                                    lambda_transform, spectrum, transformed_config)
 from mumford_heat.schottky import region_image
 from mumford_heat.wavelets import admissible_supports
+from conftest import ref_spectrum_classes
 
 # (mode, level, chart letters) -> [(radius exponent, density, lambda_formula)]
 TATE_CLASSES = {
@@ -48,15 +49,13 @@ def test_genus_one_classes_keep_their_closed_form(tate_cfg, tate_datum, mode, le
     cfg = dataclasses.replace(tate_cfg, mode=mode)
     chart = GroupWord(letters) if letters else None
     result = spectrum(cfg, level, chart=chart, datum=tate_datum)
-    work = cfg
-    if chart is not None and mode == "ambient":
-        work = transformed_config(cfg, tate_datum, cfg.group.word_map(chart))
+    work, classes = ref_spectrum_classes(cfg, level, chart, tate_datum)
     got = []
-    for entry in result.entries:
+    for entry, (_, witnesses) in zip(result.entries, classes, strict=True):
         value = entry.lam_formula
         assert value.is_exact and value.lo == value.value == value.hi
         assert value.cutoff is None
-        assert {lambda_formula(work, w).value for w in entry.witnesses} == {value.value}
+        assert {lambda_formula(work, w).value for w in witnesses} == {value.value}
         got.append((entry.radius_exp, str(entry.density), str(value.value)))
     assert got == TATE_CLASSES[mode, level, letters]
 
@@ -154,10 +153,12 @@ def test_lambda_formula_varies_within_a_genus2_class(genus2_cfg):
     # values: the oracle is the same on all four discs, the series is not
     by_centre = {3: F(15, 32), 6: F(15, 32), 4: F(37, 80), 7: F(37, 80)}
     entry, = spectrum(genus2_cfg, 3).entries
-    assert [w.center for w in entry.witnesses] == [3, 4, 6, 7]
+    _, [(_, witnesses)] = ref_spectrum_classes(genus2_cfg, 3)
+    assert [w.center for w in witnesses] == [3, 4, 6, 7]
+    assert (entry.witness, entry.n_witness_discs) == (witnesses[0], 4)
     assert {w.center: lambda_formula(genus2_cfg, w).value
-            for w in entry.witnesses} == by_centre
-    assert len({lambda_exact(genus2_cfg, w).value for w in entry.witnesses}) == 1
+            for w in witnesses} == by_centre
+    assert len({lambda_exact(genus2_cfg, w).value for w in witnesses}) == 1
     # the row prints the first witness's value
     assert entry.lam_formula.value == F(15, 32)
 
