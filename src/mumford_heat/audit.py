@@ -29,8 +29,8 @@ from .operator import (ChartNotSupported, OperatorConfig, lambda_exact, lambda_t
                        transformed_config, vladimirov_local_integral,
                        vladimirov_alpha_free_value)
 from .padic import (Disc, PoleHit, abs_from_valuation, difference_valuation,
-                    valuation)
-from .schottky import MoebiusMap, SchottkyGroup, _split_balls, region_image, words_with_maps
+                    haar_measure, valuation)
+from .schottky import MoebiusMap, SchottkyGroup, region_image, words_with_maps
 from .wavelets import admissible_supports, support_runs
 
 
@@ -346,12 +346,13 @@ def check_local_integral_alpha(cfg: OperatorConfig) -> CheckResult:
 
 
 def check_completeness_gap(cfg: OperatorConfig, level: int) -> CheckResult:
-    """States against constants plus wavelets at one level.  The gap
-    (states - 1 - wavelets) is how far the wavelets are from spanning the
-    level functions; on a holed domain it is the number of maximal admissible
-    discs, the profile's pieces, minus one."""
-    n_discs = len(_split_balls(cfg.domain, cfg.profile, level)[0])
-    n_wavelets = (cfg.p - 1) * sum(n for _, n in support_runs(cfg.profile, level))
+    """States (F's level discs off the zero cores, counted by Haar mass)
+    against constants plus wavelets at one level.  The gap (states - 1 -
+    wavelets) is how far the wavelets are from spanning the level functions;
+    on a holed domain it is the number of the profile's pieces minus one."""
+    p, cores = cfg.p, cfg.profile.zero_cores
+    n_discs = (cfg.domain.measure() - sum(haar_measure(c, p) for c in cores)) * p ** level
+    n_wavelets = (p - 1) * sum(n for _, n in support_runs(cfg.profile, level))
     gap = n_discs - 1 - n_wavelets if n_discs else 0
     holds = gap == 0
     inst = Instance(f"level={level}", f"dim={n_discs}",

@@ -8,7 +8,6 @@ and the rational-zero assumption on the measure datum are checked at load.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import re
 import sys
@@ -23,6 +22,13 @@ from .measure import (MeasureProfile, RationalFunctionDatum, ResolutionTooCoarse
 from .operator import MAX_CUTOFF, OperatorConfig, growth_condition_holds
 from .padic import Disc
 from .schottky import DomainInvalid, MoebiusMap, SchottkyGroup
+try:  # the interpreter's own SHA-256, as ``random`` takes it: hashlib loads OpenSSL
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.11 and before
+    except ImportError:
+        from hashlib import sha256
 
 
 class ParseError(ValueError):
@@ -220,7 +226,7 @@ def _is_prime(n: int) -> bool:
 
 def config_hash(raw: dict) -> str:
     canonical = json.dumps(raw, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()[:16]
+    return sha256(canonical.encode()).hexdigest()[:16]
 
 
 def parse_config(path) -> RunConfig:

@@ -401,8 +401,9 @@ def _jump_table(gen: GeneratorMatrix):
     ``density[B]`` times their mass: they tile the states other than x, and
     a ball's rate spreads over its states by mass.  A ball at rate 0 is left
     out.  So x has O(depth * p + #tops) entries, its parent's and its
-    siblings, built on one descent that keeps only the balls on its path;
-    the tables are filled at once, from one rate per child ball."""
+    siblings, built on one descent that keeps only the balls on its path and
+    streams each state's row into the table; one rate per child ball fills
+    the rates."""
     # at most the other tops and p - 1 siblings per depth below the highest top
     width = len(gen.tops) - 1 + (gen.p - 1) * (max(gen.depths)
                                                - min(gen.depths[t] for t in gen.tops))
@@ -420,23 +421,26 @@ def _jump_table(gen: GeneratorMatrix):
     tops = [[(b, r) for b, d in zip(gen.tops, row) if b != a and (r := rate(d, gen.mass[b])) > 0]
             for a, row in zip(gen.tops, gen.cross)]
     stack = [(a, [b for b, _ in row]) for a, row in zip(gen.tops, tops)]
-    rows, outs = [()] * gen.size, [0] * gen.size  # per state its balls and exit rate
-    while stack:
-        b, row = stack.pop()
-        if kids := gen.children[b]:
-            rated = [k for k in kids if into[k] > 0]
-            stack.extend((k, row + [j for j in rated if j != k]) for k in kids)
-            continue
-        x = gen.order[gen.spans[b][0]]
-        rows[x], outs[x] = row, gen.out[b]
-    balls = np.zeros((gen.size, max(1, width)), dtype=np.intp)
-    filled = np.arange(balls.shape[1]) < np.array([len(row) for row in rows])[:, None]
-    balls[filled] = np.fromiter(chain.from_iterable(rows), np.intp)
-    rates = np.array(into)[balls]
-    rates[~filled] = 0
+    pad, xs, outs = [-1] * max(1, width), [], [0] * gen.size  # ball -1 is at rate 0
+
+    def rows():  # per state, in descent order, its balls padded to the width
+        while stack:
+            b, row = stack.pop()
+            if kids := gen.children[b]:
+                rated = [k for k in kids if into[k] > 0]
+                stack.extend((k, row + [j for j in rated if j != k]) for k in kids)
+                continue
+            xs.append(x := gen.order[gen.spans[b][0]])
+            outs[x] = gen.out[b]
+            yield row + pad[len(row):]
+
+    balls = np.empty((len(pad), gen.size), dtype=np.intp)  # transposed, as rates below
+    balls[:, xs] = np.fromiter(chain.from_iterable(rows()), np.intp,  # the descent fills xs
+                               balls.size).reshape(gen.size, -1).T
+    balls, rates = balls.T, np.array(into + [0.0])[balls].T  # jump_chain sums rates.T in place
     for a, row in zip(gen.tops, tops):
         rates[list(gen.order[slice(*gen.spans[a])]), :len(row)] = [r for _, r in row]
-    return np.array(_floats(outs)), balls, rates
+    return np.array(_floats(outs)), balls.clip(0, None, balls), rates  # pad with ball 0
 
 
 def _floats(values) -> list[float]:
@@ -470,9 +474,9 @@ def jump_chain(gen: GeneratorMatrix, n_paths: int, t_max: float, seed: int) -> t
     order, (lo, hi) = np.array(gen.order), np.array(gen.spans).T
     edges = np.concatenate(([0.0], np.cumsum(_floats(map(gen.masses.__getitem__, gen.order)))))
     # transposed: a step gathers one column per live path, counts down the rows
-    cum = rates.T.copy()
+    last, cum = np.count_nonzero(rates, axis=1) - 1, rates.T  # a view: rates is column-major
     return (np.divide(1, rate, out=np.full(gen.size, math.inf), where=rate > 0),
-            np.cumsum(cum, axis=0, out=cum), np.count_nonzero(rates, axis=1) - 1,
+            np.cumsum(cum, axis=0, out=cum), last,
             balls, order, edges, edges[lo], edges[hi] - edges[lo], hi - 1)
 
 

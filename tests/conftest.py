@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction as F
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -82,6 +83,43 @@ def ref_spectrum_classes(cfg, level, chart=None, datum=None):
     for s in supports:
         classes.setdefault((s.radius_exp, work.profile.density_on(s)), []).append(s)
     return work, sorted(classes.items())
+
+
+def ref_jump_table(gen):
+    """The reference of ``heat._jump_table``: every state's row of balls
+    kept as a list until one masked fill of both tables."""
+    width = len(gen.tops) - 1 + (gen.p - 1) * (max(gen.depths)
+                                               - min(gen.depths[t] for t in gen.tops))
+    floats, into = {}, [0.0] * len(gen.depths)
+
+    def rate(density, mass) -> float:
+        if (key := (id(density), id(mass))) not in floats:
+            floats[key] = float(density * mass)
+        return floats[key]
+
+    for b, kids in enumerate(gen.children):
+        for k in kids:
+            into[k] = rate(gen.density[b], gen.mass[k])
+    tops = [[(b, r) for b, d in zip(gen.tops, row) if b != a and (r := rate(d, gen.mass[b])) > 0]
+            for a, row in zip(gen.tops, gen.cross)]
+    stack = [(a, [b for b, _ in row]) for a, row in zip(gen.tops, tops)]
+    rows, outs = [()] * gen.size, [0] * gen.size
+    while stack:
+        b, row = stack.pop()
+        if kids := gen.children[b]:
+            rated = [k for k in kids if into[k] > 0]
+            stack.extend((k, row + [j for j in rated if j != k]) for k in kids)
+            continue
+        x = gen.order[gen.spans[b][0]]
+        rows[x], outs[x] = row, gen.out[b]
+    balls = np.zeros((gen.size, max(1, width)), dtype=np.intp)
+    filled = np.arange(balls.shape[1]) < np.array([len(row) for row in rows])[:, None]
+    balls[filled] = np.fromiter(chain.from_iterable(rows), np.intp)
+    rates = np.array(into)[balls]
+    rates[~filled] = 0
+    for a, row in zip(gen.tops, tops):
+        rates[list(gen.order[slice(*gen.spans[a])]), :len(row)] = [r for _, r in row]
+    return np.array([float(v) for v in outs]), balls, rates
 
 
 def domain_ok(report):

@@ -8,16 +8,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mumford_heat import audit
+from mumford_heat import audit, schottky
 from mumford_heat.audit import (CheckResult, Instance, audit_lemmas,
-                                check_chart_shift, check_density_transport,
+                                check_chart_shift, check_completeness_gap,
+                                check_density_transport,
                                 check_distance_product_identity,
                                 check_distance_word_shift,
                                 check_escape_distance_bound)
+from mumford_heat.config import bundled_fixture, config_from_dict, parse_config
 from mumford_heat.measure import RationalFunctionDatum, build_profile, local_abs
 from mumford_heat.operator import OperatorConfig
 from mumford_heat.padic import Disc, abs_p
-from mumford_heat.schottky import MoebiusMap, SchottkyGroup, region_image, words_with_maps
+from mumford_heat.schottky import (MoebiusMap, SchottkyGroup, _split_balls, region_image,
+                                   words_with_maps)
 from mumford_heat.wavelets import admissible_supports
 from test_groupsum import schottky_figures
 
@@ -359,3 +362,62 @@ def test_the_checks_match_the_fraction_references_on_random_figures(figure, seed
             == ref_distance_product(cfg.group, 60, seed))
     assert check_escape_distance_bound(cfg, 60, seed) == ref_escape_bound(cfg, 60, seed)
     assert check_distance_word_shift(cfg) == ref_word_shift(cfg)
+
+
+# --- The completeness census: F's level discs off the zero cores, counted by
+# Haar mass, against the states the split-ball walk lists
+
+def tate_with_a_zero_core():
+    """tate-p3 with a zero of the datum at 3, a point of F: one zero core."""
+    raw = json.loads(bundled_fixture("tate-p3").read_text())
+    raw["measure"]["datum"]["factors"] = [{"root": "3", "multiplicity": 1},
+                                          {"root": "0", "multiplicity": -1}]
+    return config_from_dict(raw)
+
+
+CENSUS_CONFIGS = {
+    "tate-p3": lambda: parse_config(bundled_fixture("tate-p3")),
+    "genus2-p3": lambda: parse_config(bundled_fixture("genus2-p3")),
+    "tate-p3 with a zero core": tate_with_a_zero_core,
+}
+
+
+def census(cfg, level):
+    return check_completeness_gap(cfg, level).instances[0].lhs
+
+
+@pytest.mark.parametrize("name", sorted(CENSUS_CONFIGS))
+def test_the_census_counts_the_states_of_the_walk(name):
+    run = CENSUS_CONFIGS[name]()
+    cfg = run.operator
+    assert len(cfg.profile.zero_cores) == (name == "tate-p3 with a zero core")
+    for level in range(run.resolution, 9):
+        assert census(cfg, level) == f"dim={len(_split_balls(cfg.domain, cfg.profile, level)[0])}"
+
+
+@settings(max_examples=25, deadline=None)
+@given(figure=schottky_figures())
+def test_the_census_counts_the_states_of_the_walk_on_random_figures(figure):
+    """From the figure's level (its resolution) up to 8, while the walk
+    lists at most a few thousand states."""
+    cfg, resolution = figure
+    for level in range(resolution, 9):
+        n = len(_split_balls(cfg.domain, cfg.profile, level)[0])
+        assert census(cfg, level) == f"dim={n}"
+        if n > 2000:
+            break
+
+
+def test_the_completeness_check_walks_no_split_ball(monkeypatch, tate_cfg):
+    def walk(*args, **kwargs):
+        raise AssertionError("the completeness check walked the split balls")
+
+    monkeypatch.setattr(schottky, "_split_balls", walk)
+    check = check_completeness_gap(tate_cfg, 4)
+    assert not check.holds and check.instances[0].lhs == "dim=72" and "gap=3" in check.note
+    # genus 0: F is the single piece D(0, 1), whose wavelets span
+    group = SchottkyGroup(p=2, generators=(), holes=(), outer=Disc(F(0), 0))
+    cfg = OperatorConfig(group=group, cutoff_len=3, profile=build_profile(
+        RationalFunctionDatum.constant(), group.fundamental_domain(), 3))
+    check = check_completeness_gap(cfg, 3)
+    assert check.holds and check.instances[0].lhs == "dim=8" and "gap=0" in check.note

@@ -21,8 +21,8 @@ import mumford_heat
 from mumford_heat import audit, cli, heat
 from mumford_heat.cli import main
 from mumford_heat.config import (ParseError, ValidationError, bundled_fixture,
-                                 config_from_dict, emit_config, format_rational,
-                                 parse_config, profile_dict)
+                                 config_from_dict, config_hash, emit_config,
+                                 format_rational, parse_config, profile_dict)
 from mumford_heat.heat import sample_paths
 from mumford_heat.operator import (MAX_CUTOFF, CoincidentPoints, GeneratorMatrix,
                                    generator_matrix, tail_bound)
@@ -113,6 +113,54 @@ def test_corrupt_pairing_rejected(tate_path):
     raw["group"]["holes"] = list(reversed(raw["group"]["holes"]))
     with pytest.raises(ValidationError):
         config_from_dict(raw)
+
+
+def hashlib_hash(raw):
+    """The config hash as hashlib gives it: the first 16 hex digits of
+    SHA-256 over the canonical JSON (sorted keys, separators "," and ":")."""
+    canonical = json.dumps(raw, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("name", ["tate-p3", "genus2-p3"])
+def test_config_hash_is_hashlibs_sha256(name):
+    raw = json.loads(bundled_fixture(name).read_text())
+    assert config_hash(raw) == hashlib_hash(raw)
+    assert parse_config(bundled_fixture(name)).config_hash == hashlib_hash(raw)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda values: st.lists(values, max_size=4) | st.dictionaries(st.text(), values, max_size=4),
+    max_leaves=20)
+
+
+@settings(max_examples=100, deadline=None)
+@given(raw=st.dictionaries(st.text(), JSON_VALUES, max_size=6))
+def test_config_hash_is_hashlibs_sha256_on_any_dict(raw):
+    assert config_hash(raw) == hashlib_hash(raw)
+
+
+HASH_PROBE = """
+import hashlib, json, sys
+sys.modules["_sha2"] = sys.modules["_sha256"] = None  # neither built-in module imports
+from mumford_heat import config
+raw = json.loads(sys.stdin.read())
+print(json.dumps([config.sha256 is hashlib.sha256, config.config_hash(raw)]))
+"""
+
+
+@pytest.mark.parametrize("name", ["tate-p3", "genus2-p3"])
+def test_config_hash_falls_back_to_hashlib(name):
+    """An interpreter without the built-in SHA-256 module hashes through
+    hashlib, to the same string."""
+    raw = json.loads(bundled_fixture(name).read_text())
+    src = str(Path(mumford_heat.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    result = subprocess.run([sys.executable, "-c", HASH_PROBE], input=json.dumps(raw),
+                            env=env, timeout=120, check=True, capture_output=True, text=True)
+    assert json.loads(result.stdout) == [True, config_hash(raw)]
 
 
 class TestCli:
